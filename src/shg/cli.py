@@ -48,14 +48,21 @@ from .verify import GenConfig, oracle_domains, run_campaign
 __all__ = ["main"]
 
 RAW_RESIDUAL_TOL = 0.05
+# the spectrum needs dense n x n float matrices, 128 MB each at this size
+MAX_VERTICES = 4096
 
 
 def _load(path: str) -> tuple[SignedHypergraph, str]:
+    """Parse a file for an analysing command, refusing sizes over the
+    dense limit before anything is allocated per vertex."""
     text = Path(path).read_text(encoding="utf-8")
-    return parse(text), text
+    h = parse(text)
+    if h.n > MAX_VERTICES:
+        raise ValueError(f"{h.n} vertices exceeds the limit of {MAX_VERTICES}")
+    return h, text
 
 
-def _function_from_args(h: SignedHypergraph, spectrum_needed: bool, args) -> VertexFunction:
+def _function_from_args(h: SignedHypergraph, args) -> VertexFunction:
     if args.function is not None:
         values = [float(part) for part in args.function.split(",")]
         if len(values) != h.n:
@@ -105,7 +112,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_domains(args) -> int:
     h, _ = _load(args.file)
-    f = _function_from_args(h, spectrum_needed=True, args=args)
+    f = _function_from_args(h, args)
     dec = decompose(h, f)
     print(f"support: {sorted(f.support())}")
     print(f"strong ({dec.strong_count}): " +

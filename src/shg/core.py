@@ -14,7 +14,6 @@ Invariants:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 

@@ -11,10 +11,13 @@ path of zeros.
 
 Vertex repetition matters: a closed detour through the zeros can flip
 the accumulated sign, so deciding a weak link is a parity question about
-simple paths.  It is answered per pair from the block structure of the
-signed pair graph on the zeros plus the two endpoints: a balanced block
-contributes one fixed sign between its route vertices, a block carrying
-an unbalanced cycle contributes both signs.
+simple paths.  It is answered for all pairs at once from one block
+decomposition of the signed pair graph on the zeros: a balanced block
+contributes one fixed sign between any two of its vertices, read off a
+potential, and a block carrying an unbalanced cycle contributes both
+signs.  Each zero component then links the nonzeros attached to it by
+comparing one sign per attachment.  Fiedler sets come from one block
+pass over the vertex-edge incidence graph.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
@@ -33,10 +36,7 @@ from .core import (
     UnionFind,
     cyclomatic,
     edge_sign,
-    hyperneighbors,
-    incident_edges,
     induced_subhypergraph,
-    is_tree_like,
     spanning_hyperforest,
 )
 from .core import CycleStats
@@ -208,198 +208,111 @@ def _strong_domains_matrix(a: np.ndarray, f: VertexFunction) -> tuple[frozenset[
     return tuple(uf.groups(support))
 
 
-def _pair_sign_sets(h: SignedHypergraph) -> dict[tuple[int, int], set[int]]:
-    """Edge-sign sets per unordered vertex pair sharing at least one edge."""
-    pairs: dict[tuple[int, int], set[int]] = {}
-    for x, y, s in _clique_pairs(h):
-        key = (x, y) if x < y else (y, x)
-        pairs.setdefault(key, set()).add(s)
-    return pairs
+def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Blocks of a multigraph on nodes 0..n_nodes-1 with edges ``ends``.
 
-
-def _achievable_signs(adj: dict[int, list[tuple[int, int]]], u: int, w: int) -> frozenset[int]:
-    """Sign products achievable by simple u-w paths in a signed multigraph.
-
-    A simple path visits the blocks on the u-w route of the block-cut
-    tree in order.  A balanced block admits one sign between its entry
-    and exit (any two paths inside it differ by cycles of sign +1); a
-    block with an unbalanced cycle admits both.
+    Returns the blocks (biconnected components) as lists of edge ids and
+    the depth-first tree as (child, edge id) in discovery order.  This is
+    the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
+    stack; parallel edges are kept apart, so two of them form a block.
     """
-    if w not in adj or u not in adj:
-        return frozenset()
-
-    # biconnected components via edge-stack DFS, parallel edges kept apart
-    edges: list[tuple[int, int, int]] = []
-    inc: dict[int, list[int]] = {v: [] for v in adj}
-    for x, nbrs in adj.items():
-        for y, s in nbrs:
-            if x < y:
-                ei = len(edges)
-                edges.append((x, y, s))
-                inc[x].append(ei)
-                inc[y].append(ei)
-
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    inc: list[list[int]] = [[] for _ in range(n_nodes)]
+    for ei, (a, b) in enumerate(ends):
+        inc[a].append(ei)
+        inc[b].append(ei)
+    disc = [-1] * n_nodes
+    low = [0] * n_nodes
     counter = 0
     edge_stack: list[int] = []
     blocks: list[list[int]] = []
-    # frames: (vertex, incoming edge id, iterator position)
-    stack: list[list[int]] = [[u, -1, 0]]
-    disc[u] = low[u] = counter
-    counter += 1
-    while stack:
-        frame = stack[-1]
-        v, in_edge, pos = frame
-        if pos < len(inc[v]):
-            frame[2] += 1
-            ei = inc[v][pos]
-            if ei == in_edge:
-                continue
-            x, y, _ = edges[ei]
-            t = y if x == v else x
-            if t not in disc:
-                edge_stack.append(ei)
-                disc[t] = low[t] = counter
-                counter += 1
-                stack.append([t, ei, 0])
-            elif disc[t] < disc[v]:
-                edge_stack.append(ei)
-                low[v] = min(low[v], disc[t])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    block: list[int] = []
-                    while True:
-                        ei = edge_stack.pop()
-                        block.append(ei)
-                        if ei == in_edge:
-                            break
-                    blocks.append(block)
-    if w not in disc:
-        return frozenset()
-
-    # route from u to w alternating vertices and blocks
-    in_blocks: dict[int, list[int]] = {}
-    for bi, block in enumerate(blocks):
-        seen: set[int] = set()
-        for ei in block:
-            x, y, _ = edges[ei]
-            seen.update((x, y))
-        for v in seen:
-            in_blocks.setdefault(v, []).append(bi)
-    parent: dict[tuple[str, int], tuple[str, int] | None] = {("v", u): None}
-    frontier: list[tuple[str, int]] = [("v", u)]
-    while frontier and ("v", w) not in parent:
-        nxt: list[tuple[str, int]] = []
-        for node in frontier:
-            kind, ident = node
-            if kind == "v":
-                steps = [("b", bi) for bi in in_blocks.get(ident, ())]
+    tree: list[tuple[int, int]] = []
+    for root in range(n_nodes):
+        if disc[root] >= 0 or not inc[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(inc[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for ei in it:
+                if ei == in_edge:
+                    continue
+                a, b = ends[ei]
+                t = b if a == v else a
+                if disc[t] < 0:
+                    edge_stack.append(ei)
+                    tree.append((t, ei))
+                    disc[t] = low[t] = counter
+                    counter += 1
+                    stack.append((t, ei, iter(inc[t])))
+                    break
+                if disc[t] < disc[v]:
+                    edge_stack.append(ei)
+                    low[v] = min(low[v], disc[t])
             else:
-                seen = set()
-                for ei in blocks[ident]:
-                    x, y, _ = edges[ei]
-                    seen.update((x, y))
-                steps = [("v", v) for v in sorted(seen)]
-            for step in steps:
-                if step not in parent:
-                    parent[step] = node
-                    nxt.append(step)
-        frontier = nxt
-    if ("v", w) not in parent:
-        return frozenset()
-    route: list[tuple[str, int]] = []
-    node: tuple[str, int] | None = ("v", w)
-    while node is not None:
-        route.append(node)
-        node = parent[node]
-    route.reverse()
-
-    signs = {1}
-    for i in range(1, len(route), 2):
-        _, bi = route[i]
-        a = route[i - 1][1]
-        b = route[i + 1][1]
-        contrib = _block_route_signs(blocks[bi], edges, a, b)
-        signs = {s * c for s in signs for c in contrib}
-        if len(signs) == 2:
-            break
-    return frozenset(signs)
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        i = len(edge_stack) - 1
+                        while edge_stack[i] != in_edge:
+                            i -= 1
+                        blocks.append(edge_stack[i:])
+                        del edge_stack[i:]
+    return blocks, tree
 
 
-def _block_route_signs(block: list[int], edges: list[tuple[int, int, int]],
-                       a: int, b: int) -> frozenset[int]:
-    """Signs of simple a-b paths inside one biconnected block."""
-    local: dict[int, list[tuple[int, int]]] = {}
-    for ei in block:
-        x, y, s = edges[ei]
-        local.setdefault(x, []).append((y, s))
-        local.setdefault(y, []).append((x, s))
-    theta: dict[int, int] = {a: 1}
-    order = [a]
-    balanced = True
-    while order:
-        v = order.pop()
-        for t, s in local[v]:
-            if t not in theta:
-                theta[t] = theta[v] * s
-                order.append(t)
-            elif theta[t] != theta[v] * s:
-                balanced = False
-    if not balanced:
-        return frozenset((1, -1))
-    return frozenset((theta[a] * theta[b],))
-
-
-def _weak_core_union(h: SignedHypergraph, sign: list[int]) -> UnionFind:
+def _weak_core_union(h: SignedHypergraph, sign: list[int], zero_uf: UnionFind) -> UnionFind:
     """Union-find joining every pair of nonzeros linked by a zero-interior
     simple path of the matching sign product.
 
-    Pairs already related through earlier links are skipped; the final
-    partition is the transitive closure either way.
+    Such a path is a direct pair, or one attachment (u, z, s) of a nonzero
+    u to a zero z, a simple path inside one zero component, and one more
+    attachment.  On the zero pair graph a depth-first potential theta
+    decides each block: balanced when theta(x) * s * theta(y) = 1 on all
+    its pairs, so any path inside it between a and b has sign
+    theta(a) * theta(b); a block with an unbalanced cycle has simple paths
+    of both signs between any two of its vertices.  Balanced blocks glued
+    at cut vertices form regions, where theta still gives the path sign;
+    two zeros in different regions are joined by paths of both signs.
     """
-    pairs = _pair_sign_sets(h)
-    zz: list[tuple[int, int, int]] = []
-    attach: dict[int, list[tuple[int, int]]] = {}
-    direct: dict[tuple[int, int], set[int]] = {}
-    for (x, y), ss in pairs.items():
-        zx, zy = sign[x] == 0, sign[y] == 0
-        for s in ss:
-            if zx and zy:
-                zz.append((x, y, s))
-            elif zx:
-                attach.setdefault(y, []).append((x, s))
-            elif zy:
-                attach.setdefault(x, []).append((y, s))
-            else:
-                direct.setdefault((x, y), set()).add(s)
+    zz: dict[tuple[int, int, int], None] = {}
+    attach: dict[int, list[tuple[int, int, int]]] = {}
     uf = UnionFind(h.n)
-    support = [v for v in h.vertex_range() if sign[v] != 0]
-    for i, u in enumerate(support):
-        for w in support[i + 1:]:
-            if uf.find(u) == uf.find(w):
-                continue
-            tau = sign[u] * sign[w]
-            if tau in direct.get((u, w), ()):
-                uf.union(u, w)
-                continue
-            adj: dict[int, list[tuple[int, int]]] = {u: [], w: []}
-            for x, y, s in zz:
-                adj.setdefault(x, []).append((y, s))
-                adj.setdefault(y, []).append((x, s))
-            for end in (u, w):
-                for z, s in attach.get(end, ()):
-                    adj[end].append((z, s))
-                    adj.setdefault(z, []).append((end, s))
-            for s in direct.get((u, w), ()):
-                adj[u].append((w, s))
-                adj[w].append((u, s))
-            if tau in _achievable_signs(adj, u, w):
-                uf.union(u, w)
+    for x, y, s in _clique_pairs(h):
+        if sign[x] == 0 and sign[y] == 0:
+            zz[(x, y, s) if x < y else (y, x, s)] = None
+        elif sign[x] == 0:
+            attach.setdefault(zero_uf.find(x), []).append((y, x, s))
+        elif sign[y] == 0:
+            attach.setdefault(zero_uf.find(y), []).append((x, y, s))
+        elif sign[x] * s * sign[y] > 0:
+            uf.union(x, y)
+    if not attach:
+        return uf
+
+    pairs = list(zz)
+    blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+    theta = [1] * (h.n + 1)
+    for child, ei in tree:
+        x, y, s = pairs[ei]
+        theta[child] = theta[x if y == child else y] * s
+    region = UnionFind(h.n)
+    for block in blocks:
+        block_pairs = [pairs[ei] for ei in block]
+        if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
+            for x, y, _ in block_pairs:
+                region.union(x, y)
+
+    for group in attach.values():
+        if len({region.find(z) for _, z, _ in group}) > 1:
+            for u, _, _ in group:
+                uf.union(group[0][0], u)
+            continue
+        first: dict[int, int] = {}
+        for u, z, s in group:
+            uf.union(first.setdefault(sign[u] * s * theta[z], u), u)
     return uf
 
 
@@ -412,18 +325,18 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[frozense
     """
     _check_function(h, f)
     sign = _vertex_signs(f)
-    uf = _weak_core_union(h, sign)
-    support = [v for v in h.vertex_range() if sign[v] != 0]
-    cores = tuple(uf.groups(support))
-    if not cores:
-        return (), ()
-
     # zero vertices sharing an edge are mutually reachable sign-free
     zero_uf = UnionFind(h.n)
     for e in h.edges:
         zs = [v for v in e.vertices if sign[v] == 0]
         for z in zs[1:]:
             zero_uf.union(zs[0], z)
+    uf = _weak_core_union(h, sign, zero_uf)
+    support = [v for v in h.vertex_range() if sign[v] != 0]
+    cores = tuple(uf.groups(support))
+    if not cores:
+        return (), ()
+
     core_index = {v: i for i, core in enumerate(cores) for v in core}
     absorbed: list[set[int]] = [set(core) for core in cores]
     # a zero component is absorbed by every core it touches through an edge
@@ -487,19 +400,35 @@ def domain_adjacency_graph(h: SignedHypergraph, dec: NodalDecomposition) -> Doma
 
 def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     """Split the zeros of f: a zero joins ``fiedler`` when all its
-    hyperneighbors are zeros (or it has none) or it is not tree-like."""
+    hyperneighbors are zeros (or it has none) or it is not tree-like.
+
+    One block pass over the vertex-edge incidence graph decides every
+    vertex at once: x is tree-like (``core.is_tree_like``) exactly when
+    each of its incidence links is a bridge and none of its edges has
+    size 1, since weak deletion leaves such an edge empty.
+    """
     _check_function(h, f)
     sign = _vertex_signs(f)
-    fiedler: set[int] = set()
-    rest: set[int] = set()
-    for v in h.vertex_range():
-        if sign[v] != 0:
-            continue
-        if all(sign[w] == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v):
-            fiedler.add(v)
-        else:
-            rest.add(v)
-    return FiedlerSets(frozenset(fiedler), frozenset(rest))
+    zeros = [v for v in h.vertex_range() if sign[v] == 0]
+    if not zeros:
+        return FiedlerSets(frozenset(), frozenset())
+    seen_nonzero = [False] * (h.n + 1)
+    cyclic = [False] * (h.n + 1)
+    links: list[tuple[int, int]] = []
+    for i, e in enumerate(h.edges):
+        vs = e.vertices
+        if len(vs) == 1:
+            cyclic[vs[0]] = True
+        nonzero = any(sign[v] != 0 for v in vs)
+        for v in vs:
+            seen_nonzero[v] = seen_nonzero[v] or nonzero
+            links.append((v, h.n + 1 + i))
+    for block in _blocks(h.n + 1 + h.m, links)[0]:
+        if len(block) > 1:
+            for li in block:
+                cyclic[links[li][0]] = True
+    fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
+    return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
 def _edge_coherent(e_sign: int, signs: list[int], variant: str) -> bool:

@@ -17,8 +17,6 @@ from .nodal import check_bounds, decompose, fiedler_sets
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_ZERO_TOL_REL,
-    MatrixBundle,
-    Spectrum,
     VertexFunction,
     eigendecompose,
     laplacian,

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Edge, SignedHypergraph, degrees, edge_sign
+from .core import SignedHypergraph, degrees, edge_sign
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .core import (
     cyclomatic,
     degrees,
     edge_sign,
-    incident_edges,
     induced_subhypergraph,
     is_acyclic,
     is_tree_like,
@@ -46,23 +45,18 @@ from .nodal import (
     domain_adjacency_graph,
     fiedler_sets,
     l_plus,
-    strong_domains,
     support_cyclomatic,
-    weak_domains,
 )
 from .shgio import serialize
 from .spectra import (
     MatrixBundle,
     Spectrum,
     VertexFunction,
-    adjacency,
-    as_values,
     chained_difference_rank,
     eigendecompose,
     laplacian,
     nodal_quadratic_form,
     positive_inertia,
-    product_rule_defect,
     rayleigh,
     weighted_inner,
 )
@@ -813,9 +807,8 @@ def _p_sandwich(ctx: InstanceContext, rng: random.Random):
         coeff = b.a * np.outer(gv, gv)
         positive = _pair_graph(h, coeff, keep_positive_only=True)
         nonzero = _pair_graph(h, coeff, keep_positive_only=False)
-        if positive.m > 16:
-            continue
-        forest = spanning_hyperforest(positive, exact=True)
+        # the forests of a graph form a matroid, so greedy is exact here
+        forest = spanning_hyperforest(positive)
         sigma_t = sum(positive.edges[j].size - 1 for j in forest)
         p = positive_inertia(s)
         n_pos = positive.m

@@ -231,6 +231,27 @@ class TestUsageErrors:
     def test_unreadable_file_reports_two(self, tmp_path):
         assert main(["spectrum", str(tmp_path / "absent.shg")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["report"], ["bounds"], ["domains", "--eig", "1"],
+        ["domains", "--function", "0"], ["oracle", "--eig", "1"],
+    ])
+    def test_hostile_vertex_count_reports_two(self, tmp_path, capsys, monkeypatch, argv):
+        import shg.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("allocating call reached past the size check")
+
+        # every call that allocates per vertex fails the test instead
+        for name in ("laplacian", "eigendecompose", "decompose", "check_bounds",
+                     "build_report", "oracle_domains", "VertexFunction"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        path = tmp_path / "huge.shg"
+        path.write_text("shg 1\nvertices 100000000000\nedge 1:+ 2:-\n", encoding="utf-8")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"limit of {cli.MAX_VERTICES}" in err
+
 
 class TestReportModule:
     def test_oracle_limit_not_applied_here(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shg.core import Edge, SignedHypergraph
+from shg.core import Edge, SignedHypergraph, hyperneighbors, is_tree_like
 from shg.fixtures import (
     PRINTED_EIGENFUNCTIONS,
     TABLE1_STRONG,
@@ -24,7 +24,7 @@ from shg.nodal import (
     weak_domains,
 )
 from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian
-from shg.verify import GenConfig, generate
+from shg.verify import GenConfig, generate, oracle_domains
 
 
 def h_of(n, *edge_specs):
@@ -414,3 +414,86 @@ class TestScalingInvariance:
         g = VertexFunction.from_values([scale * x for x in values])
         assert as_sets(strong_domains(h, f)) == as_sets(strong_domains(h, g))
         assert as_sets(weak_domains(h, f)[0]) == as_sets(weak_domains(h, g)[0])
+
+
+@st.composite
+def zero_heavy_instances(draw, max_n, max_m):
+    """(h, f): edges of size 1..4 with random signs, 0-80 % zeros, and
+    some zero pairs carried by two parallel pairs of opposite sign, each
+    end maybe attached to a nonzero."""
+    n = draw(st.integers(1, max_n))
+    n_zeros = draw(st.integers(0, (4 * n) // 5))
+    zeros = draw(st.permutations(range(1, n + 1)))[:n_zeros]
+    values = [0.0 if v in zeros else draw(st.sampled_from((-2.0, -1.0, 1.0, 2.0)))
+              for v in range(1, n + 1)]
+    edges = []
+    n_parallel = draw(st.integers(0, 2)) if n_zeros >= 2 else 0
+    for _ in range(n_parallel):
+        a, b = draw(st.permutations(zeros))[:2]
+        edges += [pair_edge(a, b, 1), pair_edge(a, b, -1)]
+        for z in (a, b):
+            if n_zeros < n and draw(st.booleans()):
+                u = draw(st.sampled_from([v for v in range(1, n + 1) if v not in zeros]))
+                edges.append(pair_edge(u, z, draw(st.sampled_from((1, -1)))))
+    for _ in range(draw(st.integers(0, max_m - len(edges)))):
+        if edges and draw(st.integers(0, 9)) == 0:
+            edges.append(draw(st.sampled_from(edges)))
+            continue
+        size = draw(st.integers(1, min(4, n)))
+        vs = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        edges.append(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs))
+    order = draw(st.permutations(range(len(edges))))
+    return h_of(n, *(edges[i] for i in order)), VertexFunction.from_values(values)
+
+
+class TestOnePassAgainstReferences:
+    @given(zero_heavy_instances(max_n=7, max_m=9))
+    @settings(max_examples=400, deadline=None)
+    def test_decompose_matches_oracle(self, case):
+        h, f = case
+        dec = decompose(h, f)
+        assert (dec.strong, dec.weak_cores, dec.weak_closures) == oracle_domains(h, f)
+
+    @given(zero_heavy_instances(max_n=40, max_m=50))
+    @settings(max_examples=100, deadline=None)
+    def test_fiedler_sets_match_per_zero_definition(self, case):
+        h, f = case
+        zeros = [v for v in h.vertex_range() if f.sign(v) == 0]
+        fiedler = {v for v in zeros
+                   if all(f.sign(w) == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v)}
+        fs = fiedler_sets(h, f)
+        assert fs.fiedler == fiedler and fs.other_zeros == set(zeros) - fiedler
+
+
+LONG = 5000
+
+
+class TestLongZeroPaths:
+    """Zero paths far deeper than the interpreter's recursion limit."""
+
+    @pytest.mark.parametrize("end, flip", [(1, False), (-1, False), (1, True), (-1, True)])
+    def test_zero_chain_links_ends_by_parity(self, end, flip):
+        pairs = [pair_edge(v, v + 1, -1 if flip and v == LONG // 2 else 1) for v in range(1, LONG)]
+        f = VertexFunction.from_values([1.0] + [0.0] * (LONG - 2) + [float(end)])
+        h = h_of(LONG, *pairs)
+        linked = end * (-1 if flip else 1) > 0
+        cores = decompose(h, f).weak_cores
+        assert cores == (({1, LONG},) if linked else ({1}, {LONG}))
+        fs = fiedler_sets(h, f)
+        assert fs.other_zeros == {2, LONG - 1}
+        assert fs.fiedler == set(range(3, LONG - 1))
+
+    @pytest.mark.parametrize("end, unbalanced", [(1, False), (-1, False), (1, True), (-1, True)])
+    def test_zero_cycle_links_by_balance(self, end, unbalanced):
+        # zeros 2..LONG-1 on a cycle, nonzero pendants 1 and LONG opposite each other
+        ring = list(range(2, LONG))
+        pairs = [pair_edge(a, b, 1) for a, b in zip(ring, ring[1:])]
+        pairs.append(pair_edge(ring[-1], ring[0], -1 if unbalanced else 1))
+        pairs += [pair_edge(1, ring[0], 1), pair_edge(LONG, ring[len(ring) // 2], 1)]
+        f = VertexFunction.from_values([1.0] + [0.0] * (LONG - 2) + [float(end)])
+        h = h_of(LONG, *pairs)
+        linked = unbalanced or end > 0
+        cores = decompose(h, f).weak_cores
+        assert cores == (({1, LONG},) if linked else ({1}, {LONG}))
+        fs = fiedler_sets(h, f)
+        assert fs.fiedler == set(ring) and not fs.other_zeros
