@@ -54,6 +54,7 @@ from .nodal import (
     DomainGraph,
     FiedlerSets,
     NodalDecomposition,
+    bounds_table,
     check_bounds,
     counts,
     decompose,
@@ -110,7 +111,7 @@ __all__ = [
     "product_rule_defect", "rayleigh", "weighted_inner",
     # nodal
     "BoundReport", "DomainGraph", "FiedlerSets", "NodalDecomposition",
-    "check_bounds", "counts", "decompose", "domain_adjacency_graph",
+    "bounds_table", "check_bounds", "counts", "decompose", "domain_adjacency_graph",
     "fiedler_sets", "forest_count_diagnostic", "l_plus", "strong_domains",
     "support_cyclomatic", "weak_domains",
     # io

@@ -27,7 +27,7 @@ from .fixtures import (
     fixture_example1,
     printed_laplacian_array,
 )
-from .nodal import BOUND_VARIANTS, check_bounds, decompose, strong_domains
+from .nodal import BOUND_VARIANTS, bounds_table, decompose, strong_domains
 from .report import (
     aligned_text,
     build_report,
@@ -57,9 +57,13 @@ def _load(path: str) -> tuple[SignedHypergraph, str]:
     dense limit before anything is allocated per vertex."""
     text = Path(path).read_text(encoding="utf-8")
     h = parse(text)
+    _check_size(h)
+    return h, text
+
+
+def _check_size(h: SignedHypergraph) -> None:
     if h.n > MAX_VERTICES:
         raise ValueError(f"{h.n} vertices exceeds the limit of {MAX_VERTICES}")
-    return h, text
 
 
 def _function_from_args(h: SignedHypergraph, args) -> VertexFunction:
@@ -86,6 +90,7 @@ def _cmd_validate(args) -> int:
     except ParseError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
+    _check_size(h)
     if parse(serialize(h)) != h:
         print("invalid: serialization round-trip changed the instance", file=sys.stderr)
         return 1
@@ -127,12 +132,12 @@ def _cmd_domains(args) -> int:
 def _cmd_bounds(args) -> int:
     h, _ = _load(args.file)
     spectrum = eigendecompose(laplacian(h))
+    decs = [decompose(h, f) for f in spectrum.functions]
     header = ("i", "k", "r", "S", "W", "upper", "lower", "S>=lower")
     rows = [header]
-    for i in range(1, h.n + 1):
-        rep = check_bounds(h, spectrum, i, variant=args.h1_variant)
+    for rep in bounds_table(h, spectrum, decs, variant=args.h1_variant):
         rows.append((
-            str(i), str(rep.k), str(rep.r), str(rep.strong_count),
+            str(rep.eig_index), str(rep.k), str(rep.r), str(rep.strong_count),
             str(rep.weak_count), str(rep.k + rep.r - 1),
             str(rep.strong_lower_bound), "yes" if rep.strong_lower_ok else "NO",
         ))

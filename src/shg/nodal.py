@@ -27,6 +27,7 @@ nonzero constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "support_cyclomatic",
     "clique_expansion",
     "check_bounds",
+    "bounds_table",
     "forest_count_diagnostic",
 ]
 
@@ -359,10 +361,17 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[frozense
 
 
 def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
-    """Full nodal decomposition of f on h."""
+    """Full nodal decomposition of f on h.
+
+    Without zeros every weak link is a direct pair, so the weak cores and
+    closures are the strong domains and ``weak_domains`` is not run.
+    """
     strong = strong_domains(h, f)
+    support = f.support()
+    if len(support) == f.n:
+        return NodalDecomposition(support, strong, strong, strong, f.zero_tolerance)
     cores, closures = weak_domains(h, f)
-    return NodalDecomposition(f.support(), strong, cores, closures, f.zero_tolerance)
+    return NodalDecomposition(support, strong, cores, closures, f.zero_tolerance)
 
 
 def counts(dec: NodalDecomposition) -> tuple[int, int]:
@@ -461,15 +470,17 @@ def l_plus(h: SignedHypergraph, f: VertexFunction, variant: str = "all_pairs") -
         raise ValueError(f"unknown variant {variant!r}, expected one of {L_PLUS_VARIANTS}")
     _check_function(h, f)
     sign = _vertex_signs(f)
-    selected = []
+    uf = UnionFind(h.n)
+    total = 0
     for e in h.edges:
-        signs = [sign[v] for v in e.vertices]
-        if 0 in signs:
+        vs = e.vertices
+        signs = [sign[v] for v in vs]
+        if 0 in signs or not _edge_coherent(edge_sign(e) if e.size else 1, signs, variant):
             continue
-        if _edge_coherent(edge_sign(e) if e.size else 1, signs, variant):
-            selected.append(e)
-    sub = SignedHypergraph(h.n, tuple(selected), allow_empty_edges=h.allow_empty_edges)
-    return cyclomatic(sub)
+        total += max(len(vs) - 1, 0)
+        for u in vs[1:]:
+            uf.union(vs[0], u)
+    return CycleStats(total, h.n, uf.count, total - h.n + uf.count)
 
 
 def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
@@ -516,6 +527,69 @@ def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
         h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in _clique_pairs(h)))
 
 
+def _check_bounds_args(h: SignedHypergraph, spectrum: Spectrum, variant: str) -> None:
+    if variant not in BOUND_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {BOUND_VARIANTS}")
+    if spectrum.n != h.n:
+        raise ValueError(f"spectrum has {spectrum.n} values, hypergraph has {h.n} vertices")
+
+
+def _bound_rows(h: SignedHypergraph, spectrum: Spectrum,
+                rows: Iterable[tuple[int, NodalDecomposition]], variant: str) -> list[BoundReport]:
+    """One BoundReport per (1-based index, decomposition of that index's
+    function); the per-instance terms are computed once for all rows."""
+    cyc = cyclomatic(h)
+    c = cyc.n_components
+    g = clique_expansion(h) if variant == "clique" else h
+    # inducing on every vertex is the identity, so a full support has l' = l(g)
+    l_full = cyclomatic(g).l if g is not h else cyc.l
+    out = []
+    for i, dec in rows:
+        f = spectrum.functions[i - 1]
+        if dec.zero_tolerance != f.zero_tolerance:
+            raise ValueError(f"decomposition {i} was made at another zero tolerance")
+        k, r = spectrum.cluster_of(i)
+        lp_all = l_plus(g, f, "all_pairs").l
+        lp_exists = l_plus(g, f, "exists_ordering").l
+        l_prime = l_full if len(dec.support) == h.n else support_cyclomatic(g, f).l
+        fied = len(fiedler_sets(g, f).fiedler)
+        lp = lp_exists if variant == "exists_ordering" else lp_all
+        lower = k + r - 1 - l_prime + lp - fied
+        out.append(BoundReport(
+            eig_index=i,
+            k=k,
+            r=r,
+            c=c,
+            l=cyc.l,
+            l_plus=lp_all,
+            l_plus_exists_ordering=lp_exists,
+            l_prime=l_prime,
+            fiedler_size=fied,
+            strong_count=dec.strong_count,
+            weak_count=dec.weak_count,
+            strong_lower_bound=lower,
+            strong_upper_ok=dec.strong_count <= k + r - 1,
+            weak_upper_ok=dec.weak_count <= k + c - 1,
+            strong_lower_ok=dec.strong_count >= lower,
+        ))
+    return out
+
+
+def bounds_table(h: SignedHypergraph, spectrum: Spectrum,
+                 decompositions: Sequence[NodalDecomposition],
+                 variant: str = "all_pairs") -> tuple[BoundReport, ...]:
+    """``check_bounds`` for every index 1..n at once.
+
+    ``decompositions[i - 1]`` must be ``decompose(h, spectrum.functions[i - 1])``;
+    the table reuses them, so each function is decomposed once by the
+    caller, and computes the components, l and the clique expansion once.
+    """
+    _check_bounds_args(h, spectrum, variant)
+    if len(decompositions) != spectrum.n:
+        raise ValueError(f"{len(decompositions)} decompositions for {spectrum.n} eigenfunctions")
+    return tuple(_bound_rows(h, spectrum, enumerate(decompositions, 1), variant))
+
+
 def check_bounds(h: SignedHypergraph, spectrum: Spectrum, eig_index: int,
                  variant: str = "all_pairs") -> BoundReport:
     """Nodal-count bounds for the eigenfunction at a 1-based index.
@@ -527,41 +601,11 @@ def check_bounds(h: SignedHypergraph, spectrum: Spectrum, eig_index: int,
     named coherence rule); ``clique`` reads them on ``clique_expansion(h)``,
     where both coherence rules agree.
     """
-    if variant not in BOUND_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {BOUND_VARIANTS}")
+    _check_bounds_args(h, spectrum, variant)
     if not 1 <= eig_index <= spectrum.n:
         raise IndexError(f"eigenvalue index {eig_index} out of range 1..{spectrum.n}")
-    if spectrum.n != h.n:
-        raise ValueError(f"spectrum has {spectrum.n} values, hypergraph has {h.n} vertices")
-    k, r = spectrum.cluster_of(eig_index)
-    f = spectrum.functions[eig_index - 1]
-    dec = decompose(h, f)
-    cyc = cyclomatic(h)
-    c = cyc.n_components
-    g = clique_expansion(h) if variant == "clique" else h
-    lp_all = l_plus(g, f, "all_pairs").l
-    lp_exists = l_plus(g, f, "exists_ordering").l
-    l_prime = support_cyclomatic(g, f).l
-    fied = fiedler_sets(g, f)
-    lp = lp_exists if variant == "exists_ordering" else lp_all
-    lower = k + r - 1 - l_prime + lp - len(fied.fiedler)
-    return BoundReport(
-        eig_index=eig_index,
-        k=k,
-        r=r,
-        c=c,
-        l=cyc.l,
-        l_plus=lp_all,
-        l_plus_exists_ordering=lp_exists,
-        l_prime=l_prime,
-        fiedler_size=len(fied.fiedler),
-        strong_count=dec.strong_count,
-        weak_count=dec.weak_count,
-        strong_lower_bound=lower,
-        strong_upper_ok=dec.strong_count <= k + r - 1,
-        weak_upper_ok=dec.weak_count <= k + c - 1,
-        strong_lower_ok=dec.strong_count >= lower,
-    )
+    dec = decompose(h, spectrum.functions[eig_index - 1])
+    return _bound_rows(h, spectrum, [(eig_index, dec)], variant)[0]
 
 
 def forest_count_diagnostic(h: SignedHypergraph, f: VertexFunction) -> tuple[int, int, bool]:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .nodal import check_bounds, decompose, fiedler_sets
+from .nodal import NodalDecomposition, bounds_table, decompose, fiedler_sets
 from .spectra import (
     DEFAULT_CLUSTER_TOL,
     DEFAULT_ZERO_TOL_REL,
@@ -117,16 +118,15 @@ def _sets(groups: tuple[frozenset[int], ...]) -> list[list[int]]:
     return [sorted(g) for g in groups]
 
 
-def function_record(h: SignedHypergraph, values, index: int, eigenvalue: float,
-                    zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> dict:
-    """Nodal analysis of one vertex function as a JSON-ready dict."""
-    f = VertexFunction.from_values(values, rel_tol=zero_tol_rel)
-    dec = decompose(h, f)
+def function_record(h: SignedHypergraph, f: VertexFunction, dec: NodalDecomposition,
+                    index: int, eigenvalue: float) -> dict:
+    """Nodal analysis of one vertex function, given its decomposition, as
+    a JSON-ready dict."""
     fs = fiedler_sets(h, f)
     return {
         "index": index,
         "eigenvalue": eigenvalue,
-        "values": [float(x) for x in values],
+        "values": list(f.values),
         "strong": _sets(dec.strong),
         "weak_cores": _sets(dec.weak_cores),
         "weak_closures": _sets(dec.weak_closures),
@@ -145,35 +145,21 @@ def build_report(h: SignedHypergraph, digest: str,
                  supplied: tuple[tuple[float, tuple[float, ...]], ...] = ()) -> dict:
     """Full analysis of one instance as a plain JSON-ready dict.
 
+    Each eigenfunction is read at ``zero_tol_rel`` and decomposed once;
+    its record and its bounds row share that decomposition.
     ``supplied`` adds externally given (eigenvalue, values) pairs, each
     analyzed as a vertex function alongside the solver's own basis.
     """
     bundle = laplacian(h)
     spectrum = eigendecompose(bundle, cluster_tol=cluster_tol)
+    spectrum = replace(spectrum, functions=tuple(
+        VertexFunction.from_values(f.values, rel_tol=zero_tol_rel) for f in spectrum.functions))
+    decs = [decompose(h, f) for f in spectrum.functions]
     eigenfunctions = [
-        function_record(h, f.values, i, spectrum.eigenvalues[i - 1], zero_tol_rel)
-        for i, f in enumerate(spectrum.functions, 1)
+        function_record(h, f, dec, i, lam)
+        for i, (f, dec, lam) in enumerate(zip(spectrum.functions, decs, spectrum.eigenvalues), 1)
     ]
-    bounds = []
-    for i in range(1, h.n + 1):
-        rep = check_bounds(h, spectrum, i, variant=h1_variant)
-        bounds.append({
-            "eig_index": rep.eig_index,
-            "k": rep.k,
-            "r": rep.r,
-            "c": rep.c,
-            "l": rep.l,
-            "l_plus": rep.l_plus,
-            "l_plus_exists_ordering": rep.l_plus_exists_ordering,
-            "l_prime": rep.l_prime,
-            "fiedler_size": rep.fiedler_size,
-            "strong_count": rep.strong_count,
-            "weak_count": rep.weak_count,
-            "strong_lower_bound": rep.strong_lower_bound,
-            "strong_upper_ok": rep.strong_upper_ok,
-            "weak_upper_ok": rep.weak_upper_ok,
-            "strong_lower_ok": rep.strong_lower_ok,
-        })
+    bounds = [dict(vars(rep)) for rep in bounds_table(h, spectrum, decs, variant=h1_variant)]
     report = {
         "tool_version": __version__,
         "input_digest": digest,
@@ -190,10 +176,11 @@ def build_report(h: SignedHypergraph, digest: str,
         "discrepancy_notes": list(notes),
     }
     if supplied:
-        report["supplied_functions"] = [
-            function_record(h, values, i, lam, zero_tol_rel)
-            for i, (lam, values) in enumerate(supplied, 1)
-        ]
+        records = []
+        for i, (lam, values) in enumerate(supplied, 1):
+            f = VertexFunction.from_values(values, rel_tol=zero_tol_rel)
+            records.append(function_record(h, f, decompose(h, f), i, lam))
+        report["supplied_functions"] = records
     return report
 
 

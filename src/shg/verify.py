@@ -39,13 +39,11 @@ from .core import (
 from .nodal import (
     BoundReport,
     NodalDecomposition,
-    check_bounds,
-    clique_expansion,
+    bounds_table,
     decompose,
     domain_adjacency_graph,
-    fiedler_sets,
-    l_plus,
-    support_cyclomatic,
+    strong_domains,
+    weak_domains,
 )
 from .shgio import serialize
 from .spectra import (
@@ -242,10 +240,12 @@ def _spectral_cleanup(h: SignedHypergraph) -> SignedHypergraph | None:
 
 def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
         tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """Nodal partitions by literal path enumeration: (strong, weak cores,
-    weak closures).  Paths are vertex sequences without repetition;
-    pairs found related are closed into equivalence classes afterwards.
-    Limited to 8 vertices.
+    """Nodal partitions from first principles: (strong, weak cores, weak
+    closures).  Strong links carry no parity, so the strong domains are
+    the classes of the directly linked pairs (reachability); weak links
+    do, so they are found by enumerating paths without vertex repetition.
+    Related pairs are closed into equivalence classes.  Limited to 8
+    vertices.
     """
     if h.n > ORACLE_MAX_N:
         raise ValueError(f"instance too large: {h.n} vertices exceeds {ORACLE_MAX_N}")
@@ -255,22 +255,9 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
     support = [v for v in h.vertex_range() if sign[v] != 0]
     esigns = [(e, edge_sign(e)) for e in h.edges if e.size > 0]
 
-    strong_pairs: set[tuple[int, int]] = set()
-
-    def s_walk(cur: int, visited: frozenset[int], start: int) -> None:
-        for e, sg in esigns:
-            vs = e.vertices
-            if cur not in vs:
-                continue
-            for w in vs:
-                if w == cur or w in visited or sign[w] == 0:
-                    continue
-                if sign[cur] * sg * sign[w] > 0:
-                    strong_pairs.add((start, w))
-                    s_walk(w, visited | {w}, start)
-
-    for x in support:
-        s_walk(x, frozenset({x}), x)
+    # strong links carry no parity: closing the direct pairs is reachability
+    strong_pairs = {(x, w) for e, sg in esigns for x in e.vertices for w in e.vertices
+                    if x != w and sign[x] * sg * sign[w] > 0}
 
     weak_pairs: set[tuple[int, int]] = set()
 
@@ -417,10 +404,7 @@ class InstanceContext:
     @property
     def bound_reports(self) -> list[BoundReport]:
         if self._reports is None:
-            self._reports = [
-                check_bounds(self.h, self.spectrum, i)
-                for i in range(1, self.h.n + 1)
-            ]
+            self._reports = list(bounds_table(self.h, self.spectrum, self.decompositions))
         return self._reports
 
     def is_classical(self) -> bool:
@@ -696,8 +680,9 @@ def _p_no_zeros_identical(ctx: InstanceContext, rng: random.Random):
     for j, f in enumerate(_sample_functions(ctx, rng)):
         if len(f.support()) != f.n:
             continue
-        dec = decompose(ctx.h, f)
-        if not (dec.strong == dec.weak_cores == dec.weak_closures):
+        # weak_domains itself, which decompose skips on a zero-free function
+        cores, closures = weak_domains(ctx.h, f)
+        if not (strong_domains(ctx.h, f) == cores == closures):
             fails.append(f"zero-free function {j}: strong and weak partitions differ")
     return fails, []
 
@@ -762,10 +747,9 @@ def _p_eigen_upper_bounds(ctx: InstanceContext, rng: random.Random):
 
 def _p_eigen_lower_bound_logged(ctx: InstanceContext, rng: random.Random):
     fails, notes = [], []
-    g = clique_expansion(ctx.h)
-    for rep, f in zip(ctx.bound_reports, ctx.spectrum.functions):
-        clique_bound = (rep.k + rep.r - 1 - support_cyclomatic(g, f).l + l_plus(g, f).l
-                        - len(fiedler_sets(g, f).fiedler))
+    clique = bounds_table(ctx.h, ctx.spectrum, ctx.decompositions, variant="clique")
+    for rep, clique_rep in zip(ctx.bound_reports, clique):
+        clique_bound = clique_rep.strong_lower_bound
         if rep.strong_count < clique_bound:
             fails.append(
                 f"eig {rep.eig_index}: strong count {rep.strong_count} < clique bound {clique_bound}")

@@ -1,9 +1,13 @@
 """File format round-trips, parse diagnostics, and the command line."""
 
+import contextlib
+import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shg.cli import main
 from shg.core import Edge, SignedHypergraph
@@ -233,7 +237,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["spectrum"], ["report"], ["bounds"], ["domains", "--eig", "1"],
-        ["domains", "--function", "0"], ["oracle", "--eig", "1"],
+        ["domains", "--function", "0"], ["oracle", "--eig", "1"], ["validate"],
     ])
     def test_hostile_vertex_count_reports_two(self, tmp_path, capsys, monkeypatch, argv):
         import shg.cli as cli
@@ -242,8 +246,8 @@ class TestUsageErrors:
             raise AssertionError("allocating call reached past the size check")
 
         # every call that allocates per vertex fails the test instead
-        for name in ("laplacian", "eigendecompose", "decompose", "check_bounds",
-                     "build_report", "oracle_domains", "VertexFunction"):
+        for name in ("laplacian", "eigendecompose", "decompose", "bounds_table",
+                     "build_report", "oracle_domains", "VertexFunction", "serialize"):
             monkeypatch.setattr(cli, name, must_not_run)
         path = tmp_path / "huge.shg"
         path.write_text("shg 1\nvertices 100000000000\nedge 1:+ 2:-\n", encoding="utf-8")
@@ -267,3 +271,83 @@ class TestReportModule:
         text = report_json(r)
         assert text.endswith("\n")
         assert json.loads(text) == json.loads(report_json(r))
+
+    def test_bounds_rows_read_the_report_tolerance(self):
+        # a loose zero tolerance turns small entries into zeros; each
+        # bounds row must count the same function as its record
+        for h in generate(GenConfig(seed=3, count=10)):
+            r = build_report(h, "", zero_tol_rel=0.2)
+            for rec, row in zip(r["eigenfunctions"], r["bounds"], strict=True):
+                assert (row["strong_count"], row["weak_count"]) == (
+                    rec["strong_count"], rec["weak_count"])
+
+    def test_one_decomposition_per_function(self, monkeypatch):
+        import shg.nodal as nodal
+        import shg.report as report
+
+        calls = []
+        real = nodal.decompose
+
+        def counting(h, f):
+            calls.append(f)
+            return real(h, f)
+
+        for module in (nodal, report):
+            monkeypatch.setattr(module, "decompose", counting)
+        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        build_report(h, input_digest(serialize(h)))
+        assert len(calls) == h.n == 20
+
+
+@st.composite
+def shg_texts(draw):
+    """A well-formed .shg text (n <= 7, isolated vertices possible) with
+    at most one hostile change: a bad header or vertex count, a huge
+    vertex count, a bad incidence (out-of-range or huge id, bad sign,
+    repeated vertex), an empty edge, or truncation at any character."""
+    n = draw(st.integers(1, 7))
+    lines = ["shg 1", f"vertices {n}"]
+    covered = set()
+    for _ in range(draw(st.integers(0, 6))):
+        vs = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4), unique=True))
+        covered.update(vs)
+        lines.append("edge " + " ".join(f"{v}:{draw(st.sampled_from('+-'))}" for v in vs))
+    lines += [f"edge {v}:+" for v in range(1, n + 1) if v not in covered and draw(st.booleans())]
+    kind = draw(st.sampled_from(
+        ("none", "none", "header", "vertices", "huge", "incidence", "empty", "truncate")))
+    at = draw(st.integers(2, len(lines)))
+    if kind == "header":
+        lines[0] = draw(st.sampled_from(("shg 2", "shg", "")))
+    elif kind == "vertices":
+        lines[1] = draw(st.sampled_from(("vertices -3", "vertices", "vertices x", "vertices 0")))
+    elif kind == "huge":
+        lines[1] = "vertices 100000000000"
+        lines.insert(at, "edge 1:+ 100000000000:-")
+    elif kind == "incidence":
+        bad = draw(st.sampled_from(
+            (f"{n + 1}:+", "0:-", "1000000000000:+", "1:*", "1", ":+", "1:+ 1:-")))
+        lines.insert(at, f"edge {bad}")
+    elif kind == "empty":
+        lines.insert(at, "edge")
+    text = "\n".join(lines) + "\n"
+    return text[:draw(st.integers(0, len(text)))] if kind == "truncate" else text
+
+
+FILE_COMMANDS = (
+    ["validate"], ["spectrum"], ["domains", "--eig", "1"], ["domains", "--function=1,0,-1"],
+    ["bounds"], ["bounds", "--h1-variant", "clique"], ["report"], ["oracle", "--eig", "1"],
+)
+
+
+class TestExitCodes:
+    @given(shg_texts())
+    @settings(max_examples=40, deadline=None)
+    def test_every_command_exits_0_1_or_2(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "h.shg"
+        path.write_text(text, encoding="utf-8")
+        for argv in FILE_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in err.getvalue(), (argv, text)

@@ -1,17 +1,20 @@
 """Nodal domains: strong/weak decompositions, zero handling, count bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shg.core import Edge, SignedHypergraph, hyperneighbors, is_tree_like
+from shg.core import Edge, SignedHypergraph, cyclomatic, edge_sign, hyperneighbors, is_tree_like
 from shg.fixtures import (
     PRINTED_EIGENFUNCTIONS,
     TABLE1_STRONG,
     fixture_example1,
 )
 from shg.nodal import (
+    bounds_table,
     check_bounds,
     clique_expansion,
     decompose,
@@ -497,3 +500,64 @@ class TestLongZeroPaths:
         assert cores == (({1, LONG},) if linked else ({1}, {LONG}))
         fs = fiedler_sets(h, f)
         assert fs.fiedler == set(ring) and not fs.other_zeros
+
+
+def _coherent_by_orderings(e, sign, variant):
+    """Coherence read off its definition: every pair (all_pairs) or the
+    consecutive pairs of some vertex ordering (exists_ordering) respect
+    the edge sign."""
+    s = edge_sign(e)
+    ok = lambda x, y: sign[x] * s * sign[y] > 0
+    if variant == "all_pairs":
+        return all(ok(x, y) for x, y in itertools.combinations(e.vertices, 2))
+    return any(all(ok(x, y) for x, y in zip(p, p[1:]))
+               for p in itertools.permutations(e.vertices))
+
+
+class TestBoundsTable:
+    @given(zero_heavy_instances(max_n=9, max_m=12), st.sampled_from(("all_pairs", "exists_ordering")))
+    @settings(max_examples=150, deadline=None)
+    def test_l_plus_is_cyclomatic_of_coherent_edges(self, case, variant):
+        h, f = case
+        sign = [0] + [f.sign(v) for v in h.vertex_range()]
+        coherent = tuple(e for e in h.edges
+                         if all(sign[v] for v in e.vertices) and _coherent_by_orderings(e, sign, variant))
+        assert l_plus(h, f, variant) == cyclomatic(SignedHypergraph(h.n, coherent))
+
+    @pytest.mark.parametrize("variant", ["all_pairs", "exists_ordering", "clique"])
+    def test_table_equals_per_row_terms(self, variant):
+        cases = [fixture_example1()]
+        cases += list(generate(GenConfig(classical=True, seed=5, count=6)))
+        cases += list(generate(GenConfig(seed=8, count=6)))
+        for h in cases:
+            s = eigendecompose(laplacian(h))
+            table = bounds_table(h, s, [decompose(h, f) for f in s.functions], variant)
+            assert table == tuple(check_bounds(h, s, i, variant) for i in range(1, h.n + 1))
+            g = clique_expansion(h) if variant == "clique" else h
+            for rep, f in zip(table, s.functions, strict=True):
+                # l' on the induced support, as defined, whether or not f has zeros
+                assert rep.l_prime == support_cyclomatic(g, f).l
+                assert rep.l == cyclomatic(h).l
+
+    def test_rejects_mismatched_decompositions(self, fixture, spectrum):
+        decs = [decompose(fixture, f) for f in spectrum.functions]
+        with pytest.raises(ValueError, match="8 decompositions"):
+            bounds_table(fixture, spectrum, decs[:-1])
+        loose = VertexFunction.from_values(spectrum.functions[0].values, rel_tol=0.5)
+        with pytest.raises(ValueError, match="another zero tolerance"):
+            bounds_table(fixture, spectrum, [decompose(fixture, loose)] + decs[1:])
+        with pytest.raises(ValueError, match="unknown variant"):
+            bounds_table(fixture, spectrum, decs, variant="median")
+
+    def test_zero_free_decompose_skips_weak_pass(self, fixture, monkeypatch):
+        import shg.nodal as nodal
+        f = vf(1, 2, -1, 1, -2, 1, 1, -1, 2)
+        cores, closures = weak_domains(fixture, f)
+
+        def must_not_run(*args):
+            raise AssertionError("weak_domains ran on a zero-free function")
+
+        monkeypatch.setattr(nodal, "weak_domains", must_not_run)
+        dec = decompose(fixture, f)
+        assert dec.strong == dec.weak_cores == cores
+        assert dec.weak_closures == closures
