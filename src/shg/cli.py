@@ -27,7 +27,7 @@ from .fixtures import (
     fixture_example1,
     printed_laplacian_array,
 )
-from .nodal import BOUND_VARIANTS, bounds_table, decompose, strong_domains
+from .nodal import BOUND_VARIANTS, Analysis, decompose, strong_domains
 from .report import (
     aligned_text,
     build_report,
@@ -43,7 +43,7 @@ from .spectra import (
     eigendecompose,
     laplacian,
 )
-from .verify import GenConfig, oracle_domains, run_campaign
+from .verify import ORACLE_MAX_N, GenConfig, oracle_domains, run_campaign
 
 __all__ = ["main"]
 
@@ -131,11 +131,9 @@ def _cmd_domains(args) -> int:
 
 def _cmd_bounds(args) -> int:
     h, _ = _load(args.file)
-    spectrum = eigendecompose(laplacian(h))
-    decs = [decompose(h, f) for f in spectrum.functions]
     header = ("i", "k", "r", "S", "W", "upper", "lower", "S>=lower")
     rows = [header]
-    for rep in bounds_table(h, spectrum, decs, variant=args.h1_variant):
+    for rep in Analysis(h).bounds(args.h1_variant):
         rows.append((
             str(rep.eig_index), str(rep.k), str(rep.r), str(rep.strong_count),
             str(rep.weak_count), str(rep.k + rep.r - 1),
@@ -180,8 +178,9 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_oracle(args) -> int:
     h, _ = _load(args.file)
-    if h.n > 8:
-        print(f"error: oracle limited to 8 vertices, file has {h.n}", file=sys.stderr)
+    if h.n > ORACLE_MAX_N:
+        print(f"error: oracle limited to {ORACLE_MAX_N} vertices, file has {h.n}",
+              file=sys.stderr)
         return 2
     spectrum = eigendecompose(laplacian(h))
     if not 1 <= args.eig <= h.n:

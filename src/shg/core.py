@@ -14,7 +14,7 @@ Invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 __all__ = [
@@ -22,12 +22,10 @@ __all__ = [
     "SignedHypergraph",
     "VertexPartition",
     "CycleStats",
-    "Relabeled",
     "UnionFind",
     "edge_sign",
     "degree",
     "degrees",
-    "incident_edges",
     "hyperneighbors",
     "connected_components",
     "induced_subhypergraph",
@@ -100,6 +98,25 @@ class SignedHypergraph:
     def vertex_range(self) -> range:
         return range(1, self.n + 1)
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(x, y, sgn(e)) for every vertex pair of every edge, in edge order
+        and then incidence order; parallel pairs are kept.
+
+        The adjacency, the strong relation and the signed clique expansion
+        are all built from this table, computed once per hypergraph.
+        """
+        out = []
+        for e in self.edges:
+            if e.size < 2:
+                continue
+            s = edge_sign(e)
+            vs = e.vertices
+            for i, x in enumerate(vs):
+                for y in vs[i + 1:]:
+                    out.append((x, y, s))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class VertexPartition:
@@ -141,14 +158,6 @@ class CycleStats:
             raise ValueError("inconsistent cyclomatic data")
         if self.l < 0:
             raise ValueError("cyclomatic number cannot be negative")
-
-
-@dataclass(frozen=True)
-class Relabeled:
-    """Result of an operation that renumbers vertices to 1..k."""
-
-    hypergraph: SignedHypergraph
-    old_to_new: dict[int, int] = field(compare=False)
 
 
 class UnionFind:
@@ -211,15 +220,6 @@ def degrees(h: SignedHypergraph) -> list[int]:
     return d
 
 
-def incident_edges(h: SignedHypergraph) -> list[list[int]]:
-    """For each vertex, the indices of its edges; index 0 unused."""
-    inc: list[list[int]] = [[] for _ in range(h.n + 1)]
-    for i, e in enumerate(h.edges):
-        for v, _ in e.incidences:
-            inc[v].append(i)
-    return inc
-
-
 def hyperneighbors(h: SignedHypergraph, v: int) -> frozenset[int]:
     """Vertices sharing at least one edge with v, excluding v itself."""
     if not 1 <= v <= h.n:
@@ -247,7 +247,7 @@ def connected_components(h: SignedHypergraph) -> VertexPartition:
     return VertexPartition(tuple(blocks), frozenset(h.vertex_range()))
 
 
-def induced_subhypergraph(h: SignedHypergraph, keep: frozenset[int] | set[int]) -> Relabeled:
+def induced_subhypergraph(h: SignedHypergraph, keep: frozenset[int] | set[int]) -> SignedHypergraph:
     """Restrict to a vertex set: edges are truncated to their intersection
     with ``keep`` (original incidence signs retained), empty truncations are
     dropped, duplicate truncated edges are kept.  Vertices are renumbered
@@ -264,10 +264,10 @@ def induced_subhypergraph(h: SignedHypergraph, keep: frozenset[int] | set[int]) 
         inc = tuple((old_to_new[v], s) for v, s in e.incidences if v in keep)
         if inc:
             new_edges.append(Edge(inc))
-    return Relabeled(SignedHypergraph(len(keep), tuple(new_edges)), old_to_new)
+    return SignedHypergraph(len(keep), tuple(new_edges))
 
 
-def weak_delete(h: SignedHypergraph, v: int) -> Relabeled:
+def weak_delete(h: SignedHypergraph, v: int) -> SignedHypergraph:
     """Remove v from the vertex set and from every edge, keeping truncated
     edges (even empty ones).  Remaining vertices are renumbered 1..n-1.
     """
@@ -278,7 +278,7 @@ def weak_delete(h: SignedHypergraph, v: int) -> Relabeled:
         Edge(tuple((old_to_new[u], s) for u, s in e.incidences if u != v))
         for e in h.edges
     )
-    return Relabeled(SignedHypergraph(h.n - 1, new_edges, allow_empty_edges=True), old_to_new)
+    return SignedHypergraph(h.n - 1, new_edges, allow_empty_edges=True)
 
 
 def cyclomatic(h: SignedHypergraph) -> CycleStats:
@@ -302,7 +302,7 @@ def is_tree_like(h: SignedHypergraph, x: int) -> bool:
     """
     d = degree(h, x)
     before = len(connected_components(h))
-    after = len(connected_components(weak_delete(h, x).hypergraph))
+    after = len(connected_components(weak_delete(h, x)))
     return after == before + d - 1
 
 

@@ -17,21 +17,29 @@ contributes one fixed sign between any two of its vertices, read off a
 potential, and a block carrying an unbalanced cycle contributes both
 signs.  Each zero component then links the nonzeros attached to it by
 comparing one sign per attachment.  Fiedler sets come from one block
-pass over the vertex-edge incidence graph.
+pass over the vertex-edge incidence graph.  Every pairwise pass (the
+strong relation, the weak direct pairs, the clique expansion) reads the
+pair table ``SignedHypergraph.pairs``.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
 nonzero constant.
+
+``Analysis`` holds everything computed about one instance: its
+matrices and spectrum, one decomposition and one set of Fiedler sets per
+eigenfunction, and one bounds table per reading of the lower bound.
+``shg report``, ``shg bounds`` and the campaign all read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
+    CycleStats,
     Edge,
     SignedHypergraph,
     UnionFind,
@@ -40,10 +48,17 @@ from .core import (
     induced_subhypergraph,
     spanning_hyperforest,
 )
-from .core import CycleStats
-from .spectra import Spectrum, VertexFunction
+from .spectra import (
+    DEFAULT_ZERO_TOL_REL,
+    MatrixBundle,
+    Spectrum,
+    VertexFunction,
+    eigendecompose,
+    laplacian,
+)
 
 __all__ = [
+    "Analysis",
     "NodalDecomposition",
     "FiedlerSets",
     "BoundReport",
@@ -51,19 +66,15 @@ __all__ = [
     "strong_domains",
     "weak_domains",
     "decompose",
-    "counts",
     "domain_adjacency_graph",
     "fiedler_sets",
     "l_plus",
     "support_cyclomatic",
     "clique_expansion",
-    "check_bounds",
-    "bounds_table",
     "forest_count_diagnostic",
 ]
 
-L_PLUS_VARIANTS = ("all_pairs", "exists_ordering")
-BOUND_VARIANTS = L_PLUS_VARIANTS + ("clique",)
+BOUND_VARIANTS = ("all_pairs", "exists_ordering", "clique")
 
 
 @dataclass(frozen=True)
@@ -174,17 +185,9 @@ def _strong_domains_hypergraph(h: SignedHypergraph, f: VertexFunction) -> tuple[
     _check_function(h, f)
     sign = _vertex_signs(f)
     uf = UnionFind(h.n)
-    for e in h.edges:
-        if e.size < 2:
-            continue
-        s = edge_sign(e)
-        vs = e.vertices
-        for i, x in enumerate(vs):
-            if sign[x] == 0:
-                continue
-            for y in vs[i + 1:]:
-                if sign[y] != 0 and sign[x] * s * sign[y] > 0:
-                    uf.union(x, y)
+    for x, y, s in h.pairs:
+        if sign[x] * s * sign[y] > 0:
+            uf.union(x, y)
     support = [v for v in h.vertex_range() if sign[v] != 0]
     return tuple(uf.groups(support))
 
@@ -282,7 +285,7 @@ def _weak_core_union(h: SignedHypergraph, sign: list[int], zero_uf: UnionFind) -
     zz: dict[tuple[int, int, int], None] = {}
     attach: dict[int, list[tuple[int, int, int]]] = {}
     uf = UnionFind(h.n)
-    for x, y, s in _clique_pairs(h):
+    for x, y, s in h.pairs:
         if sign[x] == 0 and sign[y] == 0:
             zz[(x, y, s) if x < y else (y, x, s)] = None
         elif sign[x] == 0:
@@ -374,11 +377,6 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     return NodalDecomposition(support, strong, cores, closures, f.zero_tolerance)
 
 
-def counts(dec: NodalDecomposition) -> tuple[int, int]:
-    """(number of strong domains, number of weak domains)."""
-    return dec.strong_count, dec.weak_count
-
-
 def domain_adjacency_graph(h: SignedHypergraph, dec: NodalDecomposition) -> DomainGraph:
     """Graph on weak closures; linked when they share a vertex or contain
     hyper-adjacent vertices."""
@@ -440,77 +438,64 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _edge_coherent(e_sign: int, signs: list[int], variant: str) -> bool:
+def _edge_coherent(e_sign: int, signs: list[int]) -> tuple[bool, bool]:
     """Whether an edge (all vertices nonzero, signs given) respects its
-    sign under the requested pairing rule.
+    sign under each pairing rule, as (all_pairs, exists_ordering).
 
     all_pairs: every pair x, y has sign(x) * e_sign * sign(y) > 0.
     exists_ordering: some vertex ordering makes every consecutive pair
     satisfy it.  Equivalent closed forms: a positive edge needs all equal
     signs either way; a negative edge needs alternation, so any pair for
     size <= 2 but balanced counts (|#pos - #neg| <= 1) for exists_ordering.
+    An all_pairs-coherent edge is therefore always exists_ordering-coherent.
     """
     if len(signs) <= 1:
-        return True
+        return True, True
     if e_sign > 0:
-        return len(set(signs)) == 1
+        same = len(set(signs)) == 1
+        return same, same
     pos = sum(1 for s in signs if s > 0)
     neg = len(signs) - pos
-    if variant == "all_pairs":
-        return len(signs) == 2 and pos == neg
-    return abs(pos - neg) <= 1
+    return len(signs) == 2 and pos == neg, abs(pos - neg) <= 1
 
 
-def l_plus(h: SignedHypergraph, f: VertexFunction, variant: str = "all_pairs") -> CycleStats:
-    """Cyclomatic data of the coherent subhypergraph: the edge family
-    restricted to edges whose vertices are all nonzero and respect the
-    edge sign under the chosen variant, on the full vertex set.
+def l_plus(h: SignedHypergraph, f: VertexFunction) -> tuple[CycleStats, CycleStats]:
+    """Cyclomatic data of the coherent subhypergraph under each variant, as
+    (all_pairs, exists_ordering): the edge family restricted to edges whose
+    vertices are all nonzero and respect the edge sign under that rule, on
+    the full vertex set.  One pass over the edges decides both.
     """
-    if variant not in L_PLUS_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {L_PLUS_VARIANTS}")
     _check_function(h, f)
     sign = _vertex_signs(f)
-    uf = UnionFind(h.n)
-    total = 0
+    ufs = (UnionFind(h.n), UnionFind(h.n))
+    totals = [0, 0]
     for e in h.edges:
         vs = e.vertices
         signs = [sign[v] for v in vs]
-        if 0 in signs or not _edge_coherent(edge_sign(e) if e.size else 1, signs, variant):
+        if 0 in signs:
             continue
-        total += max(len(vs) - 1, 0)
-        for u in vs[1:]:
-            uf.union(vs[0], u)
-    return CycleStats(total, h.n, uf.count, total - h.n + uf.count)
+        for j, coherent in enumerate(_edge_coherent(edge_sign(e) if vs else 1, signs)):
+            if coherent:
+                totals[j] += max(len(vs) - 1, 0)
+                for u in vs[1:]:
+                    ufs[j].union(vs[0], u)
+    return tuple(CycleStats(t, h.n, uf.count, t - h.n + uf.count) for t, uf in zip(totals, ufs))
 
 
 def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
     """Cyclomatic data of the subhypergraph induced on the support
     (edges truncated to nonzero vertices, empty truncations dropped)."""
     _check_function(h, f)
-    return cyclomatic(induced_subhypergraph(h, f.support()).hypergraph)
-
-
-def _clique_pairs(h: SignedHypergraph) -> list[tuple[int, int, int]]:
-    """(x, y, sgn(e)) for every vertex pair of every edge, in edge order."""
-    pairs: list[tuple[int, int, int]] = []
-    for e in h.edges:
-        if e.size < 2:
-            continue
-        s = edge_sign(e)
-        vs = e.vertices
-        for i, x in enumerate(vs):
-            for y in vs[i + 1:]:
-                pairs.append((x, y, s))
-    return pairs
+    return cyclomatic(induced_subhypergraph(h, f.support()))
 
 
 def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
     """The signed clique expansion: a 2-edge of sign sgn(e) for every
-    vertex pair of every edge, parallel pairs kept.
+    vertex pair of every edge, parallel pairs kept (``h.pairs``).
 
     Its adjacency equals that of h, and the strong relation and the form
-    <(L - lambda)(fg), fg>_D are both built from its pairs; check_bounds
-    reads the ``clique`` terms on it.  The case for this reading:
+    <(L - lambda)(fg), fg>_D are both built from its pairs; the ``clique``
+    bounds table reads its terms on it.  The case for this reading:
     D(L - lambda) = (1 - lambda)D - A is a symmetric matrix whose
     off-diagonal sign pattern is the expansion with parallel pairs summed,
     and the graph lower bound (Berkolaiko, CMP 2008, for simple eigenvalues
@@ -523,36 +508,26 @@ def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
     on every eigenpair, not the paper's construction, which PAPER.md
     does not give.
     """
-    return SignedHypergraph(
-        h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in _clique_pairs(h)))
+    return SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in h.pairs))
 
 
-def _check_bounds_args(h: SignedHypergraph, spectrum: Spectrum, variant: str) -> None:
-    if variant not in BOUND_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {BOUND_VARIANTS}")
-    if spectrum.n != h.n:
-        raise ValueError(f"spectrum has {spectrum.n} values, hypergraph has {h.n} vertices")
-
-
-def _bound_rows(h: SignedHypergraph, spectrum: Spectrum,
-                rows: Iterable[tuple[int, NodalDecomposition]], variant: str) -> list[BoundReport]:
-    """One BoundReport per (1-based index, decomposition of that index's
-    function); the per-instance terms are computed once for all rows."""
+def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
+    """One BoundReport per eigenfunction, from the cached decompositions
+    and Fiedler sets; the per-instance terms are computed once for all
+    rows."""
+    h, spectrum = analysis.h, analysis.spectrum
     cyc = cyclomatic(h)
     c = cyc.n_components
     g = clique_expansion(h) if variant == "clique" else h
     # inducing on every vertex is the identity, so a full support has l' = l(g)
     l_full = cyclomatic(g).l if g is not h else cyc.l
     out = []
-    for i, dec in rows:
-        f = spectrum.functions[i - 1]
-        if dec.zero_tolerance != f.zero_tolerance:
-            raise ValueError(f"decomposition {i} was made at another zero tolerance")
+    rows = zip(spectrum.functions, analysis.decompositions, analysis.fiedler)
+    for i, (f, dec, fs) in enumerate(rows, 1):
         k, r = spectrum.cluster_of(i)
-        lp_all = l_plus(g, f, "all_pairs").l
-        lp_exists = l_plus(g, f, "exists_ordering").l
+        lp_all, lp_exists = (stats.l for stats in l_plus(g, f))
         l_prime = l_full if len(dec.support) == h.n else support_cyclomatic(g, f).l
-        fied = len(fiedler_sets(g, f).fiedler)
+        fied = len((fs if g is h else fiedler_sets(g, f)).fiedler)
         lp = lp_exists if variant == "exists_ordering" else lp_all
         lower = k + r - 1 - l_prime + lp - fied
         out.append(BoundReport(
@@ -575,37 +550,52 @@ def _bound_rows(h: SignedHypergraph, spectrum: Spectrum,
     return out
 
 
-def bounds_table(h: SignedHypergraph, spectrum: Spectrum,
-                 decompositions: Sequence[NodalDecomposition],
-                 variant: str = "all_pairs") -> tuple[BoundReport, ...]:
-    """``check_bounds`` for every index 1..n at once.
+class Analysis:
+    """Everything computed about one instance, each part once, on first use.
 
-    ``decompositions[i - 1]`` must be ``decompose(h, spectrum.functions[i - 1])``;
-    the table reuses them, so each function is decomposed once by the
-    caller, and computes the components, l and the clique expansion once.
+    ``spectrum`` is the eigendecomposition of ``bundle`` with every
+    eigenfunction read at ``zero_tol_rel``; ``decompositions[i - 1]`` and
+    ``fiedler[i - 1]`` belong to the eigenfunction of 1-based index i, on
+    the hypergraph itself.  ``bounds(variant)`` is the table of nodal-count
+    bounds of every index: strong count <= k + r - 1; weak count <= k + c - 1;
+    strong count >= k + r - 1 - l' + l_plus - |fiedler|.  The variants
+    ``all_pairs`` and ``exists_ordering`` read the three correction terms on
+    whole hyperedges (l' the support cyclomatic number, l_plus by the named
+    coherence rule); ``clique`` reads them on ``clique_expansion(h)``, where
+    both coherence rules agree.
     """
-    _check_bounds_args(h, spectrum, variant)
-    if len(decompositions) != spectrum.n:
-        raise ValueError(f"{len(decompositions)} decompositions for {spectrum.n} eigenfunctions")
-    return tuple(_bound_rows(h, spectrum, enumerate(decompositions, 1), variant))
 
+    def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:
+        self.h = h
+        self.zero_tol_rel = zero_tol_rel
+        self._tables: dict[str, tuple[BoundReport, ...]] = {}
 
-def check_bounds(h: SignedHypergraph, spectrum: Spectrum, eig_index: int,
-                 variant: str = "all_pairs") -> BoundReport:
-    """Nodal-count bounds for the eigenfunction at a 1-based index.
+    @cached_property
+    def bundle(self) -> MatrixBundle:
+        return laplacian(self.h)
 
-    Verdicts: strong count <= k + r - 1; weak count <= k + c - 1; strong
-    count >= k + r - 1 - l' + l_plus - |fiedler|.  The variants
-    ``all_pairs`` and ``exists_ordering`` read the three correction terms
-    on whole hyperedges (l' the support cyclomatic number, l_plus by the
-    named coherence rule); ``clique`` reads them on ``clique_expansion(h)``,
-    where both coherence rules agree.
-    """
-    _check_bounds_args(h, spectrum, variant)
-    if not 1 <= eig_index <= spectrum.n:
-        raise IndexError(f"eigenvalue index {eig_index} out of range 1..{spectrum.n}")
-    dec = decompose(h, spectrum.functions[eig_index - 1])
-    return _bound_rows(h, spectrum, [(eig_index, dec)], variant)[0]
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        spectrum = eigendecompose(self.bundle)
+        return replace(spectrum, functions=tuple(
+            VertexFunction.from_values(f.values, rel_tol=self.zero_tol_rel)
+            for f in spectrum.functions))
+
+    @cached_property
+    def decompositions(self) -> tuple[NodalDecomposition, ...]:
+        return tuple(decompose(self.h, f) for f in self.spectrum.functions)
+
+    @cached_property
+    def fiedler(self) -> tuple[FiedlerSets, ...]:
+        return tuple(fiedler_sets(self.h, f) for f in self.spectrum.functions)
+
+    def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
+        """The bounds row of every eigenfunction, in index order."""
+        if variant not in BOUND_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}, expected one of {BOUND_VARIANTS}")
+        if variant not in self._tables:
+            self._tables[variant] = tuple(_bound_rows(self, variant))
+        return self._tables[variant]
 
 
 def forest_count_diagnostic(h: SignedHypergraph, f: VertexFunction) -> tuple[int, int, bool]:
@@ -624,7 +614,7 @@ def forest_count_diagnostic(h: SignedHypergraph, f: VertexFunction) -> tuple[int
         signs = [sign[v] for v in e.vertices]
         if 0 in signs or not signs:
             continue
-        if _edge_coherent(edge_sign(e), signs, "all_pairs"):
+        if _edge_coherent(edge_sign(e), signs)[0]:
             selected.append(e)
     sub = SignedHypergraph(h.n, tuple(selected))
     forest = spanning_hyperforest(sub, exact=True)

@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .nodal import NodalDecomposition, bounds_table, decompose, fiedler_sets
-from .spectra import (
-    DEFAULT_CLUSTER_TOL,
-    DEFAULT_ZERO_TOL_REL,
-    VertexFunction,
-    eigendecompose,
-    laplacian,
-)
+from .nodal import Analysis, FiedlerSets, NodalDecomposition, decompose, fiedler_sets
+from .spectra import DEFAULT_CLUSTER_TOL, DEFAULT_ZERO_TOL_REL, VertexFunction
 from .core import SignedHypergraph
 
 __all__ = [
@@ -118,11 +111,10 @@ def _sets(groups: tuple[frozenset[int], ...]) -> list[list[int]]:
     return [sorted(g) for g in groups]
 
 
-def function_record(h: SignedHypergraph, f: VertexFunction, dec: NodalDecomposition,
+def function_record(f: VertexFunction, dec: NodalDecomposition, fs: FiedlerSets,
                     index: int, eigenvalue: float) -> dict:
-    """Nodal analysis of one vertex function, given its decomposition, as
-    a JSON-ready dict."""
-    fs = fiedler_sets(h, f)
+    """Nodal analysis of one vertex function, given its decomposition and
+    Fiedler sets, as a JSON-ready dict."""
     return {
         "index": index,
         "eigenvalue": eigenvalue,
@@ -138,33 +130,30 @@ def function_record(h: SignedHypergraph, f: VertexFunction, dec: NodalDecomposit
 
 
 def build_report(h: SignedHypergraph, digest: str,
-                 cluster_tol: float = DEFAULT_CLUSTER_TOL,
                  zero_tol_rel: float = DEFAULT_ZERO_TOL_REL,
-                 h1_variant: str = "all_pairs",
                  notes: tuple[str, ...] = (),
                  supplied: tuple[tuple[float, tuple[float, ...]], ...] = ()) -> dict:
     """Full analysis of one instance as a plain JSON-ready dict.
 
-    Each eigenfunction is read at ``zero_tol_rel`` and decomposed once;
-    its record and its bounds row share that decomposition.
-    ``supplied`` adds externally given (eigenvalue, values) pairs, each
-    analyzed as a vertex function alongside the solver's own basis.
+    Everything is read from one ``Analysis`` at ``zero_tol_rel``: each
+    eigenfunction's record and its ``all_pairs`` bounds row share one
+    decomposition and one set of Fiedler sets.  ``supplied`` adds
+    externally given (eigenvalue, values) pairs, each analyzed as a vertex
+    function alongside the solver's own basis.
     """
-    bundle = laplacian(h)
-    spectrum = eigendecompose(bundle, cluster_tol=cluster_tol)
-    spectrum = replace(spectrum, functions=tuple(
-        VertexFunction.from_values(f.values, rel_tol=zero_tol_rel) for f in spectrum.functions))
-    decs = [decompose(h, f) for f in spectrum.functions]
+    analysis = Analysis(h, zero_tol_rel)
+    spectrum = analysis.spectrum
     eigenfunctions = [
-        function_record(h, f, dec, i, lam)
-        for i, (f, dec, lam) in enumerate(zip(spectrum.functions, decs, spectrum.eigenvalues), 1)
+        function_record(f, dec, fs, i, lam)
+        for i, (f, dec, fs, lam) in enumerate(zip(
+            spectrum.functions, analysis.decompositions, analysis.fiedler,
+            spectrum.eigenvalues), 1)
     ]
-    bounds = [dict(vars(rep)) for rep in bounds_table(h, spectrum, decs, variant=h1_variant)]
     report = {
         "tool_version": __version__,
         "input_digest": digest,
         "tolerances": {
-            "cluster_tol": cluster_tol,
+            "cluster_tol": DEFAULT_CLUSTER_TOL,
             "zero_tolerance_rel": zero_tol_rel,
         },
         "spectrum": {
@@ -172,14 +161,14 @@ def build_report(h: SignedHypergraph, digest: str,
             "clusters": [list(c) for c in spectrum.clusters],
         },
         "eigenfunctions": eigenfunctions,
-        "bounds": bounds,
+        "bounds": [dict(vars(rep)) for rep in analysis.bounds()],
         "discrepancy_notes": list(notes),
     }
     if supplied:
         records = []
         for i, (lam, values) in enumerate(supplied, 1):
             f = VertexFunction.from_values(values, rel_tol=zero_tol_rel)
-            records.append(function_record(h, f, decompose(h, f), i, lam))
+            records.append(function_record(f, decompose(h, f), fiedler_sets(h, f), i, lam))
         report["supplied_functions"] = records
     return report
 

@@ -13,13 +13,14 @@ Eigenvalue indices in public results are 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import SignedHypergraph, degrees, edge_sign
+from .core import SignedHypergraph, degrees
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -52,6 +53,10 @@ class VertexFunction:
 
     Entries with magnitude at most ``zero_tolerance`` count as zeros;
     the default threshold is 1e-8 times the max-norm of the function.
+    ``from_values`` refuses values that are not finite and a tolerance
+    that is negative or not finite: NaN has no sign, an infinite value
+    makes the relative threshold infinite, and a negative threshold
+    counts exact zeros as support.
     """
 
     values: tuple[float, ...]
@@ -61,6 +66,11 @@ class VertexFunction:
     def from_values(values: Sequence[float], rel_tol: float = DEFAULT_ZERO_TOL_REL,
                     abs_tol: float | None = None) -> "VertexFunction":
         vals = tuple(float(x) for x in values)
+        if not all(map(math.isfinite, vals)):
+            raise ValueError("function values must be finite")
+        tol = rel_tol if abs_tol is None else abs_tol
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"zero tolerance must be finite and nonnegative, got {tol!r}")
         if abs_tol is None:
             peak = max((abs(x) for x in vals), default=0.0)
             abs_tol = rel_tol * peak
@@ -137,15 +147,9 @@ def adjacency_int(h: SignedHypergraph) -> list[list[int]]:
     both i and j (0-based lists, zero diagonal, singleton edges add nothing).
     """
     a = [[0] * h.n for _ in range(h.n)]
-    for e in h.edges:
-        if e.size < 2:
-            continue
-        s = edge_sign(e)
-        vs = e.vertices
-        for idx, u in enumerate(vs):
-            for w in vs[idx + 1:]:
-                a[u - 1][w - 1] += s
-                a[w - 1][u - 1] += s
+    for u, w, s in h.pairs:
+        a[u - 1][w - 1] += s
+        a[w - 1][u - 1] += s
     return a
 
 
@@ -243,16 +247,6 @@ def positive_inertia(s: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.sum(w > tol * norm))
 
 
-def _shared_pairs(h: SignedHypergraph) -> set[tuple[int, int]]:
-    pairs: set[tuple[int, int]] = set()
-    for e in h.edges:
-        vs = e.vertices
-        for idx, u in enumerate(vs):
-            for w in vs[idx + 1:]:
-                pairs.add((min(u, w), max(u, w)))
-    return pairs
-
-
 def product_rule_defect(h: SignedHypergraph, bundle: MatrixBundle, f, g) -> float:
     """Absolute defect of the pointwise-product identity
 
@@ -268,7 +262,7 @@ def product_rule_defect(h: SignedHypergraph, bundle: MatrixBundle, f, g) -> floa
     lhs = float(np.dot(bundle.deg * fg, bundle.l @ fg))
     mid = float(np.dot(bundle.deg * fg, fv * (bundle.l @ gv)))
     pair_sum = 0.0
-    for x, y in _shared_pairs(h):
+    for x, y in {(min(x, y), max(x, y)) for x, y, _ in h.pairs}:
         axy = bundle.a[x - 1, y - 1]
         pair_sum += axy * gv[x - 1] * gv[y - 1] * (fv[x - 1] - fv[y - 1]) ** 2
     return abs(lhs - mid - pair_sum)

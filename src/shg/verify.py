@@ -37,9 +37,8 @@ from .core import (
     weak_delete,
 )
 from .nodal import (
-    BoundReport,
+    Analysis,
     NodalDecomposition,
-    bounds_table,
     decompose,
     domain_adjacency_graph,
     strong_domains,
@@ -47,8 +46,6 @@ from .nodal import (
 )
 from .shgio import serialize
 from .spectra import (
-    MatrixBundle,
-    Spectrum,
     VertexFunction,
     chained_difference_rank,
     eigendecompose,
@@ -231,7 +228,7 @@ def _spectral_cleanup(h: SignedHypergraph) -> SignedHypergraph | None:
     keep = {v for v in trimmed.vertex_range() if deg[v] > 0}
     if not keep:
         return None
-    return induced_subhypergraph(trimmed, keep).hypergraph
+    return induced_subhypergraph(trimmed, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -373,51 +370,14 @@ class CampaignResult:
         }
 
 
-class InstanceContext:
-    """Lazy per-instance cache shared by all properties."""
-
-    def __init__(self, h: SignedHypergraph):
-        self.h = h
-        self._bundle: MatrixBundle | None = None
-        self._spectrum: Spectrum | None = None
-        self._decs: list[NodalDecomposition] | None = None
-        self._reports: list[BoundReport] | None = None
-
-    @property
-    def bundle(self) -> MatrixBundle:
-        if self._bundle is None:
-            self._bundle = laplacian(self.h)
-        return self._bundle
-
-    @property
-    def spectrum(self) -> Spectrum:
-        if self._spectrum is None:
-            self._spectrum = eigendecompose(self.bundle)
-        return self._spectrum
-
-    @property
-    def decompositions(self) -> list[NodalDecomposition]:
-        if self._decs is None:
-            self._decs = [decompose(self.h, f) for f in self.spectrum.functions]
-        return self._decs
-
-    @property
-    def bound_reports(self) -> list[BoundReport]:
-        if self._reports is None:
-            self._reports = list(bounds_table(self.h, self.spectrum, self.decompositions))
-        return self._reports
-
-    def is_classical(self) -> bool:
-        return all(
-            e.size == 2 and sorted(s for _, s in e.incidences) == [-1, 1]
-            for e in self.h.edges
-        )
+def _is_classical(h: SignedHypergraph) -> bool:
+    return all(e.size == 2 and sorted(s for _, s in e.incidences) == [-1, 1] for e in h.edges)
 
 
-PropertyFn = Callable[[InstanceContext, random.Random], tuple[list[str], list[str]]]
+PropertyFn = Callable[[Analysis, random.Random], tuple[list[str], list[str]]]
 
 
-def _random_function(ctx: InstanceContext, rng: random.Random,
+def _random_function(ctx: Analysis, rng: random.Random,
                      zero_prob: float = 0.0) -> VertexFunction:
     vals = [rng.gauss(0.0, 1.0) for _ in range(ctx.h.n)]
     if zero_prob > 0.0:
@@ -428,7 +388,7 @@ def _random_function(ctx: InstanceContext, rng: random.Random,
 # --- core properties -------------------------------------------------------
 
 
-def _p_cyclomatic_nonnegative(ctx: InstanceContext, rng: random.Random):
+def _p_cyclomatic_nonnegative(ctx: Analysis, rng: random.Random):
     fails = []
     stats = cyclomatic(ctx.h)
     if stats.l < 0:
@@ -436,7 +396,7 @@ def _p_cyclomatic_nonnegative(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_acyclic_iff_zero(ctx: InstanceContext, rng: random.Random):
+def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
     fails = []
     h = ctx.h
     l = cyclomatic(h).l
@@ -456,7 +416,7 @@ def _p_acyclic_iff_zero(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_tree_like_no_cycle(ctx: InstanceContext, rng: random.Random):
+def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     h = ctx.h
     if h.n > _SMALL_N or any(e.size < 2 for e in h.edges):
         return [], []
@@ -469,7 +429,7 @@ def _p_tree_like_no_cycle(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_tree_like_deletion(ctx: InstanceContext, rng: random.Random):
+def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     """Iterated deletion of tree-like vertices with their incident edges:
     each victim must still be tree-like when its turn comes, and each
     step must raise the component count by exactly (current degree - 1).
@@ -485,7 +445,7 @@ def _p_tree_like_deletion(ctx: InstanceContext, rng: random.Random):
         d = sum(1 for e in current.edges if x in e.vertices)
         before = len(connected_components(current))
         nxt = _strong_delete(current, x)
-        after_weak = len(connected_components(weak_delete(current, x).hypergraph))
+        after_weak = len(connected_components(weak_delete(current, x)))
         if after_weak != before + d - 1:
             fails.append(f"deleting {x}: components {before} -> {after_weak}, expected {before + d - 1}")
             break
@@ -493,23 +453,23 @@ def _p_tree_like_deletion(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_induced_identity(ctx: InstanceContext, rng: random.Random):
+def _p_induced_identity(ctx: Analysis, rng: random.Random):
     h = ctx.h
     fails = []
-    full = induced_subhypergraph(h, set(h.vertex_range())).hypergraph
+    full = induced_subhypergraph(h, set(h.vertex_range()))
     if full != h:
         fails.append("inducing on the full vertex set changed the hypergraph")
     if h.n >= 1:
         size = rng.randint(1, h.n)
         keep = set(rng.sample(list(h.vertex_range()), size))
-        once = induced_subhypergraph(h, keep).hypergraph
-        twice = induced_subhypergraph(once, set(once.vertex_range())).hypergraph
+        once = induced_subhypergraph(h, keep)
+        twice = induced_subhypergraph(once, set(once.vertex_range()))
         if once != twice:
             fails.append(f"re-inducing on {sorted(keep)} was not idempotent")
     return fails, []
 
 
-def _p_exact_forest_geq_greedy(ctx: InstanceContext, rng: random.Random):
+def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
     h = ctx.h
     if h.m > 16:
         return [], []
@@ -525,7 +485,7 @@ def _p_exact_forest_geq_greedy(ctx: InstanceContext, rng: random.Random):
 # --- spectra properties ----------------------------------------------------
 
 
-def _p_self_adjoint(ctx: InstanceContext, rng: random.Random):
+def _p_self_adjoint(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
     fails = []
     for _ in range(5):
@@ -541,7 +501,7 @@ def _p_self_adjoint(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_trace_eigsum(ctx: InstanceContext, rng: random.Random):
+def _p_trace_eigsum(ctx: Analysis, rng: random.Random):
     b = ctx.bundle
     fails = []
     if any(b.l[i, i] != 1.0 for i in range(b.n)):
@@ -552,8 +512,8 @@ def _p_trace_eigsum(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_classical_graph(ctx: InstanceContext, rng: random.Random):
-    if not ctx.is_classical():
+def _p_classical_graph(ctx: Analysis, rng: random.Random):
+    if not _is_classical(ctx.h):
         return [], []
     h, b = ctx.h, ctx.bundle
     fails = []
@@ -580,7 +540,7 @@ def _p_classical_graph(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_interlacing(ctx: InstanceContext, rng: random.Random):
+def _p_interlacing(ctx: Analysis, rng: random.Random):
     # Valid for 2-uniform instances only.  For larger edges the global
     # edge sign flips when a vertex is removed, so the reduced quadratic
     # form is not a restriction of the original one and the eigenvalue
@@ -597,7 +557,7 @@ def _p_interlacing(ctx: InstanceContext, rng: random.Random):
         current = h
         for _ in range(n_del):
             v = rng.randint(1, current.n)
-            current = weak_delete(current, v).hypergraph
+            current = weak_delete(current, v)
         cleaned = _spectral_cleanup(current)
         if cleaned is None or cleaned.n < 1:
             continue
@@ -612,7 +572,7 @@ def _p_interlacing(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_supertree_rank(ctx: InstanceContext, rng: random.Random):
+def _p_supertree_rank(ctx: Analysis, rng: random.Random):
     st = generate_supertree(rng, rng.randint(1, 5))
     rank, rows = chained_difference_rank(st)
     want = sum(e.size - 1 for e in st.edges)
@@ -622,7 +582,7 @@ def _p_supertree_rank(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_rayleigh_bounds(ctx: InstanceContext, rng: random.Random):
+def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
     w = ctx.spectrum.eigenvalues
     slack = 1e-8 * max(1.0, abs(w[0]), abs(w[-1]))
@@ -643,20 +603,28 @@ def _p_rayleigh_bounds(ctx: InstanceContext, rng: random.Random):
 # --- nodal properties ------------------------------------------------------
 
 
-def _sample_functions(ctx: InstanceContext, rng: random.Random) -> list[VertexFunction]:
+def _sample_functions(ctx: Analysis, rng: random.Random) -> list[VertexFunction]:
     fs = list(ctx.spectrum.functions)
     fs.append(_random_function(ctx, rng, zero_prob=0.35))
     fs.append(_random_function(ctx, rng, zero_prob=0.35))
     return fs
 
 
-def _p_oracle_agreement(ctx: InstanceContext, rng: random.Random):
+def _decomposed(ctx: Analysis, fs: list[VertexFunction]) -> Iterator[
+        tuple[int, VertexFunction, NodalDecomposition]]:
+    """(j, f, decomposition of f) per sample function; the eigenfunctions,
+    which come first, reuse the analysis' decompositions."""
+    n = ctx.spectrum.n
+    for j, f in enumerate(fs):
+        yield j, f, ctx.decompositions[j] if j < n else decompose(ctx.h, f)
+
+
+def _p_oracle_agreement(ctx: Analysis, rng: random.Random):
     if ctx.h.n > ORACLE_MAX_N:
         return [], []
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)):
+    for j, f, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         strong, cores, closures = oracle_domains(ctx.h, f)
-        dec = decompose(ctx.h, f)
         if dec.strong != strong:
             fails.append(f"function {j}: strong domains disagree with the oracle")
         if dec.weak_cores != cores:
@@ -666,16 +634,15 @@ def _p_oracle_agreement(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_weak_le_strong(ctx: InstanceContext, rng: random.Random):
+def _p_weak_le_strong(ctx: Analysis, rng: random.Random):
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)):
-        dec = decompose(ctx.h, f)
+    for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         if dec.weak_count > dec.strong_count:
             fails.append(f"function {j}: weak count {dec.weak_count} > strong {dec.strong_count}")
     return fails, []
 
 
-def _p_no_zeros_identical(ctx: InstanceContext, rng: random.Random):
+def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     fails = []
     for j, f in enumerate(_sample_functions(ctx, rng)):
         if len(f.support()) != f.n:
@@ -687,10 +654,9 @@ def _p_no_zeros_identical(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_max_two_memberships(ctx: InstanceContext, rng: random.Random):
+def _p_max_two_memberships(ctx: Analysis, rng: random.Random):
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)):
-        dec = decompose(ctx.h, f)
+    for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         count: Counter[int] = Counter()
         for closure in dec.weak_closures:
             for v in closure:
@@ -701,11 +667,10 @@ def _p_max_two_memberships(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_zero_neighbor_containment(ctx: InstanceContext, rng: random.Random):
+def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
     from .core import hyperneighbors
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)):
-        dec = decompose(ctx.h, f)
+    for j, f, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         holders: dict[int, list[int]] = {}
         for i, closure in enumerate(dec.weak_closures):
             for v in closure:
@@ -720,12 +685,11 @@ def _p_zero_neighbor_containment(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_domain_graph_connected(ctx: InstanceContext, rng: random.Random):
+def _p_domain_graph_connected(ctx: Analysis, rng: random.Random):
     if len(connected_components(ctx.h)) != 1:
         return [], []
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)):
-        dec = decompose(ctx.h, f)
+    for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         if dec.weak_count == 0:
             continue
         if not domain_adjacency_graph(ctx.h, dec).is_connected():
@@ -733,9 +697,9 @@ def _p_domain_graph_connected(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_eigen_upper_bounds(ctx: InstanceContext, rng: random.Random):
+def _p_eigen_upper_bounds(ctx: Analysis, rng: random.Random):
     fails = []
-    for rep in ctx.bound_reports:
+    for rep in ctx.bounds():
         if not rep.strong_upper_ok:
             fails.append(
                 f"eig {rep.eig_index}: strong count {rep.strong_count} > k+r-1 = {rep.k + rep.r - 1}")
@@ -745,10 +709,9 @@ def _p_eigen_upper_bounds(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_eigen_lower_bound_logged(ctx: InstanceContext, rng: random.Random):
+def _p_eigen_lower_bound_logged(ctx: Analysis, rng: random.Random):
     fails, notes = [], []
-    clique = bounds_table(ctx.h, ctx.spectrum, ctx.decompositions, variant="clique")
-    for rep, clique_rep in zip(ctx.bound_reports, clique):
+    for rep, clique_rep in zip(ctx.bounds(), ctx.bounds("clique")):
         clique_bound = clique_rep.strong_lower_bound
         if rep.strong_count < clique_bound:
             fails.append(
@@ -767,19 +730,16 @@ def _p_eigen_lower_bound_logged(ctx: InstanceContext, rng: random.Random):
 
 def _pair_graph(h: SignedHypergraph, coeff: np.ndarray, keep_positive_only: bool) -> SignedHypergraph:
     pairs = set()
-    for e in h.edges:
-        vs = e.vertices
-        for i, x in enumerate(vs):
-            for y in vs[i + 1:]:
-                a, b = min(x, y), max(x, y)
-                c = coeff[a - 1, b - 1]
-                if c > 0 or (not keep_positive_only and c != 0):
-                    pairs.add((a, b))
+    for x, y, _ in h.pairs:
+        a, b = min(x, y), max(x, y)
+        c = coeff[a - 1, b - 1]
+        if c > 0 or (not keep_positive_only and c != 0):
+            pairs.add((a, b))
     edges = tuple(Edge(((a, 1), (b, -1))) for a, b in sorted(pairs))
     return SignedHypergraph(h.n, edges)
 
 
-def _p_sandwich(ctx: InstanceContext, rng: random.Random):
+def _p_sandwich(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
     fails = []
     for i, g in enumerate(ctx.spectrum.functions, 1):
@@ -804,12 +764,11 @@ def _p_sandwich(ctx: InstanceContext, rng: random.Random):
     return fails, []
 
 
-def _p_scaling_invariance(ctx: InstanceContext, rng: random.Random):
+def _p_scaling_invariance(ctx: Analysis, rng: random.Random):
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)[:4]):
+    for j, f, a in _decomposed(ctx, _sample_functions(ctx, rng)[:4]):
         c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 20.0)
         scaled = VertexFunction.from_values([c * x for x in f.values])
-        a = decompose(ctx.h, f)
         d = decompose(ctx.h, scaled)
         if (a.strong, a.weak_cores, a.weak_closures) != (d.strong, d.weak_cores, d.weak_closures):
             fails.append(f"function {j}: decomposition changed under scaling by {c!r}")
@@ -881,7 +840,7 @@ def rerun_property(record: FailureRecord) -> tuple[list[str], list[str]]:
     """Replay one failure record: rebuild the instance from its text and
     re-run the property with the same derived randomness."""
     from .shgio import parse
-    ctx = InstanceContext(parse(record.instance_text))
+    ctx = Analysis(parse(record.instance_text))
     rng = _child_rng(record.seed, record.index, record.property_id)
     return REGISTRY[record.property_id](ctx, rng)
 
@@ -904,7 +863,7 @@ def run_campaign(cfg: GenConfig,
     for index, h in enumerate(generate(cfg)):
         instances_run += 1
         text = serialize(h)
-        ctx = InstanceContext(h)
+        ctx = Analysis(h)
         for pid in ids:
             rng = _child_rng(cfg.seed, index, pid)
             try:
@@ -915,7 +874,7 @@ def run_campaign(cfg: GenConfig,
                 FailureRecord(cfg.seed, index, pid, text, d) for d in fails)
             notes.extend(f"instance {index} [{pid}]: {t}" for t in notes_i)
         try:
-            for rep in ctx.bound_reports:
+            for rep in ctx.bounds():
                 sharp[rep.k + rep.r - 1 - rep.strong_count] += 1
         except Exception as exc:
             failures.append(FailureRecord(

@@ -34,7 +34,7 @@ from shg.fixtures import (
     fixture_example1,
     printed_laplacian_array,
 )
-from shg.nodal import check_bounds, decompose, strong_domains, weak_domains
+from shg.nodal import Analysis, decompose, strong_domains, weak_domains
 from shg.report import build_report, input_digest
 from shg.shgio import serialize
 from shg.spectra import (
@@ -171,8 +171,9 @@ def test_criterion_4_strong_and_weak_upper_bounds(campaign):
 
 
 def test_criterion_5_strong_count_lower_bound(campaign, fixture_spectrum):
-    h, spectrum = fixture_spectrum
-    rep = check_bounds(h, spectrum, 1)
+    h, _ = fixture_spectrum
+    analysis = Analysis(h)
+    rep = analysis.bounds()[0]
     spot_ok = rep.strong_count == 1 and rep.strong_lower_bound <= 1
     _verdict(
         "criterion 5 spot check (bottom eigenfunction of the reference instance)",
@@ -180,7 +181,7 @@ def test_criterion_5_strong_count_lower_bound(campaign, fixture_spectrum):
         f"strong count {rep.strong_count}, lower bound {rep.strong_lower_bound}",
     )
 
-    top = check_bounds(h, spectrum, 7, variant="clique")
+    top = analysis.bounds("clique")[6]
     top_ok = (top.strong_count == 6 and top.strong_lower_bound == 5
               and top.strong_lower_ok)
     _verdict(
@@ -215,7 +216,7 @@ def _cleaned(h: SignedHypergraph) -> SignedHypergraph | None:
     alive = [v for v in kept.vertex_range() if deg[v] > 0]
     if not alive:
         return None
-    return induced_subhypergraph(kept, alive).hypergraph
+    return induced_subhypergraph(kept, alive)
 
 
 def test_criterion_6_identity_suite():
@@ -269,7 +270,7 @@ def test_criterion_6_identity_suite():
         for n_del in (1, 2):
             current = h
             for _ in range(n_del):
-                current = weak_delete(current, del_rng.randint(1, current.n)).hypergraph
+                current = weak_delete(current, del_rng.randint(1, current.n))
             reduced = _cleaned(current)
             if reduced is None:
                 continue

@@ -13,7 +13,6 @@ from shg.core import (
     degrees,
     edge_sign,
     hyperneighbors,
-    incident_edges,
     induced_subhypergraph,
     is_acyclic,
     is_tree_like,
@@ -107,11 +106,10 @@ class TestHypergraph:
         assert hyperneighbors(h, 1) == frozenset({2, 3})
         assert hyperneighbors(h, 4) == frozenset()
 
-    def test_incident_edges_indexes(self):
-        h = h_of(3, ((1, 1), (2, 1)), ((2, -1), (3, 1)))
-        inc = incident_edges(h)
-        assert inc[2] == [0, 1]
-        assert inc[3] == [1]
+    def test_pairs_table(self):
+        # a negative triple, a parallel positive pair, a singleton edge
+        h = h_of(3, ((2, 1), (1, 1), (3, -1)), ((1, 1), (2, -1)), ((1, 1), (2, -1)), ((3, 1),))
+        assert h.pairs == ((2, 1, -1), (2, 3, -1), (1, 3, -1), (1, 2, 1), (1, 2, 1))
 
 
 class TestComponents:
@@ -137,28 +135,28 @@ class TestComponents:
 class TestInducedAndDeleted:
     def test_induced_truncates_edges(self):
         h = h_of(4, ((1, 1), (2, -1), (3, 1)), ((3, 1), (4, 1)))
-        rel = induced_subhypergraph(h, {1, 2, 4})
-        assert rel.hypergraph.n == 3
+        sub = induced_subhypergraph(h, {1, 2, 4})
+        assert sub.n == 3
         # only the truncated first edge survives; single-vertex remnant kept
-        sizes = sorted(e.size for e in rel.hypergraph.edges)
+        sizes = sorted(e.size for e in sub.edges)
         assert sizes == [1, 2]
 
     def test_relabeling_maps_forward(self):
         h = h_of(5, ((2, 1), (4, -1)))
-        rel = induced_subhypergraph(h, {2, 4})
-        assert rel.old_to_new == {2: 1, 4: 2}
+        sub = induced_subhypergraph(h, {2, 4})
+        assert sub.edges == (Edge(((1, 1), (2, -1))),)
 
     def test_weak_delete_keeps_edges(self):
         h = h_of(3, ((1, 1), (2, 1), (3, -1)))
-        rel = weak_delete(h, 2)
-        assert rel.hypergraph.n == 2
-        assert rel.hypergraph.m == 1
-        assert rel.hypergraph.edges[0].size == 2
+        rest = weak_delete(h, 2)
+        assert rest.n == 2
+        assert rest.m == 1
+        assert rest.edges[0].size == 2
 
     def test_weak_delete_may_leave_empty_edges(self):
         h = h_of(2, ((1, 1), (2, 1)), ((1, -1),))
-        rel = weak_delete(h, 1)
-        sizes = sorted(e.size for e in rel.hypergraph.edges)
+        rest = weak_delete(h, 1)
+        sizes = sorted(e.size for e in rest.edges)
         assert sizes == [0, 1]
 
 

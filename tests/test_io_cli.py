@@ -120,6 +120,19 @@ class TestDomainsCommand:
     def test_selector_required(self, tmp_path):
         assert main(["domains", write_fixture(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--function", "1,inf,-1,1"],
+        ["--function", "1,nan,-1,1"],
+        ["--function", "1,0,-1,1", "--zero-tol", "-1"],
+        ["--eig", "2", "--zero-tol", "nan"],
+    ])
+    def test_non_finite_values_and_bad_tolerances_refused(self, tmp_path, capsys, args):
+        path = write_fixture(tmp_path, "shg 1\nvertices 4\nedge 1:+ 2:-\nedge 2:+ 3:-\nedge 3:+ 4:-\n")
+        assert main(["domains", path, *args]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestBoundsCommand:
     def test_table_shape(self, tmp_path, capsys):
@@ -246,7 +259,7 @@ class TestUsageErrors:
             raise AssertionError("allocating call reached past the size check")
 
         # every call that allocates per vertex fails the test instead
-        for name in ("laplacian", "eigendecompose", "decompose", "bounds_table",
+        for name in ("laplacian", "eigendecompose", "decompose", "Analysis",
                      "build_report", "oracle_domains", "VertexFunction", "serialize"):
             monkeypatch.setattr(cli, name, must_not_run)
         path = tmp_path / "huge.shg"
@@ -297,6 +310,29 @@ class TestReportModule:
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         build_report(h, input_digest(serialize(h)))
         assert len(calls) == h.n == 20
+
+    def test_one_fiedler_pass_and_one_l_plus_per_function(self, monkeypatch):
+        import shg.nodal as nodal
+        import shg.report as report
+
+        calls = {"fiedler_sets": 0, "l_plus": 0}
+
+        def counting(name):
+            real = getattr(nodal, name)
+
+            def wrapper(h, f):
+                calls[name] += 1
+                return real(h, f)
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            for module in (nodal, report):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        build_report(h, input_digest(serialize(h)))
+        assert calls == {"fiedler_sets": 20, "l_plus": 20}
 
 
 @st.composite

@@ -14,8 +14,8 @@ from shg.fixtures import (
     fixture_example1,
 )
 from shg.nodal import (
-    bounds_table,
-    check_bounds,
+    Analysis,
+    BoundReport,
     clique_expansion,
     decompose,
     domain_adjacency_graph,
@@ -59,8 +59,8 @@ def printed():
 
 
 @pytest.fixture(scope="module")
-def spectrum(fixture):
-    return eigendecompose(laplacian(fixture))
+def analysis(fixture):
+    return Analysis(fixture)
 
 
 class TestStrongDomains:
@@ -256,8 +256,9 @@ class TestFiedlerSets:
 class TestCycleCounts:
     def test_l_plus_keeps_coherent_edges_only(self, fixture, printed):
         # zero-free bottom eigenfunction: all six edges coherent, l = 1
-        assert l_plus(fixture, printed[0]).l == 1
-        assert l_plus(fixture, printed[0], "exists_ordering").l == 1
+        all_pairs, exists_ordering = l_plus(fixture, printed[0])
+        assert all_pairs.l == 1
+        assert exists_ordering.l == 1
 
     def test_l_plus_variants_differ_on_negative_triples(self):
         # negative 3-edge with signs (+,-,+): no all-pairs witness, but
@@ -265,59 +266,48 @@ class TestCycleCounts:
         h = h_of(3, ((1, 1), (2, 1), (3, -1)), pair_edge(1, 2, 1),
                  pair_edge(2, 3, 1), pair_edge(1, 3, 1))
         f = vf(1, -1, 1)
+        all_pairs, exists_ordering = l_plus(h, f)
+        assert (exists_ordering.sum_edge_sizes_minus_one
+                - all_pairs.sum_edge_sizes_minus_one) == 2
 
-        def count(variant):
-            return l_plus(h, f, variant).sum_edge_sizes_minus_one
-
-        assert count("exists_ordering") - count("all_pairs") == 2
-
-    def test_unknown_variant(self, fixture, printed):
+    def test_unknown_variant(self, analysis):
         with pytest.raises(ValueError, match="unknown variant"):
-            l_plus(fixture, printed[0], "median")
+            analysis.bounds("median")
 
     def test_support_cyclomatic_drops_zero_vertices(self, fixture, printed):
         assert support_cyclomatic(fixture, printed[0]).l == 1
         assert support_cyclomatic(fixture, printed[6]).l == 1
         assert support_cyclomatic(fixture, printed[3]).l == 0
 
-
-    def test_index_out_of_range(self, fixture, spectrum):
-        with pytest.raises(IndexError, match="out of range"):
-            check_bounds(fixture, spectrum, 10)
-        with pytest.raises(IndexError, match="out of range"):
-            check_bounds(fixture, spectrum, 0)
-
-    def test_bottom_eigenfunction(self, fixture, spectrum):
-        rep = check_bounds(fixture, spectrum, 1)
+    def test_bottom_eigenfunction(self, analysis):
+        rep = analysis.bounds()[0]
         assert (rep.k, rep.r, rep.c) == (1, 1, 1)
         assert rep.strong_count == 1 and rep.weak_count == 1
         assert rep.strong_lower_bound == 1
         assert rep.strong_upper_ok and rep.weak_upper_ok and rep.strong_lower_ok
 
-    def test_middle_cluster(self, fixture, spectrum):
-        rep = check_bounds(fixture, spectrum, 4)
+    def test_middle_cluster(self, analysis):
+        rep = analysis.bounds()[3]
         assert (rep.k, rep.r) == (4, 3)
         assert rep.strong_count == 6 and rep.weak_count == 2
         assert rep.fiedler_size == 3
         assert rep.strong_upper_ok and rep.weak_upper_ok and rep.strong_lower_ok
 
-    def test_top_cluster_lower_bound_fails(self, fixture, spectrum):
+    def test_top_cluster_lower_bound_fails(self, analysis):
         # k + r - 1 = 9 strong domains are impossible here: every member
         # of the top eigenspace peaks at 6, and the correction terms
         # (l' = 1, l_plus = 0, no relevant zeros) still leave 8
-        rep = check_bounds(fixture, spectrum, 7)
+        rep = analysis.bounds()[6]
         assert (rep.k, rep.r) == (7, 3)
         assert rep.strong_count == 6
         assert rep.strong_lower_bound == 8
         assert rep.strong_upper_ok and rep.weak_upper_ok
         assert not rep.strong_lower_ok
 
-    def test_variant_choice_changes_lower_bound_only(self, fixture, spectrum):
-        a = check_bounds(fixture, spectrum, 2, variant="all_pairs")
-        b = check_bounds(fixture, spectrum, 2, variant="exists_ordering")
+    def test_variant_choice_changes_lower_bound_only(self, analysis):
+        a = analysis.bounds("all_pairs")[1]
+        b = analysis.bounds("exists_ordering")[1]
         assert (a.strong_count, a.weak_count) == (b.strong_count, b.weak_count)
-        with pytest.raises(ValueError, match="unknown variant"):
-            check_bounds(fixture, spectrum, 2, variant="median")
 
 
 class TestCliqueReading:
@@ -326,17 +316,17 @@ class TestCliqueReading:
         (4, (0, 0, 3)),   # zero hubs 1, 3, 5 sit on the triangles
         (7, (4, 0, 0)),   # no coherent pair in the top eigenspace
     ])
-    def test_fixture_terms(self, fixture, spectrum, index, terms):
-        rep = check_bounds(fixture, spectrum, index, variant="clique")
+    def test_fixture_terms(self, analysis, index, terms):
+        rep = analysis.bounds("clique")[index - 1]
         assert (rep.l_prime, rep.l_plus, rep.fiedler_size) == terms
         # both coherence rules agree on pairs
         assert rep.l_plus_exists_ordering == rep.l_plus
         assert rep.strong_lower_ok
 
-    def test_top_cluster_bound(self, fixture, spectrum):
-        rep = check_bounds(fixture, spectrum, 7, variant="clique")
+    def test_top_cluster_bound(self, analysis):
+        rep = analysis.bounds("clique")[6]
         assert (rep.strong_count, rep.strong_lower_bound) == (6, 5)
-        assert check_bounds(fixture, spectrum, 7).strong_lower_bound == 8
+        assert analysis.bounds()[6].strong_lower_bound == 8
 
     def test_expansion_keeps_adjacency(self, fixture):
         g = clique_expansion(fixture)
@@ -352,12 +342,12 @@ class TestCliqueReading:
         assert not fiedler_sets(h, f).fiedler
         g = clique_expansion(h)
         assert fiedler_sets(g, f).fiedler == {2}
-        assert (support_cyclomatic(g, f).l, l_plus(g, f).l) == (0, 0)
+        assert (support_cyclomatic(g, f).l, l_plus(g, f)[0].l) == (0, 0)
 
     def test_parallel_pairs_kept(self):
         g = clique_expansion(h_of(2, pair_edge(1, 2, 1), pair_edge(1, 2, 1)))
         assert g.m == 2
-        assert (support_cyclomatic(g, vf(1, 1)).l, l_plus(g, vf(1, 1)).l) == (1, 1)
+        assert (support_cyclomatic(g, vf(1, 1)).l, l_plus(g, vf(1, 1))[0].l) == (1, 1)
         assert fiedler_sets(g, vf(1, 0)).fiedler == {2}
 
     def test_bridge_zero_with_nonzero_neighbor_is_not_fiedler(self):
@@ -370,10 +360,8 @@ class TestCliqueReading:
     ], ids=["classical", "mixed-sign"])
     def test_equals_all_pairs_on_graphs(self, cfg):
         for h in generate(cfg):
-            s = eigendecompose(laplacian(h))
-            for i in range(1, h.n + 1):
-                a = check_bounds(h, s, i)
-                b = check_bounds(h, s, i, variant="clique")
+            analysis = Analysis(h)
+            for a, b in zip(analysis.bounds(), analysis.bounds("clique"), strict=True):
                 assert (b.l_prime, b.l_plus, b.fiedler_size, b.strong_lower_bound) == (
                     a.l_prime, a.l_plus, a.fiedler_size, a.strong_lower_bound)
 
@@ -522,7 +510,8 @@ class TestBoundsTable:
         sign = [0] + [f.sign(v) for v in h.vertex_range()]
         coherent = tuple(e for e in h.edges
                          if all(sign[v] for v in e.vertices) and _coherent_by_orderings(e, sign, variant))
-        assert l_plus(h, f, variant) == cyclomatic(SignedHypergraph(h.n, coherent))
+        both = dict(zip(("all_pairs", "exists_ordering"), l_plus(h, f)))
+        assert both[variant] == cyclomatic(SignedHypergraph(h.n, coherent))
 
     @pytest.mark.parametrize("variant", ["all_pairs", "exists_ordering", "clique"])
     def test_table_equals_per_row_terms(self, variant):
@@ -530,24 +519,27 @@ class TestBoundsTable:
         cases += list(generate(GenConfig(classical=True, seed=5, count=6)))
         cases += list(generate(GenConfig(seed=8, count=6)))
         for h in cases:
-            s = eigendecompose(laplacian(h))
-            table = bounds_table(h, s, [decompose(h, f) for f in s.functions], variant)
-            assert table == tuple(check_bounds(h, s, i, variant) for i in range(1, h.n + 1))
+            analysis = Analysis(h)
+            s = analysis.spectrum
+            assert s == eigendecompose(laplacian(h))
             g = clique_expansion(h) if variant == "clique" else h
-            for rep, f in zip(table, s.functions, strict=True):
-                # l' on the induced support, as defined, whether or not f has zeros
-                assert rep.l_prime == support_cyclomatic(g, f).l
-                assert rep.l == cyclomatic(h).l
-
-    def test_rejects_mismatched_decompositions(self, fixture, spectrum):
-        decs = [decompose(fixture, f) for f in spectrum.functions]
-        with pytest.raises(ValueError, match="8 decompositions"):
-            bounds_table(fixture, spectrum, decs[:-1])
-        loose = VertexFunction.from_values(spectrum.functions[0].values, rel_tol=0.5)
-        with pytest.raises(ValueError, match="another zero tolerance"):
-            bounds_table(fixture, spectrum, [decompose(fixture, loose)] + decs[1:])
-        with pytest.raises(ValueError, match="unknown variant"):
-            bounds_table(fixture, spectrum, decs, variant="median")
+            cyc = cyclomatic(h)
+            for i, (rep, f) in enumerate(zip(analysis.bounds(variant), s.functions, strict=True), 1):
+                # every term recomputed for this row alone, l' on the
+                # induced support as defined, whether or not f has zeros
+                dec = decompose(h, f)
+                k, r = s.cluster_of(i)
+                lp_all, lp_exists = l_plus(g, f)
+                l_prime = support_cyclomatic(g, f).l
+                fied = len(fiedler_sets(g, f).fiedler)
+                lower = k + r - 1 - l_prime - fied + (
+                    lp_exists if variant == "exists_ordering" else lp_all).l
+                assert rep == BoundReport(
+                    i, k, r, cyc.n_components, cyc.l, lp_all.l, lp_exists.l, l_prime, fied,
+                    dec.strong_count, dec.weak_count, lower,
+                    dec.strong_count <= k + r - 1,
+                    dec.weak_count <= k + cyc.n_components - 1,
+                    dec.strong_count >= lower)
 
     def test_zero_free_decompose_skips_weak_pass(self, fixture, monkeypatch):
         import shg.nodal as nodal

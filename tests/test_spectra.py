@@ -49,6 +49,18 @@ class TestVertexFunction:
         f = VertexFunction.from_values([0.0, 0.0])
         assert f.support() == frozenset()
 
+    @pytest.mark.parametrize("values,kwargs", [
+        ([1.0, float("inf")], {}),
+        ([1.0, float("nan")], {}),
+        ([1.0, 0.0], {"rel_tol": -1.0}),
+        ([1.0, 0.0], {"rel_tol": float("nan")}),
+        ([1.0, 0.0], {"rel_tol": float("inf")}),
+        ([1.0, 0.0], {"abs_tol": -0.5}),
+    ])
+    def test_refuses_non_finite_values_and_bad_tolerances(self, values, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            VertexFunction.from_values(values, **kwargs)
+
 
 class TestAdjacency:
     def test_aggregates_shared_edges(self):

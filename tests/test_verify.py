@@ -8,7 +8,7 @@ import pytest
 
 from shg.core import SignedHypergraph, cyclomatic, connected_components, degrees
 from shg.fixtures import fixture_example1
-from shg.nodal import strong_domains, weak_domains
+from shg.nodal import Analysis, strong_domains, weak_domains
 from shg.spectra import VertexFunction, eigendecompose, laplacian
 from shg.verify import (
     ALL_PROPERTY_IDS,
@@ -18,7 +18,6 @@ from shg.verify import (
     SPECTRA_PROPERTY_IDS,
     FailureRecord,
     GenConfig,
-    InstanceContext,
     generate,
     generate_supertree,
     oracle_domains,
@@ -198,8 +197,8 @@ class TestCampaign:
 
     def test_clique_bound_violation_is_a_failure(self):
         # a strong count below the clique bound must fail the property
-        ctx = InstanceContext(fixture_example1())
-        ctx._reports = [replace(rep, strong_count=0) for rep in ctx.bound_reports]
+        ctx = Analysis(fixture_example1())
+        ctx.decompositions = tuple(replace(dec, strong=()) for dec in ctx.decompositions)
         fails, _ = REGISTRY["nodal.eigen-lower-bound-logged"](ctx, random.Random(0))
         assert "eig 7: strong count 0 < clique bound 5" in fails
 
