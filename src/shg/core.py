@@ -37,7 +37,7 @@ __all__ = [
     "lies_on_cycle",
 ]
 
-EXACT_FOREST_LIMIT = 16
+EXACT_FOREST_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -306,62 +306,91 @@ def is_tree_like(h: SignedHypergraph, x: int) -> bool:
     return after == before + d - 1
 
 
-def _acyclic_selection(n: int, edges: list[Edge], order: list[int]) -> tuple[int, list[int]] | None:
-    """Greedy pass: accept an edge iff all its vertices currently lie in
-    pairwise distinct components.  Returns (score, accepted indices)."""
-    uf = UnionFind(n)
-    chosen: list[int] = []
-    score = 0
-    for i in order:
-        vs = edges[i].vertices
-        # empty and singleton edges never create a cycle and always pass
-        roots = {uf.find(v) for v in vs}
-        if len(roots) == len(vs):
-            for u in vs[1:]:
-                uf.union(vs[0], u)
-            chosen.append(i)
-            score += max(len(vs) - 1, 0)
-    return score, chosen
-
-
 def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int, ...]:
-    """An acyclic edge subset (indices into ``h.edges``).
+    """An acyclic edge subset (indices into ``h.edges``, ascending).
 
     Greedy mode scans edges by decreasing size (ties by input order) and
     keeps an edge iff its vertices lie in pairwise distinct components.
-    Acyclic edge subsets are not a matroid, so greedy is a heuristic;
-    ``exact=True`` maximizes sum(|e|-1) by exhaustive subset search and
-    is limited to 16 edges.
+    Acyclic edge subsets are not a matroid, so greedy is a heuristic.
+
+    ``exact=True`` maximizes the weight sum(|e|-1) by a depth-first branch
+    and bound, limited to ``EXACT_FOREST_LIMIT`` (24) edges.  Edges of size at
+    most 1 never close a cycle and are always taken.  The others are
+    branched on by decreasing size, trying to take an edge (allowed iff its
+    vertices lie in distinct components) before skipping it, with one
+    union-find whose unions are undone on backtrack.  A branch is cut when
+    its weight plus that of every remaining edge cannot beat the best found,
+    and the search stops when the best reaches the cap n - c(H), the weight
+    of a spanning hyperforest of every component.  Among subsets of maximum
+    weight the first one met in that order is returned.
     """
     m = len(h.edges)
-    edges = list(h.edges)
+    edges = h.edges
     if not exact:
-        order = sorted(range(m), key=lambda i: (-edges[i].size, i))
-        _, chosen = _acyclic_selection(h.n, edges, order)
+        uf = UnionFind(h.n)
+        chosen: list[int] = []
+        for i in sorted(range(m), key=lambda i: (-edges[i].size, i)):
+            vs = edges[i].vertices
+            # empty and singleton edges never create a cycle and always pass
+            if len({uf.find(v) for v in vs}) == len(vs):
+                for u in vs[1:]:
+                    uf.union(vs[0], u)
+                chosen.append(i)
         return tuple(sorted(chosen))
     if m > EXACT_FOREST_LIMIT:
         raise ValueError(f"exact search too large: {m} edges exceeds {EXACT_FOREST_LIMIT}")
-    best_score = -1
-    best: tuple[int, ...] = ()
-    for mask in range(1 << m):
-        subset = [i for i in range(m) if mask >> i & 1]
-        uf = UnionFind(h.n)
-        score = 0
-        ok = True
-        for i in subset:
-            vs = edges[i].vertices
-            roots = {uf.find(v) for v in vs}
-            if len(roots) != len(vs):
-                ok = False
-                break
-            for u in vs[1:]:
-                uf.union(vs[0], u)
-            score += max(len(vs) - 1, 0)
-        # ties prefer more edges so zero-weight edges are still included
-        if ok and (score, len(subset)) > (best_score, len(best)):
-            best_score = score
-            best = tuple(subset)
-    return best
+    always = [i for i in range(m) if edges[i].size <= 1]
+    order = sorted((i for i in range(m) if edges[i].size >= 2), key=lambda i: (-edges[i].size, i))
+    members = [edges[i].vertices for i in order]
+    # suffix[j]: the weight of every edge from order[j] on
+    suffix = [0] * (len(order) + 1)
+    for j in range(len(order) - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + len(members[j]) - 1
+    full = UnionFind(h.n)
+    for vs in members:
+        for u in vs[1:]:
+            full.union(vs[0], u)
+    cap = h.n - full.count
+    # no path compression, so a union is undone by resetting the merged roots
+    parent = list(range(h.n + 1))
+    size = [1] * (h.n + 1)
+    taken: list[int] = []
+    best: list[int] = []
+    best_weight = -1
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def search(j: int, weight: int) -> bool:
+        # True once the best weight reaches the cap
+        nonlocal best, best_weight
+        if weight + suffix[j] <= best_weight:
+            return False
+        if j == len(order) or weight == cap:
+            # at the cap no remaining edge can be taken
+            best, best_weight = taken[:], weight
+            return weight == cap
+        roots = {find(v) for v in members[j]}
+        if len(roots) == len(members[j]):
+            top = max(roots, key=size.__getitem__)
+            merged = [r for r in roots if r != top]
+            for r in merged:
+                parent[r] = top
+                size[top] += size[r]
+            taken.append(order[j])
+            done = search(j + 1, weight + len(merged))
+            taken.pop()
+            for r in merged:
+                parent[r] = r
+                size[top] -= size[r]
+            if done:
+                return True
+        return search(j + 1, weight)
+
+    search(0, 0)
+    return tuple(sorted(always + best))
 
 
 def lies_on_cycle(h: SignedHypergraph, x: int) -> bool:

@@ -46,7 +46,6 @@ from .core import (
     cyclomatic,
     edge_sign,
     induced_subhypergraph,
-    spanning_hyperforest,
 )
 from .spectra import (
     DEFAULT_ZERO_TOL_REL,
@@ -71,7 +70,6 @@ __all__ = [
     "l_plus",
     "support_cyclomatic",
     "clique_expansion",
-    "forest_count_diagnostic",
 ]
 
 BOUND_VARIANTS = ("all_pairs", "exists_ordering", "clique")
@@ -596,29 +594,3 @@ class Analysis:
         if variant not in self._tables:
             self._tables[variant] = tuple(_bound_rows(self, variant))
         return self._tables[variant]
-
-
-def forest_count_diagnostic(h: SignedHypergraph, f: VertexFunction) -> tuple[int, int, bool]:
-    """Compare the forest-deficiency formula with the strong-domain count.
-
-    Builds the subhypergraph of whole edges lying inside the support with
-    every pair coherent, takes an exact maximum spanning hyperforest T,
-    and evaluates |support| - sum over T of (|e|-1).  Returns (formula
-    value, strong count, agree).  The two can genuinely differ when no
-    hyperforest realizes the full component rank.
-    """
-    _check_function(h, f)
-    sign = _vertex_signs(f)
-    selected = []
-    for e in h.edges:
-        signs = [sign[v] for v in e.vertices]
-        if 0 in signs or not signs:
-            continue
-        if _edge_coherent(edge_sign(e), signs)[0]:
-            selected.append(e)
-    sub = SignedHypergraph(h.n, tuple(selected))
-    forest = spanning_hyperforest(sub, exact=True)
-    forest_weight = sum(max(sub.edges[i].size - 1, 0) for i in forest)
-    formula_value = len(f.support()) - forest_weight
-    component_value = len(strong_domains(h, f))
-    return formula_value, component_value, formula_value == component_value

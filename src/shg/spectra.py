@@ -29,7 +29,6 @@ __all__ = [
     "MatrixBundle",
     "Spectrum",
     "adjacency",
-    "adjacency_int",
     "laplacian",
     "laplacian_exact",
     "weighted_inner",
@@ -142,7 +141,7 @@ class Spectrum:
         raise IndexError(f"eigenvalue index {index} out of range 1..{self.n}")
 
 
-def adjacency_int(h: SignedHypergraph) -> list[list[int]]:
+def _adjacency_int(h: SignedHypergraph) -> list[list[int]]:
     """Integer adjacency: a[i][j] sums edge signs over edges containing
     both i and j (0-based lists, zero diagonal, singleton edges add nothing).
     """
@@ -154,7 +153,7 @@ def adjacency_int(h: SignedHypergraph) -> list[list[int]]:
 
 
 def adjacency(h: SignedHypergraph) -> np.ndarray:
-    return np.asarray(adjacency_int(h), dtype=float).reshape(h.n, h.n)
+    return np.asarray(_adjacency_int(h), dtype=float).reshape(h.n, h.n)
 
 
 def laplacian(h: SignedHypergraph) -> MatrixBundle:
@@ -179,7 +178,7 @@ def laplacian(h: SignedHypergraph) -> MatrixBundle:
 def laplacian_exact(h: SignedHypergraph) -> list[list[Fraction]]:
     """The normalized Laplacian as exact rationals (small instances)."""
     deg = degrees(h)
-    a = adjacency_int(h)
+    a = _adjacency_int(h)
     out: list[list[Fraction]] = []
     for i in range(h.n):
         if deg[i + 1] == 0:
@@ -217,8 +216,12 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
 
     Eigenvalues ascend; eigenfunctions are D-orthonormal; eigenvalues
     whose consecutive gaps fall below cluster_tol * (max - min) share a
-    multiplicity cluster.
+    multiplicity cluster.  A cluster_tol that is negative or not finite is
+    refused: NaN and negative values split every cluster, and an infinite
+    one merges the whole spectrum.
     """
+    if not (math.isfinite(cluster_tol) and cluster_tol >= 0.0):
+        raise ValueError(f"cluster tolerance must be finite and nonnegative, got {cluster_tol!r}")
     m = bundle.m
     asym = float(np.max(np.abs(m - m.T)))
     if asym > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m)))):

@@ -16,13 +16,15 @@ source does not settle how the bound's correction terms are built.
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import (
+    EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
     connected_components,
@@ -336,6 +338,11 @@ class CampaignResult:
 
     sharpness_stats histograms the slack (k + r - 1) - strong_count over
     every eigenpair of every instance, as sorted (slack, count) pairs.
+    property_costs maps each selected property id to its call count and
+    CPU seconds, summed over instances; the first property to read a lazily
+    built part of an instance's ``Analysis`` is charged for building it.
+    Timings differ from run to run, so they take no part in equality and
+    stay out of ``as_dict``.
     """
 
     config: GenConfig
@@ -344,6 +351,8 @@ class CampaignResult:
     failures: tuple[FailureRecord, ...]
     sharpness_stats: tuple[tuple[int, int], ...]
     notes: tuple[str, ...]
+    property_costs: dict[str, tuple[int, float]] = field(
+        default_factory=dict, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -471,7 +480,7 @@ def _p_induced_identity(ctx: Analysis, rng: random.Random):
 
 def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
     h = ctx.h
-    if h.m > 16:
+    if h.m > EXACT_FOREST_LIMIT:
         return [], []
     fails = []
     greedy = spanning_hyperforest(h, exact=False)
@@ -479,6 +488,14 @@ def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
     w = lambda idx: sum(max(h.edges[i].size - 1, 0) for i in idx)
     if w(exact) < w(greedy):
         fails.append(f"exact weight {w(exact)} < greedy weight {w(greedy)}")
+    # checked apart from the search: the edge set is a hyperforest, and no
+    # hyperforest weighs more than n - c
+    chosen = SignedHypergraph(h.n, tuple(h.edges[i] for i in exact), allow_empty_edges=True)
+    if not is_acyclic(chosen):
+        fails.append(f"exact edge set {list(exact)} is not acyclic")
+    cap = h.n - len(connected_components(h))
+    if w(exact) > cap:
+        fails.append(f"exact weight {w(exact)} exceeds n - c = {cap}")
     return fails, []
 
 
@@ -859,6 +876,8 @@ def run_campaign(cfg: GenConfig,
     failures: list[FailureRecord] = []
     notes: list[str] = []
     sharp: Counter[int] = Counter()
+    calls: Counter[str] = Counter()
+    cpu_s: Counter[str] = Counter()
     instances_run = 0
     for index, h in enumerate(generate(cfg)):
         instances_run += 1
@@ -866,10 +885,13 @@ def run_campaign(cfg: GenConfig,
         ctx = Analysis(h)
         for pid in ids:
             rng = _child_rng(cfg.seed, index, pid)
+            start = time.process_time()
             try:
                 fails, notes_i = REGISTRY[pid](ctx, rng)
             except Exception as exc:
                 fails, notes_i = [f"unexpected error: {exc!r}"], []
+            cpu_s[pid] += time.process_time() - start
+            calls[pid] += 1
             failures.extend(
                 FailureRecord(cfg.seed, index, pid, text, d) for d in fails)
             notes.extend(f"instance {index} [{pid}]: {t}" for t in notes_i)
@@ -886,4 +908,5 @@ def run_campaign(cfg: GenConfig,
         failures=tuple(failures),
         sharpness_stats=tuple(sorted(sharp.items())),
         notes=tuple(notes),
+        property_costs={pid: (calls[pid], cpu_s[pid]) for pid in ids},
     )

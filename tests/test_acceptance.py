@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from shg.core import (
+    EXACT_FOREST_LIMIT,
     SignedHypergraph,
     connected_components,
     cyclomatic,
@@ -306,7 +307,7 @@ def test_criterion_6_identity_suite():
                 continue
             coeff = b.a * np.outer(g.array(), g.array())
             positive = _pair_graph(h, coeff, keep_positive_only=True)
-            if positive.m > 16:
+            if positive.m > EXACT_FOREST_LIMIT:
                 continue
             form = nodal_quadratic_form(b, g, s.eigenvalues[i - 1])
             p = positive_inertia(form)

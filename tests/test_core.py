@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shg.core import (
+    EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
+    UnionFind,
     connected_components,
     cyclomatic,
     degree,
@@ -189,6 +191,47 @@ class TestCycles:
         assert cyclomatic(h).l >= 0
 
 
+@st.composite
+def forest_instances(draw, max_n=8, max_m=12):
+    """Edges of size 0 to 5 with repeats, so that ties and weight-0 edges
+    are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_m))):
+        if edges and draw(st.booleans()):
+            edges.append(draw(st.sampled_from(edges)))
+            continue
+        size = draw(st.integers(min_value=0, max_value=min(5, n)))
+        vs = draw(st.permutations(range(1, n + 1)))[:size]
+        edges.append(Edge(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs)))
+    return SignedHypergraph(n, tuple(edges), allow_empty_edges=True)
+
+
+def exhaustive_forest(h):
+    """The exact search as it was before branch and bound: every one of the
+    2^m edge subsets, ties broken by the most edges.  A reference only."""
+    best_score = -1
+    best: tuple[int, ...] = ()
+    for mask in range(1 << h.m):
+        subset = [i for i in range(h.m) if mask >> i & 1]
+        uf = UnionFind(h.n)
+        score = 0
+        ok = True
+        for i in subset:
+            vs = h.edges[i].vertices
+            roots = {uf.find(v) for v in vs}
+            if len(roots) != len(vs):
+                ok = False
+                break
+            for u in vs[1:]:
+                uf.union(vs[0], u)
+            score += max(len(vs) - 1, 0)
+        if ok and (score, len(subset)) > (best_score, len(best)):
+            best_score = score
+            best = tuple(subset)
+    return best
+
+
 class TestForest:
     def test_greedy_spans_tree(self):
         h = h_of(4, ((1, 1), (2, 1), (3, 1)), ((3, 1), (4, 1)))
@@ -204,8 +247,10 @@ class TestForest:
         assert weight(exact) >= weight(greedy)
 
     def test_exact_limit(self):
-        edges = [((i, 1), (i + 1, 1)) for i in range(1, 19)]
-        h = h_of(19, *edges)
+        path = [((i, 1), (i + 1, 1)) for i in range(1, EXACT_FOREST_LIMIT + 2)]
+        h = h_of(EXACT_FOREST_LIMIT + 2, *path[:-1])
+        assert spanning_hyperforest(h, exact=True) == tuple(range(EXACT_FOREST_LIMIT))
+        h = h_of(EXACT_FOREST_LIMIT + 2, *path)
         with pytest.raises(ValueError, match="exact"):
             spanning_hyperforest(h, exact=True)
 
@@ -214,3 +259,13 @@ class TestForest:
         idx = spanning_hyperforest(h, exact=True)
         sub = SignedHypergraph(3, tuple(h.edges[i] for i in idx))
         assert is_acyclic(sub)
+
+    @given(forest_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_matches_exhaustive_search(self, h):
+        exact = spanning_hyperforest(h, exact=True)
+        weight = lambda ids: sum(max(h.edges[i].size - 1, 0) for i in ids)
+        assert weight(exact) == weight(exhaustive_forest(h))
+        assert is_acyclic(SignedHypergraph(h.n, tuple(h.edges[i] for i in exact),
+                                           allow_empty_edges=True))
+        assert {i for i, e in enumerate(h.edges) if e.size <= 1} <= set(exact)

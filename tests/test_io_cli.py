@@ -87,6 +87,13 @@ class TestSpectrumCommand:
         assert "cluster k=4 r=3" in out
         assert "cluster k=7 r=3" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "-5", "inf"])
+    def test_bad_cluster_tol_refused(self, tmp_path, capsys, tol):
+        assert main(["spectrum", write_fixture(tmp_path), "--cluster-tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_csv_export(self, tmp_path, capsys):
         csv = tmp_path / "eig.csv"
         assert main(["spectrum", write_fixture(tmp_path), "--csv", str(csv)]) == 0

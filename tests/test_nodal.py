@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shg.core import Edge, SignedHypergraph, cyclomatic, edge_sign, hyperneighbors, is_tree_like
+from shg.core import (
+    Edge,
+    SignedHypergraph,
+    cyclomatic,
+    edge_sign,
+    hyperneighbors,
+    is_tree_like,
+    spanning_hyperforest,
+)
 from shg.fixtures import (
     PRINTED_EIGENFUNCTIONS,
     TABLE1_STRONG,
@@ -20,7 +28,6 @@ from shg.nodal import (
     decompose,
     domain_adjacency_graph,
     fiedler_sets,
-    forest_count_diagnostic,
     l_plus,
     strong_domains,
     support_cyclomatic,
@@ -379,6 +386,27 @@ class TestDomainGraph:
     def test_single_domain_trivially_connected(self, fixture, printed):
         g = domain_adjacency_graph(fixture, decompose(fixture, printed[0]))
         assert g.n_nodes == 1 and g.is_connected()
+
+
+def forest_count_diagnostic(h, f):
+    """Compare the forest-deficiency formula with the strong-domain count.
+
+    Takes the whole edges lying inside the support with every pair
+    coherent, an exact maximum spanning hyperforest T of them, and
+    evaluates |support| - sum over T of (|e|-1).  Returns (formula value,
+    strong count, agree).  The two can genuinely differ when no
+    hyperforest realizes the full component rank.
+    """
+    selected = tuple(
+        e for e in h.edges
+        if e.size and all(f.sign(v) for v in e.vertices)
+        and all(f.sign(x) * edge_sign(e) * f.sign(y) > 0
+                for x, y in itertools.combinations(e.vertices, 2)))
+    sub = SignedHypergraph(h.n, selected)
+    forest = spanning_hyperforest(sub, exact=True)
+    formula_value = len(f.support()) - sum(sub.edges[i].size - 1 for i in forest)
+    component_value = len(strong_domains(h, f))
+    return formula_value, component_value, formula_value == component_value
 
 
 class TestForestDiagnostic:

@@ -11,8 +11,8 @@ from shg.core import Edge, SignedHypergraph, degrees
 from shg.fixtures import PRINTED_LAPLACIAN, fixture_example1
 from shg.spectra import (
     VertexFunction,
+    _adjacency_int,
     adjacency,
-    adjacency_int,
     chained_difference_rank,
     eigendecompose,
     laplacian,
@@ -66,16 +66,16 @@ class TestAdjacency:
     def test_aggregates_shared_edges(self):
         # two edges on {1,2} with opposite global signs cancel
         h = h_of(2, ((1, 1), (2, 1)), ((1, 1), (2, -1)))
-        assert adjacency_int(h)[0][1] == 0
+        assert _adjacency_int(h)[0][1] == 0
 
     def test_singleton_edges_add_nothing(self):
         h = h_of(2, ((1, 1), (2, 1)), ((1, -1),))
-        a = adjacency_int(h)
+        a = _adjacency_int(h)
         assert a[0][1] == -1 and a[0][0] == 0
 
     def test_three_edge_pairs(self):
         h = h_of(3, ((1, 1), (2, 1), (3, 1)))
-        a = adjacency_int(h)
+        a = _adjacency_int(h)
         assert a[0][1] == a[0][2] == a[1][2] == 1
 
 
@@ -156,6 +156,13 @@ class TestEigendecomposition:
         s = eigendecompose(b, cluster_tol=0.0)
         # exact ties still merge; merely close values split
         assert s.cluster_of(1) == (1, 1)
+
+    @pytest.mark.parametrize("tol", [-5.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+    def test_refuses_bad_cluster_tol(self, fixture, tol):
+        # NaN and negative values split every cluster, infinity merges them all
+        _, b = fixture
+        with pytest.raises(ValueError, match="cluster tolerance must be finite and nonnegative"):
+            eigendecompose(b, cluster_tol=tol)
 
     def test_flat_spectrum_single_cluster(self):
         # identity-like Laplacian: n isolated-pair components with zero adjacency

@@ -6,7 +6,15 @@ from dataclasses import replace
 
 import pytest
 
-from shg.core import SignedHypergraph, cyclomatic, connected_components, degrees
+import shg.verify
+from shg.core import (
+    EXACT_FOREST_LIMIT,
+    Edge,
+    SignedHypergraph,
+    connected_components,
+    cyclomatic,
+    degrees,
+)
 from shg.fixtures import fixture_example1
 from shg.nodal import Analysis, strong_domains, weak_domains
 from shg.spectra import VertexFunction, eigendecompose, laplacian
@@ -201,6 +209,28 @@ class TestCampaign:
         ctx.decompositions = tuple(replace(dec, strong=()) for dec in ctx.decompositions)
         fails, _ = REGISTRY["nodal.eigen-lower-bound-logged"](ctx, random.Random(0))
         assert "eig 7: strong count 0 < clique bound 5" in fails
+
+    def test_property_costs_cover_the_selection_outside_the_json(self):
+        ids = CORE_PROPERTY_IDS + ("spectra.trace-eigsum",)
+        res = run_campaign(GenConfig(seed=31, count=3), property_ids=ids)
+        assert set(res.property_costs) == set(ids)
+        assert all(calls == 3 and cpu_s >= 0.0 for calls, cpu_s in res.property_costs.values())
+        assert "property_costs" not in res.as_dict()
+        assert res == replace(res, property_costs={})
+
+    @pytest.mark.parametrize("m, checked", [(EXACT_FOREST_LIMIT, True),
+                                            (EXACT_FOREST_LIMIT + 1, False)])
+    def test_forest_property_checks_the_search_result(self, monkeypatch, m, checked):
+        # repeated triangle edges: taking them all closes a cycle and weighs
+        # more than n - c = 2
+        triangle = [Edge(((a, 1), (b, 1))) for a, b in ((1, 2), (2, 3), (1, 3))]
+        h = SignedHypergraph(3, tuple(triangle[i % 3] for i in range(m)))
+        monkeypatch.setattr(shg.verify, "spanning_hyperforest",
+                            lambda h, exact=False: tuple(range(h.m)))
+        fails, _ = REGISTRY["core.exact-forest-geq-greedy"](Analysis(h), random.Random(0))
+        expected = [f"exact edge set {list(range(m))} is not acyclic",
+                    f"exact weight {m} exceeds n - c = 2"]
+        assert fails == (expected if checked else [])
 
 
 class TestFailureRoundTrip:
