@@ -19,22 +19,28 @@ signs.  Each zero component then links the nonzeros attached to it by
 comparing one sign per attachment.  Fiedler sets come from one block
 pass over the vertex-edge incidence graph.  Every pairwise pass (the
 strong relation, the weak direct pairs, the clique expansion) reads the
-pair table ``SignedHypergraph.pairs``.
+pair table ``SignedHypergraph.pairs``.  The strong relation and the
+coherent edges of ``l_plus`` are both unions over selected links, run by
+one link kernel on a plain parent list.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
 nonzero constant.
 
 ``Analysis`` holds everything computed about one instance: its
-matrices and spectrum, one decomposition and one set of Fiedler sets per
-eigenfunction, and one bounds table per reading of the lower bound.
-``shg report``, ``shg bounds`` and the campaign all read from it.
+matrices and spectrum, one sign matrix of all its eigenfunctions, one
+decomposition and one set of Fiedler sets per eigenfunction, and one
+bounds table per reading of the lower bound.  The sign matrix selects the
+strong links and the coherent edges of every eigenfunction in a few
+array operations, so only the unions run per function.  ``shg report``,
+``shg bounds`` and the campaign all read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -162,9 +168,47 @@ def _vertex_signs(f: VertexFunction) -> list[int]:
     return [0] + [f.sign(v) for v in range(1, f.n + 1)]
 
 
+def _sign_matrix(functions: tuple[VertexFunction, ...], n: int) -> np.ndarray:
+    """int8 signs, one row per function and one column per vertex, column
+    0 unused (zero); the rule of ``VertexFunction.sign``."""
+    values = np.array([f.values for f in functions], dtype=float).reshape(len(functions), n)
+    tol = np.array([f.zero_tolerance for f in functions], dtype=float)
+    signs = np.zeros((len(functions), n + 1), dtype=np.int8)
+    signs[:, 1:] = np.where(np.abs(values) <= tol[:, None], 0.0, np.sign(values))
+    return signs
+
+
 def _check_function(h: SignedHypergraph, f: VertexFunction) -> None:
     if f.n != h.n:
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
+
+
+def _link(parent: list[int], links: Iterable[tuple[int, int]]) -> int:
+    """Join the ends of every link in the forest ``parent``, where a root
+    is its own parent; path halving keeps the trees shallow.  Returns the
+    number of joins, so the component count drops by that much."""
+    joins = 0
+    for x, y in links:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
+            joins += 1
+    return joins
+
+
+def _groups(parent: list[int], members: list[int]) -> tuple[frozenset[int], ...]:
+    """The classes of ``members`` (ascending) in the forest ``parent``,
+    ordered by their smallest member."""
+    by_root: dict[int, list[int]] = {}
+    for v in members:
+        x = v
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        by_root.setdefault(x, []).append(v)
+    return tuple(frozenset(g) for g in by_root.values())
 
 
 def strong_domains(source: "SignedHypergraph | np.ndarray", f: VertexFunction) -> tuple[frozenset[int], ...]:
@@ -182,12 +226,23 @@ def strong_domains(source: "SignedHypergraph | np.ndarray", f: VertexFunction) -
 def _strong_domains_hypergraph(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[int], ...]:
     _check_function(h, f)
     sign = _vertex_signs(f)
-    uf = UnionFind(h.n)
-    for x, y, s in h.pairs:
-        if sign[x] * s * sign[y] > 0:
-            uf.union(x, y)
-    support = [v for v in h.vertex_range() if sign[v] != 0]
-    return tuple(uf.groups(support))
+    parent = list(range(h.n + 1))
+    _link(parent, ((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0))
+    return _groups(parent, [v for v in h.vertex_range() if sign[v] != 0])
+
+
+def _strong_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[frozenset[int], ...]]:
+    """``strong_domains`` of every row of the sign matrix ``signs``: one
+    mask over the pair table selects the strong links of all rows, and
+    each row unions only its own."""
+    xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
+    linked = signs[:, xs] * ps * signs[:, ys] > 0
+    out = []
+    for row, links in zip(signs, linked):
+        parent = list(range(h.n + 1))
+        _link(parent, zip(xs[links].tolist(), ys[links].tolist()))
+        out.append(_groups(parent, np.flatnonzero(row).tolist()))
+    return out
 
 
 def _strong_domains_matrix(a: np.ndarray, f: VertexFunction) -> tuple[frozenset[int], ...]:
@@ -197,18 +252,11 @@ def _strong_domains_matrix(a: np.ndarray, f: VertexFunction) -> tuple[frozenset[
     scale = float(np.max(np.abs(a))) or 1.0
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("raw matrix must be symmetric")
-    sign = _vertex_signs(f)
-    uf = UnionFind(n)
-    for x in range(1, n + 1):
-        if sign[x] == 0:
-            continue
-        for y in range(x + 1, n + 1):
-            if sign[y] == 0:
-                continue
-            if a[x - 1, y - 1] * sign[x] * sign[y] > 0:
-                uf.union(x, y)
-    support = [v for v in range(1, n + 1) if sign[v] != 0]
-    return tuple(uf.groups(support))
+    sign = np.array(_vertex_signs(f)[1:])
+    xs, ys = np.nonzero(np.triu(a * np.outer(sign, sign) > 0, 1))
+    parent = list(range(n + 1))
+    _link(parent, zip((xs + 1).tolist(), (ys + 1).tolist()))
+    return _groups(parent, (np.flatnonzero(sign) + 1).tolist())
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -367,8 +415,11 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     Without zeros every weak link is a direct pair, so the weak cores and
     closures are the strong domains and ``weak_domains`` is not run.
     """
-    strong = strong_domains(h, f)
-    support = f.support()
+    return _decomposition(h, f, f.support(), strong_domains(h, f))
+
+
+def _decomposition(h: SignedHypergraph, f: VertexFunction, support: frozenset[int],
+               strong: tuple[frozenset[int], ...]) -> NodalDecomposition:
     if len(support) == f.n:
         return NodalDecomposition(support, strong, strong, strong, f.zero_tolerance)
     cores, closures = weak_domains(h, f)
@@ -436,48 +487,57 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _edge_coherent(e_sign: int, signs: list[int]) -> tuple[bool, bool]:
-    """Whether an edge (all vertices nonzero, signs given) respects its
-    sign under each pairing rule, as (all_pairs, exists_ordering).
+def _l_plus_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[CycleStats, CycleStats]]:
+    """``l_plus`` of every row of the sign matrix ``signs``.
 
-    all_pairs: every pair x, y has sign(x) * e_sign * sign(y) > 0.
-    exists_ordering: some vertex ordering makes every consecutive pair
-    satisfy it.  Equivalent closed forms: a positive edge needs all equal
-    signs either way; a negative edge needs alternation, so any pair for
-    size <= 2 but balanced counts (|#pos - #neg| <= 1) for exists_ordering.
-    An all_pairs-coherent edge is therefore always exists_ordering-coherent.
+    An edge is coherent when all its vertices are nonzero and it respects
+    its sign under the variant's rule.  all_pairs: every pair x, y has
+    sign(x) * sgn(e) * sign(y) > 0.  exists_ordering: some vertex ordering
+    makes every consecutive pair satisfy it.  In closed form, on the counts
+    of + and - vertices per edge: an edge of size <= 1 is coherent; a
+    positive edge needs all signs equal under either rule; a negative edge
+    needs alternation, so one + and one - for all_pairs and
+    |#pos - #neg| <= 1 for exists_ordering.  all_pairs-coherent edges are
+    therefore exists_ordering-coherent, and one union pass per row serves
+    both: the all_pairs edges first, then the extra exists_ordering edges.
     """
-    if len(signs) <= 1:
-        return True, True
-    if e_sign > 0:
-        same = len(set(signs)) == 1
-        return same, same
-    pos = sum(1 for s in signs if s > 0)
-    neg = len(signs) - pos
-    return len(signs) == 2 and pos == neg, abs(pos - neg) <= 1
+    n, edges = h.n, h.edges
+    sizes = np.array([e.size for e in edges], dtype=np.intp)
+    # an empty edge has no sign; it is coherent either way and weighs 0
+    positive = np.array([e.size == 0 or edge_sign(e) > 0 for e in edges], dtype=bool)
+    inc = np.zeros((n + 1, len(edges)))
+    star: list[tuple[int, int, int]] = []
+    for j, e in enumerate(edges):
+        vs = e.vertices
+        inc[list(vs), j] = 1.0
+        star.extend((vs[0], u, j) for u in vs[1:])
+    star_x, star_y, star_edge = np.array(star, dtype=np.intp).reshape(-1, 3).T
+    pos = (signs > 0).astype(float) @ inc
+    neg = (signs < 0).astype(float) @ inc
+    small = (sizes <= 1) & (pos + neg == sizes)
+    same = (pos == sizes) | (neg == sizes)
+    all_pairs = small | np.where(positive, same, (sizes == 2) & (pos == 1) & (neg == 1))
+    exists = small | np.where(positive, same, (pos + neg == sizes) & (np.abs(pos - neg) <= 1))
+    weight = np.maximum(sizes - 1, 0)
+    totals_all, totals_exists = (all_pairs @ weight).tolist(), (exists @ weight).tolist()
+    links_all, links_extra = all_pairs[:, star_edge], (exists & ~all_pairs)[:, star_edge]
+    out = []
+    for t_all, t_exists, first, extra in zip(totals_all, totals_exists, links_all, links_extra):
+        parent = list(range(n + 1))
+        c_all = n - _link(parent, zip(star_x[first].tolist(), star_y[first].tolist()))
+        c_exists = c_all - _link(parent, zip(star_x[extra].tolist(), star_y[extra].tolist()))
+        out.append((CycleStats(t_all, n, c_all, t_all - n + c_all),
+                    CycleStats(t_exists, n, c_exists, t_exists - n + c_exists)))
+    return out
 
 
 def l_plus(h: SignedHypergraph, f: VertexFunction) -> tuple[CycleStats, CycleStats]:
     """Cyclomatic data of the coherent subhypergraph under each variant, as
-    (all_pairs, exists_ordering): the edge family restricted to edges whose
-    vertices are all nonzero and respect the edge sign under that rule, on
-    the full vertex set.  One pass over the edges decides both.
+    (all_pairs, exists_ordering): the edge family restricted to coherent
+    edges (``_l_plus_rows`` states the rules), on the full vertex set.
     """
     _check_function(h, f)
-    sign = _vertex_signs(f)
-    ufs = (UnionFind(h.n), UnionFind(h.n))
-    totals = [0, 0]
-    for e in h.edges:
-        vs = e.vertices
-        signs = [sign[v] for v in vs]
-        if 0 in signs:
-            continue
-        for j, coherent in enumerate(_edge_coherent(edge_sign(e) if vs else 1, signs)):
-            if coherent:
-                totals[j] += max(len(vs) - 1, 0)
-                for u in vs[1:]:
-                    ufs[j].union(vs[0], u)
-    return tuple(CycleStats(t, h.n, uf.count, t - h.n + uf.count) for t, uf in zip(totals, ufs))
+    return _l_plus_rows(h, _sign_matrix((f,), h.n))[0]
 
 
 def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
@@ -516,16 +576,17 @@ def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
     h, spectrum = analysis.h, analysis.spectrum
     cyc = cyclomatic(h)
     c = cyc.n_components
-    g = clique_expansion(h) if variant == "clique" else h
+    clique = variant == "clique"
+    g = analysis.expansion if clique else h
     # inducing on every vertex is the identity, so a full support has l' = l(g)
-    l_full = cyclomatic(g).l if g is not h else cyc.l
+    l_full = cyclomatic(g).l if clique else cyc.l
     out = []
-    rows = zip(spectrum.functions, analysis.decompositions, analysis.fiedler)
-    for i, (f, dec, fs) in enumerate(rows, 1):
+    rows = zip(spectrum.functions, analysis.decompositions, analysis.fiedler,
+               analysis.l_plus(clique))
+    for i, (f, dec, fs, (lp_all, lp_exists)) in enumerate(rows, 1):
         k, r = spectrum.cluster_of(i)
-        lp_all, lp_exists = (stats.l for stats in l_plus(g, f))
         l_prime = l_full if len(dec.support) == h.n else support_cyclomatic(g, f).l
-        fied = len((fs if g is h else fiedler_sets(g, f)).fiedler)
+        fied = len((fiedler_sets(g, f) if clique else fs).fiedler)
         lp = lp_exists if variant == "exists_ordering" else lp_all
         lower = k + r - 1 - l_prime + lp - fied
         out.append(BoundReport(
@@ -552,21 +613,25 @@ class Analysis:
     """Everything computed about one instance, each part once, on first use.
 
     ``spectrum`` is the eigendecomposition of ``bundle`` with every
-    eigenfunction read at ``zero_tol_rel``; ``decompositions[i - 1]`` and
-    ``fiedler[i - 1]`` belong to the eigenfunction of 1-based index i, on
-    the hypergraph itself.  ``bounds(variant)`` is the table of nodal-count
-    bounds of every index: strong count <= k + r - 1; weak count <= k + c - 1;
-    strong count >= k + r - 1 - l' + l_plus - |fiedler|.  The variants
-    ``all_pairs`` and ``exists_ordering`` read the three correction terms on
-    whole hyperedges (l' the support cyclomatic number, l_plus by the named
-    coherence rule); ``clique`` reads them on ``clique_expansion(h)``, where
-    both coherence rules agree.
+    eigenfunction read at ``zero_tol_rel``, and ``signs`` its sign matrix:
+    row i - 1 holds the signs of the eigenfunction of 1-based index i,
+    column v the sign at vertex v (column 0 is unused and zero).
+    ``decompositions[i - 1]`` and ``fiedler[i - 1]`` belong to that
+    eigenfunction, on the hypergraph itself.  ``bounds(variant)`` is the
+    table of nodal-count bounds of every index: strong count <= k + r - 1;
+    weak count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
+    |fiedler|.  The variants ``all_pairs`` and ``exists_ordering`` read the
+    three correction terms on whole hyperedges (l' the support cyclomatic
+    number, l_plus by the named coherence rule); ``clique`` reads them on
+    ``expansion``, the clique expansion of h, where both coherence rules
+    agree.
     """
 
     def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:
         self.h = h
         self.zero_tol_rel = zero_tol_rel
         self._tables: dict[str, tuple[BoundReport, ...]] = {}
+        self._l_plus: dict[bool, tuple[tuple[int, int], ...]] = {}
 
     @cached_property
     def bundle(self) -> MatrixBundle:
@@ -574,18 +639,34 @@ class Analysis:
 
     @cached_property
     def spectrum(self) -> Spectrum:
-        spectrum = eigendecompose(self.bundle)
-        return replace(spectrum, functions=tuple(
-            VertexFunction.from_values(f.values, rel_tol=self.zero_tol_rel)
-            for f in spectrum.functions))
+        return eigendecompose(self.bundle, zero_tol_rel=self.zero_tol_rel)
+
+    @cached_property
+    def signs(self) -> np.ndarray:
+        return _sign_matrix(self.spectrum.functions, self.h.n)
+
+    @cached_property
+    def expansion(self) -> SignedHypergraph:
+        return clique_expansion(self.h)
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        return tuple(decompose(self.h, f) for f in self.spectrum.functions)
+        rows = zip(self.spectrum.functions, self.signs, _strong_rows(self.h, self.signs))
+        return tuple(_decomposition(self.h, f, frozenset(np.flatnonzero(row).tolist()), strong)
+                     for f, row, strong in rows)
 
     @cached_property
     def fiedler(self) -> tuple[FiedlerSets, ...]:
         return tuple(fiedler_sets(self.h, f) for f in self.spectrum.functions)
+
+    def l_plus(self, clique: bool = False) -> tuple[tuple[int, int], ...]:
+        """(all_pairs, exists_ordering) l_plus of every eigenfunction, on
+        ``expansion`` if ``clique`` and on h otherwise: one coherence pass
+        per graph."""
+        if clique not in self._l_plus:
+            g = self.expansion if clique else self.h
+            self._l_plus[clique] = tuple((a.l, e.l) for a, e in _l_plus_rows(g, self.signs))
+        return self._l_plus[clique]
 
     def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
         """The bounds row of every eigenfunction, in index order."""

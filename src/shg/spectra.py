@@ -211,11 +211,13 @@ def _cluster(eigenvalues: np.ndarray, cluster_tol: float) -> tuple[tuple[int, in
     return tuple(clusters)
 
 
-def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectrum:
+def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TOL,
+                   zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> Spectrum:
     """Dense symmetric eigendecomposition with tolerance clustering.
 
-    Eigenvalues ascend; eigenfunctions are D-orthonormal; eigenvalues
-    whose consecutive gaps fall below cluster_tol * (max - min) share a
+    Eigenvalues ascend; eigenfunctions are D-orthonormal, with zero
+    tolerance ``zero_tol_rel`` times their max-norm; eigenvalues whose
+    consecutive gaps fall below cluster_tol * (max - min) share a
     multiplicity cluster.  A cluster_tol that is negative or not finite is
     refused: NaN and negative values split every cluster, and an infinite
     one merges the whole spectrum.
@@ -228,7 +230,8 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
         raise ValueError(f"symmetrized Laplacian is not symmetric (defect {asym:.3e})")
     w, u = np.linalg.eigh((m + m.T) / 2.0)
     funcs = u / np.sqrt(bundle.deg)[:, None]
-    functions = tuple(VertexFunction.from_values(funcs[:, j]) for j in range(bundle.n))
+    functions = tuple(VertexFunction.from_values(funcs[:, j], rel_tol=zero_tol_rel)
+                      for j in range(bundle.n))
     return Spectrum(tuple(float(x) for x in w), functions, _cluster(w, cluster_tol))
 
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -244,6 +248,17 @@ class TestExample1Command:
         assert all(p["residual_ok"] for p in report["eigenpairs"])
         assert len(report["eigenpairs"]) == 9
 
+    def test_runs_as_module(self):
+        import shg
+
+        src = str(Path(shg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "shg", "example1"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["supplied_functions"]
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
@@ -301,45 +316,61 @@ class TestReportModule:
                 assert (row["strong_count"], row["weak_count"]) == (
                     rec["strong_count"], rec["weak_count"])
 
-    def test_one_decomposition_per_function(self, monkeypatch):
+    @staticmethod
+    def _count(monkeypatch, names):
+        """Count the calls of the named ``shg.nodal`` functions, patched in
+        every module that binds them; each count records the number of
+        sign-matrix rows a batched call covered, or 1 per call."""
         import shg.nodal as nodal
         import shg.report as report
 
-        calls = []
-        real = nodal.decompose
-
-        def counting(h, f):
-            calls.append(f)
-            return real(h, f)
-
-        for module in (nodal, report):
-            monkeypatch.setattr(module, "decompose", counting)
-        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
-        build_report(h, input_digest(serialize(h)))
-        assert len(calls) == h.n == 20
-
-    def test_one_fiedler_pass_and_one_l_plus_per_function(self, monkeypatch):
-        import shg.nodal as nodal
-        import shg.report as report
-
-        calls = {"fiedler_sets": 0, "l_plus": 0}
+        calls = {name: [] for name in names}
 
         def counting(name):
             real = getattr(nodal, name)
 
-            def wrapper(h, f):
-                calls[name] += 1
-                return real(h, f)
+            def wrapper(*args):
+                rows = args[-1]
+                calls[name].append(rows.shape[0] if hasattr(rows, "shape") else 1)
+                return real(*args)
             return wrapper
 
-        for name in calls:
+        for name in names:
             wrapper = counting(name)
             for module in (nodal, report):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_one_decomposition_per_function(self, monkeypatch):
+        # one sign matrix per Analysis decides the strong domains of every
+        # eigenfunction; no eigenfunction goes through decompose or
+        # strong_domains on its own
+        calls = self._count(monkeypatch, ("_sign_matrix", "decompose", "strong_domains"))
+        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        report = build_report(h, input_digest(serialize(h)))
+        assert len(report["eigenfunctions"]) == 20
+        assert calls == {"_sign_matrix": [1], "decompose": [], "strong_domains": []}
+
+    def test_one_fiedler_pass_and_one_l_plus_per_function(self, monkeypatch):
+        # Fiedler sets run once per eigenfunction; l_plus of all 20 comes
+        # from one coherence pass over the sign matrix, not from l_plus
+        calls = self._count(monkeypatch, ("fiedler_sets", "l_plus", "_l_plus_rows"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         build_report(h, input_digest(serialize(h)))
-        assert calls == {"fiedler_sets": 20, "l_plus": 20}
+        assert calls == {"fiedler_sets": [1] * 20, "l_plus": [], "_l_plus_rows": [20]}
+
+    def test_one_coherence_pass_per_graph(self, monkeypatch):
+        # the whole-hyperedge variants share the pass on h; the clique
+        # variant adds one on the expansion
+        from shg.nodal import Analysis
+
+        calls = self._count(monkeypatch, ("_sign_matrix", "_l_plus_rows"))
+        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        analysis = Analysis(h)
+        for variant in ("all_pairs", "exists_ordering", "clique", "all_pairs"):
+            analysis.bounds(variant)
+        assert calls == {"_sign_matrix": [1], "_l_plus_rows": [20, 20]}
 
 
 @st.composite

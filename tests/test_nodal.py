@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shg.core import (
+    CycleStats,
     Edge,
     SignedHypergraph,
+    UnionFind,
     cyclomatic,
     edge_sign,
     hyperneighbors,
@@ -23,6 +25,9 @@ from shg.fixtures import (
 )
 from shg.nodal import (
     Analysis,
+    _l_plus_rows,
+    _sign_matrix,
+    _strong_rows,
     BoundReport,
     clique_expansion,
     decompose,
@@ -581,3 +586,80 @@ class TestBoundsTable:
         dec = decompose(fixture, f)
         assert dec.strong == dec.weak_cores == cores
         assert dec.weak_closures == closures
+
+
+def reference_edge_coherent(e_sign, signs):
+    """Closed-form coherence of an edge whose vertices are all nonzero, as
+    (all_pairs, exists_ordering): the per-edge rule the batched pass
+    replaced, kept as its reference."""
+    if len(signs) <= 1:
+        return True, True
+    if e_sign > 0:
+        same = len(set(signs)) == 1
+        return same, same
+    pos = sum(1 for s in signs if s > 0)
+    neg = len(signs) - pos
+    return len(signs) == 2 and pos == neg, abs(pos - neg) <= 1
+
+
+def reference_l_plus(h, f):
+    """l_plus of one function by one union-find per variant over its
+    coherent edges, edge by edge."""
+    sign = [0] + [f.sign(v) for v in h.vertex_range()]
+    ufs = (UnionFind(h.n), UnionFind(h.n))
+    totals = [0, 0]
+    for e in h.edges:
+        vs = e.vertices
+        signs = [sign[v] for v in vs]
+        if 0 in signs:
+            continue
+        for j, coherent in enumerate(reference_edge_coherent(edge_sign(e) if vs else 1, signs)):
+            if coherent:
+                totals[j] += max(len(vs) - 1, 0)
+                for u in vs[1:]:
+                    ufs[j].union(vs[0], u)
+    return tuple(CycleStats(t, h.n, uf.count, t - h.n + uf.count) for t, uf in zip(totals, ufs))
+
+
+def reference_strong(h, f):
+    sign = [0] + [f.sign(v) for v in h.vertex_range()]
+    uf = UnionFind(h.n)
+    for x, y, s in h.pairs:
+        if sign[x] * s * sign[y] > 0:
+            uf.union(x, y)
+    return tuple(uf.groups([v for v in h.vertex_range() if sign[v] != 0]))
+
+
+@st.composite
+def batched_cases(draw):
+    """(h, functions): n <= 9, edges of size 1..5 with random signs, some
+    repeated, and 1..5 functions whose entries include exact zeros and
+    values inside the zero tolerance."""
+    n = draw(st.integers(1, 9))
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        if edges and draw(st.integers(0, 4)) == 0:
+            edges.append(draw(st.sampled_from(edges)))
+            continue
+        size = draw(st.integers(1, min(5, n)))
+        vs = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+        edges.append(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs))
+    values = st.sampled_from((-2.0, -1.0, -1e-9, 0.0, 0.0, 1e-9, 0.5, 1.0))
+    fs = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=5))
+    return h_of(n, *edges), tuple(VertexFunction.from_values(v) for v in fs)
+
+
+class TestBatchedPasses:
+    @given(batched_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_per_function_reference(self, case):
+        h, fs = case
+        signs = _sign_matrix(fs, h.n)
+        assert signs.tolist() == [[0] + [f.sign(v) for v in h.vertex_range()] for f in fs]
+        for g in (h, clique_expansion(h)):
+            expected = [reference_l_plus(g, f) for f in fs]
+            assert _l_plus_rows(g, signs) == expected
+            assert [l_plus(g, f) for f in fs] == expected
+            expected = [reference_strong(g, f) for f in fs]
+            assert _strong_rows(g, signs) == expected
+            assert [strong_domains(g, f) for f in fs] == expected
