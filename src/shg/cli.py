@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SignedHypergraph, degrees
+from .core import Edge, SignedHypergraph, degrees
 from .fixtures import (
     DISCREPANCY_NOTES,
     PRINTED_EIGENFUNCTIONS,
@@ -72,11 +72,9 @@ def _function_from_args(h: SignedHypergraph, args) -> VertexFunction:
         if len(values) != h.n:
             raise ValueError(f"--function needs {h.n} values, got {len(values)}")
         return VertexFunction.from_values(values, rel_tol=args.zero_tol)
-    spectrum = eigendecompose(laplacian(h))
     if not 1 <= args.eig <= h.n:
         raise ValueError(f"--eig must lie in 1..{h.n}")
-    f = spectrum.functions[args.eig - 1]
-    return VertexFunction.from_values(f.values, rel_tol=args.zero_tol)
+    return eigendecompose(laplacian(h), zero_tol_rel=args.zero_tol).functions[args.eig - 1]
 
 
 def _cmd_validate(args) -> int:
@@ -196,14 +194,31 @@ def _cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
+def _matrix_graph(a: np.ndarray) -> SignedHypergraph:
+    """The signed 2-graph of a square symmetric matrix: one edge of sign
+    sign(a_xy) for every nonzero entry above the diagonal, encoded as in
+    ``nodal.clique_expansion``, so its strong links are the pairs with
+    a_xy * f(x) * f(y) > 0."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"raw matrix must be square, got shape {a.shape}")
+    scale = float(np.max(np.abs(a))) or 1.0
+    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+        raise ValueError("raw matrix must be symmetric")
+    xs, ys = np.nonzero(np.triu(a, 1))
+    signs = np.sign(a[xs, ys]).astype(int).tolist()
+    return SignedHypergraph(len(a), tuple(
+        Edge(((x, 1), (y, -s))) for x, y, s in zip((xs + 1).tolist(), (ys + 1).tolist(), signs)))
+
+
 def _raw_matrix_report() -> tuple[dict, int]:
     """Analyze the verbatim printed matrix: eigenpair residuals and the
     strong domains of the printed eigenfunctions against the symmetrized
-    pairwise coefficient matrix D (I - L_raw)."""
+    pairwise coefficient matrix D (I - L_raw), read as a signed 2-graph."""
     l_raw = printed_laplacian_array()
     deg = np.array(degrees(fixture_example1())[1:], dtype=float)
     b = np.diag(deg) @ (np.eye(9) - l_raw)
-    a_sym = (b + b.T) / 2.0
+    g = _matrix_graph((b + b.T) / 2.0)
     pairs = []
     worst = 0.0
     for i, (lam, vals) in enumerate(zip(PRINTED_EIGENVALUES, PRINTED_EIGENFUNCTIONS), 1):
@@ -211,7 +226,7 @@ def _raw_matrix_report() -> tuple[dict, int]:
         residual = float(np.max(np.abs(l_raw @ v - lam * v)))
         worst = max(worst, residual)
         f = VertexFunction.from_values(vals)
-        strong = strong_domains(a_sym, f)
+        strong = strong_domains(g, f)
         pairs.append({
             "index": i,
             "eigenvalue": lam,

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 __all__ = [
     "Edge",
     "SignedHypergraph",
-    "VertexPartition",
     "CycleStats",
     "UnionFind",
     "edge_sign",
@@ -119,32 +119,6 @@ class SignedHypergraph:
 
 
 @dataclass(frozen=True)
-class VertexPartition:
-    """Disjoint blocks covering a vertex set."""
-
-    blocks: tuple[frozenset[int], ...]
-    covers: frozenset[int]
-
-    def __post_init__(self) -> None:
-        union: set[int] = set()
-        total = 0
-        for b in self.blocks:
-            union |= b
-            total += len(b)
-        if total != len(union) or union != set(self.covers):
-            raise ValueError("blocks must be disjoint and cover the vertex set")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, v: int) -> frozenset[int]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise KeyError(v)
-
-
-@dataclass(frozen=True)
 class CycleStats:
     """Cyclomatic data: l = sum(|e|-1) - n_vertices + n_components >= 0."""
 
@@ -161,37 +135,52 @@ class CycleStats:
 
 
 class UnionFind:
-    """Disjoint sets over 1..n with path compression and union by size."""
+    """Disjoint sets over 1..n: a parent list, where a root is its own
+    parent, with path halving (Tarjan and van Leeuwen, JACM 1984), and
+    ``count`` classes.
+
+    This is the package's one disjoint-set structure.  The exact search of
+    ``spanning_hyperforest`` is the one exception: it keeps undoable
+    parent and size arrays, because backtracking needs unions without path
+    compression.
+    """
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
         self.count = n
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
+        return self.link(((a, b),)) == 1
 
-    def groups(self, members: list[int] | None = None) -> list[frozenset[int]]:
-        by_root: dict[int, set[int]] = {}
-        for x in members if members is not None else range(1, len(self.parent)):
-            by_root.setdefault(self.find(x), set()).add(x)
-        return sorted((frozenset(g) for g in by_root.values()), key=min)
+    def link(self, links: Iterable[tuple[int, int]]) -> int:
+        """Join the ends of every link.  Returns the number of joins, by
+        which ``count`` drops."""
+        parent = self.parent
+        joins = 0
+        for x, y in links:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                joins += 1
+        self.count -= joins
+        return joins
+
+    def groups(self, members: Iterable[int]) -> tuple[frozenset[int], ...]:
+        """The classes of ``members``, in the order of their first member,
+        so ordered by smallest member when ``members`` ascend."""
+        by_root: dict[int, list[int]] = {}
+        for v in members:
+            by_root.setdefault(self.find(v), []).append(v)
+        return tuple(frozenset(g) for g in by_root.values())
 
 
 def edge_sign(e: Edge) -> int:
@@ -233,18 +222,20 @@ def hyperneighbors(h: SignedHypergraph, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def connected_components(h: SignedHypergraph) -> VertexPartition:
-    """Maximal blocks of vertices mutually reachable through shared edges.
+def _components(h: SignedHypergraph) -> UnionFind:
+    """Union-find of the vertices that share an edge."""
+    uf = UnionFind(h.n)
+    uf.link((vs[0], u) for vs in (e.vertices for e in h.edges) for u in vs[1:])
+    return uf
+
+
+def connected_components(h: SignedHypergraph) -> tuple[frozenset[int], ...]:
+    """Maximal blocks of vertices mutually reachable through shared edges,
+    ordered by smallest vertex.
 
     Isolated vertices form singleton blocks; empty edges touch nothing.
     """
-    uf = UnionFind(h.n)
-    for e in h.edges:
-        vs = e.vertices
-        for u in vs[1:]:
-            uf.union(vs[0], u)
-    blocks = uf.groups(list(h.vertex_range()))
-    return VertexPartition(tuple(blocks), frozenset(h.vertex_range()))
+    return _components(h).groups(h.vertex_range())
 
 
 def induced_subhypergraph(h: SignedHypergraph, keep: frozenset[int] | set[int]) -> SignedHypergraph:
@@ -284,7 +275,7 @@ def weak_delete(h: SignedHypergraph, v: int) -> SignedHypergraph:
 def cyclomatic(h: SignedHypergraph) -> CycleStats:
     """Cyclomatic number l = sum over edges of max(|e|-1, 0) - n + c."""
     total = sum(max(e.size - 1, 0) for e in h.edges)
-    c = len(connected_components(h))
+    c = _components(h).count
     return CycleStats(total, h.n, c, total - h.n + c)
 
 
@@ -300,10 +291,9 @@ def is_tree_like(h: SignedHypergraph, x: int) -> bool:
     deg(x) pieces: c(weak deletion of x) == c(H) + deg(x) - 1, components
     counted on the remaining vertices.
     """
-    d = degree(h, x)
-    before = len(connected_components(h))
-    after = len(connected_components(weak_delete(h, x)))
-    return after == before + d - 1
+    before = cyclomatic(h).n_components
+    after = cyclomatic(weak_delete(h, x)).n_components
+    return after == before + degree(h, x) - 1
 
 
 def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int, ...]:
@@ -333,8 +323,7 @@ def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int,
             vs = edges[i].vertices
             # empty and singleton edges never create a cycle and always pass
             if len({uf.find(v) for v in vs}) == len(vs):
-                for u in vs[1:]:
-                    uf.union(vs[0], u)
+                uf.link((vs[0], u) for u in vs[1:])
                 chosen.append(i)
         return tuple(sorted(chosen))
     if m > EXACT_FOREST_LIMIT:
@@ -347,9 +336,7 @@ def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int,
     for j in range(len(order) - 1, -1, -1):
         suffix[j] = suffix[j + 1] + len(members[j]) - 1
     full = UnionFind(h.n)
-    for vs in members:
-        for u in vs[1:]:
-            full.union(vs[0], u)
+    full.link((vs[0], u) for vs in members for u in vs[1:])
     cap = h.n - full.count
     # no path compression, so a union is undone by resetting the merged roots
     parent = list(range(h.n + 1))

@@ -19,9 +19,9 @@ signs.  Each zero component then links the nonzeros attached to it by
 comparing one sign per attachment.  Fiedler sets come from one block
 pass over the vertex-edge incidence graph.  Every pairwise pass (the
 strong relation, the weak direct pairs, the clique expansion) reads the
-pair table ``SignedHypergraph.pairs``.  The strong relation and the
-coherent edges of ``l_plus`` are both unions over selected links, run by
-one link kernel on a plain parent list.
+pair table ``SignedHypergraph.pairs``.  The strong relation, the weak
+links and the coherent edges of ``l_plus`` are all unions over selected
+links, run by ``core.UnionFind.link``.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -67,11 +66,10 @@ __all__ = [
     "NodalDecomposition",
     "FiedlerSets",
     "BoundReport",
-    "DomainGraph",
     "strong_domains",
     "weak_domains",
     "decompose",
-    "domain_adjacency_graph",
+    "domain_graph_connected",
     "fiedler_sets",
     "l_plus",
     "support_cyclomatic",
@@ -114,24 +112,6 @@ class FiedlerSets:
 
     fiedler: frozenset[int]
     other_zeros: frozenset[int]
-
-
-@dataclass(frozen=True)
-class DomainGraph:
-    """Adjacency of weak domains: node i is the i-th weak closure; nodes
-    are linked when their closures intersect or contain vertices sharing
-    an edge."""
-
-    n_nodes: int
-    links: frozenset[tuple[int, int]]
-
-    def is_connected(self) -> bool:
-        if self.n_nodes <= 1:
-            return True
-        uf = UnionFind(self.n_nodes)
-        for a, b in self.links:
-            uf.union(a + 1, b + 1)
-        return uf.count == 1
 
 
 @dataclass(frozen=True)
@@ -183,52 +163,14 @@ def _check_function(h: SignedHypergraph, f: VertexFunction) -> None:
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
 
 
-def _link(parent: list[int], links: Iterable[tuple[int, int]]) -> int:
-    """Join the ends of every link in the forest ``parent``, where a root
-    is its own parent; path halving keeps the trees shallow.  Returns the
-    number of joins, so the component count drops by that much."""
-    joins = 0
-    for x, y in links:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        while parent[y] != y:
-            parent[y] = y = parent[parent[y]]
-        if x != y:
-            parent[x] = y
-            joins += 1
-    return joins
-
-
-def _groups(parent: list[int], members: list[int]) -> tuple[frozenset[int], ...]:
-    """The classes of ``members`` (ascending) in the forest ``parent``,
-    ordered by their smallest member."""
-    by_root: dict[int, list[int]] = {}
-    for v in members:
-        x = v
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        by_root.setdefault(x, []).append(v)
-    return tuple(frozenset(g) for g in by_root.values())
-
-
-def strong_domains(source: "SignedHypergraph | np.ndarray", f: VertexFunction) -> tuple[frozenset[int], ...]:
-    """Components of the support under strong links.
-
-    With a hypergraph source, {x, y} is linked when some edge contains
-    both and f(x) * sgn(e) * f(y) > 0.  With a square symmetric matrix
-    source, the link condition is A_xy * f(x) * f(y) > 0.
-    """
-    if isinstance(source, SignedHypergraph):
-        return _strong_domains_hypergraph(source, f)
-    return _strong_domains_matrix(np.asarray(source, dtype=float), f)
-
-
-def _strong_domains_hypergraph(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[int], ...]:
+def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[int], ...]:
+    """Components of the support under strong links: {x, y} is linked when
+    some edge contains both and f(x) * sgn(e) * f(y) > 0."""
     _check_function(h, f)
     sign = _vertex_signs(f)
-    parent = list(range(h.n + 1))
-    _link(parent, ((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0))
-    return _groups(parent, [v for v in h.vertex_range() if sign[v] != 0])
+    uf = UnionFind(h.n)
+    uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
+    return uf.groups([v for v in h.vertex_range() if sign[v] != 0])
 
 
 def _strong_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[frozenset[int], ...]]:
@@ -239,24 +181,10 @@ def _strong_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[frozenset
     linked = signs[:, xs] * ps * signs[:, ys] > 0
     out = []
     for row, links in zip(signs, linked):
-        parent = list(range(h.n + 1))
-        _link(parent, zip(xs[links].tolist(), ys[links].tolist()))
-        out.append(_groups(parent, np.flatnonzero(row).tolist()))
+        uf = UnionFind(h.n)
+        uf.link(zip(xs[links].tolist(), ys[links].tolist()))
+        out.append(uf.groups(np.flatnonzero(row).tolist()))
     return out
-
-
-def _strong_domains_matrix(a: np.ndarray, f: VertexFunction) -> tuple[frozenset[int], ...]:
-    n = f.n
-    if a.shape != (n, n):
-        raise ValueError(f"matrix shape {a.shape} does not match {n} vertices")
-    scale = float(np.max(np.abs(a))) or 1.0
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
-        raise ValueError("raw matrix must be symmetric")
-    sign = np.array(_vertex_signs(f)[1:])
-    xs, ys = np.nonzero(np.triu(a * np.outer(sign, sign) > 0, 1))
-    parent = list(range(n + 1))
-    _link(parent, zip((xs + 1).tolist(), (ys + 1).tolist()))
-    return _groups(parent, (np.flatnonzero(sign) + 1).tolist())
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -330,7 +258,7 @@ def _weak_core_union(h: SignedHypergraph, sign: list[int], zero_uf: UnionFind) -
     """
     zz: dict[tuple[int, int, int], None] = {}
     attach: dict[int, list[tuple[int, int, int]]] = {}
-    uf = UnionFind(h.n)
+    direct: list[tuple[int, int]] = []
     for x, y, s in h.pairs:
         if sign[x] == 0 and sign[y] == 0:
             zz[(x, y, s) if x < y else (y, x, s)] = None
@@ -339,7 +267,9 @@ def _weak_core_union(h: SignedHypergraph, sign: list[int], zero_uf: UnionFind) -
         elif sign[y] == 0:
             attach.setdefault(zero_uf.find(y), []).append((x, y, s))
         elif sign[x] * s * sign[y] > 0:
-            uf.union(x, y)
+            direct.append((x, y))
+    uf = UnionFind(h.n)
+    uf.link(direct)
     if not attach:
         return uf
 
@@ -353,17 +283,14 @@ def _weak_core_union(h: SignedHypergraph, sign: list[int], zero_uf: UnionFind) -
     for block in blocks:
         block_pairs = [pairs[ei] for ei in block]
         if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
-            for x, y, _ in block_pairs:
-                region.union(x, y)
+            region.link((x, y) for x, y, _ in block_pairs)
 
     for group in attach.values():
         if len({region.find(z) for _, z, _ in group}) > 1:
-            for u, _, _ in group:
-                uf.union(group[0][0], u)
+            uf.link((group[0][0], u) for u, _, _ in group)
             continue
         first: dict[int, int] = {}
-        for u, z, s in group:
-            uf.union(first.setdefault(sign[u] * s * theta[z], u), u)
+        uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
     return uf
 
 
@@ -380,11 +307,9 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[frozense
     zero_uf = UnionFind(h.n)
     for e in h.edges:
         zs = [v for v in e.vertices if sign[v] == 0]
-        for z in zs[1:]:
-            zero_uf.union(zs[0], z)
+        zero_uf.link((zs[0], z) for z in zs[1:])
     uf = _weak_core_union(h, sign, zero_uf)
-    support = [v for v in h.vertex_range() if sign[v] != 0]
-    cores = tuple(uf.groups(support))
+    cores = uf.groups([v for v in h.vertex_range() if sign[v] != 0])
     if not cores:
         return (), ()
 
@@ -426,32 +351,19 @@ def _decomposition(h: SignedHypergraph, f: VertexFunction, support: frozenset[in
     return NodalDecomposition(support, strong, cores, closures, f.zero_tolerance)
 
 
-def domain_adjacency_graph(h: SignedHypergraph, dec: NodalDecomposition) -> DomainGraph:
-    """Graph on weak closures; linked when they share a vertex or contain
-    hyper-adjacent vertices."""
-    q = dec.weak_count
-    owners: dict[int, set[int]] = {}
-    for i, closure in enumerate(dec.weak_closures):
-        for v in closure:
-            owners.setdefault(v, set()).add(i)
-    links: set[tuple[int, int]] = set()
-
-    def link_all(ids: set[int]) -> None:
-        ordered = sorted(ids)
-        for a_pos, a in enumerate(ordered):
-            for b in ordered[a_pos + 1:]:
-                links.add((a, b))
-
-    for ids in owners.values():
-        if len(ids) > 1:
-            link_all(ids)
+def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool:
+    """True when the weak closures of ``dec`` form one connected graph,
+    two closures linked when they share a vertex or contain vertices
+    sharing an edge.  No closure at all counts as connected."""
+    uf = UnionFind(dec.weak_count)
+    # the first closure holding each vertex, 1-based
+    owner: dict[int, int] = {}
+    for i, closure in enumerate(dec.weak_closures, 1):
+        uf.link((owner.setdefault(v, i), i) for v in closure)
     for e in h.edges:
-        ids: set[int] = set()
-        for v in e.vertices:
-            ids.update(owners.get(v, ()))
-        if len(ids) > 1:
-            link_all(ids)
-    return DomainGraph(q, frozenset(links))
+        ids = [owner[v] for v in e.vertices if v in owner]
+        uf.link((ids[0], i) for i in ids[1:])
+    return uf.count <= 1
 
 
 def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
@@ -523,9 +435,11 @@ def _l_plus_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[CycleStat
     links_all, links_extra = all_pairs[:, star_edge], (exists & ~all_pairs)[:, star_edge]
     out = []
     for t_all, t_exists, first, extra in zip(totals_all, totals_exists, links_all, links_extra):
-        parent = list(range(n + 1))
-        c_all = n - _link(parent, zip(star_x[first].tolist(), star_y[first].tolist()))
-        c_exists = c_all - _link(parent, zip(star_x[extra].tolist(), star_y[extra].tolist()))
+        uf = UnionFind(n)
+        uf.link(zip(star_x[first].tolist(), star_y[first].tolist()))
+        c_all = uf.count
+        uf.link(zip(star_x[extra].tolist(), star_y[extra].tolist()))
+        c_exists = uf.count
         out.append((CycleStats(t_all, n, c_all, t_all - n + c_all),
                     CycleStats(t_exists, n, c_exists, t_exists - n + c_exists)))
     return out
@@ -573,8 +487,7 @@ def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
     """One BoundReport per eigenfunction, from the cached decompositions
     and Fiedler sets; the per-instance terms are computed once for all
     rows."""
-    h, spectrum = analysis.h, analysis.spectrum
-    cyc = cyclomatic(h)
+    h, spectrum, cyc = analysis.h, analysis.spectrum, analysis.cycles
     c = cyc.n_components
     clique = variant == "clique"
     g = analysis.expansion if clique else h
@@ -617,7 +530,8 @@ class Analysis:
     row i - 1 holds the signs of the eigenfunction of 1-based index i,
     column v the sign at vertex v (column 0 is unused and zero).
     ``decompositions[i - 1]`` and ``fiedler[i - 1]`` belong to that
-    eigenfunction, on the hypergraph itself.  ``bounds(variant)`` is the
+    eigenfunction, on the hypergraph itself.  ``cycles`` holds c and l of
+    the hypergraph, shared by every table.  ``bounds(variant)`` is the
     table of nodal-count bounds of every index: strong count <= k + r - 1;
     weak count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
     |fiedler|.  The variants ``all_pairs`` and ``exists_ordering`` read the
@@ -644,6 +558,10 @@ class Analysis:
     @cached_property
     def signs(self) -> np.ndarray:
         return _sign_matrix(self.spectrum.functions, self.h.n)
+
+    @cached_property
+    def cycles(self) -> CycleStats:
+        return cyclomatic(self.h)
 
     @cached_property
     def expansion(self) -> SignedHypergraph:

@@ -42,7 +42,7 @@ from .nodal import (
     Analysis,
     NodalDecomposition,
     decompose,
-    domain_adjacency_graph,
+    domain_graph_connected,
     strong_domains,
     weak_domains,
 )
@@ -413,7 +413,7 @@ def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
         fails.append(f"is_acyclic={is_acyclic(h)} but l={l}")
     # per-component count identity, the component-wise route
     per_component_ok = True
-    for block in connected_components(h).blocks:
+    for block in connected_components(h):
         total = sum(
             max(len([v for v in e.vertices if v in block]) - 1, 0)
             for e in h.edges if e.vertices and e.vertices[0] in block
@@ -709,7 +709,7 @@ def _p_domain_graph_connected(ctx: Analysis, rng: random.Random):
     for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         if dec.weak_count == 0:
             continue
-        if not domain_adjacency_graph(ctx.h, dec).is_connected():
+        if not domain_graph_connected(ctx.h, dec):
             fails.append(f"function {j}: weak domain graph is disconnected")
     return fails, []
 

@@ -118,20 +118,70 @@ class TestComponents:
     def test_isolated_vertices_are_components(self):
         h = h_of(4, ((1, 1), (2, 1)))
         parts = connected_components(h)
-        assert sorted(sorted(b) for b in parts.blocks) == [[1, 2], [3], [4]]
+        assert sorted(sorted(b) for b in parts) == [[1, 2], [3], [4]]
 
     def test_blocks_partition(self):
         h = h_of(5, ((1, 1), (2, 1), (3, 1)), ((4, 1), (5, -1)))
         parts = connected_components(h)
-        assert sorted(v for b in parts.blocks for v in b) == [1, 2, 3, 4, 5]
+        assert sorted(v for b in parts for v in b) == [1, 2, 3, 4, 5]
         assert len(parts) == 2
 
     @given(hypergraphs())
     @settings(max_examples=60, deadline=None)
     def test_components_partition_always(self, h):
         parts = connected_components(h)
-        seen = sorted(v for b in parts.blocks for v in b)
+        seen = sorted(v for b in parts for v in b)
         assert seen == list(range(1, h.n + 1))
+
+
+def closure_classes(n, links):
+    """Classes of 1..n under ``links`` by breadth-first closure, ordered by
+    smallest member: a reference apart from ``UnionFind``."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for x, y in links:
+        adj[x].add(y)
+        adj[y].add(x)
+    seen, out = set(), []
+    for v in range(1, n + 1):
+        if v not in seen:
+            block, todo = {v}, [v]
+            while todo:
+                for w in adj[todo.pop()] - block:
+                    block.add(w)
+                    todo.append(w)
+            seen |= block
+            out.append(frozenset(block))
+    return tuple(out)
+
+
+@st.composite
+def link_lists(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=1, max_value=n)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=24))
+
+
+class TestUnionFind:
+    @given(link_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_link_matches_closure(self, case):
+        n, links = case
+        expected = closure_classes(n, links)
+        uf = UnionFind(n)
+        half = len(links) // 2
+        joins = uf.link(links[:half])
+        assert uf.count == n - joins
+        joins += uf.link(links[half:])
+        assert joins == n - len(expected)
+        assert uf.count == len(expected)
+        groups = uf.groups(range(1, n + 1))
+        assert groups == expected
+        assert [min(g) for g in groups] == sorted(min(g) for g in groups)
+        # a self-link is a singleton edge, any other link a 2-edge
+        h = SignedHypergraph(n, tuple(
+            edge((x, 1)) if x == y else edge((x, 1), (y, -1)) for x, y in links))
+        assert connected_components(h) == expected
+        assert cyclomatic(h).n_components == len(connected_components(h))
 
 
 class TestInducedAndDeleted:
@@ -209,22 +259,30 @@ def forest_instances(draw, max_n=8, max_m=12):
 
 def exhaustive_forest(h):
     """The exact search as it was before branch and bound: every one of the
-    2^m edge subsets, ties broken by the most edges.  A reference only."""
+    2^m edge subsets, ties broken by the most edges.  A reference only,
+    with a bare parent list of its own rather than ``UnionFind``."""
     best_score = -1
     best: tuple[int, ...] = ()
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
     for mask in range(1 << h.m):
         subset = [i for i in range(h.m) if mask >> i & 1]
-        uf = UnionFind(h.n)
+        parent = list(range(h.n + 1))
         score = 0
         ok = True
         for i in subset:
             vs = h.edges[i].vertices
-            roots = {uf.find(v) for v in vs}
+            roots = {root(parent, v) for v in vs}
             if len(roots) != len(vs):
                 ok = False
                 break
-            for u in vs[1:]:
-                uf.union(vs[0], u)
+            top = min(roots, default=0)
+            for r in roots:
+                parent[r] = top
             score += max(len(vs) - 1, 0)
         if ok and (score, len(subset)) > (best_score, len(best)):
             best_score = score

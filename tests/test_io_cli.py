@@ -128,6 +128,12 @@ class TestDomainsCommand:
     def test_eig_range_checked(self, tmp_path):
         assert main(["domains", write_fixture(tmp_path), "--eig", "10"]) == 2
 
+    def test_eig_range_checked_before_eigensolver(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver ran before the --eig range check")
+        monkeypatch.setattr("shg.cli.eigendecompose", refuse)
+        assert main(["domains", write_fixture(tmp_path), "--eig", "0"]) == 2
+
     def test_selector_required(self, tmp_path):
         assert main(["domains", write_fixture(tmp_path)]) == 2
 

@@ -11,13 +11,13 @@ from shg.core import (
     CycleStats,
     Edge,
     SignedHypergraph,
-    UnionFind,
     cyclomatic,
     edge_sign,
     hyperneighbors,
     is_tree_like,
     spanning_hyperforest,
 )
+from shg.cli import _matrix_graph
 from shg.fixtures import (
     PRINTED_EIGENFUNCTIONS,
     TABLE1_STRONG,
@@ -31,7 +31,7 @@ from shg.nodal import (
     BoundReport,
     clique_expansion,
     decompose,
-    domain_adjacency_graph,
+    domain_graph_connected,
     fiedler_sets,
     l_plus,
     strong_domains,
@@ -101,25 +101,29 @@ class TestStrongDomains:
 
 
 class TestStrongDomainsMatrixMode:
+    """The raw-matrix mode: the signed 2-graph of a symmetric matrix, then
+    ``strong_domains``, links the pairs with A_xy * f(x) * f(y) > 0."""
+
     def test_positive_entry_links_same_signs(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert len(strong_domains(a, vf(1, 1))) == 1
-        assert len(strong_domains(a, vf(1, -1))) == 2
+        g = _matrix_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert len(strong_domains(g, vf(1, 1))) == 1
+        assert len(strong_domains(g, vf(1, -1))) == 2
 
     def test_asymmetric_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="raw matrix must be symmetric"):
-            strong_domains(a, vf(1, 1))
+            _matrix_graph(a)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            strong_domains(np.eye(3), vf(1, 1))
+        with pytest.raises(ValueError, match="must be square"):
+            _matrix_graph(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="3 vertices"):
+            strong_domains(_matrix_graph(np.eye(3)), vf(1, 1))
 
     def test_matches_hypergraph_on_fixture(self, fixture, printed):
-        from shg.spectra import adjacency
-        a = adjacency(fixture)
+        g = _matrix_graph(adjacency(fixture))
         for f in printed:
-            assert as_sets(strong_domains(a, f)) == as_sets(strong_domains(fixture, f))
+            assert as_sets(strong_domains(g, f)) == as_sets(strong_domains(fixture, f))
 
 
 class TestWeakDomains:
@@ -380,17 +384,17 @@ class TestCliqueReading:
 
 class TestDomainGraph:
     def test_fixture_f3_connected(self, fixture, printed):
-        g = domain_adjacency_graph(fixture, decompose(fixture, printed[2]))
-        assert g.n_nodes == 2 and g.is_connected()
+        dec = decompose(fixture, printed[2])
+        assert dec.weak_count == 2 and domain_graph_connected(fixture, dec)
 
     def test_disconnected_instance(self):
         h = h_of(4, pair_edge(1, 2, 1), pair_edge(3, 4, 1))
-        g = domain_adjacency_graph(h, decompose(h, vf(1, 1, 1, 1)))
-        assert g.n_nodes == 2 and not g.is_connected()
+        dec = decompose(h, vf(1, 1, 1, 1))
+        assert dec.weak_count == 2 and not domain_graph_connected(h, dec)
 
     def test_single_domain_trivially_connected(self, fixture, printed):
-        g = domain_adjacency_graph(fixture, decompose(fixture, printed[0]))
-        assert g.n_nodes == 1 and g.is_connected()
+        dec = decompose(fixture, printed[0])
+        assert dec.weak_count == 1 and domain_graph_connected(fixture, dec)
 
 
 def forest_count_diagnostic(h, f):
@@ -602,11 +606,33 @@ def reference_edge_coherent(e_sign, signs):
     return len(signs) == 2 and pos == neg, abs(pos - neg) <= 1
 
 
+def closure_classes(n, links, members):
+    """Classes of ``members`` under ``links`` on vertices 1..n, by
+    breadth-first closure, ordered by smallest member; every linked vertex
+    must be a member.  The references' own grouping, apart from
+    ``core.UnionFind``."""
+    adj = {v: set() for v in range(1, n + 1)}
+    for x, y in links:
+        adj[x].add(y)
+        adj[y].add(x)
+    seen, out = set(), []
+    for v in members:
+        if v not in seen:
+            block, todo = {v}, [v]
+            while todo:
+                for w in adj[todo.pop()] - block:
+                    block.add(w)
+                    todo.append(w)
+            seen |= block
+            out.append(frozenset(block))
+    return tuple(out)
+
+
 def reference_l_plus(h, f):
-    """l_plus of one function by one union-find per variant over its
+    """l_plus of one function by one closure per variant over its
     coherent edges, edge by edge."""
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
-    ufs = (UnionFind(h.n), UnionFind(h.n))
+    links = ([], [])
     totals = [0, 0]
     for e in h.edges:
         vs = e.vertices
@@ -616,18 +642,15 @@ def reference_l_plus(h, f):
         for j, coherent in enumerate(reference_edge_coherent(edge_sign(e) if vs else 1, signs)):
             if coherent:
                 totals[j] += max(len(vs) - 1, 0)
-                for u in vs[1:]:
-                    ufs[j].union(vs[0], u)
-    return tuple(CycleStats(t, h.n, uf.count, t - h.n + uf.count) for t, uf in zip(totals, ufs))
+                links[j].extend((vs[0], u) for u in vs[1:])
+    counts = [len(closure_classes(h.n, ls, h.vertex_range())) for ls in links]
+    return tuple(CycleStats(t, h.n, c, t - h.n + c) for t, c in zip(totals, counts))
 
 
 def reference_strong(h, f):
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
-    uf = UnionFind(h.n)
-    for x, y, s in h.pairs:
-        if sign[x] * s * sign[y] > 0:
-            uf.union(x, y)
-    return tuple(uf.groups([v for v in h.vertex_range() if sign[v] != 0]))
+    links = [(x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0]
+    return closure_classes(h.n, links, [v for v in h.vertex_range() if sign[v] != 0])
 
 
 @st.composite
