@@ -180,11 +180,10 @@ def _cmd_oracle(args) -> int:
         print(f"error: oracle limited to {ORACLE_MAX_N} vertices, file has {h.n}",
               file=sys.stderr)
         return 2
-    spectrum = eigendecompose(laplacian(h))
     if not 1 <= args.eig <= h.n:
         print(f"error: --eig must lie in 1..{h.n}", file=sys.stderr)
         return 2
-    f = spectrum.functions[args.eig - 1]
+    f = eigendecompose(laplacian(h)).functions[args.eig - 1]
     strong, cores, closures = oracle_domains(h, f)
     dec = decompose(h, f)
     ok = dec.strong == strong and dec.weak_cores == cores and dec.weak_closures == closures

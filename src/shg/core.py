@@ -291,9 +291,14 @@ def is_tree_like(h: SignedHypergraph, x: int) -> bool:
     deg(x) pieces: c(weak deletion of x) == c(H) + deg(x) - 1, components
     counted on the remaining vertices.
     """
-    before = cyclomatic(h).n_components
+    return _tree_like_given(h, x, cyclomatic(h).n_components)
+
+
+def _tree_like_given(h: SignedHypergraph, x: int, n_components: int) -> bool:
+    """``is_tree_like(h, x)`` with c(H) = ``n_components`` supplied, for
+    callers that test every vertex of one hypergraph."""
     after = cyclomatic(weak_delete(h, x)).n_components
-    return after == before + degree(h, x) - 1
+    return after == n_components + degree(h, x) - 1
 
 
 def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,13 +27,13 @@ from .core import (
     EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
+    _tree_like_given,
     connected_components,
     cyclomatic,
     degrees,
     edge_sign,
     induced_subhypergraph,
     is_acyclic,
-    is_tree_like,
     lies_on_cycle,
     spanning_hyperforest,
     weak_delete,
@@ -240,11 +240,18 @@ def _spectral_cleanup(h: SignedHypergraph) -> SignedHypergraph | None:
 def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
         tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
     """Nodal partitions from first principles: (strong, weak cores, weak
-    closures).  Strong links carry no parity, so the strong domains are
-    the classes of the directly linked pairs (reachability); weak links
-    do, so they are found by enumerating paths without vertex repetition.
-    Related pairs are closed into equivalence classes.  Limited to 8
-    vertices.
+    closures).  Limited to 8 vertices.
+
+    Every edge containing x offers the steps (w, sgn(e)) to its other
+    vertices w; parallel edges of one sign offer the same step, so the
+    distinct steps of each vertex are tabulated once.  Strong links carry
+    no parity: the strong domains are the components of the directly
+    linked pairs.  Weak links do, so they are found by enumerating the
+    simple paths with zero interior, one recursion per distinct step,
+    with their sign products; a walk that repeats a zero can have a sign
+    no simple path has.  A zero joins the closure of every core with a
+    vertex it reaches through zeros, which is plain reachability.  Related
+    pairs are closed into the components of the pair graph.
     """
     if h.n > ORACLE_MAX_N:
         raise ValueError(f"instance too large: {h.n} vertices exceeds {ORACLE_MAX_N}")
@@ -252,45 +259,57 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
     support = [v for v in h.vertex_range() if sign[v] != 0]
-    esigns = [(e, edge_sign(e)) for e in h.edges if e.size > 0]
 
-    # strong links carry no parity: closing the direct pairs is reachability
-    strong_pairs = {(x, w) for e, sg in esigns for x in e.vertices for w in e.vertices
-                    if x != w and sign[x] * sg * sign[w] > 0}
+    table: list[set[tuple[int, int]]] = [set() for _ in range(h.n + 1)]
+    for e in h.edges:
+        if e.size < 2:
+            continue
+        sg = edge_sign(e)
+        vs = e.vertices
+        for x in vs:
+            table[x].update((w, sg) for w in vs if w != x)
+    steps = [sorted(s) for s in table]
+
+    strong_pairs = [(x, w) for x in support for w, sg in steps[x]
+                    if sign[x] * sg * sign[w] > 0]
 
     weak_pairs: set[tuple[int, int]] = set()
 
-    def w_walk(cur: int, visited: frozenset[int], acc: int, start: int) -> None:
-        # cur is the latest vertex; acc is the edge-sign product since start
-        for e, sg in esigns:
-            vs = e.vertices
-            if cur not in vs:
+    def w_walk(cur: int, visited: set[int], acc: int, start: int) -> None:
+        # cur is the latest vertex; acc is sign(start) times the edge-sign
+        # product since start
+        for w, sg in steps[cur]:
+            if w in visited:
                 continue
-            for w in vs:
-                if w == cur or w in visited:
-                    continue
-                if sign[w] == 0:
-                    w_walk(w, visited | {w}, acc * sg, start)
-                elif sign[start] * acc * sg * sign[w] > 0:
-                    weak_pairs.add((start, w))
+            if sign[w] == 0:
+                visited.add(w)
+                w_walk(w, visited, acc * sg, start)
+                visited.remove(w)
+            elif acc * sg * sign[w] > 0:
+                weak_pairs.add((start, w))
 
     for x in support:
-        w_walk(x, frozenset({x}), 1, x)
+        w_walk(x, {x}, sign[x], x)
 
-    def closure(pairs: set[tuple[int, int]]) -> tuple[frozenset[int], ...]:
-        related = {v: {v} for v in support}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in pairs:
-                merged = related[a] | related[b]
-                for v in merged:
-                    if related[v] != merged:
-                        related[v] = merged
-                        changed = True
-                related[a] = related[b] = merged
-        blocks = {frozenset(s) for s in related.values()}
-        return tuple(sorted(blocks, key=min))
+    def closure(pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+        adjacent: dict[int, list[int]] = {v: [] for v in support}
+        for a, b in pairs:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        blocks = []
+        seen: set[int] = set()
+        for v in support:
+            if v in seen:
+                continue
+            seen.add(v)
+            block = [v]
+            for u in block:
+                for w in adjacent[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        block.append(w)
+            blocks.append(frozenset(block))
+        return tuple(blocks)
 
     strong = closure(strong_pairs)
     cores = closure(weak_pairs)
@@ -298,22 +317,20 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
     core_of = {v: i for i, core in enumerate(cores) for v in core}
     absorbed = [set(core) for core in cores]
 
-    def z_walk(cur: int, visited: frozenset[int], origin: int) -> None:
-        for e, _ in esigns:
-            vs = e.vertices
-            if cur not in vs:
-                continue
-            for w in vs:
-                if w == cur or w in visited:
-                    continue
-                if sign[w] == 0:
-                    z_walk(w, visited | {w}, origin)
-                else:
-                    absorbed[core_of[w]].add(origin)
-
+    # a vertex reachable from z through zeros by a walk is reachable by a
+    # simple path (the shortest walk), so a search over zeros suffices
     for z in h.vertex_range():
-        if sign[z] == 0:
-            z_walk(z, frozenset({z}), z)
+        if sign[z] != 0:
+            continue
+        reached = {z}
+        frontier = [z]
+        for cur in frontier:
+            for w, _ in steps[cur]:
+                if sign[w] != 0:
+                    absorbed[core_of[w]].add(z)
+                elif w not in reached:
+                    reached.add(w)
+                    frontier.append(w)
 
     closures = tuple(frozenset(s) for s in absorbed)
     return strong, cores, closures
@@ -430,8 +447,9 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     if h.n > _SMALL_N or any(e.size < 2 for e in h.edges):
         return [], []
     fails = []
+    n_components = ctx.cycles.n_components
     for x in h.vertex_range():
-        tl = is_tree_like(h, x)
+        tl = _tree_like_given(h, x, n_components)
         cyc = lies_on_cycle(h, x)
         if tl != (not cyc):
             fails.append(f"vertex {x}: tree_like={tl}, on_cycle={cyc}")
@@ -445,20 +463,21 @@ def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     """
     h = ctx.h
     fails = []
-    current = h
+    current, before = h, ctx.cycles.n_components
     for _ in range(min(3, h.n - 1)):
-        tree_like = [x for x in current.vertex_range() if is_tree_like(current, x)]
+        tree_like = [x for x in current.vertex_range()
+                     if _tree_like_given(current, x, before)]
         if not tree_like or current.n <= 1:
             break
         x = rng.choice(tree_like)
         d = sum(1 for e in current.edges if x in e.vertices)
-        before = len(connected_components(current))
         nxt = _strong_delete(current, x)
         after_weak = len(connected_components(weak_delete(current, x)))
         if after_weak != before + d - 1:
             fails.append(f"deleting {x}: components {before} -> {after_weak}, expected {before + d - 1}")
             break
         current = nxt
+        before = len(connected_components(current))
     return fails, []
 
 

@@ -232,6 +232,13 @@ class TestOracleCommand:
         path = write_fixture(tmp_path, serialize(h))
         assert main(["oracle", path, "--eig", "6"]) == 2
 
+    def test_eig_range_checked_before_eigensolver(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver ran before the --eig range check")
+        monkeypatch.setattr("shg.cli.eigendecompose", refuse)
+        path = write_fixture(tmp_path, "shg 1\nvertices 3\nedge 1:+ 2:-\nedge 2:+ 3:-\n")
+        assert main(["oracle", path, "--eig", "0"]) == 2
+
 
 class TestExample1Command:
     def test_default_mode(self, capsys):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import pytest
 
+import shg.core
+import shg.nodal
 import shg.verify
 from shg.core import (
     EXACT_FOREST_LIMIT,
@@ -14,9 +16,11 @@ from shg.core import (
     connected_components,
     cyclomatic,
     degrees,
+    edge_sign,
 )
 from shg.fixtures import fixture_example1
-from shg.nodal import Analysis, strong_domains, weak_domains
+from shg.nodal import Analysis, decompose, strong_domains, weak_domains
+from shg.shgio import serialize
 from shg.spectra import VertexFunction, eigendecompose, laplacian
 from shg.verify import (
     ALL_PROPERTY_IDS,
@@ -149,6 +153,154 @@ class TestOracle:
                 assert sorted(map(sorted, closures)) == sorted(map(sorted, got_closures))
                 checked += 1
         assert checked > 40
+
+
+def path_oracle(h, f):
+    """The oracle as it was before its step table: one recursion per
+    (edge, neighbour) pair, a scan of every edge at each step, zeros
+    attached by enumerating their simple paths, and classes closed by a
+    fixed-point loop.  A reference only."""
+    sign = [0] + [f.sign(v) for v in h.vertex_range()]
+    support = [v for v in h.vertex_range() if sign[v] != 0]
+    esigns = [(e, edge_sign(e)) for e in h.edges if e.size > 0]
+    strong_pairs = {(x, w) for e, sg in esigns for x in e.vertices for w in e.vertices
+                    if x != w and sign[x] * sg * sign[w] > 0}
+    weak_pairs = set()
+
+    def w_walk(cur, visited, acc, start):
+        for e, sg in esigns:
+            vs = e.vertices
+            if cur not in vs:
+                continue
+            for w in vs:
+                if w == cur or w in visited:
+                    continue
+                if sign[w] == 0:
+                    w_walk(w, visited | {w}, acc * sg, start)
+                elif sign[start] * acc * sg * sign[w] > 0:
+                    weak_pairs.add((start, w))
+
+    for x in support:
+        w_walk(x, frozenset({x}), 1, x)
+
+    def closure(pairs):
+        related = {v: {v} for v in support}
+        changed = True
+        while changed:
+            changed = False
+            for a, b in pairs:
+                merged = related[a] | related[b]
+                for v in merged:
+                    if related[v] != merged:
+                        related[v] = merged
+                        changed = True
+                related[a] = related[b] = merged
+        return tuple(sorted({frozenset(s) for s in related.values()}, key=min))
+
+    strong = closure(strong_pairs)
+    cores = closure(weak_pairs)
+    core_of = {v: i for i, core in enumerate(cores) for v in core}
+    absorbed = [set(core) for core in cores]
+
+    def z_walk(cur, visited, origin):
+        for e, _ in esigns:
+            vs = e.vertices
+            if cur not in vs:
+                continue
+            for w in vs:
+                if w == cur or w in visited:
+                    continue
+                if sign[w] == 0:
+                    z_walk(w, visited | {w}, origin)
+                else:
+                    absorbed[core_of[w]].add(origin)
+
+    for z in h.vertex_range():
+        if sign[z] == 0:
+            z_walk(z, frozenset({z}), z)
+    return strong, cores, tuple(frozenset(s) for s in absorbed)
+
+
+def with_opposite_parallels(h, rng):
+    """h plus, for up to two of its edges, a copy with one incidence sign
+    flipped: the same vertices, the opposite edge sign."""
+    extra = []
+    for e in rng.sample(h.edges, min(2, h.m)):
+        (v, s), *rest = e.incidences
+        extra.append(Edge(((v, -s), *rest)))
+    return SignedHypergraph(h.n, h.edges + tuple(extra))
+
+
+def oracle_cases(seed, count):
+    """(h, f) over generated instances with n <= 8, half of them given
+    parallel edges of opposite sign: every eigenfunction, and random
+    functions at zero rates 0.2, 0.4 and 0.6."""
+    rng = random.Random(seed)
+    cfg = GenConfig(n_range=(3, 8), m_range=(2, 7), seed=seed, count=count)
+    for i, h in enumerate(generate(cfg)):
+        if i % 2:
+            h = with_opposite_parallels(h, rng)
+        for f in eigendecompose(laplacian(h)).functions:
+            yield h, f
+        for rate in (0.2, 0.4, 0.6):
+            for _ in range(2):
+                yield h, VertexFunction.from_values(
+                    [0.0 if rng.random() < rate else rng.gauss(0.0, 1.0) for _ in range(h.n)])
+
+
+@pytest.fixture()
+def zero_triangle():
+    """1 - 2 - 3 with 1 and 3 positive and 2 zero, the only simple path
+    between them of sign -1, and a zero triangle 2 - 4 - 5 hanging on 2
+    whose edge signs multiply to -1.  The walk 1 2 4 5 2 3 has sign +1 but
+    repeats 2, so 1 and 3 stay in separate weak cores."""
+    h = SignedHypergraph(5, tuple(Edge(inc) for inc in (
+        ((1, 1), (2, -1)), ((2, 1), (3, 1)), ((2, 1), (4, -1)),
+        ((4, 1), (5, -1)), ((5, 1), (2, 1)))))
+    return h, VertexFunction.from_values([1.0, 0.0, 1.0, 0.0, 0.0])
+
+
+ZERO_TRIANGLE_DOMAINS = (
+    (frozenset({1}), frozenset({3})),
+    (frozenset({1}), frozenset({3})),
+    (frozenset({1, 2, 4, 5}), frozenset({2, 3, 4, 5})),
+)
+
+
+class TestOracleReference:
+    def test_matches_path_enumeration(self):
+        checked = parallel = 0
+        for h, f in oracle_cases(seed=53, count=60):
+            assert oracle_domains(h, f) == path_oracle(h, f), (serialize(h), f.values)
+            checked += 1
+            parallel += h.m > len({e.vertices for e in h.edges})
+        assert checked > 600 and parallel > 200
+
+    def test_zero_triangle_pinned(self, zero_triangle):
+        h, f = zero_triangle
+        assert oracle_domains(h, f) == ZERO_TRIANGLE_DOMAINS
+        assert path_oracle(h, f) == ZERO_TRIANGLE_DOMAINS
+        dec = decompose(h, f)
+        assert (dec.strong, dec.weak_cores, dec.weak_closures) == ZERO_TRIANGLE_DOMAINS
+
+    def test_independent_of_the_fast_path(self, zero_triangle, monkeypatch):
+        h = with_opposite_parallels(
+            next(generate(GenConfig(n_range=(7, 7), m_range=(6, 6), seed=59, count=1))),
+            random.Random(59))
+        f = VertexFunction.from_values([1.0, 0.0, -2.0, 0.0, 1.5, -1.0, 0.0])
+        dec = decompose(h, f)
+        expected = (dec.strong, dec.weak_cores, dec.weak_closures)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle used the code it checks")
+
+        monkeypatch.setattr(shg.core, "UnionFind", refuse)
+        monkeypatch.setattr(SignedHypergraph, "pairs", property(refuse))
+        for name in ("decompose", "strong_domains", "weak_domains"):
+            monkeypatch.setattr(shg.nodal, name, refuse)
+            monkeypatch.setattr(shg.verify, name, refuse)
+        assert oracle_domains(*zero_triangle) == ZERO_TRIANGLE_DOMAINS
+        assert oracle_domains(h, f) == expected
 
 
 class TestRegistry:
