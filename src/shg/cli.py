@@ -12,7 +12,6 @@ aligned text summary on stderr, so stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -170,7 +169,7 @@ def _cmd_fuzz(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = run_campaign(cfg)
-    sys.stdout.write(json.dumps(result.as_dict(), sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(report_json(result.as_dict()))
     return 0 if result.passed else 1
 
 
@@ -248,7 +247,7 @@ def _raw_matrix_report() -> tuple[dict, int]:
 def _cmd_example1(args) -> int:
     if args.raw_paper_matrix:
         report, code = _raw_matrix_report()
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_json(report))
         lines = [
             f"f{p['index']}: residual {p['residual_inf']:.4f} "
             f"({'ok' if p['residual_ok'] else 'FAIL'}), "

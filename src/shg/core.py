@@ -155,9 +155,6 @@ class UnionFind:
             parent[x] = x = parent[parent[x]]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        return self.link(((a, b),)) == 1
-
     def link(self, links: Iterable[tuple[int, int]]) -> int:
         """Join the ends of every link.  Returns the number of joins, by
         which ``count`` drops."""

@@ -16,12 +16,15 @@ decomposition of the signed pair graph on the zeros: a balanced block
 contributes one fixed sign between any two of its vertices, read off a
 potential, and a block carrying an unbalanced cycle contributes both
 signs.  Each zero component then links the nonzeros attached to it by
-comparing one sign per attachment.  Fiedler sets come from one block
-pass over the vertex-edge incidence graph.  Every pairwise pass (the
-strong relation, the weak direct pairs, the clique expansion) reads the
-pair table ``SignedHypergraph.pairs``.  The strong relation, the weak
-links and the coherent edges of ``l_plus`` are all unions over selected
-links, run by ``core.UnionFind.link``.
+comparing one sign per attachment.  Whether a vertex is tree-like
+depends on the graph alone, and one block pass over the vertex-edge
+incidence graph decides it for all vertices (``_cyclic``); a function
+adds only its zero mask, so the Fiedler sets of every row of a sign
+matrix come from that pass and two incidence products.  Every pairwise
+pass (the strong relation, the weak direct pairs, the clique expansion)
+reads the pair table ``SignedHypergraph.pairs``.  The strong relation,
+the weak links and the coherent edges of ``l_plus`` are all unions over
+selected links, run by ``core.UnionFind.link``.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
@@ -29,11 +32,13 @@ nonzero constant.
 
 ``Analysis`` holds everything computed about one instance: its
 matrices and spectrum, one sign matrix of all its eigenfunctions, one
-decomposition and one set of Fiedler sets per eigenfunction, and one
-bounds table per reading of the lower bound.  The sign matrix selects the
-strong links and the coherent edges of every eigenfunction in a few
-array operations, so only the unions run per function.  ``shg report``,
-``shg bounds`` and the campaign all read from it.
+decomposition per eigenfunction, one incidence matrix and one set of
+Fiedler sets per eigenfunction on each graph it reads (h and its clique
+expansion), and one bounds table per reading of the lower bound.  The
+sign matrix selects the strong links, the coherent edges and the Fiedler
+sets of every eigenfunction in a few array operations, so only the
+unions run per function.  ``shg report``, ``shg bounds`` and the
+campaign all read from it.
 """
 
 from __future__ import annotations
@@ -112,6 +117,9 @@ class FiedlerSets:
 
     fiedler: frozenset[int]
     other_zeros: frozenset[int]
+
+
+_NO_ZEROS = FiedlerSets(frozenset(), frozenset())
 
 
 @dataclass(frozen=True)
@@ -366,41 +374,86 @@ def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool
     return uf.count <= 1
 
 
-def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
-    """Split the zeros of f: a zero joins ``fiedler`` when all its
-    hyperneighbors are zeros (or it has none) or it is not tree-like.
+def _cyclic(g: SignedHypergraph) -> list[bool]:
+    """Per vertex (index 0 unused): True when it is not tree-like.
 
     One block pass over the vertex-edge incidence graph decides every
     vertex at once: x is tree-like (``core.is_tree_like``) exactly when
     each of its incidence links is a bridge and none of its edges has
-    size 1, since weak deletion leaves such an edge empty.
+    size 1, since weak deletion leaves such an edge empty.  This depends
+    on the graph alone, never on a function.
     """
+    cyclic = [False] * (g.n + 1)
+    links: list[tuple[int, int]] = []
+    for node, e in enumerate(g.edges, g.n + 1):
+        vs = e.vertices
+        if len(vs) == 1:
+            cyclic[vs[0]] = True
+        for v in vs:
+            links.append((v, node))
+    for block in _blocks(g.n + 1 + g.m, links)[0]:
+        if len(block) > 1:
+            for li in block:
+                cyclic[links[li][0]] = True
+    return cyclic
+
+
+def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
+    """Split the zeros of f: a zero joins ``fiedler`` when all its
+    hyperneighbors are zeros (or it has none) or it is not tree-like
+    (``_cyclic``)."""
     _check_function(h, f)
     sign = _vertex_signs(f)
     zeros = [v for v in h.vertex_range() if sign[v] == 0]
     if not zeros:
-        return FiedlerSets(frozenset(), frozenset())
+        return _NO_ZEROS
     seen_nonzero = [False] * (h.n + 1)
-    cyclic = [False] * (h.n + 1)
-    links: list[tuple[int, int]] = []
-    for i, e in enumerate(h.edges):
+    for e in h.edges:
         vs = e.vertices
-        if len(vs) == 1:
-            cyclic[vs[0]] = True
-        nonzero = any(sign[v] != 0 for v in vs)
         for v in vs:
-            seen_nonzero[v] = seen_nonzero[v] or nonzero
-            links.append((v, h.n + 1 + i))
-    for block in _blocks(h.n + 1 + h.m, links)[0]:
-        if len(block) > 1:
-            for li in block:
-                cyclic[links[li][0]] = True
+            if sign[v]:
+                for u in vs:
+                    seen_nonzero[u] = True
+                break
+    cyclic = _cyclic(h)
     fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _l_plus_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[CycleStats, CycleStats]]:
-    """``l_plus`` of every row of the sign matrix ``signs``.
+def _fiedler_rows(g: SignedHypergraph, inc: np.ndarray, signs: np.ndarray) -> tuple[FiedlerSets, ...]:
+    """``fiedler_sets`` of every row of the sign matrix ``signs`` on g,
+    whose incidence matrix is ``inc``.  The Fiedler set of a row is
+    ``zero & (cyclic | no nonzero hyperneighbour)``: ``_cyclic`` runs once,
+    and only when some row has a zero, and two incidence products mark
+    the vertices sharing an edge with a nonzero."""
+    zero = signs == 0
+    zero[:, 0] = False
+    rows = np.flatnonzero(zero.any(axis=1))
+    out = [_NO_ZEROS] * len(signs)
+    if not len(rows):
+        return tuple(out)
+    cyclic = np.array(_cyclic(g), dtype=bool)
+    seen_nonzero = (((signs[rows] != 0) @ inc > 0) @ inc.T) > 0
+    for i, z, seen in zip(rows.tolist(), zero[rows], seen_nonzero):
+        fiedler = z & (cyclic | ~seen)
+        out[i] = FiedlerSets(frozenset(np.flatnonzero(fiedler).tolist()),
+                             frozenset(np.flatnonzero(z & ~fiedler).tolist()))
+    return tuple(out)
+
+
+def _incidence(g: SignedHypergraph) -> np.ndarray:
+    """The (n + 1) x m vertex-edge incidence matrix of g, 1.0 where vertex
+    v lies in edge j; row 0 is unused and zero."""
+    inc = np.zeros((g.n + 1, g.m))
+    inc[[v for e in g.edges for v in e.vertices],
+        [j for j, e in enumerate(g.edges) for _ in e.vertices]] = 1.0
+    return inc
+
+
+def _l_plus_rows(h: SignedHypergraph, inc: np.ndarray,
+                 signs: np.ndarray) -> list[tuple[CycleStats, CycleStats]]:
+    """``l_plus`` of every row of the sign matrix ``signs``, on h with
+    incidence matrix ``inc``.
 
     An edge is coherent when all its vertices are nonzero and it respects
     its sign under the variant's rule.  all_pairs: every pair x, y has
@@ -417,11 +470,9 @@ def _l_plus_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[CycleStat
     sizes = np.array([e.size for e in edges], dtype=np.intp)
     # an empty edge has no sign; it is coherent either way and weighs 0
     positive = np.array([e.size == 0 or edge_sign(e) > 0 for e in edges], dtype=bool)
-    inc = np.zeros((n + 1, len(edges)))
     star: list[tuple[int, int, int]] = []
     for j, e in enumerate(edges):
         vs = e.vertices
-        inc[list(vs), j] = 1.0
         star.extend((vs[0], u, j) for u in vs[1:])
     star_x, star_y, star_edge = np.array(star, dtype=np.intp).reshape(-1, 3).T
     pos = (signs > 0).astype(float) @ inc
@@ -451,7 +502,7 @@ def l_plus(h: SignedHypergraph, f: VertexFunction) -> tuple[CycleStats, CycleSta
     edges (``_l_plus_rows`` states the rules), on the full vertex set.
     """
     _check_function(h, f)
-    return _l_plus_rows(h, _sign_matrix((f,), h.n))[0]
+    return _l_plus_rows(h, _incidence(h), _sign_matrix((f,), h.n))[0]
 
 
 def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
@@ -494,12 +545,12 @@ def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
     # inducing on every vertex is the identity, so a full support has l' = l(g)
     l_full = cyclomatic(g).l if clique else cyc.l
     out = []
-    rows = zip(spectrum.functions, analysis.decompositions, analysis.fiedler,
+    rows = zip(spectrum.functions, analysis.decompositions, analysis.fiedler(clique),
                analysis.l_plus(clique))
     for i, (f, dec, fs, (lp_all, lp_exists)) in enumerate(rows, 1):
         k, r = spectrum.cluster_of(i)
         l_prime = l_full if len(dec.support) == h.n else support_cyclomatic(g, f).l
-        fied = len((fiedler_sets(g, f) if clique else fs).fiedler)
+        fied = len(fs.fiedler)
         lp = lp_exists if variant == "exists_ordering" else lp_all
         lower = k + r - 1 - l_prime + lp - fied
         out.append(BoundReport(
@@ -529,9 +580,11 @@ class Analysis:
     eigenfunction read at ``zero_tol_rel``, and ``signs`` its sign matrix:
     row i - 1 holds the signs of the eigenfunction of 1-based index i,
     column v the sign at vertex v (column 0 is unused and zero).
-    ``decompositions[i - 1]`` and ``fiedler[i - 1]`` belong to that
-    eigenfunction, on the hypergraph itself.  ``cycles`` holds c and l of
-    the hypergraph, shared by every table.  ``bounds(variant)`` is the
+    ``decompositions[i - 1]`` and ``fiedler()[i - 1]`` belong to that
+    eigenfunction, on the hypergraph itself; ``fiedler``, ``l_plus`` and
+    ``incidence`` are kept per graph, h or (given ``clique=True``)
+    ``expansion``.  ``cycles`` holds c and l of the hypergraph, shared by
+    every table.  ``bounds(variant)`` is the
     table of nodal-count bounds of every index: strong count <= k + r - 1;
     weak count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
     |fiedler|.  The variants ``all_pairs`` and ``exists_ordering`` read the
@@ -544,8 +597,7 @@ class Analysis:
     def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:
         self.h = h
         self.zero_tol_rel = zero_tol_rel
-        self._tables: dict[str, tuple[BoundReport, ...]] = {}
-        self._l_plus: dict[bool, tuple[tuple[int, int], ...]] = {}
+        self._cache: dict[tuple, object] = {}
 
     @cached_property
     def bundle(self) -> MatrixBundle:
@@ -573,23 +625,35 @@ class Analysis:
         return tuple(_decomposition(self.h, f, frozenset(np.flatnonzero(row).tolist()), strong)
                      for f, row, strong in rows)
 
-    @cached_property
-    def fiedler(self) -> tuple[FiedlerSets, ...]:
-        return tuple(fiedler_sets(self.h, f) for f in self.spectrum.functions)
+    def _once(self, key: tuple, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def _graph(self, clique: bool) -> SignedHypergraph:
+        return self.expansion if clique else self.h
+
+    def incidence(self, clique: bool = False) -> np.ndarray:
+        """The incidence matrix (``_incidence``) of ``expansion`` if
+        ``clique`` and of h otherwise."""
+        return self._once(("incidence", clique), lambda: _incidence(self._graph(clique)))
+
+    def fiedler(self, clique: bool = False) -> tuple[FiedlerSets, ...]:
+        """The Fiedler sets of every eigenfunction, on ``expansion`` if
+        ``clique`` and on h otherwise: one pass per graph."""
+        return self._once(("fiedler", clique), lambda: _fiedler_rows(
+            self._graph(clique), self.incidence(clique), self.signs))
 
     def l_plus(self, clique: bool = False) -> tuple[tuple[int, int], ...]:
         """(all_pairs, exists_ordering) l_plus of every eigenfunction, on
         ``expansion`` if ``clique`` and on h otherwise: one coherence pass
         per graph."""
-        if clique not in self._l_plus:
-            g = self.expansion if clique else self.h
-            self._l_plus[clique] = tuple((a.l, e.l) for a, e in _l_plus_rows(g, self.signs))
-        return self._l_plus[clique]
+        return self._once(("l_plus", clique), lambda: tuple(
+            (a.l, e.l) for a, e in _l_plus_rows(self._graph(clique), self.incidence(clique),
+                                                self.signs)))
 
     def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
         """The bounds row of every eigenfunction, in index order."""
         if variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {BOUND_VARIANTS}")
-        if variant not in self._tables:
-            self._tables[variant] = tuple(_bound_rows(self, variant))
-        return self._tables[variant]
+        return self._once(("bounds", variant), lambda: tuple(_bound_rows(self, variant)))

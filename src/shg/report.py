@@ -3,12 +3,27 @@
 Reports are deterministic: keys are sorted, floats are emitted with full
 round-trip precision, and nothing time- or host-dependent is included,
 so identical inputs produce identical bytes.
+
+``report_json`` writes the JSON of ``shg report``, ``shg example1``
+and ``shg fuzz``.  Its bytes are exactly those that ``json.dumps``
+writes with ``sort_keys=True``, ``indent=2`` and ``allow_nan=False``,
+plus a newline.  The standard library runs its C encoder only without an
+indent, so with one every value goes through a pure-Python generator per
+nested container, which cost more than the nodal analysis of a report.
+The writer here dispatches on the exact type of each value, joins a
+list of only ints or only floats in one call, and writes a list of int
+lists from its one ``repr``.  Like ``allow_nan=False``
+it refuses NaN and infinities with ``ValueError``; unlike ``json`` it
+also refuses keys that are not strings, with ``TypeError``, rather than
+converting them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -146,7 +161,7 @@ def build_report(h: SignedHypergraph, digest: str,
     eigenfunctions = [
         function_record(f, dec, fs, i, lam)
         for i, (f, dec, fs, lam) in enumerate(zip(
-            spectrum.functions, analysis.decompositions, analysis.fiedler,
+            spectrum.functions, analysis.decompositions, analysis.fiedler(),
             spectrum.eigenvalues), 1)
     ]
     report = {
@@ -173,9 +188,85 @@ def build_report(h: SignedHypergraph, digest: str,
     return report
 
 
-def report_json(report: dict) -> str:
-    """Canonical bytes: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+_INT, _FLOAT, _LIST = {int}, {float}, {list}
+
+
+def _float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json(o, indent: str) -> str:
+    """``o`` as indented JSON whose nested lines start with ``indent``."""
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is list or t is tuple:
+        return _json_list(o, indent)
+    if t is dict:
+        return _json_dict(o, indent)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    # str, float, and subclasses (IntEnum, numpy.float64) written as their
+    # base type, as ``json`` writes them
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        return _json_list(o, indent)
+    if isinstance(o, dict):
+        return _json_dict(o, indent)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _json_list(o, indent: str) -> str:
+    if not o:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    kinds = set(map(type, o))
+    if kinds == _INT:
+        body = sep.join(map(int.__repr__, o))
+    elif kinds == _FLOAT:
+        if not all(map(math.isfinite, o)):
+            for x in o:
+                _float(x)  # raises on the first value that is not finite
+        body = sep.join(map(float.__repr__, o))
+    elif (kinds == _LIST and type(o) is list and all(o)
+          and set(map(type, chain.from_iterable(o))) == _INT):
+        # a list of nonempty int lists (a report's domain lists) from its
+        # repr: no int repr holds ", " or "]"
+        deeper = inner + "  "
+        head, tail = "[\n" + deeper, "\n" + inner + "]"
+        body = repr(o)[2:-2].replace("], [", tail + sep + head).replace(", ", ",\n" + deeper)
+        body = f"{head}{body}{tail}"
+    else:
+        body = sep.join([_json(v, inner) for v in o])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _json_dict(o, indent: str) -> str:
+    if not o:
+        return "{}"
+    inner = indent + "  "
+    # sorted raises TypeError on keys of mixed types, _quote on any other non-str key
+    body = (",\n" + inner).join([f"{_quote(k)}: {_json(o[k], inner)}" for k in sorted(o)])
+    return f"{{\n{inner}{body}\n{indent}}}"
+
+
+def report_json(obj) -> str:
+    """Canonical bytes of any tree of dicts with ``str`` keys, lists,
+    tuples, strings, numbers, booleans and None: sorted keys, two-space
+    indent, trailing newline, as the module docstring states."""
+    return _json(obj, "") + "\n"
 
 
 def _fmt_set_list(sets: list[list[int]]) -> str:

@@ -64,14 +64,14 @@ class VertexFunction:
     @staticmethod
     def from_values(values: Sequence[float], rel_tol: float = DEFAULT_ZERO_TOL_REL,
                     abs_tol: float | None = None) -> "VertexFunction":
-        vals = tuple(float(x) for x in values)
+        vals = tuple(map(float, values))
         if not all(map(math.isfinite, vals)):
             raise ValueError("function values must be finite")
         tol = rel_tol if abs_tol is None else abs_tol
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"zero tolerance must be finite and nonnegative, got {tol!r}")
         if abs_tol is None:
-            peak = max((abs(x) for x in vals), default=0.0)
+            peak = max(map(abs, vals), default=0.0)
             abs_tol = rel_tol * peak
         return VertexFunction(vals, abs_tol)
 
@@ -230,8 +230,8 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
         raise ValueError(f"symmetrized Laplacian is not symmetric (defect {asym:.3e})")
     w, u = np.linalg.eigh((m + m.T) / 2.0)
     funcs = u / np.sqrt(bundle.deg)[:, None]
-    functions = tuple(VertexFunction.from_values(funcs[:, j], rel_tol=zero_tol_rel)
-                      for j in range(bundle.n))
+    functions = tuple(VertexFunction.from_values(col, rel_tol=zero_tol_rel)
+                      for col in funcs.T.tolist())
     return Spectrum(tuple(float(x) for x in w), functions, _cluster(w, cluster_tol))
 
 

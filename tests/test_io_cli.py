@@ -1,6 +1,7 @@
 """File format round-trips, parse diagnostics, and the command line."""
 
 import contextlib
+import enum
 import io
 import json
 import os
@@ -9,13 +10,19 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shg.cli import main
 from shg.core import Edge, SignedHypergraph
-from shg.fixtures import PRINTED_EIGENFUNCTIONS, fixture_example1
+from shg.fixtures import (
+    DISCREPANCY_NOTES,
+    PRINTED_EIGENFUNCTIONS,
+    PRINTED_EIGENVALUES,
+    fixture_example1,
+)
 from shg.report import REPORT_SCHEMA, build_report, input_digest, report_json
 from shg.shgio import ParseError, parse, serialize
 from shg.verify import GenConfig, generate
@@ -313,13 +320,6 @@ class TestReportModule:
         jsonschema.validate(report, REPORT_SCHEMA)
         assert len(report["eigenfunctions"]) == 10
 
-    def test_json_is_stable_and_newline_terminated(self):
-        h = fixture_example1()
-        r = build_report(h, input_digest(FIXTURE_TEXT))
-        text = report_json(r)
-        assert text.endswith("\n")
-        assert json.loads(text) == json.loads(report_json(r))
-
     def test_bounds_rows_read_the_report_tolerance(self):
         # a loose zero tolerance turns small entries into zeros; each
         # bounds row must count the same function as its record
@@ -365,13 +365,14 @@ class TestReportModule:
         assert len(report["eigenfunctions"]) == 20
         assert calls == {"_sign_matrix": [1], "decompose": [], "strong_domains": []}
 
-    def test_one_fiedler_pass_and_one_l_plus_per_function(self, monkeypatch):
-        # Fiedler sets run once per eigenfunction; l_plus of all 20 comes
-        # from one coherence pass over the sign matrix, not from l_plus
-        calls = self._count(monkeypatch, ("fiedler_sets", "l_plus", "_l_plus_rows"))
+    def test_one_fiedler_pass_and_one_l_plus_pass_per_graph(self, monkeypatch):
+        # the Fiedler sets and l_plus of all 20 eigenfunctions each come
+        # from one pass over the sign matrix, not from the one-function calls
+        calls = self._count(monkeypatch, ("fiedler_sets", "_fiedler_rows", "l_plus", "_l_plus_rows"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         build_report(h, input_digest(serialize(h)))
-        assert calls == {"fiedler_sets": [1] * 20, "l_plus": [], "_l_plus_rows": [20]}
+        assert calls == {"fiedler_sets": [], "_fiedler_rows": [20], "l_plus": [],
+                         "_l_plus_rows": [20]}
 
     def test_one_coherence_pass_per_graph(self, monkeypatch):
         # the whole-hyperedge variants share the pass on h; the clique
@@ -384,6 +385,85 @@ class TestReportModule:
         for variant in ("all_pairs", "exists_ordering", "clique", "all_pairs"):
             analysis.bounds(variant)
         assert calls == {"_sign_matrix": [1], "_l_plus_rows": [20, 20]}
+
+
+def reference_json(obj):
+    """The bytes ``report_json`` must reproduce."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FINITE, FINITE.map(np.float64), st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t aé€\U0001f600'),
+    st.sampled_from((-0.0, 1e16, 5e-324, 1.7976931348623157e308, 2**64, -(2**100),
+                     Level.LOW, Level.HIGH)),
+)
+JSON_TREES = st.recursive(JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=5),
+    st.lists(kids, max_size=5).map(tuple),
+    st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    # homogeneous lists take the writer's one-join path; bool is not int there
+    st.lists(st.integers(), max_size=5),
+    st.lists(FINITE, max_size=5),
+    st.lists(st.one_of(st.booleans(), st.integers()), max_size=5),
+    # lists of nonempty int lists, the shape of a report's domain lists
+    st.lists(st.lists(st.integers(), min_size=1, max_size=4), max_size=4),
+), max_leaves=30)
+
+
+class TestReportJson:
+    def test_matches_json_on_the_report_corpus(self):
+        supplied = tuple(zip(PRINTED_EIGENVALUES, PRINTED_EIGENFUNCTIONS))
+        reports = [build_report(fixture_example1(), input_digest(FIXTURE_TEXT),
+                                notes=DISCREPANCY_NOTES, supplied=supplied)]
+        for h in generate(GenConfig(seed=2026, count=20)):
+            digest = input_digest(serialize(h))
+            reports += [build_report(h, digest), build_report(h, digest, zero_tol_rel=0.2)]
+        # the loose tolerance gives zeros, Fiedler sets and closures larger than cores
+        records = [rec for r in reports for rec in r["eigenfunctions"]]
+        assert any(rec["fiedler"] for rec in records)
+        assert any(rec["weak_closures"] != rec["weak_cores"] for rec in records)
+        for r in reports:
+            assert report_json(r) == reference_json(r)
+
+    @pytest.mark.parametrize("argv", [["example1", "--raw-paper-matrix"],
+                                      ["fuzz", "--seed", "3", "--count", "5"]])
+    def test_other_commands_write_the_same_bytes(self, capsys, argv):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == reference_json(json.loads(out))
+
+    @given(JSON_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_on_any_tree(self, tree):
+        assert report_json(tree) == reference_json(tree)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])
+    @pytest.mark.parametrize("wrap", [
+        lambda x: x, lambda x: [1.0, x], lambda x: [1, x, "a"], lambda x: {"a": (x,)}])
+    def test_non_finite_floats_raise_value_error(self, bad, wrap):
+        with pytest.raises(ValueError):
+            reference_json(wrap(bad))
+        with pytest.raises(ValueError):
+            report_json(wrap(bad))
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1, 2: "b"}, {"a": [{None: 1}]}, {(1, 2): 0}])
+    def test_non_str_keys_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            report_json(obj)
+
+    @pytest.mark.parametrize("obj", [{1, 2}, np.int64(1), [object()], {"a": b"x"}])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            reference_json(obj)
+        with pytest.raises(TypeError):
+            report_json(obj)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Nodal domains: strong/weak decompositions, zero handling, count bounds."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ from shg.fixtures import (
 )
 from shg.nodal import (
     Analysis,
+    FiedlerSets,
+    _blocks,
+    _fiedler_rows,
+    _incidence,
     _l_plus_rows,
     _sign_matrix,
     _strong_rows,
@@ -681,8 +686,98 @@ class TestBatchedPasses:
         assert signs.tolist() == [[0] + [f.sign(v) for v in h.vertex_range()] for f in fs]
         for g in (h, clique_expansion(h)):
             expected = [reference_l_plus(g, f) for f in fs]
-            assert _l_plus_rows(g, signs) == expected
+            assert _l_plus_rows(g, _incidence(g), signs) == expected
             assert [l_plus(g, f) for f in fs] == expected
             expected = [reference_strong(g, f) for f in fs]
             assert _strong_rows(g, signs) == expected
             assert [strong_domains(g, f) for f in fs] == expected
+
+
+def reference_fiedler_sets(h, f):
+    """``fiedler_sets`` as one pass per function: one loop over the
+    edges and one block pass over the incidence graph for each function,
+    kept as the reference of the pass shared by all rows."""
+    sign = [0] + [f.sign(v) for v in h.vertex_range()]
+    zeros = [v for v in h.vertex_range() if sign[v] == 0]
+    if not zeros:
+        return FiedlerSets(frozenset(), frozenset())
+    seen_nonzero = [False] * (h.n + 1)
+    cyclic = [False] * (h.n + 1)
+    links = []
+    for i, e in enumerate(h.edges):
+        vs = e.vertices
+        if len(vs) == 1:
+            cyclic[vs[0]] = True
+        nonzero = any(sign[v] != 0 for v in vs)
+        for v in vs:
+            seen_nonzero[v] = seen_nonzero[v] or nonzero
+            links.append((v, h.n + 1 + i))
+    for block in _blocks(h.n + 1 + h.m, links)[0]:
+        if len(block) > 1:
+            for li in block:
+                cyclic[links[li][0]] = True
+    fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
+    return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
+
+
+@st.composite
+def split_instances(draw):
+    """(h, functions): 1..3 components on disjoint vertex ranges, edges
+    of size 1..4 with random signs, some repeated, vertices in no edge,
+    and one function each at 20, 50 and 80 % zeros."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    edges = []
+    start = 1
+    for size in sizes:
+        part = range(start, start + size)
+        start += size
+        for _ in range(draw(st.integers(0, 2 * size))):
+            if edges and draw(st.integers(0, 5)) == 0:
+                edges.append(draw(st.sampled_from(edges)))
+                continue
+            k = draw(st.integers(1, min(4, size)))
+            vs = draw(st.lists(st.sampled_from(part), min_size=k, max_size=k, unique=True))
+            edges.append(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs))
+    order = draw(st.permutations(range(len(edges))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fs = tuple(VertexFunction.from_values(
+        [0.0 if rng.random() < p else rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+         for _ in range(n)]) for p in (0.2, 0.5, 0.8))
+    return h_of(n, *(edges[i] for i in order)), fs
+
+
+class TestBatchedFiedlerSets:
+    @given(split_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_matches_per_function_reference(self, case):
+        h, fs = case
+        signs = _sign_matrix(fs, h.n)
+        for g in (h, clique_expansion(h)):
+            expected = tuple(reference_fiedler_sets(g, f) for f in fs)
+            assert _fiedler_rows(g, _incidence(g), signs) == expected
+            assert tuple(fiedler_sets(g, f) for f in fs) == expected
+
+    def test_analysis_matches_reference_on_eigenfunctions(self):
+        # a loose zero tolerance gives the eigenfunctions zeros
+        seen_zero = False
+        for h in generate(GenConfig(seed=2026, count=40)):
+            analysis = Analysis(h, zero_tol_rel=0.2)
+            for clique, g in ((False, h), (True, analysis.expansion)):
+                expected = tuple(reference_fiedler_sets(g, f) for f in analysis.spectrum.functions)
+                assert analysis.fiedler(clique) == expected
+                seen_zero = seen_zero or any(fs.fiedler or fs.other_zeros for fs in expected)
+        assert seen_zero
+
+    def test_no_zeros_gives_empty_sets_without_block_pass(self, monkeypatch):
+        import shg.nodal as nodal
+
+        def must_not_run(g):
+            raise AssertionError("_cyclic ran although no row has a zero")
+
+        monkeypatch.setattr(nodal, "_cyclic", must_not_run)
+        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        analysis = Analysis(h)
+        assert (analysis.signs[:, 1:] != 0).all()
+        empty = (FiedlerSets(frozenset(), frozenset()),) * 20
+        assert analysis.fiedler() == analysis.fiedler(True) == empty
