@@ -22,9 +22,19 @@ incidence graph decides it for all vertices (``_cyclic``); a function
 adds only its zero mask, so the Fiedler sets of every row of a sign
 matrix come from that pass and two incidence products.  Every pairwise
 pass (the strong relation, the weak direct pairs, the clique expansion)
-reads the pair table ``SignedHypergraph.pairs``.  The strong relation,
-the weak links and the coherent edges of ``l_plus`` are all unions over
-selected links, run by ``core.UnionFind.link``.
+reads the pair table ``SignedHypergraph.pairs``.
+
+The passes over every row of a sign matrix share one component
+labelling, ``_components``: hook-and-jump rounds on numpy arrays, where
+the rows become one block-diagonal graph, fed in chunks of at most
+``_LINK_BUDGET`` links.  It gives the strong domains of every row, the
+components of the coherent edges of ``l_plus`` under both rules, and the
+components of every support, from which l' follows on h and on its
+clique expansion alike.  The single-function APIs ``strong_domains``,
+``weak_domains``, ``decompose`` and ``support_cyclomatic`` union with
+``core.UnionFind.link`` (a one-row kernel call costs more than it saves),
+and the weak pass runs per function with zeros on the same union-find;
+``l_plus`` is the one-row case of the batched coherence pass.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
@@ -32,19 +42,23 @@ nonzero constant.
 
 ``Analysis`` holds everything computed about one instance: its
 matrices and spectrum, one sign matrix of all its eigenfunctions, one
-decomposition per eigenfunction, one incidence matrix and one set of
-Fiedler sets per eigenfunction on each graph it reads (h and its clique
-expansion), and one bounds table per reading of the lower bound.  The
-sign matrix selects the strong links, the coherent edges and the Fiedler
-sets of every eigenfunction in a few array operations, so only the
-unions run per function.  ``shg report``, ``shg bounds`` and the
-campaign all read from it.
+decomposition per eigenfunction, the arrays of each graph it reads (h
+and its clique expansion: incidence, star and pair tables, edge sizes
+and signs), the Fiedler sets, l_plus and l' of every eigenfunction on
+each, and one bounds table per reading of the lower bound.  The sign
+matrix selects the strong links, the coherent edges, the supports and
+the Fiedler sets of every eigenfunction in a few array operations, and
+the labelling runs once per chunk of rows; only the weak pass of an
+eigenfunction with zeros runs per function.  ``shg report``, ``shg
+bounds`` and the campaign all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,7 +68,6 @@ from .core import (
     SignedHypergraph,
     UnionFind,
     cyclomatic,
-    edge_sign,
     induced_subhypergraph,
 )
 from .spectra import (
@@ -82,6 +95,10 @@ __all__ = [
 ]
 
 BOUND_VARIANTS = ("all_pairs", "exists_ordering", "clique")
+# The most nodes and candidate links one ``_components`` call receives:
+# the row passes feed it chunks of rows, so their temporaries stay bounded
+# at any instance size.
+_LINK_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -171,6 +188,108 @@ def _check_function(h: SignedHypergraph, f: VertexFunction) -> None:
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
 
 
+def _components(n_nodes: int, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Label every node 0..n_nodes-1 of the graph with links (ex[i], ey[i])
+    by the smallest node of its component.
+
+    Hook-and-jump rounds in the style of Shiloach and Vishkin (J.
+    Algorithms 1982): the larger root of every link hooks under the
+    smallest root offered to it (``np.minimum.at``), then pointer jumping
+    flattens the trees until f[f] == f.  A node never points above itself
+    and only within its component, so the smallest node of a component
+    stays a root and ends as the label of all of it.  A link whose ends
+    share a root stays so and is dropped.
+    """
+    f = np.arange(n_nodes, dtype=np.intp)
+    # the roots of the link ends; f starts as the identity
+    fx, fy = ex, ey
+    while True:
+        open_ = fx != fy
+        if not open_.any():
+            return f
+        ex, ey, fx, fy = ex[open_], ey[open_], fx[open_], fy[open_]
+        np.minimum.at(f, np.maximum(fx, fy), np.minimum(fx, fy))
+        while True:
+            jumped = f[f]
+            if (jumped == f).all():
+                break
+            f = jumped
+        fx, fy = f[ex], f[ey]
+
+
+def _row_labels(width: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
+                select: Callable[[slice], np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
+    """Component labels of ``n_rows`` graphs on nodes 0..width-1, graph r
+    linking xs[p] to ys[p] where ``select(rows)[r - rows.start, p]``.
+
+    Yields (rows, labels) for consecutive chunks of rows, labels[i, v]
+    being the smallest node of v's component in graph rows.start + i.
+    The rows of a chunk form one block-diagonal graph (node v of row i is
+    i * width + v) for one ``_components`` call.  A chunk holds at most
+    ``_LINK_BUDGET`` nodes and candidate links, one row at least; a row
+    with more links than that is labelled in slices, each slice linking
+    the labels of the ones before.
+    """
+    budget = _LINK_BUDGET
+    step = max(1, budget // max(len(xs), width))
+    for start in range(0, n_rows, step):
+        rows = slice(start, min(start + step, n_rows))
+        n_nodes = (rows.stop - start) * width
+        rr, pp = np.nonzero(select(rows))
+        ex = rr * width
+        ey = ex + ys[pp]
+        ex += xs[pp]
+        del rr, pp
+        labels = _components(n_nodes, ex[:budget], ey[:budget])
+        for i in range(budget, len(ex), budget):
+            labels = _components(n_nodes, labels[ex[i:i + budget]], labels[ey[i:i + budget]])[labels]
+        yield rows, labels.reshape(-1, width) - np.arange(0, n_nodes, width)[:, None]
+
+
+def _component_counts(n: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
+                      select: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """The number of components on vertices 1..n of each graph of
+    ``_row_labels``: the vertices that label themselves."""
+    out = np.empty(n_rows, dtype=np.intp)
+    own = np.arange(1, n + 1)
+    for rows, labels in _row_labels(n + 1, xs, ys, n_rows, select):
+        out[rows] = (labels[:, 1:] == own).sum(axis=1)
+    return out
+
+
+class _GraphArrays:
+    """The arrays of one graph g that the row passes read, each built once.
+
+    ``sizes``, ``positive`` (sgn(e) > 0; an empty edge has no sign and
+    counts as positive), ``incidence`` (the (n + 1) x m matrix, 1.0 where
+    vertex v lies in edge j, row 0 zero) and ``star`` (x, y, j) linking the
+    first vertex of edge j to each later one come from one flat read of
+    the incidences; ``pairs`` (x, y, sgn(e)) is ``g.pairs`` as arrays,
+    read on first use.
+    """
+
+    def __init__(self, g: SignedHypergraph) -> None:
+        self.g = g
+        self.sizes = np.fromiter((e.size for e in g.edges), dtype=np.intp, count=g.m)
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(e.incidences for e in g.edges)),
+                           dtype=np.intp)
+        verts, incidence_signs = flat[0::2], flat[1::2]
+        edge = np.repeat(np.arange(g.m), self.sizes)
+        negatives = np.bincount(edge[incidence_signs < 0], minlength=g.m)
+        # sgn(e) = (-1)^(|e| - 1) times the product of the incidence signs
+        self.positive = (self.sizes == 0) | ((self.sizes - 1 + negatives) % 2 == 0)
+        self.incidence = np.zeros((g.n + 1, g.m))
+        self.incidence[verts, edge] = 1.0
+        first = np.cumsum(self.sizes) - self.sizes
+        later = np.ones(len(verts), dtype=bool)
+        later[first[self.sizes > 0]] = False
+        self.star = (verts[first[edge[later]]], verts[later], edge[later])
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(np.array(self.g.pairs, dtype=np.intp).reshape(-1, 3).T)
+
+
 def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[int], ...]:
     """Components of the support under strong links: {x, y} is linked when
     some edge contains both and f(x) * sgn(e) * f(y) > 0."""
@@ -181,17 +300,28 @@ def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[in
     return uf.groups([v for v in h.vertex_range() if sign[v] != 0])
 
 
-def _strong_rows(h: SignedHypergraph, signs: np.ndarray) -> list[tuple[frozenset[int], ...]]:
-    """``strong_domains`` of every row of the sign matrix ``signs``: one
-    mask over the pair table selects the strong links of all rows, and
-    each row unions only its own."""
-    xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
-    linked = signs[:, xs] * ps * signs[:, ys] > 0
-    out = []
-    for row, links in zip(signs, linked):
-        uf = UnionFind(h.n)
-        uf.link(zip(xs[links].tolist(), ys[links].tolist()))
-        out.append(uf.groups(np.flatnonzero(row).tolist()))
+def _strong_rows(t: _GraphArrays, signs: np.ndarray) -> list[tuple[frozenset[int], ...]]:
+    """``strong_domains`` of every row of the sign matrix ``signs`` on the
+    graph of ``t``: one mask over the pair table selects the strong links
+    of all rows (sign(x) * sign(y) == sgn(e), the product taken in int8),
+    and one labelling per chunk of rows splits every support.  Sorting
+    the support stably by label orders each row's domains by smallest
+    vertex, as ``UnionFind.groups`` does."""
+    xs, ys, ps = t.pairs
+    width = signs.shape[1]
+    out: list[tuple[frozenset[int], ...]] = []
+    for rows, labels in _row_labels(width, xs, ys, len(signs),
+                                    lambda r: signs[r][:, xs] * signs[r][:, ys] == ps):
+        rr, vv = np.nonzero(signs[rows])
+        # one key per (row, domain); row-major order keeps vertices ascending
+        key = rr * width + labels[rr, vv]
+        order = np.argsort(key, kind="stable")
+        key, verts = key[order], vv[order].tolist()
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        bounds = starts.tolist() + [len(verts)]
+        groups = iter([frozenset(verts[a:b]) for a, b in zip(bounds, bounds[1:])])
+        counts = np.bincount(key[starts] // width, minlength=rows.stop - rows.start)
+        out.extend(tuple(islice(groups, k)) for k in counts.tolist())
     return out
 
 
@@ -420,9 +550,9 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _fiedler_rows(g: SignedHypergraph, inc: np.ndarray, signs: np.ndarray) -> tuple[FiedlerSets, ...]:
-    """``fiedler_sets`` of every row of the sign matrix ``signs`` on g,
-    whose incidence matrix is ``inc``.  The Fiedler set of a row is
+def _fiedler_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[FiedlerSets, ...]:
+    """``fiedler_sets`` of every row of the sign matrix ``signs`` on the
+    graph of ``t``.  The Fiedler set of a row is
     ``zero & (cyclic | no nonzero hyperneighbour)``: ``_cyclic`` runs once,
     and only when some row has a zero, and two incidence products mark
     the vertices sharing an edge with a nonzero."""
@@ -432,7 +562,8 @@ def _fiedler_rows(g: SignedHypergraph, inc: np.ndarray, signs: np.ndarray) -> tu
     out = [_NO_ZEROS] * len(signs)
     if not len(rows):
         return tuple(out)
-    cyclic = np.array(_cyclic(g), dtype=bool)
+    cyclic = np.array(_cyclic(t.g), dtype=bool)
+    inc = t.incidence
     seen_nonzero = (((signs[rows] != 0) @ inc > 0) @ inc.T) > 0
     for i, z, seen in zip(rows.tolist(), zero[rows], seen_nonzero):
         fiedler = z & (cyclic | ~seen)
@@ -441,19 +572,10 @@ def _fiedler_rows(g: SignedHypergraph, inc: np.ndarray, signs: np.ndarray) -> tu
     return tuple(out)
 
 
-def _incidence(g: SignedHypergraph) -> np.ndarray:
-    """The (n + 1) x m vertex-edge incidence matrix of g, 1.0 where vertex
-    v lies in edge j; row 0 is unused and zero."""
-    inc = np.zeros((g.n + 1, g.m))
-    inc[[v for e in g.edges for v in e.vertices],
-        [j for j, e in enumerate(g.edges) for _ in e.vertices]] = 1.0
-    return inc
-
-
-def _l_plus_rows(h: SignedHypergraph, inc: np.ndarray,
-                 signs: np.ndarray) -> list[tuple[CycleStats, CycleStats]]:
-    """``l_plus`` of every row of the sign matrix ``signs``, on h with
-    incidence matrix ``inc``.
+def _l_plus_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``l_plus`` of every row of the sign matrix ``signs`` on the graph of
+    ``t``, as (totals, components): arrays of shape (2, rows), row 0 for
+    all_pairs and row 1 for exists_ordering, so l = totals - n + components.
 
     An edge is coherent when all its vertices are nonzero and it respects
     its sign under the variant's rule.  all_pairs: every pair x, y has
@@ -462,38 +584,23 @@ def _l_plus_rows(h: SignedHypergraph, inc: np.ndarray,
     of + and - vertices per edge: an edge of size <= 1 is coherent; a
     positive edge needs all signs equal under either rule; a negative edge
     needs alternation, so one + and one - for all_pairs and
-    |#pos - #neg| <= 1 for exists_ordering.  all_pairs-coherent edges are
-    therefore exists_ordering-coherent, and one union pass per row serves
-    both: the all_pairs edges first, then the extra exists_ordering edges.
+    |#pos - #neg| <= 1 for exists_ordering.  The components of both
+    variants of every row come from one labelling of the star links of
+    their coherent edges.
     """
-    n, edges = h.n, h.edges
-    sizes = np.array([e.size for e in edges], dtype=np.intp)
-    # an empty edge has no sign; it is coherent either way and weighs 0
-    positive = np.array([e.size == 0 or edge_sign(e) > 0 for e in edges], dtype=bool)
-    star: list[tuple[int, int, int]] = []
-    for j, e in enumerate(edges):
-        vs = e.vertices
-        star.extend((vs[0], u, j) for u in vs[1:])
-    star_x, star_y, star_edge = np.array(star, dtype=np.intp).reshape(-1, 3).T
+    sizes, positive, inc = t.sizes, t.positive, t.incidence
     pos = (signs > 0).astype(float) @ inc
     neg = (signs < 0).astype(float) @ inc
     small = (sizes <= 1) & (pos + neg == sizes)
     same = (pos == sizes) | (neg == sizes)
     all_pairs = small | np.where(positive, same, (sizes == 2) & (pos == 1) & (neg == 1))
     exists = small | np.where(positive, same, (pos + neg == sizes) & (np.abs(pos - neg) <= 1))
-    weight = np.maximum(sizes - 1, 0)
-    totals_all, totals_exists = (all_pairs @ weight).tolist(), (exists @ weight).tolist()
-    links_all, links_extra = all_pairs[:, star_edge], (exists & ~all_pairs)[:, star_edge]
-    out = []
-    for t_all, t_exists, first, extra in zip(totals_all, totals_exists, links_all, links_extra):
-        uf = UnionFind(n)
-        uf.link(zip(star_x[first].tolist(), star_y[first].tolist()))
-        c_all = uf.count
-        uf.link(zip(star_x[extra].tolist(), star_y[extra].tolist()))
-        c_exists = uf.count
-        out.append((CycleStats(t_all, n, c_all, t_all - n + c_all),
-                    CycleStats(t_exists, n, c_exists, t_exists - n + c_exists)))
-    return out
+    coherent = np.concatenate((all_pairs, exists))
+    totals = (coherent @ np.maximum(sizes - 1, 0)).reshape(2, -1)
+    star_x, star_y, star_edge = t.star
+    components = _component_counts(t.g.n, star_x, star_y, len(coherent),
+                                   lambda r: coherent[r][:, star_edge])
+    return totals, components.reshape(2, -1)
 
 
 def l_plus(h: SignedHypergraph, f: VertexFunction) -> tuple[CycleStats, CycleStats]:
@@ -502,7 +609,42 @@ def l_plus(h: SignedHypergraph, f: VertexFunction) -> tuple[CycleStats, CycleSta
     edges (``_l_plus_rows`` states the rules), on the full vertex set.
     """
     _check_function(h, f)
-    return _l_plus_rows(h, _incidence(h), _sign_matrix((f,), h.n))[0]
+    totals, components = _l_plus_rows(_GraphArrays(h), _sign_matrix((f,), h.n))
+    return tuple(CycleStats(t, h.n, c, t - h.n + c)
+                 for t, c in zip(totals[:, 0].tolist(), components[:, 0].tolist()))
+
+
+def _l_prime_rows(t: _GraphArrays, signs: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
+    """``support_cyclomatic(g, f).l`` of every row of the sign matrix
+    ``signs``, with g the graph h of ``t`` and with g its clique expansion,
+    as two arrays; ``n_components`` is c(h).
+
+    An edge with k_e nonzero vertices connects them in h and in the
+    expansion alike, so one labelling of the pairs whose two ends are
+    nonzero gives the components of the support on both graphs.  A zero
+    is an isolated vertex of that graph, so with c its components on all
+    of 1..n, |supp| - c_supp = n - c, and with k = (S != 0) @ incidence:
+    l'_h = sum max(k_e - 1, 0) - n + c and
+    l'_clique = sum k_e (k_e - 1) / 2 - n + c.  A row without zeros has
+    the whole graph for support, k = sizes and c = c(h), and is not
+    labelled.
+    """
+    n = t.g.n
+    xs, ys, _ = t.pairs
+    l_h = np.full(len(signs), int(np.maximum(t.sizes - 1, 0).sum()) - n + n_components)
+    l_clique = np.full(len(signs), len(xs) - n + n_components)
+    nonzero = signs != 0
+    rows = np.flatnonzero(nonzero.sum(axis=1) < n)
+    nonzero = nonzero[rows]
+    own = np.arange(1, n + 1)
+    # k is taken per chunk of rows, so its float product stays in the budget
+    for part, labels in _row_labels(n + 1, xs, ys, len(rows),
+                                    lambda r: nonzero[r][:, xs] & nonzero[r][:, ys]):
+        k = (nonzero[part] @ t.incidence).astype(np.intp)
+        c = (labels[:, 1:] == own).sum(axis=1)
+        l_h[rows[part]] = np.maximum(k - 1, 0).sum(axis=1) - n + c
+        l_clique[rows[part]] = (k * (k - 1) // 2).sum(axis=1) - n + c
+    return l_h, l_clique
 
 
 def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
@@ -535,21 +677,17 @@ def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
 
 
 def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
-    """One BoundReport per eigenfunction, from the cached decompositions
-    and Fiedler sets; the per-instance terms are computed once for all
-    rows."""
-    h, spectrum, cyc = analysis.h, analysis.spectrum, analysis.cycles
+    """One BoundReport per eigenfunction, from the cached decompositions,
+    Fiedler sets, l_plus and l' of every row; the per-instance terms are
+    computed once for all rows."""
+    spectrum, cyc = analysis.spectrum, analysis.cycles
     c = cyc.n_components
     clique = variant == "clique"
-    g = analysis.expansion if clique else h
-    # inducing on every vertex is the identity, so a full support has l' = l(g)
-    l_full = cyclomatic(g).l if clique else cyc.l
     out = []
-    rows = zip(spectrum.functions, analysis.decompositions, analysis.fiedler(clique),
-               analysis.l_plus(clique))
-    for i, (f, dec, fs, (lp_all, lp_exists)) in enumerate(rows, 1):
+    rows = zip(analysis.decompositions, analysis.fiedler(clique), analysis.l_plus(clique),
+               analysis.l_prime(clique))
+    for i, (dec, fs, (lp_all, lp_exists), l_prime) in enumerate(rows, 1):
         k, r = spectrum.cluster_of(i)
-        l_prime = l_full if len(dec.support) == h.n else support_cyclomatic(g, f).l
         fied = len(fs.fiedler)
         lp = lp_exists if variant == "exists_ordering" else lp_all
         lower = k + r - 1 - l_prime + lp - fied
@@ -581,10 +719,10 @@ class Analysis:
     row i - 1 holds the signs of the eigenfunction of 1-based index i,
     column v the sign at vertex v (column 0 is unused and zero).
     ``decompositions[i - 1]`` and ``fiedler()[i - 1]`` belong to that
-    eigenfunction, on the hypergraph itself; ``fiedler``, ``l_plus`` and
-    ``incidence`` are kept per graph, h or (given ``clique=True``)
-    ``expansion``.  ``cycles`` holds c and l of the hypergraph, shared by
-    every table.  ``bounds(variant)`` is the
+    eigenfunction, on the hypergraph itself; ``arrays``, ``fiedler``,
+    ``l_plus`` and ``l_prime`` are kept per graph, h or (given
+    ``clique=True``) ``expansion``.  ``cycles`` holds c and l of the
+    hypergraph, shared by every table.  ``bounds(variant)`` is the
     table of nodal-count bounds of every index: strong count <= k + r - 1;
     weak count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
     |fiedler|.  The variants ``all_pairs`` and ``exists_ordering`` read the
@@ -621,9 +759,10 @@ class Analysis:
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        rows = zip(self.spectrum.functions, self.signs, _strong_rows(self.h, self.signs))
-        return tuple(_decomposition(self.h, f, frozenset(np.flatnonzero(row).tolist()), strong)
-                     for f, row, strong in rows)
+        # the strong domains partition the support
+        rows = zip(self.spectrum.functions, _strong_rows(self.arrays(), self.signs))
+        return tuple(_decomposition(self.h, f, frozenset().union(*strong), strong)
+                     for f, strong in rows)
 
     def _once(self, key: tuple, build):
         if key not in self._cache:
@@ -633,24 +772,33 @@ class Analysis:
     def _graph(self, clique: bool) -> SignedHypergraph:
         return self.expansion if clique else self.h
 
-    def incidence(self, clique: bool = False) -> np.ndarray:
-        """The incidence matrix (``_incidence``) of ``expansion`` if
-        ``clique`` and of h otherwise."""
-        return self._once(("incidence", clique), lambda: _incidence(self._graph(clique)))
+    def arrays(self, clique: bool = False) -> _GraphArrays:
+        """The arrays (``_GraphArrays``) of ``expansion`` if ``clique`` and
+        of h otherwise."""
+        return self._once(("arrays", clique), lambda: _GraphArrays(self._graph(clique)))
 
     def fiedler(self, clique: bool = False) -> tuple[FiedlerSets, ...]:
         """The Fiedler sets of every eigenfunction, on ``expansion`` if
         ``clique`` and on h otherwise: one pass per graph."""
-        return self._once(("fiedler", clique), lambda: _fiedler_rows(
-            self._graph(clique), self.incidence(clique), self.signs))
+        return self._once(("fiedler", clique), lambda: _fiedler_rows(self.arrays(clique), self.signs))
 
     def l_plus(self, clique: bool = False) -> tuple[tuple[int, int], ...]:
         """(all_pairs, exists_ordering) l_plus of every eigenfunction, on
         ``expansion`` if ``clique`` and on h otherwise: one coherence pass
         per graph."""
-        return self._once(("l_plus", clique), lambda: tuple(
-            (a.l, e.l) for a, e in _l_plus_rows(self._graph(clique), self.incidence(clique),
-                                                self.signs)))
+        def build():
+            totals, components = _l_plus_rows(self.arrays(clique), self.signs)
+            return tuple(zip(*(totals - self.h.n + components).tolist()))
+        return self._once(("l_plus", clique), build)
+
+    def l_prime(self, clique: bool = False) -> tuple[int, ...]:
+        """l' of every eigenfunction, the cyclomatic number of its support
+        on ``expansion`` if ``clique`` and on h otherwise: one labelling
+        serves both graphs."""
+        both = self._once(("l_prime",), lambda: tuple(
+            tuple(ls.tolist()) for ls in _l_prime_rows(self.arrays(), self.signs,
+                                                       self.cycles.n_components)))
+        return both[clique]
 
     def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
         """The bounds row of every eigenfunction, in index order."""

@@ -41,6 +41,7 @@ from .core import (
 from .nodal import (
     Analysis,
     NodalDecomposition,
+    _component_counts,
     decompose,
     domain_graph_connected,
     strong_domains,
@@ -764,35 +765,29 @@ def _p_eigen_lower_bound_logged(ctx: Analysis, rng: random.Random):
     return fails, notes
 
 
-def _pair_graph(h: SignedHypergraph, coeff: np.ndarray, keep_positive_only: bool) -> SignedHypergraph:
-    pairs = set()
-    for x, y, _ in h.pairs:
-        a, b = min(x, y), max(x, y)
-        c = coeff[a - 1, b - 1]
-        if c > 0 or (not keep_positive_only and c != 0):
-            pairs.add((a, b))
-    edges = tuple(Edge(((a, 1), (b, -1))) for a, b in sorted(pairs))
-    return SignedHypergraph(h.n, edges)
-
-
 def _p_sandwich(ctx: Analysis, rng: random.Random):
-    h, b = ctx.h, ctx.bundle
+    # every count is over the distinct vertex pairs sharing an edge, kept
+    # where A o gg^T is positive or nonzero; the forests of a graph form a
+    # matroid, so a maximum spanning forest of the positive pairs weighs
+    # n - c(positive)
+    h, bundle = ctx.h, ctx.bundle
+    full = [i for i, g in enumerate(ctx.spectrum.functions, 1) if len(g.support()) == h.n]
+    if not full:
+        return [], []
+    a, b = np.array(sorted({(min(x, y), max(x, y)) for x, y, _ in h.pairs}),
+                    dtype=np.intp).reshape(-1, 2).T
+    values = np.array([ctx.spectrum.functions[i - 1].values for i in full])
+    coeff = bundle.a[a - 1, b - 1] * (values[:, a - 1] * values[:, b - 1])
+    positive, nonzero = coeff > 0, coeff != 0
+    masks = np.concatenate((positive, nonzero))
+    c_pos, c_nonzero = _component_counts(h.n, a, b, len(masks), lambda r: masks[r]).reshape(2, -1)
+    sigma_ts = (h.n - c_pos).tolist()
+    n_poss = positive.sum(axis=1).tolist()
+    l_nonzeros = (nonzero.sum(axis=1) - h.n + c_nonzero).tolist()
     fails = []
-    for i, g in enumerate(ctx.spectrum.functions, 1):
-        if len(g.support()) != h.n:
-            continue
-        lam = ctx.spectrum.eigenvalues[i - 1]
-        s = nodal_quadratic_form(b, g, lam)
-        gv = g.array()
-        coeff = b.a * np.outer(gv, gv)
-        positive = _pair_graph(h, coeff, keep_positive_only=True)
-        nonzero = _pair_graph(h, coeff, keep_positive_only=False)
-        # the forests of a graph form a matroid, so greedy is exact here
-        forest = spanning_hyperforest(positive)
-        sigma_t = sum(positive.edges[j].size - 1 for j in forest)
+    for i, sigma_t, n_pos, l_nonzero in zip(full, sigma_ts, n_poss, l_nonzeros):
+        s = nodal_quadratic_form(bundle, ctx.spectrum.functions[i - 1], ctx.spectrum.eigenvalues[i - 1])
         p = positive_inertia(s)
-        n_pos = positive.m
-        l_nonzero = cyclomatic(nonzero).l
         if not (p <= sigma_t <= n_pos <= p + l_nonzero):
             fails.append(
                 f"eig {i}: inertia {p}, forest weight {sigma_t}, positive pairs {n_pos}, "

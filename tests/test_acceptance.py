@@ -19,6 +19,7 @@ import pytest
 
 from shg.core import (
     EXACT_FOREST_LIMIT,
+    Edge,
     SignedHypergraph,
     connected_components,
     cyclomatic,
@@ -49,7 +50,6 @@ from shg.spectra import (
     weighted_inner,
 )
 from shg.verify import GenConfig, generate, generate_supertree, run_campaign
-from shg.verify import _pair_graph
 
 CAMPAIGN_CONFIG = GenConfig(seed=2026, count=500)
 
@@ -218,6 +218,19 @@ def _cleaned(h: SignedHypergraph) -> SignedHypergraph | None:
     if not alive:
         return None
     return induced_subhypergraph(kept, alive)
+
+
+def _pair_graph(h, coeff, keep_positive_only):
+    """The graph of the distinct vertex pairs sharing an edge of h whose
+    coefficient is positive (or nonzero), one 2-edge per pair."""
+    pairs = set()
+    for x, y, _ in h.pairs:
+        a, b = min(x, y), max(x, y)
+        c = coeff[a - 1, b - 1]
+        if c > 0 or (not keep_positive_only and c != 0):
+            pairs.add((a, b))
+    edges = tuple(Edge(((a, 1), (b, -1))) for a, b in sorted(pairs))
+    return SignedHypergraph(h.n, edges)
 
 
 def test_criterion_6_identity_suite():

@@ -386,6 +386,28 @@ class TestReportModule:
             analysis.bounds(variant)
         assert calls == {"_sign_matrix": [1], "_l_plus_rows": [20, 20]}
 
+    def test_no_per_row_support_cyclomatic(self, monkeypatch):
+        # l' of every row comes from one labelling, also where the
+        # eigenfunctions have zeros: no row induces its support
+        import shg.core as core
+        import shg.nodal as nodal
+        from shg.nodal import Analysis
+
+        def must_not_run(*args):
+            raise AssertionError("a per-row support pass ran")
+
+        for module, name in ((nodal, "support_cyclomatic"), (nodal, "induced_subhypergraph"),
+                             (core, "induced_subhypergraph")):
+            monkeypatch.setattr(module, name, must_not_run)
+        with_zeros = 0
+        for h in generate(GenConfig(seed=3, count=10)):
+            build_report(h, "", zero_tol_rel=0.2)
+            analysis = Analysis(h, zero_tol_rel=0.2)
+            for variant in ("all_pairs", "exists_ordering", "clique"):
+                analysis.bounds(variant)
+            with_zeros += int((analysis.signs[:, 1:] == 0).any(axis=1).sum())
+        assert with_zeros
+
 
 def reference_json(obj):
     """The bytes ``report_json`` must reproduce."""

@@ -29,7 +29,9 @@ from shg.nodal import (
     FiedlerSets,
     _blocks,
     _fiedler_rows,
-    _incidence,
+    _GraphArrays,
+    _components,
+    _l_prime_rows,
     _l_plus_rows,
     _sign_matrix,
     _strong_rows,
@@ -44,6 +46,7 @@ from shg.nodal import (
     weak_domains,
 )
 from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian
+import shg.verify as verify
 from shg.verify import GenConfig, generate, oracle_domains
 
 
@@ -686,11 +689,155 @@ class TestBatchedPasses:
         assert signs.tolist() == [[0] + [f.sign(v) for v in h.vertex_range()] for f in fs]
         for g in (h, clique_expansion(h)):
             expected = [reference_l_plus(g, f) for f in fs]
-            assert _l_plus_rows(g, _incidence(g), signs) == expected
+            totals, components = _l_plus_rows(_GraphArrays(g), signs)
+            assert [tuple(CycleStats(t, g.n, c, t - g.n + c) for t, c in zip(ts, cs))
+                    for ts, cs in zip(totals.T.tolist(), components.T.tolist())] == expected
             assert [l_plus(g, f) for f in fs] == expected
             expected = [reference_strong(g, f) for f in fs]
-            assert _strong_rows(g, signs) == expected
+            assert _strong_rows(_GraphArrays(g), signs) == expected
             assert [strong_domains(g, f) for f in fs] == expected
+
+    @given(batched_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_l_prime_matches_support_cyclomatic(self, case):
+        # one labelling of h gives l' on h and on its clique expansion;
+        # an all-zero and a zero-free row ride along with the drawn ones
+        h, fs = case
+        fs += (vf(*[0.0] * h.n), vf(*[1.0] * h.n))
+        l_h, l_clique = _l_prime_rows(_GraphArrays(h), _sign_matrix(fs, h.n),
+                                      cyclomatic(h).n_components)
+        assert l_h.tolist() == [support_cyclomatic(h, f).l for f in fs]
+        expansion = clique_expansion(h)
+        assert l_clique.tolist() == [support_cyclomatic(expansion, f).l for f in fs]
+
+
+def component_labels(n_nodes, links):
+    """The smallest node of each node's component, by ``closure_classes``
+    on nodes shifted to 1..n_nodes."""
+    out = list(range(n_nodes))
+    for block in closure_classes(n_nodes, [(x + 1, y + 1) for x, y in links], range(1, n_nodes + 1)):
+        for v in block:
+            out[v - 1] = min(block) - 1
+    return out
+
+
+@st.composite
+def link_lists(draw):
+    """(n_nodes, links): up to 14 nodes, none at all included, with
+    loops, parallel links and isolated nodes."""
+    n = draw(st.integers(0, 14))
+    if not n:
+        return 0, []
+    links = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))
+    if links:
+        links += draw(st.lists(st.sampled_from(links), max_size=5))
+    return n, links
+
+
+def as_arrays(links):
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*links)) if links else (
+        np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+
+class TestComponentKernel:
+    @given(link_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_closure_classes(self, case):
+        n, links = case
+        assert _components(n, *as_arrays(links)).tolist() == component_labels(n, links)
+
+    def test_no_links_and_no_nodes(self):
+        empty = as_arrays([])
+        assert _components(0, *empty).tolist() == []
+        assert _components(4, *empty).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_zero_rows(self, n):
+        h = h_of(n, *([((1, 1), (2, 1), (3, -1))] if n else []))
+        t = _GraphArrays(h)
+        signs = np.zeros((0, n + 1), dtype=np.int8)
+        assert _strong_rows(t, signs) == []
+        assert [a.shape for a in _l_plus_rows(t, signs)] == [(2, 0), (2, 0)]
+        assert [a.tolist() for a in _l_prime_rows(t, signs, cyclomatic(h).n_components)] == [[], []]
+
+    def test_empty_hypergraph_rows(self):
+        h = h_of(0)
+        t = _GraphArrays(h)
+        signs = _sign_matrix((vf(),), 0)
+        assert _strong_rows(t, signs) == [()]
+        assert [a.tolist() for a in _l_plus_rows(t, signs)] == [[[0], [0]], [[0], [0]]]
+        assert [a.tolist() for a in _l_prime_rows(t, signs, 0)] == [[0], [0]]
+
+
+class TestChunking:
+    @staticmethod
+    def _outputs(h):
+        # every batched result of one instance at a loose zero tolerance,
+        # with the sandwich details of an inertia that always fails
+        analysis = Analysis(h, zero_tol_rel=0.2)
+        return (analysis.decompositions,
+                [analysis.bounds(v) for v in ("all_pairs", "exists_ordering", "clique")],
+                verify._p_sandwich(analysis, random.Random(0)))
+
+    @pytest.fixture
+    def instances(self):
+        return list(generate(GenConfig(n_range=(6, 14), m_range=(6, 16), seed=31, count=12)))
+
+    @pytest.fixture
+    def failing_inertia(self, monkeypatch):
+        monkeypatch.setattr(verify, "positive_inertia", lambda s: 10**6)
+
+    def _record_calls(self, monkeypatch):
+        """Record (nodes, links) of every ``_components`` call and the
+        shape of every candidate-link mask a chunk of rows selects."""
+        import shg.nodal as nodal
+
+        seen, masks = [], []
+        real, real_rows = nodal._components, nodal._row_labels
+
+        def wrapper(n_nodes, ex, ey):
+            seen.append((n_nodes, len(ex)))
+            return real(n_nodes, ex, ey)
+
+        def rows_wrapper(width, xs, ys, n_rows, select):
+            def recording(rows):
+                mask = select(rows)
+                masks.append(mask.shape)
+                return mask
+            return real_rows(width, xs, ys, n_rows, recording)
+
+        monkeypatch.setattr(nodal, "_components", wrapper)
+        monkeypatch.setattr(nodal, "_row_labels", rows_wrapper)
+        return seen, masks
+
+    def test_no_call_exceeds_the_budget(self, monkeypatch, instances, failing_inertia):
+        import shg.nodal as nodal
+
+        seen, _ = self._record_calls(monkeypatch)
+        for h in instances:
+            self._outputs(h)
+        assert seen
+        # some rows have zeros, so the l' labelling runs too
+        assert any((Analysis(h, zero_tol_rel=0.2).signs[:, 1:] == 0).any() for h in instances)
+        assert all(links <= nodal._LINK_BUDGET for _, links in seen)
+        assert all(n_nodes <= nodal._LINK_BUDGET for n_nodes, _ in seen)
+
+    @pytest.mark.parametrize("budget", [1, 3, 7, 40])
+    def test_results_do_not_depend_on_the_budget(self, monkeypatch, instances, failing_inertia, budget):
+        import shg.nodal as nodal
+
+        expected = [self._outputs(h) for h in instances]
+        monkeypatch.setattr(nodal, "_LINK_BUDGET", budget)
+        seen, masks = self._record_calls(monkeypatch)
+        assert [self._outputs(h) for h in instances] == expected
+        assert max(links for _, links in seen) <= budget
+        # a chunk holds one row at least, and more only within the budget
+        assert all(rows == 1 or rows * links <= budget for rows, links in masks)
+        assert budget < 40 or any(rows > 1 for rows, _ in masks)
+        # rows split across chunks, and below 40 the links of one row
+        # across calls of a full budget each
+        assert len(seen) > 3 * len(instances)
+        assert budget == 40 or any(links == budget for _, links in seen)
 
 
 def reference_fiedler_sets(h, f):
@@ -755,7 +902,7 @@ class TestBatchedFiedlerSets:
         signs = _sign_matrix(fs, h.n)
         for g in (h, clique_expansion(h)):
             expected = tuple(reference_fiedler_sets(g, f) for f in fs)
-            assert _fiedler_rows(g, _incidence(g), signs) == expected
+            assert _fiedler_rows(_GraphArrays(g), signs) == expected
             assert tuple(fiedler_sets(g, f) for f in fs) == expected
 
     def test_analysis_matches_reference_on_eigenfunctions(self):
