@@ -66,12 +66,6 @@ class Edge:
     def size(self) -> int:
         return len(self.incidences)
 
-    def sign_of(self, v: int) -> int:
-        for u, s in self.incidences:
-            if u == v:
-                return s
-        raise ValueError(f"vertex {v} not in edge")
-
 
 @dataclass(frozen=True)
 class SignedHypergraph:

@@ -28,10 +28,10 @@ The passes over every row of a sign matrix share one component
 labelling, ``_components``: hook-and-jump rounds on numpy arrays, where
 the rows become one block-diagonal graph, fed in chunks of at most
 ``_LINK_BUDGET`` links.  It gives the strong domains of every row, the
-components of the coherent edges of ``l_plus`` under both rules, and the
-components of every support, from which l' follows on h and on its
-clique expansion alike.  The single-function APIs ``strong_domains``,
-``weak_domains``, ``decompose`` and ``support_cyclomatic`` union with
+components of the coherent edges of ``l_plus``, and the components of
+every support, from which l' follows on h and on its clique expansion
+alike.  The single-function APIs ``strong_domains``, ``weak_domains``,
+``decompose`` and ``support_cyclomatic`` union with
 ``core.UnionFind.link`` (a one-row kernel call costs more than it saves),
 and the weak pass runs per function with zeros on the same union-find;
 ``l_plus`` is the one-row case of the batched coherence pass.
@@ -42,15 +42,14 @@ nonzero constant.
 
 ``Analysis`` holds everything computed about one instance: its
 matrices and spectrum, one sign matrix of all its eigenfunctions, one
-decomposition per eigenfunction, the arrays of each graph it reads (h
-and its clique expansion: incidence, star and pair tables, edge sizes
-and signs), the Fiedler sets, l_plus and l' of every eigenfunction on
-each, and one bounds table per reading of the lower bound.  The sign
-matrix selects the strong links, the coherent edges, the supports and
-the Fiedler sets of every eigenfunction in a few array operations, and
-the labelling runs once per chunk of rows; only the weak pass of an
-eigenfunction with zeros runs per function.  ``shg report``, ``shg
-bounds`` and the campaign all read from it.
+decomposition per eigenfunction, the arrays of h (incidence, star and
+pair tables, edge sizes and signs), the Fiedler sets, l_plus and l' of
+every eigenfunction on h and on its clique expansion, read off h's own
+arrays (``clique_expansion``), and one bounds table per reading.  The
+sign matrix selects the strong links, the coherent edges, the supports
+and the Fiedler sets of every eigenfunction in a few array operations;
+only the weak pass of an eigenfunction with zeros runs per function.
+``shg report``, ``shg bounds`` and the campaign all read from it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,10 +93,9 @@ __all__ = [
     "clique_expansion",
 ]
 
-BOUND_VARIANTS = ("all_pairs", "exists_ordering", "clique")
-# The most nodes and candidate links one ``_components`` call receives:
-# the row passes feed it chunks of rows, so their temporaries stay bounded
-# at any instance size.
+BOUND_VARIANTS = ("all_pairs", "clique")
+# The most nodes, candidate links or temporary entries one chunk of rows
+# holds: the row passes take chunks, so their temporaries stay bounded.
 _LINK_BUDGET = 1 << 18
 
 
@@ -146,9 +144,8 @@ class BoundReport:
     k is the 1-based first index of the tolerance cluster containing the
     requested eigenvalue, r its multiplicity, c the number of connected
     components of the hypergraph, l its cyclomatic number.  ``l_prime``,
-    both ``l_plus`` fields and ``fiedler_size`` are read on the
-    hypergraph, or on its signed clique expansion under the ``clique``
-    variant; the lower bound uses the requested variant.
+    ``l_plus`` and ``fiedler_size`` are read on the hypergraph
+    (``all_pairs``) or on its signed clique expansion (``clique``).
     """
 
     eig_index: int
@@ -157,7 +154,6 @@ class BoundReport:
     c: int
     l: int
     l_plus: int
-    l_plus_exists_ordering: int
     l_prime: int
     fiedler_size: int
     strong_count: int
@@ -217,25 +213,35 @@ def _components(n_nodes: int, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
         fx, fy = f[ex], f[ey]
 
 
+def _row_chunks(n_rows: int, row_size: int) -> Iterator[slice]:
+    """Consecutive slices of 0..n_rows-1, each of at most ``_LINK_BUDGET``
+    entries at ``row_size`` entries per row, and one row at least."""
+    step = max(1, _LINK_BUDGET // max(row_size, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
 def _row_labels(width: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
-                select: Callable[[slice], np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
+                select: Callable[[slice], np.ndarray],
+                row_size: int = 0) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Component labels of ``n_rows`` graphs on nodes 0..width-1, graph r
     linking xs[p] to ys[p] where ``select(rows)[r - rows.start, p]``.
 
-    Yields (rows, labels) for consecutive chunks of rows, labels[i, v]
-    being the smallest node of v's component in graph rows.start + i.
-    The rows of a chunk form one block-diagonal graph (node v of row i is
-    i * width + v) for one ``_components`` call.  A chunk holds at most
-    ``_LINK_BUDGET`` nodes and candidate links, one row at least; a row
+    Yields (rows, labels, links) for consecutive chunks of rows,
+    labels[i, v] being the smallest node of v's component in graph
+    rows.start + i and links[i] its number of links.  The rows of a chunk
+    form one block-diagonal graph (node v of row i is i * width + v) for
+    one ``_components`` call.  A chunk holds at most ``_LINK_BUDGET``
+    nodes and candidate links, and as many entries of a temporary of
+    ``row_size`` per row that ``select`` builds, one row at least; a row
     with more links than that is labelled in slices, each slice linking
     the labels of the ones before.
     """
     budget = _LINK_BUDGET
-    step = max(1, budget // max(len(xs), width))
-    for start in range(0, n_rows, step):
-        rows = slice(start, min(start + step, n_rows))
-        n_nodes = (rows.stop - start) * width
+    for rows in _row_chunks(n_rows, max(len(xs), width, row_size)):
+        n_nodes = (rows.stop - rows.start) * width
         rr, pp = np.nonzero(select(rows))
+        links = np.bincount(rr, minlength=rows.stop - rows.start)
         ex = rr * width
         ey = ex + ys[pp]
         ex += xs[pp]
@@ -243,18 +249,21 @@ def _row_labels(width: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
         labels = _components(n_nodes, ex[:budget], ey[:budget])
         for i in range(budget, len(ex), budget):
             labels = _components(n_nodes, labels[ex[i:i + budget]], labels[ey[i:i + budget]])[labels]
-        yield rows, labels.reshape(-1, width) - np.arange(0, n_nodes, width)[:, None]
+        yield rows, labels.reshape(-1, width) - np.arange(0, n_nodes, width)[:, None], links
 
 
-def _component_counts(n: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
-                      select: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """The number of components on vertices 1..n of each graph of
-    ``_row_labels``: the vertices that label themselves."""
-    out = np.empty(n_rows, dtype=np.intp)
+def _cycle_counts(n: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
+                  select: Callable[[slice], np.ndarray],
+                  row_size: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(links, components) of each graph of ``_row_labels`` on 1..n, the
+    components being the vertices that label themselves."""
+    links = np.empty(n_rows, dtype=np.intp)
+    components = np.empty(n_rows, dtype=np.intp)
     own = np.arange(1, n + 1)
-    for rows, labels in _row_labels(n + 1, xs, ys, n_rows, select):
-        out[rows] = (labels[:, 1:] == own).sum(axis=1)
-    return out
+    for rows, labels, count in _row_labels(n + 1, xs, ys, n_rows, select, row_size):
+        links[rows] = count
+        components[rows] = (labels[:, 1:] == own).sum(axis=1)
+    return links, components
 
 
 class _GraphArrays:
@@ -300,18 +309,21 @@ def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[in
     return uf.groups([v for v in h.vertex_range() if sign[v] != 0])
 
 
-def _strong_rows(t: _GraphArrays, signs: np.ndarray) -> list[tuple[frozenset[int], ...]]:
+def _strong_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[list[tuple[frozenset[int], ...]], np.ndarray]:
     """``strong_domains`` of every row of the sign matrix ``signs`` on the
-    graph of ``t``: one mask over the pair table selects the strong links
-    of all rows (sign(x) * sign(y) == sgn(e), the product taken in int8),
-    and one labelling per chunk of rows splits every support.  Sorting
-    the support stably by label orders each row's domains by smallest
-    vertex, as ``UnionFind.groups`` does."""
+    graph of ``t``, and its number of strong pairs, parallel ones counted:
+    one mask over the pair table selects the strong links of all rows
+    (sign(x) * sign(y) == sgn(e), the product taken in int8), and one
+    labelling per chunk of rows splits every support.  Sorting the
+    support stably by label orders each row's domains by smallest vertex,
+    as ``UnionFind.groups`` does."""
     xs, ys, ps = t.pairs
     width = signs.shape[1]
     out: list[tuple[frozenset[int], ...]] = []
-    for rows, labels in _row_labels(width, xs, ys, len(signs),
-                                    lambda r: signs[r][:, xs] * signs[r][:, ys] == ps):
+    strong_pairs = np.empty(len(signs), dtype=np.intp)
+    for rows, labels, links in _row_labels(width, xs, ys, len(signs),
+                                           lambda r: signs[r][:, xs] * signs[r][:, ys] == ps):
+        strong_pairs[rows] = links
         rr, vv = np.nonzero(signs[rows])
         # one key per (row, domain); row-major order keeps vertices ascending
         key = rr * width + labels[rr, vv]
@@ -322,7 +334,7 @@ def _strong_rows(t: _GraphArrays, signs: np.ndarray) -> list[tuple[frozenset[int
         groups = iter([frozenset(verts[a:b]) for a, b in zip(bounds, bounds[1:])])
         counts = np.bincount(key[starts] // width, minlength=rows.stop - rows.start)
         out.extend(tuple(islice(groups, k)) for k in counts.tolist())
-    return out
+    return out, strong_pairs
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -504,24 +516,25 @@ def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool
     return uf.count <= 1
 
 
-def _cyclic(g: SignedHypergraph) -> list[bool]:
-    """Per vertex (index 0 unused): True when it is not tree-like.
+def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> list[bool]:
+    """Per vertex (index 0 unused) of the hypergraph on 1..n with edges
+    ``members``, vertex tuples: True when it is not tree-like.
 
     One block pass over the vertex-edge incidence graph decides every
     vertex at once: x is tree-like (``core.is_tree_like``) exactly when
     each of its incidence links is a bridge and none of its edges has
     size 1, since weak deletion leaves such an edge empty.  This depends
-    on the graph alone, never on a function.
+    on the graph alone, never on a function; the clique expansion of h
+    has the pairs of ``h.pairs`` for members.
     """
-    cyclic = [False] * (g.n + 1)
+    cyclic = [False] * (n + 1)
     links: list[tuple[int, int]] = []
-    for node, e in enumerate(g.edges, g.n + 1):
-        vs = e.vertices
+    for node, vs in enumerate(members, n + 1):
         if len(vs) == 1:
             cyclic[vs[0]] = True
         for v in vs:
             links.append((v, node))
-    for block in _blocks(g.n + 1 + g.m, links)[0]:
+    for block in _blocks(n + 1 + len(members), links)[0]:
         if len(block) > 1:
             for li in block:
                 cyclic[links[li][0]] = True
@@ -545,73 +558,70 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
                 for u in vs:
                     seen_nonzero[u] = True
                 break
-    cyclic = _cyclic(h)
+    cyclic = _cyclic(h.n, [e.vertices for e in h.edges])
     fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _fiedler_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[FiedlerSets, ...]:
+def _fiedler_rows(t: _GraphArrays, signs: np.ndarray, clique: bool = False) -> tuple[FiedlerSets, ...]:
     """``fiedler_sets`` of every row of the sign matrix ``signs`` on the
-    graph of ``t``.  The Fiedler set of a row is
-    ``zero & (cyclic | no nonzero hyperneighbour)``: ``_cyclic`` runs once,
-    and only when some row has a zero, and two incidence products mark
-    the vertices sharing an edge with a nonzero."""
+    graph of ``t``, or (given ``clique``) on its clique expansion: the
+    Fiedler set of a row is ``zero & (cyclic | ~seen)``.  ``_cyclic`` runs
+    once, on the edges or on the pairs, and only when some row has a zero;
+    two incidence products per chunk of rows mark seen, the vertices
+    sharing an edge with a nonzero."""
     zero = signs == 0
     zero[:, 0] = False
     rows = np.flatnonzero(zero.any(axis=1))
     out = [_NO_ZEROS] * len(signs)
     if not len(rows):
         return tuple(out)
-    cyclic = np.array(_cyclic(t.g), dtype=bool)
+    g = t.g
+    members = [(x, y) for x, y, _ in g.pairs] if clique else [e.vertices for e in g.edges]
+    cyclic = np.array(_cyclic(g.n, members), dtype=bool)
     inc = t.incidence
-    seen_nonzero = (((signs[rows] != 0) @ inc > 0) @ inc.T) > 0
-    for i, z, seen in zip(rows.tolist(), zero[rows], seen_nonzero):
-        fiedler = z & (cyclic | ~seen)
-        out[i] = FiedlerSets(frozenset(np.flatnonzero(fiedler).tolist()),
-                             frozenset(np.flatnonzero(z & ~fiedler).tolist()))
+    for part in _row_chunks(len(rows), max(inc.shape)):
+        chunk = rows[part]
+        seen = (((signs[chunk] != 0) @ inc > 0) @ inc.T) > 0
+        for i, z, s in zip(chunk.tolist(), zero[chunk], seen):
+            fiedler = z & (cyclic | ~s)
+            out[i] = FiedlerSets(frozenset(np.flatnonzero(fiedler).tolist()),
+                                 frozenset(np.flatnonzero(z & ~fiedler).tolist()))
     return tuple(out)
 
 
 def _l_plus_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``l_plus`` of every row of the sign matrix ``signs`` on the graph of
-    ``t``, as (totals, components): arrays of shape (2, rows), row 0 for
-    all_pairs and row 1 for exists_ordering, so l = totals - n + components.
+    ``t``, as (totals, components), so l = totals - n + components.
 
-    An edge is coherent when all its vertices are nonzero and it respects
-    its sign under the variant's rule.  all_pairs: every pair x, y has
-    sign(x) * sgn(e) * sign(y) > 0.  exists_ordering: some vertex ordering
-    makes every consecutive pair satisfy it.  In closed form, on the counts
-    of + and - vertices per edge: an edge of size <= 1 is coherent; a
-    positive edge needs all signs equal under either rule; a negative edge
-    needs alternation, so one + and one - for all_pairs and
-    |#pos - #neg| <= 1 for exists_ordering.  The components of both
-    variants of every row come from one labelling of the star links of
-    their coherent edges.
+    An edge is coherent when all its vertices are nonzero and every pair
+    x, y of them has sign(x) * sgn(e) * sign(y) > 0; in closed form, on
+    the counts of + and - vertices per edge, taken per chunk of rows: size
+    <= 1, or all signs equal on a positive edge, or one + and one - on a
+    negative edge.  The star links of the coherent edges (s - 1 for size
+    s) are the totals, and their labelling gives the components.
     """
     sizes, positive, inc = t.sizes, t.positive, t.incidence
-    pos = (signs > 0).astype(float) @ inc
-    neg = (signs < 0).astype(float) @ inc
-    small = (sizes <= 1) & (pos + neg == sizes)
-    same = (pos == sizes) | (neg == sizes)
-    all_pairs = small | np.where(positive, same, (sizes == 2) & (pos == 1) & (neg == 1))
-    exists = small | np.where(positive, same, (pos + neg == sizes) & (np.abs(pos - neg) <= 1))
-    coherent = np.concatenate((all_pairs, exists))
-    totals = (coherent @ np.maximum(sizes - 1, 0)).reshape(2, -1)
     star_x, star_y, star_edge = t.star
-    components = _component_counts(t.g.n, star_x, star_y, len(coherent),
-                                   lambda r: coherent[r][:, star_edge])
-    return totals, components.reshape(2, -1)
+
+    def coherent_star_links(rows: slice) -> np.ndarray:
+        pos = (signs[rows] > 0) @ inc
+        neg = (signs[rows] < 0) @ inc
+        small = (sizes <= 1) & (pos + neg == sizes)
+        same = (pos == sizes) | (neg == sizes)
+        return (small | np.where(positive, same, (sizes == 2) & (pos == 1) & (neg == 1)))[:, star_edge]
+
+    return _cycle_counts(t.g.n, star_x, star_y, len(signs), coherent_star_links, row_size=t.g.m)
 
 
-def l_plus(h: SignedHypergraph, f: VertexFunction) -> tuple[CycleStats, CycleStats]:
-    """Cyclomatic data of the coherent subhypergraph under each variant, as
-    (all_pairs, exists_ordering): the edge family restricted to coherent
-    edges (``_l_plus_rows`` states the rules), on the full vertex set.
+def l_plus(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
+    """Cyclomatic data of the coherent subhypergraph: the edge family
+    restricted to the edges whose every vertex pair respects the edge
+    sign (``_l_plus_rows`` states the rule), on the full vertex set.
     """
     _check_function(h, f)
-    totals, components = _l_plus_rows(_GraphArrays(h), _sign_matrix((f,), h.n))
-    return tuple(CycleStats(t, h.n, c, t - h.n + c)
-                 for t, c in zip(totals[:, 0].tolist(), components[:, 0].tolist()))
+    (total,), (c,) = (a.tolist() for a in _l_plus_rows(_GraphArrays(h), _sign_matrix((f,), h.n)))
+    return CycleStats(total, h.n, c, total - h.n + c)
 
 
 def _l_prime_rows(t: _GraphArrays, signs: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
@@ -638,8 +648,9 @@ def _l_prime_rows(t: _GraphArrays, signs: np.ndarray, n_components: int) -> tupl
     nonzero = nonzero[rows]
     own = np.arange(1, n + 1)
     # k is taken per chunk of rows, so its float product stays in the budget
-    for part, labels in _row_labels(n + 1, xs, ys, len(rows),
-                                    lambda r: nonzero[r][:, xs] & nonzero[r][:, ys]):
+    for part, labels, _ in _row_labels(n + 1, xs, ys, len(rows),
+                                       lambda r: nonzero[r][:, xs] & nonzero[r][:, ys],
+                                       row_size=t.g.m):
         k = (nonzero[part] @ t.incidence).astype(np.intp)
         c = (labels[:, 1:] == own).sum(axis=1)
         l_h[rows[part]] = np.maximum(k - 1, 0).sum(axis=1) - n + c
@@ -672,6 +683,11 @@ def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
     ``clique`` reading is therefore a conjecture that the campaign checks
     on every eigenpair, not the paper's construction, which PAPER.md
     does not give.
+
+    ``Analysis`` never builds this graph, the tests' reference: its edges
+    are pairs, coherent exactly when strong, so l_plus = P - |supp| + S
+    with P the strong pairs (``_strong_rows``), l' is ``_l_prime_rows``
+    and the Fiedler sets ``_fiedler_rows``, whose ``_cyclic`` reads pairs.
     """
     return SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in h.pairs))
 
@@ -686,10 +702,9 @@ def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
     out = []
     rows = zip(analysis.decompositions, analysis.fiedler(clique), analysis.l_plus(clique),
                analysis.l_prime(clique))
-    for i, (dec, fs, (lp_all, lp_exists), l_prime) in enumerate(rows, 1):
+    for i, (dec, fs, lp, l_prime) in enumerate(rows, 1):
         k, r = spectrum.cluster_of(i)
         fied = len(fs.fiedler)
-        lp = lp_exists if variant == "exists_ordering" else lp_all
         lower = k + r - 1 - l_prime + lp - fied
         out.append(BoundReport(
             eig_index=i,
@@ -697,8 +712,7 @@ def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
             r=r,
             c=c,
             l=cyc.l,
-            l_plus=lp_all,
-            l_plus_exists_ordering=lp_exists,
+            l_plus=lp,
             l_prime=l_prime,
             fiedler_size=fied,
             strong_count=dec.strong_count,
@@ -719,17 +733,14 @@ class Analysis:
     row i - 1 holds the signs of the eigenfunction of 1-based index i,
     column v the sign at vertex v (column 0 is unused and zero).
     ``decompositions[i - 1]`` and ``fiedler()[i - 1]`` belong to that
-    eigenfunction, on the hypergraph itself; ``arrays``, ``fiedler``,
-    ``l_plus`` and ``l_prime`` are kept per graph, h or (given
-    ``clique=True``) ``expansion``.  ``cycles`` holds c and l of the
-    hypergraph, shared by every table.  ``bounds(variant)`` is the
-    table of nodal-count bounds of every index: strong count <= k + r - 1;
-    weak count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
-    |fiedler|.  The variants ``all_pairs`` and ``exists_ordering`` read the
-    three correction terms on whole hyperedges (l' the support cyclomatic
-    number, l_plus by the named coherence rule); ``clique`` reads them on
-    ``expansion``, the clique expansion of h, where both coherence rules
-    agree.
+    eigenfunction, on the hypergraph itself; ``fiedler``, ``l_plus`` and
+    ``l_prime`` give the terms on h or (given ``clique=True``) on its
+    clique expansion, all read from the ``arrays()`` of h.  ``cycles``
+    holds c and l of h.  ``bounds(variant)`` is the table of nodal-count
+    bounds of every index: strong count <= k + r - 1; weak count <=
+    k + c - 1; strong count >= k + r - 1 - l' + l_plus - |fiedler|, the
+    terms read on whole hyperedges (``all_pairs``: l_plus over the edges
+    whose every vertex pair is coherent) or on the clique expansion.
     """
 
     def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:
@@ -754,13 +765,13 @@ class Analysis:
         return cyclomatic(self.h)
 
     @cached_property
-    def expansion(self) -> SignedHypergraph:
-        return clique_expansion(self.h)
+    def _strong(self) -> tuple[list[tuple[frozenset[int], ...]], np.ndarray]:
+        return _strong_rows(self.arrays(), self.signs)
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
         # the strong domains partition the support
-        rows = zip(self.spectrum.functions, _strong_rows(self.arrays(), self.signs))
+        rows = zip(self.spectrum.functions, self._strong[0])
         return tuple(_decomposition(self.h, f, frozenset().union(*strong), strong)
                      for f, strong in rows)
 
@@ -769,32 +780,32 @@ class Analysis:
             self._cache[key] = build()
         return self._cache[key]
 
-    def _graph(self, clique: bool) -> SignedHypergraph:
-        return self.expansion if clique else self.h
-
-    def arrays(self, clique: bool = False) -> _GraphArrays:
-        """The arrays (``_GraphArrays``) of ``expansion`` if ``clique`` and
-        of h otherwise."""
-        return self._once(("arrays", clique), lambda: _GraphArrays(self._graph(clique)))
+    def arrays(self) -> _GraphArrays:
+        """The arrays (``_GraphArrays``) of h."""
+        return self._once(("arrays",), lambda: _GraphArrays(self.h))
 
     def fiedler(self, clique: bool = False) -> tuple[FiedlerSets, ...]:
-        """The Fiedler sets of every eigenfunction, on ``expansion`` if
-        ``clique`` and on h otherwise: one pass per graph."""
-        return self._once(("fiedler", clique), lambda: _fiedler_rows(self.arrays(clique), self.signs))
+        """The Fiedler sets of every eigenfunction, on the clique expansion
+        if ``clique`` and on h otherwise: one pass per graph."""
+        return self._once(("fiedler", clique),
+                          lambda: _fiedler_rows(self.arrays(), self.signs, clique=clique))
 
-    def l_plus(self, clique: bool = False) -> tuple[tuple[int, int], ...]:
-        """(all_pairs, exists_ordering) l_plus of every eigenfunction, on
-        ``expansion`` if ``clique`` and on h otherwise: one coherence pass
-        per graph."""
+    def l_plus(self, clique: bool = False) -> tuple[int, ...]:
+        """l_plus of every eigenfunction: on h, from one coherence pass; on
+        the clique expansion, P - |supp| + S from the strong pass
+        (``clique_expansion``)."""
         def build():
-            totals, components = _l_plus_rows(self.arrays(clique), self.signs)
-            return tuple(zip(*(totals - self.h.n + components).tolist()))
-        return self._once(("l_plus", clique), build)
+            if clique:
+                domains, strong_pairs = self._strong
+                return strong_pairs - (self.signs != 0).sum(axis=1) + np.array([len(d) for d in domains])
+            totals, components = _l_plus_rows(self.arrays(), self.signs)
+            return totals - self.h.n + components
+        return self._once(("l_plus", clique), lambda: tuple(build().tolist()))
 
     def l_prime(self, clique: bool = False) -> tuple[int, ...]:
         """l' of every eigenfunction, the cyclomatic number of its support
-        on ``expansion`` if ``clique`` and on h otherwise: one labelling
-        serves both graphs."""
+        on the clique expansion if ``clique`` and on h otherwise: one
+        labelling serves both graphs."""
         both = self._once(("l_prime",), lambda: tuple(
             tuple(ls.tolist()) for ls in _l_prime_rows(self.arrays(), self.signs,
                                                        self.cycles.n_components)))

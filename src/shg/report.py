@@ -64,6 +64,11 @@ _EIGENFUNCTION_ITEM = {
     },
 }
 
+# One bounds row: the fields of ``nodal.BoundReport``, in order.
+_BOUND_ROW = dict.fromkeys(("eig_index", "k", "r", "c", "l", "l_plus", "l_prime", "fiedler_size",
+                            "strong_count", "weak_count", "strong_lower_bound"), "integer")
+_BOUND_ROW |= dict.fromkeys(("strong_upper_ok", "weak_upper_ok", "strong_lower_ok"), "boolean")
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": [
@@ -104,12 +109,9 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "eig_index", "k", "r", "c", "l", "l_plus",
-                    "l_plus_exists_ordering", "l_prime", "fiedler_size",
-                    "strong_count", "weak_count", "strong_lower_bound",
-                    "strong_upper_ok", "weak_upper_ok", "strong_lower_ok",
-                ],
+                "required": list(_BOUND_ROW),
+                "properties": {name: {"type": t} for name, t in _BOUND_ROW.items()},
+                "additionalProperties": False,
             },
         },
         "discrepancy_notes": {"type": "array", "items": {"type": "string"}},

@@ -38,7 +38,6 @@ __all__ = [
     "product_rule_defect",
     "nodal_quadratic_form",
     "chained_difference_rank",
-    "as_values",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -79,12 +78,6 @@ class VertexFunction:
     def n(self) -> int:
         return len(self.values)
 
-    def value(self, v: int) -> float:
-        return self.values[v - 1]
-
-    def is_zero(self, v: int) -> bool:
-        return abs(self.values[v - 1]) <= self.zero_tolerance
-
     def sign(self, v: int) -> int:
         x = self.values[v - 1]
         if abs(x) <= self.zero_tolerance:
@@ -92,13 +85,13 @@ class VertexFunction:
         return 1 if x > 0 else -1
 
     def support(self) -> frozenset[int]:
-        return frozenset(v for v in range(1, self.n + 1) if not self.is_zero(v))
+        return frozenset(v for v, x in enumerate(self.values, 1) if abs(x) > self.zero_tolerance)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
 
-def as_values(f: "VertexFunction | Sequence[float] | np.ndarray", n: int) -> np.ndarray:
+def _as_values(f: "VertexFunction | Sequence[float] | np.ndarray", n: int) -> np.ndarray:
     """Coerce a vertex function to a length-n float array (index v-1)."""
     arr = f.array() if isinstance(f, VertexFunction) else np.asarray(f, dtype=float)
     if arr.shape != (n,):
@@ -191,7 +184,7 @@ def laplacian_exact(h: SignedHypergraph) -> list[list[Fraction]]:
 def weighted_inner(h: SignedHypergraph, f, g) -> float:
     """Degree-weighted inner product sum_v deg(v) f(v) g(v)."""
     deg = np.asarray(degrees(h)[1:], dtype=float)
-    return float(np.dot(deg * as_values(f, h.n), as_values(g, h.n)))
+    return float(np.dot(deg * _as_values(f, h.n), _as_values(g, h.n)))
 
 
 def _cluster(eigenvalues: np.ndarray, cluster_tol: float) -> tuple[tuple[int, int], ...]:
@@ -237,7 +230,7 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
 
 def rayleigh(h: SignedHypergraph, bundle: MatrixBundle, g) -> float:
     """Weighted Rayleigh quotient <Lg, g> / <g, g>; g must be nonzero."""
-    vals = as_values(g, bundle.n)
+    vals = _as_values(g, bundle.n)
     denom = float(np.dot(bundle.deg * vals, vals))
     if denom == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero function")
@@ -262,8 +255,8 @@ def product_rule_defect(h: SignedHypergraph, bundle: MatrixBundle, f, g) -> floa
     real arithmetic for any symmetric adjacency; the return value is the
     floating-point residual.
     """
-    fv = as_values(f, bundle.n)
-    gv = as_values(g, bundle.n)
+    fv = _as_values(f, bundle.n)
+    gv = _as_values(g, bundle.n)
     fg = fv * gv
     lhs = float(np.dot(bundle.deg * fg, bundle.l @ fg))
     mid = float(np.dot(bundle.deg * fg, fv * (bundle.l @ gv)))
@@ -283,7 +276,7 @@ def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue: float,
     sum_{x<y adjacent} A_xy g(x) g(y) (f(x)-f(y))^2 for every f, so the
     coefficient of an unordered pair is a_xy = A_xy g(x) g(y).
     """
-    gv = as_values(g, bundle.n)
+    gv = _as_values(g, bundle.n)
     scale = float(np.max(np.abs(gv))) or 1.0
     residual = float(np.max(np.abs(bundle.l @ gv - eigenvalue * gv)))
     if residual > residual_tol * (1.0 + abs(eigenvalue)) * scale:

@@ -8,9 +8,9 @@ text serialization so it can be replayed byte-for-byte.
 The eigenvalue-indexed strong-count lower bound is checked on every
 eigenpair under the signed clique expansion reading, and a violation of
 it is a failure.  Violations of the whole-hyperedge all_pairs reading
-are recorded as notes rather than failures, re-evaluated under the
-exists_ordering variant and given with the clique bound, because the
-source does not settle how the bound's correction terms are built.
+are recorded as notes rather than failures, given with the clique
+bound, because the source does not settle how the bound's correction
+terms are built.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .core import (
 from .nodal import (
     Analysis,
     NodalDecomposition,
-    _component_counts,
+    _cycle_counts,
     decompose,
     domain_graph_connected,
     strong_domains,
@@ -755,13 +755,10 @@ def _p_eigen_lower_bound_logged(ctx: Analysis, rng: random.Random):
                 f"eig {rep.eig_index}: strong count {rep.strong_count} < clique bound {clique_bound}")
         if rep.strong_lower_ok:
             continue
-        exists_bound = rep.k + rep.r - 1 - rep.l_prime + rep.l_plus_exists_ordering - rep.fiedler_size
-        status = "also violated" if rep.strong_count < exists_bound else "resolved"
         notes.append(
             f"lower bound violated at eig {rep.eig_index}: strong count {rep.strong_count} "
             f"< {rep.strong_lower_bound} (k={rep.k}, r={rep.r}, l'={rep.l_prime}, "
-            f"l+={rep.l_plus}, fiedler={rep.fiedler_size}); exists_ordering bound "
-            f"{exists_bound} {status}; clique bound {clique_bound}")
+            f"l+={rep.l_plus}, fiedler={rep.fiedler_size}); clique bound {clique_bound}")
     return fails, notes
 
 
@@ -780,10 +777,11 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     coeff = bundle.a[a - 1, b - 1] * (values[:, a - 1] * values[:, b - 1])
     positive, nonzero = coeff > 0, coeff != 0
     masks = np.concatenate((positive, nonzero))
-    c_pos, c_nonzero = _component_counts(h.n, a, b, len(masks), lambda r: masks[r]).reshape(2, -1)
+    (pos_links, nonzero_links), (c_pos, c_nonzero) = (
+        counts.reshape(2, -1) for counts in _cycle_counts(h.n, a, b, len(masks), lambda r: masks[r]))
     sigma_ts = (h.n - c_pos).tolist()
-    n_poss = positive.sum(axis=1).tolist()
-    l_nonzeros = (nonzero.sum(axis=1) - h.n + c_nonzero).tolist()
+    n_poss = pos_links.tolist()
+    l_nonzeros = (nonzero_links - h.n + c_nonzero).tolist()
     fails = []
     for i, sigma_t, n_pos, l_nonzero in zip(full, sigma_ts, n_poss, l_nonzeros):
         s = nodal_quadratic_form(bundle, ctx.spectrum.functions[i - 1], ctx.spectrum.eigenvalues[i - 1])

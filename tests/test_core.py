@@ -64,11 +64,6 @@ class TestEdge:
         assert e.vertices == (3, 1, 2)
         assert e.size == 3
 
-    def test_sign_lookup(self):
-        e = edge((4, -1), (2, 1))
-        assert e.sign_of(4) == -1
-        assert e.sign_of(2) == 1
-
     def test_edge_sign_parity(self):
         # (-1)^(size-1) times the incidence product
         assert edge_sign(edge((1, 1), (2, 1))) == -1

@@ -1,6 +1,7 @@
 """File format round-trips, parse diagnostics, and the command line."""
 
 import contextlib
+import dataclasses
 import enum
 import io
 import json
@@ -23,6 +24,7 @@ from shg.fixtures import (
     PRINTED_EIGENVALUES,
     fixture_example1,
 )
+from shg.nodal import BoundReport
 from shg.report import REPORT_SCHEMA, build_report, input_digest, report_json
 from shg.shgio import ParseError, parse, serialize
 from shg.verify import GenConfig, generate
@@ -168,9 +170,15 @@ class TestBoundsCommand:
         assert lines[-1].split()[-1] == "NO"
         assert lines[1].split()[-1] == "yes"
 
-    def test_variant_flag(self, tmp_path):
-        assert main(["bounds", write_fixture(tmp_path),
-                     "--h1-variant", "exists_ordering"]) == 0
+    def test_variant_flag(self, tmp_path, capsys):
+        path = write_fixture(tmp_path)
+        for variant in ("all_pairs", "clique"):
+            assert main(["bounds", path, "--h1-variant", variant]) == 0
+        capsys.readouterr()
+        # the exists_ordering reading is gone: a usage error, no traceback
+        assert main(["bounds", path, "--h1-variant", "exists_ordering"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'exists_ordering'" in err and "Traceback" not in err
 
     def test_clique_variant_holds_on_every_row(self, tmp_path, capsys):
         assert main(["bounds", write_fixture(tmp_path), "--h1-variant", "clique"]) == 0
@@ -192,6 +200,22 @@ class TestReportCommand:
         second = capsys.readouterr()
         assert first.out == second.out
         assert first.err.startswith("fn  eigenvalue")
+
+    def test_bounds_rows_match_bound_report(self, tmp_path, capsys):
+        # the schema's bounds row is exactly BoundReport: a stale or
+        # missing field fails validation
+        rows = REPORT_SCHEMA["properties"]["bounds"]["items"]
+        assert rows["required"] == [f.name for f in dataclasses.fields(BoundReport)]
+        assert rows["additionalProperties"] is False
+        assert main(["report", write_fixture(tmp_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        report["bounds"][0]["l_plus_exists_ordering"] = 1
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
+        del report["bounds"][0]["l_plus_exists_ordering"], report["bounds"][0]["l_plus"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
 
     def test_digest_tracks_input_text(self, tmp_path, capsys):
         path = write_fixture(tmp_path)
@@ -342,10 +366,10 @@ class TestReportModule:
         def counting(name):
             real = getattr(nodal, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 rows = args[-1]
                 calls[name].append(rows.shape[0] if hasattr(rows, "shape") else 1)
-                return real(*args)
+                return real(*args, **kwargs)
             return wrapper
 
         for name in names:
@@ -375,16 +399,26 @@ class TestReportModule:
                          "_l_plus_rows": [20]}
 
     def test_one_coherence_pass_per_graph(self, monkeypatch):
-        # the whole-hyperedge variants share the pass on h; the clique
-        # variant adds one on the expansion
+        # one coherence pass on h serves an Analysis and both its tables;
+        # the clique table reads h's own arrays and never builds the expansion
+        import shg.nodal as nodal
         from shg.nodal import Analysis
 
-        calls = self._count(monkeypatch, ("_sign_matrix", "_l_plus_rows"))
-        h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
-        analysis = Analysis(h)
-        for variant in ("all_pairs", "exists_ordering", "clique", "all_pairs"):
-            analysis.bounds(variant)
-        assert calls == {"_sign_matrix": [1], "_l_plus_rows": [20, 20]}
+        def must_not_run(h):
+            raise AssertionError("the clique expansion was built")
+
+        monkeypatch.setattr(nodal, "clique_expansion", must_not_run)
+        calls = self._count(monkeypatch, ("_l_plus_rows",))
+        instances = list(generate(GenConfig(seed=3, count=4)))
+        instances += list(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        for h in instances:
+            build_report(h, "", zero_tol_rel=0.2)
+            analysis = Analysis(h, zero_tol_rel=0.2)
+            for variant in ("all_pairs", "clique", "all_pairs", "clique"):
+                analysis.bounds(variant)
+            assert not hasattr(analysis, "expansion")
+        # one call for the report's Analysis, one for the tables'
+        assert calls["_l_plus_rows"] == [h.n for h in instances for _ in range(2)]
 
     def test_no_per_row_support_cyclomatic(self, monkeypatch):
         # l' of every row comes from one labelling, also where the
@@ -403,7 +437,7 @@ class TestReportModule:
         for h in generate(GenConfig(seed=3, count=10)):
             build_report(h, "", zero_tol_rel=0.2)
             analysis = Analysis(h, zero_tol_rel=0.2)
-            for variant in ("all_pairs", "exists_ordering", "clique"):
+            for variant in ("all_pairs", "clique"):
                 analysis.bounds(variant)
             with_zeros += int((analysis.signs[:, 1:] == 0).any(axis=1).sum())
         assert with_zeros

@@ -20,8 +20,10 @@ from shg.core import (
 )
 from shg.cli import _matrix_graph
 from shg.fixtures import (
+    DISCREPANCY_NOTES,
     PRINTED_EIGENFUNCTIONS,
     TABLE1_STRONG,
+    TABLE1_WEAK,
     fixture_example1,
 )
 from shg.nodal import (
@@ -230,6 +232,21 @@ class TestFixtureTable:
     def test_reproduced_strong_rows(self, fixture, printed, row):
         assert as_sets(strong_domains(fixture, printed[row - 1])) == as_sets(TABLE1_STRONG[row])
 
+    @pytest.mark.parametrize("row", [1, 2, 3, 7])
+    def test_reproduced_weak_rows(self, fixture, printed, row):
+        # the table assigns each zero to one weak domain; the cores are
+        # its sets with the zeros taken out
+        dec = decompose(fixture, printed[row - 1])
+        assert as_sets(dec.weak_cores) == as_sets(s & dec.support for s in TABLE1_WEAK[row])
+
+    def test_weak_rows_4_to_6_miss_links_through_zero_hubs(self, fixture, printed):
+        # the discrepancy note: weak counts 2, 2, 2 where the table prints 4, 4, 3
+        got = [decompose(fixture, printed[row - 1]).weak_count for row in (4, 5, 6)]
+        assert got == [2, 2, 2]
+        assert [len(TABLE1_WEAK[row]) for row in (4, 5, 6)] == [4, 4, 3]
+        assert any("weak counts 2, 2, 2 instead of the printed 4, 4, 3" in note
+                   for note in DISCREPANCY_NOTES)
+
     def test_strong_counts(self, fixture, printed):
         got = [len(strong_domains(fixture, f)) for f in printed]
         assert got == [1, 2, 2, 6, 6, 6, 6, 6, 6]
@@ -280,23 +297,23 @@ class TestFiedlerSets:
 class TestCycleCounts:
     def test_l_plus_keeps_coherent_edges_only(self, fixture, printed):
         # zero-free bottom eigenfunction: all six edges coherent, l = 1
-        all_pairs, exists_ordering = l_plus(fixture, printed[0])
-        assert all_pairs.l == 1
-        assert exists_ordering.l == 1
+        assert l_plus(fixture, printed[0]).l == 1
 
-    def test_l_plus_variants_differ_on_negative_triples(self):
-        # negative 3-edge with signs (+,-,+): no all-pairs witness, but
-        # the ordering +,-,+ alternates
+    def test_l_plus_negative_triple_is_never_coherent(self):
+        # negative 3-edge with signs (+,-,+): the pair 1, 3 has equal signs
+        # on a negative edge, so only the 2-edges can be coherent; of those
+        # only {1, 3} (positive, equal signs) is
         h = h_of(3, ((1, 1), (2, 1), (3, -1)), pair_edge(1, 2, 1),
                  pair_edge(2, 3, 1), pair_edge(1, 3, 1))
-        f = vf(1, -1, 1)
-        all_pairs, exists_ordering = l_plus(h, f)
-        assert (exists_ordering.sum_edge_sizes_minus_one
-                - all_pairs.sum_edge_sizes_minus_one) == 2
+        assert l_plus(h, vf(1, -1, 1)) == CycleStats(1, 3, 2, 0)
 
     def test_unknown_variant(self, analysis):
         with pytest.raises(ValueError, match="unknown variant"):
             analysis.bounds("median")
+
+    def test_exists_ordering_reading_is_gone(self, analysis):
+        with pytest.raises(ValueError, match="unknown variant"):
+            analysis.bounds("exists_ordering")
 
     def test_support_cyclomatic_drops_zero_vertices(self, fixture, printed):
         assert support_cyclomatic(fixture, printed[0]).l == 1
@@ -330,7 +347,7 @@ class TestCycleCounts:
 
     def test_variant_choice_changes_lower_bound_only(self, analysis):
         a = analysis.bounds("all_pairs")[1]
-        b = analysis.bounds("exists_ordering")[1]
+        b = analysis.bounds("clique")[1]
         assert (a.strong_count, a.weak_count) == (b.strong_count, b.weak_count)
 
 
@@ -343,8 +360,6 @@ class TestCliqueReading:
     def test_fixture_terms(self, analysis, index, terms):
         rep = analysis.bounds("clique")[index - 1]
         assert (rep.l_prime, rep.l_plus, rep.fiedler_size) == terms
-        # both coherence rules agree on pairs
-        assert rep.l_plus_exists_ordering == rep.l_plus
         assert rep.strong_lower_ok
 
     def test_top_cluster_bound(self, analysis):
@@ -366,12 +381,12 @@ class TestCliqueReading:
         assert not fiedler_sets(h, f).fiedler
         g = clique_expansion(h)
         assert fiedler_sets(g, f).fiedler == {2}
-        assert (support_cyclomatic(g, f).l, l_plus(g, f)[0].l) == (0, 0)
+        assert (support_cyclomatic(g, f).l, l_plus(g, f).l) == (0, 0)
 
     def test_parallel_pairs_kept(self):
         g = clique_expansion(h_of(2, pair_edge(1, 2, 1), pair_edge(1, 2, 1)))
         assert g.m == 2
-        assert (support_cyclomatic(g, vf(1, 1)).l, l_plus(g, vf(1, 1))[0].l) == (1, 1)
+        assert (support_cyclomatic(g, vf(1, 1)).l, l_plus(g, vf(1, 1)).l) == (1, 1)
         assert fiedler_sets(g, vf(1, 0)).fiedler == {2}
 
     def test_bridge_zero_with_nonzero_neighbor_is_not_fiedler(self):
@@ -535,56 +550,72 @@ class TestLongZeroPaths:
         assert fs.fiedler == set(ring) and not fs.other_zeros
 
 
-def _coherent_by_orderings(e, sign, variant):
-    """Coherence read off its definition: every pair (all_pairs) or the
-    consecutive pairs of some vertex ordering (exists_ordering) respect
-    the edge sign."""
+def _coherent_by_pairs(e, sign):
+    """Coherence read off its definition: every vertex pair respects the
+    edge sign."""
     s = edge_sign(e)
-    ok = lambda x, y: sign[x] * s * sign[y] > 0
-    if variant == "all_pairs":
-        return all(ok(x, y) for x, y in itertools.combinations(e.vertices, 2))
-    return any(all(ok(x, y) for x, y in zip(p, p[1:]))
-               for p in itertools.permutations(e.vertices))
+    return all(sign[x] * s * sign[y] > 0 for x, y in itertools.combinations(e.vertices, 2))
+
+
+def _assert_table_equals_per_row_terms(analysis, variant):
+    """Every row of ``analysis.bounds(variant)`` against its terms
+    recomputed for that row alone by the one-function APIs, on h or on
+    the clique expansion built as a graph, l' on the induced support as
+    defined, whether or not the function has zeros."""
+    h, s = analysis.h, analysis.spectrum
+    g = clique_expansion(h) if variant == "clique" else h
+    cyc = cyclomatic(h)
+    for i, (rep, f) in enumerate(zip(analysis.bounds(variant), s.functions, strict=True), 1):
+        dec = decompose(h, f)
+        k, r = s.cluster_of(i)
+        lp = l_plus(g, f).l
+        l_prime = support_cyclomatic(g, f).l
+        fied = len(fiedler_sets(g, f).fiedler)
+        lower = k + r - 1 - l_prime + lp - fied
+        assert rep == BoundReport(
+            i, k, r, cyc.n_components, cyc.l, lp, l_prime, fied,
+            dec.strong_count, dec.weak_count, lower,
+            dec.strong_count <= k + r - 1,
+            dec.weak_count <= k + cyc.n_components - 1,
+            dec.strong_count >= lower)
 
 
 class TestBoundsTable:
-    @given(zero_heavy_instances(max_n=9, max_m=12), st.sampled_from(("all_pairs", "exists_ordering")))
+    @given(zero_heavy_instances(max_n=9, max_m=12))
     @settings(max_examples=150, deadline=None)
-    def test_l_plus_is_cyclomatic_of_coherent_edges(self, case, variant):
+    def test_l_plus_is_cyclomatic_of_coherent_edges(self, case):
         h, f = case
         sign = [0] + [f.sign(v) for v in h.vertex_range()]
         coherent = tuple(e for e in h.edges
-                         if all(sign[v] for v in e.vertices) and _coherent_by_orderings(e, sign, variant))
-        both = dict(zip(("all_pairs", "exists_ordering"), l_plus(h, f)))
-        assert both[variant] == cyclomatic(SignedHypergraph(h.n, coherent))
+                         if all(sign[v] for v in e.vertices) and _coherent_by_pairs(e, sign))
+        assert l_plus(h, f) == cyclomatic(SignedHypergraph(h.n, coherent))
 
-    @pytest.mark.parametrize("variant", ["all_pairs", "exists_ordering", "clique"])
+    @pytest.mark.parametrize("variant", ["all_pairs", "clique"])
     def test_table_equals_per_row_terms(self, variant):
         cases = [fixture_example1()]
         cases += list(generate(GenConfig(classical=True, seed=5, count=6)))
         cases += list(generate(GenConfig(seed=8, count=6)))
         for h in cases:
             analysis = Analysis(h)
-            s = analysis.spectrum
-            assert s == eigendecompose(laplacian(h))
-            g = clique_expansion(h) if variant == "clique" else h
-            cyc = cyclomatic(h)
-            for i, (rep, f) in enumerate(zip(analysis.bounds(variant), s.functions, strict=True), 1):
-                # every term recomputed for this row alone, l' on the
-                # induced support as defined, whether or not f has zeros
-                dec = decompose(h, f)
-                k, r = s.cluster_of(i)
-                lp_all, lp_exists = l_plus(g, f)
-                l_prime = support_cyclomatic(g, f).l
-                fied = len(fiedler_sets(g, f).fiedler)
-                lower = k + r - 1 - l_prime - fied + (
-                    lp_exists if variant == "exists_ordering" else lp_all).l
-                assert rep == BoundReport(
-                    i, k, r, cyc.n_components, cyc.l, lp_all.l, lp_exists.l, l_prime, fied,
-                    dec.strong_count, dec.weak_count, lower,
-                    dec.strong_count <= k + r - 1,
-                    dec.weak_count <= k + cyc.n_components - 1,
-                    dec.strong_count >= lower)
+            assert analysis.spectrum == eigendecompose(laplacian(h))
+            _assert_table_equals_per_row_terms(analysis, variant)
+
+    def test_clique_table_on_zero_heavy_functions(self):
+        # loose zero tolerances give the eigenfunctions many zeros; the
+        # instances have edges of size 1 and parallel pairs of opposite sign
+        with_zeros = size_one = opposite = 0
+        for h in generate(GenConfig(n_range=(3, 10), m_range=(2, 12), edge_size_range=(1, 4),
+                                    seed=17, count=25)):
+            size_one += any(e.size == 1 for e in h.edges)
+            signs_of = {}
+            for x, y, s in h.pairs:
+                signs_of.setdefault((min(x, y), max(x, y)), set()).add(s)
+            opposite += any(len(v) == 2 for v in signs_of.values())
+            for tol in (0.2, 0.5):
+                analysis = Analysis(h, zero_tol_rel=tol)
+                with_zeros += int((analysis.signs[:, 1:] == 0).any(axis=1).sum())
+                _assert_table_equals_per_row_terms(analysis, "clique")
+        assert with_zeros > 50 and size_one and opposite
 
     def test_zero_free_decompose_skips_weak_pass(self, fixture, monkeypatch):
         import shg.nodal as nodal
@@ -601,17 +632,13 @@ class TestBoundsTable:
 
 
 def reference_edge_coherent(e_sign, signs):
-    """Closed-form coherence of an edge whose vertices are all nonzero, as
-    (all_pairs, exists_ordering): the per-edge rule the batched pass
-    replaced, kept as its reference."""
+    """Closed-form coherence of an edge whose vertices are all nonzero:
+    the per-edge rule the batched pass replaced, kept as its reference."""
     if len(signs) <= 1:
-        return True, True
+        return True
     if e_sign > 0:
-        same = len(set(signs)) == 1
-        return same, same
-    pos = sum(1 for s in signs if s > 0)
-    neg = len(signs) - pos
-    return len(signs) == 2 and pos == neg, abs(pos - neg) <= 1
+        return len(set(signs)) == 1
+    return sorted(signs) == [-1, 1]
 
 
 def closure_classes(n, links, members):
@@ -637,22 +664,19 @@ def closure_classes(n, links, members):
 
 
 def reference_l_plus(h, f):
-    """l_plus of one function by one closure per variant over its
-    coherent edges, edge by edge."""
+    """l_plus of one function by one closure over its coherent edges,
+    edge by edge."""
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
-    links = ([], [])
-    totals = [0, 0]
+    links = []
+    total = 0
     for e in h.edges:
         vs = e.vertices
         signs = [sign[v] for v in vs]
-        if 0 in signs:
-            continue
-        for j, coherent in enumerate(reference_edge_coherent(edge_sign(e) if vs else 1, signs)):
-            if coherent:
-                totals[j] += max(len(vs) - 1, 0)
-                links[j].extend((vs[0], u) for u in vs[1:])
-    counts = [len(closure_classes(h.n, ls, h.vertex_range())) for ls in links]
-    return tuple(CycleStats(t, h.n, c, t - h.n + c) for t, c in zip(totals, counts))
+        if 0 not in signs and reference_edge_coherent(edge_sign(e) if vs else 1, signs):
+            total += max(len(vs) - 1, 0)
+            links.extend((vs[0], u) for u in vs[1:])
+    c = len(closure_classes(h.n, links, h.vertex_range()))
+    return CycleStats(total, h.n, c, total - h.n + c)
 
 
 def reference_strong(h, f):
@@ -687,15 +711,24 @@ class TestBatchedPasses:
         h, fs = case
         signs = _sign_matrix(fs, h.n)
         assert signs.tolist() == [[0] + [f.sign(v) for v in h.vertex_range()] for f in fs]
-        for g in (h, clique_expansion(h)):
+        expansion = clique_expansion(h)
+        for g in (h, expansion):
             expected = [reference_l_plus(g, f) for f in fs]
             totals, components = _l_plus_rows(_GraphArrays(g), signs)
-            assert [tuple(CycleStats(t, g.n, c, t - g.n + c) for t, c in zip(ts, cs))
-                    for ts, cs in zip(totals.T.tolist(), components.T.tolist())] == expected
+            assert [CycleStats(t, g.n, c, t - g.n + c)
+                    for t, c in zip(totals.tolist(), components.tolist())] == expected
             assert [l_plus(g, f) for f in fs] == expected
             expected = [reference_strong(g, f) for f in fs]
-            assert _strong_rows(_GraphArrays(g), signs) == expected
+            domains, strong_pairs = _strong_rows(_GraphArrays(g), signs)
+            assert domains == expected
             assert [strong_domains(g, f) for f in fs] == expected
+            assert strong_pairs.tolist() == [
+                sum(f.sign(x) * s * f.sign(y) > 0 for x, y, s in g.pairs) for f in fs]
+        # the expansion's l_plus from h's strong pass: P - |supp| + S
+        domains, strong_pairs = _strong_rows(_GraphArrays(h), signs)
+        support = (signs != 0).sum(axis=1)
+        assert [p - n_supp + len(d) for p, n_supp, d in zip(strong_pairs.tolist(), support.tolist(), domains)] == [
+            reference_l_plus(expansion, f).l for f in fs]
 
     @given(batched_cases())
     @settings(max_examples=200, deadline=None)
@@ -756,16 +789,18 @@ class TestComponentKernel:
         h = h_of(n, *([((1, 1), (2, 1), (3, -1))] if n else []))
         t = _GraphArrays(h)
         signs = np.zeros((0, n + 1), dtype=np.int8)
-        assert _strong_rows(t, signs) == []
-        assert [a.shape for a in _l_plus_rows(t, signs)] == [(2, 0), (2, 0)]
+        domains, strong_pairs = _strong_rows(t, signs)
+        assert domains == [] and strong_pairs.shape == (0,)
+        assert [a.shape for a in _l_plus_rows(t, signs)] == [(0,), (0,)]
         assert [a.tolist() for a in _l_prime_rows(t, signs, cyclomatic(h).n_components)] == [[], []]
 
     def test_empty_hypergraph_rows(self):
         h = h_of(0)
         t = _GraphArrays(h)
         signs = _sign_matrix((vf(),), 0)
-        assert _strong_rows(t, signs) == [()]
-        assert [a.tolist() for a in _l_plus_rows(t, signs)] == [[[0], [0]], [[0], [0]]]
+        domains, strong_pairs = _strong_rows(t, signs)
+        assert domains == [()] and strong_pairs.tolist() == [0]
+        assert [a.tolist() for a in _l_plus_rows(t, signs)] == [[0], [0]]
         assert [a.tolist() for a in _l_prime_rows(t, signs, 0)] == [[0], [0]]
 
 
@@ -773,10 +808,12 @@ class TestChunking:
     @staticmethod
     def _outputs(h):
         # every batched result of one instance at a loose zero tolerance,
-        # with the sandwich details of an inertia that always fails
+        # the Fiedler sets and l_plus on both graphs included, with the
+        # sandwich details of an inertia that always fails
         analysis = Analysis(h, zero_tol_rel=0.2)
         return (analysis.decompositions,
-                [analysis.bounds(v) for v in ("all_pairs", "exists_ordering", "clique")],
+                [analysis.bounds(v) for v in ("all_pairs", "clique")],
+                [(analysis.fiedler(clique), analysis.l_plus(clique)) for clique in (False, True)],
                 verify._p_sandwich(analysis, random.Random(0)))
 
     @pytest.fixture
@@ -788,32 +825,39 @@ class TestChunking:
         monkeypatch.setattr(verify, "positive_inertia", lambda s: 10**6)
 
     def _record_calls(self, monkeypatch):
-        """Record (nodes, links) of every ``_components`` call and the
-        shape of every candidate-link mask a chunk of rows selects."""
+        """Record (nodes, links) of every ``_components`` call, the shape
+        of every candidate-link mask a chunk of rows selects, and
+        (rows, row size) of every chunk ``_row_chunks`` hands out."""
         import shg.nodal as nodal
 
-        seen, masks = [], []
-        real, real_rows = nodal._components, nodal._row_labels
+        seen, masks, chunks = [], [], []
+        real, real_rows, real_chunks = nodal._components, nodal._row_labels, nodal._row_chunks
 
         def wrapper(n_nodes, ex, ey):
             seen.append((n_nodes, len(ex)))
             return real(n_nodes, ex, ey)
 
-        def rows_wrapper(width, xs, ys, n_rows, select):
+        def rows_wrapper(width, xs, ys, n_rows, select, row_size=0):
             def recording(rows):
                 mask = select(rows)
                 masks.append(mask.shape)
                 return mask
-            return real_rows(width, xs, ys, n_rows, recording)
+            return real_rows(width, xs, ys, n_rows, recording, row_size)
+
+        def chunks_wrapper(n_rows, row_size):
+            for rows in real_chunks(n_rows, row_size):
+                chunks.append((rows.stop - rows.start, row_size))
+                yield rows
 
         monkeypatch.setattr(nodal, "_components", wrapper)
         monkeypatch.setattr(nodal, "_row_labels", rows_wrapper)
-        return seen, masks
+        monkeypatch.setattr(nodal, "_row_chunks", chunks_wrapper)
+        return seen, masks, chunks
 
     def test_no_call_exceeds_the_budget(self, monkeypatch, instances, failing_inertia):
         import shg.nodal as nodal
 
-        seen, _ = self._record_calls(monkeypatch)
+        seen, _, chunks = self._record_calls(monkeypatch)
         for h in instances:
             self._outputs(h)
         assert seen
@@ -821,6 +865,16 @@ class TestChunking:
         assert any((Analysis(h, zero_tol_rel=0.2).signs[:, 1:] == 0).any() for h in instances)
         assert all(links <= nodal._LINK_BUDGET for _, links in seen)
         assert all(n_nodes <= nodal._LINK_BUDGET for n_nodes, _ in seen)
+        # every chunk of rows, the Fiedler products' included, within the
+        # budget: the incidence products of a chunk are rows x (n + 1) and
+        # rows x m
+        assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks)
+        # and each pass that takes incidence products declares their width
+        for h in instances:
+            analysis = Analysis(h, zero_tol_rel=0.2)
+            chunks.clear()
+            analysis.fiedler(), analysis.fiedler(True), analysis.l_plus(), analysis.l_prime()
+            assert chunks and all(size >= max(h.n + 1, h.m) for _, size in chunks)
 
     @pytest.mark.parametrize("budget", [1, 3, 7, 40])
     def test_results_do_not_depend_on_the_budget(self, monkeypatch, instances, failing_inertia, budget):
@@ -828,11 +882,12 @@ class TestChunking:
 
         expected = [self._outputs(h) for h in instances]
         monkeypatch.setattr(nodal, "_LINK_BUDGET", budget)
-        seen, masks = self._record_calls(monkeypatch)
+        seen, masks, chunks = self._record_calls(monkeypatch)
         assert [self._outputs(h) for h in instances] == expected
         assert max(links for _, links in seen) <= budget
         # a chunk holds one row at least, and more only within the budget
         assert all(rows == 1 or rows * links <= budget for rows, links in masks)
+        assert all(rows == 1 or rows * size <= budget for rows, size in chunks)
         assert budget < 40 or any(rows > 1 for rows, _ in masks)
         # rows split across chunks, and below 40 the links of one row
         # across calls of a full budget each
@@ -900,8 +955,10 @@ class TestBatchedFiedlerSets:
     def test_batch_matches_per_function_reference(self, case):
         h, fs = case
         signs = _sign_matrix(fs, h.n)
-        for g in (h, clique_expansion(h)):
+        t = _GraphArrays(h)
+        for clique, g in ((False, h), (True, clique_expansion(h))):
             expected = tuple(reference_fiedler_sets(g, f) for f in fs)
+            assert _fiedler_rows(t, signs, clique=clique) == expected
             assert _fiedler_rows(_GraphArrays(g), signs) == expected
             assert tuple(fiedler_sets(g, f) for f in fs) == expected
 
@@ -910,7 +967,7 @@ class TestBatchedFiedlerSets:
         seen_zero = False
         for h in generate(GenConfig(seed=2026, count=40)):
             analysis = Analysis(h, zero_tol_rel=0.2)
-            for clique, g in ((False, h), (True, analysis.expansion)):
+            for clique, g in ((False, h), (True, clique_expansion(h))):
                 expected = tuple(reference_fiedler_sets(g, f) for f in analysis.spectrum.functions)
                 assert analysis.fiedler(clique) == expected
                 seen_zero = seen_zero or any(fs.fiedler or fs.other_zeros for fs in expected)
@@ -919,7 +976,7 @@ class TestBatchedFiedlerSets:
     def test_no_zeros_gives_empty_sets_without_block_pass(self, monkeypatch):
         import shg.nodal as nodal
 
-        def must_not_run(g):
+        def must_not_run(*args):
             raise AssertionError("_cyclic ran although no row has a zero")
 
         monkeypatch.setattr(nodal, "_cyclic", must_not_run)
