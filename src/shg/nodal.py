@@ -563,31 +563,32 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _fiedler_rows(t: _GraphArrays, signs: np.ndarray, clique: bool = False) -> tuple[FiedlerSets, ...]:
+def _fiedler_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[tuple[FiedlerSets, ...], ...]:
     """``fiedler_sets`` of every row of the sign matrix ``signs`` on the
-    graph of ``t``, or (given ``clique``) on its clique expansion: the
-    Fiedler set of a row is ``zero & (cyclic | ~seen)``.  ``_cyclic`` runs
-    once, on the edges or on the pairs, and only when some row has a zero;
-    two incidence products per chunk of rows mark seen, the vertices
-    sharing an edge with a nonzero."""
+    graph h of ``t`` and on its clique expansion, as two tuples: the
+    Fiedler set of a row is ``zero & (cyclic | ~seen)``.  For a zero,
+    ``seen`` (sharing an edge with a nonzero) is the same on both graphs,
+    so two incidence products per chunk of rows serve both; ``_cyclic``
+    runs on the edges and on the pairs, only when some row has a zero."""
     zero = signs == 0
     zero[:, 0] = False
     rows = np.flatnonzero(zero.any(axis=1))
-    out = [_NO_ZEROS] * len(signs)
+    out = ([_NO_ZEROS] * len(signs), [_NO_ZEROS] * len(signs))
     if not len(rows):
-        return tuple(out)
+        return tuple(out[0]), tuple(out[1])
     g = t.g
-    members = [(x, y) for x, y, _ in g.pairs] if clique else [e.vertices for e in g.edges]
-    cyclic = np.array(_cyclic(g.n, members), dtype=bool)
+    cyclic = [np.array(_cyclic(g.n, members), dtype=bool)
+              for members in ([e.vertices for e in g.edges], [(x, y) for x, y, _ in g.pairs])]
     inc = t.incidence
     for part in _row_chunks(len(rows), max(inc.shape)):
         chunk = rows[part]
         seen = (((signs[chunk] != 0) @ inc > 0) @ inc.T) > 0
         for i, z, s in zip(chunk.tolist(), zero[chunk], seen):
-            fiedler = z & (cyclic | ~s)
-            out[i] = FiedlerSets(frozenset(np.flatnonzero(fiedler).tolist()),
-                                 frozenset(np.flatnonzero(z & ~fiedler).tolist()))
-    return tuple(out)
+            for reading, cyc in zip(out, cyclic):
+                fiedler = z & (cyc | ~s)
+                reading[i] = FiedlerSets(frozenset(np.flatnonzero(fiedler).tolist()),
+                                         frozenset(np.flatnonzero(z & ~fiedler).tolist()))
+    return tuple(out[0]), tuple(out[1])
 
 
 def _l_plus_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -786,9 +787,8 @@ class Analysis:
 
     def fiedler(self, clique: bool = False) -> tuple[FiedlerSets, ...]:
         """The Fiedler sets of every eigenfunction, on the clique expansion
-        if ``clique`` and on h otherwise: one pass per graph."""
-        return self._once(("fiedler", clique),
-                          lambda: _fiedler_rows(self.arrays(), self.signs, clique=clique))
+        if ``clique`` and on h otherwise: one pass serves both graphs."""
+        return self._once(("fiedler",), lambda: _fiedler_rows(self.arrays(), self.signs))[clique]
 
     def l_plus(self, clique: bool = False) -> tuple[int, ...]:
         """l_plus of every eigenfunction: on h, from one coherence pass; on

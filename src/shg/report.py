@@ -20,6 +20,7 @@ converting them.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from itertools import chain
@@ -28,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import __version__
-from .nodal import Analysis, FiedlerSets, NodalDecomposition, decompose, fiedler_sets
+from .nodal import Analysis, BoundReport, FiedlerSets, NodalDecomposition, decompose, fiedler_sets
 from .spectra import DEFAULT_CLUSTER_TOL, DEFAULT_ZERO_TOL_REL, VertexFunction
 from .core import SignedHypergraph
 
@@ -64,10 +65,8 @@ _EIGENFUNCTION_ITEM = {
     },
 }
 
-# One bounds row: the fields of ``nodal.BoundReport``, in order.
-_BOUND_ROW = dict.fromkeys(("eig_index", "k", "r", "c", "l", "l_plus", "l_prime", "fiedler_size",
-                            "strong_count", "weak_count", "strong_lower_bound"), "integer")
-_BOUND_ROW |= dict.fromkeys(("strong_upper_ok", "weak_upper_ok", "strong_lower_ok"), "boolean")
+# One bounds row: the fields of ``nodal.BoundReport`` in order, typed from their string annotations.
+_BOUND_ROW = {f.name: {"int": "integer", "bool": "boolean"}[f.type] for f in dataclasses.fields(BoundReport)}
 
 REPORT_SCHEMA = {
     "type": "object",

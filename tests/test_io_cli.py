@@ -202,7 +202,7 @@ class TestReportCommand:
         assert first.err.startswith("fn  eigenvalue")
 
     def test_bounds_rows_match_bound_report(self, tmp_path, capsys):
-        # the schema's bounds row is exactly BoundReport: a stale or
+        # the schema's bounds row is built from BoundReport: a stale or
         # missing field fails validation
         rows = REPORT_SCHEMA["properties"]["bounds"]["items"]
         assert rows["required"] == [f.name for f in dataclasses.fields(BoundReport)]
@@ -408,7 +408,7 @@ class TestReportModule:
             raise AssertionError("the clique expansion was built")
 
         monkeypatch.setattr(nodal, "clique_expansion", must_not_run)
-        calls = self._count(monkeypatch, ("_l_plus_rows",))
+        calls = self._count(monkeypatch, ("_sign_matrix", "_l_plus_rows", "_fiedler_rows"))
         instances = list(generate(GenConfig(seed=3, count=4)))
         instances += list(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         for h in instances:
@@ -417,8 +417,12 @@ class TestReportModule:
             for variant in ("all_pairs", "clique", "all_pairs", "clique"):
                 analysis.bounds(variant)
             assert not hasattr(analysis, "expansion")
-        # one call for the report's Analysis, one for the tables'
+        # one sign matrix, one coherence pass and one Fiedler pass for the
+        # report's Analysis, the same for the tables', whose two readings
+        # share them
+        assert calls["_sign_matrix"] == [1] * (2 * len(instances))
         assert calls["_l_plus_rows"] == [h.n for h in instances for _ in range(2)]
+        assert calls["_fiedler_rows"] == calls["_l_plus_rows"]
 
     def test_no_per_row_support_cyclomatic(self, monkeypatch):
         # l' of every row comes from one labelling, also where the
