@@ -133,10 +133,10 @@ class UnionFind:
     parent, with path halving (Tarjan and van Leeuwen, JACM 1984), and
     ``count`` classes.
 
-    This is the package's one disjoint-set structure.  The exact search of
-    ``spanning_hyperforest`` is the one exception: it keeps undoable
-    parent and size arrays, because backtracking needs unions without path
-    compression.
+    The batched row passes label components with numpy hook-and-jump
+    rounds instead (``nodal._components``), and the exact search of
+    ``spanning_hyperforest`` keeps undoable parent and size arrays,
+    because backtracking needs unions without path compression.
     """
 
     def __init__(self, n: int) -> None:

@@ -16,13 +16,14 @@ decomposition of the signed pair graph on the zeros: a balanced block
 contributes one fixed sign between any two of its vertices, read off a
 potential, and a block carrying an unbalanced cycle contributes both
 signs.  Each zero component then links the nonzeros attached to it by
-comparing one sign per attachment.  Whether a vertex is tree-like
-depends on the graph alone, and one block pass over the vertex-edge
-incidence graph decides it for all vertices (``_cyclic``); a function
-adds only its zero mask, so the Fiedler sets of every row of a sign
-matrix come from that pass and two incidence products.  Every pairwise
-pass (the strong relation, the weak direct pairs, the clique expansion)
-reads the pair table ``SignedHypergraph.pairs``.
+comparing one sign per attachment; the weak pass (``_weak``) starts
+from the strong domains and scans only the pairs that touch a zero.
+Whether a vertex is tree-like depends on the graph alone, and one block
+pass over the vertex-edge incidence graph decides it for all vertices
+(``_cyclic``); a function adds only its zero mask, so the Fiedler sets
+of every row of a sign matrix come from that pass and two incidence
+products.  Every pairwise pass (the strong relation, the weak pass, the
+clique expansion) reads the pair table ``SignedHypergraph.pairs``.
 
 The passes over every row of a sign matrix share one component
 labelling, ``_components``: hook-and-jump rounds on numpy arrays, where
@@ -33,8 +34,8 @@ every support, from which l' follows on h and on its clique expansion
 alike.  The single-function APIs ``strong_domains``, ``weak_domains``,
 ``decompose`` and ``support_cyclomatic`` union with
 ``core.UnionFind.link`` (a one-row kernel call costs more than it saves),
-and the weak pass runs per function with zeros on the same union-find;
-``l_plus`` is the one-row case of the batched coherence pass.
+and so does the weak pass of each function with zeros; ``l_plus`` is the
+one-row case of the batched coherence pass.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
@@ -48,15 +49,16 @@ every eigenfunction on h and on its clique expansion, read off h's own
 arrays (``clique_expansion``), and one bounds table per reading.  The
 sign matrix selects the strong links, the coherent edges, the supports
 and the Fiedler sets of every eigenfunction in a few array operations;
-only the weak pass of an eigenfunction with zeros runs per function.
-``shg report``, ``shg bounds`` and the campaign all read from it.
+only the weak pass of an eigenfunction with zeros runs per function, on
+its row and its batched strong domains.  ``shg report``, ``shg bounds``
+and the campaign all read from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -299,14 +301,17 @@ class _GraphArrays:
         return tuple(np.array(self.g.pairs, dtype=np.intp).reshape(-1, 3).T)
 
 
+def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[frozenset[int], ...]:
+    uf = UnionFind(h.n)
+    uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
+    return uf.groups([v for v in h.vertex_range() if sign[v] != 0])
+
+
 def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[int], ...]:
     """Components of the support under strong links: {x, y} is linked when
     some edge contains both and f(x) * sgn(e) * f(y) > 0."""
     _check_function(h, f)
-    sign = _vertex_signs(f)
-    uf = UnionFind(h.n)
-    uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
-    return uf.groups([v for v in h.vertex_range() if sign[v] != 0])
+    return _strong(h, _vertex_signs(f))
 
 
 def _strong_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[list[tuple[frozenset[int], ...]], np.ndarray]:
@@ -392,60 +397,75 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     return blocks, tree
 
 
-def _weak_core_union(h: SignedHypergraph, sign: list[int], zero_uf: UnionFind) -> UnionFind:
-    """Union-find joining every pair of nonzeros linked by a zero-interior
-    simple path of the matching sign product.
+def _weak(h: SignedHypergraph, sign: list[int],
+          strong: tuple[frozenset[int], ...]) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+    """(cores, closures) of the signs ``sign`` (index 0 unused), whose
+    strong domains are ``strong``; the cores join strong domains only.
 
-    Such a path is a direct pair, or one attachment (u, z, s) of a nonzero
-    u to a zero z, a simple path inside one zero component, and one more
-    attachment.  On the zero pair graph a depth-first potential theta
-    decides each block: balanced when theta(x) * s * theta(y) = 1 on all
-    its pairs, so any path inside it between a and b has sign
+    A weak link that is not strong is one attachment (u, z, s) of a
+    nonzero u to a zero z, a simple path inside one zero component, and
+    one more attachment, so one scan of the pairs that touch a zero
+    serves.  On the zero pair graph a depth-first potential theta decides
+    each block: balanced when theta(x) * s * theta(y) = 1 on all its
+    pairs, so any path inside it between a and b has sign
     theta(a) * theta(b); a block with an unbalanced cycle has simple paths
     of both signs between any two of its vertices.  Balanced blocks glued
     at cut vertices form regions, where theta still gives the path sign;
-    two zeros in different regions are joined by paths of both signs.
+    two zeros in different regions are joined by paths of both signs.  The
+    depth-first tree also roots each zero component; the closure of every
+    core that its attachments reach absorbs it.
     """
     zz: dict[tuple[int, int, int], None] = {}
-    attach: dict[int, list[tuple[int, int, int]]] = {}
-    direct: list[tuple[int, int]] = []
+    attach: list[tuple[int, int, int]] = []
     for x, y, s in h.pairs:
         if sign[x] == 0 and sign[y] == 0:
             zz[(x, y, s) if x < y else (y, x, s)] = None
         elif sign[x] == 0:
-            attach.setdefault(zero_uf.find(x), []).append((y, x, s))
+            attach.append((y, x, s))
         elif sign[y] == 0:
-            attach.setdefault(zero_uf.find(y), []).append((x, y, s))
-        elif sign[x] * s * sign[y] > 0:
-            direct.append((x, y))
-    uf = UnionFind(h.n)
-    uf.link(direct)
+            attach.append((x, y, s))
     if not attach:
-        return uf
+        return strong, strong
 
     pairs = list(zz)
     blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
     theta = [1] * (h.n + 1)
+    root = list(range(h.n + 1))
     for child, ei in tree:
         x, y, s = pairs[ei]
-        theta[child] = theta[x if y == child else y] * s
+        parent = x if y == child else y
+        theta[child] = theta[parent] * s
+        root[child] = root[parent]
     region = UnionFind(h.n)
     for block in blocks:
         block_pairs = [pairs[ei] for ei in block]
         if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
             region.link((x, y) for x, y, _ in block_pairs)
 
-    for group in attach.values():
+    uf = UnionFind(h.n)
+    for domain in strong:
+        uf.link(zip(repeat(min(domain)), domain))
+    groups: dict[int, list[tuple[int, int, int]]] = {}
+    for u, z, s in attach:
+        groups.setdefault(root[z], []).append((u, z, s))
+    for group in groups.values():
         if len({region.find(z) for _, z, _ in group}) > 1:
             uf.link((group[0][0], u) for u, _, _ in group)
             continue
         first: dict[int, int] = {}
         uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
-    return uf
+
+    cores = uf.groups([v for v in h.vertex_range() if sign[v] != 0])
+    closures = {uf.find(min(core)): set(core) for core in cores}
+    absorbers = {r: {uf.find(u) for u, _, _ in group} for r, group in groups.items()}
+    for v in h.vertex_range():
+        for c in absorbers.get(root[v], ()):
+            closures[c].add(v)
+    return cores, tuple(map(frozenset, closures.values()))
 
 
 def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-    """Weak nodal domains: (cores, closures).
+    """Weak nodal domains: (cores, closures), by ``_weak``.
 
     Cores partition the support under weak links.  Each closure adds the
     zeros that reach its core through a path of zero vertices (a path
@@ -453,52 +473,28 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[frozense
     """
     _check_function(h, f)
     sign = _vertex_signs(f)
-    # zero vertices sharing an edge are mutually reachable sign-free
-    zero_uf = UnionFind(h.n)
-    for e in h.edges:
-        zs = [v for v in e.vertices if sign[v] == 0]
-        zero_uf.link((zs[0], z) for z in zs[1:])
-    uf = _weak_core_union(h, sign, zero_uf)
-    cores = uf.groups([v for v in h.vertex_range() if sign[v] != 0])
-    if not cores:
-        return (), ()
-
-    core_index = {v: i for i, core in enumerate(cores) for v in core}
-    absorbed: list[set[int]] = [set(core) for core in cores]
-    # a zero component is absorbed by every core it touches through an edge
-    touched: dict[int, set[int]] = {}
-    members: dict[int, set[int]] = {}
-    for v in h.vertex_range():
-        if sign[v] == 0:
-            members.setdefault(zero_uf.find(v), set()).add(v)
-    for e in h.edges:
-        vs = e.vertices
-        zroots = {zero_uf.find(v) for v in vs if sign[v] == 0}
-        cids = {core_index[v] for v in vs if sign[v] != 0}
-        for root in zroots:
-            touched.setdefault(root, set()).update(cids)
-    for root, cids in touched.items():
-        for ci in cids:
-            absorbed[ci].update(members[root])
-    closures = tuple(frozenset(s) for s in absorbed)
-    return cores, closures
+    return _weak(h, sign, _strong(h, sign))
 
 
 def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
-    """Full nodal decomposition of f on h.
+    """Full nodal decomposition of f on h, from one list of signs.
 
     Without zeros every weak link is a direct pair, so the weak cores and
-    closures are the strong domains and ``weak_domains`` is not run.
+    closures are the strong domains and the weak pass is not run.
     """
-    return _decomposition(h, f, f.support(), strong_domains(h, f))
+    _check_function(h, f)
+    sign = _vertex_signs(f)
+    return _decomposition(h, sign, _strong(h, sign), f.zero_tolerance)
 
 
-def _decomposition(h: SignedHypergraph, f: VertexFunction, support: frozenset[int],
-               strong: tuple[frozenset[int], ...]) -> NodalDecomposition:
-    if len(support) == f.n:
-        return NodalDecomposition(support, strong, strong, strong, f.zero_tolerance)
-    cores, closures = weak_domains(h, f)
-    return NodalDecomposition(support, strong, cores, closures, f.zero_tolerance)
+def _decomposition(h: SignedHypergraph, sign: list[int], strong: tuple[frozenset[int], ...],
+                   zero_tolerance: float) -> NodalDecomposition:
+    # the strong domains partition the support
+    support = frozenset().union(*strong)
+    if len(support) == h.n:
+        return NodalDecomposition(support, strong, strong, strong, zero_tolerance)
+    cores, closures = _weak(h, sign, strong)
+    return NodalDecomposition(support, strong, cores, closures, zero_tolerance)
 
 
 def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool:
@@ -771,10 +767,10 @@ class Analysis:
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        # the strong domains partition the support
-        rows = zip(self.spectrum.functions, self._strong[0])
-        return tuple(_decomposition(self.h, f, frozenset().union(*strong), strong)
-                     for f, strong in rows)
+        signs = (row.tolist() for row in self.signs)
+        rows = zip(self.spectrum.functions, signs, self._strong[0])
+        return tuple(_decomposition(self.h, sign, strong, f.zero_tolerance)
+                     for f, sign, strong in rows)
 
     def _once(self, key: tuple, build):
         if key not in self._cache:

@@ -43,6 +43,8 @@ __all__ = [
 DEFAULT_CLUSTER_TOL = 1e-9
 DEFAULT_ZERO_TOL_REL = 1e-8
 _SYMMETRY_TOL = 1e-12
+_INERTIA_TOL = 1e-9     # of ||S||_2, in positive_inertia
+_RESIDUAL_TOL = 1e-7    # relative, in nodal_quadratic_form
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,13 @@ class VertexFunction:
     zero_tolerance: float
 
     @staticmethod
-    def from_values(values: Sequence[float], rel_tol: float = DEFAULT_ZERO_TOL_REL,
-                    abs_tol: float | None = None) -> "VertexFunction":
+    def from_values(values: Sequence[float], rel_tol: float = DEFAULT_ZERO_TOL_REL) -> "VertexFunction":
         vals = tuple(map(float, values))
         if not all(map(math.isfinite, vals)):
             raise ValueError("function values must be finite")
-        tol = rel_tol if abs_tol is None else abs_tol
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"zero tolerance must be finite and nonnegative, got {tol!r}")
-        if abs_tol is None:
-            peak = max(map(abs, vals), default=0.0)
-            abs_tol = rel_tol * peak
-        return VertexFunction(vals, abs_tol)
+        if not (math.isfinite(rel_tol) and rel_tol >= 0.0):
+            raise ValueError(f"zero tolerance must be finite and nonnegative, got {rel_tol!r}")
+        return VertexFunction(vals, rel_tol * max(map(abs, vals), default=0.0))
 
     @property
     def n(self) -> int:
@@ -238,12 +235,12 @@ def rayleigh(h: SignedHypergraph, bundle: MatrixBundle, g) -> float:
     return num / denom
 
 
-def positive_inertia(s: np.ndarray, tol: float = 1e-9) -> int:
-    """Number of eigenvalues of a symmetric matrix above tol * ||S||_2."""
+def positive_inertia(s: np.ndarray) -> int:
+    """Number of eigenvalues of a symmetric matrix above _INERTIA_TOL * ||S||_2."""
     s = np.asarray(s, dtype=float)
     w = np.linalg.eigvalsh((s + s.T) / 2.0)
     norm = float(np.max(np.abs(w))) if len(w) else 0.0
-    return int(np.sum(w > tol * norm))
+    return int(np.sum(w > _INERTIA_TOL * norm))
 
 
 def product_rule_defect(h: SignedHypergraph, bundle: MatrixBundle, f, g) -> float:
@@ -267,8 +264,7 @@ def product_rule_defect(h: SignedHypergraph, bundle: MatrixBundle, f, g) -> floa
     return abs(lhs - mid - pair_sum)
 
 
-def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue: float,
-                         residual_tol: float = 1e-7) -> np.ndarray:
+def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue: float) -> np.ndarray:
     """Symmetric matrix S = D(g) Ddeg (L - lambda I) D(g) for an
     eigenfunction g of eigenvalue lambda.
 
@@ -279,7 +275,7 @@ def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue: float,
     gv = _as_values(g, bundle.n)
     scale = float(np.max(np.abs(gv))) or 1.0
     residual = float(np.max(np.abs(bundle.l @ gv - eigenvalue * gv)))
-    if residual > residual_tol * (1.0 + abs(eigenvalue)) * scale:
+    if residual > _RESIDUAL_TOL * (1.0 + abs(eigenvalue)) * scale:
         raise ValueError(f"not an eigenfunction: residual {residual:.3e}")
     core = bundle.deg[:, None] * (bundle.l - eigenvalue * np.eye(bundle.n))
     s = gv[:, None] * core * gv[None, :]

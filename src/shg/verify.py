@@ -29,9 +29,9 @@ from .core import (
     SignedHypergraph,
     _tree_like_given,
     connected_components,
-    cyclomatic,
     degrees,
     edge_sign,
+    hyperneighbors,
     induced_subhypergraph,
     is_acyclic,
     lies_on_cycle,
@@ -42,6 +42,8 @@ from .nodal import (
     Analysis,
     NodalDecomposition,
     _cycle_counts,
+    _sign_matrix,
+    _strong_rows,
     decompose,
     domain_graph_connected,
     strong_domains,
@@ -417,18 +419,17 @@ def _random_function(ctx: Analysis, rng: random.Random,
 
 def _p_cyclomatic_nonnegative(ctx: Analysis, rng: random.Random):
     fails = []
-    stats = cyclomatic(ctx.h)
-    if stats.l < 0:
-        fails.append(f"cyclomatic {stats.l} < 0")
+    if ctx.cycles.l < 0:
+        fails.append(f"cyclomatic {ctx.cycles.l} < 0")
     return fails, []
 
 
 def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
     fails = []
-    h = ctx.h
-    l = cyclomatic(h).l
-    if is_acyclic(h) != (l == 0):
-        fails.append(f"is_acyclic={is_acyclic(h)} but l={l}")
+    h, l = ctx.h, ctx.cycles.l
+    acyclic = is_acyclic(h)
+    if acyclic != (l == 0):
+        fails.append(f"is_acyclic={acyclic} but l={l}")
     # per-component count identity, the component-wise route
     per_component_ok = True
     for block in connected_components(h):
@@ -438,8 +439,8 @@ def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
         )
         if total != len(block) - 1:
             per_component_ok = False
-    if per_component_ok != is_acyclic(h):
-        fails.append(f"component sums say acyclic={per_component_ok}, op says {is_acyclic(h)}")
+    if per_component_ok != acyclic:
+        fails.append(f"component sums say acyclic={per_component_ok}, op says {acyclic}")
     return fails, []
 
 
@@ -513,7 +514,7 @@ def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
     chosen = SignedHypergraph(h.n, tuple(h.edges[i] for i in exact), allow_empty_edges=True)
     if not is_acyclic(chosen):
         fails.append(f"exact edge set {list(exact)} is not acyclic")
-    cap = h.n - len(connected_components(h))
+    cap = h.n - ctx.cycles.n_components
     if w(exact) > cap:
         fails.append(f"exact weight {w(exact)} exceeds n - c = {cap}")
     return fails, []
@@ -569,7 +570,7 @@ def _p_classical_graph(ctx: Analysis, rng: random.Random):
         fails.append(f"classical eigenvalues outside [0,2]: {w[0]!r}..{w[-1]!r}")
     if abs(w[0]) > 1e-8:
         fails.append(f"classical smallest eigenvalue {w[0]!r} != 0")
-    if len(connected_components(h)) == 1:
+    if ctx.cycles.n_components == 1:
         f1 = ctx.spectrum.functions[0]
         signs = {f1.sign(v) for v in h.vertex_range()}
         if 1 in signs and -1 in signs:
@@ -681,12 +682,17 @@ def _p_weak_le_strong(ctx: Analysis, rng: random.Random):
 
 def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     fails = []
-    for j, f in enumerate(_sample_functions(ctx, rng)):
+    fs = _sample_functions(ctx, rng)
+    n = ctx.spectrum.n
+    # the batched strong pass, apart from the one-function APIs
+    batched = [dec.strong for dec in ctx.decompositions]
+    batched += _strong_rows(ctx.arrays(), _sign_matrix(tuple(fs[n:]), ctx.h.n))[0]
+    for j, f in enumerate(fs):
         if len(f.support()) != f.n:
             continue
         # weak_domains itself, which decompose skips on a zero-free function
         cores, closures = weak_domains(ctx.h, f)
-        if not (strong_domains(ctx.h, f) == cores == closures):
+        if not (strong_domains(ctx.h, f) == cores == closures == batched[j]):
             fails.append(f"zero-free function {j}: strong and weak partitions differ")
     return fails, []
 
@@ -705,7 +711,6 @@ def _p_max_two_memberships(ctx: Analysis, rng: random.Random):
 
 
 def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
-    from .core import hyperneighbors
     fails = []
     for j, f, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
         holders: dict[int, list[int]] = {}
@@ -723,7 +728,7 @@ def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
 
 
 def _p_domain_graph_connected(ctx: Analysis, rng: random.Random):
-    if len(connected_components(ctx.h)) != 1:
+    if ctx.cycles.n_components != 1:
         return [], []
     fails = []
     for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):

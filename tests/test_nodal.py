@@ -12,6 +12,7 @@ from shg.core import (
     CycleStats,
     Edge,
     SignedHypergraph,
+    UnionFind,
     cyclomatic,
     edge_sign,
     hyperneighbors,
@@ -623,12 +624,14 @@ class TestBoundsTable:
         cores, closures = weak_domains(fixture, f)
 
         def must_not_run(*args):
-            raise AssertionError("weak_domains ran on a zero-free function")
+            raise AssertionError("the weak pass ran on a zero-free function")
 
-        monkeypatch.setattr(nodal, "weak_domains", must_not_run)
+        monkeypatch.setattr(nodal, "_weak", must_not_run)
         dec = decompose(fixture, f)
         assert dec.strong == dec.weak_cores == cores
         assert dec.weak_closures == closures
+        with pytest.raises(AssertionError, match="weak pass ran"):
+            decompose(fixture, vf(1, 0, -1, 1, -2, 1, 1, -1, 2))
 
 
 def reference_edge_coherent(e_sign, signs):
@@ -985,3 +988,147 @@ class TestBatchedFiedlerSets:
         assert (analysis.signs[:, 1:] != 0).all()
         empty = (FiedlerSets(frozenset(), frozenset()),) * 20
         assert analysis.fiedler() == analysis.fiedler(True) == empty
+
+
+def reference_weak_domains(h, f):
+    """``weak_domains`` as it was before it started from the strong
+    domains: the direct pairs linked again, the zero components from a
+    pass over the edges, and the closures from another; kept as the
+    reference of the one-scan weak pass."""
+    sign = [0] + [f.sign(v) for v in h.vertex_range()]
+    zero_uf = UnionFind(h.n)
+    for e in h.edges:
+        zs = [v for v in e.vertices if sign[v] == 0]
+        zero_uf.link((zs[0], z) for z in zs[1:])
+    zz = {}
+    attach = {}
+    direct = []
+    for x, y, s in h.pairs:
+        if sign[x] == 0 and sign[y] == 0:
+            zz[(x, y, s) if x < y else (y, x, s)] = None
+        elif sign[x] == 0:
+            attach.setdefault(zero_uf.find(x), []).append((y, x, s))
+        elif sign[y] == 0:
+            attach.setdefault(zero_uf.find(y), []).append((x, y, s))
+        elif sign[x] * s * sign[y] > 0:
+            direct.append((x, y))
+    uf = UnionFind(h.n)
+    uf.link(direct)
+    if attach:
+        pairs = list(zz)
+        blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+        theta = [1] * (h.n + 1)
+        for child, ei in tree:
+            x, y, s = pairs[ei]
+            theta[child] = theta[x if y == child else y] * s
+        region = UnionFind(h.n)
+        for block in blocks:
+            block_pairs = [pairs[ei] for ei in block]
+            if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
+                region.link((x, y) for x, y, _ in block_pairs)
+        for group in attach.values():
+            if len({region.find(z) for _, z, _ in group}) > 1:
+                uf.link((group[0][0], u) for u, _, _ in group)
+                continue
+            first = {}
+            uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
+    cores = uf.groups([v for v in h.vertex_range() if sign[v] != 0])
+    if not cores:
+        return (), ()
+    core_index = {v: i for i, core in enumerate(cores) for v in core}
+    absorbed = [set(core) for core in cores]
+    touched = {}
+    members = {}
+    for v in h.vertex_range():
+        if sign[v] == 0:
+            members.setdefault(zero_uf.find(v), set()).add(v)
+    for e in h.edges:
+        vs = e.vertices
+        zroots = {zero_uf.find(v) for v in vs if sign[v] == 0}
+        cids = {core_index[v] for v in vs if sign[v] != 0}
+        for root in zroots:
+            touched.setdefault(root, set()).update(cids)
+    for root, cids in touched.items():
+        for ci in cids:
+            absorbed[ci].update(members[root])
+    return cores, tuple(frozenset(s) for s in absorbed)
+
+
+@st.composite
+def weak_cases(draw):
+    """(h, functions): n <= 12 on 1..3 components, each covered by a chain
+    of edges of size 1..5 (so no vertex is isolated) and given more edges,
+    some repeated, with random signs; some zero pairs of the first
+    function carried by two parallel pairs of opposite sign; functions
+    with 20, 50 or 80 % zeros, and one all-zero function."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(1, n + 1)))
+    cuts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=min(2, n - 1), unique=True))
+    bounds = [0] + sorted(cuts) + [n]
+    parts = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    fs = []
+    for rate in draw(st.lists(st.sampled_from((0.2, 0.5, 0.8)), min_size=1, max_size=3)):
+        zeros = set(draw(st.permutations(range(1, n + 1)))[:round(rate * n)])
+        fs.append([0.0 if v in zeros else draw(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)))
+                   for v in range(1, n + 1)])
+    fs.append([0.0] * n)
+
+    def edge(vs):
+        return tuple((v, draw(st.sampled_from((1, -1)))) for v in vs)
+
+    edges = []
+    for part in parts:
+        if len(part) == 1:
+            edges.append(edge(part))
+        pos = 0
+        while pos < len(part) - 1:
+            size = draw(st.integers(2, min(5, len(part) - pos)))
+            edges.append(edge(part[pos:pos + size]))
+            pos += size - 1
+        for _ in range(draw(st.integers(0, 4))):
+            if draw(st.integers(0, 4)) == 0:
+                edges.append(draw(st.sampled_from(edges)))
+                continue
+            size = draw(st.integers(1, min(5, len(part))))
+            edges.append(edge(draw(st.permutations(part))[:size]))
+        zeros = [v for v in part if fs[0][v - 1] == 0.0]
+        if len(zeros) >= 2 and draw(st.booleans()):
+            a, b = draw(st.permutations(zeros))[:2]
+            edges += [pair_edge(a, b, 1), pair_edge(a, b, -1)]
+    shuffle = draw(st.permutations(range(len(edges))))
+    return (h_of(n, *(edges[i] for i in shuffle)),
+            tuple(VertexFunction.from_values(values) for values in fs))
+
+
+class TestWeakPassAgainstReference:
+    @given(weak_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_weak_domains_and_decompose(self, case):
+        h, fs = case
+        for f in fs:
+            expected = reference_weak_domains(h, f)
+            assert weak_domains(h, f) == expected
+            dec = decompose(h, f)
+            assert dec.strong == strong_domains(h, f)
+            assert (dec.weak_cores, dec.weak_closures) == expected
+            assert dec.support == f.support()
+
+    @given(weak_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_analysis_decompositions(self, case):
+        h, _ = case
+        analysis = Analysis(h, zero_tol_rel=0.2)
+        for dec, f in zip(analysis.decompositions, analysis.spectrum.functions, strict=True):
+            assert (dec.weak_cores, dec.weak_closures) == reference_weak_domains(h, f)
+            assert dec == decompose(h, f)
+
+    def test_analysis_decompositions_read_the_sign_matrix(self, monkeypatch):
+        h = next(generate(GenConfig(n_range=(30, 30), m_range=(30, 30), seed=3, count=1)))
+        expected = tuple(decompose(h, f) for f in Analysis(h, 0.2).spectrum.functions)
+        assert any(len(dec.support) < h.n for dec in expected)
+
+        def refuse(self, v):
+            raise AssertionError("VertexFunction.sign called")
+
+        monkeypatch.setattr(VertexFunction, "sign", refuse)
+        assert Analysis(h, 0.2).decompositions == expected

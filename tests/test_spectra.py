@@ -41,10 +41,6 @@ class TestVertexFunction:
         assert f.sign(1) == 1 and f.sign(2) == 0 and f.sign(3) == -1
         assert f.support() == frozenset({1, 3})
 
-    def test_absolute_tolerance_override(self):
-        f = VertexFunction.from_values([1.0, 0.1], abs_tol=0.5)
-        assert f.support() == frozenset({1})
-
     def test_all_zero_function(self):
         f = VertexFunction.from_values([0.0, 0.0])
         assert f.support() == frozenset()
@@ -55,7 +51,6 @@ class TestVertexFunction:
         ([1.0, 0.0], {"rel_tol": -1.0}),
         ([1.0, 0.0], {"rel_tol": float("nan")}),
         ([1.0, 0.0], {"rel_tol": float("inf")}),
-        ([1.0, 0.0], {"abs_tol": -0.5}),
     ])
     def test_refuses_non_finite_values_and_bad_tolerances(self, values, kwargs):
         with pytest.raises(ValueError, match="finite"):

@@ -420,6 +420,35 @@ class TestCampaign:
         assert "property_costs" not in res.as_dict()
         assert res == replace(res, property_costs={})
 
+    @staticmethod
+    def _merge_first_two(domains):
+        return (domains[0] | domains[1],) + domains[2:] if len(domains) > 1 else domains
+
+    def _no_zeros_identical(self):
+        ctx = Analysis(fixture_example1())
+        return REGISTRY["nodal.no-zeros-identical"](ctx, random.Random(0))
+
+    def test_no_zeros_identical_fails_on_merged_weak_domains(self, monkeypatch):
+        assert self._no_zeros_identical() == ([], [])
+        weak = shg.nodal.weak_domains
+
+        def merged(h, f):
+            cores, _ = weak(h, f)
+            cores = self._merge_first_two(cores)
+            return cores, cores
+
+        monkeypatch.setattr(shg.verify, "weak_domains", merged)
+        fails, _ = self._no_zeros_identical()
+        assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
+
+    def test_no_zeros_identical_checks_against_the_batched_strong_pass(self, monkeypatch):
+        # strong_domains and weak_domains share one strong pass; merging
+        # its domains keeps them equal, and only the batched pass differs
+        strong = shg.nodal._strong
+        monkeypatch.setattr(shg.nodal, "_strong", lambda h, sign: self._merge_first_two(strong(h, sign)))
+        fails, _ = self._no_zeros_identical()
+        assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
+
     @pytest.mark.parametrize("m, checked", [(EXACT_FOREST_LIMIT, True),
                                             (EXACT_FOREST_LIMIT + 1, False)])
     def test_forest_property_checks_the_search_result(self, monkeypatch, m, checked):
