@@ -1,10 +1,10 @@
 """Byte-identity gate: reports, bounds tables and campaign JSON are pinned.
 
-The digests below were recorded before the single-analysis refactor and
-must not move under a change that claims to keep the output.  They
-depend on the floating-point results of this numpy/LAPACK build: on
-another build an eigenvector can differ in its last digits and every
-digest with it.  Re-recording a digest needs a stated reason in
+The first three digests below were recorded before the single-analysis
+refactor, the zero-heavy one before the single row pass; none may move
+under a change that claims to keep the output.  They depend on the
+floating-point results of this numpy/LAPACK build: on another build an
+eigenvector can differ in its last digits and every digest with it.  Re-recording a digest needs a stated reason in
 CHANGES.md (a schema change, a deliberate change of a count, a new
 numpy), never just "it changed".
 """
@@ -14,7 +14,9 @@ import hashlib
 import io
 
 from shg.cli import main
+from shg.core import Edge, SignedHypergraph
 from shg.fixtures import fixture_example1
+from shg.nodal import BOUND_VARIANTS, Analysis
 from shg.report import build_report, input_digest, report_json
 from shg.shgio import serialize
 from shg.verify import GenConfig, generate
@@ -22,6 +24,7 @@ from shg.verify import GenConfig, generate
 REPORTS_SHA256 = "4a04219bb2bec683792e5cc0e7e91f427fbef03caa9bca7936c9cc0afede3d0d"
 BOUNDS_SHA256 = "60d112226df3ae09ead5f3777a2989af350ad519c9b4a3e244bb34700571eaf8"
 FUZZ_SHA256 = "2631bf005b5c309fc50da73a81adb6610978972757baaa47498ce1971bc414c4"
+ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae3629ef56"
 
 
 def _instances():
@@ -59,6 +62,32 @@ def bounds_digest(tmp_path):
     return _sha256(parts)
 
 
+def disjoint_union(parts):
+    """The hypergraphs ``parts`` side by side, vertices renumbered in order."""
+    n, edges = 0, []
+    for h in parts:
+        edges += [Edge(tuple((v + n, s) for v, s in e.incidences)) for e in h.edges]
+        n += h.n
+    return SignedHypergraph(n, tuple(edges))
+
+
+def zero_heavy_digest():
+    """Reports and both bounds tables where the eigenfunctions have zeros:
+    the seed-2026 instances at a loose zero tolerance, and a disconnected
+    instance, whose eigenfunctions vanish off their own components, at
+    the default one."""
+    cases = [(h, 0.2) for h in generate(GenConfig(seed=2026, count=20))]
+    union = disjoint_union(generate(GenConfig(seed=77, count=3)))
+    cases.append((union, None))
+    parts = []
+    for h, tol in cases:
+        kwargs = {} if tol is None else {"zero_tol_rel": tol}
+        parts.append(report_json(build_report(h, input_digest(serialize(h)), **kwargs)))
+        analysis = Analysis(h, **kwargs)
+        parts += [repr(analysis.bounds(v)) for v in BOUND_VARIANTS]
+    return _sha256(parts)
+
+
 def test_report_bytes():
     assert reports_digest() == REPORTS_SHA256
 
@@ -71,3 +100,7 @@ def test_fuzz_stdout():
     code, out = _stdout(["fuzz", "--seed", "2026", "--count", "100"])
     assert code == 0
     assert _sha256([out]) == FUZZ_SHA256
+
+
+def test_zero_heavy_bytes():
+    assert zero_heavy_digest() == ZERO_HEAVY_SHA256
