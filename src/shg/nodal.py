@@ -20,38 +20,32 @@ comparing one sign per attachment; the weak pass (``_weak``) starts
 from the strong domains and scans only the pairs that touch a zero.
 Whether a vertex is tree-like depends on the graph alone, and one block
 pass over the vertex-edge incidence graph decides it for all vertices
-(``_cyclic``); a function adds only its zero mask, so the Fiedler sets
-of every row of a sign matrix come from that pass and two incidence
-products.  Every pairwise pass (the strong relation, the weak pass, the
-clique expansion) reads the pair table ``SignedHypergraph.pairs``.
+(``_cyclic``); a function adds only its zero mask.  Every pairwise pass
+(the strong relation, the weak pass, the clique expansion) reads the
+pair table ``SignedHypergraph.pairs``.
 
-The passes over every row of a sign matrix share one component
-labelling, ``_components``: hook-and-jump rounds on numpy arrays, where
-the rows become one block-diagonal graph, fed in chunks of at most
-``_LINK_BUDGET`` links.  It gives the strong domains of every row, the
-components of the coherent edges of ``l_plus``, and the components of
-every support, from which l' follows on h and on its clique expansion
-alike.  The single-function APIs ``strong_domains``, ``weak_domains``,
-``decompose`` and ``support_cyclomatic`` union with
-``core.UnionFind.link`` (a one-row kernel call costs more than it saves),
-and so does the weak pass of each function with zeros; ``l_plus`` is the
-one-row case of the batched coherence pass.
+One row pass (``_row_pass``) serves every row of a sign matrix: per
+chunk of rows, masks over the pair table and cumulative sums over it
+and over the flat incidence list give the strong domains, the
+attachments, and l_plus, l' and the Fiedler sets on h and on its clique
+expansion alike.  Its labellings share ``_labels``, which runs
+``_components``, hook-and-jump rounds on numpy arrays over the rows as
+one block-diagonal graph.  The single-function APIs ``strong_domains``,
+``weak_domains``, ``decompose``, ``fiedler_sets`` and
+``support_cyclomatic`` keep their own code (a one-row kernel call costs
+more than it saves) and union with ``core.UnionFind.link`` where they
+union, as does the weak pass of each function with an attachment;
+``l_plus`` is the one-row case of the row pass.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
 nonzero constant.
 
 ``Analysis`` holds everything computed about one instance: its
-matrices and spectrum, one sign matrix of all its eigenfunctions, one
-decomposition per eigenfunction, the arrays of h (incidence, star and
-pair tables, edge sizes and signs), the Fiedler sets, l_plus and l' of
-every eigenfunction on h and on its clique expansion, read off h's own
-arrays (``clique_expansion``), and one bounds table per reading.  The
-sign matrix selects the strong links, the coherent edges, the supports
-and the Fiedler sets of every eigenfunction in a few array operations;
-only the weak pass of an eigenfunction with zeros runs per function, on
-its row and its batched strong domains.  ``shg report``, ``shg bounds``
-and the campaign all read from it.
+matrices and spectrum, one sign matrix of all its eigenfunctions, the
+row pass over it, one decomposition per eigenfunction, and one bounds
+table per reading.  ``shg report``, ``shg bounds`` and the campaign all
+read from it.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,82 +217,41 @@ def _row_chunks(n_rows: int, row_size: int) -> Iterator[slice]:
         yield slice(start, min(start + step, n_rows))
 
 
-def _row_labels(width: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
-                select: Callable[[slice], np.ndarray],
-                row_size: int = 0) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Component labels of ``n_rows`` graphs on nodes 0..width-1, graph r
-    linking xs[p] to ys[p] where ``select(rows)[r - rows.start, p]``.
+def _labels(width: int, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Component labels of one graph per row of ``mask`` on nodes
+    0..width-1, graph i linking xs[p] to ys[p] where mask[i, p]:
+    labels[i, v] is the smallest node of v's component in graph i.
 
-    Yields (rows, labels, links) for consecutive chunks of rows,
-    labels[i, v] being the smallest node of v's component in graph
-    rows.start + i and links[i] its number of links.  The rows of a chunk
-    form one block-diagonal graph (node v of row i is i * width + v) for
-    one ``_components`` call.  A chunk holds at most ``_LINK_BUDGET``
-    nodes and candidate links, and as many entries of a temporary of
-    ``row_size`` per row that ``select`` builds, one row at least; a row
-    with more links than that is labelled in slices, each slice linking
+    The rows form one block-diagonal graph (node v of row i is
+    i * width + v) for one ``_components`` call; with more than
+    ``_LINK_BUDGET`` links they are labelled in slices, each slice linking
     the labels of the ones before.
     """
     budget = _LINK_BUDGET
-    for rows in _row_chunks(n_rows, max(len(xs), width, row_size)):
-        n_nodes = (rows.stop - rows.start) * width
-        rr, pp = np.nonzero(select(rows))
-        links = np.bincount(rr, minlength=rows.stop - rows.start)
-        ex = rr * width
-        ey = ex + ys[pp]
-        ex += xs[pp]
-        del rr, pp
-        labels = _components(n_nodes, ex[:budget], ey[:budget])
-        for i in range(budget, len(ex), budget):
-            labels = _components(n_nodes, labels[ex[i:i + budget]], labels[ey[i:i + budget]])[labels]
-        yield rows, labels.reshape(-1, width) - np.arange(0, n_nodes, width)[:, None], links
+    n_nodes = len(mask) * width
+    rr, pp = np.nonzero(mask)
+    ex = rr * width
+    ey = ex + ys[pp]
+    ex += xs[pp]
+    del rr, pp
+    labels = _components(n_nodes, ex[:budget], ey[:budget])
+    for i in range(budget, len(ex), budget):
+        labels = _components(n_nodes, labels[ex[i:i + budget]], labels[ey[i:i + budget]])[labels]
+    return labels.reshape(-1, width) - np.arange(0, n_nodes, width)[:, None]
 
 
-def _cycle_counts(n: int, xs: np.ndarray, ys: np.ndarray, n_rows: int,
-                  select: Callable[[slice], np.ndarray],
-                  row_size: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(links, components) of each graph of ``_row_labels`` on 1..n, the
-    components being the vertices that label themselves."""
-    links = np.empty(n_rows, dtype=np.intp)
-    components = np.empty(n_rows, dtype=np.intp)
-    own = np.arange(1, n + 1)
-    for rows, labels, count in _row_labels(n + 1, xs, ys, n_rows, select, row_size):
-        links[rows] = count
-        components[rows] = (labels[:, 1:] == own).sum(axis=1)
-    return links, components
+def _roots(labels: np.ndarray) -> np.ndarray:
+    """The number of components on nodes 1.. of each row of ``_labels``:
+    the nodes that label themselves."""
+    return (labels[:, 1:] == np.arange(1, labels.shape[1])).sum(axis=1)
 
 
-class _GraphArrays:
-    """The arrays of one graph g that the row passes read, each built once.
-
-    ``sizes``, ``positive`` (sgn(e) > 0; an empty edge has no sign and
-    counts as positive), ``incidence`` (the (n + 1) x m matrix, 1.0 where
-    vertex v lies in edge j, row 0 zero) and ``star`` (x, y, j) linking the
-    first vertex of edge j to each later one come from one flat read of
-    the incidences; ``pairs`` (x, y, sgn(e)) is ``g.pairs`` as arrays,
-    read on first use.
-    """
-
-    def __init__(self, g: SignedHypergraph) -> None:
-        self.g = g
-        self.sizes = np.fromiter((e.size for e in g.edges), dtype=np.intp, count=g.m)
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(e.incidences for e in g.edges)),
-                           dtype=np.intp)
-        verts, incidence_signs = flat[0::2], flat[1::2]
-        edge = np.repeat(np.arange(g.m), self.sizes)
-        negatives = np.bincount(edge[incidence_signs < 0], minlength=g.m)
-        # sgn(e) = (-1)^(|e| - 1) times the product of the incidence signs
-        self.positive = (self.sizes == 0) | ((self.sizes - 1 + negatives) % 2 == 0)
-        self.incidence = np.zeros((g.n + 1, g.m))
-        self.incidence[verts, edge] = 1.0
-        first = np.cumsum(self.sizes) - self.sizes
-        later = np.ones(len(verts), dtype=bool)
-        later[first[self.sizes > 0]] = False
-        self.star = (verts[first[edge[later]]], verts[later], edge[later])
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.array(self.g.pairs, dtype=np.intp).reshape(-1, 3).T)
+def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Row sums of the columns bounds[j]:bounds[j + 1] of ``a``, one column
+    per segment j, empty segments included."""
+    total = np.zeros((len(a), a.shape[1] + 1), dtype=np.intp)
+    np.cumsum(a, axis=1, out=total[:, 1:])
+    return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
 def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[frozenset[int], ...]:
@@ -312,34 +265,6 @@ def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[in
     some edge contains both and f(x) * sgn(e) * f(y) > 0."""
     _check_function(h, f)
     return _strong(h, _vertex_signs(f))
-
-
-def _strong_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[list[tuple[frozenset[int], ...]], np.ndarray]:
-    """``strong_domains`` of every row of the sign matrix ``signs`` on the
-    graph of ``t``, and its number of strong pairs, parallel ones counted:
-    one mask over the pair table selects the strong links of all rows
-    (sign(x) * sign(y) == sgn(e), the product taken in int8), and one
-    labelling per chunk of rows splits every support.  Sorting the
-    support stably by label orders each row's domains by smallest vertex,
-    as ``UnionFind.groups`` does."""
-    xs, ys, ps = t.pairs
-    width = signs.shape[1]
-    out: list[tuple[frozenset[int], ...]] = []
-    strong_pairs = np.empty(len(signs), dtype=np.intp)
-    for rows, labels, links in _row_labels(width, xs, ys, len(signs),
-                                           lambda r: signs[r][:, xs] * signs[r][:, ys] == ps):
-        strong_pairs[rows] = links
-        rr, vv = np.nonzero(signs[rows])
-        # one key per (row, domain); row-major order keeps vertices ascending
-        key = rr * width + labels[rr, vv]
-        order = np.argsort(key, kind="stable")
-        key, verts = key[order], vv[order].tolist()
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        bounds = starts.tolist() + [len(verts)]
-        groups = iter([frozenset(verts[a:b]) for a, b in zip(bounds, bounds[1:])])
-        counts = np.bincount(key[starts] // width, minlength=rows.stop - rows.start)
-        out.extend(tuple(islice(groups, k)) for k in counts.tolist())
-    return out, strong_pairs
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -484,17 +409,11 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     """
     _check_function(h, f)
     sign = _vertex_signs(f)
-    return _decomposition(h, sign, _strong(h, sign), f.zero_tolerance)
-
-
-def _decomposition(h: SignedHypergraph, sign: list[int], strong: tuple[frozenset[int], ...],
-                   zero_tolerance: float) -> NodalDecomposition:
+    strong = _strong(h, sign)
     # the strong domains partition the support
     support = frozenset().union(*strong)
-    if len(support) == h.n:
-        return NodalDecomposition(support, strong, strong, strong, zero_tolerance)
-    cores, closures = _weak(h, sign, strong)
-    return NodalDecomposition(support, strong, cores, closures, zero_tolerance)
+    weak = (strong, strong) if len(support) == h.n else _weak(h, sign, strong)
+    return NodalDecomposition(support, strong, *weak, f.zero_tolerance)
 
 
 def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool:
@@ -559,100 +478,140 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-def _fiedler_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[tuple[FiedlerSets, ...], ...]:
-    """``fiedler_sets`` of every row of the sign matrix ``signs`` on the
-    graph h of ``t`` and on its clique expansion, as two tuples: the
-    Fiedler set of a row is ``zero & (cyclic | ~seen)``.  For a zero,
-    ``seen`` (sharing an edge with a nonzero) is the same on both graphs,
-    so two incidence products per chunk of rows serve both; ``_cyclic``
-    runs on the edges and on the pairs, only when some row has a zero."""
-    zero = signs == 0
-    zero[:, 0] = False
-    rows = np.flatnonzero(zero.any(axis=1))
-    out = ([_NO_ZEROS] * len(signs), [_NO_ZEROS] * len(signs))
-    if not len(rows):
-        return tuple(out[0]), tuple(out[1])
-    g = t.g
-    cyclic = [np.array(_cyclic(g.n, members), dtype=bool)
-              for members in ([e.vertices for e in g.edges], [(x, y) for x, y, _ in g.pairs])]
-    inc = t.incidence
-    for part in _row_chunks(len(rows), max(inc.shape)):
-        chunk = rows[part]
-        seen = (((signs[chunk] != 0) @ inc > 0) @ inc.T) > 0
-        for i, z, s in zip(chunk.tolist(), zero[chunk], seen):
-            for reading, cyc in zip(out, cyclic):
-                fiedler = z & (cyc | ~s)
-                reading[i] = FiedlerSets(frozenset(np.flatnonzero(fiedler).tolist()),
-                                         frozenset(np.flatnonzero(z & ~fiedler).tolist()))
-    return tuple(out[0]), tuple(out[1])
+@dataclass(frozen=True)
+class BoundTerms:
+    """The terms of the lower bound of every row under one reading: the
+    Fiedler sets, l_plus and l', one entry per row."""
+
+    fiedler: tuple[FiedlerSets, ...]
+    l_plus: tuple[int, ...]
+    l_prime: tuple[int, ...]
 
 
-def _l_plus_rows(t: _GraphArrays, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``l_plus`` of every row of the sign matrix ``signs`` on the graph of
-    ``t``, as (totals, components), so l = totals - n + components.
+class _Rows(NamedTuple):
+    strong: list[tuple[frozenset[int], ...]]
+    # some pair joins a nonzero to a zero, so the weak pass has work
+    attached: list[bool]
+    # (sum max(|e| - 1, 0), components) of the coherent edges of h
+    coherent: tuple[np.ndarray, np.ndarray]
+    terms: dict[str, BoundTerms]
 
-    An edge is coherent when all its vertices are nonzero and every pair
-    x, y of them has sign(x) * sgn(e) * sign(y) > 0; in closed form, on
-    the counts of + and - vertices per edge, taken per chunk of rows: size
-    <= 1, or all signs equal on a positive edge, or one + and one - on a
-    negative edge.  The star links of the coherent edges (s - 1 for size
-    s) are the totals, and their labelling gives the components.
+
+def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Rows:
+    """Strong domains, attachments and the ``BoundTerms`` of both readings
+    of every row of the sign matrix ``signs``; ``n_components`` is c(h).
+
+    One walk over chunks of rows.  A chunk takes the nonzero ends and the
+    strong pairs (sign(x) * sign(y) == sgn(e), the product in int8) as
+    masks over the pair table.  The pair table and the flat incidence
+    list are both in edge order, so cumulative sums along a row count,
+    per edge, its strong pairs and its nonzero vertices k_e.  The chunk
+    labels at most three link sets with ``_labels``:
+
+    - the strong pairs: the strong domains, sorted stably by label so each
+      row's domains are ordered by smallest vertex (as
+      ``UnionFind.groups`` orders them), and their count P.  A pair of the
+      clique expansion is coherent exactly when strong, so there
+      l_plus = P - n + S + (n - |supp|) with S strong domains;
+    - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
+      all strong, and so whose |e| vertices are nonzero (an edge of size
+      1 or 0 has no pair and adds nothing, coherent or not): l_plus on h,
+      over sum max(|e| - 1, 0) of them;
+    - the pairs with two nonzero ends, for rows with a zero.  An edge
+      with k_e nonzero vertices connects them in h and in its expansion
+      alike, and a zero is isolated, so with c components on 1..n,
+      l'_h = sum max(k_e - 1, 0) - n + c and l'_clique is these links
+      - n + c.  A zero-free row has the whole graph for support.
+
+    The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
+    ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
+    ``_cyclic`` runs on the edges and on the pairs once, only when some
+    row has a zero.
     """
-    sizes, positive, inc = t.sizes, t.positive, t.incidence
-    star_x, star_y, star_edge = t.star
+    n, width, n_rows = h.n, h.n + 1, len(signs)
+    xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
+    sizes = np.fromiter((e.size for e in h.edges), dtype=np.intp, count=h.m)
+    n_pairs = sizes * (sizes - 1) // 2
+    verts = np.fromiter(chain.from_iterable(e.vertices for e in h.edges), dtype=np.intp,
+                        count=int(sizes.sum()))
+    edge_of = np.repeat(np.arange(h.m), sizes)
+    pair_edge = np.repeat(np.arange(h.m), n_pairs)
+    flat_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    pair_bounds = np.concatenate(([0], np.cumsum(n_pairs)))
+    # the flat incidences grouped by vertex, for the per-vertex sums
+    by_vertex = edge_of[np.argsort(verts, kind="stable")]
+    vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
+    links = np.maximum(sizes - 1, 0)
 
-    def coherent_star_links(rows: slice) -> np.ndarray:
-        pos = (signs[rows] > 0) @ inc
-        neg = (signs[rows] < 0) @ inc
-        small = (sizes <= 1) & (pos + neg == sizes)
-        same = (pos == sizes) | (neg == sizes)
-        return (small | np.where(positive, same, (sizes == 2) & (pos == 1) & (neg == 1)))[:, star_edge]
+    strong: list[tuple[frozenset[int], ...]] = []
+    attached = np.empty(n_rows, dtype=bool)
+    strong_pairs, plus_total, plus_c = (np.empty(n_rows, dtype=np.intp) for _ in range(3))
+    l_h = np.full(n_rows, int(links.sum()) - n + n_components)
+    l_clique = np.full(n_rows, len(xs) - n + n_components)
+    fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
+    cyclic: list[np.ndarray] = []
+    for rows in _row_chunks(n_rows, max(len(xs), len(verts), width, h.m)):
+        s = signs[rows]
+        nonzero = s != 0
+        nx, ny = nonzero[:, xs], nonzero[:, ys]
+        attached[rows] = (nx != ny).any(axis=1)
+        is_strong = s[:, xs] * s[:, ys] == ps
+        strong_pairs[rows] = is_strong.sum(axis=1)
+        labels = _labels(width, xs, ys, is_strong)
+        rr, vv = np.nonzero(s)
+        # one key per (row, domain); row-major order keeps vertices ascending
+        key = rr * width + labels[rr, vv]
+        order = np.argsort(key, kind="stable")
+        key, members = key[order], vv[order].tolist()
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        bounds = starts.tolist() + [len(members)]
+        groups = iter([frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])])
+        counts = np.bincount(key[starts] // width, minlength=rows.stop - rows.start)
+        strong.extend(tuple(islice(groups, k)) for k in counts.tolist())
 
-    return _cycle_counts(t.g.n, star_x, star_y, len(signs), coherent_star_links, row_size=t.g.m)
+        coherent = _segment_sums(is_strong, pair_bounds) == n_pairs
+        plus_total[rows] = coherent @ links
+        plus_c[rows] = _roots(_labels(width, xs, ys, coherent[:, pair_edge]))
+
+        with_zero = np.flatnonzero(~nonzero[:, 1:].all(axis=1))
+        if not len(with_zero):
+            continue
+        both = nx[with_zero] & ny[with_zero]
+        c = _roots(_labels(width, xs, ys, both))
+        k = _segment_sums(nonzero[with_zero][:, verts], flat_bounds)
+        at = with_zero + rows.start
+        l_h[at] = np.maximum(k - 1, 0).sum(axis=1) - n + c
+        l_clique[at] = both.sum(axis=1) - n + c
+        seen = _segment_sums((k > 0)[:, by_vertex], vertex_bounds) > 0
+        zero = ~nonzero[with_zero]
+        zero[:, 0] = False
+        if not cyclic:
+            cyclic = [np.array(_cyclic(n, members), dtype=bool)
+                      for members in ([e.vertices for e in h.edges], [(x, y) for x, y, _ in h.pairs])]
+        for i, z, sn in zip(at.tolist(), zero, seen):
+            for reading, cyc in zip(fiedler, cyclic):
+                fied = z & (cyc | ~sn)
+                reading[i] = FiedlerSets(frozenset(np.flatnonzero(fied).tolist()),
+                                         frozenset(np.flatnonzero(z & ~fied).tolist()))
+
+    # the clique expansion's coherent graph: the strong domains, and the
+    # zeros as isolated vertices
+    clique_c = np.array([len(d) for d in strong], dtype=np.intp) + (signs[:, 1:] == 0).sum(axis=1)
+    plus = (plus_total - n + plus_c, strong_pairs - n + clique_c)
+    terms = {variant: BoundTerms(tuple(fs), tuple(lp.tolist()), tuple(lq.tolist()))
+             for variant, fs, lp, lq in zip(BOUND_VARIANTS, fiedler, plus, (l_h, l_clique))}
+    return _Rows(strong, attached.tolist(), (plus_total, plus_c), terms)
 
 
 def l_plus(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
     """Cyclomatic data of the coherent subhypergraph: the edge family
     restricted to the edges whose every vertex pair respects the edge
-    sign (``_l_plus_rows`` states the rule), on the full vertex set.
+    sign (``_row_pass`` states the rule), on the full vertex set.
     """
     _check_function(h, f)
-    (total,), (c,) = (a.tolist() for a in _l_plus_rows(_GraphArrays(h), _sign_matrix((f,), h.n)))
+    rows = _row_pass(h, _sign_matrix((f,), h.n), cyclomatic(h).n_components)
+    (total,), (c,) = (a.tolist() for a in rows.coherent)
     return CycleStats(total, h.n, c, total - h.n + c)
-
-
-def _l_prime_rows(t: _GraphArrays, signs: np.ndarray, n_components: int) -> tuple[np.ndarray, np.ndarray]:
-    """``support_cyclomatic(g, f).l`` of every row of the sign matrix
-    ``signs``, with g the graph h of ``t`` and with g its clique expansion,
-    as two arrays; ``n_components`` is c(h).
-
-    An edge with k_e nonzero vertices connects them in h and in the
-    expansion alike, so one labelling of the pairs whose two ends are
-    nonzero gives the components of the support on both graphs.  A zero
-    is an isolated vertex of that graph, so with c its components on all
-    of 1..n, |supp| - c_supp = n - c, and with k = (S != 0) @ incidence:
-    l'_h = sum max(k_e - 1, 0) - n + c and
-    l'_clique = sum k_e (k_e - 1) / 2 - n + c.  A row without zeros has
-    the whole graph for support, k = sizes and c = c(h), and is not
-    labelled.
-    """
-    n = t.g.n
-    xs, ys, _ = t.pairs
-    l_h = np.full(len(signs), int(np.maximum(t.sizes - 1, 0).sum()) - n + n_components)
-    l_clique = np.full(len(signs), len(xs) - n + n_components)
-    nonzero = signs != 0
-    rows = np.flatnonzero(nonzero.sum(axis=1) < n)
-    nonzero = nonzero[rows]
-    own = np.arange(1, n + 1)
-    # k is taken per chunk of rows, so its float product stays in the budget
-    for part, labels, _ in _row_labels(n + 1, xs, ys, len(rows),
-                                       lambda r: nonzero[r][:, xs] & nonzero[r][:, ys],
-                                       row_size=t.g.m):
-        k = (nonzero[part] @ t.incidence).astype(np.intp)
-        c = (labels[:, 1:] == own).sum(axis=1)
-        l_h[rows[part]] = np.maximum(k - 1, 0).sum(axis=1) - n + c
-        l_clique[rows[part]] = (k * (k - 1) // 2).sum(axis=1) - n + c
-    return l_h, l_clique
 
 
 def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
@@ -681,26 +640,24 @@ def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
     on every eigenpair, not the paper's construction, which PAPER.md
     does not give.
 
-    ``Analysis`` never builds this graph, the tests' reference: its edges
-    are pairs, coherent exactly when strong, so l_plus = P - |supp| + S
-    with P the strong pairs (``_strong_rows``), l' is ``_l_prime_rows``
-    and the Fiedler sets ``_fiedler_rows``, whose ``_cyclic`` reads pairs.
+    ``Analysis`` never builds this graph, the tests' reference: its
+    terms are read off h's pairs by ``_row_pass``.
     """
     return SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in h.pairs))
 
 
 def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
-    """One BoundReport per eigenfunction, from the cached decompositions,
-    Fiedler sets, l_plus and l' of every row; the per-instance terms are
-    computed once for all rows."""
+    """One BoundReport per eigenfunction, from the cached decompositions
+    and the ``terms`` of ``variant``; the per-instance terms are computed
+    once for all rows."""
     spectrum, cyc = analysis.spectrum, analysis.cycles
     c = cyc.n_components
-    clique = variant == "clique"
+    terms = analysis.terms[variant]
+    # (k, r) of every index, the clusters covering 1..n in order
+    clusters = [(k, r) for k, r in spectrum.clusters for _ in range(r)]
     out = []
-    rows = zip(analysis.decompositions, analysis.fiedler(clique), analysis.l_plus(clique),
-               analysis.l_prime(clique))
-    for i, (dec, fs, lp, l_prime) in enumerate(rows, 1):
-        k, r = spectrum.cluster_of(i)
+    rows = zip(clusters, analysis.decompositions, terms.fiedler, terms.l_plus, terms.l_prime)
+    for i, ((k, r), dec, fs, lp, l_prime) in enumerate(rows, 1):
         fied = len(fs.fiedler)
         lower = k + r - 1 - l_prime + lp - fied
         out.append(BoundReport(
@@ -729,21 +686,24 @@ class Analysis:
     eigenfunction read at ``zero_tol_rel``, and ``signs`` its sign matrix:
     row i - 1 holds the signs of the eigenfunction of 1-based index i,
     column v the sign at vertex v (column 0 is unused and zero).
-    ``decompositions[i - 1]`` and ``fiedler()[i - 1]`` belong to that
-    eigenfunction, on the hypergraph itself; ``fiedler``, ``l_plus`` and
-    ``l_prime`` give the terms on h or (given ``clique=True``) on its
-    clique expansion, all read from the ``arrays()`` of h.  ``cycles``
-    holds c and l of h.  ``bounds(variant)`` is the table of nodal-count
-    bounds of every index: strong count <= k + r - 1; weak count <=
-    k + c - 1; strong count >= k + r - 1 - l' + l_plus - |fiedler|, the
-    terms read on whole hyperedges (``all_pairs``: l_plus over the edges
-    whose every vertex pair is coherent) or on the clique expansion.
+    ``decompositions[i - 1]`` belongs to that eigenfunction, and so does
+    entry i - 1 of each part of ``terms[variant]``: the Fiedler sets,
+    l_plus and l' on h (``all_pairs``) or on its clique expansion
+    (``clique``).  One row pass (``_row_pass``) gives the strong domains
+    and the terms of both readings; only the weak pass of an
+    eigenfunction with a nonzero next to a zero runs per function.
+    ``cycles`` holds c and l of h.  ``bounds(variant)`` is the table of
+    nodal-count bounds of every index: strong count <= k + r - 1; weak
+    count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
+    |fiedler|, the terms read on whole hyperedges (``all_pairs``: l_plus
+    over the edges whose every vertex pair is coherent) or on the clique
+    expansion.
     """
 
     def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:
         self.h = h
         self.zero_tol_rel = zero_tol_rel
-        self._cache: dict[tuple, object] = {}
+        self._bounds: dict[str, tuple[BoundReport, ...]] = {}
 
     @cached_property
     def bundle(self) -> MatrixBundle:
@@ -762,53 +722,27 @@ class Analysis:
         return cyclomatic(self.h)
 
     @cached_property
-    def _strong(self) -> tuple[list[tuple[frozenset[int], ...]], np.ndarray]:
-        return _strong_rows(self.arrays(), self.signs)
+    def _rows(self) -> _Rows:
+        return _row_pass(self.h, self.signs, self.cycles.n_components)
+
+    @property
+    def terms(self) -> dict[str, BoundTerms]:
+        """The ``BoundTerms`` of every eigenfunction, keyed by the names of
+        ``BOUND_VARIANTS``."""
+        return self._rows.terms
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        signs = (row.tolist() for row in self.signs)
-        rows = zip(self.spectrum.functions, signs, self._strong[0])
-        return tuple(_decomposition(self.h, sign, strong, f.zero_tolerance)
-                     for f, sign, strong in rows)
-
-    def _once(self, key: tuple, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    def arrays(self) -> _GraphArrays:
-        """The arrays (``_GraphArrays``) of h."""
-        return self._once(("arrays",), lambda: _GraphArrays(self.h))
-
-    def fiedler(self, clique: bool = False) -> tuple[FiedlerSets, ...]:
-        """The Fiedler sets of every eigenfunction, on the clique expansion
-        if ``clique`` and on h otherwise: one pass serves both graphs."""
-        return self._once(("fiedler",), lambda: _fiedler_rows(self.arrays(), self.signs))[clique]
-
-    def l_plus(self, clique: bool = False) -> tuple[int, ...]:
-        """l_plus of every eigenfunction: on h, from one coherence pass; on
-        the clique expansion, P - |supp| + S from the strong pass
-        (``clique_expansion``)."""
-        def build():
-            if clique:
-                domains, strong_pairs = self._strong
-                return strong_pairs - (self.signs != 0).sum(axis=1) + np.array([len(d) for d in domains])
-            totals, components = _l_plus_rows(self.arrays(), self.signs)
-            return totals - self.h.n + components
-        return self._once(("l_plus", clique), lambda: tuple(build().tolist()))
-
-    def l_prime(self, clique: bool = False) -> tuple[int, ...]:
-        """l' of every eigenfunction, the cyclomatic number of its support
-        on the clique expansion if ``clique`` and on h otherwise: one
-        labelling serves both graphs."""
-        both = self._once(("l_prime",), lambda: tuple(
-            tuple(ls.tolist()) for ls in _l_prime_rows(self.arrays(), self.signs,
-                                                       self.cycles.n_components)))
-        return both[clique]
+        rows = zip(self.spectrum.functions, self.signs, self._rows.strong, self._rows.attached)
+        return tuple(NodalDecomposition(
+            frozenset().union(*strong), strong,
+            *(_weak(self.h, sign.tolist(), strong) if attached else (strong, strong)),
+            f.zero_tolerance) for f, sign, strong, attached in rows)
 
     def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
         """The bounds row of every eigenfunction, in index order."""
         if variant not in BOUND_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {BOUND_VARIANTS}")
-        return self._once(("bounds", variant), lambda: tuple(_bound_rows(self, variant)))
+        if variant not in self._bounds:
+            self._bounds[variant] = tuple(_bound_rows(self, variant))
+        return self._bounds[variant]

@@ -162,7 +162,7 @@ def build_report(h: SignedHypergraph, digest: str,
     eigenfunctions = [
         function_record(f, dec, fs, i, lam)
         for i, (f, dec, fs, lam) in enumerate(zip(
-            spectrum.functions, analysis.decompositions, analysis.fiedler(),
+            spectrum.functions, analysis.decompositions, analysis.terms["all_pairs"].fiedler,
             spectrum.eigenvalues), 1)
     ]
     report = {

@@ -41,9 +41,11 @@ from .core import (
 from .nodal import (
     Analysis,
     NodalDecomposition,
-    _cycle_counts,
+    _labels,
+    _roots,
+    _row_chunks,
+    _row_pass,
     _sign_matrix,
-    _strong_rows,
     decompose,
     domain_graph_connected,
     strong_domains,
@@ -684,12 +686,17 @@ def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     fails = []
     fs = _sample_functions(ctx, rng)
     n = ctx.spectrum.n
-    # the batched strong pass, apart from the one-function APIs
-    batched = [dec.strong for dec in ctx.decompositions]
-    batched += _strong_rows(ctx.arrays(), _sign_matrix(tuple(fs[n:]), ctx.h.n))[0]
-    for j, f in enumerate(fs):
-        if len(f.support()) != f.n:
-            continue
+    full = [j for j, f in enumerate(fs) if len(f.support()) == f.n]
+    # the batched strong pass, apart from the one-function APIs; of the
+    # random functions only the zero-free ones, which the property reads
+    batched = {j: dec.strong for j, dec in enumerate(ctx.decompositions)}
+    extra = [j for j in full if j >= n]
+    if extra:
+        rows = _row_pass(ctx.h, _sign_matrix(tuple(fs[j] for j in extra), ctx.h.n),
+                         ctx.cycles.n_components)
+        batched.update(zip(extra, rows.strong))
+    for j in full:
+        f = fs[j]
         # weak_domains itself, which decompose skips on a zero-free function
         cores, closures = weak_domains(ctx.h, f)
         if not (strong_domains(ctx.h, f) == cores == closures == batched[j]):
@@ -782,11 +789,12 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     coeff = bundle.a[a - 1, b - 1] * (values[:, a - 1] * values[:, b - 1])
     positive, nonzero = coeff > 0, coeff != 0
     masks = np.concatenate((positive, nonzero))
-    (pos_links, nonzero_links), (c_pos, c_nonzero) = (
-        counts.reshape(2, -1) for counts in _cycle_counts(h.n, a, b, len(masks), lambda r: masks[r]))
+    c_pos, c_nonzero = np.concatenate([_roots(_labels(h.n + 1, a, b, masks[rows]))
+                                       for rows in _row_chunks(len(masks), max(len(a), h.n + 1))]
+                                      ).reshape(2, -1)
     sigma_ts = (h.n - c_pos).tolist()
-    n_poss = pos_links.tolist()
-    l_nonzeros = (nonzero_links - h.n + c_nonzero).tolist()
+    n_poss = positive.sum(axis=1).tolist()
+    l_nonzeros = (nonzero.sum(axis=1) - h.n + c_nonzero).tolist()
     fails = []
     for i, sigma_t, n_pos, l_nonzero in zip(full, sigma_ts, n_poss, l_nonzeros):
         s = nodal_quadratic_form(bundle, ctx.spectrum.functions[i - 1], ctx.spectrum.eigenvalues[i - 1])

@@ -367,8 +367,8 @@ class TestReportModule:
             real = getattr(nodal, name)
 
             def wrapper(*args, **kwargs):
-                rows = args[-1]
-                calls[name].append(rows.shape[0] if hasattr(rows, "shape") else 1)
+                signs = [a for a in args if hasattr(a, "shape")]
+                calls[name].append(signs[0].shape[0] if signs else 1)
                 return real(*args, **kwargs)
             return wrapper
 
@@ -390,17 +390,16 @@ class TestReportModule:
         assert calls == {"_sign_matrix": [1], "decompose": [], "strong_domains": []}
 
     def test_one_fiedler_pass_and_one_l_plus_pass_per_graph(self, monkeypatch):
-        # the Fiedler sets and l_plus of all 20 eigenfunctions each come
-        # from one pass over the sign matrix, not from the one-function calls
-        calls = self._count(monkeypatch, ("fiedler_sets", "_fiedler_rows", "l_plus", "_l_plus_rows"))
+        # the Fiedler sets and l_plus of all 20 eigenfunctions come from
+        # one row pass over the sign matrix, not from the one-function calls
+        calls = self._count(monkeypatch, ("fiedler_sets", "l_plus", "_row_pass"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         build_report(h, input_digest(serialize(h)))
-        assert calls == {"fiedler_sets": [], "_fiedler_rows": [20], "l_plus": [],
-                         "_l_plus_rows": [20]}
+        assert calls == {"fiedler_sets": [], "l_plus": [], "_row_pass": [20]}
 
     def test_one_coherence_pass_per_graph(self, monkeypatch):
-        # one coherence pass on h serves an Analysis and both its tables;
-        # the clique table reads h's own arrays and never builds the expansion
+        # one row pass on h serves an Analysis and both its tables; the
+        # clique table reads h's own pairs and never builds the expansion
         import shg.nodal as nodal
         from shg.nodal import Analysis
 
@@ -408,7 +407,7 @@ class TestReportModule:
             raise AssertionError("the clique expansion was built")
 
         monkeypatch.setattr(nodal, "clique_expansion", must_not_run)
-        calls = self._count(monkeypatch, ("_sign_matrix", "_l_plus_rows", "_fiedler_rows"))
+        calls = self._count(monkeypatch, ("_sign_matrix", "_row_pass"))
         instances = list(generate(GenConfig(seed=3, count=4)))
         instances += list(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         for h in instances:
@@ -417,12 +416,11 @@ class TestReportModule:
             for variant in ("all_pairs", "clique", "all_pairs", "clique"):
                 analysis.bounds(variant)
             assert not hasattr(analysis, "expansion")
-        # one sign matrix, one coherence pass and one Fiedler pass for the
+        # one sign matrix and one row pass over all its rows for the
         # report's Analysis, the same for the tables', whose two readings
         # share them
         assert calls["_sign_matrix"] == [1] * (2 * len(instances))
-        assert calls["_l_plus_rows"] == [h.n for h in instances for _ in range(2)]
-        assert calls["_fiedler_rows"] == calls["_l_plus_rows"]
+        assert calls["_row_pass"] == [h.n for h in instances for _ in range(2)]
 
     def test_no_per_row_support_cyclomatic(self, monkeypatch):
         # l' of every row comes from one labelling, also where the

@@ -18,6 +18,7 @@ from shg.core import (
     hyperneighbors,
     is_tree_like,
     spanning_hyperforest,
+    weak_delete,
 )
 from shg.cli import _matrix_graph
 from shg.fixtures import (
@@ -28,16 +29,13 @@ from shg.fixtures import (
     fixture_example1,
 )
 from shg.nodal import (
+    BOUND_VARIANTS,
     Analysis,
     FiedlerSets,
     _blocks,
-    _fiedler_rows,
-    _GraphArrays,
     _components,
-    _l_prime_rows,
-    _l_plus_rows,
+    _row_pass,
     _sign_matrix,
-    _strong_rows,
     BoundReport,
     clique_expansion,
     decompose,
@@ -707,44 +705,88 @@ def batched_cases(draw):
     return h_of(n, *edges), tuple(VertexFunction.from_values(v) for v in fs)
 
 
+@st.composite
+def split_instances(draw):
+    """(h, functions): 1..3 components on disjoint vertex ranges, edges
+    of size 1..4 with random signs, some repeated, vertices in no edge,
+    and one function each at 20, 50 and 80 % zeros."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    edges = []
+    start = 1
+    for size in sizes:
+        part = range(start, start + size)
+        start += size
+        for _ in range(draw(st.integers(0, 2 * size))):
+            if edges and draw(st.integers(0, 5)) == 0:
+                edges.append(draw(st.sampled_from(edges)))
+                continue
+            k = draw(st.integers(1, min(4, size)))
+            vs = draw(st.lists(st.sampled_from(part), min_size=k, max_size=k, unique=True))
+            edges.append(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs))
+    order = draw(st.permutations(range(len(edges))))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fs = tuple(VertexFunction.from_values(
+        [0.0 if rng.random() < p else rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+         for _ in range(n)]) for p in (0.2, 0.5, 0.8))
+    return h_of(n, *(edges[i] for i in order)), fs
+
+
+def check_row_pass(h, fs):
+    """``_row_pass`` of every function of ``fs`` on h against the
+    one-function references: strong domains, attachments and l_plus on
+    h, and the terms of both readings on h and on its clique expansion."""
+    rows = _row_pass(h, _sign_matrix(fs, h.n), cyclomatic(h).n_components)
+    assert rows.strong == [reference_strong(h, f) for f in fs]
+    assert rows.attached == [any((f.sign(x) == 0) != (f.sign(y) == 0) for x, y, _ in h.pairs)
+                             for f in fs]
+    expected = [reference_l_plus(h, f) for f in fs]
+    assert [CycleStats(t, h.n, c, t - h.n + c) for t, c in zip(*(a.tolist() for a in rows.coherent))] == expected
+    assert [l_plus(h, f) for f in fs] == expected
+    for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
+        terms = rows.terms[variant]
+        assert terms.fiedler == tuple(reference_fiedler_sets(g, f) for f in fs)
+        assert terms.l_plus == tuple(reference_l_plus(g, f).l for f in fs)
+        assert terms.l_prime == tuple(support_cyclomatic(g, f).l for f in fs)
+
+
 class TestBatchedPasses:
     @given(batched_cases())
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_per_function_reference(self, case):
+        # on h, on its clique expansion and on a weak deletion (whose size-1
+        # edges can leave empty ones), an all-zero and a zero-free row
+        # riding along with the drawn ones
         h, fs = case
+        fs += (vf(*[0.0] * h.n), vf(*[1.0] * h.n))
         signs = _sign_matrix(fs, h.n)
         assert signs.tolist() == [[0] + [f.sign(v) for v in h.vertex_range()] for f in fs]
         expansion = clique_expansion(h)
+        check_row_pass(h, fs)
+        check_row_pass(expansion, fs)
+        check_row_pass(weak_delete(h, 1), tuple(vf(*f.values[1:]) for f in fs))
         for g in (h, expansion):
-            expected = [reference_l_plus(g, f) for f in fs]
-            totals, components = _l_plus_rows(_GraphArrays(g), signs)
-            assert [CycleStats(t, g.n, c, t - g.n + c)
-                    for t, c in zip(totals.tolist(), components.tolist())] == expected
-            assert [l_plus(g, f) for f in fs] == expected
-            expected = [reference_strong(g, f) for f in fs]
-            domains, strong_pairs = _strong_rows(_GraphArrays(g), signs)
-            assert domains == expected
-            assert [strong_domains(g, f) for f in fs] == expected
-            assert strong_pairs.tolist() == [
-                sum(f.sign(x) * s * f.sign(y) > 0 for x, y, s in g.pairs) for f in fs]
-        # the expansion's l_plus from h's strong pass: P - |supp| + S
-        domains, strong_pairs = _strong_rows(_GraphArrays(h), signs)
-        support = (signs != 0).sum(axis=1)
-        assert [p - n_supp + len(d) for p, n_supp, d in zip(strong_pairs.tolist(), support.tolist(), domains)] == [
-            reference_l_plus(expansion, f).l for f in fs]
+            assert [strong_domains(g, f) for f in fs] == [reference_strong(g, f) for f in fs]
 
-    @given(batched_cases())
+    @pytest.mark.parametrize("values", [(0.0, 0.0, 0.0, 0.0), (1.0, -1.0, 2.0, 1.0),
+                                        (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 1.0, 0.0)])
+    def test_size_one_and_empty_edges(self, values):
+        # deleting vertex 1 leaves two empty edges, from a size-1 edge and
+        # its opposite-sign twin, and two size-1 edges, one left of a pair
+        h = weak_delete(h_of(5, ((1, 1),), ((1, -1),), ((1, 1), (2, 1)), ((2, 1), (3, -1), (4, 1)),
+                             ((4, -1),), ((3, 1), (5, 1))), 1)
+        assert sum(e.size == 0 for e in h.edges) == 2 and sum(e.size == 1 for e in h.edges) == 2
+        check_row_pass(h, (vf(*values),))
+
+    @given(split_instances())
     @settings(max_examples=200, deadline=None)
     def test_l_prime_matches_support_cyclomatic(self, case):
-        # one labelling of h gives l' on h and on its clique expansion;
-        # an all-zero and a zero-free row ride along with the drawn ones
+        # 1..3 components at 20, 50 and 80 % zeros: l' on both graphs
+        # from one labelling of h's nonzero pairs
         h, fs = case
-        fs += (vf(*[0.0] * h.n), vf(*[1.0] * h.n))
-        l_h, l_clique = _l_prime_rows(_GraphArrays(h), _sign_matrix(fs, h.n),
-                                      cyclomatic(h).n_components)
-        assert l_h.tolist() == [support_cyclomatic(h, f).l for f in fs]
-        expansion = clique_expansion(h)
-        assert l_clique.tolist() == [support_cyclomatic(expansion, f).l for f in fs]
+        rows = _row_pass(h, _sign_matrix(fs, h.n), cyclomatic(h).n_components)
+        for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
+            assert rows.terms[variant].l_prime == tuple(support_cyclomatic(g, f).l for f in fs)
 
 
 def component_labels(n_nodes, links):
@@ -790,33 +832,31 @@ class TestComponentKernel:
     @pytest.mark.parametrize("n", [0, 3])
     def test_zero_rows(self, n):
         h = h_of(n, *([((1, 1), (2, 1), (3, -1))] if n else []))
-        t = _GraphArrays(h)
-        signs = np.zeros((0, n + 1), dtype=np.int8)
-        domains, strong_pairs = _strong_rows(t, signs)
-        assert domains == [] and strong_pairs.shape == (0,)
-        assert [a.shape for a in _l_plus_rows(t, signs)] == [(0,), (0,)]
-        assert [a.tolist() for a in _l_prime_rows(t, signs, cyclomatic(h).n_components)] == [[], []]
+        rows = _row_pass(h, np.zeros((0, n + 1), dtype=np.int8), cyclomatic(h).n_components)
+        assert rows.strong == [] and rows.attached == []
+        assert [a.shape for a in rows.coherent] == [(0,), (0,)]
+        assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((), (), ())
+                   for terms in rows.terms.values())
 
     def test_empty_hypergraph_rows(self):
-        h = h_of(0)
-        t = _GraphArrays(h)
-        signs = _sign_matrix((vf(),), 0)
-        domains, strong_pairs = _strong_rows(t, signs)
-        assert domains == [()] and strong_pairs.tolist() == [0]
-        assert [a.tolist() for a in _l_plus_rows(t, signs)] == [[0], [0]]
-        assert [a.tolist() for a in _l_prime_rows(t, signs, 0)] == [[0], [0]]
+        rows = _row_pass(h_of(0), _sign_matrix((vf(),), 0), 0)
+        assert rows.strong == [()] and rows.attached == [False]
+        assert [a.tolist() for a in rows.coherent] == [[0], [0]]
+        empty = FiedlerSets(frozenset(), frozenset())
+        assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((empty,), (0,), (0,))
+                   for terms in rows.terms.values())
 
 
 class TestChunking:
     @staticmethod
     def _outputs(h):
         # every batched result of one instance at a loose zero tolerance,
-        # the Fiedler sets and l_plus on both graphs included, with the
-        # sandwich details of an inertia that always fails
+        # the terms of both readings included, with the sandwich details
+        # of an inertia that always fails
         analysis = Analysis(h, zero_tol_rel=0.2)
         return (analysis.decompositions,
-                [analysis.bounds(v) for v in ("all_pairs", "clique")],
-                [(analysis.fiedler(clique), analysis.l_plus(clique)) for clique in (False, True)],
+                [analysis.bounds(v) for v in BOUND_VARIANTS],
+                analysis.terms,
                 verify._p_sandwich(analysis, random.Random(0)))
 
     @pytest.fixture
@@ -829,23 +869,21 @@ class TestChunking:
 
     def _record_calls(self, monkeypatch):
         """Record (nodes, links) of every ``_components`` call, the shape
-        of every candidate-link mask a chunk of rows selects, and
-        (rows, row size) of every chunk ``_row_chunks`` hands out."""
+        of every link mask a chunk of rows labels, and (rows, row size) of
+        every chunk ``_row_chunks`` hands out, in the row pass and in the
+        sandwich property alike."""
         import shg.nodal as nodal
 
         seen, masks, chunks = [], [], []
-        real, real_rows, real_chunks = nodal._components, nodal._row_labels, nodal._row_chunks
+        real, real_labels, real_chunks = nodal._components, nodal._labels, nodal._row_chunks
 
         def wrapper(n_nodes, ex, ey):
             seen.append((n_nodes, len(ex)))
             return real(n_nodes, ex, ey)
 
-        def rows_wrapper(width, xs, ys, n_rows, select, row_size=0):
-            def recording(rows):
-                mask = select(rows)
-                masks.append(mask.shape)
-                return mask
-            return real_rows(width, xs, ys, n_rows, recording, row_size)
+        def labels_wrapper(width, xs, ys, mask):
+            masks.append(mask.shape)
+            return real_labels(width, xs, ys, mask)
 
         def chunks_wrapper(n_rows, row_size):
             for rows in real_chunks(n_rows, row_size):
@@ -853,8 +891,9 @@ class TestChunking:
                 yield rows
 
         monkeypatch.setattr(nodal, "_components", wrapper)
-        monkeypatch.setattr(nodal, "_row_labels", rows_wrapper)
-        monkeypatch.setattr(nodal, "_row_chunks", chunks_wrapper)
+        for module in (nodal, verify):
+            monkeypatch.setattr(module, "_labels", labels_wrapper)
+            monkeypatch.setattr(module, "_row_chunks", chunks_wrapper)
         return seen, masks, chunks
 
     def test_no_call_exceeds_the_budget(self, monkeypatch, instances, failing_inertia):
@@ -868,16 +907,17 @@ class TestChunking:
         assert any((Analysis(h, zero_tol_rel=0.2).signs[:, 1:] == 0).any() for h in instances)
         assert all(links <= nodal._LINK_BUDGET for _, links in seen)
         assert all(n_nodes <= nodal._LINK_BUDGET for n_nodes, _ in seen)
-        # every chunk of rows, the Fiedler products' included, within the
-        # budget: the incidence products of a chunk are rows x (n + 1) and
-        # rows x m
+        # every chunk of rows within the budget
         assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks)
-        # and each pass that takes incidence products declares their width
+        # and the row pass declares the widest of its temporaries per row:
+        # the pair table, the flat incidences, the vertices and the edges
         for h in instances:
             analysis = Analysis(h, zero_tol_rel=0.2)
+            analysis.signs
             chunks.clear()
-            analysis.fiedler(), analysis.fiedler(True), analysis.l_plus(), analysis.l_prime()
-            assert chunks and all(size >= max(h.n + 1, h.m) for _, size in chunks)
+            analysis.terms
+            widest = max(len(h.pairs), sum(e.size for e in h.edges), h.n + 1, h.m)
+            assert chunks and all(size == widest for _, size in chunks)
 
     @pytest.mark.parametrize("budget", [1, 3, 7, 40])
     def test_results_do_not_depend_on_the_budget(self, monkeypatch, instances, failing_inertia, budget):
@@ -925,54 +965,30 @@ def reference_fiedler_sets(h, f):
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
 
-@st.composite
-def split_instances(draw):
-    """(h, functions): 1..3 components on disjoint vertex ranges, edges
-    of size 1..4 with random signs, some repeated, vertices in no edge,
-    and one function each at 20, 50 and 80 % zeros."""
-    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
-    n = sum(sizes) + draw(st.integers(0, 2))
-    edges = []
-    start = 1
-    for size in sizes:
-        part = range(start, start + size)
-        start += size
-        for _ in range(draw(st.integers(0, 2 * size))):
-            if edges and draw(st.integers(0, 5)) == 0:
-                edges.append(draw(st.sampled_from(edges)))
-                continue
-            k = draw(st.integers(1, min(4, size)))
-            vs = draw(st.lists(st.sampled_from(part), min_size=k, max_size=k, unique=True))
-            edges.append(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs))
-    order = draw(st.permutations(range(len(edges))))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    fs = tuple(VertexFunction.from_values(
-        [0.0 if rng.random() < p else rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
-         for _ in range(n)]) for p in (0.2, 0.5, 0.8))
-    return h_of(n, *(edges[i] for i in order)), fs
-
-
 class TestBatchedFiedlerSets:
     @given(split_instances())
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_per_function_reference(self, case):
         h, fs = case
         signs = _sign_matrix(fs, h.n)
-        t = _GraphArrays(h)
-        for clique, g in ((False, h), (True, clique_expansion(h))):
+        expansion = clique_expansion(h)
+        rows = _row_pass(h, signs, cyclomatic(h).n_components)
+        for variant, g in zip(BOUND_VARIANTS, (h, expansion)):
             expected = tuple(reference_fiedler_sets(g, f) for f in fs)
-            assert _fiedler_rows(t, signs)[clique] == expected
-            assert _fiedler_rows(_GraphArrays(g), signs)[0] == expected
+            assert rows.terms[variant].fiedler == expected
             assert tuple(fiedler_sets(g, f) for f in fs) == expected
+        # the pass on the expansion itself reads the same sets off its edges
+        assert _row_pass(expansion, signs, cyclomatic(h).n_components).terms["all_pairs"].fiedler == \
+            rows.terms["clique"].fiedler
 
     def test_analysis_matches_reference_on_eigenfunctions(self):
         # a loose zero tolerance gives the eigenfunctions zeros
         seen_zero = False
         for h in generate(GenConfig(seed=2026, count=40)):
             analysis = Analysis(h, zero_tol_rel=0.2)
-            for clique, g in ((False, h), (True, clique_expansion(h))):
+            for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
                 expected = tuple(reference_fiedler_sets(g, f) for f in analysis.spectrum.functions)
-                assert analysis.fiedler(clique) == expected
+                assert analysis.terms[variant].fiedler == expected
                 seen_zero = seen_zero or any(fs.fiedler or fs.other_zeros for fs in expected)
         assert seen_zero
 
@@ -987,7 +1003,7 @@ class TestBatchedFiedlerSets:
         analysis = Analysis(h)
         assert (analysis.signs[:, 1:] != 0).all()
         empty = (FiedlerSets(frozenset(), frozenset()),) * 20
-        assert analysis.fiedler() == analysis.fiedler(True) == empty
+        assert all(terms.fiedler == empty for terms in analysis.terms.values())
 
 
 def reference_weak_domains(h, f):
@@ -1121,6 +1137,30 @@ class TestWeakPassAgainstReference:
         for dec, f in zip(analysis.decompositions, analysis.spectrum.functions, strict=True):
             assert (dec.weak_cores, dec.weak_closures) == reference_weak_domains(h, f)
             assert dec == decompose(h, f)
+
+    def test_analysis_weak_pass_runs_on_attached_rows_only(self, monkeypatch):
+        # a row whose zeros touch no nonzero keeps its strong domains as
+        # weak ones without the weak pass
+        import shg.nodal as nodal
+
+        # two components side by side: most eigenfunctions vanish on one
+        a, b = generate(GenConfig(n_range=(8, 10), m_range=(8, 10), seed=3, count=2))
+        h = h_of(a.n + b.n, *(e.incidences for e in a.edges),
+                 *(tuple((v + a.n, s) for v, s in e.incidences) for e in b.edges))
+        expected = tuple(decompose(h, f) for f in Analysis(h).spectrum.functions)
+        real, weak_rows = nodal._weak, []
+
+        def recording(g, sign, strong):
+            weak_rows.append(sign)
+            return real(g, sign, strong)
+
+        monkeypatch.setattr(nodal, "_weak", recording)
+        analysis = Analysis(h)
+        assert analysis.decompositions == expected
+        attached = [row for row in analysis.signs.tolist()
+                    if any((row[x] == 0) != (row[y] == 0) for x, y, _ in h.pairs)]
+        assert weak_rows == attached
+        assert 0 < len(attached) < sum(len(dec.support) < h.n for dec in expected)
 
     def test_analysis_decompositions_read_the_sign_matrix(self, monkeypatch):
         h = next(generate(GenConfig(n_range=(30, 30), m_range=(30, 30), seed=3, count=1)))

@@ -449,6 +449,26 @@ class TestCampaign:
         fails, _ = self._no_zeros_identical()
         assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
 
+    def test_no_zeros_identical_batches_only_zero_free_random_rows(self, monkeypatch):
+        # the property reads zero-free functions only, so only the zero-free
+        # random functions go through the row pass, and none when all have
+        # zeros
+        real = shg.verify._row_pass
+        batched = []
+
+        def recording(h, signs, n_components):
+            batched.append(signs)
+            return real(h, signs, n_components)
+
+        monkeypatch.setattr(shg.verify, "_row_pass", recording)
+        calls = []
+        for seed, h in enumerate(generate(GenConfig(n_range=(3, 5), seed=8, count=30))):
+            batched.clear()
+            assert REGISTRY["nodal.no-zeros-identical"](Analysis(h), random.Random(seed)) == ([], [])
+            calls.append(sum(len(signs) for signs in batched))
+            assert all((signs[:, 1:] != 0).all() for signs in batched)
+        assert 0 in calls and 1 in calls and 2 in calls
+
     @pytest.mark.parametrize("m, checked", [(EXACT_FOREST_LIMIT, True),
                                             (EXACT_FOREST_LIMIT + 1, False)])
     def test_forest_property_checks_the_search_result(self, monkeypatch, m, checked):
