@@ -1,8 +1,9 @@
 """Byte-identity gate: reports, bounds tables and campaign JSON are pinned.
 
 The first three digests below were recorded before the single-analysis
-refactor, the zero-heavy one before the single row pass; none may move
-under a change that claims to keep the output.  They depend on the
+refactor, the zero-heavy one before the single row pass, and the
+text-summary and CSV ones before domains became sorted tuples; none may
+move under a change that claims to keep the output.  They depend on the
 floating-point results of this numpy/LAPACK build: on another build an
 eigenvector can differ in its last digits and every digest with it.  Re-recording a digest needs a stated reason in
 CHANGES.md (a schema change, a deliberate change of a count, a new
@@ -17,7 +18,7 @@ from shg.cli import main
 from shg.core import Edge, SignedHypergraph
 from shg.fixtures import fixture_example1
 from shg.nodal import BOUND_VARIANTS, Analysis
-from shg.report import build_report, input_digest, report_json
+from shg.report import aligned_text, build_report, input_digest, report_json
 from shg.shgio import serialize
 from shg.verify import GenConfig, generate
 
@@ -25,6 +26,8 @@ REPORTS_SHA256 = "4a04219bb2bec683792e5cc0e7e91f427fbef03caa9bca7936c9cc0afede3d
 BOUNDS_SHA256 = "60d112226df3ae09ead5f3777a2989af350ad519c9b4a3e244bb34700571eaf8"
 FUZZ_SHA256 = "2631bf005b5c309fc50da73a81adb6610978972757baaa47498ce1971bc414c4"
 ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae3629ef56"
+TEXT_SHA256 = "3904e63e492e95e25fa9b94554112065bc3556d0bf83f02bff75c9d4265274d9"
+CSV_SHA256 = "4362fb92199d8175b969387f6a246d0400634ebb4ab462cf27d0f23948e5ef29"
 
 
 def _instances():
@@ -88,6 +91,29 @@ def zero_heavy_digest():
     return _sha256(parts)
 
 
+def text_digest():
+    """The aligned summaries that ``shg report`` writes to stderr, and that
+    of ``shg example1``, whose report adds supplied functions and notes."""
+    parts = [aligned_text(build_report(h, input_digest(serialize(h)))) for h in _instances()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["example1"]) == 0
+    parts.append(err.getvalue())
+    return _sha256(parts)
+
+
+def csv_digest(tmp_path):
+    """The files of ``shg spectrum --csv``."""
+    parts = []
+    for i, h in enumerate(_instances()):
+        path, csv = tmp_path / f"h{i}.shg", tmp_path / f"h{i}.csv"
+        path.write_text(serialize(h), encoding="utf-8")
+        code, _ = _stdout(["spectrum", str(path), "--csv", str(csv)])
+        assert code == 0
+        parts.append(csv.read_text(encoding="utf-8"))
+    return _sha256(parts)
+
+
 def test_report_bytes():
     assert reports_digest() == REPORTS_SHA256
 
@@ -104,3 +130,11 @@ def test_fuzz_stdout():
 
 def test_zero_heavy_bytes():
     assert zero_heavy_digest() == ZERO_HEAVY_SHA256
+
+
+def test_text_summary_bytes():
+    assert text_digest() == TEXT_SHA256
+
+
+def test_csv_bytes(tmp_path):
+    assert csv_digest(tmp_path) == CSV_SHA256
