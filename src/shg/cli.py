@@ -118,11 +118,11 @@ def _cmd_domains(args) -> int:
     dec = decompose(h, f)
     print(f"support: {sorted(f.support())}")
     print(f"strong ({dec.strong_count}): " +
-          " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in dec.strong))
+          " ".join("{" + ",".join(map(str, s)) + "}" for s in dec.strong))
     print(f"weak cores ({dec.weak_count}): " +
-          " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in dec.weak_cores))
+          " ".join("{" + ",".join(map(str, s)) + "}" for s in dec.weak_cores))
     print("weak closures: " +
-          " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in dec.weak_closures))
+          " ".join("{" + ",".join(map(str, s)) + "}" for s in dec.weak_closures))
     return 0
 
 
@@ -230,7 +230,7 @@ def _raw_matrix_report() -> tuple[dict, int]:
             "eigenvalue": lam,
             "residual_inf": residual,
             "residual_ok": residual <= RAW_RESIDUAL_TOL,
-            "strong": [sorted(s) for s in strong],
+            "strong": list(map(list, strong)),
             "strong_count": len(strong),
         })
     report = {

@@ -37,6 +37,14 @@ more than it saves) and union with ``core.UnionFind.link`` where they
 union, as does the weak pass of each function with an attachment;
 ``l_plus`` is the one-row case of the row pass.
 
+A domain is a tuple of its vertices in ascending order, and a partition
+a tuple of domains ordered by smallest vertex.  Both passes build them in
+that order (the row pass slices each domain off one sorted member list,
+``_domains`` groups the vertices as they ascend), so no reader sorts a
+domain; a weak closure, its core's run followed by its zeros', takes
+one merge.  A function without an attachment has one partition object
+for its strong domains, weak cores and weak closures.
+
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
 nonzero constant.
@@ -100,14 +108,17 @@ class NodalDecomposition:
     """Strong and weak nodal domains of one function.
 
     ``weak_cores`` partition the support; ``weak_closures`` are the cores
-    plus absorbed zeros (closures may overlap on zeros, cores never do).
-    Domains are ordered by their smallest vertex.
+    plus absorbed zeros (closures may overlap on zeros, cores never do),
+    closure i that of core i.  Each domain is a tuple of its vertices in
+    ascending order, and the domains are ordered by their smallest
+    vertex.  Where no pair joins a nonzero to a zero the three partitions
+    coincide and are one tuple object, which readers may share.
     """
 
     support: frozenset[int]
-    strong: tuple[frozenset[int], ...]
-    weak_cores: tuple[frozenset[int], ...]
-    weak_closures: tuple[frozenset[int], ...]
+    strong: tuple[tuple[int, ...], ...]
+    weak_cores: tuple[tuple[int, ...], ...]
+    weak_closures: tuple[tuple[int, ...], ...]
     zero_tolerance: float
 
     @property
@@ -254,13 +265,23 @@ def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
-def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[frozenset[int], ...]:
+def _domains(uf: UnionFind, sign: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The classes of ``uf`` on the nonzeros of ``sign`` as ascending
+    tuples, ordered by smallest vertex."""
+    by_root: dict[int, list[int]] = {}
+    for v in range(1, len(sign)):
+        if sign[v]:
+            by_root.setdefault(uf.find(v), []).append(v)
+    return tuple(map(tuple, by_root.values()))
+
+
+def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[tuple[int, ...], ...]:
     uf = UnionFind(h.n)
     uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
-    return uf.groups([v for v in h.vertex_range() if sign[v] != 0])
+    return _domains(uf, sign)
 
 
-def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[frozenset[int], ...]:
+def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[int, ...], ...]:
     """Components of the support under strong links: {x, y} is linked when
     some edge contains both and f(x) * sgn(e) * f(y) > 0."""
     _check_function(h, f)
@@ -323,7 +344,7 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
 
 
 def _weak(h: SignedHypergraph, sign: list[int],
-          strong: tuple[frozenset[int], ...]) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+          strong: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """(cores, closures) of the signs ``sign`` (index 0 unused), whose
     strong domains are ``strong``; the cores join strong domains only.
 
@@ -369,7 +390,7 @@ def _weak(h: SignedHypergraph, sign: list[int],
 
     uf = UnionFind(h.n)
     for domain in strong:
-        uf.link(zip(repeat(min(domain)), domain))
+        uf.link(zip(repeat(domain[0]), domain))
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for u, z, s in attach:
         groups.setdefault(root[z], []).append((u, z, s))
@@ -380,16 +401,17 @@ def _weak(h: SignedHypergraph, sign: list[int],
         first: dict[int, int] = {}
         uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
 
-    cores = uf.groups([v for v in h.vertex_range() if sign[v] != 0])
-    closures = {uf.find(min(core)): set(core) for core in cores}
+    cores = _domains(uf, sign)
+    closures = {uf.find(core[0]): list(core) for core in cores}
     absorbers = {r: {uf.find(u) for u, _, _ in group} for r, group in groups.items()}
     for v in h.vertex_range():
         for c in absorbers.get(root[v], ()):
-            closures[c].add(v)
-    return cores, tuple(map(frozenset, closures.values()))
+            closures[c].append(v)
+    # each closure is two ascending runs, its core and its zeros
+    return cores, tuple(tuple(sorted(c)) for c in closures.values())
 
 
-def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Weak nodal domains: (cores, closures), by ``_weak``.
 
     Cores partition the support under weak links.  Each closure adds the
@@ -439,8 +461,9 @@ def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> list[bool]:
     vertex at once: x is tree-like (``core.is_tree_like``) exactly when
     each of its incidence links is a bridge and none of its edges has
     size 1, since weak deletion leaves such an edge empty.  This depends
-    on the graph alone, never on a function; the clique expansion of h
-    has the pairs of ``h.pairs`` for members.
+    on the graph alone, never on a function; on the clique expansion of
+    h, whose members are the pairs of ``h.pairs``, ``_pair_cyclic`` gives
+    the same on a smaller graph.
     """
     cyclic = [False] * (n + 1)
     links: list[tuple[int, int]] = []
@@ -453,6 +476,27 @@ def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> list[bool]:
         if len(block) > 1:
             for li in block:
                 cyclic[links[li][0]] = True
+    return cyclic
+
+
+def _pair_cyclic(n: int, pairs: Sequence[tuple[int, int, int]]) -> list[bool]:
+    """``_cyclic(n, [(x, y) for x, y, _ in pairs])`` from the blocks of the
+    pair multigraph itself, n + 1 nodes and one link per pair, in place of
+    its incidence graph, n + 1 + len(pairs) nodes and two links per pair.
+
+    Subdividing a link keeps a bridge a bridge and a link on a cycle
+    inside one block, and ``_blocks`` keeps parallel pairs apart, so a
+    vertex is not tree-like exactly when it ends a pair in a block of more
+    than one link.  A pair has two distinct ends, so the size-1 rule of
+    ``_cyclic`` never applies.
+    """
+    cyclic = [False] * (n + 1)
+    ends = [(x, y) for x, y, _ in pairs]
+    for block in _blocks(n + 1, ends)[0]:
+        if len(block) > 1:
+            for li in block:
+                x, y = ends[li]
+                cyclic[x] = cyclic[y] = True
     return cyclic
 
 
@@ -489,7 +533,7 @@ class BoundTerms:
 
 
 class _Rows(NamedTuple):
-    strong: list[tuple[frozenset[int], ...]]
+    strong: list[tuple[tuple[int, ...], ...]]
     # some pair joins a nonzero to a zero, so the weak pass has work
     attached: list[bool]
     # (sum max(|e| - 1, 0), components) of the coherent edges of h
@@ -508,10 +552,11 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
     per edge, its strong pairs and its nonzero vertices k_e.  The chunk
     labels at most three link sets with ``_labels``:
 
-    - the strong pairs: the strong domains, sorted stably by label so each
-      row's domains are ordered by smallest vertex (as
-      ``UnionFind.groups`` orders them), and their count P.  A pair of the
-      clique expansion is coherent exactly when strong, so there
+    - the strong pairs: the strong domains, and their count P.  The
+      support is sorted stably by label, so each row's domains are
+      ordered by smallest vertex (as ``_domains`` orders them) and each
+      is a slice of ascending members.  A pair of the clique expansion is
+      coherent exactly when strong, so there
       l_plus = P - n + S + (n - |supp|) with S strong domains;
     - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
       all strong, and so whose |e| vertices are nonzero (an edge of size
@@ -525,8 +570,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
     ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
-    ``_cyclic`` runs on the edges and on the pairs once, only when some
-    row has a zero.
+    ``_cyclic`` on the edges and ``_pair_cyclic`` on the pairs run once,
+    only when some row has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
     xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
@@ -543,7 +588,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
     vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
     links = np.maximum(sizes - 1, 0)
 
-    strong: list[tuple[frozenset[int], ...]] = []
+    strong: list[tuple[tuple[int, ...], ...]] = []
     attached = np.empty(n_rows, dtype=bool)
     strong_pairs, plus_total, plus_c = (np.empty(n_rows, dtype=np.intp) for _ in range(3))
     l_h = np.full(n_rows, int(links.sum()) - n + n_components)
@@ -565,7 +610,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         key, members = key[order], vv[order].tolist()
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         bounds = starts.tolist() + [len(members)]
-        groups = iter([frozenset(members[a:b]) for a, b in zip(bounds, bounds[1:])])
+        groups = iter([tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])])
         counts = np.bincount(key[starts] // width, minlength=rows.stop - rows.start)
         strong.extend(tuple(islice(groups, k)) for k in counts.tolist())
 
@@ -586,8 +631,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         zero = ~nonzero[with_zero]
         zero[:, 0] = False
         if not cyclic:
-            cyclic = [np.array(_cyclic(n, members), dtype=bool)
-                      for members in ([e.vertices for e in h.edges], [(x, y) for x, y, _ in h.pairs])]
+            cyclic = [np.array(_cyclic(n, [e.vertices for e in h.edges]), dtype=bool),
+                      np.array(_pair_cyclic(n, h.pairs), dtype=bool)]
         for i, z, sn in zip(at.tolist(), zero, seen):
             for reading, cyc in zip(fiedler, cyclic):
                 fied = z & (cyc | ~sn)

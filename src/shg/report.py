@@ -10,9 +10,14 @@ writes with ``sort_keys=True``, ``indent=2`` and ``allow_nan=False``,
 plus a newline.  The standard library runs its C encoder only without an
 indent, so with one every value goes through a pure-Python generator per
 nested container, which cost more than the nodal analysis of a report.
-The writer here dispatches on the exact type of each value, joins a
-list of only ints or only floats in one call, and writes a list of int
-lists from its one ``repr``.  Like ``allow_nan=False``
+The writer here dispatches on the exact type of each value, and writes
+a list of only ints or only floats, and a list of int lists, from its
+one ``repr``.  Within one call it keeps the text of every list of lists
+it writes, keyed by the list's ``id`` and its indent, so a list object
+that the tree holds in several places is written once per indent: a
+record whose strong domains, weak cores and weak closures are one
+partition holds one list for all three (``function_record``), and the
+writer renders it once.  Like ``allow_nan=False``
 it refuses NaN and infinities with ``ValueError``; unlike ``json`` it
 also refuses keys that are not strings, with ``TypeError``, rather than
 converting them.
@@ -123,21 +128,25 @@ def input_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _sets(groups: tuple[frozenset[int], ...]) -> list[list[int]]:
-    return [sorted(g) for g in groups]
-
-
 def function_record(f: VertexFunction, dec: NodalDecomposition, fs: FiedlerSets,
                     index: int, eigenvalue: float) -> dict:
     """Nodal analysis of one vertex function, given its decomposition and
-    Fiedler sets, as a JSON-ready dict."""
+    Fiedler sets, as a JSON-ready dict.
+
+    The domains are already ascending tuples, each turned into a list
+    once per partition object: where ``dec`` shares one partition between
+    its strong domains, weak cores and weak closures, so does the record,
+    which ``report_json`` then writes once."""
+    strong = list(map(list, dec.strong))
+    cores = strong if dec.weak_cores is dec.strong else list(map(list, dec.weak_cores))
+    closures = cores if dec.weak_closures is dec.weak_cores else list(map(list, dec.weak_closures))
     return {
         "index": index,
         "eigenvalue": eigenvalue,
         "values": list(f.values),
-        "strong": _sets(dec.strong),
-        "weak_cores": _sets(dec.weak_cores),
-        "weak_closures": _sets(dec.weak_closures),
+        "strong": strong,
+        "weak_cores": cores,
+        "weak_closures": closures,
         "strong_count": dec.strong_count,
         "weak_count": dec.weak_count,
         "fiedler": sorted(fs.fiedler),
@@ -198,15 +207,16 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json(o, indent: str) -> str:
-    """``o`` as indented JSON whose nested lines start with ``indent``."""
+def _json(o, indent: str, memo: dict) -> str:
+    """``o`` as indented JSON whose nested lines start with ``indent``;
+    ``memo`` is the writer's memo of lists of lists (``_json_lists``)."""
     t = type(o)
     if t is int:
         return int.__repr__(o)
     if t is list or t is tuple:
-        return _json_list(o, indent)
+        return _json_list(o, indent, memo)
     if t is dict:
-        return _json_dict(o, indent)
+        return _json_dict(o, indent, memo)
     if o is None:
         return "null"
     if o is True:
@@ -222,44 +232,61 @@ def _json(o, indent: str) -> str:
     if isinstance(o, float):
         return _float(o)
     if isinstance(o, (list, tuple)):
-        return _json_list(o, indent)
+        return _json_list(o, indent, memo)
     if isinstance(o, dict):
-        return _json_dict(o, indent)
+        return _json_dict(o, indent, memo)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _json_list(o, indent: str) -> str:
+def _json_list(o, indent: str, memo: dict) -> str:
     if not o:
         return "[]"
     inner = indent + "  "
     sep = ",\n" + inner
     kinds = set(map(type, o))
-    if kinds == _INT:
-        body = sep.join(map(int.__repr__, o))
-    elif kinds == _FLOAT:
-        if not all(map(math.isfinite, o)):
+    if kinds == _INT or kinds == _FLOAT:
+        if kinds == _FLOAT and not all(map(math.isfinite, o)):
             for x in o:
                 _float(x)  # raises on the first value that is not finite
-        body = sep.join(map(float.__repr__, o))
-    elif (kinds == _LIST and type(o) is list and all(o)
-          and set(map(type, chain.from_iterable(o))) == _INT):
-        # a list of nonempty int lists (a report's domain lists) from its
-        # repr: no int repr holds ", " or "]"
+        # the reprs of exact ints and floats are JSON and hold no ", "
+        body = repr(o if type(o) is list else list(o))[1:-1].replace(", ", sep)
+    elif kinds == _LIST and type(o) is list:
+        return _json_lists(o, indent, memo)
+    else:
+        body = sep.join([_json(v, inner, memo) for v in o])
+    return f"[\n{inner}{body}\n{indent}]"
+
+
+def _json_lists(o: list, indent: str, memo: dict) -> str:
+    """A list of lists, rendered once per object and indent in one
+    ``report_json`` call: the tree is alive for the whole call, so no id
+    is reused in it, and an object shared by several places (a record's
+    one partition) is written once.  A list of nonempty int lists (a
+    report's domain lists) comes from its one repr."""
+    key = (id(o), indent)
+    text = memo.get(key)
+    if text is not None:
+        return text
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if all(o) and set(map(type, chain.from_iterable(o))) == _INT:
+        # no int repr holds ", " or "]"
         deeper = inner + "  "
         head, tail = "[\n" + deeper, "\n" + inner + "]"
         body = repr(o)[2:-2].replace("], [", tail + sep + head).replace(", ", ",\n" + deeper)
         body = f"{head}{body}{tail}"
     else:
-        body = sep.join([_json(v, inner) for v in o])
-    return f"[\n{inner}{body}\n{indent}]"
+        body = sep.join([_json_list(v, inner, memo) for v in o])
+    text = memo[key] = f"[\n{inner}{body}\n{indent}]"
+    return text
 
 
-def _json_dict(o, indent: str) -> str:
+def _json_dict(o, indent: str, memo: dict) -> str:
     if not o:
         return "{}"
     inner = indent + "  "
     # sorted raises TypeError on keys of mixed types, _quote on any other non-str key
-    body = (",\n" + inner).join([f"{_quote(k)}: {_json(o[k], inner)}" for k in sorted(o)])
+    body = (",\n" + inner).join([f"{_quote(k)}: {_json(o[k], inner, memo)}" for k in sorted(o)])
     return f"{{\n{inner}{body}\n{indent}}}"
 
 
@@ -267,7 +294,7 @@ def report_json(obj) -> str:
     """Canonical bytes of any tree of dicts with ``str`` keys, lists,
     tuples, strings, numbers, booleans and None: sorted keys, two-space
     indent, trailing newline, as the module docstring states."""
-    return _json(obj, "") + "\n"
+    return _json(obj, "", {}) + "\n"
 
 
 def _fmt_set_list(sets: list[list[int]]) -> str:

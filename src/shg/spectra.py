@@ -143,7 +143,13 @@ def _adjacency_int(h: SignedHypergraph) -> list[list[int]]:
 
 
 def adjacency(h: SignedHypergraph) -> np.ndarray:
-    return np.asarray(_adjacency_int(h), dtype=float).reshape(h.n, h.n)
+    """The adjacency of ``_adjacency_int`` as floats, summed over the pair
+    table in numpy; sums of +-1 are exact in float, in any order."""
+    a = np.zeros((h.n, h.n))
+    xs, ys, s = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
+    np.add.at(a, (xs - 1, ys - 1), s)
+    np.add.at(a, (ys - 1, xs - 1), s)
+    return a
 
 
 def laplacian(h: SignedHypergraph) -> MatrixBundle:

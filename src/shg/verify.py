@@ -243,9 +243,10 @@ def _spectral_cleanup(h: SignedHypergraph) -> SignedHypergraph | None:
 
 
 def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
-        tuple[frozenset[int], ...], tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+        tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Nodal partitions from first principles: (strong, weak cores, weak
-    closures).  Limited to 8 vertices.
+    closures), in the form of ``nodal.NodalDecomposition``: ascending
+    vertex tuples ordered by smallest vertex.  Limited to 8 vertices.
 
     Every edge containing x offers the steps (w, sgn(e)) to its other
     vertices w; parallel edges of one sign offer the same step, so the
@@ -296,7 +297,7 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
     for x in support:
         w_walk(x, {x}, sign[x], x)
 
-    def closure(pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
+    def closure(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
         adjacent: dict[int, list[int]] = {v: [] for v in support}
         for a, b in pairs:
             adjacent[a].append(b)
@@ -313,7 +314,7 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
                     if w not in seen:
                         seen.add(w)
                         block.append(w)
-            blocks.append(frozenset(block))
+            blocks.append(tuple(sorted(block)))
         return tuple(blocks)
 
     strong = closure(strong_pairs)
@@ -337,7 +338,7 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
                     reached.add(w)
                     frontier.append(w)
 
-    closures = tuple(frozenset(s) for s in absorbed)
+    closures = tuple(tuple(sorted(s)) for s in absorbed)
     return strong, cores, closures
 
 
@@ -727,7 +728,7 @@ def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
         for v, ids in holders.items():
             if f.sign(v) != 0 or len(ids) != 2:
                 continue
-            union = dec.weak_closures[ids[0]] | dec.weak_closures[ids[1]]
+            union = set(dec.weak_closures[ids[0]]).union(dec.weak_closures[ids[1]])
             stray = hyperneighbors(ctx.h, v) - union
             if stray:
                 fails.append(f"function {j}: neighbors {sorted(stray)} of zero {v} escape its two domains")

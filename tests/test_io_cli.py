@@ -24,8 +24,9 @@ from shg.fixtures import (
     PRINTED_EIGENVALUES,
     fixture_example1,
 )
-from shg.nodal import BoundReport
-from shg.report import REPORT_SCHEMA, build_report, input_digest, report_json
+from shg.nodal import BoundReport, FiedlerSets, NodalDecomposition
+from shg.report import REPORT_SCHEMA, build_report, function_record, input_digest, report_json
+from shg.spectra import VertexFunction
 from shg.shgio import ParseError, parse, serialize
 from shg.verify import GenConfig, generate
 
@@ -422,6 +423,29 @@ class TestReportModule:
         assert calls["_sign_matrix"] == [1] * (2 * len(instances))
         assert calls["_row_pass"] == [h.n for h in instances for _ in range(2)]
 
+    def test_records_share_one_partition_and_keep_its_order(self):
+        # without an attachment the decomposition holds one partition for
+        # its strong domains, weak cores and weak closures, and the record
+        # one list; with one, closures larger than the cores get their own
+        shared = apart = 0
+        for h in generate(GenConfig(seed=3, count=10)):
+            for rec in build_report(h, "", zero_tol_rel=0.2)["eigenfunctions"]:
+                if rec["weak_closures"] == rec["weak_cores"] == rec["strong"]:
+                    assert rec["strong"] is rec["weak_cores"] is rec["weak_closures"]
+                    shared += 1
+                elif rec["weak_closures"] != rec["weak_cores"]:
+                    assert rec["weak_closures"] is not rec["weak_cores"]
+                    apart += 1
+        assert shared and apart
+        # the record writes each domain in the order the decomposition
+        # holds it, never sorting: these tuples are out of order on purpose
+        f = VertexFunction.from_values((1.0, 1.0, 1.0))
+        strong = ((3, 1), (2,))
+        dec = NodalDecomposition(frozenset({1, 2, 3}), strong, strong, strong, 0.0)
+        rec = function_record(f, dec, FiedlerSets(frozenset(), frozenset()), 1, 0.0)
+        assert rec["strong"] == [[3, 1], [2]]
+        assert rec["strong"] is rec["weak_cores"] is rec["weak_closures"]
+
     def test_no_per_row_support_cyclomatic(self, monkeypatch):
         # l' of every row comes from one labelling, also where the
         # eigenfunctions have zeros: no row induces its support
@@ -500,6 +524,28 @@ class TestReportJson:
     @given(JSON_TREES)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_on_any_tree(self, tree):
+        assert report_json(tree) == reference_json(tree)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_lists_match_json(self, data):
+        # one list of int lists and one float list, each held in several
+        # places: side by side, at other depths, inside tuples, and where a
+        # drawn tree puts them; a shared list is written once per indent
+        domains = data.draw(st.lists(st.lists(st.integers(), min_size=1, max_size=4),
+                                     min_size=1, max_size=4))
+        values = data.draw(st.lists(FINITE, min_size=1, max_size=4))
+        drawn = data.draw(st.recursive(
+            st.one_of(JSON_LEAVES, st.just(domains), st.just(values)),
+            lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                                   st.dictionaries(st.text(max_size=3), kids, max_size=4)),
+            max_leaves=12))
+        tree = {
+            "a": [domains, domains, values],
+            "b": {"c": domains, "d": [[domains, values]]},
+            "e": (domains, (values, domains)),
+            "f": drawn,
+        }
         assert report_json(tree) == reference_json(tree)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.float64("nan")])

@@ -34,6 +34,8 @@ from shg.nodal import (
     FiedlerSets,
     _blocks,
     _components,
+    _cyclic,
+    _pair_cyclic,
     _row_pass,
     _sign_matrix,
     BoundReport,
@@ -528,7 +530,7 @@ class TestLongZeroPaths:
         h = h_of(LONG, *pairs)
         linked = end * (-1 if flip else 1) > 0
         cores = decompose(h, f).weak_cores
-        assert cores == (({1, LONG},) if linked else ({1}, {LONG}))
+        assert cores == (((1, LONG),) if linked else ((1,), (LONG,)))
         fs = fiedler_sets(h, f)
         assert fs.other_zeros == {2, LONG - 1}
         assert fs.fiedler == set(range(3, LONG - 1))
@@ -544,7 +546,7 @@ class TestLongZeroPaths:
         h = h_of(LONG, *pairs)
         linked = unbalanced or end > 0
         cores = decompose(h, f).weak_cores
-        assert cores == (({1, LONG},) if linked else ({1}, {LONG}))
+        assert cores == (((1, LONG),) if linked else ((1,), (LONG,)))
         fs = fiedler_sets(h, f)
         assert fs.fiedler == set(ring) and not fs.other_zeros
 
@@ -680,10 +682,16 @@ def reference_l_plus(h, f):
     return CycleStats(total, h.n, c, total - h.n + c)
 
 
+def as_domains(classes):
+    """Vertex sets as ``NodalDecomposition`` holds them: each an ascending
+    tuple, in the given order."""
+    return tuple(tuple(sorted(c)) for c in classes)
+
+
 def reference_strong(h, f):
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
     links = [(x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0]
-    return closure_classes(h.n, links, [v for v in h.vertex_range() if sign[v] != 0])
+    return as_domains(closure_classes(h.n, links, [v for v in h.vertex_range() if sign[v] != 0]))
 
 
 @st.composite
@@ -992,13 +1000,25 @@ class TestBatchedFiedlerSets:
                 seen_zero = seen_zero or any(fs.fiedler or fs.other_zeros for fs in expected)
         assert seen_zero
 
+    @given(batched_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_blocks_match_incidence_blocks(self, case, data):
+        # size-1 and repeated edges from the drawn instance, and opposite-
+        # sign twins of some of its pairs: the blocks of the pair graph mark
+        # the vertices that the incidence graph of the expansion marks
+        h, _ = case
+        twins = data.draw(st.lists(st.sampled_from(h.pairs), max_size=3)) if h.pairs else []
+        g = h_of(h.n, *(e.incidences for e in h.edges), *(pair_edge(x, y, -s) for x, y, s in twins))
+        assert _pair_cyclic(g.n, g.pairs) == _cyclic(g.n, [(x, y) for x, y, _ in g.pairs])
+
     def test_no_zeros_gives_empty_sets_without_block_pass(self, monkeypatch):
         import shg.nodal as nodal
 
         def must_not_run(*args):
-            raise AssertionError("_cyclic ran although no row has a zero")
+            raise AssertionError("a block pass ran although no row has a zero")
 
         monkeypatch.setattr(nodal, "_cyclic", must_not_run)
+        monkeypatch.setattr(nodal, "_pair_cyclic", must_not_run)
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         analysis = Analysis(h)
         assert (analysis.signs[:, 1:] != 0).all()
@@ -1067,7 +1087,7 @@ def reference_weak_domains(h, f):
     for root, cids in touched.items():
         for ci in cids:
             absorbed[ci].update(members[root])
-    return cores, tuple(frozenset(s) for s in absorbed)
+    return as_domains(cores), as_domains(absorbed)
 
 
 @st.composite

@@ -73,6 +73,24 @@ class TestAdjacency:
         a = _adjacency_int(h)
         assert a[0][1] == a[0][2] == a[1][2] == 1
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_float_adjacency_equals_integer_adjacency(self, data):
+        # n = 1 and edges of size 1..4, some repeated with one incidence
+        # sign flipped: parallel pairs of opposite sign
+        n = data.draw(st.integers(1, 7))
+        edges = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            vs = data.draw(st.permutations(range(1, n + 1)))[:data.draw(st.integers(1, min(4, n)))]
+            edges.append(tuple((v, data.draw(st.sampled_from((1, -1)))) for v in vs))
+            if data.draw(st.booleans()):
+                (v, s), *rest = edges[-1]
+                edges.append(((v, -s), *rest))
+        h = h_of(n, *edges)
+        a = adjacency(h)
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert np.array_equal(a, np.array(_adjacency_int(h), dtype=float).reshape(n, n))
+
 
 class TestLaplacian:
     def test_isolated_vertex_rejected(self):
