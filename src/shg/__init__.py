@@ -32,7 +32,6 @@ from .nodal import (
     NodalDecomposition,
     decompose,
     fiedler_sets,
-    strong_domains,
 )
 from .shgio import ParseError, parse, serialize
 from .fixtures import fixture_example1
@@ -56,7 +55,7 @@ __all__ = [
     "eigendecompose", "laplacian", "laplacian_exact",
     # nodal
     "Analysis", "BoundReport", "FiedlerSets", "NodalDecomposition", "decompose",
-    "fiedler_sets", "strong_domains",
+    "fiedler_sets",
     # io
     "ParseError", "parse", "serialize",
     # fixtures

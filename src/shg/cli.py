@@ -26,7 +26,7 @@ from .fixtures import (
     fixture_example1,
     printed_laplacian_array,
 )
-from .nodal import BOUND_VARIANTS, Analysis, decompose, strong_domains
+from .nodal import BOUND_VARIANTS, Analysis, decompose
 from .report import (
     aligned_text,
     build_report,
@@ -193,10 +193,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _matrix_graph(a: np.ndarray) -> SignedHypergraph:
-    """The signed 2-graph of a square symmetric matrix: one edge of sign
-    sign(a_xy) for every nonzero entry above the diagonal, encoded as in
-    ``nodal.clique_expansion``, so its strong links are the pairs with
-    a_xy * f(x) * f(y) > 0."""
+    """The signed 2-graph of a square symmetric matrix: one edge
+    ((x, +1), (y, -s)) of sign s = sign(a_xy) for every nonzero entry
+    above the diagonal, so the strong links of ``decompose`` on it are
+    the pairs with a_xy * f(x) * f(y) > 0."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"raw matrix must be square, got shape {a.shape}")
@@ -224,7 +224,7 @@ def _raw_matrix_report() -> tuple[dict, int]:
         residual = float(np.max(np.abs(l_raw @ v - lam * v)))
         worst = max(worst, residual)
         f = VertexFunction.from_values(vals)
-        strong = strong_domains(g, f)
+        strong = decompose(g, f).strong
         pairs.append({
             "index": i,
             "eigenvalue": lam,

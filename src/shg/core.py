@@ -277,17 +277,13 @@ def is_acyclic(h: SignedHypergraph) -> bool:
     return cyclomatic(h).l == 0
 
 
-def is_tree_like(h: SignedHypergraph, x: int) -> bool:
+def is_tree_like(h: SignedHypergraph, x: int, n_components: int) -> bool:
     """True iff removing x's incidences splits its component into exactly
     deg(x) pieces: c(weak deletion of x) == c(H) + deg(x) - 1, components
-    counted on the remaining vertices.
+    counted on the remaining vertices.  ``n_components`` is c(H)
+    (``cyclomatic(h).n_components``), computed once by callers that test
+    every vertex of one hypergraph.
     """
-    return _tree_like_given(h, x, cyclomatic(h).n_components)
-
-
-def _tree_like_given(h: SignedHypergraph, x: int, n_components: int) -> bool:
-    """``is_tree_like(h, x)`` with c(H) = ``n_components`` supplied, for
-    callers that test every vertex of one hypergraph."""
     after = cyclomatic(weak_delete(h, x)).n_components
     return after == n_components + degree(h, x) - 1
 

@@ -19,10 +19,10 @@ signs.  Each zero component then links the nonzeros attached to it by
 comparing one sign per attachment; the weak pass (``_weak``) starts
 from the strong domains and scans only the pairs that touch a zero.
 Whether a vertex is tree-like depends on the graph alone, and one block
-pass over the vertex-edge incidence graph decides it for all vertices
-(``_cyclic``); a function adds only its zero mask.  Every pairwise pass
-(the strong relation, the weak pass, the clique expansion) reads the
-pair table ``SignedHypergraph.pairs``.
+pass over the vertex-edge incidence graph decides it for all vertices,
+on h and on its clique expansion alike (``_cyclic``); a function adds
+only its zero mask.  Every pairwise pass (the strong relation, the weak
+pass, the clique terms) reads the pair table ``SignedHypergraph.pairs``.
 
 One row pass (``_row_pass``) serves every row of a sign matrix: per
 chunk of rows, masks over the pair table and cumulative sums over it
@@ -30,12 +30,12 @@ and over the flat incidence list give the strong domains, the
 attachments, and l_plus, l' and the Fiedler sets on h and on its clique
 expansion alike.  Its labellings share ``_labels``, which runs
 ``_components``, hook-and-jump rounds on numpy arrays over the rows as
-one block-diagonal graph.  The single-function APIs ``strong_domains``,
-``weak_domains``, ``decompose``, ``fiedler_sets`` and
-``support_cyclomatic`` keep their own code (a one-row kernel call costs
-more than it saves) and union with ``core.UnionFind.link`` where they
-union, as does the weak pass of each function with an attachment;
-``l_plus`` is the one-row case of the row pass.
+one block-diagonal graph; ``component_counts`` counts the components of
+such rows, chunked as the row pass chunks them.  The one-function
+entries ``decompose`` and ``fiedler_sets`` keep their own code (a
+one-row kernel call costs more than it saves) and union with
+``core.UnionFind.link`` where they union, as does the weak pass of each
+function with an attachment.
 
 A domain is a tuple of its vertices in ascending order, and a partition
 a tuple of domains ordered by smallest vertex.  Both passes build them in
@@ -53,7 +53,8 @@ nonzero constant.
 matrices and spectrum, one sign matrix of all its eigenfunctions, the
 row pass over it, one decomposition per eigenfunction, and one bounds
 table per reading.  ``shg report``, ``shg bounds`` and the campaign all
-read from it.
+read from it, and the campaign has it run the row pass on its random
+functions too.
 """
 
 from __future__ import annotations
@@ -65,14 +66,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    CycleStats,
-    Edge,
-    SignedHypergraph,
-    UnionFind,
-    cyclomatic,
-    induced_subhypergraph,
-)
+from .core import CycleStats, SignedHypergraph, UnionFind, cyclomatic
 from .spectra import (
     DEFAULT_ZERO_TOL_REL,
     MatrixBundle,
@@ -87,14 +81,9 @@ __all__ = [
     "NodalDecomposition",
     "FiedlerSets",
     "BoundReport",
-    "strong_domains",
-    "weak_domains",
     "decompose",
-    "domain_graph_connected",
     "fiedler_sets",
-    "l_plus",
-    "support_cyclomatic",
-    "clique_expansion",
+    "domain_graph_connected",
 ]
 
 BOUND_VARIANTS = ("all_pairs", "clique")
@@ -251,10 +240,18 @@ def _labels(width: int, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.
     return labels.reshape(-1, width) - np.arange(0, n_nodes, width)[:, None]
 
 
-def _roots(labels: np.ndarray) -> np.ndarray:
-    """The number of components on nodes 1.. of each row of ``_labels``:
-    the nodes that label themselves."""
-    return (labels[:, 1:] == np.arange(1, labels.shape[1])).sum(axis=1)
+def component_counts(width: int, xs: np.ndarray, ys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The number of components on nodes 1..width-1 of one graph per row
+    of ``masks``, graph i linking xs[p] to ys[p] where masks[i, p].
+
+    The rows are labelled by ``_labels`` in chunks of the row budget, the
+    roots of each row being the nodes that label themselves.
+    """
+    counts = np.empty(len(masks), dtype=np.intp)
+    for rows in _row_chunks(len(masks), max(len(xs), width)):
+        labels = _labels(width, xs, ys, masks[rows])
+        counts[rows] = (labels[:, 1:] == np.arange(1, width)).sum(axis=1)
+    return counts
 
 
 def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -279,13 +276,6 @@ def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[tuple[int, ...], ...]
     uf = UnionFind(h.n)
     uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
     return _domains(uf, sign)
-
-
-def strong_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[int, ...], ...]:
-    """Components of the support under strong links: {x, y} is linked when
-    some edge contains both and f(x) * sgn(e) * f(y) > 0."""
-    _check_function(h, f)
-    return _strong(h, _vertex_signs(f))
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -412,12 +402,10 @@ def _weak(h: SignedHypergraph, sign: list[int],
 
 
 def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Weak nodal domains: (cores, closures), by ``_weak``.
-
-    Cores partition the support under weak links.  Each closure adds the
-    zeros that reach its core through a path of zero vertices (a path
-    with at most one nonzero endpoint is a weak path unconditionally).
-    """
+    """(weak cores, weak closures) of f by ``_weak``, which runs even when
+    f has no zero.  Not exported: ``decompose`` answers for the program,
+    and only the one-off timing script ``bench/reference.py`` calls this,
+    until that script is retired."""
     _check_function(h, f)
     sign = _vertex_signs(f)
     return _weak(h, sign, _strong(h, sign))
@@ -426,8 +414,13 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[in
 def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     """Full nodal decomposition of f on h, from one list of signs.
 
-    Without zeros every weak link is a direct pair, so the weak cores and
-    closures are the strong domains and the weak pass is not run.
+    The strong domains are the components of the support under strong
+    links: {x, y} is linked when some edge contains both and
+    f(x) * sgn(e) * f(y) > 0.  The weak cores partition the support under
+    weak links (``_weak``), and each closure adds the zeros that reach its
+    core through a path of zero vertices.  Without zeros every weak link
+    is a direct pair, so the weak cores and closures are the strong
+    domains and the weak pass is not run.
     """
     _check_function(h, f)
     sign = _vertex_signs(f)
@@ -453,51 +446,46 @@ def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool
     return uf.count <= 1
 
 
-def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> list[bool]:
+def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> tuple[list[bool], list[bool]]:
     """Per vertex (index 0 unused) of the hypergraph on 1..n with edges
-    ``members``, vertex tuples: True when it is not tree-like.
+    ``members``, vertex tuples: True when it is not tree-like, on the
+    hypergraph and on its signed clique expansion.
 
-    One block pass over the vertex-edge incidence graph decides every
-    vertex at once: x is tree-like (``core.is_tree_like``) exactly when
-    each of its incidence links is a bridge and none of its edges has
-    size 1, since weak deletion leaves such an edge empty.  This depends
-    on the graph alone, never on a function; on the clique expansion of
-    h, whose members are the pairs of ``h.pairs``, ``_pair_cyclic`` gives
-    the same on a smaller graph.
+    One block pass over the incidence graph of the edges of size 2 or
+    more decides both readings for every vertex.  On the hypergraph, x is
+    tree-like (``core.is_tree_like``) exactly when each of its incidence
+    links is a bridge and none of its edges has size 1, since weak
+    deletion leaves such an edge empty (an edge of size 1 adds only a
+    bridge to the graph, so it is left out).  On the expansion, whose
+    edges are the pairs of every edge, an edge of size 2 is a subdivided
+    pair, so a link that is not a bridge lies on a cycle of pairs, and an
+    edge of size 3 or more puts each of its vertices on a triangle; an
+    edge of size 1 gives no pair.  An edge of size 2 enters the pass as
+    one link between its two vertices, not as a node with two: undoing
+    the subdivision keeps a bridge a bridge and a link on a cycle inside
+    one block, and ``_blocks`` keeps parallel links apart.  Both readings
+    depend on the graph alone, never on a function.
     """
-    cyclic = [False] * (n + 1)
+    # edge nodes n + 1.. are marked too and cut off at the end
+    size = n + 1 + len(members)
+    on_h = [False] * size
+    on_clique = [False] * size
     links: list[tuple[int, int]] = []
     for node, vs in enumerate(members, n + 1):
-        if len(vs) == 1:
-            cyclic[vs[0]] = True
-        for v in vs:
-            links.append((v, node))
-    for block in _blocks(n + 1 + len(members), links)[0]:
+        if len(vs) > 2:
+            for v in vs:
+                links.append((v, node))
+                on_clique[v] = True
+        elif len(vs) == 2:
+            links.append(vs)
+        elif vs:
+            on_h[vs[0]] = True
+    for block in _blocks(size, links)[0]:
         if len(block) > 1:
             for li in block:
-                cyclic[links[li][0]] = True
-    return cyclic
-
-
-def _pair_cyclic(n: int, pairs: Sequence[tuple[int, int, int]]) -> list[bool]:
-    """``_cyclic(n, [(x, y) for x, y, _ in pairs])`` from the blocks of the
-    pair multigraph itself, n + 1 nodes and one link per pair, in place of
-    its incidence graph, n + 1 + len(pairs) nodes and two links per pair.
-
-    Subdividing a link keeps a bridge a bridge and a link on a cycle
-    inside one block, and ``_blocks`` keeps parallel pairs apart, so a
-    vertex is not tree-like exactly when it ends a pair in a block of more
-    than one link.  A pair has two distinct ends, so the size-1 rule of
-    ``_cyclic`` never applies.
-    """
-    cyclic = [False] * (n + 1)
-    ends = [(x, y) for x, y, _ in pairs]
-    for block in _blocks(n + 1, ends)[0]:
-        if len(block) > 1:
-            for li in block:
-                x, y = ends[li]
-                cyclic[x] = cyclic[y] = True
-    return cyclic
+                a, b = links[li]
+                on_h[a] = on_clique[a] = on_h[b] = on_clique[b] = True
+    return on_h[:n + 1], on_clique[:n + 1]
 
 
 def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
@@ -517,7 +505,7 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
                 for u in vs:
                     seen_nonzero[u] = True
                 break
-    cyclic = _cyclic(h.n, [e.vertices for e in h.edges])
+    cyclic = _cyclic(h.n, [e.vertices for e in h.edges])[0]
     fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
     return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
 
@@ -536,8 +524,6 @@ class _Rows(NamedTuple):
     strong: list[tuple[tuple[int, ...], ...]]
     # some pair joins a nonzero to a zero, so the weak pass has work
     attached: list[bool]
-    # (sum max(|e| - 1, 0), components) of the coherent edges of h
-    coherent: tuple[np.ndarray, np.ndarray]
     terms: dict[str, BoundTerms]
 
 
@@ -550,7 +536,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
     masks over the pair table.  The pair table and the flat incidence
     list are both in edge order, so cumulative sums along a row count,
     per edge, its strong pairs and its nonzero vertices k_e.  The chunk
-    labels at most three link sets with ``_labels``:
+    labels at most three link sets, the first with ``_labels`` and the
+    others with ``component_counts``:
 
     - the strong pairs: the strong domains, and their count P.  The
       support is sorted stably by label, so each row's domains are
@@ -570,7 +557,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
     ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
-    ``_cyclic`` on the edges and ``_pair_cyclic`` on the pairs run once,
+    ``_cyclic`` gives ``cyclic`` of both in one block pass, run once and
     only when some row has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
@@ -590,7 +577,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     strong: list[tuple[tuple[int, ...], ...]] = []
     attached = np.empty(n_rows, dtype=bool)
-    strong_pairs, plus_total, plus_c = (np.empty(n_rows, dtype=np.intp) for _ in range(3))
+    strong_pairs, plus_h = (np.empty(n_rows, dtype=np.intp) for _ in range(2))
     l_h = np.full(n_rows, int(links.sum()) - n + n_components)
     l_clique = np.full(n_rows, len(xs) - n + n_components)
     fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
@@ -615,14 +602,13 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         strong.extend(tuple(islice(groups, k)) for k in counts.tolist())
 
         coherent = _segment_sums(is_strong, pair_bounds) == n_pairs
-        plus_total[rows] = coherent @ links
-        plus_c[rows] = _roots(_labels(width, xs, ys, coherent[:, pair_edge]))
+        plus_h[rows] = coherent @ links - n + component_counts(width, xs, ys, coherent[:, pair_edge])
 
         with_zero = np.flatnonzero(~nonzero[:, 1:].all(axis=1))
         if not len(with_zero):
             continue
         both = nx[with_zero] & ny[with_zero]
-        c = _roots(_labels(width, xs, ys, both))
+        c = component_counts(width, xs, ys, both)
         k = _segment_sums(nonzero[with_zero][:, verts], flat_bounds)
         at = with_zero + rows.start
         l_h[at] = np.maximum(k - 1, 0).sum(axis=1) - n + c
@@ -631,8 +617,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         zero = ~nonzero[with_zero]
         zero[:, 0] = False
         if not cyclic:
-            cyclic = [np.array(_cyclic(n, [e.vertices for e in h.edges]), dtype=bool),
-                      np.array(_pair_cyclic(n, h.pairs), dtype=bool)]
+            cyclic = [np.array(mask, dtype=bool) for mask in _cyclic(n, [e.vertices for e in h.edges])]
         for i, z, sn in zip(at.tolist(), zero, seen):
             for reading, cyc in zip(fiedler, cyclic):
                 fied = z & (cyc | ~sn)
@@ -642,53 +627,10 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
     # the clique expansion's coherent graph: the strong domains, and the
     # zeros as isolated vertices
     clique_c = np.array([len(d) for d in strong], dtype=np.intp) + (signs[:, 1:] == 0).sum(axis=1)
-    plus = (plus_total - n + plus_c, strong_pairs - n + clique_c)
+    plus = (plus_h, strong_pairs - n + clique_c)
     terms = {variant: BoundTerms(tuple(fs), tuple(lp.tolist()), tuple(lq.tolist()))
              for variant, fs, lp, lq in zip(BOUND_VARIANTS, fiedler, plus, (l_h, l_clique))}
-    return _Rows(strong, attached.tolist(), (plus_total, plus_c), terms)
-
-
-def l_plus(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
-    """Cyclomatic data of the coherent subhypergraph: the edge family
-    restricted to the edges whose every vertex pair respects the edge
-    sign (``_row_pass`` states the rule), on the full vertex set.
-    """
-    _check_function(h, f)
-    rows = _row_pass(h, _sign_matrix((f,), h.n), cyclomatic(h).n_components)
-    (total,), (c,) = (a.tolist() for a in rows.coherent)
-    return CycleStats(total, h.n, c, total - h.n + c)
-
-
-def support_cyclomatic(h: SignedHypergraph, f: VertexFunction) -> CycleStats:
-    """Cyclomatic data of the subhypergraph induced on the support
-    (edges truncated to nonzero vertices, empty truncations dropped)."""
-    _check_function(h, f)
-    return cyclomatic(induced_subhypergraph(h, f.support()))
-
-
-def clique_expansion(h: SignedHypergraph) -> SignedHypergraph:
-    """The signed clique expansion: a 2-edge of sign sgn(e) for every
-    vertex pair of every edge, parallel pairs kept (``h.pairs``).
-
-    Its adjacency equals that of h, and the strong relation and the form
-    <(L - lambda)(fg), fg>_D are both built from its pairs; the ``clique``
-    bounds table reads its terms on it.  The case for this reading:
-    D(L - lambda) = (1 - lambda)D - A is a symmetric matrix whose
-    off-diagonal sign pattern is the expansion with parallel pairs summed,
-    and the graph lower bound (Berkolaiko, CMP 2008, for simple eigenvalues
-    without zeros) depends only on that pattern.  Parallel pairs of one
-    sign keep the pattern and can only lower the clique bound: each adds
-    1 to l', and 1 to l_plus only when coherent.  Parallel pairs of
-    opposite signs can cancel in A while the strong relation still links
-    their ends, and the graph argument does not cover them.  The
-    ``clique`` reading is therefore a conjecture that the campaign checks
-    on every eigenpair, not the paper's construction, which PAPER.md
-    does not give.
-
-    ``Analysis`` never builds this graph, the tests' reference: its
-    terms are read off h's pairs by ``_row_pass``.
-    """
-    return SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in h.pairs))
+    return _Rows(strong, attached.tolist(), terms)
 
 
 def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
@@ -737,6 +679,7 @@ class Analysis:
     (``clique``).  One row pass (``_row_pass``) gives the strong domains
     and the terms of both readings; only the weak pass of an
     eigenfunction with a nonzero next to a zero runs per function.
+    ``strong_partitions`` runs the row pass on other functions.
     ``cycles`` holds c and l of h.  ``bounds(variant)`` is the table of
     nodal-count bounds of every index: strong count <= k + r - 1; weak
     count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
@@ -783,6 +726,14 @@ class Analysis:
             frozenset().union(*strong), strong,
             *(_weak(self.h, sign.tolist(), strong) if attached else (strong, strong)),
             f.zero_tolerance) for f, sign, strong, attached in rows)
+
+    def strong_partitions(self, functions: Sequence[VertexFunction]) -> list[tuple[tuple[int, ...], ...]]:
+        """The strong domains of other functions on h, one partition per
+        function, from a row pass over their sign matrix like the one that
+        serves the eigenfunctions; nothing is cached."""
+        for f in functions:
+            _check_function(self.h, f)
+        return _row_pass(self.h, _sign_matrix(tuple(functions), self.h.n), self.cycles.n_components).strong
 
     def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
         """The bounds row of every eigenfunction, in index order."""

@@ -35,7 +35,6 @@ __all__ = [
     "eigendecompose",
     "rayleigh",
     "positive_inertia",
-    "product_rule_defect",
     "nodal_quadratic_form",
     "chained_difference_rank",
 ]
@@ -247,27 +246,6 @@ def positive_inertia(s: np.ndarray) -> int:
     w = np.linalg.eigvalsh((s + s.T) / 2.0)
     norm = float(np.max(np.abs(w))) if len(w) else 0.0
     return int(np.sum(w > _INERTIA_TOL * norm))
-
-
-def product_rule_defect(h: SignedHypergraph, bundle: MatrixBundle, f, g) -> float:
-    """Absolute defect of the pointwise-product identity
-
-        <fg, L(fg)> = <fg, f * Lg> + sum_{x<y adjacent} A_xy g(x) g(y) (f(x)-f(y))^2
-
-    with the weighted inner product and the unordered-pair sum.  Exact in
-    real arithmetic for any symmetric adjacency; the return value is the
-    floating-point residual.
-    """
-    fv = _as_values(f, bundle.n)
-    gv = _as_values(g, bundle.n)
-    fg = fv * gv
-    lhs = float(np.dot(bundle.deg * fg, bundle.l @ fg))
-    mid = float(np.dot(bundle.deg * fg, fv * (bundle.l @ gv)))
-    pair_sum = 0.0
-    for x, y in {(min(x, y), max(x, y)) for x, y, _ in h.pairs}:
-        axy = bundle.a[x - 1, y - 1]
-        pair_sum += axy * gv[x - 1] * gv[y - 1] * (fv[x - 1] - fv[y - 1]) ** 2
-    return abs(lhs - mid - pair_sum)
 
 
 def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue: float) -> np.ndarray:

@@ -27,13 +27,13 @@ from .core import (
     EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
-    _tree_like_given,
     connected_components,
     degrees,
     edge_sign,
     hyperneighbors,
     induced_subhypergraph,
     is_acyclic,
+    is_tree_like,
     lies_on_cycle,
     spanning_hyperforest,
     weak_delete,
@@ -41,15 +41,9 @@ from .core import (
 from .nodal import (
     Analysis,
     NodalDecomposition,
-    _labels,
-    _roots,
-    _row_chunks,
-    _row_pass,
-    _sign_matrix,
+    component_counts,
     decompose,
     domain_graph_connected,
-    strong_domains,
-    weak_domains,
 )
 from .shgio import serialize
 from .spectra import (
@@ -454,7 +448,7 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     fails = []
     n_components = ctx.cycles.n_components
     for x in h.vertex_range():
-        tl = _tree_like_given(h, x, n_components)
+        tl = is_tree_like(h, x, n_components)
         cyc = lies_on_cycle(h, x)
         if tl != (not cyc):
             fails.append(f"vertex {x}: tree_like={tl}, on_cycle={cyc}")
@@ -471,7 +465,7 @@ def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     current, before = h, ctx.cycles.n_components
     for _ in range(min(3, h.n - 1)):
         tree_like = [x for x in current.vertex_range()
-                     if _tree_like_given(current, x, before)]
+                     if is_tree_like(current, x, before)]
         if not tree_like or current.n <= 1:
             break
         x = rng.choice(tree_like)
@@ -688,19 +682,15 @@ def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     fs = _sample_functions(ctx, rng)
     n = ctx.spectrum.n
     full = [j for j, f in enumerate(fs) if len(f.support()) == f.n]
-    # the batched strong pass, apart from the one-function APIs; of the
-    # random functions only the zero-free ones, which the property reads
+    # the batched strong pass, apart from decompose; of the random
+    # functions only the zero-free ones, which the property reads
     batched = {j: dec.strong for j, dec in enumerate(ctx.decompositions)}
     extra = [j for j in full if j >= n]
     if extra:
-        rows = _row_pass(ctx.h, _sign_matrix(tuple(fs[j] for j in extra), ctx.h.n),
-                         ctx.cycles.n_components)
-        batched.update(zip(extra, rows.strong))
+        batched.update(zip(extra, ctx.strong_partitions([fs[j] for j in extra])))
     for j in full:
-        f = fs[j]
-        # weak_domains itself, which decompose skips on a zero-free function
-        cores, closures = weak_domains(ctx.h, f)
-        if not (strong_domains(ctx.h, f) == cores == closures == batched[j]):
+        dec = decompose(ctx.h, fs[j])
+        if not (dec.strong == dec.weak_cores == dec.weak_closures == batched[j]):
             fails.append(f"zero-free function {j}: strong and weak partitions differ")
     return fails, []
 
@@ -789,10 +779,8 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     values = np.array([ctx.spectrum.functions[i - 1].values for i in full])
     coeff = bundle.a[a - 1, b - 1] * (values[:, a - 1] * values[:, b - 1])
     positive, nonzero = coeff > 0, coeff != 0
-    masks = np.concatenate((positive, nonzero))
-    c_pos, c_nonzero = np.concatenate([_roots(_labels(h.n + 1, a, b, masks[rows]))
-                                       for rows in _row_chunks(len(masks), max(len(a), h.n + 1))]
-                                      ).reshape(2, -1)
+    c_pos, c_nonzero = component_counts(
+        h.n + 1, a, b, np.concatenate((positive, nonzero))).reshape(2, -1)
     sigma_ts = (h.n - c_pos).tolist()
     n_poss = positive.sum(axis=1).tolist()
     l_nonzeros = (nonzero.sum(axis=1) - h.n + c_nonzero).tolist()

@@ -36,7 +36,7 @@ from shg.fixtures import (
     fixture_example1,
     printed_laplacian_array,
 )
-from shg.nodal import Analysis, decompose, strong_domains, weak_domains
+from shg.nodal import Analysis, decompose
 from shg.report import build_report, input_digest
 from shg.shgio import serialize
 from shg.spectra import (
@@ -46,10 +46,11 @@ from shg.spectra import (
     laplacian_exact,
     nodal_quadratic_form,
     positive_inertia,
-    product_rule_defect,
     weighted_inner,
 )
 from shg.verify import GenConfig, generate, generate_supertree, run_campaign
+
+from references import product_rule_defect
 
 CAMPAIGN_CONFIG = GenConfig(seed=2026, count=500)
 
@@ -141,15 +142,15 @@ def test_criterion_3_published_table_strong_domains():
     }
     sets_ok = True
     for row, want in expected.items():
-        got = sorted(tuple(sorted(s)) for s in strong_domains(h, fns[row - 1]))
+        got = sorted(tuple(sorted(s)) for s in decompose(h, fns[row - 1]).strong)
         if got != sorted(want):
             sets_ok = False
-    counts = [len(strong_domains(h, fns[row - 1])) for row in (1, 2, 3, 7)]
+    counts = [decompose(h, fns[row - 1]).strong_count for row in (1, 2, 3, 7)]
     weak_equal_ok = all(
         decompose(h, fns[row - 1]).weak_count == len(expected[row])
         for row in (1, 2, 7)
     )
-    cores3, _ = weak_domains(h, fns[2])
+    cores3 = decompose(h, fns[2]).weak_cores
     cores3_ok = sorted(tuple(sorted(s)) for s in cores3) == [(1, 6, 7), (3, 4, 9)]
     _verdict(
         "criterion 3 (published domain table rows 1, 2, 3, 7)",
@@ -262,7 +263,7 @@ def test_criterion_6_identity_suite():
         form = nodal_quadratic_form(b, gk, lam)
         ones = np.ones(h.n)
         const_worst = max(const_worst, abs(float(ones @ form @ ones)))
-        domains = strong_domains(h, gk)
+        domains = decompose(h, gk).strong
         if domains:
             ind = np.zeros(h.n)
             for v in domains[0]:

@@ -225,8 +225,9 @@ class TestCycles:
     def test_tree_like_on_triangle(self):
         h = h_of(4, ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 1)),
                  ((3, 1), (4, 1)))
-        assert not is_tree_like(h, 1)
-        assert is_tree_like(h, 4)
+        c = cyclomatic(h).n_components
+        assert not is_tree_like(h, 1, c)
+        assert is_tree_like(h, 4, c)
         assert lies_on_cycle(h, 1)
         assert not lies_on_cycle(h, 4)
 

@@ -382,35 +382,36 @@ class TestReportModule:
 
     def test_one_decomposition_per_function(self, monkeypatch):
         # one sign matrix per Analysis decides the strong domains of every
-        # eigenfunction; no eigenfunction goes through decompose or
-        # strong_domains on its own
-        calls = self._count(monkeypatch, ("_sign_matrix", "decompose", "strong_domains"))
+        # eigenfunction; no eigenfunction goes through decompose or its
+        # strong pass on its own
+        calls = self._count(monkeypatch, ("_sign_matrix", "decompose", "_strong"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         report = build_report(h, input_digest(serialize(h)))
         assert len(report["eigenfunctions"]) == 20
-        assert calls == {"_sign_matrix": [1], "decompose": [], "strong_domains": []}
+        assert calls == {"_sign_matrix": [1], "decompose": [], "_strong": []}
 
     def test_one_fiedler_pass_and_one_l_plus_pass_per_graph(self, monkeypatch):
         # the Fiedler sets and l_plus of all 20 eigenfunctions come from
-        # one row pass over the sign matrix, not from the one-function calls
-        calls = self._count(monkeypatch, ("fiedler_sets", "l_plus", "_row_pass"))
+        # one row pass over the sign matrix, not from fiedler_sets, the
+        # one-function call
+        calls = self._count(monkeypatch, ("fiedler_sets", "_row_pass"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         build_report(h, input_digest(serialize(h)))
-        assert calls == {"fiedler_sets": [], "l_plus": [], "_row_pass": [20]}
+        assert calls == {"fiedler_sets": [], "_row_pass": [20]}
 
     def test_one_coherence_pass_per_graph(self, monkeypatch):
         # one row pass on h serves an Analysis and both its tables; the
-        # clique table reads h's own pairs and never builds the expansion
-        import shg.nodal as nodal
+        # clique table reads h's own pairs and builds no edge, so never
+        # the expansion
         from shg.nodal import Analysis
 
-        def must_not_run(h):
-            raise AssertionError("the clique expansion was built")
+        def must_not_run(*args):
+            raise AssertionError("an edge was built")
 
-        monkeypatch.setattr(nodal, "clique_expansion", must_not_run)
         calls = self._count(monkeypatch, ("_sign_matrix", "_row_pass"))
         instances = list(generate(GenConfig(seed=3, count=4)))
         instances += list(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
+        monkeypatch.setattr(Edge, "__post_init__", must_not_run)
         for h in instances:
             build_report(h, "", zero_tol_rel=0.2)
             analysis = Analysis(h, zero_tol_rel=0.2)
@@ -456,9 +457,8 @@ class TestReportModule:
         def must_not_run(*args):
             raise AssertionError("a per-row support pass ran")
 
-        for module, name in ((nodal, "support_cyclomatic"), (nodal, "induced_subhypergraph"),
-                             (core, "induced_subhypergraph")):
-            monkeypatch.setattr(module, name, must_not_run)
+        assert not hasattr(nodal, "induced_subhypergraph")
+        monkeypatch.setattr(core, "induced_subhypergraph", must_not_run)
         with_zeros = 0
         for h in generate(GenConfig(seed=3, count=10)):
             build_report(h, "", zero_tol_rel=0.2)

@@ -35,22 +35,19 @@ from shg.nodal import (
     _blocks,
     _components,
     _cyclic,
-    _pair_cyclic,
     _row_pass,
     _sign_matrix,
     BoundReport,
-    clique_expansion,
     decompose,
     domain_graph_connected,
     fiedler_sets,
-    l_plus,
-    strong_domains,
-    support_cyclomatic,
     weak_domains,
 )
 from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian
 import shg.verify as verify
 from shg.verify import GenConfig, generate, oracle_domains
+
+from references import clique_expansion, support_cyclomatic
 
 
 def h_of(n, *edge_specs):
@@ -63,6 +60,17 @@ def vf(*values):
 
 def as_sets(domains):
     return sorted(tuple(sorted(d)) for d in domains)
+
+
+def weak_pair(h, f):
+    """(weak cores, weak closures) of f on h, by ``decompose``."""
+    dec = decompose(h, f)
+    return dec.weak_cores, dec.weak_closures
+
+
+def row_pass_of(h, *fs):
+    """The row pass over the sign matrix of ``fs`` on h."""
+    return _row_pass(h, _sign_matrix(fs, h.n), cyclomatic(h).n_components)
 
 
 # 2-edges by desired pair sign: sgn(e) = -(product of the two incidence
@@ -89,36 +97,36 @@ def analysis(fixture):
 class TestStrongDomains:
     def test_negative_pair_links_opposite_signs(self):
         h = h_of(2, pair_edge(1, 2, -1))
-        assert len(strong_domains(h, vf(1, -1))) == 1
-        assert len(strong_domains(h, vf(1, 1))) == 2
+        assert len(decompose(h, vf(1, -1)).strong) == 1
+        assert len(decompose(h, vf(1, 1)).strong) == 2
 
     def test_positive_pair_links_equal_signs(self):
         h = h_of(2, pair_edge(1, 2, 1))
-        assert len(strong_domains(h, vf(1, 1))) == 1
-        assert len(strong_domains(h, vf(1, -1))) == 2
+        assert len(decompose(h, vf(1, 1)).strong) == 1
+        assert len(decompose(h, vf(1, -1)).strong) == 2
 
     def test_positive_triple_same_sign(self):
         h = h_of(3, ((1, 1), (2, 1), (3, 1)))
-        assert as_sets(strong_domains(h, vf(1, 1, 1))) == [(1, 2, 3)]
-        assert as_sets(strong_domains(h, vf(1, -1, 1))) == [(1, 3), (2,)]
+        assert as_sets(decompose(h, vf(1, 1, 1)).strong) == [(1, 2, 3)]
+        assert as_sets(decompose(h, vf(1, -1, 1)).strong) == [(1, 3), (2,)]
 
     def test_zeros_never_join(self):
         h = h_of(3, ((1, 1), (2, 1), (3, 1)))
-        assert as_sets(strong_domains(h, vf(1, 0, 1))) == [(1, 3)]
+        assert as_sets(decompose(h, vf(1, 0, 1)).strong) == [(1, 3)]
 
     def test_length_mismatch(self, fixture):
         with pytest.raises(ValueError, match="9 vertices"):
-            strong_domains(fixture, vf(1, 2))
+            decompose(fixture, vf(1, 2))
 
 
 class TestStrongDomainsMatrixMode:
     """The raw-matrix mode: the signed 2-graph of a symmetric matrix, then
-    ``strong_domains``, links the pairs with A_xy * f(x) * f(y) > 0."""
+    ``decompose``, links the pairs with A_xy * f(x) * f(y) > 0."""
 
     def test_positive_entry_links_same_signs(self):
         g = _matrix_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert len(strong_domains(g, vf(1, 1))) == 1
-        assert len(strong_domains(g, vf(1, -1))) == 2
+        assert len(decompose(g, vf(1, 1)).strong) == 1
+        assert len(decompose(g, vf(1, -1)).strong) == 2
 
     def test_asymmetric_rejected(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -129,32 +137,32 @@ class TestStrongDomainsMatrixMode:
         with pytest.raises(ValueError, match="must be square"):
             _matrix_graph(np.ones((2, 3)))
         with pytest.raises(ValueError, match="3 vertices"):
-            strong_domains(_matrix_graph(np.eye(3)), vf(1, 1))
+            decompose(_matrix_graph(np.eye(3)), vf(1, 1))
 
     def test_matches_hypergraph_on_fixture(self, fixture, printed):
         g = _matrix_graph(adjacency(fixture))
         for f in printed:
-            assert as_sets(strong_domains(g, f)) == as_sets(strong_domains(fixture, f))
+            assert as_sets(decompose(g, f).strong) == as_sets(decompose(fixture, f).strong)
 
 
 class TestWeakDomains:
     def test_zero_mediated_link(self):
         # 1 - 2(zero) - 3 with matching sign product joins the nonzeros
         h = h_of(3, pair_edge(1, 2, 1), pair_edge(2, 3, 1))
-        cores, closures = weak_domains(h, vf(1, 0, 1))
+        cores, closures = weak_pair(h, vf(1, 0, 1))
         assert as_sets(cores) == [(1, 3)]
         assert as_sets(closures) == [(1, 2, 3)]
 
     def test_sign_product_must_match(self):
         h = h_of(3, pair_edge(1, 2, 1), pair_edge(2, 3, -1))
-        cores, closures = weak_domains(h, vf(1, 0, 1))
+        cores, closures = weak_pair(h, vf(1, 0, 1))
         assert as_sets(cores) == [(1,), (3,)]
         # the shared zero joins both closures
         assert as_sets(closures) == [(1, 2), (2, 3)]
 
     def test_all_zero_function(self):
         h = h_of(2, pair_edge(1, 2, 1))
-        assert weak_domains(h, vf(0, 0)) == ((), ())
+        assert weak_pair(h, vf(0, 0)) == ((), ())
 
     def test_detour_through_cycle_cannot_revisit_vertex(self):
         # direct route 1-2-5 carries product -1; the odd triangle 2-3-4-2
@@ -168,11 +176,11 @@ class TestWeakDomains:
             pair_edge(3, 4, 1),
             pair_edge(4, 2, -1),
         )
-        cores, closures = weak_domains(h, vf(1, 0, 0, 0, 1))
+        cores, closures = weak_pair(h, vf(1, 0, 0, 0, 1))
         assert as_sets(cores) == [(1,), (5,)]
         assert as_sets(closures) == [(1, 2, 3, 4), (2, 3, 4, 5)]
         # flipping one endpoint makes the direct product match
-        cores_flip, _ = weak_domains(h, vf(1, 0, 0, 0, -1))
+        cores_flip, _ = weak_pair(h, vf(1, 0, 0, 0, -1))
         assert as_sets(cores_flip) == [(1, 5)]
 
     def test_unbalanced_route_cycle_links_both_signs(self):
@@ -187,7 +195,7 @@ class TestWeakDomains:
         )
         h = h_of(5, *edges)
         for end in (1, -1):
-            cores, _ = weak_domains(h, vf(1, 0, 0, 0, end))
+            cores, _ = weak_pair(h, vf(1, 0, 0, 0, end))
             assert as_sets(cores) == [(1, 5)]
 
     def test_balanced_route_cycle_keeps_fixed_sign(self):
@@ -199,9 +207,9 @@ class TestWeakDomains:
             pair_edge(4, 5, 1),
         )
         h = h_of(5, *edges)
-        cores, _ = weak_domains(h, vf(1, 0, 0, 0, 1))
+        cores, _ = weak_pair(h, vf(1, 0, 0, 0, 1))
         assert as_sets(cores) == [(1, 5)]
-        cores, _ = weak_domains(h, vf(1, 0, 0, 0, -1))
+        cores, _ = weak_pair(h, vf(1, 0, 0, 0, -1))
         assert as_sets(cores) == [(1,), (5,)]
 
     def test_opposite_parallel_pair_is_unbalanced(self):
@@ -212,26 +220,26 @@ class TestWeakDomains:
         )
         h = h_of(3, *edges)
         for end in (1, -1):
-            cores, _ = weak_domains(h, vf(1, 0, end))
+            cores, _ = weak_pair(h, vf(1, 0, end))
             assert as_sets(cores) == [(1, 3)]
 
     def test_interior_vertices_must_be_zeros(self):
         # 1 - 2 - 3 with 2 nonzero: no weak link between 1 and 3 even
         # though the sign product of the route matches
         h = h_of(3, pair_edge(1, 2, -1), pair_edge(2, 3, -1))
-        cores, _ = weak_domains(h, vf(1, 1, 1))
+        cores, _ = weak_pair(h, vf(1, 1, 1))
         assert as_sets(cores) == [(1,), (2,), (3,)]
 
     def test_weak_refines_strong(self):
         h = h_of(3, pair_edge(1, 2, -1), pair_edge(2, 3, -1))
         f = vf(1, 1, 1)
-        assert as_sets(weak_domains(h, f)[0]) == as_sets(strong_domains(h, f))
+        assert as_sets(weak_pair(h, f)[0]) == as_sets(decompose(h, f).strong)
 
 
 class TestFixtureTable:
     @pytest.mark.parametrize("row", [1, 2, 3, 7])
     def test_reproduced_strong_rows(self, fixture, printed, row):
-        assert as_sets(strong_domains(fixture, printed[row - 1])) == as_sets(TABLE1_STRONG[row])
+        assert as_sets(decompose(fixture, printed[row - 1]).strong) == as_sets(TABLE1_STRONG[row])
 
     @pytest.mark.parametrize("row", [1, 2, 3, 7])
     def test_reproduced_weak_rows(self, fixture, printed, row):
@@ -249,7 +257,7 @@ class TestFixtureTable:
                    for note in DISCREPANCY_NOTES)
 
     def test_strong_counts(self, fixture, printed):
-        got = [len(strong_domains(fixture, f)) for f in printed]
+        got = [len(decompose(fixture, f).strong) for f in printed]
         assert got == [1, 2, 2, 6, 6, 6, 6, 6, 6]
 
     def test_weak_counts(self, fixture, printed):
@@ -262,7 +270,7 @@ class TestFixtureTable:
             assert as_sets(d.weak_cores) == as_sets(d.strong)
 
     def test_f3_cores_and_closures(self, fixture, printed):
-        cores, closures = weak_domains(fixture, printed[2])
+        cores, closures = weak_pair(fixture, printed[2])
         assert as_sets(cores) == [(1, 6, 7), (3, 4, 9)]
         assert as_sets(closures) == [(1, 2, 5, 6, 7, 8), (2, 3, 4, 5, 8, 9)]
 
@@ -273,7 +281,7 @@ class TestFixtureTable:
 
     def test_f8_negative_pendant_does_not_link_equal_signs(self, fixture, printed):
         # the published table groups 5 and 8 here; the sign rule forbids it
-        assert as_sets(strong_domains(fixture, printed[7])) == [
+        assert as_sets(decompose(fixture, printed[7]).strong) == [
             (1, 5), (3, 4), (6,), (7,), (8,), (9,)]
 
 
@@ -298,7 +306,8 @@ class TestFiedlerSets:
 class TestCycleCounts:
     def test_l_plus_keeps_coherent_edges_only(self, fixture, printed):
         # zero-free bottom eigenfunction: all six edges coherent, l = 1
-        assert l_plus(fixture, printed[0]).l == 1
+        assert row_pass_of(fixture, printed[0]).terms["all_pairs"].l_plus == (1,)
+        assert reference_l_plus(fixture, printed[0]).l == 1
 
     def test_l_plus_negative_triple_is_never_coherent(self):
         # negative 3-edge with signs (+,-,+): the pair 1, 3 has equal signs
@@ -306,7 +315,8 @@ class TestCycleCounts:
         # only {1, 3} (positive, equal signs) is
         h = h_of(3, ((1, 1), (2, 1), (3, -1)), pair_edge(1, 2, 1),
                  pair_edge(2, 3, 1), pair_edge(1, 3, 1))
-        assert l_plus(h, vf(1, -1, 1)) == CycleStats(1, 3, 2, 0)
+        assert row_pass_of(h, vf(1, -1, 1)).terms["all_pairs"].l_plus == (0,)
+        assert reference_l_plus(h, vf(1, -1, 1)) == CycleStats(1, 3, 2, 0)
 
     def test_unknown_variant(self, analysis):
         with pytest.raises(ValueError, match="unknown variant"):
@@ -317,6 +327,8 @@ class TestCycleCounts:
             analysis.bounds("exists_ordering")
 
     def test_support_cyclomatic_drops_zero_vertices(self, fixture, printed):
+        rows = row_pass_of(fixture, printed[0], printed[6], printed[3])
+        assert rows.terms["all_pairs"].l_prime == (1, 1, 0)
         assert support_cyclomatic(fixture, printed[0]).l == 1
         assert support_cyclomatic(fixture, printed[6]).l == 1
         assert support_cyclomatic(fixture, printed[3]).l == 0
@@ -382,12 +394,14 @@ class TestCliqueReading:
         assert not fiedler_sets(h, f).fiedler
         g = clique_expansion(h)
         assert fiedler_sets(g, f).fiedler == {2}
-        assert (support_cyclomatic(g, f).l, l_plus(g, f).l) == (0, 0)
+        assert (support_cyclomatic(g, f).l, reference_l_plus(g, f).l) == (0, 0)
+        terms = row_pass_of(h, f).terms["clique"]
+        assert (terms.fiedler[0].fiedler, terms.l_prime, terms.l_plus) == ({2}, (0,), (0,))
 
     def test_parallel_pairs_kept(self):
         g = clique_expansion(h_of(2, pair_edge(1, 2, 1), pair_edge(1, 2, 1)))
         assert g.m == 2
-        assert (support_cyclomatic(g, vf(1, 1)).l, l_plus(g, vf(1, 1)).l) == (1, 1)
+        assert (support_cyclomatic(g, vf(1, 1)).l, reference_l_plus(g, vf(1, 1)).l) == (1, 1)
         assert fiedler_sets(g, vf(1, 0)).fiedler == {2}
 
     def test_bridge_zero_with_nonzero_neighbor_is_not_fiedler(self):
@@ -438,7 +452,7 @@ def forest_count_diagnostic(h, f):
     sub = SignedHypergraph(h.n, selected)
     forest = spanning_hyperforest(sub, exact=True)
     formula_value = len(f.support()) - sum(sub.edges[i].size - 1 for i in forest)
-    component_value = len(strong_domains(h, f))
+    component_value = len(decompose(h, f).strong)
     return formula_value, component_value, formula_value == component_value
 
 
@@ -464,8 +478,8 @@ class TestScalingInvariance:
         h = fixture_example1()
         f = VertexFunction.from_values(values)
         g = VertexFunction.from_values([scale * x for x in values])
-        assert as_sets(strong_domains(h, f)) == as_sets(strong_domains(h, g))
-        assert as_sets(weak_domains(h, f)[0]) == as_sets(weak_domains(h, g)[0])
+        assert as_sets(decompose(h, f).strong) == as_sets(decompose(h, g).strong)
+        assert as_sets(weak_pair(h, f)[0]) == as_sets(weak_pair(h, g)[0])
 
 
 @st.composite
@@ -511,8 +525,9 @@ class TestOnePassAgainstReferences:
     def test_fiedler_sets_match_per_zero_definition(self, case):
         h, f = case
         zeros = [v for v in h.vertex_range() if f.sign(v) == 0]
+        c = cyclomatic(h).n_components
         fiedler = {v for v in zeros
-                   if all(f.sign(w) == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v)}
+                   if all(f.sign(w) == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v, c)}
         fs = fiedler_sets(h, f)
         assert fs.fiedler == fiedler and fs.other_zeros == set(zeros) - fiedler
 
@@ -569,7 +584,7 @@ def _assert_table_equals_per_row_terms(analysis, variant):
     for i, (rep, f) in enumerate(zip(analysis.bounds(variant), s.functions, strict=True), 1):
         dec = decompose(h, f)
         k, r = s.cluster_of(i)
-        lp = l_plus(g, f).l
+        lp = reference_l_plus(g, f).l
         l_prime = support_cyclomatic(g, f).l
         fied = len(fiedler_sets(g, f).fiedler)
         lower = k + r - 1 - l_prime + lp - fied
@@ -589,7 +604,9 @@ class TestBoundsTable:
         sign = [0] + [f.sign(v) for v in h.vertex_range()]
         coherent = tuple(e for e in h.edges
                          if all(sign[v] for v in e.vertices) and _coherent_by_pairs(e, sign))
-        assert l_plus(h, f) == cyclomatic(SignedHypergraph(h.n, coherent))
+        expected = cyclomatic(SignedHypergraph(h.n, coherent))
+        assert row_pass_of(h, f).terms["all_pairs"].l_plus == (expected.l,)
+        assert reference_l_plus(h, f) == expected
 
     @pytest.mark.parametrize("variant", ["all_pairs", "clique"])
     def test_table_equals_per_row_terms(self, variant):
@@ -621,7 +638,7 @@ class TestBoundsTable:
     def test_zero_free_decompose_skips_weak_pass(self, fixture, monkeypatch):
         import shg.nodal as nodal
         f = vf(1, 2, -1, 1, -2, 1, 1, -1, 2)
-        cores, closures = weak_domains(fixture, f)
+        cores, closures = reference_weak_domains(fixture, f)
 
         def must_not_run(*args):
             raise AssertionError("the weak pass ran on a zero-free function")
@@ -744,13 +761,10 @@ def check_row_pass(h, fs):
     """``_row_pass`` of every function of ``fs`` on h against the
     one-function references: strong domains, attachments and l_plus on
     h, and the terms of both readings on h and on its clique expansion."""
-    rows = _row_pass(h, _sign_matrix(fs, h.n), cyclomatic(h).n_components)
+    rows = row_pass_of(h, *fs)
     assert rows.strong == [reference_strong(h, f) for f in fs]
     assert rows.attached == [any((f.sign(x) == 0) != (f.sign(y) == 0) for x, y, _ in h.pairs)
                              for f in fs]
-    expected = [reference_l_plus(h, f) for f in fs]
-    assert [CycleStats(t, h.n, c, t - h.n + c) for t, c in zip(*(a.tolist() for a in rows.coherent))] == expected
-    assert [l_plus(h, f) for f in fs] == expected
     for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
         terms = rows.terms[variant]
         assert terms.fiedler == tuple(reference_fiedler_sets(g, f) for f in fs)
@@ -774,7 +788,7 @@ class TestBatchedPasses:
         check_row_pass(expansion, fs)
         check_row_pass(weak_delete(h, 1), tuple(vf(*f.values[1:]) for f in fs))
         for g in (h, expansion):
-            assert [strong_domains(g, f) for f in fs] == [reference_strong(g, f) for f in fs]
+            assert [decompose(g, f).strong for f in fs] == [reference_strong(g, f) for f in fs]
 
     @pytest.mark.parametrize("values", [(0.0, 0.0, 0.0, 0.0), (1.0, -1.0, 2.0, 1.0),
                                         (1.0, 0.0, -1.0, 0.0), (0.0, 1.0, 1.0, 0.0)])
@@ -842,14 +856,12 @@ class TestComponentKernel:
         h = h_of(n, *([((1, 1), (2, 1), (3, -1))] if n else []))
         rows = _row_pass(h, np.zeros((0, n + 1), dtype=np.int8), cyclomatic(h).n_components)
         assert rows.strong == [] and rows.attached == []
-        assert [a.shape for a in rows.coherent] == [(0,), (0,)]
         assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((), (), ())
                    for terms in rows.terms.values())
 
     def test_empty_hypergraph_rows(self):
         rows = _row_pass(h_of(0), _sign_matrix((vf(),), 0), 0)
         assert rows.strong == [()] and rows.attached == [False]
-        assert [a.tolist() for a in rows.coherent] == [[0], [0]]
         empty = FiedlerSets(frozenset(), frozenset())
         assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((empty,), (0,), (0,))
                    for terms in rows.terms.values())
@@ -879,11 +891,16 @@ class TestChunking:
         """Record (nodes, links) of every ``_components`` call, the shape
         of every link mask a chunk of rows labels, and (rows, row size) of
         every chunk ``_row_chunks`` hands out, in the row pass and in the
-        sandwich property alike."""
+        sandwich property alike; the chunks that ``component_counts``
+        takes of rows the row pass has chunked already go to a fourth
+        list."""
         import shg.nodal as nodal
 
-        seen, masks, chunks = [], [], []
+        seen, masks, chunks, nested = [], [], [], []
         real, real_labels, real_chunks = nodal._components, nodal._labels, nodal._row_chunks
+        real_counts = nodal.component_counts
+        # the open calls of component_counts and of the row pass
+        depth = [0, 0]
 
         def wrapper(n_nodes, ex, ey):
             seen.append((n_nodes, len(ex)))
@@ -895,19 +912,37 @@ class TestChunking:
 
         def chunks_wrapper(n_rows, row_size):
             for rows in real_chunks(n_rows, row_size):
-                chunks.append((rows.stop - rows.start, row_size))
+                inside = depth[0] and depth[1]
+                (nested if inside else chunks).append((rows.stop - rows.start, row_size))
                 yield rows
 
+        def counts_wrapper(width, xs, ys, masks):
+            depth[0] += 1
+            try:
+                return real_counts(width, xs, ys, masks)
+            finally:
+                depth[0] -= 1
+
+        def row_pass_wrapper(h, signs, n_components):
+            depth[1] += 1
+            try:
+                return real_row_pass(h, signs, n_components)
+            finally:
+                depth[1] -= 1
+
+        real_row_pass = nodal._row_pass
         monkeypatch.setattr(nodal, "_components", wrapper)
-        for module in (nodal, verify):
-            monkeypatch.setattr(module, "_labels", labels_wrapper)
-            monkeypatch.setattr(module, "_row_chunks", chunks_wrapper)
-        return seen, masks, chunks
+        monkeypatch.setattr(nodal, "_labels", labels_wrapper)
+        monkeypatch.setattr(nodal, "_row_chunks", chunks_wrapper)
+        monkeypatch.setattr(nodal, "component_counts", counts_wrapper)
+        monkeypatch.setattr(verify, "component_counts", counts_wrapper)
+        monkeypatch.setattr(nodal, "_row_pass", row_pass_wrapper)
+        return seen, masks, chunks, nested
 
     def test_no_call_exceeds_the_budget(self, monkeypatch, instances, failing_inertia):
         import shg.nodal as nodal
 
-        seen, _, chunks = self._record_calls(monkeypatch)
+        seen, _, chunks, nested = self._record_calls(monkeypatch)
         for h in instances:
             self._outputs(h)
         assert seen
@@ -916,16 +951,19 @@ class TestChunking:
         assert all(links <= nodal._LINK_BUDGET for _, links in seen)
         assert all(n_nodes <= nodal._LINK_BUDGET for n_nodes, _ in seen)
         # every chunk of rows within the budget
-        assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks)
+        assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks + nested)
         # and the row pass declares the widest of its temporaries per row:
-        # the pair table, the flat incidences, the vertices and the edges
+        # the pair table, the flat incidences, the vertices and the edges;
+        # its component counts declare no wider a row
         for h in instances:
             analysis = Analysis(h, zero_tol_rel=0.2)
             analysis.signs
             chunks.clear()
+            nested.clear()
             analysis.terms
             widest = max(len(h.pairs), sum(e.size for e in h.edges), h.n + 1, h.m)
             assert chunks and all(size == widest for _, size in chunks)
+            assert nested and all(size <= widest for _, size in nested)
 
     @pytest.mark.parametrize("budget", [1, 3, 7, 40])
     def test_results_do_not_depend_on_the_budget(self, monkeypatch, instances, failing_inertia, budget):
@@ -933,12 +971,12 @@ class TestChunking:
 
         expected = [self._outputs(h) for h in instances]
         monkeypatch.setattr(nodal, "_LINK_BUDGET", budget)
-        seen, masks, chunks = self._record_calls(monkeypatch)
+        seen, masks, chunks, nested = self._record_calls(monkeypatch)
         assert [self._outputs(h) for h in instances] == expected
         assert max(links for _, links in seen) <= budget
         # a chunk holds one row at least, and more only within the budget
         assert all(rows == 1 or rows * links <= budget for rows, links in masks)
-        assert all(rows == 1 or rows * size <= budget for rows, size in chunks)
+        assert all(rows == 1 or rows * size <= budget for rows, size in chunks + nested)
         assert budget < 40 or any(rows > 1 for rows, _ in masks)
         # rows split across chunks, and below 40 the links of one row
         # across calls of a full budget each
@@ -1004,12 +1042,17 @@ class TestBatchedFiedlerSets:
     @settings(max_examples=300, deadline=None)
     def test_pair_blocks_match_incidence_blocks(self, case, data):
         # size-1 and repeated edges from the drawn instance, and opposite-
-        # sign twins of some of its pairs: the blocks of the pair graph mark
-        # the vertices that the incidence graph of the expansion marks
+        # sign twins of some of its pairs: the clique mask that the row
+        # pass reads off the edges of g is the mask of g's clique
+        # expansion, built from its pairs, and the mask on g is the
+        # tree-like test of every vertex
         h, _ = case
         twins = data.draw(st.lists(st.sampled_from(h.pairs), max_size=3)) if h.pairs else []
         g = h_of(h.n, *(e.incidences for e in h.edges), *(pair_edge(x, y, -s) for x, y, s in twins))
-        assert _pair_cyclic(g.n, g.pairs) == _cyclic(g.n, [(x, y) for x, y, _ in g.pairs])
+        on_g, on_clique = _cyclic(g.n, [e.vertices for e in g.edges])
+        assert on_clique == _cyclic(g.n, [(x, y) for x, y, _ in g.pairs])[0]
+        c = cyclomatic(g).n_components
+        assert on_g == [False] + [not is_tree_like(g, v, c) for v in g.vertex_range()]
 
     def test_no_zeros_gives_empty_sets_without_block_pass(self, monkeypatch):
         import shg.nodal as nodal
@@ -1018,12 +1061,43 @@ class TestBatchedFiedlerSets:
             raise AssertionError("a block pass ran although no row has a zero")
 
         monkeypatch.setattr(nodal, "_cyclic", must_not_run)
-        monkeypatch.setattr(nodal, "_pair_cyclic", must_not_run)
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         analysis = Analysis(h)
         assert (analysis.signs[:, 1:] != 0).all()
         empty = (FiedlerSets(frozenset(), frozenset()),) * 20
         assert all(terms.fiedler == empty for terms in analysis.terms.values())
+
+    def test_one_block_pass_per_analysis_with_a_zero_row(self, monkeypatch):
+        # the Fiedler sets of both readings come from one _cyclic call, one
+        # block pass, on an instance where some row has a zero, and from
+        # none on one where no row has
+        import shg.nodal as nodal
+
+        calls = {"_cyclic": 0, "_blocks": 0}
+
+        def counting(name):
+            real = getattr(nodal, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nodal, name, counting(name))
+        with_zero = without = 0
+        for h in generate(GenConfig(seed=3, count=12)):
+            for tol in (0.2, 1e-8):
+                analysis = Analysis(h, zero_tol_rel=tol)
+                has_zero = bool((analysis.signs[:, 1:] == 0).any())
+                with_zero += has_zero
+                without += not has_zero
+                for name in calls:
+                    calls[name] = 0
+                for variant in BOUND_VARIANTS:
+                    analysis.terms[variant]
+                assert calls == dict.fromkeys(calls, int(has_zero))
+        assert with_zero and without
 
 
 def reference_weak_domains(h, f):
@@ -1145,7 +1219,7 @@ class TestWeakPassAgainstReference:
             expected = reference_weak_domains(h, f)
             assert weak_domains(h, f) == expected
             dec = decompose(h, f)
-            assert dec.strong == strong_domains(h, f)
+            assert dec.strong == reference_strong(h, f)
             assert (dec.weak_cores, dec.weak_closures) == expected
             assert dec.support == f.support()
 

@@ -19,10 +19,11 @@ from shg.spectra import (
     laplacian_exact,
     nodal_quadratic_form,
     positive_inertia,
-    product_rule_defect,
     rayleigh,
     weighted_inner,
 )
+
+from references import product_rule_defect
 
 
 def h_of(n, *edge_specs):

@@ -21,7 +21,7 @@ from shg.core import (
     spanning_hyperforest,
 )
 from shg.fixtures import fixture_example1
-from shg.nodal import Analysis, decompose, strong_domains, weak_domains
+from shg.nodal import Analysis, decompose
 from shg.shgio import serialize
 from shg.spectra import VertexFunction, eigendecompose, laplacian
 from shg.verify import (
@@ -148,11 +148,10 @@ class TestOracle:
                 [rng.choice((-1.0, 0.0, 1.0)) for _ in range(h.n)]))
             for f in fns:
                 strong, cores, closures = oracle_domains(h, f)
-                assert sorted(map(sorted, strong)) == sorted(
-                    map(sorted, strong_domains(h, f)))
-                got_cores, got_closures = weak_domains(h, f)
-                assert sorted(map(sorted, cores)) == sorted(map(sorted, got_cores))
-                assert sorted(map(sorted, closures)) == sorted(map(sorted, got_closures))
+                dec = decompose(h, f)
+                assert sorted(map(sorted, strong)) == sorted(map(sorted, dec.strong))
+                assert sorted(map(sorted, cores)) == sorted(map(sorted, dec.weak_cores))
+                assert sorted(map(sorted, closures)) == sorted(map(sorted, dec.weak_closures))
                 checked += 1
         assert checked > 40
 
@@ -298,7 +297,7 @@ class TestOracleReference:
 
         monkeypatch.setattr(shg.core, "UnionFind", refuse)
         monkeypatch.setattr(SignedHypergraph, "pairs", property(refuse))
-        for name in ("decompose", "strong_domains", "weak_domains"):
+        for name in ("decompose", "Analysis"):
             monkeypatch.setattr(shg.nodal, name, refuse)
             monkeypatch.setattr(shg.verify, name, refuse)
         assert oracle_domains(*zero_triangle) == ZERO_TRIANGLE_DOMAINS
@@ -430,20 +429,21 @@ class TestCampaign:
 
     def test_no_zeros_identical_fails_on_merged_weak_domains(self, monkeypatch):
         assert self._no_zeros_identical() == ([], [])
-        weak = shg.nodal.weak_domains
+        real = shg.nodal.decompose
 
         def merged(h, f):
-            cores, _ = weak(h, f)
-            cores = self._merge_first_two(cores)
-            return cores, cores
+            dec = real(h, f)
+            cores = self._merge_first_two(dec.weak_cores)
+            return replace(dec, weak_cores=cores, weak_closures=cores)
 
-        monkeypatch.setattr(shg.verify, "weak_domains", merged)
+        monkeypatch.setattr(shg.verify, "decompose", merged)
         fails, _ = self._no_zeros_identical()
         assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
 
     def test_no_zeros_identical_checks_against_the_batched_strong_pass(self, monkeypatch):
-        # strong_domains and weak_domains share one strong pass; merging
-        # its domains keeps them equal, and only the batched pass differs
+        # decompose takes its weak partitions from its strong pass on a
+        # zero-free function; merging its domains keeps them equal, and
+        # only the batched pass differs
         strong = shg.nodal._strong
         monkeypatch.setattr(shg.nodal, "_strong", lambda h, sign: self._merge_first_two(strong(h, sign)))
         fails, _ = self._no_zeros_identical()
@@ -453,20 +453,20 @@ class TestCampaign:
         # the property reads zero-free functions only, so only the zero-free
         # random functions go through the row pass, and none when all have
         # zeros
-        real = shg.verify._row_pass
+        real = Analysis.strong_partitions
         batched = []
 
-        def recording(h, signs, n_components):
-            batched.append(signs)
-            return real(h, signs, n_components)
+        def recording(self, functions):
+            batched.append(functions)
+            return real(self, functions)
 
-        monkeypatch.setattr(shg.verify, "_row_pass", recording)
+        monkeypatch.setattr(Analysis, "strong_partitions", recording)
         calls = []
         for seed, h in enumerate(generate(GenConfig(n_range=(3, 5), seed=8, count=30))):
             batched.clear()
             assert REGISTRY["nodal.no-zeros-identical"](Analysis(h), random.Random(seed)) == ([], [])
-            calls.append(sum(len(signs) for signs in batched))
-            assert all((signs[:, 1:] != 0).all() for signs in batched)
+            calls.append(sum(len(functions) for functions in batched))
+            assert all(len(f.support()) == f.n for functions in batched for f in functions)
         assert 0 in calls and 1 in calls and 2 in calls
 
     @pytest.mark.parametrize("m, checked", [(EXACT_FOREST_LIMIT, True),
