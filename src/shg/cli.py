@@ -71,17 +71,19 @@ def _function_from_args(h: SignedHypergraph, args) -> VertexFunction:
         if len(values) != h.n:
             raise ValueError(f"--function needs {h.n} values, got {len(values)}")
         return VertexFunction.from_values(values, rel_tol=args.zero_tol)
-    if not 1 <= args.eig <= h.n:
+    return _eigenfunction(h, args.eig, args.zero_tol)
+
+
+def _eigenfunction(h: SignedHypergraph, eig: int, zero_tol: float) -> VertexFunction:
+    """Eigenfunction ``eig`` (1-based), its range checked before the
+    eigensolver runs."""
+    if not 1 <= eig <= h.n:
         raise ValueError(f"--eig must lie in 1..{h.n}")
-    return eigendecompose(laplacian(h), zero_tol_rel=args.zero_tol).functions[args.eig - 1]
+    return eigendecompose(laplacian(h), zero_tol_rel=zero_tol).functions[eig - 1]
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = Path(args.file).read_text(encoding="utf-8")
     try:
         h = parse(text)
     except ParseError as exc:
@@ -163,12 +165,7 @@ def _cmd_fuzz(args) -> int:
             "m_range": (min(3, m_hi), m_hi),
             "edge_size_range": (2, max(2, e_hi)),
         }
-    try:
-        cfg = GenConfig(seed=args.seed, count=args.count, **kwargs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = run_campaign(cfg)
+    result = run_campaign(GenConfig(seed=args.seed, count=args.count, **kwargs))
     sys.stdout.write(report_json(result.as_dict()))
     return 0 if result.passed else 1
 
@@ -176,13 +173,8 @@ def _cmd_fuzz(args) -> int:
 def _cmd_oracle(args) -> int:
     h, _ = _load(args.file)
     if h.n > ORACLE_MAX_N:
-        print(f"error: oracle limited to {ORACLE_MAX_N} vertices, file has {h.n}",
-              file=sys.stderr)
-        return 2
-    if not 1 <= args.eig <= h.n:
-        print(f"error: --eig must lie in 1..{h.n}", file=sys.stderr)
-        return 2
-    f = eigendecompose(laplacian(h)).functions[args.eig - 1]
+        raise ValueError(f"oracle limited to {ORACLE_MAX_N} vertices, file has {h.n}")
+    f = _eigenfunction(h, args.eig, DEFAULT_ZERO_TOL_REL)
     strong, cores, closures = oracle_domains(h, f)
     dec = decompose(h, f)
     ok = dec.strong == strong and dec.weak_cores == cores and dec.weak_closures == closures
@@ -331,13 +323,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # ParseError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,11 +104,9 @@ class NodalDecomposition:
     coincide and are one tuple object, which readers may share.
     """
 
-    support: frozenset[int]
     strong: tuple[tuple[int, ...], ...]
     weak_cores: tuple[tuple[int, ...], ...]
     weak_closures: tuple[tuple[int, ...], ...]
-    zero_tolerance: float
 
     @property
     def strong_count(self) -> int:
@@ -426,9 +424,8 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     sign = _vertex_signs(f)
     strong = _strong(h, sign)
     # the strong domains partition the support
-    support = frozenset().union(*strong)
-    weak = (strong, strong) if len(support) == h.n else _weak(h, sign, strong)
-    return NodalDecomposition(support, strong, *weak, f.zero_tolerance)
+    weak = (strong, strong) if sum(map(len, strong)) == h.n else _weak(h, sign, strong)
+    return NodalDecomposition(strong, *weak)
 
 
 def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool:
@@ -721,11 +718,10 @@ class Analysis:
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        rows = zip(self.spectrum.functions, self.signs, self._rows.strong, self._rows.attached)
+        rows = zip(self.signs, self._rows.strong, self._rows.attached)
         return tuple(NodalDecomposition(
-            frozenset().union(*strong), strong,
-            *(_weak(self.h, sign.tolist(), strong) if attached else (strong, strong)),
-            f.zero_tolerance) for f, sign, strong, attached in rows)
+            strong, *(_weak(self.h, sign.tolist(), strong) if attached else (strong, strong)))
+            for sign, strong, attached in rows)
 
     def strong_partitions(self, functions: Sequence[VertexFunction]) -> list[tuple[tuple[int, ...], ...]]:
         """The strong domains of other functions on h, one partition per

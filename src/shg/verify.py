@@ -5,6 +5,13 @@ of generated instances.  Failures are data, not exceptions: each one is
 captured with the seed, instance index, property id, and the instance's
 text serialization so it can be replayed byte-for-byte.
 
+A property is one function, declared with its id by the ``_property``
+decorator, which adds it to ``REGISTRY`` in definition order; the id
+tuples are derived from the registry.  ``run_campaign`` and
+``rerun_property`` run a property through one runner, ``_check``, so a
+replayed record gives back the failure the campaign recorded, one made
+from an exception included.
+
 The eigenvalue-indexed strong-count lower bound is checked on every
 eigenpair under the signed clique expansion reading, and a violation of
 it is a failure.  Violations of the whole-hyperedge all_pairs reading
@@ -18,7 +25,7 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -45,7 +52,7 @@ from .nodal import (
     decompose,
     domain_graph_connected,
 )
-from .shgio import serialize
+from .shgio import parse, serialize
 from .spectra import (
     VertexFunction,
     chained_difference_rank,
@@ -118,16 +125,7 @@ class GenConfig:
             raise ValueError("count must be nonnegative")
 
     def as_dict(self) -> dict:
-        return {
-            "n_range": list(self.n_range),
-            "m_range": list(self.m_range),
-            "edge_size_range": list(self.edge_size_range),
-            "sign_bias": self.sign_bias,
-            "seed": self.seed,
-            "count": self.count,
-            "classical": self.classical,
-            "ensure_spectral": self.ensure_spectral,
-        }
+        return asdict(self)
 
 
 def _edge_key(e: Edge) -> tuple[tuple[int, int], ...]:
@@ -146,8 +144,6 @@ def _random_edge(rng: random.Random, cfg: GenConfig, n: int) -> Edge:
 def _one_instance(rng: random.Random, cfg: GenConfig) -> SignedHypergraph:
     n = rng.randint(*cfg.n_range)
     m = rng.randint(*cfg.m_range)
-    if cfg.edge_size_range[0] > n:
-        raise ValueError(f"infeasible constraints: edge size over {n} vertices")
     edges: list[Edge] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     attempts = 0
@@ -213,12 +209,8 @@ def generate_supertree(rng: random.Random, n_edges: int,
 
 def _strong_delete(h: SignedHypergraph, v: int) -> SignedHypergraph:
     """Remove a vertex together with every incident edge, renumbering."""
-    old_to_new = {u: (u if u < v else u - 1) for u in h.vertex_range() if u != v}
-    kept = tuple(
-        Edge(tuple((old_to_new[u], s) for u, s in e.incidences))
-        for e in h.edges if v not in e.vertices
-    )
-    return SignedHypergraph(h.n - 1, kept, allow_empty_edges=h.allow_empty_edges)
+    kept = tuple(e for e in h.edges if v not in e.vertices)
+    return weak_delete(SignedHypergraph(h.n, kept, allow_empty_edges=h.allow_empty_edges), v)
 
 
 def _spectral_cleanup(h: SignedHypergraph) -> SignedHypergraph | None:
@@ -402,6 +394,18 @@ def _is_classical(h: SignedHypergraph) -> bool:
 
 PropertyFn = Callable[[Analysis, random.Random], tuple[list[str], list[str]]]
 
+# property id -> property, in definition order; filled by ``_property``
+REGISTRY: dict[str, PropertyFn] = {}
+
+
+def _property(pid: str) -> Callable[[PropertyFn], PropertyFn]:
+    """Register the decorated property under ``pid`` and return it
+    unwrapped, so that the registry holds the function itself."""
+    def register(fn: PropertyFn) -> PropertyFn:
+        REGISTRY[pid] = fn
+        return fn
+    return register
+
 
 def _random_function(ctx: Analysis, rng: random.Random,
                      zero_prob: float = 0.0) -> VertexFunction:
@@ -414,6 +418,7 @@ def _random_function(ctx: Analysis, rng: random.Random,
 # --- core properties -------------------------------------------------------
 
 
+@_property("core.cyclomatic-nonnegative")
 def _p_cyclomatic_nonnegative(ctx: Analysis, rng: random.Random):
     fails = []
     if ctx.cycles.l < 0:
@@ -421,10 +426,12 @@ def _p_cyclomatic_nonnegative(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("core.acyclic-iff-zero")
 def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
     fails = []
     h, l = ctx.h, ctx.cycles.l
-    acyclic = is_acyclic(h)
+    # the greedy forest keeps every edge exactly when no edge closes a cycle
+    acyclic = len(spanning_hyperforest(h)) == h.m
     if acyclic != (l == 0):
         fails.append(f"is_acyclic={acyclic} but l={l}")
     # per-component count identity, the component-wise route
@@ -441,6 +448,7 @@ def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("core.tree-like-no-cycle")
 def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     h = ctx.h
     if h.n > _SMALL_N or any(e.size < 2 for e in h.edges):
@@ -455,6 +463,7 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("core.tree-like-deletion")
 def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     """Iterated deletion of tree-like vertices with their incident edges:
     each victim must still be tree-like when its turn comes, and each
@@ -480,6 +489,7 @@ def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("core.induced-identity")
 def _p_induced_identity(ctx: Analysis, rng: random.Random):
     h = ctx.h
     fails = []
@@ -496,6 +506,7 @@ def _p_induced_identity(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("core.exact-forest-geq-greedy")
 def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
     h = ctx.h
     if h.m > EXACT_FOREST_LIMIT:
@@ -520,6 +531,7 @@ def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
 # --- spectra properties ----------------------------------------------------
 
 
+@_property("spectra.self-adjoint")
 def _p_self_adjoint(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
     fails = []
@@ -536,6 +548,7 @@ def _p_self_adjoint(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("spectra.trace-eigsum")
 def _p_trace_eigsum(ctx: Analysis, rng: random.Random):
     b = ctx.bundle
     fails = []
@@ -547,6 +560,7 @@ def _p_trace_eigsum(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("spectra.classical-graph")
 def _p_classical_graph(ctx: Analysis, rng: random.Random):
     if not _is_classical(ctx.h):
         return [], []
@@ -575,6 +589,7 @@ def _p_classical_graph(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("spectra.interlacing")
 def _p_interlacing(ctx: Analysis, rng: random.Random):
     # Valid for 2-uniform instances only.  For larger edges the global
     # edge sign flips when a vertex is removed, so the reduced quadratic
@@ -607,6 +622,7 @@ def _p_interlacing(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("spectra.supertree-rank")
 def _p_supertree_rank(ctx: Analysis, rng: random.Random):
     st = generate_supertree(rng, rng.randint(1, 5))
     rank, rows = chained_difference_rank(st)
@@ -617,6 +633,7 @@ def _p_supertree_rank(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("spectra.rayleigh-bounds")
 def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
     w = ctx.spectrum.eigenvalues
@@ -654,6 +671,7 @@ def _decomposed(ctx: Analysis, fs: list[VertexFunction]) -> Iterator[
         yield j, f, ctx.decompositions[j] if j < n else decompose(ctx.h, f)
 
 
+@_property("nodal.oracle-agreement")
 def _p_oracle_agreement(ctx: Analysis, rng: random.Random):
     if ctx.h.n > ORACLE_MAX_N:
         return [], []
@@ -669,6 +687,7 @@ def _p_oracle_agreement(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.weak-le-strong")
 def _p_weak_le_strong(ctx: Analysis, rng: random.Random):
     fails = []
     for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
@@ -677,6 +696,7 @@ def _p_weak_le_strong(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.no-zeros-identical")
 def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     fails = []
     fs = _sample_functions(ctx, rng)
@@ -695,6 +715,7 @@ def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.max-two-memberships")
 def _p_max_two_memberships(ctx: Analysis, rng: random.Random):
     fails = []
     for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
@@ -708,6 +729,7 @@ def _p_max_two_memberships(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.zero-neighbor-containment")
 def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
     fails = []
     for j, f, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
@@ -725,6 +747,7 @@ def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.domain-graph-connected")
 def _p_domain_graph_connected(ctx: Analysis, rng: random.Random):
     if ctx.cycles.n_components != 1:
         return [], []
@@ -737,6 +760,7 @@ def _p_domain_graph_connected(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.eigen-upper-bounds")
 def _p_eigen_upper_bounds(ctx: Analysis, rng: random.Random):
     fails = []
     for rep in ctx.bounds():
@@ -749,6 +773,7 @@ def _p_eigen_upper_bounds(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.eigen-lower-bound-logged")
 def _p_eigen_lower_bound_logged(ctx: Analysis, rng: random.Random):
     fails, notes = [], []
     for rep, clique_rep in zip(ctx.bounds(), ctx.bounds("clique")):
@@ -765,6 +790,7 @@ def _p_eigen_lower_bound_logged(ctx: Analysis, rng: random.Random):
     return fails, notes
 
 
+@_property("nodal.sandwich")
 def _p_sandwich(ctx: Analysis, rng: random.Random):
     # every count is over the distinct vertex pairs sharing an edge, kept
     # where A o gg^T is positive or nonzero; the forests of a graph form a
@@ -795,6 +821,7 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
+@_property("nodal.scaling-invariance")
 def _p_scaling_invariance(ctx: Analysis, rng: random.Random):
     fails = []
     for j, f, a in _decomposed(ctx, _sample_functions(ctx, rng)[:4]):
@@ -806,74 +833,37 @@ def _p_scaling_invariance(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
-CORE_PROPERTY_IDS = (
-    "core.cyclomatic-nonnegative",
-    "core.acyclic-iff-zero",
-    "core.tree-like-no-cycle",
-    "core.tree-like-deletion",
-    "core.induced-identity",
-    "core.exact-forest-geq-greedy",
-)
-SPECTRA_PROPERTY_IDS = (
-    "spectra.self-adjoint",
-    "spectra.trace-eigsum",
-    "spectra.classical-graph",
-    "spectra.interlacing",
-    "spectra.supertree-rank",
-    "spectra.rayleigh-bounds",
-)
-NODAL_PROPERTY_IDS = (
-    "nodal.oracle-agreement",
-    "nodal.weak-le-strong",
-    "nodal.no-zeros-identical",
-    "nodal.max-two-memberships",
-    "nodal.zero-neighbor-containment",
-    "nodal.domain-graph-connected",
-    "nodal.eigen-upper-bounds",
-    "nodal.eigen-lower-bound-logged",
-    "nodal.sandwich",
-    "nodal.scaling-invariance",
-)
-
-REGISTRY: dict[str, PropertyFn] = {
-    "core.cyclomatic-nonnegative": _p_cyclomatic_nonnegative,
-    "core.acyclic-iff-zero": _p_acyclic_iff_zero,
-    "core.tree-like-no-cycle": _p_tree_like_no_cycle,
-    "core.tree-like-deletion": _p_tree_like_deletion,
-    "core.induced-identity": _p_induced_identity,
-    "core.exact-forest-geq-greedy": _p_exact_forest_geq_greedy,
-    "spectra.self-adjoint": _p_self_adjoint,
-    "spectra.trace-eigsum": _p_trace_eigsum,
-    "spectra.classical-graph": _p_classical_graph,
-    "spectra.interlacing": _p_interlacing,
-    "spectra.supertree-rank": _p_supertree_rank,
-    "spectra.rayleigh-bounds": _p_rayleigh_bounds,
-    "nodal.oracle-agreement": _p_oracle_agreement,
-    "nodal.weak-le-strong": _p_weak_le_strong,
-    "nodal.no-zeros-identical": _p_no_zeros_identical,
-    "nodal.max-two-memberships": _p_max_two_memberships,
-    "nodal.zero-neighbor-containment": _p_zero_neighbor_containment,
-    "nodal.domain-graph-connected": _p_domain_graph_connected,
-    "nodal.eigen-upper-bounds": _p_eigen_upper_bounds,
-    "nodal.eigen-lower-bound-logged": _p_eigen_lower_bound_logged,
-    "nodal.sandwich": _p_sandwich,
-    "nodal.scaling-invariance": _p_scaling_invariance,
-}
-
-ALL_PROPERTY_IDS = CORE_PROPERTY_IDS + SPECTRA_PROPERTY_IDS + NODAL_PROPERTY_IDS
+ALL_PROPERTY_IDS = tuple(REGISTRY)
+CORE_PROPERTY_IDS, SPECTRA_PROPERTY_IDS, NODAL_PROPERTY_IDS = (
+    tuple(pid for pid in ALL_PROPERTY_IDS if pid.startswith(f"{section}."))
+    for section in ("core", "spectra", "nodal"))
 
 
-def _child_rng(seed: int, index: int, property_id: str) -> random.Random:
-    return random.Random(f"{seed}:{index}:{property_id}")
+def _selection(ids: Iterable[str]) -> tuple[str, ...]:
+    ids = tuple(ids)
+    unknown = [pid for pid in ids if pid not in REGISTRY]
+    if unknown:
+        raise ValueError(f"unknown property ids: {unknown}")
+    return ids
+
+
+def _check(ctx: Analysis, seed: int, index: int, pid: str) -> tuple[list[str], list[str]]:
+    """Run one property on instance ``index`` of the stream of ``seed``,
+    with the randomness derived from all three; a property that raises
+    fails with the exception as its detail."""
+    try:
+        return REGISTRY[pid](ctx, random.Random(f"{seed}:{index}:{pid}"))
+    except Exception as exc:
+        return [f"unexpected error: {exc!r}"], []
 
 
 def rerun_property(record: FailureRecord) -> tuple[list[str], list[str]]:
     """Replay one failure record: rebuild the instance from its text and
-    re-run the property with the same derived randomness."""
-    from .shgio import parse
-    ctx = Analysis(parse(record.instance_text))
-    rng = _child_rng(record.seed, record.index, record.property_id)
-    return REGISTRY[record.property_id](ctx, rng)
+    run the property through the campaign's runner, with the same derived
+    randomness."""
+    _selection((record.property_id,))
+    return _check(Analysis(parse(record.instance_text)), record.seed, record.index,
+                  record.property_id)
 
 
 def run_campaign(cfg: GenConfig,
@@ -883,10 +873,7 @@ def run_campaign(cfg: GenConfig,
     A property that raises records a failure instead of aborting the
     campaign.  Results are deterministic for a given (config, selection).
     """
-    ids = tuple(property_ids) if property_ids is not None else ALL_PROPERTY_IDS
-    unknown = [pid for pid in ids if pid not in REGISTRY]
-    if unknown:
-        raise ValueError(f"unknown property ids: {unknown}")
+    ids = _selection(ALL_PROPERTY_IDS if property_ids is None else property_ids)
     failures: list[FailureRecord] = []
     notes: list[str] = []
     sharp: Counter[int] = Counter()
@@ -898,12 +885,8 @@ def run_campaign(cfg: GenConfig,
         text = serialize(h)
         ctx = Analysis(h)
         for pid in ids:
-            rng = _child_rng(cfg.seed, index, pid)
             start = time.process_time()
-            try:
-                fails, notes_i = REGISTRY[pid](ctx, rng)
-            except Exception as exc:
-                fails, notes_i = [f"unexpected error: {exc!r}"], []
+            fails, notes_i = _check(ctx, cfg.seed, index, pid)
             cpu_s[pid] += time.process_time() - start
             calls[pid] += 1
             failures.extend(

@@ -263,13 +263,15 @@ class TestOracleCommand:
         h = next(iter(generate(GenConfig(n_range=(5, 5), m_range=(3, 4), seed=4, count=1))))
         path = write_fixture(tmp_path, serialize(h))
         assert main(["oracle", path, "--eig", "6"]) == 2
+        assert capsys.readouterr().err == "error: --eig must lie in 1..5\n"
 
-    def test_eig_range_checked_before_eigensolver(self, tmp_path, monkeypatch):
+    def test_eig_range_checked_before_eigensolver(self, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolver ran before the --eig range check")
         monkeypatch.setattr("shg.cli.eigendecompose", refuse)
         path = write_fixture(tmp_path, "shg 1\nvertices 3\nedge 1:+ 2:-\nedge 2:+ 3:-\n")
         assert main(["oracle", path, "--eig", "0"]) == 2
+        assert capsys.readouterr().err == "error: --eig must lie in 1..3\n"
 
 
 class TestExample1Command:
@@ -442,7 +444,7 @@ class TestReportModule:
         # holds it, never sorting: these tuples are out of order on purpose
         f = VertexFunction.from_values((1.0, 1.0, 1.0))
         strong = ((3, 1), (2,))
-        dec = NodalDecomposition(frozenset({1, 2, 3}), strong, strong, strong, 0.0)
+        dec = NodalDecomposition(strong, strong, strong)
         rec = function_record(f, dec, FiedlerSets(frozenset(), frozenset()), 1, 0.0)
         assert rec["strong"] == [[3, 1], [2]]
         assert rec["strong"] is rec["weak_cores"] is rec["weak_closures"]

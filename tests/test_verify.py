@@ -1,5 +1,6 @@
 """Random instance generation, the path-enumeration oracle, campaigns."""
 
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -366,6 +367,16 @@ class TestRegistry:
             section, _, rest = pid.partition(".")
             assert section in ("core", "spectra", "nodal") and rest
 
+    def test_every_property_function_is_registered(self):
+        # a property that lost its decorator would never run
+        found = [fn for name, fn in vars(shg.verify).items()
+                 if name.startswith("_p_") and inspect.isfunction(fn)]
+        assert len(found) == len(REGISTRY)
+        assert all(any(fn is g for g in REGISTRY.values()) for fn in found)
+
+    def test_campaign_runs_the_registry_in_order(self):
+        assert run_campaign(GenConfig(count=1)).as_dict()["property_ids"] == list(REGISTRY)
+
 
 class TestCampaign:
     def test_unknown_id_rejected(self):
@@ -483,6 +494,17 @@ class TestCampaign:
                     f"exact weight {m} exceeds n - c = 2"]
         assert fails == (expected if checked else [])
 
+    def test_acyclic_iff_zero_checks_the_forest_route(self, monkeypatch):
+        # on an acyclic instance a forest that drops an edge must disagree
+        # with l = 0 and with the component sums
+        h = generate_supertree(random.Random(61), 3)
+        prop = REGISTRY["core.acyclic-iff-zero"]
+        assert prop(Analysis(h), random.Random(0)) == ([], [])
+        monkeypatch.setattr(shg.verify, "spanning_hyperforest", lambda h, exact=False: ())
+        fails, _ = prop(Analysis(h), random.Random(0))
+        assert fails == ["is_acyclic=False but l=0",
+                         "component sums say acyclic=True, op says False"]
+
 
 class TestFailureRoundTrip:
     @pytest.fixture()
@@ -526,3 +548,19 @@ class TestFailureRoundTrip:
         assert len(res.failures) == 2
         assert all("unexpected error" in r.details and "intentional" in r.details
                    for r in res.failures)
+
+    def test_rerun_reproduces_exception_records(self, monkeypatch):
+        def boom(ctx, rng):
+            raise RuntimeError("intentional")
+
+        monkeypatch.setitem(REGISTRY, "core.probe-boom", boom)
+        res = run_campaign(GenConfig(seed=47, count=2), property_ids=("core.probe-boom",))
+        assert len(res.failures) == 2
+        for rec in res.failures:
+            assert rerun_property(rec) == ([rec.details], [])
+
+    def test_rerun_rejects_ids_outside_the_registry(self):
+        rec = FailureRecord(47, 0, "campaign.sharpness", serialize(fixture_example1()),
+                            "unexpected error: RuntimeError('intentional')")
+        with pytest.raises(ValueError, match="unknown property ids"):
+            rerun_property(rec)
