@@ -2,15 +2,16 @@
 
 The first three digests below were recorded before the single-analysis
 refactor, the zero-heavy one before the single row pass, and the
-text-summary and CSV ones before domains became sorted tuples; none may
-move under a change that claims to keep the output.  They depend on the
+text-summary and CSV ones before domains became sorted tuples, and the
+``shg domains`` one before every other vertex set did; none may move
+under a change that claims to keep the output.  They depend on the
 floating-point results of this numpy/LAPACK build: on another build an
 eigenvector can differ in its last digits and every digest with it.
 They depend on the BLAS thread count too, which ``conftest.py`` pins to
 one: the n = 640 report of ``GenConfig(n_range=(640, 640),
 m_range=(640, 640), seed=901)`` hashes ``429dc117...29f1`` with one
 OpenBLAS thread and ``13e7669d...be3c`` with OpenBLAS choosing its own
-count on 2 CPUs, while the six digests below pass either way.
+count on 2 CPUs, while the seven digests below pass either way.
 Re-recording a digest needs a stated reason in
 CHANGES.md (a schema change, a deliberate change of a count, a new
 numpy), never just "it changed".
@@ -34,6 +35,7 @@ FUZZ_SHA256 = "2631bf005b5c309fc50da73a81adb6610978972757baaa47498ce1971bc414c4"
 ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae3629ef56"
 TEXT_SHA256 = "3904e63e492e95e25fa9b94554112065bc3556d0bf83f02bff75c9d4265274d9"
 CSV_SHA256 = "4362fb92199d8175b969387f6a246d0400634ebb4ab462cf27d0f23948e5ef29"
+DOMAINS_SHA256 = "77c0784d18f35bbc9c765ee6cab816b1924ea5f80907f2df22e96ed2fe2468d7"
 
 
 def _instances():
@@ -120,6 +122,28 @@ def csv_digest(tmp_path):
     return _sha256(parts)
 
 
+def domains_digest(tmp_path):
+    """The stdout of ``shg domains``: every eigenfunction of the fixture at
+    the default zero tolerance and at 0.2, one supplied function with
+    zeros on it, and every eigenfunction of two seed-2026 instances at
+    0.2."""
+    fixture = tmp_path / "fixture.shg"
+    fixture.write_text(serialize(fixture_example1()), encoding="utf-8")
+    runs = [[str(fixture), "--eig", str(i), *tol]
+            for tol in ([], ["--zero-tol", "0.2"]) for i in range(1, 10)]
+    runs.append([str(fixture), "--function", "0,-1,0,2,0,-1,1,0.5,-2"])
+    for j, h in enumerate(generate(GenConfig(seed=2026, count=2))):
+        path = tmp_path / f"h{j}.shg"
+        path.write_text(serialize(h), encoding="utf-8")
+        runs += [[str(path), "--eig", str(i), "--zero-tol", "0.2"] for i in range(1, h.n + 1)]
+    parts = []
+    for argv in runs:
+        code, out = _stdout(["domains", *argv])
+        assert code == 0
+        parts.append(out)
+    return _sha256(parts)
+
+
 def test_report_bytes():
     assert reports_digest() == REPORTS_SHA256
 
@@ -144,3 +168,7 @@ def test_text_summary_bytes():
 
 def test_csv_bytes(tmp_path):
     assert csv_digest(tmp_path) == CSV_SHA256
+
+
+def test_domains_stdout(tmp_path):
+    assert domains_digest(tmp_path) == DOMAINS_SHA256
