@@ -118,7 +118,7 @@ def _cmd_domains(args) -> int:
     h, _ = _load(args.file)
     f = _function_from_args(h, args)
     dec = decompose(h, f)
-    print(f"support: {sorted(f.support())}")
+    print(f"support: {list(f.support())}")
     print(f"strong ({dec.strong_count}): " +
           " ".join("{" + ",".join(map(str, s)) + "}" for s in dec.strong))
     print(f"weak cores ({dec.weak_count}): " +

@@ -131,7 +131,9 @@ class CycleStats:
 class UnionFind:
     """Disjoint sets over 1..n: a parent list, where a root is its own
     parent, with path halving (Tarjan and van Leeuwen, JACM 1984), and
-    ``count`` classes.
+    ``count`` classes.  ``groups`` is the one routine that turns the
+    links into vertex classes, for the components and the nodal domains
+    alike.
 
     The batched row passes label components with numpy hook-and-jump
     rounds instead (``nodal._components``), and the exact search of
@@ -165,13 +167,14 @@ class UnionFind:
         self.count -= joins
         return joins
 
-    def groups(self, members: Iterable[int]) -> tuple[frozenset[int], ...]:
-        """The classes of ``members``, in the order of their first member,
-        so ordered by smallest member when ``members`` ascend."""
+    def groups(self, members: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """The classes of ``members``, each a tuple in the order of
+        ``members``, ordered by their first member: when ``members``
+        ascend, ascending tuples ordered by smallest member."""
         by_root: dict[int, list[int]] = {}
         for v in members:
             by_root.setdefault(self.find(v), []).append(v)
-        return tuple(frozenset(g) for g in by_root.values())
+        return tuple(map(tuple, by_root.values()))
 
 
 def edge_sign(e: Edge) -> int:
@@ -200,8 +203,9 @@ def degrees(h: SignedHypergraph) -> list[int]:
     return d
 
 
-def hyperneighbors(h: SignedHypergraph, v: int) -> frozenset[int]:
-    """Vertices sharing at least one edge with v, excluding v itself."""
+def hyperneighbors(h: SignedHypergraph, v: int) -> tuple[int, ...]:
+    """Vertices sharing at least one edge with v, excluding v itself, in
+    ascending order."""
     if not 1 <= v <= h.n:
         raise ValueError(f"vertex {v} out of range 1..{h.n}")
     out: set[int] = set()
@@ -210,7 +214,7 @@ def hyperneighbors(h: SignedHypergraph, v: int) -> frozenset[int]:
         if v in vs:
             out.update(vs)
     out.discard(v)
-    return frozenset(out)
+    return tuple(sorted(out))
 
 
 def _components(h: SignedHypergraph) -> UnionFind:
@@ -220,16 +224,16 @@ def _components(h: SignedHypergraph) -> UnionFind:
     return uf
 
 
-def connected_components(h: SignedHypergraph) -> tuple[frozenset[int], ...]:
+def connected_components(h: SignedHypergraph) -> tuple[tuple[int, ...], ...]:
     """Maximal blocks of vertices mutually reachable through shared edges,
-    ordered by smallest vertex.
+    each an ascending tuple, ordered by smallest vertex.
 
     Isolated vertices form singleton blocks; empty edges touch nothing.
     """
     return _components(h).groups(h.vertex_range())
 
 
-def induced_subhypergraph(h: SignedHypergraph, keep: frozenset[int] | set[int]) -> SignedHypergraph:
+def induced_subhypergraph(h: SignedHypergraph, keep: Iterable[int]) -> SignedHypergraph:
     """Restrict to a vertex set: edges are truncated to their intersection
     with ``keep`` (original incidence signs retained), empty truncations are
     dropped, duplicate truncated edges are kept.  Vertices are renumbered

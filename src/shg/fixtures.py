@@ -79,33 +79,30 @@ PRINTED_EIGENFUNCTIONS: tuple[tuple[float, ...], ...] = (
 )
 
 
-def _sets(*blocks: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(b) for b in blocks)
-
-
-# Published nodal-domain table, keyed by eigenfunction index.
-TABLE1_STRONG: dict[int, tuple[frozenset[int], ...]] = {
-    1: _sets((1, 2, 3, 4, 5, 6, 7, 8, 9)),
-    2: _sets((1, 2, 3, 7, 9), (4, 5, 6, 8)),
-    3: _sets((1, 6, 7), (3, 4, 9)),
-    4: _sets((2,), (4,), (6,), (7,), (8,), (9,)),
-    5: _sets((2,), (4,), (6,), (7,), (8,), (9,)),
-    6: _sets((2,), (4,), (6,), (7,), (8,), (9,)),
-    7: _sets((2,), (5,), (7,), (8,), (9,), (1, 3, 4, 6)),
-    8: _sets((1, 5, 8), (3, 4), (6,), (7,), (9,)),
-    9: _sets((1, 6), (3, 5), (4,), (7,), (8,), (9,)),
+# Published nodal-domain table, keyed by eigenfunction index; domains as
+# ascending tuples, in the printed order.
+TABLE1_STRONG: dict[int, tuple[tuple[int, ...], ...]] = {
+    1: ((1, 2, 3, 4, 5, 6, 7, 8, 9),),
+    2: ((1, 2, 3, 7, 9), (4, 5, 6, 8)),
+    3: ((1, 6, 7), (3, 4, 9)),
+    4: ((2,), (4,), (6,), (7,), (8,), (9,)),
+    5: ((2,), (4,), (6,), (7,), (8,), (9,)),
+    6: ((2,), (4,), (6,), (7,), (8,), (9,)),
+    7: ((2,), (5,), (7,), (8,), (9,), (1, 3, 4, 6)),
+    8: ((1, 5, 8), (3, 4), (6,), (7,), (9,)),
+    9: ((1, 6), (3, 5), (4,), (7,), (8,), (9,)),
 }
 
-TABLE1_WEAK: dict[int, tuple[frozenset[int], ...]] = {
-    1: _sets((1, 2, 3, 4, 5, 6, 7, 8, 9)),
-    2: _sets((1, 2, 3, 7, 9), (4, 5, 6, 8)),
-    3: _sets((1, 2, 6, 7), (3, 4, 5, 8, 9)),
-    4: _sets((2, 3, 9), (5, 6, 8), (4,), (1, 7)),
-    5: _sets((1, 6, 7), (3, 4, 9), (2,), (5, 8)),
-    6: _sets((1, 5, 6, 7, 8), (2, 3, 4), (9,)),
-    7: _sets((2,), (5,), (7,), (8,), (9,), (1, 3, 4, 6)),
-    8: _sets((1, 5, 8), (2, 3, 4), (6,), (7,), (9,)),
-    9: _sets((1, 6), (2, 3, 5), (4,), (7,), (8,), (9,)),
+TABLE1_WEAK: dict[int, tuple[tuple[int, ...], ...]] = {
+    1: ((1, 2, 3, 4, 5, 6, 7, 8, 9),),
+    2: ((1, 2, 3, 7, 9), (4, 5, 6, 8)),
+    3: ((1, 2, 6, 7), (3, 4, 5, 8, 9)),
+    4: ((2, 3, 9), (5, 6, 8), (4,), (1, 7)),
+    5: ((1, 6, 7), (3, 4, 9), (2,), (5, 8)),
+    6: ((1, 5, 6, 7, 8), (2, 3, 4), (9,)),
+    7: ((2,), (5,), (7,), (8,), (9,), (1, 3, 4, 6)),
+    8: ((1, 5, 8), (2, 3, 4), (6,), (7,), (9,)),
+    9: ((1, 6), (2, 3, 5), (4,), (7,), (8,), (9,)),
 }
 
 # Known divergences between the published data and the definitions,

@@ -37,13 +37,14 @@ one-row kernel call costs more than it saves) and union with
 ``core.UnionFind.link`` where they union, as does the weak pass of each
 function with an attachment.
 
-A domain is a tuple of its vertices in ascending order, and a partition
-a tuple of domains ordered by smallest vertex.  Both passes build them in
-that order (the row pass slices each domain off one sorted member list,
-``_domains`` groups the vertices as they ascend), so no reader sorts a
-domain; a weak closure, its core's run followed by its zeros', takes
-one merge.  A function without an attachment has one partition object
-for its strong domains, weak cores and weak closures.
+A vertex set (a domain, a Fiedler set) is a tuple of its vertices in
+ascending order, and a partition a tuple of domains ordered by smallest
+vertex, the format of ``core``.  Both passes build them in that order
+(the row pass slices each domain off one sorted member list,
+``core.UnionFind.groups`` groups the vertices as they ascend), so no
+reader sorts one; a weak closure, its core's run followed by its
+zeros', takes one merge.  A function without an attachment has one
+partition object for its strong domains, weak cores and weak closures.
 
 All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
@@ -121,14 +122,15 @@ class NodalDecomposition:
 class FiedlerSets:
     """Zeros split by spectral relevance: ``fiedler`` holds zeros whose
     hyperneighbors are all zeros or that lie on a cycle (not tree-like);
-    ``other_zeros`` holds the remaining, harmless zeros.
+    ``other_zeros`` holds the remaining, harmless zeros.  Both are
+    ascending tuples of vertices.
     """
 
-    fiedler: frozenset[int]
-    other_zeros: frozenset[int]
+    fiedler: tuple[int, ...]
+    other_zeros: tuple[int, ...]
 
 
-_NO_ZEROS = FiedlerSets(frozenset(), frozenset())
+_NO_ZEROS = FiedlerSets((), ())
 
 
 @dataclass(frozen=True)
@@ -260,20 +262,10 @@ def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
-def _domains(uf: UnionFind, sign: list[int]) -> tuple[tuple[int, ...], ...]:
-    """The classes of ``uf`` on the nonzeros of ``sign`` as ascending
-    tuples, ordered by smallest vertex."""
-    by_root: dict[int, list[int]] = {}
-    for v in range(1, len(sign)):
-        if sign[v]:
-            by_root.setdefault(uf.find(v), []).append(v)
-    return tuple(map(tuple, by_root.values()))
-
-
 def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[tuple[int, ...], ...]:
     uf = UnionFind(h.n)
     uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
-    return _domains(uf, sign)
+    return uf.groups(v for v in h.vertex_range() if sign[v])
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -389,7 +381,7 @@ def _weak(h: SignedHypergraph, sign: list[int],
         first: dict[int, int] = {}
         uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
 
-    cores = _domains(uf, sign)
+    cores = uf.groups(v for v in h.vertex_range() if sign[v])
     closures = {uf.find(core[0]): list(core) for core in cores}
     absorbers = {r: {uf.find(u) for u, _, _ in group} for r, group in groups.items()}
     for v in h.vertex_range():
@@ -503,8 +495,11 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
                     seen_nonzero[u] = True
                 break
     cyclic = _cyclic(h.n, [e.vertices for e in h.edges])[0]
-    fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
-    return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
+    fiedler: list[int] = []
+    other: list[int] = []
+    for v in zeros:
+        (fiedler if cyclic[v] or not seen_nonzero[v] else other).append(v)
+    return FiedlerSets(tuple(fiedler), tuple(other))
 
 
 @dataclass(frozen=True)
@@ -538,9 +533,9 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     - the strong pairs: the strong domains, and their count P.  The
       support is sorted stably by label, so each row's domains are
-      ordered by smallest vertex (as ``_domains`` orders them) and each
-      is a slice of ascending members.  A pair of the clique expansion is
-      coherent exactly when strong, so there
+      ordered by smallest vertex (as ``UnionFind.groups`` orders them)
+      and each is a slice of ascending members.  A pair of the clique
+      expansion is coherent exactly when strong, so there
       l_plus = P - n + S + (n - |supp|) with S strong domains;
     - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
       all strong, and so whose |e| vertices are nonzero (an edge of size
@@ -618,8 +613,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         for i, z, sn in zip(at.tolist(), zero, seen):
             for reading, cyc in zip(fiedler, cyclic):
                 fied = z & (cyc | ~sn)
-                reading[i] = FiedlerSets(frozenset(np.flatnonzero(fied).tolist()),
-                                         frozenset(np.flatnonzero(z & ~fied).tolist()))
+                reading[i] = FiedlerSets(tuple(np.flatnonzero(fied).tolist()),
+                                         tuple(np.flatnonzero(z & ~fied).tolist()))
 
     # the clique expansion's coherent graph: the strong domains, and the
     # zeros as isolated vertices

@@ -149,8 +149,8 @@ def function_record(f: VertexFunction, dec: NodalDecomposition, fs: FiedlerSets,
         "weak_closures": closures,
         "strong_count": dec.strong_count,
         "weak_count": dec.weak_count,
-        "fiedler": sorted(fs.fiedler),
-        "other_zeros": sorted(fs.other_zeros),
+        "fiedler": list(fs.fiedler),
+        "other_zeros": list(fs.other_zeros),
     }
 
 

@@ -80,8 +80,9 @@ class VertexFunction:
             return 0
         return 1 if x > 0 else -1
 
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v, x in enumerate(self.values, 1) if abs(x) > self.zero_tolerance)
+    def support(self) -> tuple[int, ...]:
+        """The vertices with a nonzero value, in ascending order."""
+        return tuple(v for v, x in enumerate(self.values, 1) if abs(x) > self.zero_tolerance)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
@@ -130,20 +131,11 @@ class Spectrum:
         raise IndexError(f"eigenvalue index {index} out of range 1..{self.n}")
 
 
-def _adjacency_int(h: SignedHypergraph) -> list[list[int]]:
-    """Integer adjacency: a[i][j] sums edge signs over edges containing
-    both i and j (0-based lists, zero diagonal, singleton edges add nothing).
-    """
-    a = [[0] * h.n for _ in range(h.n)]
-    for u, w, s in h.pairs:
-        a[u - 1][w - 1] += s
-        a[w - 1][u - 1] += s
-    return a
-
-
 def adjacency(h: SignedHypergraph) -> np.ndarray:
-    """The adjacency of ``_adjacency_int`` as floats, summed over the pair
-    table in numpy; sums of +-1 are exact in float, in any order."""
+    """The adjacency as floats, 0-based: a[i, j] sums the edge signs over
+    the edges containing both vertices i + 1 and j + 1 (zero diagonal;
+    singleton edges add nothing), summed over the pair table in numpy.
+    Sums of +-1 are exact in float, in any order."""
     a = np.zeros((h.n, h.n))
     xs, ys, s = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
     np.add.at(a, (xs - 1, ys - 1), s)
@@ -173,7 +165,8 @@ def laplacian(h: SignedHypergraph) -> MatrixBundle:
 def laplacian_exact(h: SignedHypergraph) -> list[list[Fraction]]:
     """The normalized Laplacian as exact rationals (small instances)."""
     deg = degrees(h)
-    a = _adjacency_int(h)
+    # integer entries, exact in float
+    a = adjacency(h).astype(int).tolist()
     out: list[list[Fraction]] = []
     for i in range(h.n):
         if deg[i + 1] == 0:

@@ -35,6 +35,7 @@ from .core import (
     Edge,
     SignedHypergraph,
     connected_components,
+    degree,
     degrees,
     edge_sign,
     hyperneighbors,
@@ -478,7 +479,7 @@ def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
         if not tree_like or current.n <= 1:
             break
         x = rng.choice(tree_like)
-        d = sum(1 for e in current.edges if x in e.vertices)
+        d = degree(current, x)
         nxt = _strong_delete(current, x)
         after_weak = len(connected_components(weak_delete(current, x)))
         if after_weak != before + d - 1:
@@ -741,9 +742,9 @@ def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
             if f.sign(v) != 0 or len(ids) != 2:
                 continue
             union = set(dec.weak_closures[ids[0]]).union(dec.weak_closures[ids[1]])
-            stray = hyperneighbors(ctx.h, v) - union
+            stray = [w for w in hyperneighbors(ctx.h, v) if w not in union]
             if stray:
-                fails.append(f"function {j}: neighbors {sorted(stray)} of zero {v} escape its two domains")
+                fails.append(f"function {j}: neighbors {stray} of zero {v} escape its two domains")
     return fails, []
 
 

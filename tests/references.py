@@ -19,6 +19,18 @@ def support_cyclomatic(h, f) -> CycleStats:
     return cyclomatic(induced_subhypergraph(h, f.support()))
 
 
+def adjacency_int(h) -> list[list[int]]:
+    """Integer adjacency: a[i][j] sums edge signs over edges containing
+    both i + 1 and j + 1 (0-based lists, zero diagonal, singleton edges add
+    nothing), one pair of the pair table at a time; the reference for the
+    float sums of ``spectra.adjacency``."""
+    a = [[0] * h.n for _ in range(h.n)]
+    for u, w, s in h.pairs:
+        a[u - 1][w - 1] += s
+        a[w - 1][u - 1] += s
+    return a
+
+
 def clique_expansion(h) -> SignedHypergraph:
     """The signed clique expansion: a 2-edge of sign sgn(e) for every
     vertex pair of every edge, parallel pairs kept (``h.pairs``).  Its

@@ -445,7 +445,7 @@ class TestReportModule:
         f = VertexFunction.from_values((1.0, 1.0, 1.0))
         strong = ((3, 1), (2,))
         dec = NodalDecomposition(strong, strong, strong)
-        rec = function_record(f, dec, FiedlerSets(frozenset(), frozenset()), 1, 0.0)
+        rec = function_record(f, dec, FiedlerSets((), ()), 1, 0.0)
         assert rec["strong"] == [[3, 1], [2]]
         assert rec["strong"] is rec["weak_cores"] is rec["weak_closures"]
 

@@ -1,4 +1,5 @@
-"""Package layout: modules reach each other through public names only."""
+"""Package layout: modules reach each other through public names only,
+and every vertex set is an ascending tuple, never a ``frozenset``."""
 
 import ast
 from pathlib import Path
@@ -18,6 +19,14 @@ def private_imports(source):
             if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))]
 
 
+def frozenset_uses(source):
+    """The line of every use of the name ``frozenset`` in ``source``: a
+    call, an annotation or any other reference, ``builtins.frozenset``
+    included."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if getattr(node, "id", None) == "frozenset" or getattr(node, "attr", None) == "frozenset")
+
+
 def test_no_module_imports_a_private_name():
     assert len(MODULES) >= 10
     found = {path.name: private_imports(path.read_text(encoding="utf-8")) for path in MODULES}
@@ -32,3 +41,16 @@ def test_the_check_sees_private_names():
               "def f():\n    from ..shg.spectra import _as_values\n")
     assert private_imports(source) == [
         ("core", "_components"), ("nodal", "_row_pass"), ("shg.spectra", "_as_values")]
+
+
+def test_no_module_uses_frozenset():
+    found = {path.name: frozenset_uses(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_check_sees_frozenset():
+    source = ("def f(vs) -> frozenset[int]:\n"
+              "    return frozenset(vs)\n"
+              "x = set().union, 'frozenset', frozen_set\n"
+              "make = builtins.frozenset\n")
+    assert frozenset_uses(source) == [1, 2, 4]

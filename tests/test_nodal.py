@@ -13,6 +13,7 @@ from shg.core import (
     Edge,
     SignedHypergraph,
     UnionFind,
+    connected_components,
     cyclomatic,
     edge_sign,
     hyperneighbors,
@@ -246,7 +247,8 @@ class TestFixtureTable:
         # the table assigns each zero to one weak domain; the cores are
         # its sets with the zeros taken out
         dec = decompose(fixture, printed[row - 1])
-        assert as_sets(dec.weak_cores) == as_sets(s & printed[row - 1].support() for s in TABLE1_WEAK[row])
+        support = printed[row - 1].support()
+        assert as_sets(dec.weak_cores) == as_sets(set(s).intersection(support) for s in TABLE1_WEAK[row])
 
     def test_weak_rows_4_to_6_miss_links_through_zero_hubs(self, fixture, printed):
         # the discrepancy note: weak counts 2, 2, 2 where the table prints 4, 4, 3
@@ -289,18 +291,58 @@ class TestFiedlerSets:
     def test_tree_zero_with_nonzero_neighbor_is_other(self):
         h = h_of(3, pair_edge(1, 2, 1), pair_edge(2, 3, 1))
         fs = fiedler_sets(h, vf(1, 0, 1))
-        assert not fs.fiedler and fs.other_zeros == {2}
+        assert not fs.fiedler and fs.other_zeros == (2,)
 
     def test_zero_on_cycle_is_fiedler(self):
         h = h_of(3, pair_edge(1, 2, 1), pair_edge(2, 3, 1), pair_edge(1, 3, 1))
         fs = fiedler_sets(h, vf(1, 0, 1))
-        assert fs.fiedler == {2} and not fs.other_zeros
+        assert fs.fiedler == (2,) and not fs.other_zeros
 
     def test_zero_surrounded_by_zeros_is_fiedler(self):
         h = h_of(4, pair_edge(1, 2, 1), pair_edge(2, 3, 1), pair_edge(3, 4, 1))
         fs = fiedler_sets(h, vf(1, 0, 0, 0))
         # 3 and 4 see only zeros; 2 has the nonzero neighbor 1
-        assert fs.fiedler == {3, 4} and fs.other_zeros == {2}
+        assert fs.fiedler == (3, 4) and fs.other_zeros == (2,)
+
+
+def assert_vertex_set(vs):
+    """An ascending tuple of Python ints, no vertex twice."""
+    assert type(vs) is tuple and all(type(v) is int for v in vs)
+    assert all(a < b for a, b in zip(vs, vs[1:]))
+
+
+def assert_partition(blocks):
+    """A tuple of nonempty vertex sets ordered by smallest vertex."""
+    assert type(blocks) is tuple
+    for block in blocks:
+        assert block
+        assert_vertex_set(block)
+    assert all(a[0] < b[0] for a, b in zip(blocks, blocks[1:]))
+
+
+class TestVertexSetFormat:
+    def test_every_returned_vertex_set_is_an_ascending_int_tuple(self, fixture):
+        # a loose zero tolerance gives the eigenfunctions zeros
+        for h in [fixture, *generate(GenConfig(seed=2026, count=20))]:
+            analysis = Analysis(h, zero_tol_rel=0.2)
+            assert_partition(connected_components(h))
+            for v in h.vertex_range():
+                assert_vertex_set(hyperneighbors(h, v))
+            uf = UnionFind(h.n)
+            uf.link((e.vertices[0], u) for e in h.edges for u in e.vertices[1:])
+            assert_partition(uf.groups(h.vertex_range()))
+            for i, f in enumerate(analysis.spectrum.functions):
+                assert_vertex_set(f.support())
+                # the classes of a member list with gaps
+                assert_partition(uf.groups(f.support()))
+                for dec in (decompose(h, f), analysis.decompositions[i]):
+                    assert_partition(dec.strong)
+                    assert_partition(dec.weak_cores)
+                    for closure in dec.weak_closures:
+                        assert_vertex_set(closure)
+                for fs in (fiedler_sets(h, f), *(analysis.terms[v].fiedler[i] for v in BOUND_VARIANTS)):
+                    assert_vertex_set(fs.fiedler)
+                    assert_vertex_set(fs.other_zeros)
 
 
 class TestCycleCounts:
@@ -393,20 +435,20 @@ class TestCliqueReading:
         f = vf(1, 0, 1)
         assert not fiedler_sets(h, f).fiedler
         g = clique_expansion(h)
-        assert fiedler_sets(g, f).fiedler == {2}
+        assert fiedler_sets(g, f).fiedler == (2,)
         assert (support_cyclomatic(g, f).l, reference_l_plus(g, f).l) == (0, 0)
         terms = row_pass_of(h, f).terms["clique"]
-        assert (terms.fiedler[0].fiedler, terms.l_prime, terms.l_plus) == ({2}, (0,), (0,))
+        assert (terms.fiedler[0].fiedler, terms.l_prime, terms.l_plus) == ((2,), (0,), (0,))
 
     def test_parallel_pairs_kept(self):
         g = clique_expansion(h_of(2, pair_edge(1, 2, 1), pair_edge(1, 2, 1)))
         assert g.m == 2
         assert (support_cyclomatic(g, vf(1, 1)).l, reference_l_plus(g, vf(1, 1)).l) == (1, 1)
-        assert fiedler_sets(g, vf(1, 0)).fiedler == {2}
+        assert fiedler_sets(g, vf(1, 0)).fiedler == (2,)
 
     def test_bridge_zero_with_nonzero_neighbor_is_not_fiedler(self):
         g = clique_expansion(h_of(3, pair_edge(1, 2, 1), pair_edge(2, 3, 1)))
-        assert fiedler_sets(g, vf(1, 0, 1)).fiedler == frozenset()
+        assert fiedler_sets(g, vf(1, 0, 1)).fiedler == ()
 
     @pytest.mark.parametrize("cfg", [
         GenConfig(classical=True, seed=83, count=15),
@@ -526,10 +568,10 @@ class TestOnePassAgainstReferences:
         h, f = case
         zeros = [v for v in h.vertex_range() if f.sign(v) == 0]
         c = cyclomatic(h).n_components
-        fiedler = {v for v in zeros
-                   if all(f.sign(w) == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v, c)}
+        fiedler = tuple(v for v in zeros
+                        if all(f.sign(w) == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v, c))
         fs = fiedler_sets(h, f)
-        assert fs.fiedler == fiedler and fs.other_zeros == set(zeros) - fiedler
+        assert fs.fiedler == fiedler and fs.other_zeros == tuple(v for v in zeros if v not in fiedler)
 
 
 LONG = 5000
@@ -547,8 +589,8 @@ class TestLongZeroPaths:
         cores = decompose(h, f).weak_cores
         assert cores == (((1, LONG),) if linked else ((1,), (LONG,)))
         fs = fiedler_sets(h, f)
-        assert fs.other_zeros == {2, LONG - 1}
-        assert fs.fiedler == set(range(3, LONG - 1))
+        assert fs.other_zeros == (2, LONG - 1)
+        assert fs.fiedler == tuple(range(3, LONG - 1))
 
     @pytest.mark.parametrize("end, unbalanced", [(1, False), (-1, False), (1, True), (-1, True)])
     def test_zero_cycle_links_by_balance(self, end, unbalanced):
@@ -563,7 +605,7 @@ class TestLongZeroPaths:
         cores = decompose(h, f).weak_cores
         assert cores == (((1, LONG),) if linked else ((1,), (LONG,)))
         fs = fiedler_sets(h, f)
-        assert fs.fiedler == set(ring) and not fs.other_zeros
+        assert fs.fiedler == tuple(ring) and not fs.other_zeros
 
 
 def _coherent_by_pairs(e, sign):
@@ -862,7 +904,7 @@ class TestComponentKernel:
     def test_empty_hypergraph_rows(self):
         rows = _row_pass(h_of(0), _sign_matrix((vf(),), 0), 0)
         assert rows.strong == [()] and rows.attached == [False]
-        empty = FiedlerSets(frozenset(), frozenset())
+        empty = FiedlerSets((), ())
         assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((empty,), (0,), (0,))
                    for terms in rows.terms.values())
 
@@ -991,7 +1033,7 @@ def reference_fiedler_sets(h, f):
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
     zeros = [v for v in h.vertex_range() if sign[v] == 0]
     if not zeros:
-        return FiedlerSets(frozenset(), frozenset())
+        return FiedlerSets((), ())
     seen_nonzero = [False] * (h.n + 1)
     cyclic = [False] * (h.n + 1)
     links = []
@@ -1007,8 +1049,8 @@ def reference_fiedler_sets(h, f):
         if len(block) > 1:
             for li in block:
                 cyclic[links[li][0]] = True
-    fiedler = frozenset(v for v in zeros if cyclic[v] or not seen_nonzero[v])
-    return FiedlerSets(fiedler, frozenset(zeros) - fiedler)
+    fiedler = tuple(v for v in zeros if cyclic[v] or not seen_nonzero[v])
+    return FiedlerSets(fiedler, tuple(v for v in zeros if v not in fiedler))
 
 
 class TestBatchedFiedlerSets:
@@ -1064,7 +1106,7 @@ class TestBatchedFiedlerSets:
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         analysis = Analysis(h)
         assert (analysis.signs[:, 1:] != 0).all()
-        empty = (FiedlerSets(frozenset(), frozenset()),) * 20
+        empty = (FiedlerSets((), ()),) * 20
         assert all(terms.fiedler == empty for terms in analysis.terms.values())
 
     def test_one_block_pass_per_analysis_with_a_zero_row(self, monkeypatch):
@@ -1221,7 +1263,7 @@ class TestWeakPassAgainstReference:
             dec = decompose(h, f)
             assert dec.strong == reference_strong(h, f)
             assert (dec.weak_cores, dec.weak_closures) == expected
-            assert frozenset().union(*dec.strong) == f.support()
+            assert tuple(sorted(v for domain in dec.strong for v in domain)) == f.support()
 
     @given(weak_cases())
     @settings(max_examples=100, deadline=None)
