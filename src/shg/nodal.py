@@ -100,9 +100,12 @@ class NodalDecomposition:
     ``weak_cores`` partition the support; ``weak_closures`` are the cores
     plus absorbed zeros (closures may overlap on zeros, cores never do),
     closure i that of core i.  Each domain is a tuple of its vertices in
-    ascending order, and the domains are ordered by their smallest
-    vertex.  Where no pair joins a nonzero to a zero the three partitions
-    coincide and are one tuple object, which readers may share.
+    ascending order.  The strong domains and the cores are ordered by
+    their smallest vertex; the closures follow their cores, so a closure
+    that absorbs a zero below its core's smallest vertex can come after
+    a closure with a larger smallest vertex.  Where no pair joins a
+    nonzero to a zero the three partitions coincide and are one tuple
+    object, which readers may share.
     """
 
     strong: tuple[tuple[int, ...], ...]
