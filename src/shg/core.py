@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 __all__ = [
@@ -47,6 +48,10 @@ class Edge:
     incidences: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        # ``vertices``, in incidence order, is built here once per edge: it
+        # is read in every pair and component pass.  It is not a field, so
+        # equality, hash and repr read ``incidences`` alone.
+        vertices: list[int] = []
         seen: set[int] = set()
         for v, s in self.incidences:
             if s not in (1, -1):
@@ -56,11 +61,8 @@ class Edge:
             if v in seen:
                 raise ValueError(f"duplicate vertex in edge: {v}")
             seen.add(v)
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        # computed once per edge; hot in every pair and component pass
-        return tuple(v for v, _ in self.incidences)
+            vertices.append(v)
+        object.__setattr__(self, "vertices", tuple(vertices))
 
     @property
     def size(self) -> int:
@@ -105,10 +107,7 @@ class SignedHypergraph:
             if e.size < 2:
                 continue
             s = edge_sign(e)
-            vs = e.vertices
-            for i, x in enumerate(vs):
-                for y in vs[i + 1:]:
-                    out.append((x, y, s))
+            out += [(x, y, s) for x, y in combinations(e.vertices, 2)]
         return tuple(out)
 
 
@@ -287,9 +286,27 @@ def is_tree_like(h: SignedHypergraph, x: int, n_components: int) -> bool:
     counted on the remaining vertices.  ``n_components`` is c(H)
     (``cyclomatic(h).n_components``), computed once by callers that test
     every vertex of one hypergraph.
+
+    One scan of the edges counts deg(x) and links, in a union-find over
+    all n vertices, each edge's vertices other than x.  Those are the
+    links of the weak deletion under its renumbering, which keeps the
+    order of the other vertices: an edge left empty, or with one vertex,
+    links nothing there either.  x itself is never linked, so it is one
+    class of its own and c(weak deletion) is ``count - 1``.
     """
-    after = cyclomatic(weak_delete(h, x)).n_components
-    return after == n_components + degree(h, x) - 1
+    if not 1 <= x <= h.n:
+        raise ValueError(f"vertex {x} out of range 1..{h.n}")
+    uf = UnionFind(h.n)
+    deg = 0
+    links: list[tuple[int, int]] = []
+    for e in h.edges:
+        vs = e.vertices
+        if x in vs:
+            deg += 1
+            vs = tuple(v for v in vs if v != x)
+        links += zip(vs, vs[1:])
+    uf.link(links)
+    return uf.count - 1 == n_components + deg - 1
 
 
 def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int, ...]:

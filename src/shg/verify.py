@@ -341,6 +341,23 @@ class FailureRecord:
     instance_text: str
     details: str
 
+    def as_dict(self) -> dict:
+        """One entry of the ``failures`` list of ``CampaignResult.as_dict``
+        (the JSON of ``shg fuzz``): the instance text goes under
+        ``instance``."""
+        return {
+            "seed": self.seed,
+            "index": self.index,
+            "property_id": self.property_id,
+            "instance": self.instance_text,
+            "details": self.details,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> FailureRecord:
+        """The record that ``as_dict`` wrote, as read back from that JSON."""
+        return cls(d["seed"], d["index"], d["property_id"], d["instance"], d["details"])
+
 
 @dataclass(frozen=True)
 class CampaignResult:
@@ -373,16 +390,7 @@ class CampaignResult:
             "config": self.config.as_dict(),
             "property_ids": list(self.property_ids),
             "instances_run": self.instances_run,
-            "failures": [
-                {
-                    "seed": rec.seed,
-                    "index": rec.index,
-                    "property_id": rec.property_id,
-                    "instance": rec.instance_text,
-                    "details": rec.details,
-                }
-                for rec in self.failures
-            ],
+            "failures": [rec.as_dict() for rec in self.failures],
             "sharpness_stats": [list(pair) for pair in self.sharpness_stats],
             "notes": list(self.notes),
             "passed": self.passed,

@@ -1,13 +1,22 @@
 """Reference definitions that only the tests read.
 
-Each computes one term of the bounds, or one identity, the slow and
-plain way; the program computes the same from one pass over all rows
-(``nodal._row_pass``), and the tests compare the two.
+Each computes one term of the bounds, one identity or one predicate,
+the slow and plain way; the program computes the same from one pass
+(over all rows in ``nodal._row_pass``, over the edges in
+``core.is_tree_like``), and the tests compare the two.
 """
 
 import numpy as np
 
-from shg.core import CycleStats, Edge, SignedHypergraph, cyclomatic, induced_subhypergraph
+from shg.core import (
+    CycleStats,
+    Edge,
+    SignedHypergraph,
+    cyclomatic,
+    degree,
+    induced_subhypergraph,
+    weak_delete,
+)
 
 
 def support_cyclomatic(h, f) -> CycleStats:
@@ -17,6 +26,12 @@ def support_cyclomatic(h, f) -> CycleStats:
     if f.n != h.n:
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
     return cyclomatic(induced_subhypergraph(h, f.support()))
+
+
+def reference_is_tree_like(h, x, c) -> bool:
+    """x is tree-like by the definition: building the weak deletion of x
+    raises the component count c = c(h) by deg(x) - 1."""
+    return cyclomatic(weak_delete(h, x)).n_components == c + degree(h, x) - 1
 
 
 def adjacency_int(h) -> list[list[int]]:

@@ -22,6 +22,7 @@ from shg.core import (
     spanning_hyperforest,
     weak_delete,
 )
+from references import reference_is_tree_like
 
 
 def edge(*pairs):
@@ -284,6 +285,40 @@ def exhaustive_forest(h):
             best_score = score
             best = tuple(subset)
     return best
+
+
+@st.composite
+def deletion_instances(draw):
+    """``forest_instances`` (edges of size 0 and 1, parallel edges), then
+    up to three weak deletions, which leave more empty and size-1 edges."""
+    h = draw(forest_instances())
+    for _ in range(draw(st.integers(min_value=0, max_value=min(3, h.n - 1)))):
+        h = weak_delete(h, draw(st.integers(min_value=1, max_value=h.n)))
+    return h
+
+
+class TestTreeLike:
+    @given(deletion_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_weak_deletion_reference(self, h):
+        c = cyclomatic(h).n_components
+        for x in h.vertex_range():
+            assert is_tree_like(h, x, c) == reference_is_tree_like(h, x, c)
+
+    def test_singleton_and_parallel_edges(self):
+        # {1} empties under deletion; the parallel pair 2-3 keeps 2 and 3
+        # on one cycle; 4 hangs off 3 by one edge
+        h = h_of(4, ((1, 1),), ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((2, 1), (3, -1)),
+                 ((3, 1), (4, 1)))
+        c = cyclomatic(h).n_components
+        for test in (is_tree_like, reference_is_tree_like):
+            assert [test(h, x, c) for x in h.vertex_range()] == [False, False, False, True]
+
+    @pytest.mark.parametrize("x", [0, 4])
+    def test_vertex_out_of_range(self, x):
+        h = h_of(3, ((1, 1), (2, 1)))
+        with pytest.raises(ValueError, match=f"^vertex {x} out of range 1..3$"):
+            is_tree_like(h, x, 2)
 
 
 class TestForest:

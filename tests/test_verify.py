@@ -23,6 +23,7 @@ from shg.core import (
 )
 from shg.fixtures import fixture_example1
 from shg.nodal import Analysis, decompose
+from shg.report import report_json
 from shg.shgio import serialize
 from shg.spectra import VertexFunction, eigendecompose, laplacian
 from shg.verify import (
@@ -558,6 +559,21 @@ class TestFailureRoundTrip:
         assert len(res.failures) == 2
         for rec in res.failures:
             assert rerun_property(rec) == ([rec.details], [])
+
+    def test_rerun_from_fuzz_json(self, monkeypatch):
+        # a registered property made to fail, replayed from the JSON that
+        # ``shg fuzz`` writes rather than from the records themselves
+        def probe(ctx, rng):
+            return ([f"n={ctx.h.n} roll={rng.randint(0, 10 ** 9)}"], [])
+
+        monkeypatch.setitem(REGISTRY, "core.tree-like-no-cycle", probe)
+        res = run_campaign(GenConfig(seed=43, count=3), property_ids=("core.tree-like-no-cycle",))
+        entries = json.loads(report_json(res.as_dict()))["failures"]
+        assert len(entries) == 3
+        for rec, entry in zip(res.failures, entries):
+            replayed = FailureRecord.from_dict(entry)
+            assert replayed == rec
+            assert rerun_property(replayed) == ([rec.details], [])
 
     def test_rerun_rejects_ids_outside_the_registry(self):
         rec = FailureRecord(47, 0, "campaign.sharpness", serialize(fixture_example1()),
