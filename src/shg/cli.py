@@ -61,8 +61,15 @@ def _load(path: str) -> tuple[SignedHypergraph, str]:
 
 
 def _check_size(h: SignedHypergraph) -> None:
+    """Refuse more vertices than the dense limit, or more vertex pairs in
+    the edges than one edge on all of them has, before the pair table
+    (``SignedHypergraph.pairs``, C(|e|, 2) tuples per edge) is built."""
     if h.n > MAX_VERTICES:
         raise ValueError(f"{h.n} vertices exceeds the limit of {MAX_VERTICES}")
+    limit = MAX_VERTICES * (MAX_VERTICES - 1) // 2
+    pairs = sum(e.size * (e.size - 1) // 2 for e in h.edges)
+    if pairs > limit:
+        raise ValueError(f"{pairs} vertex pairs in the edges exceeds the limit of {limit}")
 
 
 def _function_from_args(h: SignedHypergraph, args) -> VertexFunction:

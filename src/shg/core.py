@@ -10,6 +10,11 @@ Invariants:
     - a vertex appears at most once per edge (simple hypergraph)
     - edges are nonempty unless ``allow_empty_edges`` is set (empty
       edges only arise from vertex deletions)
+
+Whether a vertex is tree-like is decided for all vertices at once by one
+block pass, ``nodal.cyclic_vertices``; here ``weak_delete`` gives the
+definition it is checked against and ``lies_on_cycle`` the exhaustive
+cycle search.
 """
 
 from __future__ import annotations
@@ -25,15 +30,12 @@ __all__ = [
     "CycleStats",
     "UnionFind",
     "edge_sign",
-    "degree",
     "degrees",
     "hyperneighbors",
     "connected_components",
     "induced_subhypergraph",
     "weak_delete",
     "cyclomatic",
-    "is_acyclic",
-    "is_tree_like",
     "spanning_hyperforest",
     "lies_on_cycle",
 ]
@@ -186,13 +188,6 @@ def edge_sign(e: Edge) -> int:
     return prod if e.size % 2 == 1 else -prod
 
 
-def degree(h: SignedHypergraph, v: int) -> int:
-    """Number of edges incident to v (each edge instance counts once)."""
-    if not 1 <= v <= h.n:
-        raise ValueError(f"vertex {v} out of range 1..{h.n}")
-    return sum(1 for e in h.edges for u, _ in e.incidences if u == v)
-
-
 def degrees(h: SignedHypergraph) -> list[int]:
     """Degree of every vertex, index 0 unused."""
     d = [0] * (h.n + 1)
@@ -271,42 +266,6 @@ def cyclomatic(h: SignedHypergraph) -> CycleStats:
     total = sum(max(e.size - 1, 0) for e in h.edges)
     c = _components(h).count
     return CycleStats(total, h.n, c, total - h.n + c)
-
-
-def is_acyclic(h: SignedHypergraph) -> bool:
-    """True iff the cyclomatic number is zero; equivalently every connected
-    component with k vertices has edge sizes summing to k-1 over (|e|-1).
-    """
-    return cyclomatic(h).l == 0
-
-
-def is_tree_like(h: SignedHypergraph, x: int, n_components: int) -> bool:
-    """True iff removing x's incidences splits its component into exactly
-    deg(x) pieces: c(weak deletion of x) == c(H) + deg(x) - 1, components
-    counted on the remaining vertices.  ``n_components`` is c(H)
-    (``cyclomatic(h).n_components``), computed once by callers that test
-    every vertex of one hypergraph.
-
-    One scan of the edges counts deg(x) and links, in a union-find over
-    all n vertices, each edge's vertices other than x.  Those are the
-    links of the weak deletion under its renumbering, which keeps the
-    order of the other vertices: an edge left empty, or with one vertex,
-    links nothing there either.  x itself is never linked, so it is one
-    class of its own and c(weak deletion) is ``count - 1``.
-    """
-    if not 1 <= x <= h.n:
-        raise ValueError(f"vertex {x} out of range 1..{h.n}")
-    uf = UnionFind(h.n)
-    deg = 0
-    links: list[tuple[int, int]] = []
-    for e in h.edges:
-        vs = e.vertices
-        if x in vs:
-            deg += 1
-            vs = tuple(v for v in vs if v != x)
-        links += zip(vs, vs[1:])
-    uf.link(links)
-    return uf.count - 1 == n_components + deg - 1
 
 
 def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int, ...]:

@@ -20,9 +20,10 @@ comparing one sign per attachment; the weak pass (``_weak``) starts
 from the strong domains and scans only the pairs that touch a zero.
 Whether a vertex is tree-like depends on the graph alone, and one block
 pass over the vertex-edge incidence graph decides it for all vertices,
-on h and on its clique expansion alike (``_cyclic``); a function adds
-only its zero mask.  Every pairwise pass (the strong relation, the weak
-pass, the clique terms) reads the pair table ``SignedHypergraph.pairs``.
+on h and on its clique expansion alike (``cyclic_vertices``, the one
+tree-like test of the program); a function adds only its zero mask.
+Every pairwise pass (the strong relation, the weak pass, the clique
+terms) reads the pair table ``SignedHypergraph.pairs``.
 
 One row pass (``_row_pass``) serves every row of a sign matrix: per
 chunk of rows, masks over the pair table and cumulative sums over it
@@ -438,16 +439,18 @@ def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool
     return uf.count <= 1
 
 
-def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> tuple[list[bool], list[bool]]:
-    """Per vertex (index 0 unused) of the hypergraph on 1..n with edges
-    ``members``, vertex tuples: True when it is not tree-like, on the
-    hypergraph and on its signed clique expansion.
+def cyclic_vertices(h: SignedHypergraph) -> tuple[list[bool], list[bool]]:
+    """Per vertex of h (index 0 unused): True when it is not tree-like,
+    on h and on its signed clique expansion.  The program's one tree-like
+    test; the campaign checks it against ``core.lies_on_cycle`` and
+    against weak deletion.
 
-    One block pass over the incidence graph of the edges of size 2 or
-    more decides both readings for every vertex.  On the hypergraph, x is
-    tree-like (``core.is_tree_like``) exactly when each of its incidence
-    links is a bridge and none of its edges has size 1, since weak
-    deletion leaves such an edge empty (an edge of size 1 adds only a
+    x is tree-like when its weak deletion (``core.weak_delete``) raises
+    the component count by deg(x) - 1.  One block pass over the incidence
+    graph of the edges of size 2 or more decides both readings for every
+    vertex.  On the hypergraph, x is tree-like exactly when each of its
+    incidence links is a bridge and none of its edges has size 1, since
+    weak deletion leaves such an edge empty (an edge of size 1 adds only a
     bridge to the graph, so it is left out).  On the expansion, whose
     edges are the pairs of every edge, an edge of size 2 is a subdivided
     pair, so a link that is not a bridge lies on a cycle of pairs, and an
@@ -458,12 +461,13 @@ def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> tuple[list[bool], lis
     one block, and ``_blocks`` keeps parallel links apart.  Both readings
     depend on the graph alone, never on a function.
     """
+    n = h.n
     # edge nodes n + 1.. are marked too and cut off at the end
-    size = n + 1 + len(members)
+    size = n + 1 + h.m
     on_h = [False] * size
     on_clique = [False] * size
     links: list[tuple[int, int]] = []
-    for node, vs in enumerate(members, n + 1):
+    for node, vs in enumerate((e.vertices for e in h.edges), n + 1):
         if len(vs) > 2:
             for v in vs:
                 links.append((v, node))
@@ -483,7 +487,7 @@ def _cyclic(n: int, members: Sequence[tuple[int, ...]]) -> tuple[list[bool], lis
 def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     """Split the zeros of f: a zero joins ``fiedler`` when all its
     hyperneighbors are zeros (or it has none) or it is not tree-like
-    (``_cyclic``)."""
+    (``cyclic_vertices``)."""
     _check_function(h, f)
     sign = _vertex_signs(f)
     zeros = [v for v in h.vertex_range() if sign[v] == 0]
@@ -497,7 +501,7 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
                 for u in vs:
                     seen_nonzero[u] = True
                 break
-    cyclic = _cyclic(h.n, [e.vertices for e in h.edges])[0]
+    cyclic = cyclic_vertices(h)[0]
     fiedler: list[int] = []
     other: list[int] = []
     for v in zeros:
@@ -552,8 +556,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
     ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
-    ``_cyclic`` gives ``cyclic`` of both in one block pass, run once and
-    only when some row has a zero.
+    ``cyclic_vertices`` gives ``cyclic`` of both in one block pass, run
+    once and only when some row has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
     xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
@@ -612,7 +616,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         zero = ~nonzero[with_zero]
         zero[:, 0] = False
         if not cyclic:
-            cyclic = [np.array(mask, dtype=bool) for mask in _cyclic(n, [e.vertices for e in h.edges])]
+            cyclic = [np.array(mask, dtype=bool) for mask in cyclic_vertices(h)]
         for i, z, sn in zip(at.tolist(), zero, seen):
             for reading, cyc in zip(fiedler, cyclic):
                 fied = z & (cyc | ~sn)

@@ -123,13 +123,6 @@ class Spectrum:
     def n(self) -> int:
         return len(self.eigenvalues)
 
-    def cluster_of(self, index: int) -> tuple[int, int]:
-        """The (k, r) cluster containing the 1-based eigenvalue index."""
-        for k, r in self.clusters:
-            if k <= index <= k + r - 1:
-                return k, r
-        raise IndexError(f"eigenvalue index {index} out of range 1..{self.n}")
-
 
 def adjacency(h: SignedHypergraph) -> np.ndarray:
     """The adjacency as floats, 0-based: a[i, j] sums the edge signs over

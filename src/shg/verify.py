@@ -35,13 +35,11 @@ from .core import (
     Edge,
     SignedHypergraph,
     connected_components,
-    degree,
+    cyclomatic,
     degrees,
     edge_sign,
     hyperneighbors,
     induced_subhypergraph,
-    is_acyclic,
-    is_tree_like,
     lies_on_cycle,
     spanning_hyperforest,
     weak_delete,
@@ -50,6 +48,7 @@ from .nodal import (
     Analysis,
     NodalDecomposition,
     component_counts,
+    cyclic_vertices,
     decompose,
     domain_graph_connected,
 )
@@ -463,31 +462,31 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     if h.n > _SMALL_N or any(e.size < 2 for e in h.edges):
         return [], []
     fails = []
-    n_components = ctx.cycles.n_components
+    cyclic = cyclic_vertices(h)[0]
     for x in h.vertex_range():
-        tl = is_tree_like(h, x, n_components)
         cyc = lies_on_cycle(h, x)
-        if tl != (not cyc):
-            fails.append(f"vertex {x}: tree_like={tl}, on_cycle={cyc}")
+        if cyclic[x] != cyc:
+            fails.append(f"vertex {x}: tree_like={not cyclic[x]}, on_cycle={cyc}")
     return fails, []
 
 
 @_property("core.tree-like-deletion")
 def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     """Iterated deletion of tree-like vertices with their incident edges:
-    each victim must still be tree-like when its turn comes, and each
-    step must raise the component count by exactly (current degree - 1).
+    each victim, tree-like by ``cyclic_vertices`` on the current
+    hypergraph, must raise the component count under weak deletion, the
+    definition of tree-like, by exactly its current degree minus 1.
     """
     h = ctx.h
     fails = []
     current, before = h, ctx.cycles.n_components
     for _ in range(min(3, h.n - 1)):
-        tree_like = [x for x in current.vertex_range()
-                     if is_tree_like(current, x, before)]
+        cyclic = cyclic_vertices(current)[0]
+        tree_like = [x for x in current.vertex_range() if not cyclic[x]]
         if not tree_like or current.n <= 1:
             break
         x = rng.choice(tree_like)
-        d = degree(current, x)
+        d = degrees(current)[x]
         nxt = _strong_delete(current, x)
         after_weak = len(connected_components(weak_delete(current, x)))
         if after_weak != before + d - 1:
@@ -529,7 +528,7 @@ def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
     # checked apart from the search: the edge set is a hyperforest, and no
     # hyperforest weighs more than n - c
     chosen = SignedHypergraph(h.n, tuple(h.edges[i] for i in exact), allow_empty_edges=True)
-    if not is_acyclic(chosen):
+    if cyclomatic(chosen).l != 0:
         fails.append(f"exact edge set {list(exact)} is not acyclic")
     cap = h.n - ctx.cycles.n_components
     if w(exact) > cap:

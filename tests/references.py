@@ -2,8 +2,8 @@
 
 Each computes one term of the bounds, one identity or one predicate,
 the slow and plain way; the program computes the same from one pass
-(over all rows in ``nodal._row_pass``, over the edges in
-``core.is_tree_like``), and the tests compare the two.
+(over all rows in ``nodal._row_pass``, over the incidence graph in
+``nodal.cyclic_vertices``), and the tests compare the two.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from shg.core import (
     Edge,
     SignedHypergraph,
     cyclomatic,
-    degree,
+    degrees,
     induced_subhypergraph,
     weak_delete,
 )
@@ -31,7 +31,7 @@ def support_cyclomatic(h, f) -> CycleStats:
 def reference_is_tree_like(h, x, c) -> bool:
     """x is tree-like by the definition: building the weak deletion of x
     raises the component count c = c(h) by deg(x) - 1."""
-    return cyclomatic(weak_delete(h, x)).n_components == c + degree(h, x) - 1
+    return cyclomatic(weak_delete(h, x)).n_components == c + degrees(h)[x] - 1
 
 
 def adjacency_int(h) -> list[list[int]]:

@@ -11,17 +11,15 @@ from shg.core import (
     UnionFind,
     connected_components,
     cyclomatic,
-    degree,
     degrees,
     edge_sign,
     hyperneighbors,
     induced_subhypergraph,
-    is_acyclic,
-    is_tree_like,
     lies_on_cycle,
     spanning_hyperforest,
     weak_delete,
 )
+from shg.nodal import cyclic_vertices
 from references import reference_is_tree_like
 
 
@@ -84,7 +82,7 @@ class TestHypergraph:
         # the family is a multiset and both copies count toward degrees
         h = h_of(3, ((1, 1), (2, 1)), ((2, 1), (1, 1)))
         assert h.m == 2
-        assert degree(h, 1) == 2
+        assert degrees(h)[1] == 2
 
     def test_same_vertices_different_signs_allowed(self):
         h = h_of(2, ((1, 1), (2, 1)), ((1, 1), (2, -1)))
@@ -96,7 +94,6 @@ class TestHypergraph:
 
     def test_degrees_count_incident_edges(self):
         h = h_of(3, ((1, 1), (2, 1)), ((1, -1), (3, 1)), ((1, 1),))
-        assert degree(h, 1) == 3
         assert degrees(h) == [0, 3, 1, 1]
 
     def test_hyperneighbors(self):
@@ -212,12 +209,11 @@ class TestCycles:
     def test_cyclomatic_of_tree(self):
         h = h_of(4, ((1, 1), (2, 1), (3, 1)), ((3, 1), (4, 1)))
         stats = cyclomatic(h)
-        assert stats.l == 0 and is_acyclic(h)
+        assert stats.l == 0
 
     def test_cyclomatic_counts_excess(self):
         h = h_of(3, ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 1)))
         assert cyclomatic(h).l == 1
-        assert not is_acyclic(h)
 
     def test_parallel_edges_make_cycle(self):
         h = h_of(2, ((1, 1), (2, 1)), ((1, 1), (2, -1)))
@@ -227,8 +223,9 @@ class TestCycles:
         h = h_of(4, ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 1)),
                  ((3, 1), (4, 1)))
         c = cyclomatic(h).n_components
-        assert not is_tree_like(h, 1, c)
-        assert is_tree_like(h, 4, c)
+        cyclic = cyclic_vertices(h)[0]
+        assert cyclic[1] and not reference_is_tree_like(h, 1, c)
+        assert not cyclic[4] and reference_is_tree_like(h, 4, c)
         assert lies_on_cycle(h, 1)
         assert not lies_on_cycle(h, 4)
 
@@ -302,8 +299,12 @@ class TestTreeLike:
     @settings(max_examples=200, deadline=None)
     def test_matches_weak_deletion_reference(self, h):
         c = cyclomatic(h).n_components
-        for x in h.vertex_range():
-            assert is_tree_like(h, x, c) == reference_is_tree_like(h, x, c)
+        cyclic = cyclic_vertices(h)[0]
+        assert cyclic == [False] + [not reference_is_tree_like(h, x, c) for x in h.vertex_range()]
+        # a vertex of a size-1 edge lies on no cycle, but its weak deletion
+        # leaves that edge empty, so it is not tree-like
+        in_singleton = {e.vertices[0] for e in h.edges if e.size == 1}
+        assert cyclic[1:] == [x in in_singleton or lies_on_cycle(h, x) for x in h.vertex_range()]
 
     def test_singleton_and_parallel_edges(self):
         # {1} empties under deletion; the parallel pair 2-3 keeps 2 and 3
@@ -311,14 +312,9 @@ class TestTreeLike:
         h = h_of(4, ((1, 1),), ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((2, 1), (3, -1)),
                  ((3, 1), (4, 1)))
         c = cyclomatic(h).n_components
-        for test in (is_tree_like, reference_is_tree_like):
-            assert [test(h, x, c) for x in h.vertex_range()] == [False, False, False, True]
-
-    @pytest.mark.parametrize("x", [0, 4])
-    def test_vertex_out_of_range(self, x):
-        h = h_of(3, ((1, 1), (2, 1)))
-        with pytest.raises(ValueError, match=f"^vertex {x} out of range 1..3$"):
-            is_tree_like(h, x, 2)
+        expected = [False, False, False, True]
+        assert [not cyc for cyc in cyclic_vertices(h)[0][1:]] == expected
+        assert [reference_is_tree_like(h, x, c) for x in h.vertex_range()] == expected
 
 
 class TestForest:
@@ -347,7 +343,7 @@ class TestForest:
         h = h_of(3, ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 1)))
         idx = spanning_hyperforest(h, exact=True)
         sub = SignedHypergraph(3, tuple(h.edges[i] for i in idx))
-        assert is_acyclic(sub)
+        assert cyclomatic(sub).l == 0
 
     @given(forest_instances())
     @settings(max_examples=150, deadline=None)
@@ -355,6 +351,6 @@ class TestForest:
         exact = spanning_hyperforest(h, exact=True)
         weight = lambda ids: sum(max(h.edges[i].size - 1, 0) for i in ids)
         assert weight(exact) == weight(exhaustive_forest(h))
-        assert is_acyclic(SignedHypergraph(h.n, tuple(h.edges[i] for i in exact),
-                                           allow_empty_edges=True))
+        assert cyclomatic(SignedHypergraph(h.n, tuple(h.edges[i] for i in exact),
+                                           allow_empty_edges=True)).l == 0
         assert {i for i, e in enumerate(h.edges) if e.size <= 1} <= set(exact)

@@ -327,16 +327,23 @@ class TestUsageErrors:
         def must_not_run(*args, **kwargs):
             raise AssertionError("allocating call reached past the size check")
 
-        # every call that allocates per vertex fails the test instead
+        # every call that allocates per vertex or per pair fails the test instead
         for name in ("laplacian", "eigendecompose", "decompose", "Analysis",
                      "build_report", "oracle_domains", "VertexFunction", "serialize"):
             monkeypatch.setattr(cli, name, must_not_run)
+        monkeypatch.setattr(SignedHypergraph, "pairs", property(must_not_run))
+        n = cli.MAX_VERTICES
+        # two edges on all n vertices hold twice the pairs of one
+        full_edge = "edge " + " ".join(f"{v}:+" for v in range(1, n + 1)) + "\n"
+        cases = [("shg 1\nvertices 100000000000\nedge 1:+ 2:-\n", f"limit of {n}"),
+                 (f"shg 1\nvertices {n}\n" + full_edge * 2, f"limit of {n * (n - 1) // 2}")]
         path = tmp_path / "huge.shg"
-        path.write_text("shg 1\nvertices 100000000000\nedge 1:+ 2:-\n", encoding="utf-8")
-        assert main([argv[0], str(path), *argv[1:]]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"limit of {cli.MAX_VERTICES}" in err
+        for text, limit in cases:
+            path.write_text(text, encoding="utf-8")
+            assert main([argv[0], str(path), *argv[1:]]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert limit in err
 
 
 class TestReportModule:

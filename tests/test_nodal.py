@@ -17,7 +17,6 @@ from shg.core import (
     cyclomatic,
     edge_sign,
     hyperneighbors,
-    is_tree_like,
     spanning_hyperforest,
     weak_delete,
 )
@@ -35,10 +34,10 @@ from shg.nodal import (
     FiedlerSets,
     _blocks,
     _components,
-    _cyclic,
     _row_pass,
     _sign_matrix,
     BoundReport,
+    cyclic_vertices,
     decompose,
     domain_graph_connected,
     fiedler_sets,
@@ -48,7 +47,7 @@ from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian
 import shg.verify as verify
 from shg.verify import GenConfig, generate, oracle_domains
 
-from references import clique_expansion, support_cyclomatic
+from references import clique_expansion, reference_is_tree_like, support_cyclomatic
 
 
 def h_of(n, *edge_specs):
@@ -569,7 +568,8 @@ class TestOnePassAgainstReferences:
         zeros = [v for v in h.vertex_range() if f.sign(v) == 0]
         c = cyclomatic(h).n_components
         fiedler = tuple(v for v in zeros
-                        if all(f.sign(w) == 0 for w in hyperneighbors(h, v)) or not is_tree_like(h, v, c))
+                        if all(f.sign(w) == 0 for w in hyperneighbors(h, v))
+                        or not reference_is_tree_like(h, v, c))
         fs = fiedler_sets(h, f)
         assert fs.fiedler == fiedler and fs.other_zeros == tuple(v for v in zeros if v not in fiedler)
 
@@ -623,9 +623,10 @@ def _assert_table_equals_per_row_terms(analysis, variant):
     h, s = analysis.h, analysis.spectrum
     g = clique_expansion(h) if variant == "clique" else h
     cyc = cyclomatic(h)
-    for i, (rep, f) in enumerate(zip(analysis.bounds(variant), s.functions, strict=True), 1):
+    clusters = [(k, r) for k, r in s.clusters for _ in range(r)]
+    rows = zip(analysis.bounds(variant), s.functions, clusters, strict=True)
+    for i, (rep, f, (k, r)) in enumerate(rows, 1):
         dec = decompose(h, f)
-        k, r = s.cluster_of(i)
         lp = reference_l_plus(g, f).l
         l_prime = support_cyclomatic(g, f).l
         fied = len(fiedler_sets(g, f).fiedler)
@@ -1091,10 +1092,10 @@ class TestBatchedFiedlerSets:
         h, _ = case
         twins = data.draw(st.lists(st.sampled_from(h.pairs), max_size=3)) if h.pairs else []
         g = h_of(h.n, *(e.incidences for e in h.edges), *(pair_edge(x, y, -s) for x, y, s in twins))
-        on_g, on_clique = _cyclic(g.n, [e.vertices for e in g.edges])
-        assert on_clique == _cyclic(g.n, [(x, y) for x, y, _ in g.pairs])[0]
+        on_g, on_clique = cyclic_vertices(g)
+        assert on_clique == cyclic_vertices(clique_expansion(g))[0]
         c = cyclomatic(g).n_components
-        assert on_g == [False] + [not is_tree_like(g, v, c) for v in g.vertex_range()]
+        assert on_g == [False] + [not reference_is_tree_like(g, v, c) for v in g.vertex_range()]
 
     def test_no_zeros_gives_empty_sets_without_block_pass(self, monkeypatch):
         import shg.nodal as nodal
@@ -1102,7 +1103,7 @@ class TestBatchedFiedlerSets:
         def must_not_run(*args):
             raise AssertionError("a block pass ran although no row has a zero")
 
-        monkeypatch.setattr(nodal, "_cyclic", must_not_run)
+        monkeypatch.setattr(nodal, "cyclic_vertices", must_not_run)
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         analysis = Analysis(h)
         assert (analysis.signs[:, 1:] != 0).all()
@@ -1110,12 +1111,12 @@ class TestBatchedFiedlerSets:
         assert all(terms.fiedler == empty for terms in analysis.terms.values())
 
     def test_one_block_pass_per_analysis_with_a_zero_row(self, monkeypatch):
-        # the Fiedler sets of both readings come from one _cyclic call, one
-        # block pass, on an instance where some row has a zero, and from
-        # none on one where no row has
+        # the Fiedler sets of both readings come from one cyclic_vertices
+        # call, one block pass, on an instance where some row has a zero,
+        # and from none on one where no row has
         import shg.nodal as nodal
 
-        calls = {"_cyclic": 0, "_blocks": 0}
+        calls = {"cyclic_vertices": 0, "_blocks": 0}
 
         def counting(name):
             real = getattr(nodal, name)

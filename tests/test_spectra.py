@@ -158,17 +158,11 @@ class TestEigendecomposition:
             v = f.array()
             assert np.max(np.abs(b.l @ v - lam * v)) < 1e-9
 
-    def test_cluster_of_out_of_range(self, fixture):
-        _, b = fixture
-        s = eigendecompose(b)
-        with pytest.raises(IndexError):
-            s.cluster_of(10)
-
     def test_zero_cluster_tol_splits(self, fixture):
         _, b = fixture
         s = eigendecompose(b, cluster_tol=0.0)
         # exact ties still merge; merely close values split
-        assert s.cluster_of(1) == (1, 1)
+        assert s.clusters[0] == (1, 1)
 
     @pytest.mark.parametrize("tol", [-5.0, -1e-12, float("nan"), float("inf"), float("-inf")])
     def test_refuses_bad_cluster_tol(self, fixture, tol):

@@ -495,6 +495,27 @@ class TestCampaign:
                     f"exact weight {m} exceeds n - c = 2"]
         assert fails == (expected if checked else [])
 
+    def test_tree_like_properties_check_the_block_pass(self, monkeypatch):
+        # a parallel pair is the cycle 1 e1 2 e2 1; a block pass that
+        # skipped blocks of two links would call its vertices tree-like
+        pair = Edge(((1, 1), (2, 1)))
+        h = SignedHypergraph(2, (pair, pair))
+        no_cycle = REGISTRY["core.tree-like-no-cycle"]
+        deletion = REGISTRY["core.tree-like-deletion"]
+        assert no_cycle(Analysis(h), random.Random(0)) == ([], [])
+        assert deletion(Analysis(h), random.Random(0)) == ([], [])
+        real = shg.verify.cyclic_vertices
+
+        def vertex_1_missed(h):
+            on_h, on_clique = real(h)
+            return [False, False] + on_h[2:], on_clique
+
+        monkeypatch.setattr(shg.verify, "cyclic_vertices", vertex_1_missed)
+        assert no_cycle(Analysis(h), random.Random(0)) == (
+            ["vertex 1: tree_like=True, on_cycle=True"], [])
+        assert deletion(Analysis(h), random.Random(0)) == (
+            ["deleting 1: components 1 -> 1, expected 2"], [])
+
     def test_acyclic_iff_zero_checks_the_forest_route(self, monkeypatch):
         # on an acyclic instance a forest that drops an edge must disagree
         # with l = 0 and with the component sums
