@@ -12,6 +12,7 @@ aligned text summary on stderr, so stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -64,10 +65,14 @@ def _check_size(h: SignedHypergraph) -> None:
     """Refuse more vertices than the dense limit, or more vertex pairs in
     the edges than one edge on all of them has, before the pair table
     (``SignedHypergraph.pairs``, C(|e|, 2) tuples per edge) is built."""
-    if h.n > MAX_VERTICES:
-        raise ValueError(f"{h.n} vertices exceeds the limit of {MAX_VERTICES}")
-    limit = MAX_VERTICES * (MAX_VERTICES - 1) // 2
-    pairs = sum(e.size * (e.size - 1) // 2 for e in h.edges)
+    _check_counts(h.n, sum(e.size * (e.size - 1) // 2 for e in h.edges))
+
+
+def _check_counts(n: int, pairs: int) -> None:
+    """The limits of ``_check_size`` on n vertices and ``pairs`` pairs."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
+    limit = math.comb(MAX_VERTICES, 2)
     if pairs > limit:
         raise ValueError(f"{pairs} vertex pairs in the edges exceeds the limit of {limit}")
 
@@ -172,7 +177,13 @@ def _cmd_fuzz(args) -> int:
             "m_range": (min(3, m_hi), m_hi),
             "edge_size_range": (2, max(2, e_hi)),
         }
-    result = run_campaign(GenConfig(seed=args.seed, count=args.count, **kwargs))
+    cfg = GenConfig(seed=args.seed, count=args.count, **kwargs)
+    # the largest instance the scale allows, refused before any is drawn:
+    # M edges of size min(E, N), the most a drawn edge has (an isolated
+    # vertex is patched with one more pair)
+    n_hi, m_hi = cfg.n_range[1], cfg.m_range[1]
+    _check_counts(n_hi, m_hi * math.comb(min(cfg.edge_size_range[1], n_hi), 2))
+    result = run_campaign(cfg)
     sys.stdout.write(report_json(result.as_dict()))
     return 0 if result.passed else 1
 

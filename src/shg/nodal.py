@@ -16,8 +16,10 @@ decomposition of the signed pair graph on the zeros: a balanced block
 contributes one fixed sign between any two of its vertices, read off a
 potential, and a block carrying an unbalanced cycle contributes both
 signs.  Each zero component then links the nonzeros attached to it by
-comparing one sign per attachment; the weak pass (``_weak``) starts
-from the strong domains and scans only the pairs that touch a zero.
+comparing one sign per attachment.  One scan of the pair table
+(``_sort_pairs``) sorts every pair of a function into a strong link, a
+zero-zero pair or an attachment; the weak pass (``_weak``) reads the
+last two and keeps linking on the union-find of the strong domains.
 Whether a vertex is tree-like depends on the graph alone, and one block
 pass over the vertex-edge incidence graph decides it for all vertices,
 on h and on its clique expansion alike (``cyclic_vertices``, the one
@@ -32,11 +34,13 @@ attachments, and l_plus, l' and the Fiedler sets on h and on its clique
 expansion alike.  Its labellings share ``_labels``, which runs
 ``_components``, hook-and-jump rounds on numpy arrays over the rows as
 one block-diagonal graph; ``component_counts`` counts the components of
-such rows, chunked as the row pass chunks them.  The one-function
+such rows, chunked by ``row_chunks`` as the row pass chunks them.  The one-function
 entries ``decompose`` and ``fiedler_sets`` keep their own code (a
 one-row kernel call costs more than it saves) and union with
 ``core.UnionFind.link`` where they union, as does the weak pass of each
-function with an attachment.
+function with an attachment; an eigenfunction's weak pass starts from
+a union-find whose parents are set to its strong domains from the row
+pass.
 
 A vertex set (a domain, a Fiedler set) is a tuple of its vertices in
 ascending order, and a partition a tuple of domains ordered by smallest
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -90,7 +94,8 @@ __all__ = [
 
 BOUND_VARIANTS = ("all_pairs", "clique")
 # The most nodes, candidate links or temporary entries one chunk of rows
-# holds: the row passes take chunks, so their temporaries stay bounded.
+# holds: the row passes and the campaign's stacked spectral checks take
+# chunks (``row_chunks``), so their temporaries stay bounded.
 _LINK_BUDGET = 1 << 18
 
 
@@ -213,7 +218,7 @@ def _components(n_nodes: int, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
         fx, fy = f[ex], f[ey]
 
 
-def _row_chunks(n_rows: int, row_size: int) -> Iterator[slice]:
+def row_chunks(n_rows: int, row_size: int) -> Iterator[slice]:
     """Consecutive slices of 0..n_rows-1, each of at most ``_LINK_BUDGET``
     entries at ``row_size`` entries per row, and one row at least."""
     step = max(1, _LINK_BUDGET // max(row_size, 1))
@@ -252,7 +257,7 @@ def component_counts(width: int, xs: np.ndarray, ys: np.ndarray, masks: np.ndarr
     roots of each row being the nodes that label themselves.
     """
     counts = np.empty(len(masks), dtype=np.intp)
-    for rows in _row_chunks(len(masks), max(len(xs), width)):
+    for rows in row_chunks(len(masks), max(len(xs), width)):
         labels = _labels(width, xs, ys, masks[rows])
         counts[rows] = (labels[:, 1:] == np.arange(1, width)).sum(axis=1)
     return counts
@@ -266,10 +271,62 @@ def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
-def _strong(h: SignedHypergraph, sign: list[int]) -> tuple[tuple[int, ...], ...]:
+class _Strong(NamedTuple):
+    """The strong pass of one list of signs: its domains, the union-find
+    that joins them, and the other pairs of the same scan of the pair
+    table, the zero-zero pairs (each once per sign, low end first) and
+    the attachments (u, z, s) of a nonzero u to a zero z."""
+
+    domains: tuple[tuple[int, ...], ...]
+    uf: UnionFind
+    zero_pairs: list[tuple[int, int, int]]
+    attach: list[tuple[int, int, int]]
+
+
+def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
+        list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """One scan of the pair table: (strong links, zero-zero pairs,
+    attachments), the parts of ``_Strong``."""
+    links: list[tuple[int, int]] = []
+    zz: dict[tuple[int, int, int], None] = {}
+    attach: list[tuple[int, int, int]] = []
+    for x, y, s in h.pairs:
+        sx, sy = sign[x], sign[y]
+        if sx:
+            if sy:
+                if sx * s * sy > 0:
+                    links.append((x, y))
+            else:
+                attach.append((x, y, s))
+        elif sy:
+            attach.append((y, x, s))
+        else:
+            zz[(x, y, s) if x < y else (y, x, s)] = None
+    return links, list(zz), attach
+
+
+def _strong(h: SignedHypergraph, sign: list[int]) -> _Strong:
+    """The strong pass of ``sign``: one scan of the pair table, its strong
+    links joined on a new union-find."""
+    links, zz, attach = _sort_pairs(h, sign)
     uf = UnionFind(h.n)
-    uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
-    return uf.groups(v for v in h.vertex_range() if sign[v])
+    uf.link(links)
+    return _Strong(uf.groups(v for v in h.vertex_range() if sign[v]), uf, zz, attach)
+
+
+def _seeded(h: SignedHypergraph, sign: list[int], domains: tuple[tuple[int, ...], ...]) -> _Strong:
+    """The ``_Strong`` of signs whose strong domains are known: the
+    union-find takes them by setting parents directly, and only the zero
+    pairs and attachments are read off the scan."""
+    uf = UnionFind(h.n)
+    parent = uf.parent
+    for domain in domains:
+        root = domain[0]
+        for v in domain:
+            parent[v] = root
+    uf.count -= sum(map(len, domains)) - len(domains)
+    _, zz, attach = _sort_pairs(h, sign)
+    return _Strong(domains, uf, zz, attach)
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -278,12 +335,15 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     Returns the blocks (biconnected components) as lists of edge ids and
     the depth-first tree as (child, edge id) in discovery order.  This is
     the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
-    stack; parallel edges are kept apart, so two of them form a block.
+    stack over (neighbour, edge id) lists; parallel edges are kept apart,
+    so two of them form a block.
     """
-    inc: list[list[int]] = [[] for _ in range(n_nodes)]
+    if not ends:
+        return [], []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for ei, (a, b) in enumerate(ends):
-        inc[a].append(ei)
-        inc[b].append(ei)
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
     disc = [-1] * n_nodes
     low = [0] * n_nodes
     counter = 0
@@ -291,24 +351,22 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     blocks: list[list[int]] = []
     tree: list[tuple[int, int]] = []
     for root in range(n_nodes):
-        if disc[root] >= 0 or not inc[root]:
+        if disc[root] >= 0 or not adj[root]:
             continue
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, iter(inc[root]))]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
-            for ei in it:
+            for t, ei in it:
                 if ei == in_edge:
                     continue
-                a, b = ends[ei]
-                t = b if a == v else a
                 if disc[t] < 0:
                     edge_stack.append(ei)
                     tree.append((t, ei))
                     disc[t] = low[t] = counter
                     counter += 1
-                    stack.append((t, ei, iter(inc[t])))
+                    stack.append((t, ei, iter(adj[t])))
                     break
                 if disc[t] < disc[v]:
                     edge_stack.append(ei)
@@ -328,16 +386,17 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
 
 
 def _weak(h: SignedHypergraph, sign: list[int],
-          strong: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+          strong: _Strong) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """(cores, closures) of the signs ``sign`` (index 0 unused), whose
-    strong domains are ``strong``; the cores join strong domains only.
+    strong pass is ``strong``; the cores join strong domains only, by
+    further links on the strong pass's union-find.
 
     A weak link that is not strong is one attachment (u, z, s) of a
     nonzero u to a zero z, a simple path inside one zero component, and
-    one more attachment, so one scan of the pairs that touch a zero
-    serves.  On the zero pair graph a depth-first potential theta decides
-    each block: balanced when theta(x) * s * theta(y) = 1 on all its
-    pairs, so any path inside it between a and b has sign
+    one more attachment, so the zero pairs and attachments of the strong
+    pass's scan serve.  On the zero pair graph a depth-first potential
+    theta decides each block: balanced when theta(x) * s * theta(y) = 1 on
+    all its pairs, so any path inside it between a and b has sign
     theta(a) * theta(b); a block with an unbalanced cycle has simple paths
     of both signs between any two of its vertices.  Balanced blocks glued
     at cut vertices form regions, where theta still gives the path sign;
@@ -345,19 +404,10 @@ def _weak(h: SignedHypergraph, sign: list[int],
     depth-first tree also roots each zero component; the closure of every
     core that its attachments reach absorbs it.
     """
-    zz: dict[tuple[int, int, int], None] = {}
-    attach: list[tuple[int, int, int]] = []
-    for x, y, s in h.pairs:
-        if sign[x] == 0 and sign[y] == 0:
-            zz[(x, y, s) if x < y else (y, x, s)] = None
-        elif sign[x] == 0:
-            attach.append((y, x, s))
-        elif sign[y] == 0:
-            attach.append((x, y, s))
+    domains, uf, pairs, attach = strong
     if not attach:
-        return strong, strong
+        return domains, domains
 
-    pairs = list(zz)
     blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
@@ -372,9 +422,6 @@ def _weak(h: SignedHypergraph, sign: list[int],
         if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
             region.link((x, y) for x, y, _ in block_pairs)
 
-    uf = UnionFind(h.n)
-    for domain in strong:
-        uf.link(zip(repeat(domain[0]), domain))
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for u, z, s in attach:
         groups.setdefault(root[z], []).append((u, z, s))
@@ -386,13 +433,18 @@ def _weak(h: SignedHypergraph, sign: list[int],
         uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
 
     cores = uf.groups(v for v in h.vertex_range() if sign[v])
-    closures = {uf.find(core[0]): list(core) for core in cores}
     absorbers = {r: {uf.find(u) for u, _, _ in group} for r, group in groups.items()}
+    # the zeros absorbed by the core of each root, ascending
+    absorbed: dict[int, list[int]] = {}
     for v in h.vertex_range():
         for c in absorbers.get(root[v], ()):
-            closures[c].append(v)
-    # each closure is two ascending runs, its core and its zeros
-    return cores, tuple(tuple(sorted(c)) for c in closures.values())
+            absorbed.setdefault(c, []).append(v)
+    closures = []
+    for core in cores:
+        zeros = absorbed.get(uf.find(core[0]))
+        # two ascending runs, the core's and the zeros', take one merge
+        closures.append(tuple(sorted(core + tuple(zeros))) if zeros else core)
+    return cores, tuple(closures)
 
 
 def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -406,22 +458,23 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[in
 
 
 def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
-    """Full nodal decomposition of f on h, from one list of signs.
+    """Full nodal decomposition of f on h, from one list of signs and one
+    scan of the pair table (``_strong``).
 
     The strong domains are the components of the support under strong
     links: {x, y} is linked when some edge contains both and
     f(x) * sgn(e) * f(y) > 0.  The weak cores partition the support under
     weak links (``_weak``), and each closure adds the zeros that reach its
-    core through a path of zero vertices.  Without zeros every weak link
-    is a direct pair, so the weak cores and closures are the strong
-    domains and the weak pass is not run.
+    core through a path of zero vertices.  Without an attachment (a pair
+    joining a nonzero to a zero), zeros included, every weak link is a
+    direct pair and no zero reaches a core, so the weak cores and
+    closures are the strong domains and the weak pass is not run.
     """
     _check_function(h, f)
     sign = _vertex_signs(f)
     strong = _strong(h, sign)
-    # the strong domains partition the support
-    weak = (strong, strong) if sum(map(len, strong)) == h.n else _weak(h, sign, strong)
-    return NodalDecomposition(strong, *weak)
+    weak = _weak(h, sign, strong) if strong.attach else (strong.domains, strong.domains)
+    return NodalDecomposition(strong.domains, *weak)
 
 
 def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool:
@@ -581,7 +634,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
     l_clique = np.full(n_rows, len(xs) - n + n_components)
     fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
     cyclic: list[np.ndarray] = []
-    for rows in _row_chunks(n_rows, max(len(xs), len(verts), width, h.m)):
+    for rows in row_chunks(n_rows, max(len(xs), len(verts), width, h.m)):
         s = signs[rows]
         nonzero = s != 0
         nx, ny = nonzero[:, xs], nonzero[:, ys]
@@ -720,10 +773,15 @@ class Analysis:
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        rows = zip(self.signs, self._rows.strong, self._rows.attached)
-        return tuple(NodalDecomposition(
-            strong, *(_weak(self.h, sign.tolist(), strong) if attached else (strong, strong)))
-            for sign, strong, attached in rows)
+        out = []
+        for row, strong, attached in zip(self.signs, self._rows.strong, self._rows.attached):
+            if attached:
+                sign = row.tolist()
+                weak = _weak(self.h, sign, _seeded(self.h, sign, strong))
+            else:
+                weak = (strong, strong)
+            out.append(NodalDecomposition(strong, *weak))
+        return tuple(out)
 
     def strong_partitions(self, functions: Sequence[VertexFunction]) -> list[tuple[tuple[int, ...], ...]]:
         """The strong domains of other functions on h, one partition per

@@ -29,6 +29,12 @@ def _fail(lineno: int, reason: str) -> None:
     raise ParseError(f"line {lineno}: {reason}")
 
 
+def _is_number(token: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` also takes superscripts and
+    other scripts' digits, which ``int`` refuses or reads as ASCII ones."""
+    return token.isascii() and token.isdigit()
+
+
 def parse(text: str) -> SignedHypergraph:
     """Read one hypergraph from text in the format above."""
     rows = [
@@ -45,7 +51,7 @@ def parse(text: str) -> SignedHypergraph:
         _fail(lineno, "missing 'vertices N' line")
     lineno, decl = rows[1]
     parts = decl.split()
-    if len(parts) != 2 or parts[0] != "vertices" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "vertices" or not _is_number(parts[1]):
         _fail(lineno, f"expected 'vertices N', got {decl!r}")
     n = int(parts[1])
     edges: list[Edge] = []
@@ -58,7 +64,7 @@ def parse(text: str) -> SignedHypergraph:
         incidences: list[tuple[int, int]] = []
         for tok in tokens[1:]:
             v_str, sep, s_str = tok.partition(":")
-            if not sep or s_str not in _SIGN_IN or not v_str.isdigit():
+            if not sep or s_str not in _SIGN_IN or not _is_number(v_str):
                 _fail(lineno, f"expected 'vertex:sign' with sign + or -, got {tok!r}")
             v = int(v_str)
             if not 1 <= v <= n:

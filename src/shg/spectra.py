@@ -9,6 +9,11 @@ M = D^1/2 L D^-1/2 is what the dense solver diagonalizes, and returned
 eigenfunctions f = D^-1/2 u are orthonormal in the weighted product.
 
 Eigenvalue indices in public results are 1-based.
+
+``weighted_inner``, ``rayleigh``, ``nodal_quadratic_form`` and
+``positive_inertia`` take one function (or matrix) or a stack of them on
+a leading axis; a stack of k gives k results in one array, and a single
+function keeps its scalar or matrix result.
 """
 
 from __future__ import annotations
@@ -89,11 +94,19 @@ class VertexFunction:
 
 
 def _as_values(f: "VertexFunction | Sequence[float] | np.ndarray", n: int) -> np.ndarray:
-    """Coerce a vertex function to a length-n float array (index v-1)."""
+    """Coerce a vertex function to a length-n float array (index v-1), or
+    a stack of k of them to a (k, n) array."""
     arr = f.array() if isinstance(f, VertexFunction) else np.asarray(f, dtype=float)
-    if arr.shape != (n,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != n:
         raise ValueError(f"function must have one value per vertex ({n}), got shape {arr.shape}")
     return arr
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> "float | np.ndarray":
+    """sum_v a(v) b(v) per function: a float for one function, an array
+    of k for a stack of k."""
+    out = np.einsum("...i,...i->...", a, b)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -169,10 +182,11 @@ def laplacian_exact(h: SignedHypergraph) -> list[list[Fraction]]:
     return out
 
 
-def weighted_inner(h: SignedHypergraph, f, g) -> float:
-    """Degree-weighted inner product sum_v deg(v) f(v) g(v)."""
+def weighted_inner(h: SignedHypergraph, f, g) -> "float | np.ndarray":
+    """Degree-weighted inner product sum_v deg(v) f(v) g(v); for stacks of
+    k functions f and g, the k products of their rows."""
     deg = np.asarray(degrees(h)[1:], dtype=float)
-    return float(np.dot(deg * _as_values(f, h.n), _as_values(g, h.n)))
+    return _dot(deg * _as_values(f, h.n), _as_values(g, h.n))
 
 
 def _cluster(eigenvalues: np.ndarray, cluster_tol: float) -> tuple[tuple[int, int], ...]:
@@ -211,45 +225,59 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
         raise ValueError(f"symmetrized Laplacian is not symmetric (defect {asym:.3e})")
     w, u = np.linalg.eigh((m + m.T) / 2.0)
     funcs = u / np.sqrt(bundle.deg)[:, None]
-    functions = tuple(VertexFunction.from_values(col, rel_tol=zero_tol_rel)
-                      for col in funcs.T.tolist())
+    # every column at once, with the checks and the tolerance rule of
+    # VertexFunction.from_values
+    if not np.isfinite(funcs).all():
+        raise ValueError("function values must be finite")
+    if not (math.isfinite(zero_tol_rel) and zero_tol_rel >= 0.0):
+        raise ValueError(f"zero tolerance must be finite and nonnegative, got {zero_tol_rel!r}")
+    tols = (zero_tol_rel * np.abs(funcs).max(axis=0, initial=0.0)).tolist()
+    functions = tuple(map(VertexFunction, map(tuple, funcs.T.tolist()), tols))
     return Spectrum(tuple(float(x) for x in w), functions, _cluster(w, cluster_tol))
 
 
-def rayleigh(h: SignedHypergraph, bundle: MatrixBundle, g) -> float:
-    """Weighted Rayleigh quotient <Lg, g> / <g, g>; g must be nonzero."""
+def rayleigh(h: SignedHypergraph, bundle: MatrixBundle, g) -> "float | np.ndarray":
+    """Weighted Rayleigh quotient <Lg, g> / <g, g>; g must be nonzero.  A
+    stack of k functions gives the k quotients of its rows, and any zero
+    row is refused."""
     vals = _as_values(g, bundle.n)
-    denom = float(np.dot(bundle.deg * vals, vals))
-    if denom == 0.0:
+    denom = _dot(bundle.deg * vals, vals)
+    if np.any(np.asarray(denom) == 0.0):
         raise ValueError("Rayleigh quotient undefined for the zero function")
-    num = float(np.dot(bundle.deg * (bundle.l @ vals), vals))
-    return num / denom
+    return _dot(bundle.deg * (vals @ bundle.l.T), vals) / denom
 
 
-def positive_inertia(s: np.ndarray) -> int:
-    """Number of eigenvalues of a symmetric matrix above _INERTIA_TOL * ||S||_2."""
+def positive_inertia(s: np.ndarray) -> "int | np.ndarray":
+    """Number of eigenvalues of a symmetric matrix above _INERTIA_TOL * ||S||_2;
+    for a (k, m, m) stack of matrices, the k counts as an int array."""
     s = np.asarray(s, dtype=float)
-    w = np.linalg.eigvalsh((s + s.T) / 2.0)
-    norm = float(np.max(np.abs(w))) if len(w) else 0.0
-    return int(np.sum(w > _INERTIA_TOL * norm))
+    w = np.linalg.eigvalsh((s + np.swapaxes(s, -1, -2)) / 2.0)
+    norm = np.abs(w).max(axis=-1, initial=0.0)
+    counts = np.sum(w > _INERTIA_TOL * norm[..., None], axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
-def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue: float) -> np.ndarray:
+def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue) -> np.ndarray:
     """Symmetric matrix S = D(g) Ddeg (L - lambda I) D(g) for an
     eigenfunction g of eigenvalue lambda.
 
     The Euclidean quadratic form f^T S f equals
     sum_{x<y adjacent} A_xy g(x) g(y) (f(x)-f(y))^2 for every f, so the
-    coefficient of an unordered pair is a_xy = A_xy g(x) g(y).
+    coefficient of an unordered pair is a_xy = A_xy g(x) g(y).  A (k, n)
+    stack of eigenfunctions with k eigenvalues gives the (k, n, n) stack
+    of their matrices, entry for entry those of one function at a time;
+    one row that is not an eigenfunction refuses the whole stack.
     """
     gv = _as_values(g, bundle.n)
-    scale = float(np.max(np.abs(gv))) or 1.0
-    residual = float(np.max(np.abs(bundle.l @ gv - eigenvalue * gv)))
-    if residual > _RESIDUAL_TOL * (1.0 + abs(eigenvalue)) * scale:
-        raise ValueError(f"not an eigenfunction: residual {residual:.3e}")
-    core = bundle.deg[:, None] * (bundle.l - eigenvalue * np.eye(bundle.n))
-    s = gv[:, None] * core * gv[None, :]
-    return (s + s.T) / 2.0
+    lam = np.broadcast_to(np.asarray(eigenvalue, dtype=float), gv.shape[:-1])
+    scale = np.abs(gv).max(axis=-1, initial=0.0)
+    residual = np.abs(gv @ bundle.l.T - lam[..., None] * gv).max(axis=-1, initial=0.0)
+    bad = residual > _RESIDUAL_TOL * (1.0 + np.abs(lam)) * np.where(scale == 0.0, 1.0, scale)
+    if bad.any():
+        raise ValueError(f"not an eigenfunction: residual {float(residual[bad].flat[0]):.3e}")
+    core = bundle.deg[:, None] * (bundle.l - lam[..., None, None] * np.eye(bundle.n))
+    s = gv[..., :, None] * core * gv[..., None, :]
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
 def chained_difference_rank(h: SignedHypergraph) -> tuple[int, int]:

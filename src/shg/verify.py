@@ -51,6 +51,7 @@ from .nodal import (
     cyclic_vertices,
     decompose,
     domain_graph_connected,
+    row_chunks,
 )
 from .shgio import parse, serialize
 from .spectra import (
@@ -423,6 +424,19 @@ def _random_function(ctx: Analysis, rng: random.Random,
     return VertexFunction.from_values(vals)
 
 
+def _random_stack(ctx: Analysis, rng: random.Random, count: int) -> np.ndarray:
+    """The values of ``count`` zero-free ``_random_function`` draws, in
+    their order, one row each."""
+    return np.array([[rng.gauss(0.0, 1.0) for _ in range(ctx.h.n)] for _ in range(count)])
+
+
+def _by_chunks(fn: Callable[[slice], np.ndarray], n_rows: int, row_size: int) -> list:
+    """fn(rows) of every chunk of rows 0..n_rows-1 that ``row_chunks``
+    hands out for ``row_size`` entries a row, joined in one list: a
+    stacked check holds at most one chunk's temporaries at a time."""
+    return [x for rows in row_chunks(n_rows, row_size) for x in fn(rows).tolist()]
+
+
 # --- core properties -------------------------------------------------------
 
 
@@ -541,15 +555,17 @@ def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
 
 @_property("spectra.self-adjoint")
 def _p_self_adjoint(ctx: Analysis, rng: random.Random):
-    h, b = ctx.h, ctx.bundle
+    h, l = ctx.h, ctx.bundle.l
+    # five pairs (f, g), each f drawn before its g
+    pairs = _random_stack(ctx, rng, 10)
+    f, g = pairs[0::2], pairs[1::2]
+
+    def sides(rows: slice) -> np.ndarray:
+        return np.stack((weighted_inner(h, f[rows] @ l.T, g[rows]),
+                         weighted_inner(h, f[rows], g[rows] @ l.T)), axis=-1)
+
     fails = []
-    for _ in range(5):
-        f = _random_function(ctx, rng)
-        g = _random_function(ctx, rng)
-        lf = b.l @ f.array()
-        lg = b.l @ g.array()
-        left = weighted_inner(h, lf, g.array())
-        right = weighted_inner(h, f.array(), lg)
+    for left, right in _by_chunks(sides, len(f), h.n):
         scale = max(1.0, abs(left), abs(right))
         if abs(left - right) > 1e-9 * scale:
             fails.append(f"<Lf,g>={left!r} vs <f,Lg>={right!r}")
@@ -646,15 +662,16 @@ def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
     w = ctx.spectrum.eigenvalues
     slack = 1e-8 * max(1.0, abs(w[0]), abs(w[-1]))
+    # five random functions, then the eigenfunctions of indices 1 and n
+    indices = (1, h.n)
+    stack = np.vstack((_random_stack(ctx, rng, 5),
+                       [ctx.spectrum.functions[k - 1].values for k in indices]))
+    quotients = _by_chunks(lambda rows: rayleigh(h, b, stack[rows]), len(stack), h.n)
     fails = []
-    for _ in range(5):
-        g = _random_function(ctx, rng)
-        q = rayleigh(h, b, g)
+    for q in quotients[:5]:
         if not (w[0] - slack <= q <= w[-1] + slack):
             fails.append(f"Rayleigh quotient {q!r} outside [{w[0]!r}, {w[-1]!r}]")
-    for k in (1, h.n):
-        fk = ctx.spectrum.functions[k - 1]
-        q = rayleigh(h, b, fk)
+    for k, q in zip(indices, quotients[5:]):
         if abs(q - w[k - 1]) > 1e-8 * max(1.0, abs(w[k - 1])):
             fails.append(f"Rayleigh of eigenfunction {k}: {q!r} != {w[k-1]!r}")
     return fails, []
@@ -805,12 +822,14 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     # matroid, so a maximum spanning forest of the positive pairs weighs
     # n - c(positive)
     h, bundle = ctx.h, ctx.bundle
-    full = [i for i, g in enumerate(ctx.spectrum.functions, 1) if len(g.support()) == h.n]
-    if not full:
+    # the rows of the eigenfunctions with full support
+    full = np.flatnonzero((ctx.signs[:, 1:] != 0).all(axis=1))
+    if not len(full):
         return [], []
     a, b = np.array(sorted({(min(x, y), max(x, y)) for x, y, _ in h.pairs}),
                     dtype=np.intp).reshape(-1, 2).T
-    values = np.array([ctx.spectrum.functions[i - 1].values for i in full])
+    values = np.array([ctx.spectrum.functions[i].values for i in full.tolist()])
+    eigenvalues = np.array(ctx.spectrum.eigenvalues)[full]
     coeff = bundle.a[a - 1, b - 1] * (values[:, a - 1] * values[:, b - 1])
     positive, nonzero = coeff > 0, coeff != 0
     c_pos, c_nonzero = component_counts(
@@ -818,10 +837,12 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     sigma_ts = (h.n - c_pos).tolist()
     n_poss = positive.sum(axis=1).tolist()
     l_nonzeros = (nonzero.sum(axis=1) - h.n + c_nonzero).tolist()
+    # one n x n form per row, so chunks of at most the link budget of entries
+    inertia = _by_chunks(
+        lambda rows: positive_inertia(nodal_quadratic_form(bundle, values[rows], eigenvalues[rows])),
+        len(full), h.n * h.n)
     fails = []
-    for i, sigma_t, n_pos, l_nonzero in zip(full, sigma_ts, n_poss, l_nonzeros):
-        s = nodal_quadratic_form(bundle, ctx.spectrum.functions[i - 1], ctx.spectrum.eigenvalues[i - 1])
-        p = positive_inertia(s)
+    for i, p, sigma_t, n_pos, l_nonzero in zip((full + 1).tolist(), inertia, sigma_ts, n_poss, l_nonzeros):
         if not (p <= sigma_t <= n_pos <= p + l_nonzero):
             fails.append(
                 f"eig {i}: inertia {p}, forest weight {sigma_t}, positive pairs {n_pos}, "

@@ -3,8 +3,12 @@
 Each computes one term of the bounds, one identity or one predicate,
 the slow and plain way; the program computes the same from one pass
 (over all rows in ``nodal._row_pass``, over the incidence graph in
-``nodal.cyclic_vertices``), and the tests compare the two.
+``nodal.cyclic_vertices``, over a stack of functions in ``spectra``, over
+the pair table once in ``nodal.decompose``), and the tests compare the
+two.
 """
+
+from itertools import repeat
 
 import numpy as np
 
@@ -12,6 +16,7 @@ from shg.core import (
     CycleStats,
     Edge,
     SignedHypergraph,
+    UnionFind,
     cyclomatic,
     degrees,
     induced_subhypergraph,
@@ -73,3 +78,146 @@ def product_rule_defect(h, bundle, f, g) -> float:
         axy = bundle.a[x - 1, y - 1]
         pair_sum += axy * gv[x - 1] * gv[y - 1] * (fv[x - 1] - fv[y - 1]) ** 2
     return abs(lhs - mid - pair_sum)
+
+
+# --- one function at a time: the spectral helpers before they took stacks
+
+
+def reference_weighted_inner(h, f, g) -> float:
+    """sum_v deg(v) f(v) g(v) of two arrays of values."""
+    deg = np.asarray(degrees(h)[1:], dtype=float)
+    return float(np.dot(deg * np.asarray(f, dtype=float), np.asarray(g, dtype=float)))
+
+
+def reference_rayleigh(bundle, g) -> float:
+    """<Lg, g> / <g, g> in the weighted product, g an array of values."""
+    vals = np.asarray(g, dtype=float)
+    denom = float(np.dot(bundle.deg * vals, vals))
+    num = float(np.dot(bundle.deg * (bundle.l @ vals), vals))
+    return num / denom
+
+
+def reference_positive_inertia(s) -> int:
+    """Eigenvalues of one symmetric matrix above 1e-9 of its 2-norm."""
+    w = np.linalg.eigvalsh((s + s.T) / 2.0)
+    norm = float(np.max(np.abs(w))) if len(w) else 0.0
+    return int(np.sum(w > 1e-9 * norm))
+
+
+def reference_nodal_quadratic_form(bundle, g, eigenvalue) -> np.ndarray:
+    """D(g) Ddeg (L - lambda I) D(g), symmetrized, of one eigenfunction
+    given as an array of values; the residual check is left out."""
+    gv = np.asarray(g, dtype=float)
+    core = bundle.deg[:, None] * (bundle.l - eigenvalue * np.eye(bundle.n))
+    s = gv[:, None] * core * gv[None, :]
+    return (s + s.T) / 2.0
+
+
+# --- the strong and weak passes before the one scan of ``nodal.decompose``
+
+
+def reference_blocks(n_nodes, ends):
+    """``nodal._blocks`` over per-node lists of edge ids, each edge's far
+    end read off ``ends``: the same Hopcroft-Tarjan search."""
+    inc = [[] for _ in range(n_nodes)]
+    for ei, (a, b) in enumerate(ends):
+        inc[a].append(ei)
+        inc[b].append(ei)
+    disc = [-1] * n_nodes
+    low = [0] * n_nodes
+    counter = 0
+    edge_stack, blocks, tree = [], [], []
+    for root in range(n_nodes):
+        if disc[root] >= 0 or not inc[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(inc[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for ei in it:
+                if ei == in_edge:
+                    continue
+                a, b = ends[ei]
+                t = b if a == v else a
+                if disc[t] < 0:
+                    edge_stack.append(ei)
+                    tree.append((t, ei))
+                    disc[t] = low[t] = counter
+                    counter += 1
+                    stack.append((t, ei, iter(inc[t])))
+                    break
+                if disc[t] < disc[v]:
+                    edge_stack.append(ei)
+                    low[v] = min(low[v], disc[t])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] >= disc[parent]:
+                        i = len(edge_stack) - 1
+                        while edge_stack[i] != in_edge:
+                            i -= 1
+                        blocks.append(edge_stack[i:])
+                        del edge_stack[i:]
+    return blocks, tree
+
+
+def reference_decomposition(h, f):
+    """(strong, weak cores, weak closures) of f by two scans of the pair
+    table: the strong links into one union-find, then the zero pairs and
+    attachments, with every strong domain linked again into a second
+    union-find that the weak links extend."""
+    sign = [0] + [f.sign(v) for v in h.vertex_range()]
+    uf = UnionFind(h.n)
+    uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
+    strong = uf.groups(v for v in h.vertex_range() if sign[v])
+
+    zz = {}
+    attach = []
+    for x, y, s in h.pairs:
+        if sign[x] == 0 and sign[y] == 0:
+            zz[(x, y, s) if x < y else (y, x, s)] = None
+        elif sign[x] == 0:
+            attach.append((y, x, s))
+        elif sign[y] == 0:
+            attach.append((x, y, s))
+    if not attach:
+        return strong, strong, strong
+
+    pairs = list(zz)
+    blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+    theta = [1] * (h.n + 1)
+    root = list(range(h.n + 1))
+    for child, ei in tree:
+        x, y, s = pairs[ei]
+        parent = x if y == child else y
+        theta[child] = theta[parent] * s
+        root[child] = root[parent]
+    region = UnionFind(h.n)
+    for block in blocks:
+        block_pairs = [pairs[ei] for ei in block]
+        if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
+            region.link((x, y) for x, y, _ in block_pairs)
+
+    uf = UnionFind(h.n)
+    for domain in strong:
+        uf.link(zip(repeat(domain[0]), domain))
+    groups = {}
+    for u, z, s in attach:
+        groups.setdefault(root[z], []).append((u, z, s))
+    for group in groups.values():
+        if len({region.find(z) for _, z, _ in group}) > 1:
+            uf.link((group[0][0], u) for u, _, _ in group)
+            continue
+        first = {}
+        uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
+
+    cores = uf.groups(v for v in h.vertex_range() if sign[v])
+    closures = {uf.find(core[0]): list(core) for core in cores}
+    absorbers = {r: {uf.find(u) for u, _, _ in group} for r, group in groups.items()}
+    for v in h.vertex_range():
+        for c in absorbers.get(root[v], ()):
+            closures[c].append(v)
+    return strong, cores, tuple(tuple(sorted(c)) for c in closures.values())

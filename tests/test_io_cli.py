@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shg.verify
 from shg.cli import main
 from shg.core import Edge, SignedHypergraph
 from shg.fixtures import (
@@ -73,6 +74,12 @@ class TestParseErrors:
         ("shg 1\nvertices 2\nedge 1:+ x:-\n", 3, "sign [+] or -"),
         ("shg 1\nvertices 2\nedge 1:+ 3:-\n", 3, "out of range"),
         ("shg 1\nvertices 2\nedge 1:+ 1:-\n", 3, "duplicate vertex"),
+        # digits of other scripts: int() refuses a superscript and reads
+        # an Arabic-Indic or fullwidth digit as an ASCII one
+        ("shg 1\nvertices \u00b2\n", 2, "expected 'vertices N'"),
+        ("shg 1\nvertices \uff12\n", 2, "expected 'vertices N'"),
+        ("shg 1\nvertices 2\nedge 1:+ \u00b2:-\n", 3, "sign [+] or -"),
+        ("shg 1\nvertices 2\nedge 1:+ \u0662:-\n", 3, "sign [+] or -"),
     ])
     def test_message_carries_line_number(self, text, lineno, msg):
         with pytest.raises(ParseError, match=rf"line {lineno}: .*{msg}"):
@@ -91,6 +98,15 @@ class TestValidateCommand:
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "absent.shg")]) == 2
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("shg 1\nvertices \u00b2\n", 2),
+        ("shg 1\nvertices 2\nedge 1:+ \u00b2:-\n", 3),
+        ("shg 1\nvertices 2\nedge 1:+ \u0662:-\n", 3),
+    ])
+    def test_non_ascii_digit_is_invalid(self, tmp_path, capsys, text, lineno):
+        assert main(["validate", write_fixture(tmp_path, text)]) == 1
+        assert f"invalid: line {lineno}" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -245,6 +261,28 @@ class TestFuzzCommand:
     def test_bad_scale(self, capsys):
         assert main(["fuzz", "--scale", "6,4"]) == 2
         assert "--scale expects" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale,message", [
+        ("100000,1000000000,4", "100000 vertices exceeds the limit of 4096"),
+        # C(4096, 2) pairs in each of two edges
+        ("4096,2,4096", "16773120 vertex pairs in the edges exceeds the limit of 8386560"),
+        # the edge size is capped by the vertex count: 10**6 * C(5, 2)
+        ("5,1000000,50", "10000000 vertex pairs"),
+    ])
+    def test_scale_over_the_size_limit_exits_two(self, capsys, monkeypatch, scale, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(shg.verify, "_one_instance", must_not_run)
+        for count in ("0", "1"):
+            assert main(["fuzz", "--scale", scale, "--count", count]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and message in err
+
+    def test_scale_at_the_size_limit_runs(self, capsys):
+        # one edge on all 4096 vertices is the pair limit itself
+        assert main(["fuzz", "--scale", "4096,1,4096", "--count", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["n_range"] == [4, 4096]
 
 
 class TestOracleCommand:

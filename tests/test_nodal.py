@@ -45,9 +45,15 @@ from shg.nodal import (
 )
 from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian
 import shg.verify as verify
-from shg.verify import GenConfig, generate, oracle_domains
+from shg.verify import ORACLE_MAX_N, GenConfig, generate, oracle_domains
 
-from references import clique_expansion, reference_is_tree_like, support_cyclomatic
+from references import (
+    clique_expansion,
+    reference_blocks,
+    reference_decomposition,
+    reference_is_tree_like,
+    support_cyclomatic,
+)
 
 
 def h_of(n, *edge_specs):
@@ -928,19 +934,19 @@ class TestChunking:
 
     @pytest.fixture
     def failing_inertia(self, monkeypatch):
-        monkeypatch.setattr(verify, "positive_inertia", lambda s: 10**6)
+        monkeypatch.setattr(verify, "positive_inertia", lambda s: np.full(len(s), 10**6))
 
     def _record_calls(self, monkeypatch):
         """Record (nodes, links) of every ``_components`` call, the shape
         of every link mask a chunk of rows labels, and (rows, row size) of
-        every chunk ``_row_chunks`` hands out, in the row pass and in the
+        every chunk ``row_chunks`` hands out, in the row pass and in the
         sandwich property alike; the chunks that ``component_counts``
         takes of rows the row pass has chunked already go to a fourth
         list."""
         import shg.nodal as nodal
 
         seen, masks, chunks, nested = [], [], [], []
-        real, real_labels, real_chunks = nodal._components, nodal._labels, nodal._row_chunks
+        real, real_labels, real_chunks = nodal._components, nodal._labels, nodal.row_chunks
         real_counts = nodal.component_counts
         # the open calls of component_counts and of the row pass
         depth = [0, 0]
@@ -976,7 +982,8 @@ class TestChunking:
         real_row_pass = nodal._row_pass
         monkeypatch.setattr(nodal, "_components", wrapper)
         monkeypatch.setattr(nodal, "_labels", labels_wrapper)
-        monkeypatch.setattr(nodal, "_row_chunks", chunks_wrapper)
+        monkeypatch.setattr(nodal, "row_chunks", chunks_wrapper)
+        monkeypatch.setattr(verify, "row_chunks", chunks_wrapper)
         monkeypatch.setattr(nodal, "component_counts", counts_wrapper)
         monkeypatch.setattr(verify, "component_counts", counts_wrapper)
         monkeypatch.setattr(nodal, "_row_pass", row_pass_wrapper)
@@ -1309,3 +1316,42 @@ class TestWeakPassAgainstReference:
 
         monkeypatch.setattr(VertexFunction, "sign", refuse)
         assert Analysis(h, 0.2).decompositions == expected
+
+
+class TestOneScanAgainstTwoScans:
+    """``decompose`` sorts the pair table in one scan and the weak pass
+    links on the strong union-find; ``reference_decomposition`` scans
+    twice and links the strong domains again into a second one."""
+
+    @given(weak_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_decompose(self, case):
+        h, fs = case
+        for f in fs:
+            dec = decompose(h, f)
+            expected = reference_decomposition(h, f)
+            assert (dec.strong, dec.weak_cores, dec.weak_closures) == expected
+            if h.n <= ORACLE_MAX_N:
+                assert expected == oracle_domains(h, f)
+
+    @given(zero_heavy_instances(max_n=8, max_m=12))
+    @settings(max_examples=150, deadline=None)
+    def test_decompose_on_zero_heavy_instances(self, case):
+        h, f = case
+        dec = decompose(h, f)
+        assert (dec.strong, dec.weak_cores, dec.weak_closures) == reference_decomposition(h, f) \
+            == oracle_domains(h, f)
+
+    @given(weak_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_analysis_seeds_the_weak_pass_from_the_row_pass(self, case):
+        h, _ = case
+        analysis = Analysis(h, zero_tol_rel=0.2)
+        for dec, f in zip(analysis.decompositions, analysis.spectrum.functions, strict=True):
+            assert (dec.strong, dec.weak_cores, dec.weak_closures) == reference_decomposition(h, f)
+
+    @given(link_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_the_edge_id_walk(self, case):
+        n, links = case
+        assert _blocks(n, links) == reference_blocks(n, links)

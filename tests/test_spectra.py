@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from shg.core import Edge, SignedHypergraph, degrees
 from shg.fixtures import PRINTED_LAPLACIAN, fixture_example1
 from shg.spectra import (
+    MatrixBundle,
     VertexFunction,
     adjacency,
     chained_difference_rank,
@@ -22,7 +23,16 @@ from shg.spectra import (
     weighted_inner,
 )
 
-from references import adjacency_int, product_rule_defect
+from shg.verify import GenConfig, generate
+
+from references import (
+    adjacency_int,
+    product_rule_defect,
+    reference_nodal_quadratic_form,
+    reference_positive_inertia,
+    reference_rayleigh,
+    reference_weighted_inner,
+)
 
 
 def h_of(n, *edge_specs):
@@ -171,6 +181,35 @@ class TestEigendecomposition:
         with pytest.raises(ValueError, match="cluster tolerance must be finite and nonnegative"):
             eigendecompose(b, cluster_tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 0.2])
+    def test_functions_equal_the_per_column_construction(self, tol):
+        # the eigenvectors are built into functions all at once; each must
+        # be the function that from_values makes of its column
+        for h in generate(GenConfig(seed=2026, count=20)):
+            b = laplacian(h)
+            _, u = np.linalg.eigh((b.m + b.m.T) / 2.0)
+            columns = (u / np.sqrt(b.deg)[:, None]).T.tolist()
+            s = eigendecompose(b, zero_tol_rel=tol)
+            assert s.functions == tuple(VertexFunction.from_values(c, rel_tol=tol) for c in columns)
+            assert all(type(x) is float for f in s.functions for x in (*f.values, f.zero_tolerance))
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_refuses_bad_zero_tol(self, fixture, tol):
+        _, b = fixture
+        with pytest.raises(ValueError, match="zero tolerance must be finite and nonnegative"):
+            eigendecompose(b, zero_tol_rel=tol)
+
+    def test_refuses_non_finite_functions(self, fixture):
+        # a NaN degree makes D^-1/2 u NaN; the check on the values comes
+        # before the check on the tolerance, as in from_values
+        _, b = fixture
+        deg = b.deg.copy()
+        deg[3] = np.nan
+        broken = MatrixBundle(b.n, b.a, deg, b.l, b.m)
+        for tol in (1e-8, -1.0):
+            with pytest.raises(ValueError, match="function values must be finite"):
+                eigendecompose(broken, zero_tol_rel=tol)
+
     def test_flat_spectrum_single_cluster(self):
         # identity-like Laplacian: n isolated-pair components with zero adjacency
         h = h_of(4, ((1, 1), (2, 1)), ((1, 1), (2, -1)),
@@ -278,3 +317,79 @@ class TestRandomizedIdentities:
         left = weighted_inner(h, b.l @ f, g)
         right = weighted_inner(h, f, b.l @ g)
         assert abs(left - right) < 1e-9 * max(1.0, abs(left))
+
+
+def stack_cases():
+    """(h, bundle, eigenfunction stack, eigenvalues, random stack): the
+    seed-2026 campaign instances and one instance on a single vertex."""
+    rng = np.random.default_rng(2026)
+    hs = list(generate(GenConfig(seed=2026, count=30))) + [h_of(1, ((1, 1),))]
+    for h in hs:
+        b = laplacian(h)
+        s = eigendecompose(b)
+        eig = np.array([f.values for f in s.functions])
+        yield h, b, eig, np.array(s.eigenvalues), rng.normal(size=(7, h.n))
+
+
+def assert_close(got, want, scale):
+    """Agreement within 1e-12 of ``scale``: the magnitude of the terms
+    summed for an inner product, of the quotient itself (at least 1) for
+    a Rayleigh quotient."""
+    assert len(got) == len(want)
+    assert all(abs(a - b) <= 1e-12 * c for a, b, c in zip(got, want, scale))
+
+
+class TestStackedHelpers:
+    """The stacked helpers against one function at a time: forms and
+    inertia counts identical, sums within 1e-12 of the magnitude of their
+    terms (the summation order may differ)."""
+
+    def test_forms_and_inertia_are_identical(self):
+        for _, b, eig, lam, _ in stack_cases():
+            forms = nodal_quadratic_form(b, eig, lam)
+            assert forms.shape == (b.n, b.n, b.n)
+            want = [reference_nodal_quadratic_form(b, g, x) for g, x in zip(eig, lam)]
+            assert all(np.array_equal(f, w) for f, w in zip(forms, want, strict=True))
+            counts = positive_inertia(forms)
+            assert counts.tolist() == [reference_positive_inertia(w) for w in want]
+
+    def test_quotients_and_inner_products_agree(self):
+        for h, b, eig, _, rand in stack_cases():
+            for stack in (eig, rand):
+                got = rayleigh(h, b, stack)
+                assert got.shape == (len(stack),)
+                want = [reference_rayleigh(b, g) for g in stack]
+                assert_close(got.tolist(), want, [max(1.0, abs(q)) for q in want])
+            f, g = rand, rand[::-1] @ b.l.T
+            got = weighted_inner(h, f, g)
+            scale = [float(np.dot(b.deg, np.abs(x * y))) for x, y in zip(f, g)]
+            assert_close(got.tolist(), [reference_weighted_inner(h, x, y) for x, y in zip(f, g)], scale)
+
+    def test_one_function_keeps_its_return_type(self):
+        h, b, eig, lam, rand = next(stack_cases())
+        assert type(weighted_inner(h, rand[0], rand[1])) is float
+        assert type(rayleigh(h, b, rand[0])) is float
+        form = nodal_quadratic_form(b, VertexFunction.from_values(eig[0]), lam[0])
+        assert form.shape == (h.n, h.n)
+        assert type(positive_inertia(form)) is int
+        # a stack of one is an array of one
+        assert rayleigh(h, b, rand[:1]).shape == (1,)
+        assert positive_inertia(form[None]).shape == (1,)
+
+    def test_empty_stack(self):
+        h, b, _, _, _ = next(stack_cases())
+        empty = np.zeros((0, h.n))
+        assert weighted_inner(h, empty, empty).shape == (0,)
+        assert rayleigh(h, b, empty).shape == (0,)
+        forms = nodal_quadratic_form(b, empty, np.zeros(0))
+        assert forms.shape == (0, h.n, h.n)
+        assert positive_inertia(forms).shape == (0,)
+
+    def test_one_bad_row_refuses_the_stack(self):
+        h, b, eig, lam, rand = next(stack_cases())
+        with pytest.raises(ValueError, match="zero function"):
+            rayleigh(h, b, np.vstack((rand, np.zeros(h.n))))
+        with pytest.raises(ValueError, match="not an eigenfunction"):
+            nodal_quadratic_form(b, np.vstack((eig, rand[:1])), np.append(lam, 0.5))
+        with pytest.raises(ValueError, match="one value per vertex"):
+            weighted_inner(h, np.zeros((2, h.n + 1)), np.zeros((2, h.n + 1)))

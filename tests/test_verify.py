@@ -343,7 +343,7 @@ class TestSandwich:
         # an inertia above every count fails each full-support row, so its
         # detail string shows the forest weight, the positive pairs and the
         # slack of every row
-        monkeypatch.setattr(shg.verify, "positive_inertia", lambda s: 10**6)
+        monkeypatch.setattr(shg.verify, "positive_inertia", lambda s: np.full(len(s), 10**6))
         rows = 0
         for h in generate(cfg):
             for tol in (0.0, 0.2):
@@ -457,7 +457,12 @@ class TestCampaign:
         # zero-free function; merging its domains keeps them equal, and
         # only the batched pass differs
         strong = shg.nodal._strong
-        monkeypatch.setattr(shg.nodal, "_strong", lambda h, sign: self._merge_first_two(strong(h, sign)))
+
+        def merged(h, sign):
+            scan = strong(h, sign)
+            return scan._replace(domains=self._merge_first_two(scan.domains))
+
+        monkeypatch.setattr(shg.nodal, "_strong", merged)
         fails, _ = self._no_zeros_identical()
         assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
 
