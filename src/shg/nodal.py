@@ -404,10 +404,7 @@ def _weak(h: SignedHypergraph, sign: list[int],
     depth-first tree also roots each zero component; the closure of every
     core that its attachments reach absorbs it.
     """
-    domains, uf, pairs, attach = strong
-    if not attach:
-        return domains, domains
-
+    _, uf, pairs, attach = strong
     blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))

@@ -565,7 +565,8 @@ class TestOnePassAgainstReferences:
     def test_decompose_matches_oracle(self, case):
         h, f = case
         dec = decompose(h, f)
-        assert (dec.strong, dec.weak_cores, dec.weak_closures) == oracle_domains(h, f)
+        assert (dec.strong, dec.weak_cores, dec.weak_closures) == oracle_domains(h, f) \
+            == reference_decomposition(h, f)
 
     @given(zero_heavy_instances(max_n=40, max_m=50))
     @settings(max_examples=100, deadline=None)
@@ -1272,6 +1273,18 @@ class TestWeakPassAgainstReference:
             assert dec.strong == reference_strong(h, f)
             assert (dec.weak_cores, dec.weak_closures) == expected
             assert tuple(sorted(v for domain in dec.strong for v in domain)) == f.support()
+            # the one scan against the two scans it replaced, and the oracle
+            two_scans = reference_decomposition(h, f)
+            assert (dec.strong, dec.weak_cores, dec.weak_closures) == two_scans
+            if h.n <= ORACLE_MAX_N:
+                assert two_scans == oracle_domains(h, f)
+
+    @given(link_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_the_edge_id_walk(self, case):
+        # (neighbour, edge id) lists give the same blocks and the same tree
+        n, links = case
+        assert _blocks(n, links) == reference_blocks(n, links)
 
     @given(weak_cases())
     @settings(max_examples=100, deadline=None)
@@ -1317,41 +1330,3 @@ class TestWeakPassAgainstReference:
         monkeypatch.setattr(VertexFunction, "sign", refuse)
         assert Analysis(h, 0.2).decompositions == expected
 
-
-class TestOneScanAgainstTwoScans:
-    """``decompose`` sorts the pair table in one scan and the weak pass
-    links on the strong union-find; ``reference_decomposition`` scans
-    twice and links the strong domains again into a second one."""
-
-    @given(weak_cases())
-    @settings(max_examples=150, deadline=None)
-    def test_decompose(self, case):
-        h, fs = case
-        for f in fs:
-            dec = decompose(h, f)
-            expected = reference_decomposition(h, f)
-            assert (dec.strong, dec.weak_cores, dec.weak_closures) == expected
-            if h.n <= ORACLE_MAX_N:
-                assert expected == oracle_domains(h, f)
-
-    @given(zero_heavy_instances(max_n=8, max_m=12))
-    @settings(max_examples=150, deadline=None)
-    def test_decompose_on_zero_heavy_instances(self, case):
-        h, f = case
-        dec = decompose(h, f)
-        assert (dec.strong, dec.weak_cores, dec.weak_closures) == reference_decomposition(h, f) \
-            == oracle_domains(h, f)
-
-    @given(weak_cases())
-    @settings(max_examples=100, deadline=None)
-    def test_analysis_seeds_the_weak_pass_from_the_row_pass(self, case):
-        h, _ = case
-        analysis = Analysis(h, zero_tol_rel=0.2)
-        for dec, f in zip(analysis.decompositions, analysis.spectrum.functions, strict=True):
-            assert (dec.strong, dec.weak_cores, dec.weak_closures) == reference_decomposition(h, f)
-
-    @given(link_lists())
-    @settings(max_examples=300, deadline=None)
-    def test_blocks_match_the_edge_id_walk(self, case):
-        n, links = case
-        assert _blocks(n, links) == reference_blocks(n, links)

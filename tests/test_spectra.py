@@ -340,9 +340,10 @@ def assert_close(got, want, scale):
 
 
 class TestStackedHelpers:
-    """The stacked helpers against one function at a time: forms and
-    inertia counts identical, sums within 1e-12 of the magnitude of their
-    terms (the summation order may differ)."""
+    """The stacked helpers against one function at a time
+    (``references``): forms and inertia counts identical, quotients and
+    inner products within 1e-12 relative, as ``assert_close`` reads it
+    (the summation order may differ)."""
 
     def test_forms_and_inertia_are_identical(self):
         for _, b, eig, lam, _ in stack_cases():
