@@ -335,15 +335,12 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     Returns the blocks (biconnected components) as lists of edge ids and
     the depth-first tree as (child, edge id) in discovery order.  This is
     the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
-    stack over (neighbour, edge id) lists; parallel edges are kept apart,
-    so two of them form a block.
+    stack; parallel edges are kept apart, so two of them form a block.
     """
-    if not ends:
-        return [], []
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    inc: list[list[int]] = [[] for _ in range(n_nodes)]
     for ei, (a, b) in enumerate(ends):
-        adj[a].append((b, ei))
-        adj[b].append((a, ei))
+        inc[a].append(ei)
+        inc[b].append(ei)
     disc = [-1] * n_nodes
     low = [0] * n_nodes
     counter = 0
@@ -351,22 +348,24 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     blocks: list[list[int]] = []
     tree: list[tuple[int, int]] = []
     for root in range(n_nodes):
-        if disc[root] >= 0 or not adj[root]:
+        if disc[root] >= 0 or not inc[root]:
             continue
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, iter(adj[root]))]
+        stack = [(root, -1, iter(inc[root]))]
         while stack:
             v, in_edge, it = stack[-1]
-            for t, ei in it:
+            for ei in it:
                 if ei == in_edge:
                     continue
+                a, b = ends[ei]
+                t = b if a == v else a
                 if disc[t] < 0:
                     edge_stack.append(ei)
                     tree.append((t, ei))
                     disc[t] = low[t] = counter
                     counter += 1
-                    stack.append((t, ei, iter(adj[t])))
+                    stack.append((t, ei, iter(inc[t])))
                     break
                 if disc[t] < disc[v]:
                     edge_stack.append(ei)

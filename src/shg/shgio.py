@@ -37,6 +37,8 @@ def _is_number(token: str) -> bool:
 
 def parse(text: str) -> SignedHypergraph:
     """Read one hypergraph from text in the format above."""
+    # isascii() is O(1): an all-ASCII text needs isdigit alone
+    digits = str.isdigit if text.isascii() else _is_number
     rows = [
         (i + 1, line.strip())
         for i, line in enumerate(text.splitlines())
@@ -51,7 +53,7 @@ def parse(text: str) -> SignedHypergraph:
         _fail(lineno, "missing 'vertices N' line")
     lineno, decl = rows[1]
     parts = decl.split()
-    if len(parts) != 2 or parts[0] != "vertices" or not _is_number(parts[1]):
+    if len(parts) != 2 or parts[0] != "vertices" or not digits(parts[1]):
         _fail(lineno, f"expected 'vertices N', got {decl!r}")
     n = int(parts[1])
     edges: list[Edge] = []
@@ -64,7 +66,7 @@ def parse(text: str) -> SignedHypergraph:
         incidences: list[tuple[int, int]] = []
         for tok in tokens[1:]:
             v_str, sep, s_str = tok.partition(":")
-            if not sep or s_str not in _SIGN_IN or not _is_number(v_str):
+            if not sep or s_str not in _SIGN_IN or not digits(v_str):
                 _fail(lineno, f"expected 'vertex:sign' with sign + or -, got {tok!r}")
             v = int(v_str)
             if not 1 <= v <= n:

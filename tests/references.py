@@ -22,6 +22,7 @@ from shg.core import (
     induced_subhypergraph,
     weak_delete,
 )
+from shg.nodal import _blocks
 
 
 def support_cyclomatic(h, f) -> CycleStats:
@@ -116,54 +117,6 @@ def reference_nodal_quadratic_form(bundle, g, eigenvalue) -> np.ndarray:
 # --- the strong and weak passes before the one scan of ``nodal.decompose``
 
 
-def reference_blocks(n_nodes, ends):
-    """``nodal._blocks`` over per-node lists of edge ids, each edge's far
-    end read off ``ends``: the same Hopcroft-Tarjan search."""
-    inc = [[] for _ in range(n_nodes)]
-    for ei, (a, b) in enumerate(ends):
-        inc[a].append(ei)
-        inc[b].append(ei)
-    disc = [-1] * n_nodes
-    low = [0] * n_nodes
-    counter = 0
-    edge_stack, blocks, tree = [], [], []
-    for root in range(n_nodes):
-        if disc[root] >= 0 or not inc[root]:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(inc[root]))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            for ei in it:
-                if ei == in_edge:
-                    continue
-                a, b = ends[ei]
-                t = b if a == v else a
-                if disc[t] < 0:
-                    edge_stack.append(ei)
-                    tree.append((t, ei))
-                    disc[t] = low[t] = counter
-                    counter += 1
-                    stack.append((t, ei, iter(inc[t])))
-                    break
-                if disc[t] < disc[v]:
-                    edge_stack.append(ei)
-                    low[v] = min(low[v], disc[t])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        i = len(edge_stack) - 1
-                        while edge_stack[i] != in_edge:
-                            i -= 1
-                        blocks.append(edge_stack[i:])
-                        del edge_stack[i:]
-    return blocks, tree
-
-
 def reference_decomposition(h, f):
     """(strong, weak cores, weak closures) of f by two scans of the pair
     table: the strong links into one union-find, then the zero pairs and
@@ -187,7 +140,7 @@ def reference_decomposition(h, f):
         return strong, strong, strong
 
     pairs = list(zz)
-    blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+    blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
     for child, ei in tree:

@@ -49,7 +49,6 @@ from shg.verify import ORACLE_MAX_N, GenConfig, generate, oracle_domains
 
 from references import (
     clique_expansion,
-    reference_blocks,
     reference_decomposition,
     reference_is_tree_like,
     support_cyclomatic,
@@ -1278,13 +1277,6 @@ class TestWeakPassAgainstReference:
             assert (dec.strong, dec.weak_cores, dec.weak_closures) == two_scans
             if h.n <= ORACLE_MAX_N:
                 assert two_scans == oracle_domains(h, f)
-
-    @given(link_lists())
-    @settings(max_examples=300, deadline=None)
-    def test_blocks_match_the_edge_id_walk(self, case):
-        # (neighbour, edge id) lists give the same blocks and the same tree
-        n, links = case
-        assert _blocks(n, links) == reference_blocks(n, links)
 
     @given(weak_cases())
     @settings(max_examples=100, deadline=None)
