@@ -34,9 +34,9 @@ attachments, and l_plus, l' and the Fiedler sets on h and on its clique
 expansion alike.  Its labellings share ``_labels``, which runs
 ``_components``, hook-and-jump rounds on numpy arrays over the rows as
 one block-diagonal graph; ``component_counts`` counts the components of
-such rows, chunked by ``row_chunks`` as the row pass chunks them.  The one-function
-entries ``decompose`` and ``fiedler_sets`` keep their own code (a
-one-row kernel call costs more than it saves) and union with
+such rows, chunked by ``row_chunks`` as the row pass chunks them.  The
+one-function entries ``decompose`` and ``fiedler_sets`` keep their own
+code (a one-row kernel call costs more than it saves) and union with
 ``core.UnionFind.link`` where they union, as does the weak pass of each
 function with an attachment; an eigenfunction's weak pass starts from
 a union-find whose parents are set to its strong domains from the row
