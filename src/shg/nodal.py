@@ -18,8 +18,9 @@ potential, and a block carrying an unbalanced cycle contributes both
 signs.  Each zero component then links the nonzeros attached to it by
 comparing one sign per attachment.  One scan of the pair table
 (``_sort_pairs``) sorts every pair of a function into a strong link, a
-zero-zero pair or an attachment; the weak pass (``_weak``) reads the
-last two and keeps linking on the union-find of the strong domains.
+zero-zero pair or an attachment; the weak pass (``_weak``) takes the
+last two lists and a union-find joined on the strong domains, and only
+links further on it.
 Whether a vertex is tree-like depends on the graph alone, and one block
 pass over the vertex-edge incidence graph decides it for all vertices,
 on h and on its clique expansion alike (``cyclic_vertices``, the one
@@ -38,9 +39,9 @@ such rows, chunked by ``row_chunks`` as the row pass chunks them.  The
 one-function entries ``decompose`` and ``fiedler_sets`` keep their own
 code (a one-row kernel call costs more than it saves) and union with
 ``core.UnionFind.link`` where they union, as does the weak pass of each
-function with an attachment; an eigenfunction's weak pass starts from
-a union-find whose parents are set to its strong domains from the row
-pass.
+function with an attachment: ``decompose`` hands it the union-find of
+its strong links, and an eigenfunction's weak pass a new one that
+``UnionFind.link`` joins on its strong domains from the row pass.
 
 A vertex set (a domain, a Fiedler set) is a tuple of its vertices in
 ascending order, and a partition a tuple of domains ordered by smallest
@@ -271,22 +272,12 @@ def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
-class _Strong(NamedTuple):
-    """The strong pass of one list of signs: its domains, the union-find
-    that joins them, and the other pairs of the same scan of the pair
-    table, the zero-zero pairs (each once per sign, low end first) and
-    the attachments (u, z, s) of a nonzero u to a zero z."""
-
-    domains: tuple[tuple[int, ...], ...]
-    uf: UnionFind
-    zero_pairs: list[tuple[int, int, int]]
-    attach: list[tuple[int, int, int]]
-
-
 def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
         list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """One scan of the pair table: (strong links, zero-zero pairs,
-    attachments), the parts of ``_Strong``."""
+    """One scan of the pair table, sorting each pair under the signs
+    ``sign``: (the strong links, the zero-zero pairs, each once per sign
+    with its low end first, the attachments (u, z, s) of a nonzero u to a
+    zero z)."""
     links: list[tuple[int, int]] = []
     zz: dict[tuple[int, int, int], None] = {}
     attach: list[tuple[int, int, int]] = []
@@ -303,30 +294,6 @@ def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
         else:
             zz[(x, y, s) if x < y else (y, x, s)] = None
     return links, list(zz), attach
-
-
-def _strong(h: SignedHypergraph, sign: list[int]) -> _Strong:
-    """The strong pass of ``sign``: one scan of the pair table, its strong
-    links joined on a new union-find."""
-    links, zz, attach = _sort_pairs(h, sign)
-    uf = UnionFind(h.n)
-    uf.link(links)
-    return _Strong(uf.groups(v for v in h.vertex_range() if sign[v]), uf, zz, attach)
-
-
-def _seeded(h: SignedHypergraph, sign: list[int], domains: tuple[tuple[int, ...], ...]) -> _Strong:
-    """The ``_Strong`` of signs whose strong domains are known: the
-    union-find takes them by setting parents directly, and only the zero
-    pairs and attachments are read off the scan."""
-    uf = UnionFind(h.n)
-    parent = uf.parent
-    for domain in domains:
-        root = domain[0]
-        for v in domain:
-            parent[v] = root
-    uf.count -= sum(map(len, domains)) - len(domains)
-    _, zz, attach = _sort_pairs(h, sign)
-    return _Strong(domains, uf, zz, attach)
 
 
 def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -384,26 +351,26 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     return blocks, tree
 
 
-def _weak(h: SignedHypergraph, sign: list[int],
-          strong: _Strong) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(cores, closures) of the signs ``sign`` (index 0 unused), whose
-    strong pass is ``strong``; the cores join strong domains only, by
-    further links on the strong pass's union-find.
+def _weak(h: SignedHypergraph, sign: list[int], uf: UnionFind, pairs: list[tuple[int, int, int]],
+          attach: list[tuple[int, int, int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(cores, closures) of the signs ``sign`` (index 0 unused), given
+    ``uf`` joined on their strong domains and the zero-zero ``pairs`` and
+    attachments ``attach`` of ``_sort_pairs``; the cores join strong
+    domains only, by further links on ``uf``.
 
     A weak link that is not strong is one attachment (u, z, s) of a
     nonzero u to a zero z, a simple path inside one zero component, and
-    one more attachment, so the zero pairs and attachments of the strong
-    pass's scan serve.  On the zero pair graph a depth-first potential
-    theta decides each block: balanced when theta(x) * s * theta(y) = 1 on
-    all its pairs, so any path inside it between a and b has sign
-    theta(a) * theta(b); a block with an unbalanced cycle has simple paths
-    of both signs between any two of its vertices.  Balanced blocks glued
-    at cut vertices form regions, where theta still gives the path sign;
-    two zeros in different regions are joined by paths of both signs.  The
-    depth-first tree also roots each zero component; the closure of every
-    core that its attachments reach absorbs it.
+    one more attachment, so the zero pairs and attachments serve.  On the
+    zero pair graph a depth-first potential theta decides each block:
+    balanced when theta(x) * s * theta(y) = 1 on all its pairs, so any
+    path inside it between a and b has sign theta(a) * theta(b); a block
+    with an unbalanced cycle has simple paths of both signs between any
+    two of its vertices.  Balanced blocks glued at cut vertices form
+    regions, where theta still gives the path sign; two zeros in
+    different regions are joined by paths of both signs.  The depth-first
+    tree also roots each zero component; the closure of every core that
+    its attachments reach absorbs it.
     """
-    _, uf, pairs, attach = strong
     blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
@@ -444,18 +411,16 @@ def _weak(h: SignedHypergraph, sign: list[int],
 
 
 def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(weak cores, weak closures) of f by ``_weak``, which runs even when
-    f has no zero.  Not exported: ``decompose`` answers for the program,
-    and only the one-off timing script ``bench/reference.py`` calls this,
-    until that script is retired."""
-    _check_function(h, f)
-    sign = _vertex_signs(f)
-    return _weak(h, sign, _strong(h, sign))
+    """(weak cores, weak closures) of f, read off ``decompose``.  Not
+    exported: only the one-off timing script ``bench/reference.py`` calls
+    this, until that script is retired."""
+    dec = decompose(h, f)
+    return dec.weak_cores, dec.weak_closures
 
 
 def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     """Full nodal decomposition of f on h, from one list of signs and one
-    scan of the pair table (``_strong``).
+    scan of the pair table (``_sort_pairs``).
 
     The strong domains are the components of the support under strong
     links: {x, y} is linked when some edge contains both and
@@ -468,9 +433,12 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     """
     _check_function(h, f)
     sign = _vertex_signs(f)
-    strong = _strong(h, sign)
-    weak = _weak(h, sign, strong) if strong.attach else (strong.domains, strong.domains)
-    return NodalDecomposition(strong.domains, *weak)
+    links, zero_pairs, attach = _sort_pairs(h, sign)
+    uf = UnionFind(h.n)
+    uf.link(links)
+    strong = uf.groups(v for v in h.vertex_range() if sign[v])
+    weak = _weak(h, sign, uf, zero_pairs, attach) if attach else (strong, strong)
+    return NodalDecomposition(strong, *weak)
 
 
 def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool:
@@ -773,7 +741,10 @@ class Analysis:
         for row, strong, attached in zip(self.signs, self._rows.strong, self._rows.attached):
             if attached:
                 sign = row.tolist()
-                weak = _weak(self.h, sign, _seeded(self.h, sign, strong))
+                _, zero_pairs, attach = _sort_pairs(self.h, sign)
+                uf = UnionFind(self.h.n)
+                uf.link((d[0], v) for d in strong for v in d[1:])
+                weak = _weak(self.h, sign, uf, zero_pairs, attach)
             else:
                 weak = (strong, strong)
             out.append(NodalDecomposition(strong, *weak))

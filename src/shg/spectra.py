@@ -236,7 +236,7 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
     return Spectrum(tuple(float(x) for x in w), functions, _cluster(w, cluster_tol))
 
 
-def rayleigh(h: SignedHypergraph, bundle: MatrixBundle, g) -> "float | np.ndarray":
+def rayleigh(bundle: MatrixBundle, g) -> "float | np.ndarray":
     """Weighted Rayleigh quotient <Lg, g> / <g, g>; g must be nonzero.  A
     stack of k functions gives the k quotients of its rows, and any zero
     row is refused."""

@@ -22,6 +22,7 @@ terms are built.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import Counter
@@ -142,13 +143,29 @@ def _random_edge(rng: random.Random, cfg: GenConfig, n: int) -> Edge:
     return Edge(tuple((v, 1 if rng.random() < cfg.sign_bias else -1) for v in vs))
 
 
+def _edge_goal(cfg: GenConfig, n: int, m: int) -> int:
+    """min(m, the number of distinct edges ``_random_edge`` draws on n
+    vertices): n(n - 1) ordered pairs when classical, else C(n, s) * 2^s
+    signed edges of each size s."""
+    if cfg.classical:
+        return min(m, n * (n - 1))
+    lo, hi = cfg.edge_size_range
+    total = 0
+    for size in range(lo, min(hi, n) + 1):
+        total += math.comb(n, size) << size
+        if total >= m:
+            return m
+    return total
+
+
 def _one_instance(rng: random.Random, cfg: GenConfig) -> SignedHypergraph:
     n = rng.randint(*cfg.n_range)
     m = rng.randint(*cfg.m_range)
+    goal = _edge_goal(cfg, n, m)
     edges: list[Edge] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     attempts = 0
-    while len(edges) < m and attempts < 100 * (m + 1):
+    while len(edges) < goal and attempts < 100 * (m + 1):
         attempts += 1
         e = _random_edge(rng, cfg, n)
         key = _edge_key(e)
@@ -666,7 +683,7 @@ def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
     indices = (1, h.n)
     stack = np.vstack((_random_stack(ctx, rng, 5),
                        [ctx.spectrum.functions[k - 1].values for k in indices]))
-    quotients = _by_chunks(lambda rows: rayleigh(h, b, stack[rows]), len(stack), h.n)
+    quotients = _by_chunks(lambda rows: rayleigh(b, stack[rows]), len(stack), h.n)
     fails = []
     for q in quotients[:5]:
         if not (w[0] - slack <= q <= w[-1] + slack):

@@ -258,6 +258,12 @@ class TestFuzzCommand:
         assert payload["config"]["n_range"] == [4, 6]
         assert payload["config"]["edge_size_range"] == [2, 3]
 
+    def test_scale_past_the_distinct_edges_runs(self, capsys):
+        # 4 vertices carry 24 distinct edges of size 2, far fewer than M
+        assert main(["fuzz", "--scale", "4,8000000,2", "--count", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["instances_run"] == 1 and payload["failures"] == []
+
     def test_bad_scale(self, capsys):
         assert main(["fuzz", "--scale", "6,4"]) == 2
         assert "--scale expects" in capsys.readouterr().err
@@ -429,13 +435,13 @@ class TestReportModule:
 
     def test_one_decomposition_per_function(self, monkeypatch):
         # one sign matrix per Analysis decides the strong domains of every
-        # eigenfunction; no eigenfunction goes through decompose or its
-        # strong pass on its own
-        calls = self._count(monkeypatch, ("_sign_matrix", "decompose", "_strong"))
+        # eigenfunction; no eigenfunction goes through decompose, the one
+        # home of the one-function strong pass, on its own
+        calls = self._count(monkeypatch, ("_sign_matrix", "decompose"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         report = build_report(h, input_digest(serialize(h)))
         assert len(report["eigenfunctions"]) == 20
-        assert calls == {"_sign_matrix": [1], "decompose": [], "_strong": []}
+        assert calls == {"_sign_matrix": [1], "decompose": []}
 
     def test_one_fiedler_pass_and_one_l_plus_pass_per_graph(self, monkeypatch):
         # the Fiedler sets and l_plus of all 20 eigenfunctions come from

@@ -1,5 +1,6 @@
 """Package layout: modules reach each other through public names only,
-and every vertex set is an ascending tuple, never a ``frozenset``."""
+every vertex set is an ascending tuple, never a ``frozenset``, and every
+parameter is read."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,26 @@ def frozenset_uses(source):
     included."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if getattr(node, "id", None) == "frozenset" or getattr(node, "attr", None) == "frozenset")
+
+
+def unused_parameters(source):
+    """The (line, function, parameter) of every parameter of a function or
+    lambda in ``source`` that its body never reads, a read inside a nested
+    function included.  A campaign property (decorated ``@_property(...)``)
+    is exempt: every property takes ``(ctx, rng)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_property"
+               for d in getattr(node, "decorator_list", ())):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+        read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p) for p in params if p not in read]
+    return found
 
 
 def test_no_module_imports_a_private_name():
@@ -54,3 +75,24 @@ def test_the_check_sees_frozenset():
               "x = set().union, 'frozenset', frozen_set\n"
               "make = builtins.frozenset\n")
     assert frozenset_uses(source) == [1, 2, 4]
+
+
+def test_every_parameter_is_read():
+    found = {path.name: unused_parameters(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
+def test_the_check_sees_unused_parameters():
+    source = ("def f(h, bundle, g=0, *args, key, **kw):\n"
+              "    return bundle + args[0] + kw['x']\n"
+              "def outer(x, y):\n"
+              "    y = 1\n"
+              "    def inner():\n"
+              "        return x\n"
+              "    return inner\n"
+              "key = lambda rows, v: rows\n"
+              "@_property('p')\n"
+              "def _p(ctx, rng):\n"
+              "    return ctx\n")
+    assert unused_parameters(source) == [
+        (1, "f", "h"), (1, "f", "g"), (1, "f", "key"), (3, "outer", "y"), (8, "<lambda>", "v")]

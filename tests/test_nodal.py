@@ -1299,9 +1299,9 @@ class TestWeakPassAgainstReference:
         expected = tuple(decompose(h, f) for f in Analysis(h).spectrum.functions)
         real, weak_rows = nodal._weak, []
 
-        def recording(g, sign, strong):
+        def recording(g, sign, uf, zero_pairs, attach):
             weak_rows.append(sign)
-            return real(g, sign, strong)
+            return real(g, sign, uf, zero_pairs, attach)
 
         monkeypatch.setattr(nodal, "_weak", recording)
         analysis = Analysis(h)

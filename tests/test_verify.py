@@ -103,6 +103,33 @@ class TestGenerate:
                 assert e.size == 2
                 assert sorted(s for _, s in e.incidences) == [-1, 1]
 
+    def test_classical_with_fewer_pairs_than_edges(self):
+        # one vertex has no ordered pair and two have two, against m up to
+        # 3: the draw takes what exists, and the patch covers one vertex
+        cfg = GenConfig(classical=True, n_range=(1, 2), edge_size_range=(1, 1),
+                        m_range=(1, 3), seed=0, count=20)
+        sizes = {}
+        for h in generate(cfg):
+            sizes.setdefault(h.n, set()).add(h.m)
+            laplacian(h)
+        assert sizes == {1: {1}, 2: {1, 2}}
+
+    def test_draw_stops_at_the_last_distinct_edge(self, monkeypatch):
+        # 4 vertices carry 24 distinct signed edges of size 2: the draw
+        # ends with the one that completes them, not after 100 * (m + 1)
+        # attempts
+        real, drawn = shg.verify._random_edge, []
+
+        def recording(rng, cfg, n):
+            drawn.append(tuple(sorted(real(rng, cfg, n).incidences)))
+            return Edge(drawn[-1])
+
+        monkeypatch.setattr(shg.verify, "_random_edge", recording)
+        cfg = GenConfig(n_range=(4, 4), m_range=(2000, 2000), edge_size_range=(2, 2), count=1)
+        h = next(generate(cfg))
+        assert h.m == len(set(drawn)) == 24
+        assert drawn[-1] not in drawn[:-1]
+
     def test_sign_bias_one_forces_plus(self):
         cfg = GenConfig(sign_bias=1.0, seed=11, count=20, ensure_spectral=False)
         for h in generate(cfg):
@@ -454,15 +481,19 @@ class TestCampaign:
 
     def test_no_zeros_identical_checks_against_the_batched_strong_pass(self, monkeypatch):
         # decompose takes its weak partitions from its strong pass on a
-        # zero-free function; merging its domains keeps them equal, and
-        # only the batched pass differs
-        strong = shg.nodal._strong
+        # zero-free function; a strong link joining its first two domains
+        # keeps them equal, and only the batched pass differs
+        sort_pairs = shg.nodal._sort_pairs
 
         def merged(h, sign):
-            scan = strong(h, sign)
-            return scan._replace(domains=self._merge_first_two(scan.domains))
+            links, zero_pairs, attach = sort_pairs(h, sign)
+            uf = shg.core.UnionFind(h.n)
+            uf.link(links)
+            domains = uf.groups(v for v in h.vertex_range() if sign[v])
+            # one more link from the second domain, if any, to the first
+            return links + [(d[0], domains[0][0]) for d in domains[1:2]], zero_pairs, attach
 
-        monkeypatch.setattr(shg.nodal, "_strong", merged)
+        monkeypatch.setattr(shg.nodal, "_sort_pairs", merged)
         fails, _ = self._no_zeros_identical()
         assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
 
