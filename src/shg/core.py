@@ -14,7 +14,8 @@ Invariants:
 Whether a vertex is tree-like is decided for all vertices at once by one
 block pass, ``nodal.cyclic_vertices``; here ``weak_delete`` gives the
 definition it is checked against and ``lies_on_cycle`` the exhaustive
-cycle search.
+cycle search.  ``spanning_hyperforest`` is one greedy scan, not a search
+for the heaviest hyperforest.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "spanning_hyperforest",
     "lies_on_cycle",
 ]
-
-EXACT_FOREST_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,7 @@ class UnionFind:
     alike.
 
     The batched row passes label components with numpy hook-and-jump
-    rounds instead (``nodal._components``), and the exact search of
-    ``spanning_hyperforest`` keeps undoable parent and size arrays,
-    because backtracking needs unions without path compression.
+    rounds instead (``nodal._components``).
     """
 
     def __init__(self, n: int) -> None:
@@ -268,88 +265,25 @@ def cyclomatic(h: SignedHypergraph) -> CycleStats:
     return CycleStats(total, h.n, c, total - h.n + c)
 
 
-def spanning_hyperforest(h: SignedHypergraph, exact: bool = False) -> tuple[int, ...]:
+def spanning_hyperforest(h: SignedHypergraph) -> tuple[int, ...]:
     """An acyclic edge subset (indices into ``h.edges``, ascending).
 
-    Greedy mode scans edges by decreasing size (ties by input order) and
-    keeps an edge iff its vertices lie in pairwise distinct components.
-    Acyclic edge subsets are not a matroid, so greedy is a heuristic.
-
-    ``exact=True`` maximizes the weight sum(|e|-1) by a depth-first branch
-    and bound, limited to ``EXACT_FOREST_LIMIT`` (24) edges.  Edges of size at
-    most 1 never close a cycle and are always taken.  The others are
-    branched on by decreasing size, trying to take an edge (allowed iff its
-    vertices lie in distinct components) before skipping it, with one
-    union-find whose unions are undone on backtrack.  A branch is cut when
-    its weight plus that of every remaining edge cannot beat the best found,
-    and the search stops when the best reaches the cap n - c(H), the weight
-    of a spanning hyperforest of every component.  Among subsets of maximum
-    weight the first one met in that order is returned.
+    Scans edges by decreasing size (ties by input order) and keeps an
+    edge iff its vertices lie in pairwise distinct components, so empty
+    and singleton edges are always kept and the result is maximal: every
+    other edge closes a cycle with it.  Acyclic edge subsets are not a
+    matroid, so the weight sum(|e|-1) need not be the largest; on 2-edges
+    it is, n - c(H).
     """
-    m = len(h.edges)
     edges = h.edges
-    if not exact:
-        uf = UnionFind(h.n)
-        chosen: list[int] = []
-        for i in sorted(range(m), key=lambda i: (-edges[i].size, i)):
-            vs = edges[i].vertices
-            # empty and singleton edges never create a cycle and always pass
-            if len({uf.find(v) for v in vs}) == len(vs):
-                uf.link((vs[0], u) for u in vs[1:])
-                chosen.append(i)
-        return tuple(sorted(chosen))
-    if m > EXACT_FOREST_LIMIT:
-        raise ValueError(f"exact search too large: {m} edges exceeds {EXACT_FOREST_LIMIT}")
-    always = [i for i in range(m) if edges[i].size <= 1]
-    order = sorted((i for i in range(m) if edges[i].size >= 2), key=lambda i: (-edges[i].size, i))
-    members = [edges[i].vertices for i in order]
-    # suffix[j]: the weight of every edge from order[j] on
-    suffix = [0] * (len(order) + 1)
-    for j in range(len(order) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + len(members[j]) - 1
-    full = UnionFind(h.n)
-    full.link((vs[0], u) for vs in members for u in vs[1:])
-    cap = h.n - full.count
-    # no path compression, so a union is undone by resetting the merged roots
-    parent = list(range(h.n + 1))
-    size = [1] * (h.n + 1)
-    taken: list[int] = []
-    best: list[int] = []
-    best_weight = -1
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def search(j: int, weight: int) -> bool:
-        # True once the best weight reaches the cap
-        nonlocal best, best_weight
-        if weight + suffix[j] <= best_weight:
-            return False
-        if j == len(order) or weight == cap:
-            # at the cap no remaining edge can be taken
-            best, best_weight = taken[:], weight
-            return weight == cap
-        roots = {find(v) for v in members[j]}
-        if len(roots) == len(members[j]):
-            top = max(roots, key=size.__getitem__)
-            merged = [r for r in roots if r != top]
-            for r in merged:
-                parent[r] = top
-                size[top] += size[r]
-            taken.append(order[j])
-            done = search(j + 1, weight + len(merged))
-            taken.pop()
-            for r in merged:
-                parent[r] = r
-                size[top] -= size[r]
-            if done:
-                return True
-        return search(j + 1, weight)
-
-    search(0, 0)
-    return tuple(sorted(always + best))
+    uf = UnionFind(h.n)
+    chosen: list[int] = []
+    for i in sorted(range(len(edges)), key=lambda i: (-edges[i].size, i)):
+        vs = edges[i].vertices
+        if len({uf.find(v) for v in vs}) == len(vs):
+            uf.link((vs[0], u) for u in vs[1:])
+            chosen.append(i)
+    return tuple(sorted(chosen))
 
 
 def lies_on_cycle(h: SignedHypergraph, x: int) -> bool:

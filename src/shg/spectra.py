@@ -41,7 +41,6 @@ __all__ = [
     "rayleigh",
     "positive_inertia",
     "nodal_quadratic_form",
-    "chained_difference_rank",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -182,11 +181,10 @@ def laplacian_exact(h: SignedHypergraph) -> list[list[Fraction]]:
     return out
 
 
-def weighted_inner(h: SignedHypergraph, f, g) -> "float | np.ndarray":
+def weighted_inner(bundle: MatrixBundle, f, g) -> "float | np.ndarray":
     """Degree-weighted inner product sum_v deg(v) f(v) g(v); for stacks of
     k functions f and g, the k products of their rows."""
-    deg = np.asarray(degrees(h)[1:], dtype=float)
-    return _dot(deg * _as_values(f, h.n), _as_values(g, h.n))
+    return _dot(bundle.deg * _as_values(f, bundle.n), _as_values(g, bundle.n))
 
 
 def _cluster(eigenvalues: np.ndarray, cluster_tol: float) -> tuple[tuple[int, int], ...]:
@@ -278,23 +276,3 @@ def nodal_quadratic_form(bundle: MatrixBundle, g, eigenvalue) -> np.ndarray:
     core = bundle.deg[:, None] * (bundle.l - lam[..., None, None] * np.eye(bundle.n))
     s = gv[..., :, None] * core * gv[..., None, :]
     return (s + np.swapaxes(s, -1, -2)) / 2.0
-
-
-def chained_difference_rank(h: SignedHypergraph) -> tuple[int, int]:
-    """Rank of the difference forms x_i - x_j chained within each edge.
-
-    Every edge of size s contributes s-1 rows linking consecutive
-    vertices in incidence order.  Returns (rank, number of rows).
-    """
-    rows: list[np.ndarray] = []
-    for e in h.edges:
-        vs = e.vertices
-        for u, w in zip(vs, vs[1:]):
-            row = np.zeros(h.n)
-            row[u - 1] = 1.0
-            row[w - 1] = -1.0
-            rows.append(row)
-    if not rows:
-        return 0, 0
-    mat = np.vstack(rows)
-    return int(np.linalg.matrix_rank(mat)), len(rows)

@@ -32,11 +32,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
-    EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
     connected_components,
-    cyclomatic,
     degrees,
     edge_sign,
     hyperneighbors,
@@ -57,7 +55,6 @@ from .nodal import (
 from .shgio import parse, serialize
 from .spectra import (
     VertexFunction,
-    chained_difference_rank,
     eigendecompose,
     laplacian,
     nodal_quadratic_form,
@@ -71,7 +68,6 @@ __all__ = [
     "FailureRecord",
     "CampaignResult",
     "generate",
-    "generate_supertree",
     "oracle_domains",
     "run_campaign",
     "rerun_property",
@@ -92,9 +88,9 @@ class GenConfig:
 
     sign_bias is the probability of a + incidence sign.  classical
     restricts to 2-edges carrying one + and one - incidence (edge sign
-    +1), the signed encoding of an ordinary graph.  ensure_spectral
-    patches isolated vertices with an extra edge so the normalized
-    Laplacian exists.
+    +1), the signed encoding of an ordinary graph, and so needs at least
+    two vertices in every instance.  ensure_spectral patches isolated
+    vertices with an extra edge so the normalized Laplacian exists.
     """
 
     n_range: tuple[int, int] = (4, 12)
@@ -115,6 +111,8 @@ class GenConfig:
             raise ValueError("need at least one vertex and a nonnegative edge count")
         if self.edge_size_range[0] < 1:
             raise ValueError("edge sizes must be at least 1")
+        if self.classical and self.n_range[0] < 2:
+            raise ValueError("classical instances need at least two vertices")
         if self.edge_size_range[0] > self.n_range[0]:
             raise ValueError(
                 f"infeasible constraints: edge size {self.edge_size_range[0]} "
@@ -205,24 +203,6 @@ def generate(cfg: GenConfig) -> Iterator[SignedHypergraph]:
     rng = random.Random(cfg.seed)
     for _ in range(cfg.count):
         yield _one_instance(rng, cfg)
-
-
-def generate_supertree(rng: random.Random, n_edges: int,
-                       size_range: tuple[int, int] = (2, 4)) -> SignedHypergraph:
-    """Connected acyclic hypergraph where consecutive edges overlap in
-    exactly one anchor vertex; cyclomatic number 0 by construction."""
-    if n_edges < 1:
-        raise ValueError("need at least one edge")
-    sizes = [rng.randint(*size_range) for _ in range(n_edges)]
-    n = sizes[0]
-    edges = [Edge(tuple((v, rng.choice((1, -1))) for v in range(1, n + 1)))]
-    for s in sizes[1:]:
-        anchor = rng.randint(1, n)
-        fresh = list(range(n + 1, n + s))
-        n += s - 1
-        vs = [anchor] + fresh
-        edges.append(Edge(tuple((v, rng.choice((1, -1))) for v in vs)))
-    return SignedHypergraph(n, tuple(edges))
 
 
 def _strong_delete(h: SignedHypergraph, v: int) -> SignedHypergraph:
@@ -433,17 +413,15 @@ def _property(pid: str) -> Callable[[PropertyFn], PropertyFn]:
     return register
 
 
-def _random_function(ctx: Analysis, rng: random.Random,
-                     zero_prob: float = 0.0) -> VertexFunction:
+def _random_function(ctx: Analysis, rng: random.Random) -> VertexFunction:
+    """Gaussian values, then each set to 0 with probability 0.35."""
     vals = [rng.gauss(0.0, 1.0) for _ in range(ctx.h.n)]
-    if zero_prob > 0.0:
-        vals = [0.0 if rng.random() < zero_prob else x for x in vals]
-    return VertexFunction.from_values(vals)
+    return VertexFunction.from_values([0.0 if rng.random() < 0.35 else x for x in vals])
 
 
 def _random_stack(ctx: Analysis, rng: random.Random, count: int) -> np.ndarray:
-    """The values of ``count`` zero-free ``_random_function`` draws, in
-    their order, one row each."""
+    """``count`` zero-free functions of Gaussian values, one row each, in
+    draw order."""
     return np.array([[rng.gauss(0.0, 1.0) for _ in range(ctx.h.n)] for _ in range(count)])
 
 
@@ -455,14 +433,6 @@ def _by_chunks(fn: Callable[[slice], np.ndarray], n_rows: int, row_size: int) ->
 
 
 # --- core properties -------------------------------------------------------
-
-
-@_property("core.cyclomatic-nonnegative")
-def _p_cyclomatic_nonnegative(ctx: Analysis, rng: random.Random):
-    fails = []
-    if ctx.cycles.l < 0:
-        fails.append(f"cyclomatic {ctx.cycles.l} < 0")
-    return fails, []
 
 
 @_property("core.acyclic-iff-zero")
@@ -528,61 +498,22 @@ def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
-@_property("core.induced-identity")
-def _p_induced_identity(ctx: Analysis, rng: random.Random):
-    h = ctx.h
-    fails = []
-    full = induced_subhypergraph(h, set(h.vertex_range()))
-    if full != h:
-        fails.append("inducing on the full vertex set changed the hypergraph")
-    if h.n >= 1:
-        size = rng.randint(1, h.n)
-        keep = set(rng.sample(list(h.vertex_range()), size))
-        once = induced_subhypergraph(h, keep)
-        twice = induced_subhypergraph(once, set(once.vertex_range()))
-        if once != twice:
-            fails.append(f"re-inducing on {sorted(keep)} was not idempotent")
-    return fails, []
-
-
-@_property("core.exact-forest-geq-greedy")
-def _p_exact_forest_geq_greedy(ctx: Analysis, rng: random.Random):
-    h = ctx.h
-    if h.m > EXACT_FOREST_LIMIT:
-        return [], []
-    fails = []
-    greedy = spanning_hyperforest(h, exact=False)
-    exact = spanning_hyperforest(h, exact=True)
-    w = lambda idx: sum(max(h.edges[i].size - 1, 0) for i in idx)
-    if w(exact) < w(greedy):
-        fails.append(f"exact weight {w(exact)} < greedy weight {w(greedy)}")
-    # checked apart from the search: the edge set is a hyperforest, and no
-    # hyperforest weighs more than n - c
-    chosen = SignedHypergraph(h.n, tuple(h.edges[i] for i in exact), allow_empty_edges=True)
-    if cyclomatic(chosen).l != 0:
-        fails.append(f"exact edge set {list(exact)} is not acyclic")
-    cap = h.n - ctx.cycles.n_components
-    if w(exact) > cap:
-        fails.append(f"exact weight {w(exact)} exceeds n - c = {cap}")
-    return fails, []
-
-
 # --- spectra properties ----------------------------------------------------
 
 
 @_property("spectra.self-adjoint")
 def _p_self_adjoint(ctx: Analysis, rng: random.Random):
-    h, l = ctx.h, ctx.bundle.l
+    b, l = ctx.bundle, ctx.bundle.l
     # five pairs (f, g), each f drawn before its g
     pairs = _random_stack(ctx, rng, 10)
     f, g = pairs[0::2], pairs[1::2]
 
     def sides(rows: slice) -> np.ndarray:
-        return np.stack((weighted_inner(h, f[rows] @ l.T, g[rows]),
-                         weighted_inner(h, f[rows], g[rows] @ l.T)), axis=-1)
+        return np.stack((weighted_inner(b, f[rows] @ l.T, g[rows]),
+                         weighted_inner(b, f[rows], g[rows] @ l.T)), axis=-1)
 
     fails = []
-    for left, right in _by_chunks(sides, len(f), h.n):
+    for left, right in _by_chunks(sides, len(f), b.n):
         scale = max(1.0, abs(left), abs(right))
         if abs(left - right) > 1e-9 * scale:
             fails.append(f"<Lf,g>={left!r} vs <f,Lg>={right!r}")
@@ -663,17 +594,6 @@ def _p_interlacing(ctx: Analysis, rng: random.Random):
     return fails, []
 
 
-@_property("spectra.supertree-rank")
-def _p_supertree_rank(ctx: Analysis, rng: random.Random):
-    st = generate_supertree(rng, rng.randint(1, 5))
-    rank, rows = chained_difference_rank(st)
-    want = sum(e.size - 1 for e in st.edges)
-    fails = []
-    if rows != want or rank != want or want != st.n - 1:
-        fails.append(f"supertree rank {rank} rows {rows}, expected {want} = n-1 = {st.n - 1}")
-    return fails, []
-
-
 @_property("spectra.rayleigh-bounds")
 def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
     h, b = ctx.h, ctx.bundle
@@ -699,8 +619,8 @@ def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
 
 def _sample_functions(ctx: Analysis, rng: random.Random) -> list[VertexFunction]:
     fs = list(ctx.spectrum.functions)
-    fs.append(_random_function(ctx, rng, zero_prob=0.35))
-    fs.append(_random_function(ctx, rng, zero_prob=0.35))
+    fs.append(_random_function(ctx, rng))
+    fs.append(_random_function(ctx, rng))
     return fs
 
 

@@ -5,7 +5,10 @@ the slow and plain way; the program computes the same from one pass
 (over all rows in ``nodal._row_pass``, over the incidence graph in
 ``nodal.cyclic_vertices``, over a stack of functions in ``spectra``, over
 the pair table once in ``nodal.decompose``), and the tests compare the
-two.
+two.  The last section holds test instances and searches with no
+counterpart in the program: random supertrees with the rank of their
+difference forms, and the heaviest hyperforest found by trying every
+edge subset.
 """
 
 from itertools import repeat
@@ -174,3 +177,75 @@ def reference_decomposition(h, f):
         for c in absorbers.get(root[v], ()):
             closures[c].append(v)
     return strong, cores, tuple(tuple(sorted(c)) for c in closures.values())
+
+
+# --- instances and searches that the program does not have
+
+
+def generate_supertree(rng, n_edges, size_range=(2, 4)) -> SignedHypergraph:
+    """Connected acyclic hypergraph where consecutive edges overlap in
+    exactly one anchor vertex; cyclomatic number 0 by construction."""
+    if n_edges < 1:
+        raise ValueError("need at least one edge")
+    sizes = [rng.randint(*size_range) for _ in range(n_edges)]
+    n = sizes[0]
+    edges = [Edge(tuple((v, rng.choice((1, -1))) for v in range(1, n + 1)))]
+    for s in sizes[1:]:
+        anchor = rng.randint(1, n)
+        fresh = list(range(n + 1, n + s))
+        n += s - 1
+        vs = [anchor] + fresh
+        edges.append(Edge(tuple((v, rng.choice((1, -1))) for v in vs)))
+    return SignedHypergraph(n, tuple(edges))
+
+
+def chained_difference_rank(h) -> tuple[int, int]:
+    """Rank of the difference forms x_i - x_j chained within each edge.
+
+    Every edge of size s contributes s-1 rows linking consecutive
+    vertices in incidence order.  Returns (rank, number of rows).
+    """
+    rows = []
+    for e in h.edges:
+        vs = e.vertices
+        for u, w in zip(vs, vs[1:]):
+            row = np.zeros(h.n)
+            row[u - 1] = 1.0
+            row[w - 1] = -1.0
+            rows.append(row)
+    if not rows:
+        return 0, 0
+    return int(np.linalg.matrix_rank(np.vstack(rows))), len(rows)
+
+
+def exhaustive_forest(h) -> tuple[int, ...]:
+    """A hyperforest of maximum weight sum(|e|-1) found by trying every
+    one of the 2^m edge subsets, ties broken by the most edges; a bare
+    parent list of its own rather than ``UnionFind``.  Small m only."""
+    best_score = -1
+    best: tuple[int, ...] = ()
+
+    def root(parent, x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for mask in range(1 << h.m):
+        subset = [i for i in range(h.m) if mask >> i & 1]
+        parent = list(range(h.n + 1))
+        score = 0
+        ok = True
+        for i in subset:
+            vs = h.edges[i].vertices
+            roots = {root(parent, v) for v in vs}
+            if len(roots) != len(vs):
+                ok = False
+                break
+            top = min(roots, default=0)
+            for r in roots:
+                parent[r] = top
+            score += max(len(vs) - 1, 0)
+        if ok and (score, len(subset)) > (best_score, len(best)):
+            best_score = score
+            best = tuple(subset)
+    return best

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shg.core import (
-    EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
     UnionFind,
@@ -191,6 +190,20 @@ class TestInducedAndDeleted:
         sub = induced_subhypergraph(h, {2, 4})
         assert sub.edges == (Edge(((1, 1), (2, -1))),)
 
+    @pytest.mark.parametrize("keep", [{0, 1}, {2, 3}])
+    def test_induced_refuses_vertices_out_of_range(self, keep):
+        h = h_of(2, ((1, 1), (2, -1)))
+        with pytest.raises(ValueError, match="out of range"):
+            induced_subhypergraph(h, keep)
+
+    @given(hypergraphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inducing_on_every_vertex_changes_nothing(self, h, data):
+        assert induced_subhypergraph(h, h.vertex_range()) == h
+        keep = data.draw(st.sets(st.integers(1, h.n), min_size=1))
+        once = induced_subhypergraph(h, keep)
+        assert induced_subhypergraph(once, once.vertex_range()) == once
+
     def test_weak_delete_keeps_edges(self):
         h = h_of(3, ((1, 1), (2, 1), (3, -1)))
         rest = weak_delete(h, 2)
@@ -251,39 +264,6 @@ def forest_instances(draw, max_n=8, max_m=12):
     return SignedHypergraph(n, tuple(edges), allow_empty_edges=True)
 
 
-def exhaustive_forest(h):
-    """The exact search as it was before branch and bound: every one of the
-    2^m edge subsets, ties broken by the most edges.  A reference only,
-    with a bare parent list of its own rather than ``UnionFind``."""
-    best_score = -1
-    best: tuple[int, ...] = ()
-
-    def root(parent, x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for mask in range(1 << h.m):
-        subset = [i for i in range(h.m) if mask >> i & 1]
-        parent = list(range(h.n + 1))
-        score = 0
-        ok = True
-        for i in subset:
-            vs = h.edges[i].vertices
-            roots = {root(parent, v) for v in vs}
-            if len(roots) != len(vs):
-                ok = False
-                break
-            top = min(roots, default=0)
-            for r in roots:
-                parent[r] = top
-            score += max(len(vs) - 1, 0)
-        if ok and (score, len(subset)) > (best_score, len(best)):
-            best_score = score
-            best = tuple(subset)
-    return best
-
-
 @st.composite
 def deletion_instances(draw):
     """``forest_instances`` (edges of size 0 and 1, parallel edges), then
@@ -323,34 +303,21 @@ class TestForest:
         idx = spanning_hyperforest(h)
         assert sorted(idx) == [0, 1]
 
-    def test_exact_beats_or_ties_greedy(self):
-        # greedy grabbing the 3-edge first blocks both 2-edges
-        h = h_of(4, ((1, 1), (2, 1), (3, 1)), ((1, 1), (2, 1)), ((3, 1), (4, 1)))
-        greedy = spanning_hyperforest(h, exact=False)
-        exact = spanning_hyperforest(h, exact=True)
-        weight = lambda ids: sum(h.edges[i].size - 1 for i in ids)
-        assert weight(exact) >= weight(greedy)
-
-    def test_exact_limit(self):
-        path = [((i, 1), (i + 1, 1)) for i in range(1, EXACT_FOREST_LIMIT + 2)]
-        h = h_of(EXACT_FOREST_LIMIT + 2, *path[:-1])
-        assert spanning_hyperforest(h, exact=True) == tuple(range(EXACT_FOREST_LIMIT))
-        h = h_of(EXACT_FOREST_LIMIT + 2, *path)
-        with pytest.raises(ValueError, match="exact"):
-            spanning_hyperforest(h, exact=True)
-
     def test_selected_edges_acyclic(self):
         h = h_of(3, ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((1, 1), (3, 1)))
-        idx = spanning_hyperforest(h, exact=True)
+        idx = spanning_hyperforest(h)
         sub = SignedHypergraph(3, tuple(h.edges[i] for i in idx))
         assert cyclomatic(sub).l == 0
 
     @given(forest_instances())
     @settings(max_examples=150, deadline=None)
-    def test_exact_matches_exhaustive_search(self, h):
-        exact = spanning_hyperforest(h, exact=True)
-        weight = lambda ids: sum(max(h.edges[i].size - 1, 0) for i in ids)
-        assert weight(exact) == weight(exhaustive_forest(h))
-        assert cyclomatic(SignedHypergraph(h.n, tuple(h.edges[i] for i in exact),
-                                           allow_empty_edges=True)).l == 0
-        assert {i for i, e in enumerate(h.edges) if e.size <= 1} <= set(exact)
+    def test_greedy_forest_is_acyclic_and_maximal(self, h):
+        forest = spanning_hyperforest(h)
+        chosen = lambda ids: SignedHypergraph(h.n, tuple(h.edges[i] for i in ids),
+                                              allow_empty_edges=True)
+        assert list(forest) == sorted(set(forest))
+        assert cyclomatic(chosen(forest)).l == 0
+        assert {i for i, e in enumerate(h.edges) if e.size <= 1} <= set(forest)
+        # every edge it skips closes a cycle with it
+        for i in set(range(h.m)) - set(forest):
+            assert cyclomatic(chosen(forest + (i,))).l > 0

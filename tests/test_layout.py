@@ -32,16 +32,17 @@ def unused_parameters(source):
     """The (line, function, parameter) of every parameter of a function or
     lambda in ``source`` that its body never reads, a read inside a nested
     function included.  A campaign property (decorated ``@_property(...)``)
-    is exempt: every property takes ``(ctx, rng)``."""
+    may leave its ``rng`` unread, since every property takes
+    ``(ctx, rng)``, but must read its instance ``ctx``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
-        if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_property"
-               for d in getattr(node, "decorator_list", ())):
-            continue
         a = node.args
         params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p]
+        if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_property"
+               for d in getattr(node, "decorator_list", ())):
+            params.remove("rng")
         body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
         read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         found += [(node.lineno, getattr(node, "name", "<lambda>"), p) for p in params if p not in read]
@@ -93,6 +94,10 @@ def test_the_check_sees_unused_parameters():
               "key = lambda rows, v: rows\n"
               "@_property('p')\n"
               "def _p(ctx, rng):\n"
-              "    return ctx\n")
+              "    return ctx\n"
+              "@_property('q')\n"
+              "def _q(ctx, rng):\n"
+              "    return rng.random()\n")
     assert unused_parameters(source) == [
-        (1, "f", "h"), (1, "f", "g"), (1, "f", "key"), (3, "outer", "y"), (8, "<lambda>", "v")]
+        (1, "f", "h"), (1, "f", "g"), (1, "f", "key"), (3, "outer", "y"), (13, "_q", "ctx"),
+        (8, "<lambda>", "v")]

@@ -17,7 +17,6 @@ from shg.core import (
     cyclomatic,
     edge_sign,
     hyperneighbors,
-    spanning_hyperforest,
     weak_delete,
 )
 from shg.cli import _matrix_graph
@@ -49,6 +48,7 @@ from shg.verify import ORACLE_MAX_N, GenConfig, generate, oracle_domains
 
 from references import (
     clique_expansion,
+    exhaustive_forest,
     reference_decomposition,
     reference_is_tree_like,
     support_cyclomatic,
@@ -485,7 +485,7 @@ def forest_count_diagnostic(h, f):
     """Compare the forest-deficiency formula with the strong-domain count.
 
     Takes the whole edges lying inside the support with every pair
-    coherent, an exact maximum spanning hyperforest T of them, and
+    coherent, a maximum spanning hyperforest T of them, and
     evaluates |support| - sum over T of (|e|-1).  Returns (formula value,
     strong count, agree).  The two can genuinely differ when no
     hyperforest realizes the full component rank.
@@ -496,7 +496,7 @@ def forest_count_diagnostic(h, f):
         and all(f.sign(x) * edge_sign(e) * f.sign(y) > 0
                 for x, y in itertools.combinations(e.vertices, 2)))
     sub = SignedHypergraph(h.n, selected)
-    forest = spanning_hyperforest(sub, exact=True)
+    forest = exhaustive_forest(sub)
     formula_value = len(f.support()) - sum(sub.edges[i].size - 1 for i in forest)
     component_value = len(decompose(h, f).strong)
     return formula_value, component_value, formula_value == component_value

@@ -31,8 +31,8 @@ from shg.verify import GenConfig, generate
 
 REPORTS_SHA256 = "4a04219bb2bec683792e5cc0e7e91f427fbef03caa9bca7936c9cc0afede3d0d"
 BOUNDS_SHA256 = "60d112226df3ae09ead5f3777a2989af350ad519c9b4a3e244bb34700571eaf8"
-FUZZ_SHA256 = "2631bf005b5c309fc50da73a81adb6610978972757baaa47498ce1971bc414c4"
-FUZZ_500_SHA256 = "badb9851c8866b8dae3da9e4759fb7ba223b3487f9f2ee459a9c0e44436e40fc"
+FUZZ_SHA256 = "fcdad2813dc23a104d53456ca89a43190b0c0ac0a9ed198fabed4891f36b2d6f"
+FUZZ_500_SHA256 = "4f27f233d808001344f58395caab50f125b07684d1b3188da3280bdb78bdcad4"
 ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae3629ef56"
 TEXT_SHA256 = "3904e63e492e95e25fa9b94554112065bc3556d0bf83f02bff75c9d4265274d9"
 CSV_SHA256 = "4362fb92199d8175b969387f6a246d0400634ebb4ab462cf27d0f23948e5ef29"

@@ -12,7 +12,6 @@ import shg.core
 import shg.nodal
 import shg.verify
 from shg.core import (
-    EXACT_FOREST_LIMIT,
     Edge,
     SignedHypergraph,
     connected_components,
@@ -35,11 +34,12 @@ from shg.verify import (
     FailureRecord,
     GenConfig,
     generate,
-    generate_supertree,
     oracle_domains,
     rerun_property,
     run_campaign,
 )
+
+from references import generate_supertree
 
 
 class TestGenConfig:
@@ -58,6 +58,7 @@ class TestGenConfig:
         ({"seed": -1}, "64 bits"),
         ({"seed": 2 ** 64}, "64 bits"),
         ({"count": -1}, "nonnegative"),
+        ({"classical": True, "n_range": (1, 2), "edge_size_range": (1, 1)}, "two vertices"),
     ])
     def test_rejects_bad_shapes(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
@@ -104,15 +105,17 @@ class TestGenerate:
                 assert sorted(s for _, s in e.incidences) == [-1, 1]
 
     def test_classical_with_fewer_pairs_than_edges(self):
-        # one vertex has no ordered pair and two have two, against m up to
-        # 3: the draw takes what exists, and the patch covers one vertex
-        cfg = GenConfig(classical=True, n_range=(1, 2), edge_size_range=(1, 1),
-                        m_range=(1, 3), seed=0, count=20)
+        # two vertices have two ordered pairs, against m up to 3: the draw
+        # takes what exists
+        cfg = GenConfig(classical=True, n_range=(2, 2), m_range=(1, 3), seed=0, count=20)
         sizes = {}
         for h in generate(cfg):
             sizes.setdefault(h.n, set()).add(h.m)
             laplacian(h)
-        assert sizes == {1: {1}, 2: {1, 2}}
+            for e in h.edges:
+                assert e.size == 2
+                assert sorted(s for _, s in e.incidences) == [-1, 1]
+        assert sizes == {2: {1, 2}}
 
     def test_draw_stops_at_the_last_distinct_edge(self, monkeypatch):
         # 4 vertices carry 24 distinct signed edges of size 2: the draw
@@ -383,8 +386,8 @@ class TestSandwich:
 
 class TestRegistry:
     def test_every_property_registered_once(self):
-        assert len(REGISTRY) == 22
-        assert len(set(ALL_PROPERTY_IDS)) == len(ALL_PROPERTY_IDS) == 22
+        assert len(REGISTRY) == 18
+        assert len(set(ALL_PROPERTY_IDS)) == len(ALL_PROPERTY_IDS) == 18
         assert set(ALL_PROPERTY_IDS) == set(REGISTRY)
 
     def test_sections_partition_the_registry(self):
@@ -517,20 +520,6 @@ class TestCampaign:
             assert all(len(f.support()) == f.n for functions in batched for f in functions)
         assert 0 in calls and 1 in calls and 2 in calls
 
-    @pytest.mark.parametrize("m, checked", [(EXACT_FOREST_LIMIT, True),
-                                            (EXACT_FOREST_LIMIT + 1, False)])
-    def test_forest_property_checks_the_search_result(self, monkeypatch, m, checked):
-        # repeated triangle edges: taking them all closes a cycle and weighs
-        # more than n - c = 2
-        triangle = [Edge(((a, 1), (b, 1))) for a, b in ((1, 2), (2, 3), (1, 3))]
-        h = SignedHypergraph(3, tuple(triangle[i % 3] for i in range(m)))
-        monkeypatch.setattr(shg.verify, "spanning_hyperforest",
-                            lambda h, exact=False: tuple(range(h.m)))
-        fails, _ = REGISTRY["core.exact-forest-geq-greedy"](Analysis(h), random.Random(0))
-        expected = [f"exact edge set {list(range(m))} is not acyclic",
-                    f"exact weight {m} exceeds n - c = 2"]
-        assert fails == (expected if checked else [])
-
     def test_tree_like_properties_check_the_block_pass(self, monkeypatch):
         # a parallel pair is the cycle 1 e1 2 e2 1; a block pass that
         # skipped blocks of two links would call its vertices tree-like
@@ -558,7 +547,7 @@ class TestCampaign:
         h = generate_supertree(random.Random(61), 3)
         prop = REGISTRY["core.acyclic-iff-zero"]
         assert prop(Analysis(h), random.Random(0)) == ([], [])
-        monkeypatch.setattr(shg.verify, "spanning_hyperforest", lambda h, exact=False: ())
+        monkeypatch.setattr(shg.verify, "spanning_hyperforest", lambda h: ())
         fails, _ = prop(Analysis(h), random.Random(0))
         assert fails == ["is_acyclic=False but l=0",
                          "component sums say acyclic=True, op says False"]
