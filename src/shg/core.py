@@ -12,7 +12,7 @@ Invariants:
       edges only arise from vertex deletions)
 
 Whether a vertex is tree-like is decided for all vertices at once by one
-block pass, ``nodal.cyclic_vertices``; here ``weak_delete`` gives the
+bridge pass, ``nodal.cyclic_vertices``; here ``weak_delete`` gives the
 definition it is checked against and ``lies_on_cycle`` the exhaustive
 cycle search.  ``spanning_hyperforest`` is one greedy scan, not a search
 for the heaviest hyperforest.

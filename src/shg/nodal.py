@@ -21,10 +21,12 @@ comparing one sign per attachment.  One scan of the pair table
 zero-zero pair or an attachment; the weak pass (``_weak``) takes the
 last two lists and a union-find joined on the strong domains, and only
 links further on it.
-Whether a vertex is tree-like depends on the graph alone, and one block
+Whether a vertex is tree-like depends on the graph alone, and one bridge
 pass over the vertex-edge incidence graph decides it for all vertices,
 on h and on its clique expansion alike (``cyclic_vertices``, the one
-tree-like test of the program); a function adds only its zero mask.
+tree-like test of the program, Tarjan's low-link test of each link); a
+function adds only its zero mask.  The block search ``_blocks`` serves
+the weak pass alone.
 Every pairwise pass (the strong relation, the weak pass, the clique
 terms) reads the pair table ``SignedHypergraph.pairs``.
 
@@ -302,12 +304,15 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     Returns the blocks (biconnected components) as lists of edge ids and
     the depth-first tree as (child, edge id) in discovery order.  This is
     the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
-    stack; parallel edges are kept apart, so two of them form a block.
+    stack over neighbour lists of (node, edge id); parallel edges are kept
+    apart by their ids, so two of them form a block.  The weak pass
+    (``_weak``) is its one caller: it reads the signs of the zero pairs off
+    the tree and the blocks.
     """
-    inc: list[list[int]] = [[] for _ in range(n_nodes)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
     for ei, (a, b) in enumerate(ends):
-        inc[a].append(ei)
-        inc[b].append(ei)
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
     disc = [-1] * n_nodes
     low = [0] * n_nodes
     counter = 0
@@ -315,33 +320,32 @@ def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]],
     blocks: list[list[int]] = []
     tree: list[tuple[int, int]] = []
     for root in range(n_nodes):
-        if disc[root] >= 0 or not inc[root]:
+        if disc[root] >= 0 or not adj[root]:
             continue
         disc[root] = low[root] = counter
         counter += 1
-        stack = [(root, -1, iter(inc[root]))]
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, in_edge, it = stack[-1]
-            for ei in it:
-                if ei == in_edge:
-                    continue
-                a, b = ends[ei]
-                t = b if a == v else a
+            for t, ei in it:
                 if disc[t] < 0:
                     edge_stack.append(ei)
                     tree.append((t, ei))
                     disc[t] = low[t] = counter
                     counter += 1
-                    stack.append((t, ei, iter(inc[t])))
+                    stack.append((t, ei, iter(adj[t])))
                     break
-                if disc[t] < disc[v]:
+                # a link back to an ancestor, other than the tree link in
+                if disc[t] < disc[v] and ei != in_edge:
                     edge_stack.append(ei)
-                    low[v] = min(low[v], disc[t])
+                    if disc[t] < low[v]:
+                        low[v] = disc[t]
             else:
                 stack.pop()
                 if stack:
                     parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] >= disc[parent]:
                         i = len(edge_stack) - 1
                         while edge_stack[i] != in_edge:
@@ -463,7 +467,7 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[list[bool], list[bool]]:
     against weak deletion.
 
     x is tree-like when its weak deletion (``core.weak_delete``) raises
-    the component count by deg(x) - 1.  One block pass over the incidence
+    the component count by deg(x) - 1.  One bridge pass over the incidence
     graph of the edges of size 2 or more decides both readings for every
     vertex.  On the hypergraph, x is tree-like exactly when each of its
     incidence links is a bridge and none of its edges has size 1, since
@@ -474,30 +478,68 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[list[bool], list[bool]]:
     edge of size 3 or more puts each of its vertices on a triangle; an
     edge of size 1 gives no pair.  An edge of size 2 enters the pass as
     one link between its two vertices, not as a node with two: undoing
-    the subdivision keeps a bridge a bridge and a link on a cycle inside
-    one block, and ``_blocks`` keeps parallel links apart.  Both readings
-    depend on the graph alone, never on a function.
+    the subdivision turns a bridge into a bridge and a link on a cycle
+    into a link on a cycle.  Both readings depend on the graph alone,
+    never on a function.
+
+    The pass is Tarjan's low-link bridge test (Inf. Process. Lett. 1974)
+    as one iterative depth-first search over neighbour lists of (node,
+    link id), so parallel links are kept apart by their ids.  The tree
+    link from p to its child v is a bridge unless low[v] <= disc[p], and
+    every link off the tree closes a cycle with tree links at both its
+    ends, so marking both ends of each tree link that is not a bridge
+    marks every end of every link that is not one.
     """
     n = h.n
     # edge nodes n + 1.. are marked too and cut off at the end
     size = n + 1 + h.m
     on_h = [False] * size
     on_clique = [False] * size
-    links: list[tuple[int, int]] = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    link = 0
     for node, vs in enumerate((e.vertices for e in h.edges), n + 1):
         if len(vs) > 2:
             for v in vs:
-                links.append((v, node))
+                adj[v].append((node, link))
+                adj[node].append((v, link))
+                link += 1
                 on_clique[v] = True
         elif len(vs) == 2:
-            links.append(vs)
+            a, b = vs
+            adj[a].append((b, link))
+            adj[b].append((a, link))
+            link += 1
         elif vs:
             on_h[vs[0]] = True
-    for block in _blocks(size, links)[0]:
-        if len(block) > 1:
-            for li in block:
-                a, b = links[li]
-                on_h[a] = on_clique[a] = on_h[b] = on_clique[b] = True
+    disc = [-1] * size
+    low = [0] * size
+    counter = 0
+    for root in range(size):
+        if disc[root] >= 0 or not adj[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, in_link, it = stack[-1]
+            for t, li in it:
+                if disc[t] < 0:
+                    disc[t] = low[t] = counter
+                    counter += 1
+                    stack.append((t, li, iter(adj[t])))
+                    break
+                # a link back to an ancestor, other than the tree link in
+                if disc[t] < low[v] and li != in_link:
+                    low[v] = disc[t]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    # otherwise p - v is a bridge and low[v] > disc[p] >= low[p]
+                    if low[v] <= disc[p]:
+                        on_h[p] = on_clique[p] = on_h[v] = on_clique[v] = True
+                        if low[v] < low[p]:
+                            low[p] = low[v]
     return on_h[:n + 1], on_clique[:n + 1]
 
 
@@ -573,7 +615,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
     ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
-    ``cyclic_vertices`` gives ``cyclic`` of both in one block pass, run
+    ``cyclic_vertices`` gives ``cyclic`` of both in one bridge pass, run
     once and only when some row has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)

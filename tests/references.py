@@ -43,6 +43,35 @@ def reference_is_tree_like(h, x, c) -> bool:
     return cyclomatic(weak_delete(h, x)).n_components == c + degrees(h)[x] - 1
 
 
+def reference_cyclic_vertices(h) -> tuple[list[bool], list[bool]]:
+    """``nodal.cyclic_vertices`` as a block search: the incidence graph of
+    the edges of size 2 or more, an edge of size 2 as one link, goes
+    through ``nodal._blocks``, and both ends of every link in a block of
+    two or more links are cyclic on both readings; a vertex of an edge of
+    size 1 is cyclic on h, and one of an edge of size 3 or more on the
+    clique expansion.  Kept as the reference of the bridge pass."""
+    n = h.n
+    size = n + 1 + h.m
+    on_h = [False] * size
+    on_clique = [False] * size
+    links = []
+    for node, vs in enumerate((e.vertices for e in h.edges), n + 1):
+        if len(vs) > 2:
+            for v in vs:
+                links.append((v, node))
+                on_clique[v] = True
+        elif len(vs) == 2:
+            links.append(vs)
+        elif vs:
+            on_h[vs[0]] = True
+    for block in _blocks(size, links)[0]:
+        if len(block) > 1:
+            for li in block:
+                a, b = links[li]
+                on_h[a] = on_clique[a] = on_h[b] = on_clique[b] = True
+    return on_h[:n + 1], on_clique[:n + 1]
+
+
 def adjacency_int(h) -> list[list[int]]:
     """Integer adjacency: a[i][j] sums edge signs over edges containing
     both i + 1 and j + 1 (0-based lists, zero diagonal, singleton edges add

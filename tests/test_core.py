@@ -19,7 +19,7 @@ from shg.core import (
     weak_delete,
 )
 from shg.nodal import cyclic_vertices
-from references import reference_is_tree_like
+from references import clique_expansion, reference_cyclic_vertices, reference_is_tree_like
 
 
 def edge(*pairs):
@@ -249,16 +249,16 @@ class TestCycles:
 
 
 @st.composite
-def forest_instances(draw, max_n=8, max_m=12):
-    """Edges of size 0 to 5 with repeats, so that ties and weight-0 edges
-    are common."""
+def forest_instances(draw, max_n=8, max_m=12, max_size=5):
+    """Edges of size 0 to ``max_size`` with repeats, so that ties and
+    weight-0 edges are common."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     edges = []
     for _ in range(draw(st.integers(min_value=0, max_value=max_m))):
         if edges and draw(st.booleans()):
             edges.append(draw(st.sampled_from(edges)))
             continue
-        size = draw(st.integers(min_value=0, max_value=min(5, n)))
+        size = draw(st.integers(min_value=0, max_value=min(max_size, n)))
         vs = draw(st.permutations(range(1, n + 1)))[:size]
         edges.append(Edge(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs)))
     return SignedHypergraph(n, tuple(edges), allow_empty_edges=True)
@@ -270,6 +270,20 @@ def deletion_instances(draw):
     up to three weak deletions, which leave more empty and size-1 edges."""
     h = draw(forest_instances())
     for _ in range(draw(st.integers(min_value=0, max_value=min(3, h.n - 1)))):
+        h = weak_delete(h, draw(st.integers(min_value=1, max_value=h.n)))
+    return h
+
+
+@st.composite
+def split_deletion_instances(draw):
+    """Two or three parts side by side, each with edges of size 0 to 4
+    and repeats (``forest_instances``), then up to three weak deletions."""
+    n, edges = 0, []
+    for part in draw(st.lists(forest_instances(max_n=6, max_m=8, max_size=4), min_size=2, max_size=3)):
+        edges += [Edge(tuple((v + n, s) for v, s in e.incidences)) for e in part.edges]
+        n += part.n
+    h = SignedHypergraph(n, tuple(edges), allow_empty_edges=True)
+    for _ in range(draw(st.integers(min_value=0, max_value=min(3, n - 1)))):
         h = weak_delete(h, draw(st.integers(min_value=1, max_value=h.n)))
     return h
 
@@ -287,14 +301,27 @@ class TestTreeLike:
         assert cyclic[1:] == [x in in_singleton or lies_on_cycle(h, x) for x in h.vertex_range()]
 
     def test_singleton_and_parallel_edges(self):
-        # {1} empties under deletion; the parallel pair 2-3 keeps 2 and 3
-        # on one cycle; 4 hangs off 3 by one edge
-        h = h_of(4, ((1, 1),), ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((2, 1), (3, -1)),
-                 ((3, 1), (4, 1)))
+        # {1} empties under deletion on h but gives the expansion no pair;
+        # the parallel pair 2-3 keeps 2 and 3 on one cycle; 4 hangs off 3
+        # by one edge, and the 3-edge {4, 5, 6} off 4, a tree on h and a
+        # triangle on the expansion
+        h = h_of(6, ((1, 1),), ((1, 1), (2, 1)), ((2, 1), (3, 1)), ((2, 1), (3, -1)),
+                 ((3, 1), (4, 1)), ((4, 1), (5, -1), (6, 1)))
         c = cyclomatic(h).n_components
-        expected = [False, False, False, True]
-        assert [not cyc for cyc in cyclic_vertices(h)[0][1:]] == expected
+        on_h, on_clique = cyclic_vertices(h)
+        expected = [False, False, False, True, True, True]
+        assert [not cyc for cyc in on_h[1:]] == expected
         assert [reference_is_tree_like(h, x, c) for x in h.vertex_range()] == expected
+        expected = [True, False, False, False, False, False]
+        assert [not cyc for cyc in on_clique[1:]] == expected
+        g = clique_expansion(h)
+        assert [reference_is_tree_like(g, x, c) for x in g.vertex_range()] == expected
+
+    @given(split_deletion_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_bridge_pass_matches_block_reference(self, h):
+        # both readings, against the block search the bridge pass replaced
+        assert cyclic_vertices(h) == reference_cyclic_vertices(h)
 
 
 class TestForest:

@@ -2,16 +2,18 @@
 
 The first three digests below were recorded before the single-analysis
 refactor, the zero-heavy one before the single row pass, and the
-text-summary and CSV ones before domains became sorted tuples, and the
-``shg domains`` one before every other vertex set did; none may move
-under a change that claims to keep the output.  They depend on the
+text-summary and CSV ones before domains became sorted tuples, the
+``shg domains`` one before every other vertex set did, and the
+one-function one before the tree-like test became a bridge pass; none
+may move under a change that claims to keep the output.  They depend on the
 floating-point results of this numpy/LAPACK build: on another build an
 eigenvector can differ in its last digits and every digest with it.
 They depend on the BLAS thread count too, which ``conftest.py`` pins to
 one: the n = 640 report of ``GenConfig(n_range=(640, 640),
 m_range=(640, 640), seed=901)`` hashes ``429dc117...29f1`` with one
 OpenBLAS thread and ``13e7669d...be3c`` with OpenBLAS choosing its own
-count on 2 CPUs, while the seven digests below pass either way.
+count on 2 CPUs, while the seven digests before ``ONE_FUNCTION_SHA256``
+pass either way and that one computes nothing in BLAS.
 Re-recording a digest needs a stated reason in
 CHANGES.md (a schema change, a deliberate change of a count, a new
 numpy), never just "it changed".
@@ -20,13 +22,15 @@ numpy), never just "it changed".
 import contextlib
 import hashlib
 import io
+import random
 
 from shg.cli import main
-from shg.core import Edge, SignedHypergraph
+from shg.core import Edge, SignedHypergraph, weak_delete
 from shg.fixtures import fixture_example1
-from shg.nodal import BOUND_VARIANTS, Analysis
+from shg.nodal import BOUND_VARIANTS, Analysis, decompose, fiedler_sets
 from shg.report import aligned_text, build_report, input_digest, report_json
 from shg.shgio import serialize
+from shg.spectra import VertexFunction
 from shg.verify import GenConfig, generate
 
 REPORTS_SHA256 = "4a04219bb2bec683792e5cc0e7e91f427fbef03caa9bca7936c9cc0afede3d0d"
@@ -37,6 +41,7 @@ ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae362
 TEXT_SHA256 = "3904e63e492e95e25fa9b94554112065bc3556d0bf83f02bff75c9d4265274d9"
 CSV_SHA256 = "4362fb92199d8175b969387f6a246d0400634ebb4ab462cf27d0f23948e5ef29"
 DOMAINS_SHA256 = "77c0784d18f35bbc9c765ee6cab816b1924ea5f80907f2df22e96ed2fe2468d7"
+ONE_FUNCTION_SHA256 = "8b1b0af1d61e7228afa082ed860f27c44e58146d3dcc3f237d24985d33215871"
 
 
 def _instances():
@@ -145,6 +150,37 @@ def domains_digest(tmp_path):
     return _sha256(parts)
 
 
+def zero_heavy_function(rng, n):
+    """n values of magnitude in [0.1, 1], 40 % of them exact zeros."""
+    values = [rng.choice((-1, 1)) * rng.uniform(0.1, 1.0) for _ in range(n)]
+    for v in rng.sample(range(n), round(0.4 * n)):
+        values[v] = 0.0
+    return VertexFunction.from_values(values)
+
+
+def one_function_digest():
+    """``decompose`` and ``fiedler_sets`` of one function at a time, the
+    path of ``shg domains`` and of the Fiedler sets it does not print:
+    three zero-heavy functions on each of two generated n = m instances
+    per n in {40, 100, 160}, on a disjoint union of three instances, and
+    on an instance with both ends of a 2-edge weakly deleted, which
+    leaves that edge empty and others of size 1."""
+    graphs = [next(generate(GenConfig(n_range=(n, n), m_range=(n, n), seed=seed, count=1)))
+              for n in (40, 100, 160) for seed in (1, 2)]
+    graphs.append(disjoint_union(generate(GenConfig(seed=77, count=3))))
+    x, y = next(e.vertices for e in graphs[1].edges if e.size == 2)
+    deleted = weak_delete(weak_delete(graphs[1], max(x, y)), min(x, y))
+    assert {0, 1} <= {e.size for e in deleted.edges}
+    graphs.append(deleted)
+    rng = random.Random(2026)
+    parts = []
+    for h in graphs:
+        for _ in range(3):
+            f = zero_heavy_function(rng, h.n)
+            parts += [repr(decompose(h, f)), repr(fiedler_sets(h, f))]
+    return _sha256(parts)
+
+
 def test_report_bytes():
     assert reports_digest() == REPORTS_SHA256
 
@@ -181,3 +217,7 @@ def test_csv_bytes(tmp_path):
 
 def test_domains_stdout(tmp_path):
     assert domains_digest(tmp_path) == DOMAINS_SHA256
+
+
+def test_one_function_bytes():
+    assert one_function_digest() == ONE_FUNCTION_SHA256

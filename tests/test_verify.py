@@ -521,8 +521,8 @@ class TestCampaign:
         assert 0 in calls and 1 in calls and 2 in calls
 
     def test_tree_like_properties_check_the_block_pass(self, monkeypatch):
-        # a parallel pair is the cycle 1 e1 2 e2 1; a block pass that
-        # skipped blocks of two links would call its vertices tree-like
+        # a parallel pair is the cycle 1 e1 2 e2 1; a bridge pass that took
+        # a parallel link for a bridge would call its vertices tree-like
         pair = Edge(((1, 1), (2, 1)))
         h = SignedHypergraph(2, (pair, pair))
         no_cycle = REGISTRY["core.tree-like-no-cycle"]
