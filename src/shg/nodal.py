@@ -11,22 +11,24 @@ path of zeros.
 
 Vertex repetition matters: a closed detour through the zeros can flip
 the accumulated sign, so deciding a weak link is a parity question about
-simple paths.  It is answered for all pairs at once from one block
-decomposition of the signed pair graph on the zeros: a balanced block
-contributes one fixed sign between any two of its vertices, read off a
-potential, and a block carrying an unbalanced cycle contributes both
-signs.  Each zero component then links the nonzeros attached to it by
-comparing one sign per attachment.  One scan of the pair table
-(``_sort_pairs``) sorts every pair of a function into a strong link, a
-zero-zero pair or an attachment; the weak pass (``_weak``) takes the
-last two lists and a union-find joined on the strong domains, and only
-links further on it.
+simple paths.  It is answered for all pairs at once from the blocks of
+the signed pair graph on the zeros: a balanced block contributes one
+fixed sign between any two of its vertices, read off a potential, and a
+block carrying an unbalanced cycle contributes both signs.  Each zero
+component then links the nonzeros attached to it by comparing one sign
+per attachment.  One scan of the pair table (``_sort_pairs``) sorts
+every pair of a function into a strong link, a zero-zero pair or an
+attachment; the weak pass (``_weak``) takes the last two lists and a
+union-find joined on the strong domains, and only links further on it.
 Whether a vertex is tree-like depends on the graph alone, and one bridge
 pass over the vertex-edge incidence graph decides it for all vertices,
 on h and on its clique expansion alike (``cyclic_vertices``, the one
-tree-like test of the program, Tarjan's low-link test of each link); a
-function adds only its zero mask.  The block search ``_blocks`` serves
-the weak pass alone.
+tree-like test of the program); a function adds only its zero mask.
+Both passes read one low-link search, ``_lowlink``, and keep no edge
+stack: the tree link p -> v is a bridge unless low[v] <= disc[p], and
+opens a block when low[v] >= disc[p], else joining the block of the
+tree link into p; any other link joins the block of the tree link into
+its deeper end.
 Every pairwise pass (the strong relation, the weak pass, the clique
 terms) reads the pair table ``SignedHypergraph.pairs``.
 
@@ -298,61 +300,43 @@ def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
     return links, list(zz), attach
 
 
-def _blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Blocks of a multigraph on nodes 0..n_nodes-1 with edges ``ends``.
-
-    Returns the blocks (biconnected components) as lists of edge ids and
-    the depth-first tree as (child, edge id) in discovery order.  This is
-    the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
-    stack over neighbour lists of (node, edge id); parallel edges are kept
-    apart by their ids, so two of them form a block.  The weak pass
-    (``_weak``) is its one caller: it reads the signs of the zero pairs off
-    the tree and the blocks.
+def _lowlink(adj: list[list[tuple[int, int]]]) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """(disc, low, tree) of Tarjan's depth-first search (SIAM J. Comput.
+    1972) of the multigraph with neighbour lists ``adj`` of (node, link
+    id), parallel links apart by their ids: disc[v] is v's discovery
+    number (-1 without links), low[v] the smallest disc that one link off
+    the tree reaches from v's subtree, and ``tree`` the tree links as
+    (parent, child, link id) in discovery order.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
-    for ei, (a, b) in enumerate(ends):
-        adj[a].append((b, ei))
-        adj[b].append((a, ei))
-    disc = [-1] * n_nodes
-    low = [0] * n_nodes
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    tree: list[tuple[int, int, int]] = []
     counter = 0
-    edge_stack: list[int] = []
-    blocks: list[list[int]] = []
-    tree: list[tuple[int, int]] = []
-    for root in range(n_nodes):
+    for root in range(len(adj)):
         if disc[root] >= 0 or not adj[root]:
             continue
         disc[root] = low[root] = counter
         counter += 1
         stack = [(root, -1, iter(adj[root]))]
         while stack:
-            v, in_edge, it = stack[-1]
-            for t, ei in it:
+            v, in_link, it = stack[-1]
+            for t, li in it:
                 if disc[t] < 0:
-                    edge_stack.append(ei)
-                    tree.append((t, ei))
+                    tree.append((v, t, li))
                     disc[t] = low[t] = counter
                     counter += 1
-                    stack.append((t, ei, iter(adj[t])))
+                    stack.append((t, li, iter(adj[t])))
                     break
                 # a link back to an ancestor, other than the tree link in
-                if disc[t] < disc[v] and ei != in_edge:
-                    edge_stack.append(ei)
-                    if disc[t] < low[v]:
-                        low[v] = disc[t]
+                if disc[t] < low[v] and li != in_link:
+                    low[v] = disc[t]
             else:
                 stack.pop()
                 if stack:
-                    parent = stack[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] >= disc[parent]:
-                        i = len(edge_stack) - 1
-                        while edge_stack[i] != in_edge:
-                            i -= 1
-                        blocks.append(edge_stack[i:])
-                        del edge_stack[i:]
-    return blocks, tree
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+    return disc, low, tree
 
 
 def _weak(h: SignedHypergraph, sign: list[int], uf: UnionFind, pairs: list[tuple[int, int, int]],
@@ -374,20 +358,31 @@ def _weak(h: SignedHypergraph, sign: list[int], uf: UnionFind, pairs: list[tuple
     different regions are joined by paths of both signs.  The depth-first
     tree also roots each zero component; the closure of every core that
     its attachments reach absorbs it.
+
+    The blocks come off ``_lowlink``, the bridge pass's search: the tree
+    link p -> v opens a block, named v, when low[v] >= disc[p], and else
+    joins the block of the tree link into p; any other pair joins the
+    block of the tree link into its deeper end, a cycle through which it
+    closes.  Tree links agree with theta, so one scan of the pairs finds
+    the unbalanced blocks; the regions are the tree links of the others.
     """
-    blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(h.n + 1)]
+    for i, (x, y, _) in enumerate(pairs):
+        adj[x].append((y, i))
+        adj[y].append((x, i))
+    disc, low, tree = _lowlink(adj)
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
-    for child, ei in tree:
-        x, y, s = pairs[ei]
-        parent = x if y == child else y
-        theta[child] = theta[parent] * s
-        root[child] = root[parent]
+    block = list(range(h.n + 1))
+    for p, v, i in tree:
+        theta[v] = theta[p] * pairs[i][2]
+        root[v] = root[p]
+        if low[v] < disc[p]:
+            block[v] = block[p]
+    unbalanced = {block[x if disc[x] > disc[y] else y]
+                  for x, y, s in pairs if theta[x] * s * theta[y] < 0}
     region = UnionFind(h.n)
-    for block in blocks:
-        block_pairs = [pairs[ei] for ei in block]
-        if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
-            region.link((x, y) for x, y, _ in block_pairs)
+    region.link((p, v) for p, v, _ in tree if block[v] not in unbalanced)
 
     groups: dict[int, list[tuple[int, int, int]]] = {}
     for u, z, s in attach:
@@ -483,8 +478,8 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[list[bool], list[bool]]:
     never on a function.
 
     The pass is Tarjan's low-link bridge test (Inf. Process. Lett. 1974)
-    as one iterative depth-first search over neighbour lists of (node,
-    link id), so parallel links are kept apart by their ids.  The tree
+    read off the one depth-first search of ``_lowlink``, which the weak
+    pass shares; parallel links are kept apart by their ids.  The tree
     link from p to its child v is a bridge unless low[v] <= disc[p], and
     every link off the tree closes a cycle with tree links at both its
     ends, so marking both ends of each tree link that is not a bridge
@@ -511,35 +506,10 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[list[bool], list[bool]]:
             link += 1
         elif vs:
             on_h[vs[0]] = True
-    disc = [-1] * size
-    low = [0] * size
-    counter = 0
-    for root in range(size):
-        if disc[root] >= 0 or not adj[root]:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, in_link, it = stack[-1]
-            for t, li in it:
-                if disc[t] < 0:
-                    disc[t] = low[t] = counter
-                    counter += 1
-                    stack.append((t, li, iter(adj[t])))
-                    break
-                # a link back to an ancestor, other than the tree link in
-                if disc[t] < low[v] and li != in_link:
-                    low[v] = disc[t]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    # otherwise p - v is a bridge and low[v] > disc[p] >= low[p]
-                    if low[v] <= disc[p]:
-                        on_h[p] = on_clique[p] = on_h[v] = on_clique[v] = True
-                        if low[v] < low[p]:
-                            low[p] = low[v]
+    disc, low, tree = _lowlink(adj)
+    for p, v, _ in tree:
+        if low[v] <= disc[p]:
+            on_h[p] = on_clique[p] = on_h[v] = on_clique[v] = True
     return on_h[:n + 1], on_clique[:n + 1]
 
 

@@ -5,10 +5,16 @@ the slow and plain way; the program computes the same from one pass
 (over all rows in ``nodal._row_pass``, over the incidence graph in
 ``nodal.cyclic_vertices``, over a stack of functions in ``spectra``, over
 the pair table once in ``nodal.decompose``), and the tests compare the
-two.  The last section holds test instances and searches with no
-counterpart in the program: random supertrees with the rank of their
-difference forms, and the heaviest hyperforest found by trying every
-edge subset.
+two.  The blocks of every reference come from ``reference_blocks``, the
+Hopcroft-Tarjan edge-stack search, which shares no code with the
+program: there one low-link search, ``nodal._lowlink``, serves the
+bridge pass and the weak pass, and the weak pass reads the blocks off
+it by two rules (the tree link p -> v opens a block when
+low[v] >= disc[p], else joins the block of the tree link into p; any
+other link joins the block of the tree link into its deeper end).  The
+last section holds test instances and searches with no counterpart in
+the program: random supertrees with the rank of their difference forms,
+and the heaviest hyperforest found by trying every edge subset.
 """
 
 from itertools import repeat
@@ -25,7 +31,6 @@ from shg.core import (
     induced_subhypergraph,
     weak_delete,
 )
-from shg.nodal import _blocks
 
 
 def support_cyclomatic(h, f) -> CycleStats:
@@ -43,10 +48,67 @@ def reference_is_tree_like(h, x, c) -> bool:
     return cyclomatic(weak_delete(h, x)).n_components == c + degrees(h)[x] - 1
 
 
+def reference_blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Blocks of a multigraph on nodes 0..n_nodes-1 with edges ``ends``.
+
+    Returns the blocks (biconnected components) as lists of edge ids and
+    the depth-first tree as (child, edge id) in discovery order.  This is
+    the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
+    stack over neighbour lists of (node, edge id); parallel edges are kept
+    apart by their ids, so two of them form a block.  The program reads
+    the blocks off the low-link numbers of ``nodal._lowlink`` instead;
+    this search shares no code with it and is kept as its reference.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    for ei, (a, b) in enumerate(ends):
+        adj[a].append((b, ei))
+        adj[b].append((a, ei))
+    disc = [-1] * n_nodes
+    low = [0] * n_nodes
+    counter = 0
+    edge_stack: list[int] = []
+    blocks: list[list[int]] = []
+    tree: list[tuple[int, int]] = []
+    for root in range(n_nodes):
+        if disc[root] >= 0 or not adj[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for t, ei in it:
+                if disc[t] < 0:
+                    edge_stack.append(ei)
+                    tree.append((t, ei))
+                    disc[t] = low[t] = counter
+                    counter += 1
+                    stack.append((t, ei, iter(adj[t])))
+                    break
+                # a link back to an ancestor, other than the tree link in
+                if disc[t] < disc[v] and ei != in_edge:
+                    edge_stack.append(ei)
+                    if disc[t] < low[v]:
+                        low[v] = disc[t]
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] >= disc[parent]:
+                        i = len(edge_stack) - 1
+                        while edge_stack[i] != in_edge:
+                            i -= 1
+                        blocks.append(edge_stack[i:])
+                        del edge_stack[i:]
+    return blocks, tree
+
+
 def reference_cyclic_vertices(h) -> tuple[list[bool], list[bool]]:
     """``nodal.cyclic_vertices`` as a block search: the incidence graph of
     the edges of size 2 or more, an edge of size 2 as one link, goes
-    through ``nodal._blocks``, and both ends of every link in a block of
+    through ``reference_blocks``, and both ends of every link in a block of
     two or more links are cyclic on both readings; a vertex of an edge of
     size 1 is cyclic on h, and one of an edge of size 3 or more on the
     clique expansion.  Kept as the reference of the bridge pass."""
@@ -64,7 +126,7 @@ def reference_cyclic_vertices(h) -> tuple[list[bool], list[bool]]:
             links.append(vs)
         elif vs:
             on_h[vs[0]] = True
-    for block in _blocks(size, links)[0]:
+    for block in reference_blocks(size, links)[0]:
         if len(block) > 1:
             for li in block:
                 a, b = links[li]
@@ -172,7 +234,7 @@ def reference_decomposition(h, f):
         return strong, strong, strong
 
     pairs = list(zz)
-    blocks, tree = _blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+    blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
     for child, ei in tree:
