@@ -42,10 +42,10 @@ one block-diagonal graph; ``component_counts`` counts the components of
 such rows, chunked by ``row_chunks`` as the row pass chunks them.  The
 one-function entries ``decompose`` and ``fiedler_sets`` keep their own
 code (a one-row kernel call costs more than it saves) and union with
-``core.UnionFind.link`` where they union, as does the weak pass of each
-function with an attachment: ``decompose`` hands it the union-find of
-its strong links, and an eigenfunction's weak pass a new one that
-``UnionFind.link`` joins on its strong domains from the row pass.
+``core.UnionFind.link`` where they union.  One routine,
+``_decomposition``, decomposes a list of signs for ``decompose`` and for
+every eigenfunction with an attachment alike: it joins a union-find on
+the strong links and hands it to the weak pass.
 
 A vertex set (a domain, a Fiedler set) is a tuple of its vertices in
 ascending order, and a partition a tuple of domains ordered by smallest
@@ -64,8 +64,8 @@ nonzero constant.
 matrices and spectrum, one sign matrix of all its eigenfunctions, the
 row pass over it, one decomposition per eigenfunction, and one bounds
 table per reading.  ``shg report``, ``shg bounds`` and the campaign all
-read from it, and the campaign has it run the row pass on its random
-functions too.
+read from it, so each instance runs one row pass; the campaign's random
+functions go through ``decompose``.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -431,7 +431,14 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     closures are the strong domains and the weak pass is not run.
     """
     _check_function(h, f)
-    sign = _vertex_signs(f)
+    return _decomposition(h, _vertex_signs(f))
+
+
+def _decomposition(h: SignedHypergraph, sign: list[int]) -> NodalDecomposition:
+    """The nodal decomposition of the signs ``sign`` (index 0 unused), for
+    ``decompose`` and the attached rows of ``Analysis`` alike: the strong
+    links of ``_sort_pairs`` on a union-find, its groups, and the weak
+    pass on it only when some pair joins a nonzero to a zero."""
     links, zero_pairs, attach = _sort_pairs(h, sign)
     uf = UnionFind(h.n)
     uf.link(links)
@@ -705,15 +712,14 @@ class Analysis:
     entry i - 1 of each part of ``terms[variant]``: the Fiedler sets,
     l_plus and l' on h (``all_pairs``) or on its clique expansion
     (``clique``).  One row pass (``_row_pass``) gives the strong domains
-    and the terms of both readings; only the weak pass of an
-    eigenfunction with a nonzero next to a zero runs per function.
-    ``strong_partitions`` runs the row pass on other functions.
-    ``cycles`` holds c and l of h.  ``bounds(variant)`` is the table of
-    nodal-count bounds of every index: strong count <= k + r - 1; weak
-    count <= k + c - 1; strong count >= k + r - 1 - l' + l_plus -
-    |fiedler|, the terms read on whole hyperedges (``all_pairs``: l_plus
-    over the edges whose every vertex pair is coherent) or on the clique
-    expansion.
+    and the terms of both readings; only an eigenfunction with a nonzero
+    next to a zero is decomposed again on its own, by ``_decomposition``
+    as ``decompose`` does.  ``cycles`` holds c and l of h.
+    ``bounds(variant)`` is the table of nodal-count bounds of every
+    index: strong count <= k + r - 1; weak count <= k + c - 1; strong
+    count >= k + r - 1 - l' + l_plus - |fiedler|, the terms read on whole
+    hyperedges (``all_pairs``: l_plus over the edges whose every vertex
+    pair is coherent) or on the clique expansion.
     """
 
     def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:
@@ -749,26 +755,9 @@ class Analysis:
 
     @cached_property
     def decompositions(self) -> tuple[NodalDecomposition, ...]:
-        out = []
-        for row, strong, attached in zip(self.signs, self._rows.strong, self._rows.attached):
-            if attached:
-                sign = row.tolist()
-                _, zero_pairs, attach = _sort_pairs(self.h, sign)
-                uf = UnionFind(self.h.n)
-                uf.link((d[0], v) for d in strong for v in d[1:])
-                weak = _weak(self.h, sign, uf, zero_pairs, attach)
-            else:
-                weak = (strong, strong)
-            out.append(NodalDecomposition(strong, *weak))
-        return tuple(out)
-
-    def strong_partitions(self, functions: Sequence[VertexFunction]) -> list[tuple[tuple[int, ...], ...]]:
-        """The strong domains of other functions on h, one partition per
-        function, from a row pass over their sign matrix like the one that
-        serves the eigenfunctions; nothing is cached."""
-        for f in functions:
-            _check_function(self.h, f)
-        return _row_pass(self.h, _sign_matrix(tuple(functions), self.h.n), self.cycles.n_components).strong
+        rows = zip(self.signs, self._rows.strong, self._rows.attached)
+        return tuple(_decomposition(self.h, row.tolist()) if attached
+                     else NodalDecomposition(strong, strong, strong) for row, strong, attached in rows)
 
     def bounds(self, variant: str = "all_pairs") -> tuple[BoundReport, ...]:
         """The bounds row of every eigenfunction, in index order."""

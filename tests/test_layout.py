@@ -1,13 +1,16 @@
 """Package layout: modules reach each other through public names only,
-every vertex set is an ascending tuple, never a ``frozenset``, and every
-parameter is read."""
+every vertex set is an ascending tuple, never a ``frozenset``, every
+parameter is read, every module-level function is reachable, and the
+README's quick tour runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import shg
 
 MODULES = sorted(Path(shg.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def private_imports(source):
@@ -46,6 +49,34 @@ def unused_parameters(source):
         body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
         read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         found += [(node.lineno, getattr(node, "name", "<lambda>"), p) for p in params if p not in read]
+    return found
+
+
+def unreachable_functions(sources):
+    """The (module, function) of every module-level function of
+    ``sources`` (module name to source) that no module names outside the
+    function's own ``def``, as a name or an attribute, that is not in its
+    module's ``__all__`` and that no ``@_property(...)`` registers."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.discard(stmt.name)
+            named |= names
+    found = []
+    for module, tree in trees.items():
+        exported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                exported |= {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+        found += [(module, stmt.name) for stmt in tree.body
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and stmt.name not in named and stmt.name not in exported
+                  and not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_property"
+                              for d in stmt.decorator_list)]
     return found
 
 
@@ -101,3 +132,36 @@ def test_the_check_sees_unused_parameters():
     assert unused_parameters(source) == [
         (1, "f", "h"), (1, "f", "g"), (1, "f", "key"), (3, "outer", "y"), (13, "_q", "ctx"),
         (8, "<lambda>", "v")]
+
+
+def test_every_function_is_reachable():
+    # nodal.weak_domains is called only by bench/reference.py, a one-off
+    # timing script; ROADMAP item 1 retires both
+    found = unreachable_functions({path.stem: path.read_text(encoding="utf-8") for path in MODULES})
+    assert found == [("nodal", "weak_domains")]
+
+
+def test_the_check_sees_unreachable_functions():
+    sources = {
+        "a": ("__all__ = ['public']\n"
+              "def public():\n    return _helper()\n"
+              "def _helper():\n    return 1\n"
+              "def _recursive(k):\n    return _recursive(k - 1)\n"
+              "def _dead():\n    return public\n"
+              "def _imported_only():\n    return 0\n"
+              "def _by_attribute():\n    return 0\n"
+              "@_property('p')\n"
+              "def _p(ctx, rng):\n    return ctx\n"
+              "class C:\n    def method(self):\n        return 0\n"),
+        "b": ("from .a import _imported_only\n"
+              "from . import a\n"
+              "x = a._by_attribute()\n"),
+    }
+    assert unreachable_functions(sources) == [("a", "_recursive"), ("a", "_dead"), ("a", "_imported_only")]
+
+
+def test_readme_quick_tour_runs():
+    # the first python block of README.md; a name it uses that is renamed
+    # or retired fails here instead of drifting
+    tour = re.search(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    exec(compile(tour.group(1), str(README), "exec"), {})

@@ -485,7 +485,8 @@ class TestCampaign:
     def test_no_zeros_identical_checks_against_the_batched_strong_pass(self, monkeypatch):
         # decompose takes its weak partitions from its strong pass on a
         # zero-free function; a strong link joining its first two domains
-        # keeps them equal, and only the batched pass differs
+        # keeps them equal, and only the row pass differs, which the
+        # property reaches through the zero-free eigenfunctions
         sort_pairs = shg.nodal._sort_pairs
 
         def merged(h, sign):
@@ -500,25 +501,19 @@ class TestCampaign:
         fails, _ = self._no_zeros_identical()
         assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
 
-    def test_no_zeros_identical_batches_only_zero_free_random_rows(self, monkeypatch):
-        # the property reads zero-free functions only, so only the zero-free
-        # random functions go through the row pass, and none when all have
-        # zeros
-        real = Analysis.strong_partitions
-        batched = []
-
-        def recording(self, functions):
-            batched.append(functions)
-            return real(self, functions)
-
-        monkeypatch.setattr(Analysis, "strong_partitions", recording)
+    def test_one_row_pass_per_instance(self, monkeypatch):
+        # every property reads the row pass of the instance's one Analysis;
+        # the random functions go through decompose, never a second pass
+        real = shg.nodal._row_pass
         calls = []
-        for seed, h in enumerate(generate(GenConfig(n_range=(3, 5), seed=8, count=30))):
-            batched.clear()
-            assert REGISTRY["nodal.no-zeros-identical"](Analysis(h), random.Random(seed)) == ([], [])
-            calls.append(sum(len(functions) for functions in batched))
-            assert all(len(f.support()) == f.n for functions in batched for f in functions)
-        assert 0 in calls and 1 in calls and 2 in calls
+
+        def counting(h, signs, n_components):
+            calls.append(h)
+            return real(h, signs, n_components)
+
+        monkeypatch.setattr(shg.nodal, "_row_pass", counting)
+        assert run_campaign(GenConfig(n_range=(3, 5), seed=8, count=30)).passed
+        assert len(calls) == 30
 
     def test_tree_like_properties_check_the_block_pass(self, monkeypatch):
         # a parallel pair is the cycle 1 e1 2 e2 1; a bridge pass that took
