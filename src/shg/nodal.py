@@ -39,10 +39,13 @@ attachments, and l_plus, l' and the Fiedler sets on h and on its clique
 expansion alike.  Its labellings share ``_labels``, which runs
 ``_components``, hook-and-jump rounds on numpy arrays over the rows as
 one block-diagonal graph; ``component_counts`` counts the components of
-such rows, chunked by ``row_chunks`` as the row pass chunks them.  The
-one-function entries ``decompose`` and ``fiedler_sets`` keep their own
-code (a one-row kernel call costs more than it saves) and union with
-``core.UnionFind.link`` where they union.  One routine,
+such rows.  A chunk is sized once, by its caller: ``row_chunks`` serves
+the row pass and the campaign's sandwich, the two passes whose
+temporaries grow with the rows times a per-row size, and nothing below
+them chunks again.  The one-function entries ``decompose`` and
+``fiedler_sets`` keep their own code (a one-row kernel call costs more
+than it saves) and union with ``core.UnionFind.link`` where they
+union.  One routine,
 ``_decomposition``, decomposes a list of signs for ``decompose`` and for
 every eigenfunction with an attachment alike: it joins a union-find on
 the strong links and hands it to the weak pass.
@@ -99,8 +102,8 @@ __all__ = [
 
 BOUND_VARIANTS = ("all_pairs", "clique")
 # The most nodes, candidate links or temporary entries one chunk of rows
-# holds: the row passes and the campaign's stacked spectral checks take
-# chunks (``row_chunks``), so their temporaries stay bounded.
+# holds: the row pass and the campaign's sandwich size their chunks by it
+# (``row_chunks``), and ``_labels`` slices the links of one row over it.
 _LINK_BUDGET = 1 << 18
 
 
@@ -237,9 +240,10 @@ def _labels(width: int, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.
     labels[i, v] is the smallest node of v's component in graph i.
 
     The rows form one block-diagonal graph (node v of row i is
-    i * width + v) for one ``_components`` call; with more than
-    ``_LINK_BUDGET`` links they are labelled in slices, each slice linking
-    the labels of the ones before.
+    i * width + v) for one ``_components`` call.  The caller chunks the
+    rows (``row_chunks``), so they hold more than ``_LINK_BUDGET`` links
+    only when one row alone does; such links are labelled in slices, each
+    slice linking the labels of the ones before.
     """
     budget = _LINK_BUDGET
     n_nodes = len(mask) * width
@@ -258,14 +262,11 @@ def component_counts(width: int, xs: np.ndarray, ys: np.ndarray, masks: np.ndarr
     """The number of components on nodes 1..width-1 of one graph per row
     of ``masks``, graph i linking xs[p] to ys[p] where masks[i, p].
 
-    The rows are labelled by ``_labels`` in chunks of the row budget, the
-    roots of each row being the nodes that label themselves.
+    The roots of each row, the nodes that label themselves, of one
+    ``_labels`` call on all the rows: the caller hands over rows it has
+    chunked already.
     """
-    counts = np.empty(len(masks), dtype=np.intp)
-    for rows in row_chunks(len(masks), max(len(xs), width)):
-        labels = _labels(width, xs, ys, masks[rows])
-        counts[rows] = (labels[:, 1:] == np.arange(1, width)).sum(axis=1)
-    return counts
+    return (_labels(width, xs, ys, masks)[:, 1:] == np.arange(1, width)).sum(axis=1)
 
 
 def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:

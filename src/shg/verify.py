@@ -425,13 +425,6 @@ def _random_stack(ctx: Analysis, rng: random.Random, count: int) -> np.ndarray:
     return np.array([[rng.gauss(0.0, 1.0) for _ in range(ctx.h.n)] for _ in range(count)])
 
 
-def _by_chunks(fn: Callable[[slice], np.ndarray], n_rows: int, row_size: int) -> list:
-    """fn(rows) of every chunk of rows 0..n_rows-1 that ``row_chunks``
-    hands out for ``row_size`` entries a row, joined in one list: a
-    stacked check holds at most one chunk's temporaries at a time."""
-    return [x for rows in row_chunks(n_rows, row_size) for x in fn(rows).tolist()]
-
-
 # --- core properties -------------------------------------------------------
 
 
@@ -507,13 +500,9 @@ def _p_self_adjoint(ctx: Analysis, rng: random.Random):
     # five pairs (f, g), each f drawn before its g
     pairs = _random_stack(ctx, rng, 10)
     f, g = pairs[0::2], pairs[1::2]
-
-    def sides(rows: slice) -> np.ndarray:
-        return np.stack((weighted_inner(b, f[rows] @ l.T, g[rows]),
-                         weighted_inner(b, f[rows], g[rows] @ l.T)), axis=-1)
-
     fails = []
-    for left, right in _by_chunks(sides, len(f), b.n):
+    for left, right in zip(weighted_inner(b, f @ l.T, g).tolist(),
+                           weighted_inner(b, f, g @ l.T).tolist()):
         scale = max(1.0, abs(left), abs(right))
         if abs(left - right) > 1e-9 * scale:
             fails.append(f"<Lf,g>={left!r} vs <f,Lg>={right!r}")
@@ -603,7 +592,7 @@ def _p_rayleigh_bounds(ctx: Analysis, rng: random.Random):
     indices = (1, h.n)
     stack = np.vstack((_random_stack(ctx, rng, 5),
                        [ctx.spectrum.functions[k - 1].values for k in indices]))
-    quotients = _by_chunks(lambda rows: rayleigh(b, stack[rows]), len(stack), h.n)
+    quotients = rayleigh(b, stack).tolist()
     fails = []
     for q in quotients[:5]:
         if not (w[0] - slack <= q <= w[-1] + slack):
@@ -754,7 +743,10 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     # every count is over the distinct vertex pairs sharing an edge, kept
     # where A o gg^T is positive or nonzero; the forests of a graph form a
     # matroid, so a maximum spanning forest of the positive pairs weighs
-    # n - c(positive)
+    # n - c(positive).  A is integer-valued and a full row has no value
+    # within its zero tolerance, so sgn(A_xy g(x) g(y)) is read off the
+    # sign matrix as sgn(A_xy) s(x) s(y), which no underflow changes; the
+    # nonzero pairs are those with A_xy != 0, the same for every row
     h, bundle = ctx.h, ctx.bundle
     # the rows of the eigenfunctions with full support
     full = np.flatnonzero((ctx.signs[:, 1:] != 0).all(axis=1))
@@ -762,25 +754,25 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
         return [], []
     a, b = np.array(sorted({(min(x, y), max(x, y)) for x, y, _ in h.pairs}),
                     dtype=np.intp).reshape(-1, 2).T
-    values = np.array([ctx.spectrum.functions[i].values for i in full.tolist()])
-    eigenvalues = np.array(ctx.spectrum.eigenvalues)[full]
-    coeff = bundle.a[a - 1, b - 1] * (values[:, a - 1] * values[:, b - 1])
-    positive, nonzero = coeff > 0, coeff != 0
-    c_pos, c_nonzero = component_counts(
-        h.n + 1, a, b, np.concatenate((positive, nonzero))).reshape(2, -1)
-    sigma_ts = (h.n - c_pos).tolist()
-    n_poss = positive.sum(axis=1).tolist()
-    l_nonzeros = (nonzero.sum(axis=1) - h.n + c_nonzero).tolist()
-    # one n x n form per row, so chunks of at most the link budget of entries
-    inertia = _by_chunks(
-        lambda rows: positive_inertia(nodal_quadratic_form(bundle, values[rows], eigenvalues[rows])),
-        len(full), h.n * h.n)
+    adjacency = np.sign(bundle.a[a - 1, b - 1]).astype(np.int8)
+    nonzero = adjacency != 0
+    l_nonzero = int(nonzero.sum()) - h.n + int(component_counts(h.n + 1, a, b, nonzero[None])[0])
+    eigenvalues = np.array(ctx.spectrum.eigenvalues)
     fails = []
-    for i, p, sigma_t, n_pos, l_nonzero in zip((full + 1).tolist(), inertia, sigma_ts, n_poss, l_nonzeros):
-        if not (p <= sigma_t <= n_pos <= p + l_nonzero):
-            fails.append(
-                f"eig {i}: inertia {p}, forest weight {sigma_t}, positive pairs {n_pos}, "
-                f"slack cap {p + l_nonzero}")
+    # a form holds n^2 entries a row, more than a mask over the pairs
+    for rows in row_chunks(len(full), h.n * h.n):
+        chunk = full[rows]
+        s = ctx.signs[chunk]
+        positive = adjacency * s[:, a] * s[:, b] > 0
+        sigma_ts = (h.n - component_counts(h.n + 1, a, b, positive)).tolist()
+        values = np.array([ctx.spectrum.functions[i].values for i in chunk.tolist()])
+        inertia = positive_inertia(nodal_quadratic_form(bundle, values, eigenvalues[chunk])).tolist()
+        for i, p, sigma_t, n_pos in zip((chunk + 1).tolist(), inertia, sigma_ts,
+                                        positive.sum(axis=1).tolist()):
+            if not (p <= sigma_t <= n_pos <= p + l_nonzero):
+                fails.append(
+                    f"eig {i}: inertia {p}, forest weight {sigma_t}, positive pairs {n_pos}, "
+                    f"slack cap {p + l_nonzero}")
     return fails, []
 
 

@@ -4,9 +4,10 @@ Each computes one term of the bounds, one identity or one predicate,
 the slow and plain way; the program computes the same from one pass
 (over all rows in ``nodal._row_pass``, over the incidence graph in
 ``nodal.cyclic_vertices``, over a stack of functions in ``spectra``, over
-the pair table once in ``nodal.decompose``), and the tests compare the
-two.  The blocks of every reference come from ``reference_blocks``, the
-Hopcroft-Tarjan edge-stack search, which shares no code with the
+the pair table once in ``nodal.decompose``, over the sign matrix in the
+campaign's sandwich), and the tests compare the two.  The blocks of
+every reference come from ``reference_blocks``, the Hopcroft-Tarjan
+edge-stack search, which shares no code with the
 program: there one low-link search, ``nodal._lowlink``, serves the
 bridge pass and the weak pass, and the weak pass reads the blocks off
 it by two rules (the tree link p -> v opens a block when
@@ -29,6 +30,7 @@ from shg.core import (
     cyclomatic,
     degrees,
     induced_subhypergraph,
+    spanning_hyperforest,
     weak_delete,
 )
 
@@ -206,6 +208,37 @@ def reference_nodal_quadratic_form(bundle, g, eigenvalue) -> np.ndarray:
     core = bundle.deg[:, None] * (bundle.l - eigenvalue * np.eye(bundle.n))
     s = gv[:, None] * core * gv[None, :]
     return (s + s.T) / 2.0
+
+
+def reference_sandwich(ctx, inertia):
+    """(fails, notes) of the campaign's sandwich property, with
+    ``inertia(i)`` as the positive inertia of eigenfunction i.
+
+    The distinct vertex pairs sharing an edge are classified by the float
+    product A_xy g(x) g(y) of every full-support eigenfunction g at once,
+    the route the property took before it read the sign matrix: positive
+    where the product is, nonzero where it is.  Each class of each row is
+    then a graph of its own, counted by a greedy forest and a cyclomatic
+    number.
+    """
+    h, b = ctx.h, ctx.bundle
+    pairs = sorted({(min(x, y), max(x, y)) for x, y, _ in h.pairs})
+    a, c = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    full = [i for i, g in enumerate(ctx.spectrum.functions, 1) if len(g.support()) == h.n]
+    values = np.array([ctx.spectrum.functions[i - 1].values for i in full]).reshape(len(full), h.n)
+    coeff = b.a[a - 1, c - 1] * (values[:, a - 1] * values[:, c - 1])
+    fails = []
+    for i, row in zip(full, coeff.tolist()):
+        positive, nonzero = (
+            SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -1))) for (x, y), k in zip(pairs, row) if keep(k)))
+            for keep in (lambda k: k > 0, lambda k: k != 0))
+        sigma_t = sum(positive.edges[j].size - 1 for j in spanning_hyperforest(positive))
+        p, n_pos, l_nonzero = inertia(i), positive.m, cyclomatic(nonzero).l
+        if not (p <= sigma_t <= n_pos <= p + l_nonzero):
+            fails.append(
+                f"eig {i}: inertia {p}, forest weight {sigma_t}, positive pairs {n_pos}, "
+                f"slack cap {p + l_nonzero}")
+    return fails, []
 
 
 # --- the strong and weak passes before the one scan of ``nodal.decompose``

@@ -960,16 +960,11 @@ class TestChunking:
         """Record (nodes, links) of every ``_components`` call, the shape
         of every link mask a chunk of rows labels, and (rows, row size) of
         every chunk ``row_chunks`` hands out, in the row pass and in the
-        sandwich property alike; the chunks that ``component_counts``
-        takes of rows the row pass has chunked already go to a fourth
-        list."""
+        sandwich property alike."""
         import shg.nodal as nodal
 
-        seen, masks, chunks, nested = [], [], [], []
+        seen, masks, chunks = [], [], []
         real, real_labels, real_chunks = nodal._components, nodal._labels, nodal.row_chunks
-        real_counts = nodal.component_counts
-        # the open calls of component_counts and of the row pass
-        depth = [0, 0]
 
         def wrapper(n_nodes, ex, ey):
             seen.append((n_nodes, len(ex)))
@@ -981,38 +976,19 @@ class TestChunking:
 
         def chunks_wrapper(n_rows, row_size):
             for rows in real_chunks(n_rows, row_size):
-                inside = depth[0] and depth[1]
-                (nested if inside else chunks).append((rows.stop - rows.start, row_size))
+                chunks.append((rows.stop - rows.start, row_size))
                 yield rows
 
-        def counts_wrapper(width, xs, ys, masks):
-            depth[0] += 1
-            try:
-                return real_counts(width, xs, ys, masks)
-            finally:
-                depth[0] -= 1
-
-        def row_pass_wrapper(h, signs, n_components):
-            depth[1] += 1
-            try:
-                return real_row_pass(h, signs, n_components)
-            finally:
-                depth[1] -= 1
-
-        real_row_pass = nodal._row_pass
         monkeypatch.setattr(nodal, "_components", wrapper)
         monkeypatch.setattr(nodal, "_labels", labels_wrapper)
         monkeypatch.setattr(nodal, "row_chunks", chunks_wrapper)
         monkeypatch.setattr(verify, "row_chunks", chunks_wrapper)
-        monkeypatch.setattr(nodal, "component_counts", counts_wrapper)
-        monkeypatch.setattr(verify, "component_counts", counts_wrapper)
-        monkeypatch.setattr(nodal, "_row_pass", row_pass_wrapper)
-        return seen, masks, chunks, nested
+        return seen, masks, chunks
 
     def test_no_call_exceeds_the_budget(self, monkeypatch, instances, failing_inertia):
         import shg.nodal as nodal
 
-        seen, _, chunks, nested = self._record_calls(monkeypatch)
+        seen, _, chunks = self._record_calls(monkeypatch)
         for h in instances:
             self._outputs(h)
         assert seen
@@ -1021,37 +997,45 @@ class TestChunking:
         assert all(links <= nodal._LINK_BUDGET for _, links in seen)
         assert all(n_nodes <= nodal._LINK_BUDGET for n_nodes, _ in seen)
         # every chunk of rows within the budget
-        assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks + nested)
-        # and the row pass declares the widest of its temporaries per row:
-        # the pair table, the flat incidences, the vertices and the edges;
-        # its component counts declare no wider a row
+        assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks)
+        # the row pass declares the widest of its temporaries per row: the
+        # pair table, the flat incidences, the vertices and the edges; the
+        # sandwich declares n^2, a form's entries, which covers its pairs
+        sandwiches = 0
         for h in instances:
             analysis = Analysis(h, zero_tol_rel=0.2)
             analysis.signs
             chunks.clear()
-            nested.clear()
             analysis.terms
             widest = max(len(h.pairs), sum(e.size for e in h.edges), h.n + 1, h.m)
             assert chunks and all(size == widest for _, size in chunks)
-            assert nested and all(size <= widest for _, size in nested)
+            chunks.clear()
+            verify._p_sandwich(analysis, random.Random(0))
+            full = int((analysis.signs[:, 1:] != 0).all(axis=1).sum())
+            assert sum(rows for rows, _ in chunks) == full
+            assert all(size == h.n ** 2 for _, size in chunks)
+            sandwiches += bool(full)
+        assert sandwiches
 
-    @pytest.mark.parametrize("budget", [1, 3, 7, 40])
+    @pytest.mark.parametrize("budget", [1, 3, 7, 40, 1000])
     def test_results_do_not_depend_on_the_budget(self, monkeypatch, instances, failing_inertia, budget):
         import shg.nodal as nodal
 
         expected = [self._outputs(h) for h in instances]
         monkeypatch.setattr(nodal, "_LINK_BUDGET", budget)
-        seen, masks, chunks, nested = self._record_calls(monkeypatch)
+        seen, masks, chunks = self._record_calls(monkeypatch)
         assert [self._outputs(h) for h in instances] == expected
         assert max(links for _, links in seen) <= budget
         # a chunk holds one row at least, and more only within the budget
         assert all(rows == 1 or rows * links <= budget for rows, links in masks)
-        assert all(rows == 1 or rows * size <= budget for rows, size in chunks + nested)
-        assert budget < 40 or any(rows > 1 for rows, _ in masks)
+        assert all(rows == 1 or rows * size <= budget for rows, size in chunks)
+        # every chunk declares its widest row, so only at 1000 do several
+        # rows of these instances fit one chunk
+        assert budget < 1000 or any(rows > 1 for rows, _ in masks)
         # rows split across chunks, and below 40 the links of one row
         # across calls of a full budget each
         assert len(seen) > 3 * len(instances)
-        assert budget == 40 or any(links == budget for _, links in seen)
+        assert budget >= 40 or any(links == budget for _, links in seen)
 
 
 def reference_fiedler_sets(h, f):

@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from shg.core import (
     cyclomatic,
     degrees,
     edge_sign,
-    spanning_hyperforest,
 )
 from shg.fixtures import fixture_example1
 from shg.nodal import Analysis, decompose
@@ -39,7 +39,7 @@ from shg.verify import (
     run_campaign,
 )
 
-from references import generate_supertree
+from references import generate_supertree, reference_sandwich
 
 
 class TestGenConfig:
@@ -336,52 +336,42 @@ class TestOracleReference:
         assert oracle_domains(h, f) == expected
 
 
-def reference_sandwich(ctx, inertia):
-    """The sandwich property as it was built per eigenfunction: one graph
-    of positive and one of nonzero distinct pairs, a greedy forest and a
-    cyclomatic number; kept as the reference of the component counts."""
-    h, b = ctx.h, ctx.bundle
-    fails = []
-    for i, g in enumerate(ctx.spectrum.functions, 1):
-        if len(g.support()) != h.n:
-            continue
-        coeff = b.a * np.outer(g.array(), g.array())
-        graphs = []
-        for positive_only in (True, False):
-            pairs = set()
-            for x, y, _ in h.pairs:
-                a, c = min(x, y), max(x, y)
-                if coeff[a - 1, c - 1] > 0 or (not positive_only and coeff[a - 1, c - 1] != 0):
-                    pairs.add((a, c))
-            graphs.append(SignedHypergraph(h.n, tuple(Edge(((a, 1), (c, -1))) for a, c in sorted(pairs))))
-        positive, nonzero = graphs
-        sigma_t = sum(positive.edges[j].size - 1 for j in spanning_hyperforest(positive))
-        p, n_pos, l_nonzero = inertia(i), positive.m, cyclomatic(nonzero).l
-        if not (p <= sigma_t <= n_pos <= p + l_nonzero):
-            fails.append(
-                f"eig {i}: inertia {p}, forest weight {sigma_t}, positive pairs {n_pos}, "
-                f"slack cap {p + l_nonzero}")
-    return fails, []
-
-
 class TestSandwich:
     @pytest.mark.parametrize("cfg", [
-        GenConfig(seed=2026, count=60),
+        GenConfig(seed=2026, count=300),
         GenConfig(n_range=(3, 10), m_range=(2, 18), edge_size_range=(1, 5), seed=7, count=60),
+        GenConfig(n_range=(20, 60), m_range=(10, 60), edge_size_range=(2, 6), seed=5, count=40),
+        GenConfig(n_range=(4, 16), m_range=(4, 30), classical=True, seed=11, count=60),
     ])
     def test_counts_match_the_pair_graphs(self, monkeypatch, cfg):
         # an inertia above every count fails each full-support row, so its
         # detail string shows the forest weight, the positive pairs and the
-        # slack of every row
+        # slack of every row; the property reads the pair classes off the
+        # sign matrix, the reference multiplies A_xy g(x) g(y) in float
         monkeypatch.setattr(shg.verify, "positive_inertia", lambda s: np.full(len(s), 10**6))
         rows = 0
         for h in generate(cfg):
-            for tol in (0.0, 0.2):
+            for tol in (0.0, 1e-8, 0.2):
                 ctx = Analysis(h, zero_tol_rel=tol)
                 got = shg.verify._p_sandwich(ctx, random.Random(0))
                 assert got == reference_sandwich(ctx, lambda i: 10**6)
                 rows += len(got[0])
         assert rows > 300
+
+    def test_holds_one_chunk_of_forms_at_a_time(self):
+        # 151 full rows over all 19 900 pairs of 200 vertices: a float
+        # array of rows x pairs peaked near 70 MB here
+        h = next(generate(GenConfig(n_range=(200, 200), m_range=(16, 16), edge_size_range=(2, 200),
+                                    seed=1, count=1)))
+        ctx = Analysis(h)
+        ctx.signs
+        tracemalloc.start()
+        try:
+            assert shg.verify._p_sandwich(ctx, random.Random(0)) == ([], [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestRegistry:
