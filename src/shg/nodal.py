@@ -65,10 +65,12 @@ nonzero constant.
 
 ``Analysis`` holds everything computed about one instance: its
 matrices and spectrum, one sign matrix of all its eigenfunctions, the
-row pass over it, one decomposition per eigenfunction, and one bounds
-table per reading.  ``shg report``, ``shg bounds`` and the campaign all
-read from it, so each instance runs one row pass; the campaign's random
-functions go through ``decompose``.
+row pass over it, its bridge pass, one decomposition per eigenfunction,
+and one bounds table per reading.  ``shg report``, ``shg bounds`` and
+the campaign all read from it, so each instance runs one row pass and
+at most one bridge pass, which the row pass reads only when some row has
+a zero and the campaign's tree-like properties read on the instance;
+the campaign's random functions go through ``decompose``.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -563,9 +565,12 @@ class _Rows(NamedTuple):
     terms: dict[str, BoundTerms]
 
 
-def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Rows:
+def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
+              bridge_pass: Callable[[], tuple[list[bool], list[bool]]] | None = None) -> _Rows:
     """Strong domains, attachments and the ``BoundTerms`` of both readings
-    of every row of the sign matrix ``signs``; ``n_components`` is c(h).
+    of every row of the sign matrix ``signs``; ``n_components`` is c(h),
+    and ``bridge_pass`` gives ``cyclic_vertices(h)``, by default by
+    running it.
 
     One walk over chunks of rows.  A chunk takes the nonzero ends and the
     strong pairs (sign(x) * sign(y) == sgn(e), the product in int8) as
@@ -593,8 +598,9 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
     ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
-    ``cyclic_vertices`` gives ``cyclic`` of both in one bridge pass, run
-    once and only when some row has a zero.
+    ``bridge_pass`` gives ``cyclic`` of both, and is read once and only
+    when some row has a zero.  ``Analysis`` hands over its own bridge
+    pass, which the campaign's tree-like properties read too.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
     xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
@@ -653,7 +659,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int) -> _Row
         zero = ~nonzero[with_zero]
         zero[:, 0] = False
         if not cyclic:
-            cyclic = [np.array(mask, dtype=bool) for mask in cyclic_vertices(h)]
+            masks = cyclic_vertices(h) if bridge_pass is None else bridge_pass()
+            cyclic = [np.array(mask, dtype=bool) for mask in masks]
         for i, z, sn in zip(at.tolist(), zero, seen):
             for reading, cyc in zip(fiedler, cyclic):
                 fied = z & (cyc | ~sn)
@@ -715,7 +722,10 @@ class Analysis:
     (``clique``).  One row pass (``_row_pass``) gives the strong domains
     and the terms of both readings; only an eigenfunction with a nonzero
     next to a zero is decomposed again on its own, by ``_decomposition``
-    as ``decompose`` does.  ``cycles`` holds c and l of h.
+    as ``decompose`` does.  ``cycles`` holds c and l of h, and ``cyclic``
+    the tree-like marks of ``cyclic_vertices``: its one bridge pass,
+    which the row pass reads only when some row has a zero, and the
+    campaign's tree-like properties read on the instance itself.
     ``bounds(variant)`` is the table of nodal-count bounds of every
     index: strong count <= k + r - 1; weak count <= k + c - 1; strong
     count >= k + r - 1 - l' + l_plus - |fiedler|, the terms read on whole
@@ -745,8 +755,13 @@ class Analysis:
         return cyclomatic(self.h)
 
     @cached_property
+    def cyclic(self) -> tuple[list[bool], list[bool]]:
+        """``cyclic_vertices(h)``, the instance's one bridge pass."""
+        return cyclic_vertices(self.h)
+
+    @cached_property
     def _rows(self) -> _Rows:
-        return _row_pass(self.h, self.signs, self.cycles.n_components)
+        return _row_pass(self.h, self.signs, self.cycles.n_components, lambda: self.cyclic)
 
     @property
     def terms(self) -> dict[str, BoundTerms]:

@@ -242,14 +242,21 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
     no simple path has.  A zero joins the closure of every core with a
     vertex it reaches through zeros, which is plain reachability.  Related
     pairs are closed into the components of the pair graph.
+
+    The step table depends on h alone (``_oracle_steps``); the campaign's
+    ``nodal.oracle-agreement`` builds it once per instance and runs the
+    per-function pass (``_oracle``) on each of its sample functions.
     """
     if h.n > ORACLE_MAX_N:
         raise ValueError(f"instance too large: {h.n} vertices exceeds {ORACLE_MAX_N}")
     if f.n != h.n:
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
-    sign = [0] + [f.sign(v) for v in h.vertex_range()]
-    support = [v for v in h.vertex_range() if sign[v] != 0]
+    return _oracle(_oracle_steps(h), f)
 
+
+def _oracle_steps(h: SignedHypergraph) -> list[list[tuple[int, int]]]:
+    """The distinct steps (w, sgn(e)) out of each vertex of h, ascending
+    (index 0 unused and empty)."""
     table: list[set[tuple[int, int]]] = [set() for _ in range(h.n + 1)]
     for e in h.edges:
         if e.size < 2:
@@ -258,7 +265,16 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
         vs = e.vertices
         for x in vs:
             table[x].update((w, sg) for w in vs if w != x)
-    steps = [sorted(s) for s in table]
+    return [sorted(s) for s in table]
+
+
+def _oracle(steps: list[list[tuple[int, int]]], f: VertexFunction) -> tuple[
+        tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """``oracle_domains`` of f on the hypergraph of the step table
+    ``steps``."""
+    vertices = range(1, len(steps))
+    sign = [0] + [f.sign(v) for v in vertices]
+    support = [v for v in vertices if sign[v] != 0]
 
     strong_pairs = [(x, w) for x in support for w, sg in steps[x]
                     if sign[x] * sg * sign[w] > 0]
@@ -309,7 +325,7 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
 
     # a vertex reachable from z through zeros by a walk is reachable by a
     # simple path (the shortest walk), so a search over zeros suffices
-    for z in h.vertex_range():
+    for z in vertices:
         if sign[z] != 0:
             continue
         reached = {z}
@@ -363,10 +379,13 @@ class CampaignResult:
     sharpness_stats histograms the slack (k + r - 1) - strong_count over
     every eigenpair of every instance, as sorted (slack, count) pairs.
     property_costs maps each selected property id to its call count and
-    CPU seconds, summed over instances; the first property to read a lazily
-    built part of an instance's ``Analysis`` is charged for building it.
-    Timings differ from run to run, so they take no part in equality and
-    stay out of ``as_dict``.
+    CPU seconds, summed over instances.  The clock is read once at each
+    boundary between properties, so a property is also charged for
+    recording its own failures and notes.  The first property to read a
+    lazily built part of an instance's ``Analysis`` is charged for building
+    it, the bridge pass (``Analysis.cyclic``) included.  Timings differ
+    from run to run, so they take no part in equality and stay out of
+    ``as_dict``.
     """
 
     config: GenConfig
@@ -456,7 +475,7 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     if h.n > _SMALL_N or any(e.size < 2 for e in h.edges):
         return [], []
     fails = []
-    cyclic = cyclic_vertices(h)[0]
+    cyclic = ctx.cyclic[0]
     for x in h.vertex_range():
         cyc = lies_on_cycle(h, x)
         if cyclic[x] != cyc:
@@ -470,12 +489,14 @@ def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     each victim, tree-like by ``cyclic_vertices`` on the current
     hypergraph, must raise the component count under weak deletion, the
     definition of tree-like, by exactly its current degree minus 1.
+    The first victim is read off the instance's own bridge pass
+    (``ctx.cyclic``).
     """
     h = ctx.h
     fails = []
     current, before = h, ctx.cycles.n_components
     for _ in range(min(3, h.n - 1)):
-        cyclic = cyclic_vertices(current)[0]
+        cyclic = (ctx.cyclic if current is h else cyclic_vertices(current))[0]
         tree_like = [x for x in current.vertex_range() if not cyclic[x]]
         if not tree_like or current.n <= 1:
             break
@@ -627,8 +648,9 @@ def _p_oracle_agreement(ctx: Analysis, rng: random.Random):
     if ctx.h.n > ORACLE_MAX_N:
         return [], []
     fails = []
+    steps = _oracle_steps(ctx.h)
     for j, f, dec in _decomposed(ctx, _sample_functions(ctx, rng)):
-        strong, cores, closures = oracle_domains(ctx.h, f)
+        strong, cores, closures = _oracle(steps, f)
         if dec.strong != strong:
             fails.append(f"function {j}: strong domains disagree with the oracle")
         if dec.weak_cores != cores:
@@ -827,6 +849,8 @@ def run_campaign(cfg: GenConfig,
 
     A property that raises records a failure instead of aborting the
     campaign.  Results are deterministic for a given (config, selection).
+    Each instance gets one ``Analysis``, which every property reads, and
+    its text is serialized only when it has a failure to record.
     """
     ids = _selection(ALL_PROPERTY_IDS if property_ids is None else property_ids)
     failures: list[FailureRecord] = []
@@ -837,22 +861,26 @@ def run_campaign(cfg: GenConfig,
     instances_run = 0
     for index, h in enumerate(generate(cfg)):
         instances_run += 1
-        text = serialize(h)
         ctx = Analysis(h)
+        # (property id, details) of every failure of this instance
+        found: list[tuple[str, str]] = []
+        start = time.process_time()
         for pid in ids:
-            start = time.process_time()
             fails, notes_i = _check(ctx, cfg.seed, index, pid)
-            cpu_s[pid] += time.process_time() - start
-            calls[pid] += 1
-            failures.extend(
-                FailureRecord(cfg.seed, index, pid, text, d) for d in fails)
+            found.extend((pid, d) for d in fails)
             notes.extend(f"instance {index} [{pid}]: {t}" for t in notes_i)
+            end = time.process_time()
+            cpu_s[pid] += end - start
+            calls[pid] += 1
+            start = end
         try:
             for rep in ctx.bounds():
                 sharp[rep.k + rep.r - 1 - rep.strong_count] += 1
         except Exception as exc:
-            failures.append(FailureRecord(
-                cfg.seed, index, "campaign.sharpness", text, f"unexpected error: {exc!r}"))
+            found.append(("campaign.sharpness", f"unexpected error: {exc!r}"))
+        if found:
+            text = serialize(h)
+            failures.extend(FailureRecord(cfg.seed, index, pid, text, d) for pid, d in found)
     return CampaignResult(
         config=cfg,
         property_ids=ids,

@@ -27,6 +27,7 @@ from shg.shgio import serialize
 from shg.spectra import VertexFunction, eigendecompose, laplacian
 from shg.verify import (
     ALL_PROPERTY_IDS,
+    ORACLE_MAX_N,
     CORE_PROPERTY_IDS,
     NODAL_PROPERTY_IDS,
     REGISTRY,
@@ -497,13 +498,38 @@ class TestCampaign:
         real = shg.nodal._row_pass
         calls = []
 
-        def counting(h, signs, n_components):
+        def counting(h, signs, n_components, bridge_pass):
             calls.append(h)
-            return real(h, signs, n_components)
+            return real(h, signs, n_components, bridge_pass)
 
         monkeypatch.setattr(shg.nodal, "_row_pass", counting)
         assert run_campaign(GenConfig(n_range=(3, 5), seed=8, count=30)).passed
         assert len(calls) == 30
+
+    def test_one_bridge_pass_and_one_step_table_per_instance(self, monkeypatch):
+        # the row pass and both tree-like properties share the instance's
+        # one bridge pass (later deletion steps run on derived
+        # hypergraphs), and every oracle call of an instance shares one
+        # step table
+        cfg = GenConfig(n_range=(3, 5), seed=8, count=30)
+        instances = list(generate(cfg))
+        passes, tables = [], []
+
+        def counting(calls, real):
+            def wrapper(h):
+                calls.append(h)
+                return real(h)
+            return wrapper
+
+        for module in (shg.nodal, shg.verify):
+            monkeypatch.setattr(module, "cyclic_vertices",
+                                counting(passes, shg.nodal.cyclic_vertices))
+        monkeypatch.setattr(shg.verify, "_oracle_steps",
+                            counting(tables, shg.verify._oracle_steps))
+        assert run_campaign(cfg).passed
+        assert [sum(g == h for g in passes) for h in instances] == [1] * len(instances)
+        assert all(h.n <= ORACLE_MAX_N for h in instances)
+        assert tables == instances
 
     def test_tree_like_properties_check_the_block_pass(self, monkeypatch):
         # a parallel pair is the cycle 1 e1 2 e2 1; a bridge pass that took
@@ -514,13 +540,14 @@ class TestCampaign:
         deletion = REGISTRY["core.tree-like-deletion"]
         assert no_cycle(Analysis(h), random.Random(0)) == ([], [])
         assert deletion(Analysis(h), random.Random(0)) == ([], [])
-        real = shg.verify.cyclic_vertices
+        real = shg.nodal.cyclic_vertices
 
         def vertex_1_missed(h):
             on_h, on_clique = real(h)
             return [False, False] + on_h[2:], on_clique
 
-        monkeypatch.setattr(shg.verify, "cyclic_vertices", vertex_1_missed)
+        # the bridge pass of the instance's Analysis, which both read
+        monkeypatch.setattr(shg.nodal, "cyclic_vertices", vertex_1_missed)
         assert no_cycle(Analysis(h), random.Random(0)) == (
             ["vertex 1: tree_like=True, on_cycle=True"], [])
         assert deletion(Analysis(h), random.Random(0)) == (
@@ -553,8 +580,10 @@ class TestFailureRoundTrip:
         res = run_campaign(cfg, property_ids=(probe_property,))
         assert len(res.failures) == 3 and not res.passed
         assert [t.split(": ", 1)[1] for t in res.notes] == ["probe note"] * 3
+        instances = list(generate(cfg))
         for rec in res.failures:
             assert isinstance(rec, FailureRecord)
+            assert rec.instance_text == serialize(instances[rec.index])
             fails, notes = rerun_property(rec)
             assert fails == [rec.details]
             assert notes == ["probe note"]
