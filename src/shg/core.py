@@ -12,10 +12,13 @@ Invariants:
       edges only arise from vertex deletions)
 
 Whether a vertex is tree-like is decided for all vertices at once by one
-bridge pass, ``nodal.cyclic_vertices``; here ``weak_delete`` gives the
-definition it is checked against and ``lies_on_cycle`` the exhaustive
-cycle search.  ``spanning_hyperforest`` is one greedy scan, not a search
-for the heaviest hyperforest.
+bridge pass, ``cyclic_vertices``, over the low-link search ``lowlink``
+that the weak pass shares; ``weak_delete`` gives the definition it is
+checked against and ``lies_on_cycle`` the exhaustive cycle search.  The
+facts of a hypergraph alone are cached on it, each computed once by
+whoever asks first: ``SignedHypergraph.pairs``, ``cycles`` and ``cyclic``.
+``spanning_hyperforest`` is one greedy scan, not a search for the
+heaviest hyperforest.
 """
 
 from __future__ import annotations
@@ -110,6 +113,16 @@ class SignedHypergraph:
             s = edge_sign(e)
             out += [(x, y, s) for x, y in combinations(e.vertices, 2)]
         return tuple(out)
+
+    @cached_property
+    def cycles(self) -> CycleStats:
+        """``cyclomatic`` of this hypergraph: c and l."""
+        return cyclomatic(self)
+
+    @cached_property
+    def cyclic(self) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+        """``cyclic_vertices`` of this hypergraph: its one bridge pass."""
+        return cyclic_vertices(self)
 
 
 @dataclass(frozen=True)
@@ -284,6 +297,104 @@ def spanning_hyperforest(h: SignedHypergraph) -> tuple[int, ...]:
             uf.link((vs[0], u) for u in vs[1:])
             chosen.append(i)
     return tuple(sorted(chosen))
+
+
+def lowlink(adj: list[list[tuple[int, int]]]) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """(disc, low, tree) of Tarjan's depth-first search (SIAM J. Comput.
+    1972) of the multigraph with neighbour lists ``adj`` of (node, link
+    id), parallel links apart by their ids: disc[v] is v's discovery
+    number (-1 without links), low[v] the smallest disc that one link off
+    the tree reaches from v's subtree, and ``tree`` the tree links as
+    (parent, child, link id) in discovery order.
+    """
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    tree: list[tuple[int, int, int]] = []
+    counter = 0
+    for root in range(len(adj)):
+        if disc[root] >= 0 or not adj[root]:
+            continue
+        disc[root] = low[root] = counter
+        counter += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, in_link, it = stack[-1]
+            for t, li in it:
+                if disc[t] < 0:
+                    tree.append((v, t, li))
+                    disc[t] = low[t] = counter
+                    counter += 1
+                    stack.append((t, li, iter(adj[t])))
+                    break
+                # a link back to an ancestor, other than the tree link in
+                if disc[t] < low[v] and li != in_link:
+                    low[v] = disc[t]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+    return disc, low, tree
+
+
+def cyclic_vertices(h: SignedHypergraph) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """Per vertex of h (index 0 unused): True when it is not tree-like,
+    on h and on its signed clique expansion.  The program's one tree-like
+    test; the campaign checks it against ``lies_on_cycle`` and against
+    weak deletion.  Read it as ``SignedHypergraph.cyclic``, which runs it
+    once per hypergraph.
+
+    x is tree-like when its weak deletion (``weak_delete``) raises
+    the component count by deg(x) - 1.  One bridge pass over the incidence
+    graph of the edges of size 2 or more decides both readings for every
+    vertex.  On the hypergraph, x is tree-like exactly when each of its
+    incidence links is a bridge and none of its edges has size 1, since
+    weak deletion leaves such an edge empty (an edge of size 1 adds only a
+    bridge to the graph, so it is left out).  On the expansion, whose
+    edges are the pairs of every edge, an edge of size 2 is a subdivided
+    pair, so a link that is not a bridge lies on a cycle of pairs, and an
+    edge of size 3 or more puts each of its vertices on a triangle; an
+    edge of size 1 gives no pair.  An edge of size 2 enters the pass as
+    one link between its two vertices, not as a node with two: undoing
+    the subdivision turns a bridge into a bridge and a link on a cycle
+    into a link on a cycle.  Both readings depend on the graph alone,
+    never on a function.
+
+    The pass is Tarjan's low-link bridge test (Inf. Process. Lett. 1974)
+    read off the one depth-first search of ``lowlink``, which the weak
+    pass shares; parallel links are kept apart by their ids.  The tree
+    link from p to its child v is a bridge unless low[v] <= disc[p], and
+    every link off the tree closes a cycle with tree links at both its
+    ends, so marking both ends of each tree link that is not a bridge
+    marks every end of every link that is not one.
+    """
+    n = h.n
+    # edge nodes n + 1.. are marked too and cut off at the end
+    size = n + 1 + h.m
+    on_h = [False] * size
+    on_clique = [False] * size
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    link = 0
+    for node, vs in enumerate((e.vertices for e in h.edges), n + 1):
+        if len(vs) > 2:
+            for v in vs:
+                adj[v].append((node, link))
+                adj[node].append((v, link))
+                link += 1
+                on_clique[v] = True
+        elif len(vs) == 2:
+            a, b = vs
+            adj[a].append((b, link))
+            adj[b].append((a, link))
+            link += 1
+        elif vs:
+            on_h[vs[0]] = True
+    disc, low, tree = lowlink(adj)
+    for p, v, _ in tree:
+        if low[v] <= disc[p]:
+            on_h[p] = on_clique[p] = on_h[v] = on_clique[v] = True
+    return tuple(on_h[:n + 1]), tuple(on_clique[:n + 1])
 
 
 def lies_on_cycle(h: SignedHypergraph, x: int) -> bool:

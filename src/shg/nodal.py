@@ -22,30 +22,30 @@ attachment; the weak pass (``_weak``) takes the last two lists and a
 union-find joined on the strong domains, and only links further on it.
 Whether a vertex is tree-like depends on the graph alone, and one bridge
 pass over the vertex-edge incidence graph decides it for all vertices,
-on h and on its clique expansion alike (``cyclic_vertices``, the one
-tree-like test of the program); a function adds only its zero mask.
-Both passes read one low-link search, ``_lowlink``, and keep no edge
-stack: the tree link p -> v is a bridge unless low[v] <= disc[p], and
-opens a block when low[v] >= disc[p], else joining the block of the
-tree link into p; any other link joins the block of the tree link into
-its deeper end.
+on h and on its clique expansion alike (``core.cyclic_vertices``, the one
+tree-like test of the program, cached as ``SignedHypergraph.cyclic``); a
+function adds only its zero mask.  Both passes read one low-link search,
+``core.lowlink``, and keep no edge stack: the tree link p -> v is a
+bridge unless low[v] <= disc[p], and opens a block when
+low[v] >= disc[p], else joining the block of the tree link into p; any
+other link joins the block of the tree link into its deeper end.
 Every pairwise pass (the strong relation, the weak pass, the clique
 terms) reads the pair table ``SignedHypergraph.pairs``.
 
 One row pass (``_row_pass``) serves every row of a sign matrix: per
 chunk of rows, masks over the pair table and cumulative sums over it
-and over the flat incidence list give the strong domains, the
-attachments, and l_plus, l' and the Fiedler sets on h and on its clique
-expansion alike.  Its labellings share ``_labels``, which runs
-``_components``, hook-and-jump rounds on numpy arrays over the rows as
-one block-diagonal graph; ``component_counts`` counts the components of
-such rows.  A chunk is sized once, by its caller: ``row_chunks`` serves
-the row pass and the campaign's sandwich, the two passes whose
-temporaries grow with the rows times a per-row size, and nothing below
-them chunks again.  The one-function entries ``decompose`` and
-``fiedler_sets`` keep their own code (a one-row kernel call costs more
-than it saves) and union with ``core.UnionFind.link`` where they
-union.  One routine,
+and over the flat incidence list give the attachments, the strong
+domains of the rows without one, and l_plus, l' and the Fiedler sets on
+h and on its clique expansion alike.  Its labellings share ``_labels``,
+which runs ``_components``, hook-and-jump rounds on numpy arrays over
+the rows as one block-diagonal graph; ``component_counts`` counts the
+components of such rows.  A chunk is sized once, by its caller:
+``row_chunks`` serves the row pass and the campaign's sandwich, the two
+passes whose temporaries grow with the rows times a per-row size, and
+nothing below them chunks again.  The one-function entries
+``decompose`` and ``fiedler_sets`` keep their own code (a one-row
+kernel call costs more than it saves) and union with
+``core.UnionFind.link`` where they union.  One routine,
 ``_decomposition``, decomposes a list of signs for ``decompose`` and for
 every eigenfunction with an attachment alike: it joins a union-find on
 the strong links and hands it to the weak pass.
@@ -63,14 +63,14 @@ All decisions are made on signs relative to the function's
 zero_tolerance, so decompositions are invariant under scaling by any
 nonzero constant.
 
-``Analysis`` holds everything computed about one instance: its
-matrices and spectrum, one sign matrix of all its eigenfunctions, the
-row pass over it, its bridge pass, one decomposition per eigenfunction,
-and one bounds table per reading.  ``shg report``, ``shg bounds`` and
-the campaign all read from it, so each instance runs one row pass and
-at most one bridge pass, which the row pass reads only when some row has
-a zero and the campaign's tree-like properties read on the instance;
-the campaign's random functions go through ``decompose``.
+``Analysis`` holds everything computed about one instance from its
+functions: its matrices and spectrum, one sign matrix of all its
+eigenfunctions, the row pass over it, one decomposition per
+eigenfunction, and one bounds table per reading.  ``shg report``, ``shg
+bounds`` and the campaign all read from it, so each instance runs one
+row pass; the campaign's random functions go through ``decompose``.
+Facts of the hypergraph alone are cached on it, so the row pass,
+``fiedler_sets`` and the campaign share one bridge pass per hypergraph.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import CycleStats, SignedHypergraph, UnionFind, cyclomatic
+from .core import SignedHypergraph, UnionFind, lowlink
 from .spectra import (
     DEFAULT_ZERO_TOL_REL,
     MatrixBundle,
@@ -303,45 +303,6 @@ def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
     return links, list(zz), attach
 
 
-def _lowlink(adj: list[list[tuple[int, int]]]) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
-    """(disc, low, tree) of Tarjan's depth-first search (SIAM J. Comput.
-    1972) of the multigraph with neighbour lists ``adj`` of (node, link
-    id), parallel links apart by their ids: disc[v] is v's discovery
-    number (-1 without links), low[v] the smallest disc that one link off
-    the tree reaches from v's subtree, and ``tree`` the tree links as
-    (parent, child, link id) in discovery order.
-    """
-    disc = [-1] * len(adj)
-    low = [0] * len(adj)
-    tree: list[tuple[int, int, int]] = []
-    counter = 0
-    for root in range(len(adj)):
-        if disc[root] >= 0 or not adj[root]:
-            continue
-        disc[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, in_link, it = stack[-1]
-            for t, li in it:
-                if disc[t] < 0:
-                    tree.append((v, t, li))
-                    disc[t] = low[t] = counter
-                    counter += 1
-                    stack.append((t, li, iter(adj[t])))
-                    break
-                # a link back to an ancestor, other than the tree link in
-                if disc[t] < low[v] and li != in_link:
-                    low[v] = disc[t]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-    return disc, low, tree
-
-
 def _weak(h: SignedHypergraph, sign: list[int], uf: UnionFind, pairs: list[tuple[int, int, int]],
           attach: list[tuple[int, int, int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """(cores, closures) of the signs ``sign`` (index 0 unused), given
@@ -362,18 +323,18 @@ def _weak(h: SignedHypergraph, sign: list[int], uf: UnionFind, pairs: list[tuple
     tree also roots each zero component; the closure of every core that
     its attachments reach absorbs it.
 
-    The blocks come off ``_lowlink``, the bridge pass's search: the tree
-    link p -> v opens a block, named v, when low[v] >= disc[p], and else
-    joins the block of the tree link into p; any other pair joins the
-    block of the tree link into its deeper end, a cycle through which it
-    closes.  Tree links agree with theta, so one scan of the pairs finds
+    The blocks come off ``core.lowlink``, the bridge pass's search: the
+    tree link p -> v opens a block, named v, when low[v] >= disc[p], and
+    else joins the block of the tree link into p; any other pair joins
+    the block of the tree link into its deeper end, a cycle through which
+    it closes.  Tree links agree with theta, so one scan of the pairs finds
     the unbalanced blocks; the regions are the tree links of the others.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(h.n + 1)]
     for i, (x, y, _) in enumerate(pairs):
         adj[x].append((y, i))
         adj[y].append((x, i))
-    disc, low, tree = _lowlink(adj)
+    disc, low, tree = lowlink(adj)
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
     block = list(range(h.n + 1))
@@ -465,68 +426,10 @@ def domain_graph_connected(h: SignedHypergraph, dec: NodalDecomposition) -> bool
     return uf.count <= 1
 
 
-def cyclic_vertices(h: SignedHypergraph) -> tuple[list[bool], list[bool]]:
-    """Per vertex of h (index 0 unused): True when it is not tree-like,
-    on h and on its signed clique expansion.  The program's one tree-like
-    test; the campaign checks it against ``core.lies_on_cycle`` and
-    against weak deletion.
-
-    x is tree-like when its weak deletion (``core.weak_delete``) raises
-    the component count by deg(x) - 1.  One bridge pass over the incidence
-    graph of the edges of size 2 or more decides both readings for every
-    vertex.  On the hypergraph, x is tree-like exactly when each of its
-    incidence links is a bridge and none of its edges has size 1, since
-    weak deletion leaves such an edge empty (an edge of size 1 adds only a
-    bridge to the graph, so it is left out).  On the expansion, whose
-    edges are the pairs of every edge, an edge of size 2 is a subdivided
-    pair, so a link that is not a bridge lies on a cycle of pairs, and an
-    edge of size 3 or more puts each of its vertices on a triangle; an
-    edge of size 1 gives no pair.  An edge of size 2 enters the pass as
-    one link between its two vertices, not as a node with two: undoing
-    the subdivision turns a bridge into a bridge and a link on a cycle
-    into a link on a cycle.  Both readings depend on the graph alone,
-    never on a function.
-
-    The pass is Tarjan's low-link bridge test (Inf. Process. Lett. 1974)
-    read off the one depth-first search of ``_lowlink``, which the weak
-    pass shares; parallel links are kept apart by their ids.  The tree
-    link from p to its child v is a bridge unless low[v] <= disc[p], and
-    every link off the tree closes a cycle with tree links at both its
-    ends, so marking both ends of each tree link that is not a bridge
-    marks every end of every link that is not one.
-    """
-    n = h.n
-    # edge nodes n + 1.. are marked too and cut off at the end
-    size = n + 1 + h.m
-    on_h = [False] * size
-    on_clique = [False] * size
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    link = 0
-    for node, vs in enumerate((e.vertices for e in h.edges), n + 1):
-        if len(vs) > 2:
-            for v in vs:
-                adj[v].append((node, link))
-                adj[node].append((v, link))
-                link += 1
-                on_clique[v] = True
-        elif len(vs) == 2:
-            a, b = vs
-            adj[a].append((b, link))
-            adj[b].append((a, link))
-            link += 1
-        elif vs:
-            on_h[vs[0]] = True
-    disc, low, tree = _lowlink(adj)
-    for p, v, _ in tree:
-        if low[v] <= disc[p]:
-            on_h[p] = on_clique[p] = on_h[v] = on_clique[v] = True
-    return on_h[:n + 1], on_clique[:n + 1]
-
-
 def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     """Split the zeros of f: a zero joins ``fiedler`` when all its
     hyperneighbors are zeros (or it has none) or it is not tree-like
-    (``cyclic_vertices``)."""
+    (``SignedHypergraph.cyclic``)."""
     _check_function(h, f)
     sign = _vertex_signs(f)
     zeros = [v for v in h.vertex_range() if sign[v] == 0]
@@ -540,7 +443,7 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
                 for u in vs:
                     seen_nonzero[u] = True
                 break
-    cyclic = cyclic_vertices(h)[0]
+    cyclic = h.cyclic[0]
     fiedler: list[int] = []
     other: list[int] = []
     for v in zeros:
@@ -559,18 +462,17 @@ class BoundTerms:
 
 
 class _Rows(NamedTuple):
-    strong: list[tuple[tuple[int, ...], ...]]
+    # None on the attached rows, which ``Analysis`` decomposes again
+    strong: list[tuple[tuple[int, ...], ...] | None]
     # some pair joins a nonzero to a zero, so the weak pass has work
     attached: list[bool]
     terms: dict[str, BoundTerms]
 
 
-def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
-              bridge_pass: Callable[[], tuple[list[bool], list[bool]]] | None = None) -> _Rows:
-    """Strong domains, attachments and the ``BoundTerms`` of both readings
-    of every row of the sign matrix ``signs``; ``n_components`` is c(h),
-    and ``bridge_pass`` gives ``cyclic_vertices(h)``, by default by
-    running it.
+def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
+    """Attachments, the strong domains of the rows without one, and the
+    ``BoundTerms`` of both readings of every row of the sign matrix
+    ``signs``.
 
     One walk over chunks of rows.  A chunk takes the nonzero ends and the
     strong pairs (sign(x) * sign(y) == sgn(e), the product in int8) as
@@ -580,12 +482,13 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
     labels at most three link sets, the first with ``_labels`` and the
     others with ``component_counts``:
 
-    - the strong pairs: the strong domains, and their count P.  The
-      support is sorted stably by label, so each row's domains are
-      ordered by smallest vertex (as ``UnionFind.groups`` orders them)
-      and each is a slice of ascending members.  A pair of the clique
-      expansion is coherent exactly when strong, so there
-      l_plus = P - n + S + (n - |supp|) with S strong domains;
+    - the strong pairs, P of them: the count S of strong domains, the
+      nonzero vertices that label themselves, and on rows without an
+      attachment the domains.  Their support is sorted stably by label,
+      so each row's domains are ordered by smallest vertex (as
+      ``UnionFind.groups`` orders them) and each is a slice of ascending
+      members.  A pair of the clique expansion is coherent exactly when
+      strong, so there l_plus = P - n + S + (n - |supp|);
     - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
       all strong, and so whose |e| vertices are nonzero (an edge of size
       1 or 0 has no pair and adds nothing, coherent or not): l_plus on h,
@@ -594,13 +497,12 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
       with k_e nonzero vertices connects them in h and in its expansion
       alike, and a zero is isolated, so with c components on 1..n,
       l'_h = sum max(k_e - 1, 0) - n + c and l'_clique is these links
-      - n + c.  A zero-free row has the whole graph for support.
+      - n + c (c of ``h.cycles``); a zero-free row has all of h for support.
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
-    ``seen`` when one of its edges has k_e >= 1, the same on both graphs;
-    ``bridge_pass`` gives ``cyclic`` of both, and is read once and only
-    when some row has a zero.  ``Analysis`` hands over its own bridge
-    pass, which the campaign's tree-like properties read too.
+    ``seen`` when one of its edges has k_e >= 1, the same on both graphs,
+    and ``h.cyclic`` gives ``cyclic`` of both, read only when some row
+    has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
     xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
@@ -617,13 +519,12 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
     vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
     links = np.maximum(sizes - 1, 0)
 
-    strong: list[tuple[tuple[int, ...], ...]] = []
+    strong: list[tuple[tuple[int, ...], ...] | None] = []
     attached = np.empty(n_rows, dtype=bool)
-    strong_pairs, plus_h = (np.empty(n_rows, dtype=np.intp) for _ in range(2))
-    l_h = np.full(n_rows, int(links.sum()) - n + n_components)
-    l_clique = np.full(n_rows, len(xs) - n + n_components)
+    strong_pairs, n_strong, plus_h = (np.empty(n_rows, dtype=np.intp) for _ in range(3))
+    l_h = np.full(n_rows, h.cycles.l)
+    l_clique = np.full(n_rows, len(xs) - n + h.cycles.n_components)
     fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
-    cyclic: list[np.ndarray] = []
     for rows in row_chunks(n_rows, max(len(xs), len(verts), width, h.m)):
         s = signs[rows]
         nonzero = s != 0
@@ -632,16 +533,17 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
         is_strong = s[:, xs] * s[:, ys] == ps
         strong_pairs[rows] = is_strong.sum(axis=1)
         labels = _labels(width, xs, ys, is_strong)
-        rr, vv = np.nonzero(s)
+        n_strong[rows] = (nonzero & (labels == np.arange(width))).sum(axis=1)
+        free = np.flatnonzero(~attached[rows])
+        rr, vv = np.nonzero(s[free])
         # one key per (row, domain); row-major order keeps vertices ascending
-        key = rr * width + labels[rr, vv]
+        key = rr * width + labels[free[rr], vv]
         order = np.argsort(key, kind="stable")
-        key, members = key[order], vv[order].tolist()
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        bounds = starts.tolist() + [len(members)]
+        members = vv[order].tolist()
+        bounds = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist() + [len(members)]
         groups = iter([tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])])
-        counts = np.bincount(key[starts] // width, minlength=rows.stop - rows.start)
-        strong.extend(tuple(islice(groups, k)) for k in counts.tolist())
+        strong.extend(None if a else tuple(islice(groups, k))
+                      for a, k in zip(attached[rows].tolist(), n_strong[rows].tolist()))
 
         coherent = _segment_sums(is_strong, pair_bounds) == n_pairs
         plus_h[rows] = coherent @ links - n + component_counts(width, xs, ys, coherent[:, pair_edge])
@@ -658,9 +560,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
         seen = _segment_sums((k > 0)[:, by_vertex], vertex_bounds) > 0
         zero = ~nonzero[with_zero]
         zero[:, 0] = False
-        if not cyclic:
-            masks = cyclic_vertices(h) if bridge_pass is None else bridge_pass()
-            cyclic = [np.array(mask, dtype=bool) for mask in masks]
+        cyclic = [np.array(mask, dtype=bool) for mask in h.cyclic]
         for i, z, sn in zip(at.tolist(), zero, seen):
             for reading, cyc in zip(fiedler, cyclic):
                 fied = z & (cyc | ~sn)
@@ -669,8 +569,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray, n_components: int,
 
     # the clique expansion's coherent graph: the strong domains, and the
     # zeros as isolated vertices
-    clique_c = np.array([len(d) for d in strong], dtype=np.intp) + (signs[:, 1:] == 0).sum(axis=1)
-    plus = (plus_h, strong_pairs - n + clique_c)
+    plus = (plus_h, strong_pairs - n + n_strong + (signs[:, 1:] == 0).sum(axis=1))
     terms = {variant: BoundTerms(tuple(fs), tuple(lp.tolist()), tuple(lq.tolist()))
              for variant, fs, lp, lq in zip(BOUND_VARIANTS, fiedler, plus, (l_h, l_clique))}
     return _Rows(strong, attached.tolist(), terms)
@@ -680,7 +579,7 @@ def _bound_rows(analysis: Analysis, variant: str) -> list[BoundReport]:
     """One BoundReport per eigenfunction, from the cached decompositions
     and the ``terms`` of ``variant``; the per-instance terms are computed
     once for all rows."""
-    spectrum, cyc = analysis.spectrum, analysis.cycles
+    spectrum, cyc = analysis.spectrum, analysis.h.cycles
     c = cyc.n_components
     terms = analysis.terms[variant]
     # (k, r) of every index, the clusters covering 1..n in order
@@ -719,13 +618,12 @@ class Analysis:
     ``decompositions[i - 1]`` belongs to that eigenfunction, and so does
     entry i - 1 of each part of ``terms[variant]``: the Fiedler sets,
     l_plus and l' on h (``all_pairs``) or on its clique expansion
-    (``clique``).  One row pass (``_row_pass``) gives the strong domains
-    and the terms of both readings; only an eigenfunction with a nonzero
-    next to a zero is decomposed again on its own, by ``_decomposition``
-    as ``decompose`` does.  ``cycles`` holds c and l of h, and ``cyclic``
-    the tree-like marks of ``cyclic_vertices``: its one bridge pass,
-    which the row pass reads only when some row has a zero, and the
-    campaign's tree-like properties read on the instance itself.
+    (``clique``).  One row pass (``_row_pass``) gives the terms of both
+    readings and the strong domains of the rows without a nonzero next
+    to a zero; each other eigenfunction is decomposed on its own, by
+    ``_decomposition`` as ``decompose`` does.  Facts of h alone (c, l,
+    the tree-like marks) are cached on h, ``SignedHypergraph.cycles`` and
+    ``cyclic``, so every reader of h shares them.
     ``bounds(variant)`` is the table of nodal-count bounds of every
     index: strong count <= k + r - 1; weak count <= k + c - 1; strong
     count >= k + r - 1 - l' + l_plus - |fiedler|, the terms read on whole
@@ -751,17 +649,8 @@ class Analysis:
         return _sign_matrix(self.spectrum.functions, self.h.n)
 
     @cached_property
-    def cycles(self) -> CycleStats:
-        return cyclomatic(self.h)
-
-    @cached_property
-    def cyclic(self) -> tuple[list[bool], list[bool]]:
-        """``cyclic_vertices(h)``, the instance's one bridge pass."""
-        return cyclic_vertices(self.h)
-
-    @cached_property
     def _rows(self) -> _Rows:
-        return _row_pass(self.h, self.signs, self.cycles.n_components, lambda: self.cyclic)
+        return _row_pass(self.h, self.signs)
 
     @property
     def terms(self) -> dict[str, BoundTerms]:

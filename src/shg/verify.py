@@ -47,7 +47,6 @@ from .nodal import (
     Analysis,
     NodalDecomposition,
     component_counts,
-    cyclic_vertices,
     decompose,
     domain_graph_connected,
     row_chunks,
@@ -382,10 +381,10 @@ class CampaignResult:
     CPU seconds, summed over instances.  The clock is read once at each
     boundary between properties, so a property is also charged for
     recording its own failures and notes.  The first property to read a
-    lazily built part of an instance's ``Analysis`` is charged for building
-    it, the bridge pass (``Analysis.cyclic``) included.  Timings differ
-    from run to run, so they take no part in equality and stay out of
-    ``as_dict``.
+    lazily built part of an instance's ``Analysis``, or of the instance
+    itself (its bridge pass, ``SignedHypergraph.cyclic``), is charged for
+    building it.  Timings differ from run to run, so they take no part in
+    equality and stay out of ``as_dict``.
     """
 
     config: GenConfig
@@ -450,7 +449,7 @@ def _random_stack(ctx: Analysis, rng: random.Random, count: int) -> np.ndarray:
 @_property("core.acyclic-iff-zero")
 def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
     fails = []
-    h, l = ctx.h, ctx.cycles.l
+    h, l = ctx.h, ctx.h.cycles.l
     # the greedy forest keeps every edge exactly when no edge closes a cycle
     acyclic = len(spanning_hyperforest(h)) == h.m
     if acyclic != (l == 0):
@@ -475,7 +474,7 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
     if h.n > _SMALL_N or any(e.size < 2 for e in h.edges):
         return [], []
     fails = []
-    cyclic = ctx.cyclic[0]
+    cyclic = h.cyclic[0]
     for x in h.vertex_range():
         cyc = lies_on_cycle(h, x)
         if cyclic[x] != cyc:
@@ -486,17 +485,17 @@ def _p_tree_like_no_cycle(ctx: Analysis, rng: random.Random):
 @_property("core.tree-like-deletion")
 def _p_tree_like_deletion(ctx: Analysis, rng: random.Random):
     """Iterated deletion of tree-like vertices with their incident edges:
-    each victim, tree-like by ``cyclic_vertices`` on the current
-    hypergraph, must raise the component count under weak deletion, the
-    definition of tree-like, by exactly its current degree minus 1.
-    The first victim is read off the instance's own bridge pass
-    (``ctx.cyclic``).
+    each victim, tree-like by the bridge pass of the current hypergraph
+    (``SignedHypergraph.cyclic``, shared with the row pass on the
+    instance itself), must raise the component count under weak
+    deletion, the definition of tree-like, by exactly its current degree
+    minus 1.
     """
     h = ctx.h
     fails = []
-    current, before = h, ctx.cycles.n_components
+    current, before = h, h.cycles.n_components
     for _ in range(min(3, h.n - 1)):
-        cyclic = (ctx.cyclic if current is h else cyclic_vertices(current))[0]
+        cyclic = current.cyclic[0]
         tree_like = [x for x in current.vertex_range() if not cyclic[x]]
         if not tree_like or current.n <= 1:
             break
@@ -563,7 +562,7 @@ def _p_classical_graph(ctx: Analysis, rng: random.Random):
         fails.append(f"classical eigenvalues outside [0,2]: {w[0]!r}..{w[-1]!r}")
     if abs(w[0]) > 1e-8:
         fails.append(f"classical smallest eigenvalue {w[0]!r} != 0")
-    if ctx.cycles.n_components == 1:
+    if h.cycles.n_components == 1:
         f1 = ctx.spectrum.functions[0]
         signs = {f1.sign(v) for v in h.vertex_range()}
         if 1 in signs and -1 in signs:
@@ -719,7 +718,7 @@ def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
 
 @_property("nodal.domain-graph-connected")
 def _p_domain_graph_connected(ctx: Analysis, rng: random.Random):
-    if ctx.cycles.n_components != 1:
+    if ctx.h.cycles.n_components != 1:
         return [], []
     fails = []
     for j, _, dec in _decomposed(ctx, _sample_functions(ctx, rng)):

@@ -3,12 +3,12 @@
 Each computes one term of the bounds, one identity or one predicate,
 the slow and plain way; the program computes the same from one pass
 (over all rows in ``nodal._row_pass``, over the incidence graph in
-``nodal.cyclic_vertices``, over a stack of functions in ``spectra``, over
+``core.cyclic_vertices``, over a stack of functions in ``spectra``, over
 the pair table once in ``nodal.decompose``, over the sign matrix in the
 campaign's sandwich), and the tests compare the two.  The blocks of
 every reference come from ``reference_blocks``, the Hopcroft-Tarjan
 edge-stack search, which shares no code with the
-program: there one low-link search, ``nodal._lowlink``, serves the
+program: there one low-link search, ``core.lowlink``, serves the
 bridge pass and the weak pass, and the weak pass reads the blocks off
 it by two rules (the tree link p -> v opens a block when
 low[v] >= disc[p], else joins the block of the tree link into p; any
@@ -58,7 +58,7 @@ def reference_blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[li
     the Hopcroft-Tarjan edge-stack search (CACM 1973), run with an explicit
     stack over neighbour lists of (node, edge id); parallel edges are kept
     apart by their ids, so two of them form a block.  The program reads
-    the blocks off the low-link numbers of ``nodal._lowlink`` instead;
+    the blocks off the low-link numbers of ``core.lowlink`` instead;
     this search shares no code with it and is kept as its reference.
     """
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
@@ -107,8 +107,8 @@ def reference_blocks(n_nodes: int, ends: list[tuple[int, int]]) -> tuple[list[li
     return blocks, tree
 
 
-def reference_cyclic_vertices(h) -> tuple[list[bool], list[bool]]:
-    """``nodal.cyclic_vertices`` as a block search: the incidence graph of
+def reference_cyclic_vertices(h) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """``core.cyclic_vertices`` as a block search: the incidence graph of
     the edges of size 2 or more, an edge of size 2 as one link, goes
     through ``reference_blocks``, and both ends of every link in a block of
     two or more links are cyclic on both readings; a vertex of an edge of
@@ -133,7 +133,7 @@ def reference_cyclic_vertices(h) -> tuple[list[bool], list[bool]]:
             for li in block:
                 a, b = links[li]
                 on_h[a] = on_clique[a] = on_h[b] = on_clique[b] = True
-    return on_h[:n + 1], on_clique[:n + 1]
+    return tuple(on_h[:n + 1]), tuple(on_clique[:n + 1])
 
 
 def adjacency_int(h) -> list[list[int]]:

@@ -9,6 +9,7 @@ from shg.core import (
     SignedHypergraph,
     UnionFind,
     connected_components,
+    cyclic_vertices,
     cyclomatic,
     degrees,
     edge_sign,
@@ -18,7 +19,6 @@ from shg.core import (
     spanning_hyperforest,
     weak_delete,
 )
-from shg.nodal import cyclic_vertices
 from references import clique_expansion, reference_cyclic_vertices, reference_is_tree_like
 
 
@@ -294,11 +294,11 @@ class TestTreeLike:
     def test_matches_weak_deletion_reference(self, h):
         c = cyclomatic(h).n_components
         cyclic = cyclic_vertices(h)[0]
-        assert cyclic == [False] + [not reference_is_tree_like(h, x, c) for x in h.vertex_range()]
+        assert cyclic == (False, *(not reference_is_tree_like(h, x, c) for x in h.vertex_range()))
         # a vertex of a size-1 edge lies on no cycle, but its weak deletion
         # leaves that edge empty, so it is not tree-like
         in_singleton = {e.vertices[0] for e in h.edges if e.size == 1}
-        assert cyclic[1:] == [x in in_singleton or lies_on_cycle(h, x) for x in h.vertex_range()]
+        assert cyclic[1:] == tuple(x in in_singleton or lies_on_cycle(h, x) for x in h.vertex_range())
 
     def test_singleton_and_parallel_edges(self):
         # {1} empties under deletion on h but gives the expansion no pair;

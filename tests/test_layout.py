@@ -1,7 +1,8 @@
 """Package layout: modules reach each other through public names only,
 every vertex set is an ascending tuple, never a ``frozenset``, every
-parameter is read, every module-level function is reachable, and the
-README's quick tour runs."""
+parameter is read, every module-level function is reachable, the facts
+of a hypergraph are computed only by the hypergraph that caches them,
+and the README's quick tour runs."""
 
 import ast
 import re
@@ -77,6 +78,29 @@ def unreachable_functions(sources):
                   and stmt.name not in named and stmt.name not in exported
                   and not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_property"
                               for d in stmt.decorator_list)]
+    return found
+
+
+def reads(source, names):
+    """The (scope, name) of every read of one of ``names`` in ``source``,
+    as a name or an attribute: a call, or the function handed on.  The
+    scope is the dotted path of the enclosing classes and functions,
+    ``<module>`` at the top level; imports and ``def`` lines are not
+    reads."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in names:
+                found.append((".".join(scope) or "<module>", child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in names:
+                found.append((".".join(scope) or "<module>", child.attr))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
     return found
 
 
@@ -158,6 +182,36 @@ def test_the_check_sees_unreachable_functions():
               "x = a._by_attribute()\n"),
     }
     assert unreachable_functions(sources) == [("a", "_recursive"), ("a", "_dead"), ("a", "_imported_only")]
+
+
+def test_hypergraph_facts_have_one_owner():
+    # the bridge pass and the cyclomatic data are facts of the hypergraph
+    # alone: only the properties that cache them on it compute them, so
+    # each runs once per hypergraph
+    found = {path.stem: reads(path.read_text(encoding="utf-8"), {"cyclic_vertices", "cyclomatic"})
+             for path in MODULES}
+    assert {module: names for module, names in found.items() if names} == {
+        "core": [("SignedHypergraph.cycles", "cyclomatic"), ("SignedHypergraph.cyclic", "cyclic_vertices")]}
+
+
+def test_the_check_sees_reads():
+    source = ("from .core import cyclomatic\n"
+              "__all__ = ['cyclomatic']\n"
+              "x = cyclomatic(h)\n"
+              "class H:\n"
+              "    @property\n"
+              "    def cycles(self):\n"
+              "        return cyclomatic(self)\n"
+              "    def other(self, cyclomatic=None):\n"
+              "        f = lambda g: core.cyclomatic(g)\n"
+              "        return map(cyclomatic, gs)\n"
+              "def cyclic_vertices(h):\n"
+              "    def inner():\n"
+              "        return [cyclic_vertices(g)[0] for g in gs]\n"
+              "    return inner\n")
+    assert reads(source, {"cyclomatic", "cyclic_vertices"}) == [
+        ("<module>", "cyclomatic"), ("H.cycles", "cyclomatic"), ("H.other", "cyclomatic"),
+        ("H.other", "cyclomatic"), ("cyclic_vertices.inner", "cyclic_vertices")]
 
 
 def test_readme_quick_tour_runs():

@@ -1,6 +1,8 @@
 """Nodal domains: strong/weak decompositions, zero handling, count bounds."""
 
 import itertools
+import json
+import math
 import random
 
 import numpy as np
@@ -14,12 +16,14 @@ from shg.core import (
     SignedHypergraph,
     UnionFind,
     connected_components,
+    cyclic_vertices,
     cyclomatic,
     edge_sign,
     hyperneighbors,
+    lowlink,
     weak_delete,
 )
-from shg.cli import _matrix_graph
+from shg.cli import _matrix_graph, main
 from shg.fixtures import (
     DISCREPANCY_NOTES,
     PRINTED_EIGENFUNCTIONS,
@@ -32,11 +36,9 @@ from shg.nodal import (
     Analysis,
     FiedlerSets,
     _components,
-    _lowlink,
     _row_pass,
     _sign_matrix,
     BoundReport,
-    cyclic_vertices,
     decompose,
     domain_graph_connected,
     fiedler_sets,
@@ -76,7 +78,7 @@ def weak_pair(h, f):
 
 def row_pass_of(h, *fs):
     """The row pass over the sign matrix of ``fs`` on h."""
-    return _row_pass(h, _sign_matrix(fs, h.n), cyclomatic(h).n_components)
+    return _row_pass(h, _sign_matrix(fs, h.n))
 
 
 # 2-edges by desired pair sign: sgn(e) = -(product of the two incidence
@@ -828,12 +830,15 @@ def split_instances(draw):
 
 def check_row_pass(h, fs):
     """``_row_pass`` of every function of ``fs`` on h against the
-    one-function references: strong domains, attachments and l_plus on
-    h, and the terms of both readings on h and on its clique expansion."""
+    one-function references: attachments, the strong domains of the rows
+    without one (``Analysis`` decomposes the others again, and their
+    count enters the clique l_plus), and the terms of both readings on h
+    and on its clique expansion."""
     rows = row_pass_of(h, *fs)
-    assert rows.strong == [reference_strong(h, f) for f in fs]
     assert rows.attached == [any((f.sign(x) == 0) != (f.sign(y) == 0) for x, y, _ in h.pairs)
                              for f in fs]
+    assert [strong for strong, a in zip(rows.strong, rows.attached) if not a] == \
+        [reference_strong(h, f) for f, a in zip(fs, rows.attached) if not a]
     for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
         terms = rows.terms[variant]
         assert terms.fiedler == tuple(reference_fiedler_sets(g, f) for f in fs)
@@ -875,9 +880,28 @@ class TestBatchedPasses:
         # 1..3 components at 20, 50 and 80 % zeros: l' on both graphs
         # from one labelling of h's nonzero pairs
         h, fs = case
-        rows = _row_pass(h, _sign_matrix(fs, h.n), cyclomatic(h).n_components)
+        rows = _row_pass(h, _sign_matrix(fs, h.n))
         for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
             assert rows.terms[variant].l_prime == tuple(support_cyclomatic(g, f).l for f in fs)
+
+
+class TestZeroRule:
+    def test_sign_support_and_sign_matrix_agree_at_the_tolerance(self):
+        # |f(v)| <= tolerance is a zero in all three places that decide it:
+        # values at exactly +-tol, one float step above and below it, and
+        # exact zeros; then an all-zero function at tolerance 0
+        fs, expected = [], []
+        for tol in (0.25, 3.7e-9, 5e-324):
+            above, below = math.nextafter(tol, math.inf), math.nextafter(tol, 0.0)
+            fs.append(VertexFunction((tol, -tol, above, -above, below, -below, 0.0, -0.0, 1.0), tol))
+            expected.append([0, 0, 0, 1, -1, 0, 0, 0, 0, 1])
+        fs.append(VertexFunction.from_values([0.0] * 9))
+        expected.append([0] * 10)
+        assert fs[-1].zero_tolerance == 0.0
+        assert _sign_matrix(tuple(fs), 9).tolist() == expected
+        for f, row in zip(fs, expected):
+            assert [f.sign(v) for v in range(1, 10)] == row[1:]
+            assert f.support() == tuple(v for v in range(1, 10) if row[v])
 
 
 def component_labels(n_nodes, links):
@@ -923,13 +947,13 @@ class TestComponentKernel:
     @pytest.mark.parametrize("n", [0, 3])
     def test_zero_rows(self, n):
         h = h_of(n, *([((1, 1), (2, 1), (3, -1))] if n else []))
-        rows = _row_pass(h, np.zeros((0, n + 1), dtype=np.int8), cyclomatic(h).n_components)
+        rows = _row_pass(h, np.zeros((0, n + 1), dtype=np.int8))
         assert rows.strong == [] and rows.attached == []
         assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((), (), ())
                    for terms in rows.terms.values())
 
     def test_empty_hypergraph_rows(self):
-        rows = _row_pass(h_of(0), _sign_matrix((vf(),), 0), 0)
+        rows = _row_pass(h_of(0), _sign_matrix((vf(),), 0))
         assert rows.strong == [()] and rows.attached == [False]
         empty = FiedlerSets((), ())
         assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((empty,), (0,), (0,))
@@ -1072,13 +1096,13 @@ class TestBatchedFiedlerSets:
         h, fs = case
         signs = _sign_matrix(fs, h.n)
         expansion = clique_expansion(h)
-        rows = _row_pass(h, signs, cyclomatic(h).n_components)
+        rows = _row_pass(h, signs)
         for variant, g in zip(BOUND_VARIANTS, (h, expansion)):
             expected = tuple(reference_fiedler_sets(g, f) for f in fs)
             assert rows.terms[variant].fiedler == expected
             assert tuple(fiedler_sets(g, f) for f in fs) == expected
         # the pass on the expansion itself reads the same sets off its edges
-        assert _row_pass(expansion, signs, cyclomatic(h).n_components).terms["all_pairs"].fiedler == \
+        assert _row_pass(expansion, signs).terms["all_pairs"].fiedler == \
             rows.terms["clique"].fiedler
 
     def test_analysis_matches_reference_on_eigenfunctions(self):
@@ -1106,15 +1130,15 @@ class TestBatchedFiedlerSets:
         on_g, on_clique = cyclic_vertices(g)
         assert on_clique == cyclic_vertices(clique_expansion(g))[0]
         c = cyclomatic(g).n_components
-        assert on_g == [False] + [not reference_is_tree_like(g, v, c) for v in g.vertex_range()]
+        assert on_g == (False, *(not reference_is_tree_like(g, v, c) for v in g.vertex_range()))
 
     def test_no_zeros_gives_empty_sets_without_block_pass(self, monkeypatch):
-        import shg.nodal as nodal
+        import shg.core as core
 
         def must_not_run(*args):
             raise AssertionError("a bridge pass ran although no row has a zero")
 
-        monkeypatch.setattr(nodal, "cyclic_vertices", must_not_run)
+        monkeypatch.setattr(core, "cyclic_vertices", must_not_run)
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         analysis = Analysis(h)
         assert (analysis.signs[:, 1:] != 0).all()
@@ -1125,25 +1149,29 @@ class TestBatchedFiedlerSets:
         # the Fiedler sets of both readings come from one cyclic_vertices
         # call, one low-link search, on an instance where some row has a
         # zero, and from none on one where no row has; no weak pass adds
-        # a search of its own while the terms are built
+        # a search of its own while the terms are built.  Each Analysis
+        # gets a fresh hypergraph, which has run no bridge pass yet.
+        import shg.core as core
         import shg.nodal as nodal
 
-        calls = {"cyclic_vertices": 0, "_lowlink": 0}
+        calls = {"cyclic_vertices": 0, "lowlink": 0}
 
         def counting(name):
-            real = getattr(nodal, name)
+            real = getattr(core, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return real(*args)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(nodal, name, counting(name))
+        monkeypatch.setattr(core, "cyclic_vertices", counting("cyclic_vertices"))
+        lowlink_counted = counting("lowlink")
+        for module in (core, nodal):
+            monkeypatch.setattr(module, "lowlink", lowlink_counted)
         with_zero = without = 0
         for h in generate(GenConfig(seed=3, count=12)):
             for tol in (0.2, 1e-8):
-                analysis = Analysis(h, zero_tol_rel=tol)
+                analysis = Analysis(SignedHypergraph(h.n, h.edges), zero_tol_rel=tol)
                 has_zero = bool((analysis.signs[:, 1:] == 0).any())
                 with_zero += has_zero
                 without += not has_zero
@@ -1151,8 +1179,50 @@ class TestBatchedFiedlerSets:
                     calls[name] = 0
                 for variant in BOUND_VARIANTS:
                     analysis.terms[variant]
-                assert calls == {"cyclic_vertices": int(has_zero), "_lowlink": int(has_zero)}
+                assert calls == {"cyclic_vertices": int(has_zero), "lowlink": int(has_zero)}
         assert with_zero and without
+
+
+class TestOneBridgePassPerHypergraph:
+    """The tree-like marks are a fact of the hypergraph, cached on it: one
+    ``core.cyclic_vertices`` call per hypergraph, whoever asks first."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        import shg.core as core
+
+        calls = []
+        real = core.cyclic_vertices
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(core, "cyclic_vertices", counting)
+        return calls
+
+    def test_example1_report(self, passes, capsys):
+        # the row pass of the eigenfunctions and fiedler_sets of the six
+        # supplied functions with a zero, out of nine, share one pass
+        assert main(["example1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["supplied_functions"]) == 9
+        assert len(passes) == 1
+
+    def test_repeated_fiedler_sets(self, passes, printed):
+        # three calls on each of the nine functions, 18 of them with zeros
+        h = fixture_example1()
+        sets = [fiedler_sets(h, f) for f in printed for _ in range(3)]
+        assert sum(bool(fs.fiedler or fs.other_zeros) for fs in sets) == 18
+        assert passes == [h]
+
+    def test_analysis_then_fiedler_sets(self, passes, printed):
+        h = fixture_example1()
+        analysis = Analysis(h)
+        assert (analysis.signs[:, 1:] == 0).any()
+        analysis.terms
+        assert passes == [h]
+        assert fiedler_sets(h, printed[2]).fiedler
+        assert passes == [h]
 
 
 def reference_weak_domains(h, f):
@@ -1402,7 +1472,7 @@ def multigraphs(draw):
 
 def lowlink_blocks(n_nodes, ends):
     """The blocks of a multigraph as sets of link ids, read off one
-    ``_lowlink`` search: the tree link p -> v opens a block when
+    ``core.lowlink`` search: the tree link p -> v opens a block when
     low[v] >= disc[p] and otherwise joins the block of the tree link into
     p, and every other link joins the block of the tree link into its
     deeper end."""
@@ -1410,7 +1480,7 @@ def lowlink_blocks(n_nodes, ends):
     for i, (a, b) in enumerate(ends):
         adj[a].append((b, i))
         adj[b].append((a, i))
-    disc, low, tree = _lowlink(adj)
+    disc, low, tree = lowlink(adj)
     head = list(range(n_nodes))
     for p, v, _ in tree:
         if low[v] < disc[p]:

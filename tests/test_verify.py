@@ -498,9 +498,9 @@ class TestCampaign:
         real = shg.nodal._row_pass
         calls = []
 
-        def counting(h, signs, n_components, bridge_pass):
+        def counting(h, signs):
             calls.append(h)
-            return real(h, signs, n_components, bridge_pass)
+            return real(h, signs)
 
         monkeypatch.setattr(shg.nodal, "_row_pass", counting)
         assert run_campaign(GenConfig(n_range=(3, 5), seed=8, count=30)).passed
@@ -508,9 +508,9 @@ class TestCampaign:
 
     def test_one_bridge_pass_and_one_step_table_per_instance(self, monkeypatch):
         # the row pass and both tree-like properties share the instance's
-        # one bridge pass (later deletion steps run on derived
-        # hypergraphs), and every oracle call of an instance shares one
-        # step table
+        # one bridge pass, cached on the instance (later deletion steps
+        # run on derived hypergraphs), and every oracle call of an
+        # instance shares one step table
         cfg = GenConfig(n_range=(3, 5), seed=8, count=30)
         instances = list(generate(cfg))
         passes, tables = [], []
@@ -521,9 +521,7 @@ class TestCampaign:
                 return real(h)
             return wrapper
 
-        for module in (shg.nodal, shg.verify):
-            monkeypatch.setattr(module, "cyclic_vertices",
-                                counting(passes, shg.nodal.cyclic_vertices))
+        monkeypatch.setattr(shg.core, "cyclic_vertices", counting(passes, shg.core.cyclic_vertices))
         monkeypatch.setattr(shg.verify, "_oracle_steps",
                             counting(tables, shg.verify._oracle_steps))
         assert run_campaign(cfg).passed
@@ -540,14 +538,16 @@ class TestCampaign:
         deletion = REGISTRY["core.tree-like-deletion"]
         assert no_cycle(Analysis(h), random.Random(0)) == ([], [])
         assert deletion(Analysis(h), random.Random(0)) == ([], [])
-        real = shg.nodal.cyclic_vertices
+        real = shg.core.cyclic_vertices
 
         def vertex_1_missed(h):
             on_h, on_clique = real(h)
-            return [False, False] + on_h[2:], on_clique
+            return (False, False) + on_h[2:], on_clique
 
-        # the bridge pass of the instance's Analysis, which both read
-        monkeypatch.setattr(shg.nodal, "cyclic_vertices", vertex_1_missed)
+        # the bridge pass cached on the instance, which both read; the
+        # calls above cached the true marks on h, so a fresh copy of it
+        monkeypatch.setattr(shg.core, "cyclic_vertices", vertex_1_missed)
+        h = SignedHypergraph(2, (pair, pair))
         assert no_cycle(Analysis(h), random.Random(0)) == (
             ["vertex 1: tree_like=True, on_cycle=True"], [])
         assert deletion(Analysis(h), random.Random(0)) == (
