@@ -142,12 +142,13 @@ def _cmd_domains(args) -> int:
 
 def _cmd_bounds(args) -> int:
     h, _ = _load(args.file)
-    header = ("i", "k", "r", "S", "W", "upper", "lower", "S>=lower")
+    header = ("i", "k", "r", "S", "W", "upper", "S<=upper", "W<=k+c-1", "lower", "S>=lower")
     rows = [header]
     for rep in Analysis(h).bounds(args.h1_variant):
+        verdicts = ("yes" if ok else "NO" for ok in (rep.strong_upper_ok, rep.weak_upper_ok))
         rows.append((
             str(rep.eig_index), str(rep.k), str(rep.r), str(rep.strong_count),
-            str(rep.weak_count), str(rep.k + rep.r - 1),
+            str(rep.weak_count), str(rep.k + rep.r - 1), *verdicts,
             str(rep.strong_lower_bound), "yes" if rep.strong_lower_ok else "NO",
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]

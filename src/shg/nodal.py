@@ -59,9 +59,9 @@ reader sorts one; a weak closure, its core's run followed by its
 zeros', takes one merge.  A function without an attachment has one
 partition object for its strong domains, weak cores and weak closures.
 
-All decisions are made on signs relative to the function's
-zero_tolerance, so decompositions are invariant under scaling by any
-nonzero constant.
+All decisions are made on the signs of ``spectra`` (a function's
+``signs`` for ``decompose`` and ``fiedler_sets``, its ``sign_matrix`` for
+``Analysis``), so decompositions are invariant under scaling.
 
 ``Analysis`` holds everything computed about one instance from its
 functions: its matrices and spectrum, one sign matrix of all its
@@ -78,7 +78,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,6 +90,7 @@ from .spectra import (
     VertexFunction,
     eigendecompose,
     laplacian,
+    sign_matrix,
 )
 
 __all__ = [
@@ -179,21 +180,6 @@ class BoundReport:
     strong_lower_ok: bool
 
 
-def _vertex_signs(f: VertexFunction) -> list[int]:
-    """Sign per vertex, index 0 unused."""
-    return [0] + [f.sign(v) for v in range(1, f.n + 1)]
-
-
-def _sign_matrix(functions: tuple[VertexFunction, ...], n: int) -> np.ndarray:
-    """int8 signs, one row per function and one column per vertex, column
-    0 unused (zero); the rule of ``VertexFunction.sign``."""
-    values = np.array([f.values for f in functions], dtype=float).reshape(len(functions), n)
-    tol = np.array([f.zero_tolerance for f in functions], dtype=float)
-    signs = np.zeros((len(functions), n + 1), dtype=np.int8)
-    signs[:, 1:] = np.where(np.abs(values) <= tol[:, None], 0.0, np.sign(values))
-    return signs
-
-
 def _check_function(h: SignedHypergraph, f: VertexFunction) -> None:
     if f.n != h.n:
         raise ValueError(f"function has {f.n} values, hypergraph has {h.n} vertices")
@@ -279,7 +265,7 @@ def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
-def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
+def _sort_pairs(h: SignedHypergraph, sign: Sequence[int]) -> tuple[
         list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, int, int]]]:
     """One scan of the pair table, sorting each pair under the signs
     ``sign``: (the strong links, the zero-zero pairs, each once per sign
@@ -303,7 +289,7 @@ def _sort_pairs(h: SignedHypergraph, sign: list[int]) -> tuple[
     return links, list(zz), attach
 
 
-def _weak(h: SignedHypergraph, sign: list[int], uf: UnionFind, pairs: list[tuple[int, int, int]],
+def _weak(h: SignedHypergraph, sign: Sequence[int], uf: UnionFind, pairs: list[tuple[int, int, int]],
           attach: list[tuple[int, int, int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """(cores, closures) of the signs ``sign`` (index 0 unused), given
     ``uf`` joined on their strong domains and the zero-zero ``pairs`` and
@@ -395,10 +381,10 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     closures are the strong domains and the weak pass is not run.
     """
     _check_function(h, f)
-    return _decomposition(h, _vertex_signs(f))
+    return _decomposition(h, f.signs)
 
 
-def _decomposition(h: SignedHypergraph, sign: list[int]) -> NodalDecomposition:
+def _decomposition(h: SignedHypergraph, sign: Sequence[int]) -> NodalDecomposition:
     """The nodal decomposition of the signs ``sign`` (index 0 unused), for
     ``decompose`` and the attached rows of ``Analysis`` alike: the strong
     links of ``_sort_pairs`` on a union-find, its groups, and the weak
@@ -431,7 +417,7 @@ def fiedler_sets(h: SignedHypergraph, f: VertexFunction) -> FiedlerSets:
     hyperneighbors are zeros (or it has none) or it is not tree-like
     (``SignedHypergraph.cyclic``)."""
     _check_function(h, f)
-    sign = _vertex_signs(f)
+    sign = f.signs
     zeros = [v for v in h.vertex_range() if sign[v] == 0]
     if not zeros:
         return _NO_ZEROS
@@ -646,7 +632,7 @@ class Analysis:
 
     @cached_property
     def signs(self) -> np.ndarray:
-        return _sign_matrix(self.spectrum.functions, self.h.n)
+        return sign_matrix(self.spectrum.functions)
 
     @cached_property
     def _rows(self) -> _Rows:

@@ -10,6 +10,10 @@ eigenfunctions f = D^-1/2 u are orthonormal in the weighted product.
 
 Eigenvalue indices in public results are 1-based.
 
+The zero rule (|f(v)| <= zero_tolerance is a zero) lives here alone, one
+copy per form: ``VertexFunction.signs`` for one function, decided once,
+and ``sign_matrix`` for many at once; every other module reads a sign.
+
 ``weighted_inner``, ``rayleigh``, ``nodal_quadratic_form`` and
 ``positive_inertia`` take one function (or matrix) or a stack of them on
 a leading axis; a stack of k gives k results in one array, and a single
@@ -41,6 +45,7 @@ __all__ = [
     "rayleigh",
     "positive_inertia",
     "nodal_quadratic_form",
+    "sign_matrix",
 ]
 
 DEFAULT_CLUSTER_TOL = 1e-9
@@ -56,14 +61,17 @@ class VertexFunction:
 
     Entries with magnitude at most ``zero_tolerance`` count as zeros;
     the default threshold is 1e-8 times the max-norm of the function.
-    ``from_values`` refuses values that are not finite and a tolerance
-    that is negative or not finite: NaN has no sign, an infinite value
-    makes the relative threshold infinite, and a negative threshold
-    counts exact zeros as support.
+    A threshold that is negative (exact zeros would count as support) or
+    not finite is refused; ``from_values`` also refuses values that are
+    not finite (NaN has no sign, inf makes the threshold infinite).
     """
 
     values: tuple[float, ...]
     zero_tolerance: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.zero_tolerance) and self.zero_tolerance >= 0.0):
+            raise ValueError(f"zero tolerance must be finite and nonnegative, got {self.zero_tolerance!r}")
 
     @staticmethod
     def from_values(values: Sequence[float], rel_tol: float = DEFAULT_ZERO_TOL_REL) -> "VertexFunction":
@@ -78,18 +86,34 @@ class VertexFunction:
     def n(self) -> int:
         return len(self.values)
 
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """Each vertex's sign, index 0 unused (0); decided once (no cached_property: it locks on 3.11)."""
+        if "_signs" not in self.__dict__:
+            tol = self.zero_tolerance
+            self.__dict__["_signs"] = (0, *[1 if x > tol else -1 if x < -tol else 0 for x in self.values])
+        return self.__dict__["_signs"]
+
     def sign(self, v: int) -> int:
-        x = self.values[v - 1]
-        if abs(x) <= self.zero_tolerance:
-            return 0
-        return 1 if x > 0 else -1
+        return self.signs[v]
 
     def support(self) -> tuple[int, ...]:
         """The vertices with a nonzero value, in ascending order."""
-        return tuple(v for v, x in enumerate(self.values, 1) if abs(x) > self.zero_tolerance)
+        return tuple(v for v, s in enumerate(self.signs) if s)
 
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
+
+
+def sign_matrix(functions: Sequence[VertexFunction]) -> np.ndarray:
+    """The rule of ``VertexFunction.signs`` on many functions at once: int8,
+    one row per function, column v the sign at vertex v (0 unused, zero)."""
+    values = np.array([f.values for f in functions], dtype=float)
+    tol = np.array([f.zero_tolerance for f in functions], dtype=float)[:, None]
+    signs = np.zeros((len(functions), values.shape[-1] + 1), dtype=np.int8)
+    signs[:, 1:] = values > tol
+    signs[:, 1:] -= values < -tol
+    return signs
 
 
 def _as_values(f: "VertexFunction | Sequence[float] | np.ndarray", n: int) -> np.ndarray:
@@ -223,8 +247,7 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
         raise ValueError(f"symmetrized Laplacian is not symmetric (defect {asym:.3e})")
     w, u = np.linalg.eigh((m + m.T) / 2.0)
     funcs = u / np.sqrt(bundle.deg)[:, None]
-    # every column at once, with the checks and the tolerance rule of
-    # VertexFunction.from_values
+    # every column at once, with the checks of VertexFunction.from_values
     if not np.isfinite(funcs).all():
         raise ValueError("function values must be finite")
     if not (math.isfinite(zero_tol_rel) and zero_tol_rel >= 0.0):

@@ -272,7 +272,7 @@ def _oracle(steps: list[list[tuple[int, int]]], f: VertexFunction) -> tuple[
     """``oracle_domains`` of f on the hypergraph of the step table
     ``steps``."""
     vertices = range(1, len(steps))
-    sign = [0] + [f.sign(v) for v in vertices]
+    sign = f.signs
     support = [v for v in vertices if sign[v] != 0]
 
     strong_pairs = [(x, w) for x in support for w, sg in steps[x]
@@ -563,9 +563,7 @@ def _p_classical_graph(ctx: Analysis, rng: random.Random):
     if abs(w[0]) > 1e-8:
         fails.append(f"classical smallest eigenvalue {w[0]!r} != 0")
     if h.cycles.n_components == 1:
-        f1 = ctx.spectrum.functions[0]
-        signs = {f1.sign(v) for v in h.vertex_range()}
-        if 1 in signs and -1 in signs:
+        if {1, -1} <= set(ctx.spectrum.functions[0].signs):
             fails.append("first eigenfunction of a connected classical graph changes sign")
     return fails, []
 
@@ -673,7 +671,7 @@ def _p_no_zeros_identical(ctx: Analysis, rng: random.Random):
     fails = []
     n = ctx.spectrum.n
     for j, f in enumerate(_sample_functions(ctx, rng)):
-        if len(f.support()) < f.n:
+        if 0 in f.signs[1:]:
             continue
         dec = decompose(ctx.h, f)
         # a zero-free eigenfunction's domains come from the row pass, which
@@ -707,7 +705,7 @@ def _p_zero_neighbor_containment(ctx: Analysis, rng: random.Random):
             for v in closure:
                 holders.setdefault(v, []).append(i)
         for v, ids in holders.items():
-            if f.sign(v) != 0 or len(ids) != 2:
+            if f.signs[v] or len(ids) != 2:
                 continue
             union = set(dec.weak_closures[ids[0]]).union(dec.weak_closures[ids[1]])
             stray = [w for w in hyperneighbors(ctx.h, v) if w not in union]
@@ -766,18 +764,16 @@ def _p_sandwich(ctx: Analysis, rng: random.Random):
     # matroid, so a maximum spanning forest of the positive pairs weighs
     # n - c(positive).  A is integer-valued and a full row has no value
     # within its zero tolerance, so sgn(A_xy g(x) g(y)) is read off the
-    # sign matrix as sgn(A_xy) s(x) s(y), which no underflow changes; the
-    # nonzero pairs are those with A_xy != 0, the same for every row
+    # sign matrix as sgn(A_xy) s(x) s(y), which no underflow changes; only
+    # the pairs with A_xy != 0 add to a count, the same for every row
     h, bundle = ctx.h, ctx.bundle
     # the rows of the eigenfunctions with full support
     full = np.flatnonzero((ctx.signs[:, 1:] != 0).all(axis=1))
     if not len(full):
         return [], []
-    a, b = np.array(sorted({(min(x, y), max(x, y)) for x, y, _ in h.pairs}),
-                    dtype=np.intp).reshape(-1, 2).T
+    a, b = np.argwhere(np.triu(bundle.a, 1)).T + 1
     adjacency = np.sign(bundle.a[a - 1, b - 1]).astype(np.int8)
-    nonzero = adjacency != 0
-    l_nonzero = int(nonzero.sum()) - h.n + int(component_counts(h.n + 1, a, b, nonzero[None])[0])
+    l_nonzero = len(a) - h.n + int(component_counts(h.n + 1, a, b, np.ones((1, len(a)), bool))[0])
     eigenvalues = np.array(ctx.spectrum.eigenvalues)
     fails = []
     # a form holds n^2 entries a row, more than a mask over the pairs

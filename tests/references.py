@@ -13,11 +13,13 @@ bridge pass and the weak pass, and the weak pass reads the blocks off
 it by two rules (the tree link p -> v opens a block when
 low[v] >= disc[p], else joins the block of the tree link into p; any
 other link joins the block of the tree link into its deeper end).  The
-last section holds test instances and searches with no counterpart in
-the program: random supertrees with the rank of their difference forms,
-and the heaviest hyperforest found by trying every edge subset.
+last two sections hold test instances and searches with no counterpart
+in the program: random supertrees with the rank of their difference
+forms, the heaviest hyperforest found by trying every edge subset, and
+families whose spectra have closed forms.
 """
 
+import math
 from itertools import repeat
 
 import numpy as np
@@ -373,3 +375,42 @@ def exhaustive_forest(h) -> tuple[int, ...]:
             best_score = score
             best = tuple(subset)
     return best
+
+
+# --- families with closed-form spectra (Chung, Spectral Graph Theory,
+# 1997, ch. 1; Brouwer and Haemers, Spectra of Graphs, 2012, sec. 1.4):
+# each constructor returns the instance and the eigenvalues of its
+# normalized Laplacian, ascending
+
+
+def _pair(u, v, s=1) -> Edge:
+    """The 2-edge on u and v of edge sign s; s = +1 is a classical edge,
+    one + and one - incidence."""
+    return Edge(((u, 1), (v, -s)))
+
+
+def path_family(n) -> tuple[SignedHypergraph, list[float]]:
+    """The path 1 - 2 - ... - n: 1 - cos(pi j / (n - 1)), j = 0..n-1."""
+    h = SignedHypergraph(n, tuple(_pair(v, v + 1) for v in range(1, n)))
+    return h, sorted(1 - math.cos(math.pi * j / (n - 1)) for j in range(n))
+
+
+def cycle_family(n, flipped=False) -> tuple[SignedHypergraph, list[float]]:
+    """The cycle on 1..n: balanced, 1 - cos(2 pi j / n); with the edge
+    {n, 1} of sign -1, 1 - cos((2j + 1) pi / n), j = 0..n-1."""
+    h = SignedHypergraph(n, tuple(_pair(v, v % n + 1, -1 if flipped and v == n else 1)
+                                  for v in range(1, n + 1)))
+    return h, sorted(1 - math.cos((2 * j + flipped) * math.pi / n) for j in range(n))
+
+
+def star_family(n) -> tuple[SignedHypergraph, list[float]]:
+    """The star with centre 1 and n - 1 leaves: 0, 1 (n - 2 times), 2."""
+    h = SignedHypergraph(n, tuple(_pair(1, v) for v in range(2, n + 1)))
+    return h, [0.0] + [1.0] * (n - 2) + [2.0]
+
+
+def wide_edge_family(n, s) -> tuple[SignedHypergraph, list[float]]:
+    """One edge of sign s on all n vertices, so L = (1 + s) I - s J: 0
+    (n - 1 times) and n for s = -1, 2 - n and 2 (n - 1 times) for s = +1."""
+    h = SignedHypergraph(n, (Edge(((1, s * (-1) ** (n - 1)),) + tuple((v, 1) for v in range(2, n + 1))),))
+    return h, ([0.0] * (n - 1) + [float(n)] if s < 0 else [2.0 - n] + [2.0] * (n - 1))

@@ -6,6 +6,7 @@ import enum
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -168,6 +169,8 @@ class TestDomainsCommand:
         ["--function", "1,nan,-1,1"],
         ["--function", "1,0,-1,1", "--zero-tol", "-1"],
         ["--eig", "2", "--zero-tol", "nan"],
+        # a finite relative tolerance whose absolute one overflows to inf
+        ["--function", "1e10,2,3,4", "--zero-tol", "1e300"],
     ])
     def test_non_finite_values_and_bad_tolerances_refused(self, tmp_path, capsys, args):
         path = write_fixture(tmp_path, "shg 1\nvertices 4\nedge 1:+ 2:-\nedge 2:+ 3:-\nedge 3:+ 4:-\n")
@@ -182,10 +185,30 @@ class TestBoundsCommand:
         assert main(["bounds", write_fixture(tmp_path)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 10
-        assert lines[0].split() == ["i", "k", "r", "S", "W", "upper", "lower", "S>=lower"]
+        assert lines[0].split() == ["i", "k", "r", "S", "W", "upper", "S<=upper", "W<=k+c-1",
+                                    "lower", "S>=lower"]
+        # both upper bounds hold on the fixture
+        assert all(line.split()[6:8] == ["yes", "yes"] for line in lines[1:])
         # the top cluster rows are the known lower-bound violations
         assert lines[-1].split()[-1] == "NO"
         assert lines[1].split()[-1] == "yes"
+
+    def test_upper_bound_verdicts(self, tmp_path, capsys):
+        # a random tree of 512 classical 2-edges, vertex v linked to a
+        # uniform earlier vertex: float64 sign decisions break the upper
+        # bound S <= k + r - 1 on some of its rows (ROADMAP item 2), and
+        # the table says so on every such row while exiting 0
+        rng = random.Random(0)
+        n = 512
+        h = SignedHypergraph(n, tuple(Edge(((rng.randint(1, v - 1), 1), (v, -1))) for v in range(2, n + 1)))
+        assert main(["bounds", write_fixture(tmp_path, serialize(h))]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == n
+        for row in rows:
+            k, r, strong, weak, upper = map(int, row[1:6])
+            assert upper == k + r - 1
+            assert row[6:8] == ["yes" if strong <= upper else "NO", "yes" if weak <= k else "NO"]
+        assert any(row[6] == "NO" for row in rows)
 
     def test_variant_flag(self, tmp_path, capsys):
         path = write_fixture(tmp_path)
@@ -203,7 +226,7 @@ class TestBoundsCommand:
         assert len(lines) == 10
         assert [line.split()[-1] for line in lines[1:]] == ["yes"] * 9
         # top cluster: upper bound k + r - 1 = 9, clique lower bound 5
-        assert lines[-1].split()[-3:] == ["9", "5", "yes"]
+        assert lines[-1].split()[5:] == ["9", "yes", "yes", "5", "yes"]
 
 
 class TestReportCommand:
@@ -409,8 +432,8 @@ class TestReportModule:
 
     @staticmethod
     def _count(monkeypatch, names):
-        """Count the calls of the named ``shg.nodal`` functions, patched in
-        every module that binds them; each count records the number of
+        """Count the calls of the functions ``shg.nodal`` binds to the
+        given names, patched in every module that binds them; each count records the number of
         sign-matrix rows a batched call covered, or 1 per call."""
         import shg.nodal as nodal
         import shg.report as report
@@ -434,14 +457,14 @@ class TestReportModule:
         return calls
 
     def test_one_decomposition_per_function(self, monkeypatch):
-        # one sign matrix per Analysis decides the strong domains of every
-        # eigenfunction; no eigenfunction goes through decompose, the one
-        # home of the one-function strong pass, on its own
-        calls = self._count(monkeypatch, ("_sign_matrix", "decompose"))
+        # one spectrum and one sign matrix per Analysis decide the strong
+        # domains of every eigenfunction; no eigenfunction goes through
+        # decompose, the one home of the one-function strong pass, on its own
+        calls = self._count(monkeypatch, ("eigendecompose", "sign_matrix", "decompose"))
         h = next(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         report = build_report(h, input_digest(serialize(h)))
         assert len(report["eigenfunctions"]) == 20
-        assert calls == {"_sign_matrix": [1], "decompose": []}
+        assert calls == {"eigendecompose": [1], "sign_matrix": [1], "decompose": []}
 
     def test_one_fiedler_pass_and_one_l_plus_pass_per_graph(self, monkeypatch):
         # the Fiedler sets and l_plus of all 20 eigenfunctions come from
@@ -461,7 +484,7 @@ class TestReportModule:
         def must_not_run(*args):
             raise AssertionError("an edge was built")
 
-        calls = self._count(monkeypatch, ("_sign_matrix", "_row_pass"))
+        calls = self._count(monkeypatch, ("eigendecompose", "sign_matrix", "_row_pass"))
         instances = list(generate(GenConfig(seed=3, count=4)))
         instances += list(generate(GenConfig(n_range=(20, 20), m_range=(20, 20), seed=5, count=1)))
         monkeypatch.setattr(Edge, "__post_init__", must_not_run)
@@ -471,10 +494,10 @@ class TestReportModule:
             for variant in ("all_pairs", "clique", "all_pairs", "clique"):
                 analysis.bounds(variant)
             assert not hasattr(analysis, "expansion")
-        # one sign matrix and one row pass over all its rows for the
-        # report's Analysis, the same for the tables', whose two readings
-        # share them
-        assert calls["_sign_matrix"] == [1] * (2 * len(instances))
+        # one spectrum, one sign matrix and one row pass over all its rows
+        # for the report's Analysis, the same for the tables', whose two
+        # readings share them
+        assert calls["eigendecompose"] == calls["sign_matrix"] == [1] * (2 * len(instances))
         assert calls["_row_pass"] == [h.n for h in instances for _ in range(2)]
 
     def test_records_share_one_partition_and_keep_its_order(self):

@@ -2,7 +2,8 @@
 every vertex set is an ascending tuple, never a ``frozenset``, every
 parameter is read, every module-level function is reachable, the facts
 of a hypergraph are computed only by the hypergraph that caches them,
-and the README's quick tour runs."""
+only ``spectra`` applies the zero rule, and the README's quick tour
+runs."""
 
 import ast
 import re
@@ -192,6 +193,16 @@ def test_hypergraph_facts_have_one_owner():
              for path in MODULES}
     assert {module: names for module, names in found.items() if names} == {
         "core": [("SignedHypergraph.cycles", "cyclomatic"), ("SignedHypergraph.cyclic", "cyclic_vertices")]}
+
+
+def test_the_zero_rule_has_one_owner():
+    # only spectra reads a function's zero tolerance: VertexFunction
+    # checks it and decides its signs with it, and sign_matrix applies
+    # the same rule to many functions; every other module reads a sign
+    found = {path.stem: reads(path.read_text(encoding="utf-8"), {"zero_tolerance"}) for path in MODULES}
+    assert {module: sorted(set(names)) for module, names in found.items() if names} == {
+        "spectra": [("VertexFunction.__post_init__", "zero_tolerance"),
+                    ("VertexFunction.signs", "zero_tolerance"), ("sign_matrix", "zero_tolerance")]}
 
 
 def test_the_check_sees_reads():

@@ -37,20 +37,20 @@ from shg.nodal import (
     FiedlerSets,
     _components,
     _row_pass,
-    _sign_matrix,
     BoundReport,
     decompose,
     domain_graph_connected,
     fiedler_sets,
     weak_domains,
 )
-from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian
+from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian, sign_matrix
 import shg.verify as verify
 from shg.verify import ORACLE_MAX_N, GenConfig, generate, oracle_domains
 
 from references import (
     clique_expansion,
     exhaustive_forest,
+    path_family,
     reference_blocks,
     reference_decomposition,
     reference_is_tree_like,
@@ -78,7 +78,7 @@ def weak_pair(h, f):
 
 def row_pass_of(h, *fs):
     """The row pass over the sign matrix of ``fs`` on h."""
-    return _row_pass(h, _sign_matrix(fs, h.n))
+    return _row_pass(h, sign_matrix(fs))
 
 
 # 2-edges by desired pair sign: sgn(e) = -(product of the two incidence
@@ -855,7 +855,7 @@ class TestBatchedPasses:
         # riding along with the drawn ones
         h, fs = case
         fs += (vf(*[0.0] * h.n), vf(*[1.0] * h.n))
-        signs = _sign_matrix(fs, h.n)
+        signs = sign_matrix(fs)
         assert signs.tolist() == [[0] + [f.sign(v) for v in h.vertex_range()] for f in fs]
         expansion = clique_expansion(h)
         check_row_pass(h, fs)
@@ -880,16 +880,25 @@ class TestBatchedPasses:
         # 1..3 components at 20, 50 and 80 % zeros: l' on both graphs
         # from one labelling of h's nonzero pairs
         h, fs = case
-        rows = _row_pass(h, _sign_matrix(fs, h.n))
+        rows = _row_pass(h, sign_matrix(fs))
         for variant, g in zip(BOUND_VARIANTS, (h, clique_expansion(h))):
             assert rows.terms[variant].l_prime == tuple(support_cyclomatic(g, f).l for f in fs)
 
 
+@pytest.mark.parametrize("n", [64, 512])
+def test_path_strong_count_is_the_index(n):
+    # Fiedler (1975): the eigenfunction of index k on a path has k strong
+    # domains, the upper bound k + r - 1 met with r = 1
+    rows = Analysis(path_family(n)[0]).bounds()
+    assert [(rep.strong_count, rep.r) for rep in rows] == [(k, 1) for k in range(1, n + 1)]
+
+
 class TestZeroRule:
     def test_sign_support_and_sign_matrix_agree_at_the_tolerance(self):
-        # |f(v)| <= tolerance is a zero in all three places that decide it:
-        # values at exactly +-tol, one float step above and below it, and
-        # exact zeros; then an all-zero function at tolerance 0
+        # |f(v)| <= tolerance is a zero in both forms of the rule and in
+        # the two readers of the one-function form: values at exactly
+        # +-tol, one float step above and below it, and exact zeros; then
+        # an all-zero function at tolerance 0
         fs, expected = [], []
         for tol in (0.25, 3.7e-9, 5e-324):
             above, below = math.nextafter(tol, math.inf), math.nextafter(tol, 0.0)
@@ -898,10 +907,34 @@ class TestZeroRule:
         fs.append(VertexFunction.from_values([0.0] * 9))
         expected.append([0] * 10)
         assert fs[-1].zero_tolerance == 0.0
-        assert _sign_matrix(tuple(fs), 9).tolist() == expected
+        assert sign_matrix(fs).tolist() == expected
         for f, row in zip(fs, expected):
+            assert f.signs == tuple(row)
             assert [f.sign(v) for v in range(1, 10)] == row[1:]
             assert f.support() == tuple(v for v in range(1, 10) if row[v])
+
+    def test_decompose_and_fiedler_sets_decide_the_signs_once(self):
+        # the values of one function are read in one pass, which both
+        # calls share, however many vertices they ask about
+        reads = []
+
+        class Values(tuple):
+            def __iter__(self):
+                reads.append("pass")
+                return super().__iter__()
+
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        h = h_of(3, ((1, 1), (2, -1)), ((2, 1), (3, 1)))
+        f = VertexFunction(Values((0.0, 1.0, -2.0)), 0.0)
+        dec, fs = decompose(h, f), fiedler_sets(h, f)
+        assert reads == ["pass"]
+        assert f.signs is f.signs
+        g = vf(0.0, 1.0, -2.0)
+        assert (dec, fs) == (decompose(h, g), fiedler_sets(h, g))
+        assert dec.weak_closures == ((1, 2, 3),) and fs == FiedlerSets((), (1,))
 
 
 def component_labels(n_nodes, links):
@@ -953,7 +986,7 @@ class TestComponentKernel:
                    for terms in rows.terms.values())
 
     def test_empty_hypergraph_rows(self):
-        rows = _row_pass(h_of(0), _sign_matrix((vf(),), 0))
+        rows = _row_pass(h_of(0), sign_matrix((vf(),)))
         assert rows.strong == [()] and rows.attached == [False]
         empty = FiedlerSets((), ())
         assert all((terms.fiedler, terms.l_plus, terms.l_prime) == ((empty,), (0,), (0,))
@@ -1094,7 +1127,7 @@ class TestBatchedFiedlerSets:
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_per_function_reference(self, case):
         h, fs = case
-        signs = _sign_matrix(fs, h.n)
+        signs = sign_matrix(fs)
         expansion = clique_expansion(h)
         rows = _row_pass(h, signs)
         for variant, g in zip(BOUND_VARIANTS, (h, expansion)):
@@ -1391,10 +1424,11 @@ class TestWeakPassAgainstReference:
         expected = tuple(decompose(h, f) for f in Analysis(h, 0.2).spectrum.functions)
         assert any(sum(map(len, dec.strong)) < h.n for dec in expected)
 
-        def refuse(self, v):
-            raise AssertionError("VertexFunction.sign called")
+        def refuse(self, v=None):
+            raise AssertionError("a VertexFunction decided a sign")
 
         monkeypatch.setattr(VertexFunction, "sign", refuse)
+        monkeypatch.setattr(VertexFunction, "signs", property(refuse))
         assert Analysis(h, 0.2).decompositions == expected
 
     def test_near_trees(self):

@@ -34,7 +34,7 @@ from shg.spectra import VertexFunction
 from shg.verify import GenConfig, generate
 
 REPORTS_SHA256 = "4a04219bb2bec683792e5cc0e7e91f427fbef03caa9bca7936c9cc0afede3d0d"
-BOUNDS_SHA256 = "60d112226df3ae09ead5f3777a2989af350ad519c9b4a3e244bb34700571eaf8"
+BOUNDS_SHA256 = "ee8e27304bb0b789a842ec1b3573c756b1df145c97fa32367e62b6e4e3aba8a3"
 FUZZ_SHA256 = "fcdad2813dc23a104d53456ca89a43190b0c0ac0a9ed198fabed4891f36b2d6f"
 FUZZ_500_SHA256 = "4f27f233d808001344f58395caab50f125b07684d1b3188da3280bdb78bdcad4"
 ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae3629ef56"

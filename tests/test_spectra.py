@@ -27,11 +27,15 @@ from shg.verify import GenConfig, generate
 from references import (
     adjacency_int,
     chained_difference_rank,
+    cycle_family,
+    path_family,
     product_rule_defect,
     reference_nodal_quadratic_form,
     reference_positive_inertia,
     reference_rayleigh,
     reference_weighted_inner,
+    star_family,
+    wide_edge_family,
 )
 
 
@@ -65,6 +69,17 @@ class TestVertexFunction:
     def test_refuses_non_finite_values_and_bad_tolerances(self, values, kwargs):
         with pytest.raises(ValueError, match="finite"):
             VertexFunction.from_values(values, **kwargs)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_refuses_a_bad_tolerance_however_built(self, tol):
+        # every copy of the zero rule assumes a finite, nonnegative
+        # tolerance, so a function built directly is held to it too
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            VertexFunction((0.0, 1.0, -2.0), tol)
+
+    def test_refuses_a_relative_tolerance_that_overflows(self):
+        with pytest.raises(ValueError, match="got inf"):
+            VertexFunction.from_values([1e10, 2.0, 3.0], rel_tol=1e300)
 
 
 class TestAdjacency:
@@ -394,3 +409,15 @@ class TestStackedHelpers:
             nodal_quadratic_form(b, np.vstack((eig, rand[:1])), np.append(lam, 0.5))
         with pytest.raises(ValueError, match="one value per vertex"):
             weighted_inner(b, np.zeros((2, h.n + 1)), np.zeros((2, h.n + 1)))
+
+
+class TestClosedFormFamilies:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("family", [
+        path_family, cycle_family, lambda n: cycle_family(n, flipped=True), star_family,
+        lambda n: wide_edge_family(n, -1), lambda n: wide_edge_family(n, 1)],
+        ids=["path", "balanced-cycle", "flipped-cycle", "star", "wide-edge-minus", "wide-edge-plus"])
+    def test_spectrum_matches_the_closed_form(self, family, n):
+        h, expected = family(n)
+        got = eigendecompose(laplacian(h)).eigenvalues
+        assert np.max(np.abs(np.array(got) - expected)) <= 1e-10
