@@ -15,8 +15,11 @@ Whether a vertex is tree-like is decided for all vertices at once by one
 bridge pass, ``cyclic_vertices``, over the low-link search ``lowlink``
 that the weak pass shares; ``weak_delete`` gives the definition it is
 checked against and ``lies_on_cycle`` the exhaustive cycle search.  The
-facts of a hypergraph alone are cached on it, each computed once by
-whoever asks first: ``SignedHypergraph.pairs``, ``cycles`` and ``cyclic``.
+facts of an edge alone, ``Edge.vertices`` and its sign sgn(e), are decided
+by the edge as it checks its incidences, which past the edge only the
+copiers, the writers and the campaign's oracle read.  The facts of a
+hypergraph alone are cached on it, each computed once by whoever asks
+first: ``SignedHypergraph.pairs``, ``cycles`` and ``cyclic``.
 ``spanning_hyperforest`` is one greedy scan, not a search for the
 heaviest hyperforest.
 """
@@ -33,7 +36,6 @@ __all__ = [
     "SignedHypergraph",
     "CycleStats",
     "UnionFind",
-    "edge_sign",
     "degrees",
     "hyperneighbors",
     "connected_components",
@@ -47,16 +49,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Edge:
-    """One hyperedge: a tuple of (vertex, sign) incidences."""
+    """One hyperedge: a tuple of (vertex, sign) incidences.  ``sign`` is
+    sgn(e) = (-1)^(|e|-1) times the incidence product (Jost and Mulas, Adv.
+    Math. 2019), 0 for the empty edge."""
 
     incidences: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        # ``vertices``, in incidence order, is built here once per edge: it
-        # is read in every pair and component pass.  It is not a field, so
+        # ``vertices``, in incidence order, and ``sign`` are decided once per
+        # edge, for every pair and component pass; they are not fields, so
         # equality, hash and repr read ``incidences`` alone.
         vertices: list[int] = []
         seen: set[int] = set()
+        sign = -1
         for v, s in self.incidences:
             if s not in (1, -1):
                 raise ValueError(f"incidence sign must be +1 or -1, got {s!r}")
@@ -66,7 +71,9 @@ class Edge:
                 raise ValueError(f"duplicate vertex in edge: {v}")
             seen.add(v)
             vertices.append(v)
+            sign = -sign * s
         object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "sign", sign if vertices else 0)
 
     @property
     def size(self) -> int:
@@ -87,7 +94,7 @@ class SignedHypergraph:
         for e in self.edges:
             if e.size == 0 and not self.allow_empty_edges:
                 raise ValueError("empty edge not allowed")
-            for v, _ in e.incidences:
+            for v in e.vertices:
                 if v > self.n:
                     raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
@@ -108,9 +115,7 @@ class SignedHypergraph:
         """
         out = []
         for e in self.edges:
-            if e.size < 2:
-                continue
-            s = edge_sign(e)
+            s = e.sign
             out += [(x, y, s) for x, y in combinations(e.vertices, 2)]
         return tuple(out)
 
@@ -188,21 +193,11 @@ class UnionFind:
         return tuple(map(tuple, by_root.values()))
 
 
-def edge_sign(e: Edge) -> int:
-    """Sign of an edge: (-1)^(|e|-1) times the product of incidence signs."""
-    if e.size == 0:
-        raise ValueError("undefined sign: empty edge")
-    prod = 1
-    for _, s in e.incidences:
-        prod *= s
-    return prod if e.size % 2 == 1 else -prod
-
-
 def degrees(h: SignedHypergraph) -> list[int]:
     """Degree of every vertex, index 0 unused."""
     d = [0] * (h.n + 1)
     for e in h.edges:
-        for v, _ in e.incidences:
+        for v in e.vertices:
             d[v] += 1
     return d
 

@@ -10,9 +10,10 @@ eigenfunctions f = D^-1/2 u are orthonormal in the weighted product.
 
 Eigenvalue indices in public results are 1-based.
 
-The zero rule (|f(v)| <= zero_tolerance is a zero) lives here alone, one
-copy per form: ``VertexFunction.signs`` for one function, decided once,
-and ``sign_matrix`` for many at once; every other module reads a sign.
+The zero rule (|f(v)| <= zero_tolerance is a zero, NaN is refused) lives
+here alone, one copy per form: ``VertexFunction.signs`` for one function,
+decided once, and ``sign_matrix`` for many at once; every other module
+reads a sign, as it reads sgn(e) off ``core.Edge.sign``.
 
 ``weighted_inner``, ``rayleigh``, ``nodal_quadratic_form`` and
 ``positive_inertia`` take one function (or matrix) or a stack of them on
@@ -62,8 +63,8 @@ class VertexFunction:
     Entries with magnitude at most ``zero_tolerance`` count as zeros;
     the default threshold is 1e-8 times the max-norm of the function.
     A threshold that is negative (exact zeros would count as support) or
-    not finite is refused; ``from_values`` also refuses values that are
-    not finite (NaN has no sign, inf makes the threshold infinite).
+    not finite is refused, and so is NaN, which has no sign, where a sign
+    is decided; ``from_values`` refuses every value that is not finite.
     """
 
     values: tuple[float, ...]
@@ -91,7 +92,9 @@ class VertexFunction:
         """Each vertex's sign, index 0 unused (0); decided once (no cached_property: it locks on 3.11)."""
         if "_signs" not in self.__dict__:
             tol = self.zero_tolerance
-            self.__dict__["_signs"] = (0, *[1 if x > tol else -1 if x < -tol else 0 for x in self.values])
+            # NaN fails all three tests; only a zero pays for the third
+            self.__dict__["_signs"] = (
+                0, *[1 if x > tol else -1 if x < -tol else 0 if x == x else _no_sign() for x in self.values])
         return self.__dict__["_signs"]
 
     def sign(self, v: int) -> int:
@@ -105,10 +108,16 @@ class VertexFunction:
         return np.asarray(self.values, dtype=float)
 
 
+def _no_sign() -> int:
+    raise ValueError("function values must be finite")
+
+
 def sign_matrix(functions: Sequence[VertexFunction]) -> np.ndarray:
     """The rule of ``VertexFunction.signs`` on many functions at once: int8,
     one row per function, column v the sign at vertex v (0 unused, zero)."""
     values = np.array([f.values for f in functions], dtype=float)
+    if np.isnan(values).any():
+        raise ValueError("function values must be finite")
     tol = np.array([f.zero_tolerance for f in functions], dtype=float)[:, None]
     signs = np.zeros((len(functions), values.shape[-1] + 1), dtype=np.int8)
     signs[:, 1:] = values > tol
@@ -235,12 +244,14 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
     Eigenvalues ascend; eigenfunctions are D-orthonormal, with zero
     tolerance ``zero_tol_rel`` times their max-norm; eigenvalues whose
     consecutive gaps fall below cluster_tol * (max - min) share a
-    multiplicity cluster.  A cluster_tol that is negative or not finite is
-    refused: NaN and negative values split every cluster, and an infinite
-    one merges the whole spectrum.
+    multiplicity cluster.  Either tolerance is refused before the solve if
+    negative or not finite: a NaN or negative cluster_tol splits every
+    cluster, and an infinite one merges the whole spectrum.
     """
     if not (math.isfinite(cluster_tol) and cluster_tol >= 0.0):
         raise ValueError(f"cluster tolerance must be finite and nonnegative, got {cluster_tol!r}")
+    if not (math.isfinite(zero_tol_rel) and zero_tol_rel >= 0.0):
+        raise ValueError(f"zero tolerance must be finite and nonnegative, got {zero_tol_rel!r}")
     m = bundle.m
     asym = float(np.max(np.abs(m - m.T)))
     if asym > _SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m)))):
@@ -250,8 +261,6 @@ def eigendecompose(bundle: MatrixBundle, cluster_tol: float = DEFAULT_CLUSTER_TO
     # every column at once, with the checks of VertexFunction.from_values
     if not np.isfinite(funcs).all():
         raise ValueError("function values must be finite")
-    if not (math.isfinite(zero_tol_rel) and zero_tol_rel >= 0.0):
-        raise ValueError(f"zero tolerance must be finite and nonnegative, got {zero_tol_rel!r}")
     tols = (zero_tol_rel * np.abs(funcs).max(axis=0, initial=0.0)).tolist()
     functions = tuple(map(VertexFunction, map(tuple, funcs.T.tolist()), tols))
     return Spectrum(tuple(float(x) for x in w), functions, _cluster(w, cluster_tol))

@@ -36,7 +36,6 @@ from .core import (
     SignedHypergraph,
     connected_components,
     degrees,
-    edge_sign,
     hyperneighbors,
     induced_subhypergraph,
     lies_on_cycle,
@@ -180,18 +179,14 @@ def _one_instance(rng: random.Random, cfg: GenConfig) -> SignedHypergraph:
                 continue
             if n == 1:
                 patch = Edge(((v, 1 if rng.random() < cfg.sign_bias else -1),))
-            elif cfg.classical:
-                u = rng.choice([u for u in range(1, n + 1) if u != v])
-                patch = Edge(((v, 1), (u, -1)))
             else:
                 u = rng.choice([u for u in range(1, n + 1) if u != v])
-                patch = Edge(tuple(
+                patch = Edge(((v, 1), (u, -1))) if cfg.classical else Edge(tuple(
                     (w, 1 if rng.random() < cfg.sign_bias else -1) for w in (v, u)))
             key = _edge_key(patch)
             if key not in seen:
                 seen.add(key)
                 edges.append(patch)
-            deg[v] = True
             for w in patch.vertices:
                 deg[w] = True
     return SignedHypergraph(n, tuple(edges))
@@ -255,13 +250,12 @@ def oracle_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[
 
 def _oracle_steps(h: SignedHypergraph) -> list[list[tuple[int, int]]]:
     """The distinct steps (w, sgn(e)) out of each vertex of h, ascending
-    (index 0 unused and empty)."""
+    (index 0 unused and empty), sgn(e) = (-1)^(|e|-1) times the incidence
+    product read off the incidences here, not ``Edge.sign``."""
     table: list[set[tuple[int, int]]] = [set() for _ in range(h.n + 1)]
     for e in h.edges:
-        if e.size < 2:
-            continue
-        sg = edge_sign(e)
-        vs = e.vertices
+        vs = [v for v, _ in e.incidences]
+        sg = (-1) ** (len(vs) - 1) * math.prod(s for _, s in e.incidences)
         for x in vs:
             table[x].update((w, sg) for w in vs if w != x)
     return [sorted(s) for s in table]
@@ -413,7 +407,7 @@ class CampaignResult:
 
 
 def _is_classical(h: SignedHypergraph) -> bool:
-    return all(e.size == 2 and sorted(s for _, s in e.incidences) == [-1, 1] for e in h.edges)
+    return all(e.size == 2 and e.sign == 1 for e in h.edges)
 
 
 PropertyFn = Callable[[Analysis, random.Random], tuple[list[str], list[str]]]
@@ -550,7 +544,7 @@ def _p_classical_graph(ctx: Analysis, rng: random.Random):
     # independent route: unsigned multigraph adjacency counts
     counts = np.zeros((h.n, h.n))
     for e in h.edges:
-        (u, _), (v, _) = e.incidences
+        u, v = e.vertices
         counts[u - 1, v - 1] += 1
         counts[v - 1, u - 1] += 1
     deg = counts.sum(axis=1)

@@ -16,10 +16,13 @@ other link joins the block of the tree link into its deeper end).  The
 last two sections hold test instances and searches with no counterpart
 in the program: random supertrees with the rank of their difference
 forms, the heaviest hyperforest found by trying every edge subset, and
-families whose spectra have closed forms.
+families whose spectra have closed forms, with random trees and
+sunflowers beside them.  ``reference_edge_sign`` is the tests' own
+sgn(e), read off the incidences apart from ``Edge.sign``.
 """
 
 import math
+import random
 from itertools import repeat
 
 import numpy as np
@@ -35,6 +38,15 @@ from shg.core import (
     spanning_hyperforest,
     weak_delete,
 )
+
+
+def reference_edge_sign(e) -> int:
+    """sgn(e) by its definition, (-1)^(|e|-1) times the product of the
+    incidence signs, read off the incidences; 0 for the empty edge.  The
+    references' own rule, apart from ``Edge.sign``."""
+    if not e.incidences:
+        return 0
+    return (-1) ** (len(e.incidences) - 1) * math.prod(s for _, s in e.incidences)
 
 
 def support_cyclomatic(h, f) -> CycleStats:
@@ -414,3 +426,30 @@ def wide_edge_family(n, s) -> tuple[SignedHypergraph, list[float]]:
     (n - 1 times) and n for s = -1, 2 - n and 2 (n - 1 times) for s = +1."""
     h = SignedHypergraph(n, (Edge(((1, s * (-1) ** (n - 1)),) + tuple((v, 1) for v in range(2, n + 1))),))
     return h, ([0.0] * (n - 1) + [float(n)] if s < 0 else [2.0 - n] + [2.0] * (n - 1))
+
+
+# --- families without closed forms: random trees (ROADMAP item 2) and
+# sunflowers, whose zero cores are zero cliques (item 11)
+
+
+def random_tree(n, seed) -> SignedHypergraph:
+    """The random tree of ROADMAP item 2: vertex v = 2..n is linked to a
+    uniform earlier vertex, ``randint(1, v - 1)`` of ``random.Random(seed)``,
+    by the classical edge (parent, +), (v, -).  No closed-form spectrum;
+    Fiedler (1975) fixes S = k on its zero-free rows with r = 1."""
+    rng = random.Random(seed)
+    return SignedHypergraph(n, tuple(_pair(rng.randint(1, v - 1), v) for v in range(2, n + 1)))
+
+
+def sunflower(k, s, c, seed) -> SignedHypergraph:
+    """k petals, edges of size s that share the core 1..c and have s - c
+    vertices of their own each, every incidence sign drawn from
+    ``random.Random(seed)``.  A function that vanishes on the core makes
+    the core a zero clique of size c."""
+    if not 0 <= c <= s:
+        raise ValueError(f"core size {c} outside 0..{s}")
+    rng = random.Random(seed)
+    core = list(range(1, c + 1))
+    petals = [core + list(range(c + 1 + i * (s - c), c + 1 + (i + 1) * (s - c))) for i in range(k)]
+    return SignedHypergraph(c + k * (s - c), tuple(
+        Edge(tuple((v, rng.choice((1, -1))) for v in vs)) for vs in petals))

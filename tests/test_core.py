@@ -1,5 +1,8 @@
 """Structure layer: edges, signs, components, deletions, cycles, forests."""
 
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +15,13 @@ from shg.core import (
     cyclic_vertices,
     cyclomatic,
     degrees,
-    edge_sign,
     hyperneighbors,
     induced_subhypergraph,
     lies_on_cycle,
     spanning_hyperforest,
     weak_delete,
 )
-from references import clique_expansion, reference_cyclic_vertices, reference_is_tree_like
+from references import clique_expansion, reference_cyclic_vertices, reference_edge_sign, reference_is_tree_like
 
 
 def edge(*pairs):
@@ -64,11 +66,26 @@ class TestEdge:
 
     def test_edge_sign_parity(self):
         # (-1)^(size-1) times the incidence product
-        assert edge_sign(edge((1, 1), (2, 1))) == -1
-        assert edge_sign(edge((1, 1), (2, -1))) == 1
-        assert edge_sign(edge((1, 1), (2, 1), (3, 1))) == 1
-        assert edge_sign(edge((1, 1), (2, 1), (3, -1))) == -1
-        assert edge_sign(edge((1, 1))) == 1
+        assert edge((1, 1), (2, 1)).sign == -1
+        assert edge((1, 1), (2, -1)).sign == 1
+        assert edge((1, 1), (2, 1), (3, 1)).sign == 1
+        assert edge((1, 1), (2, 1), (3, -1)).sign == -1
+        assert edge((1, 1)).sign == 1
+        assert edge().sign == 0
+
+    def test_edge_sign_matches_the_reference_on_every_pattern(self):
+        # every incidence-sign pattern of sizes 0-6, in two vertex orders
+        for size in range(7):
+            for signs in itertools.product((1, -1), repeat=size):
+                for vs in (range(1, size + 1), range(size, 0, -1)):
+                    e = Edge(tuple(zip(vs, signs)))
+                    assert e.sign == reference_edge_sign(e)
+
+    def test_sign_is_not_a_field(self):
+        # equality, hash and repr read the incidences alone
+        a, b = edge((1, 1), (2, -1)), edge((1, 1), (2, -1))
+        assert a == b and hash(a) == hash(b) and "sign=" not in repr(a)
+        assert [f.name for f in dataclasses.fields(Edge)] == ["incidences"]
 
 
 class TestHypergraph:

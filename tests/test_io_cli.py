@@ -6,7 +6,6 @@ import enum
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +30,8 @@ from shg.report import REPORT_SCHEMA, build_report, function_record, input_diges
 from shg.spectra import VertexFunction
 from shg.shgio import ParseError, parse, serialize
 from shg.verify import GenConfig, generate
+
+from references import random_tree
 
 FIXTURE_TEXT = serialize(fixture_example1())
 
@@ -161,6 +162,14 @@ class TestDomainsCommand:
         monkeypatch.setattr("shg.cli.eigendecompose", refuse)
         assert main(["domains", write_fixture(tmp_path), "--eig", "0"]) == 2
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_zero_tol_refused_before_the_solver(self, tmp_path, monkeypatch, tol):
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+        assert main(["domains", write_fixture(tmp_path), "--eig", "1", "--zero-tol", tol]) == 2
+        assert calls == []
+
     def test_selector_required(self, tmp_path):
         assert main(["domains", write_fixture(tmp_path)]) == 2
 
@@ -198,9 +207,8 @@ class TestBoundsCommand:
         # uniform earlier vertex: float64 sign decisions break the upper
         # bound S <= k + r - 1 on some of its rows (ROADMAP item 2), and
         # the table says so on every such row while exiting 0
-        rng = random.Random(0)
         n = 512
-        h = SignedHypergraph(n, tuple(Edge(((rng.randint(1, v - 1), 1), (v, -1))) for v in range(2, n + 1)))
+        h = random_tree(n, 0)
         assert main(["bounds", write_fixture(tmp_path, serialize(h))]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
         assert len(rows) == n

@@ -2,17 +2,20 @@
 every vertex set is an ascending tuple, never a ``frozenset``, every
 parameter is read, every module-level function is reachable, the facts
 of a hypergraph are computed only by the hypergraph that caches them,
-only ``spectra`` applies the zero rule, and the README's quick tour
-runs."""
+only ``spectra`` applies the zero rule, only the edge decides its sign,
+the README's quick tour runs and so does the benchmark's self-test."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import shg
 
 MODULES = sorted(Path(shg.__file__).parent.glob("*.py"))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def private_imports(source):
@@ -82,12 +85,12 @@ def unreachable_functions(sources):
     return found
 
 
-def reads(source, names):
+def reads(source, names, attributes_only=False):
     """The (scope, name) of every read of one of ``names`` in ``source``,
-    as a name or an attribute: a call, or the function handed on.  The
-    scope is the dotted path of the enclosing classes and functions,
-    ``<module>`` at the top level; imports and ``def`` lines are not
-    reads."""
+    as a name or an attribute (an attribute only, if ``attributes_only``):
+    a call, or the function handed on.  The scope is the dotted path of
+    the enclosing classes and functions, ``<module>`` at the top level;
+    imports and ``def`` lines are not reads."""
     found = []
 
     def visit(node, scope):
@@ -95,7 +98,8 @@ def reads(source, names):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in names:
+            elif (isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) and child.id in names
+                  and not attributes_only):
                 found.append((".".join(scope) or "<module>", child.id))
             elif isinstance(child, ast.Attribute) and child.attr in names:
                 found.append((".".join(scope) or "<module>", child.attr))
@@ -205,6 +209,39 @@ def test_the_zero_rule_has_one_owner():
                     ("VertexFunction.signs", "zero_tolerance"), ("sign_matrix", "zero_tolerance")]}
 
 
+# the scopes that read an edge's incidences: the edge itself, the
+# copiers, the writers and the oracle, which decides sgn(e) on its own
+INCIDENCE_READERS = {
+    "core": ["Edge.__post_init__", "Edge.size", "induced_subhypergraph", "weak_delete"],
+    "shgio": ["serialize"],
+    "verify": ["_edge_key", "_oracle_steps"],
+}
+
+
+def incidence_readers(sources):
+    """The scopes of ``sources`` (module name to source) that read the
+    attribute ``incidences``, sorted, per module that has any."""
+    found = {module: sorted({scope for scope, _ in reads(source, {"incidences"}, attributes_only=True)})
+             for module, source in sources.items()}
+    return {module: scopes for module, scopes in found.items() if scopes}
+
+
+def test_the_edge_sign_has_one_owner():
+    # sgn(e) is decided by the edge as it checks its incidences, and read
+    # as Edge.sign; every other reader of an edge reads Edge.vertices
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert incidence_readers(sources) == INCIDENCE_READERS
+    assert not any("edge_sign" in source for source in sources.values())
+
+
+def test_the_check_sees_a_planted_incidence_reader():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    sources["nodal"] += ("\ndef _planted(h):\n"
+                         "    incidences = [e.incidences for e in h.edges]\n"
+                         "    return incidences\n")
+    assert incidence_readers(sources) == {**INCIDENCE_READERS, "nodal": ["_planted"]}
+
+
 def test_the_check_sees_reads():
     source = ("from .core import cyclomatic\n"
               "__all__ = ['cyclomatic']\n"
@@ -230,3 +267,12 @@ def test_readme_quick_tour_runs():
     # or retired fails here instead of drifting
     tour = re.search(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
     exec(compile(tour.group(1), str(README), "exec"), {})
+
+
+def test_the_benchmark_selftest_passes():
+    # bench/selftest.py builds every workload's items through shg and runs
+    # the benchmark's checks on real and corrupted outputs, so a change
+    # that breaks the harness (a public name it imports, say) fails here
+    done = subprocess.run([sys.executable, "bench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -18,7 +18,6 @@ from shg.core import (
     connected_components,
     cyclic_vertices,
     cyclomatic,
-    edge_sign,
     hyperneighbors,
     lowlink,
     weak_delete,
@@ -51,9 +50,12 @@ from references import (
     clique_expansion,
     exhaustive_forest,
     path_family,
+    random_tree,
     reference_blocks,
     reference_decomposition,
+    reference_edge_sign,
     reference_is_tree_like,
+    sunflower,
     support_cyclomatic,
 )
 
@@ -515,7 +517,7 @@ def forest_count_diagnostic(h, f):
     selected = tuple(
         e for e in h.edges
         if e.size and all(f.sign(v) for v in e.vertices)
-        and all(f.sign(x) * edge_sign(e) * f.sign(y) > 0
+        and all(f.sign(x) * reference_edge_sign(e) * f.sign(y) > 0
                 for x, y in itertools.combinations(e.vertices, 2)))
     sub = SignedHypergraph(h.n, selected)
     forest = exhaustive_forest(sub)
@@ -639,7 +641,7 @@ class TestLongZeroPaths:
 def _coherent_by_pairs(e, sign):
     """Coherence read off its definition: every vertex pair respects the
     edge sign."""
-    s = edge_sign(e)
+    s = reference_edge_sign(e)
     return all(sign[x] * s * sign[y] > 0 for x, y in itertools.combinations(e.vertices, 2))
 
 
@@ -763,7 +765,7 @@ def reference_l_plus(h, f):
     for e in h.edges:
         vs = e.vertices
         signs = [sign[v] for v in vs]
-        if 0 not in signs and reference_edge_coherent(edge_sign(e) if vs else 1, signs):
+        if 0 not in signs and reference_edge_coherent(reference_edge_sign(e), signs):
             total += max(len(vs) - 1, 0)
             links.extend((vs[0], u) for u in vs[1:])
     c = len(closure_classes(h.n, links, h.vertex_range()))
@@ -891,6 +893,21 @@ def test_path_strong_count_is_the_index(n):
     # domains, the upper bound k + r - 1 met with r = 1
     rows = Analysis(path_family(n)[0]).bounds()
     assert [(rep.strong_count, rep.r) for rep in rows] == [(k, 1) for k in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_random_tree_strong_count_is_the_index(n):
+    # Fiedler (1975): on a tree, an eigenfunction of a simple eigenvalue
+    # with index k and no zero has k strong domains
+    rows = 0
+    for seed in range(3):
+        analysis = Analysis(random_tree(n, seed))
+        zero_free = (analysis.signs[:, 1:] != 0).all(axis=1)
+        for rep in itertools.compress(analysis.bounds(), zero_free):
+            if rep.r == 1:
+                assert rep.strong_count == rep.k
+                rows += 1
+    assert rows > n
 
 
 class TestZeroRule:
@@ -1452,6 +1469,25 @@ class TestWeakPassAgainstReference:
                     weak_differs += dec.weak_cores != dec.strong
         # most cases leave the weak pass work to do
         assert weak_differs >= 360
+
+    def test_sunflowers_with_a_zero_core(self):
+        # k petals of size s around a core of c >= 3 zeros, a zero clique
+        # that every petal's nonzero vertices attach to, its pairs carried
+        # once per petal with that petal's sign (ROADMAP item 11, z >= 3)
+        rng = random.Random(11)
+        weak_differs = 0
+        for k, s, c in ((2, 4, 3), (2, 5, 3), (3, 5, 3), (4, 6, 4), (6, 8, 5)):
+            for seed in range(30):
+                h = sunflower(k, s, c, seed)
+                f = vf(*(0.0 if v <= c or rng.random() < 0.2 else rng.choice((-2.0, -1.0, 1.0, 2.0))
+                         for v in h.vertex_range()))
+                dec = decompose(h, f)
+                assert dec.strong == reference_strong(h, f)
+                assert (dec.weak_cores, dec.weak_closures) == reference_weak_domains(h, f)
+                if h.n <= ORACLE_MAX_N:
+                    assert (dec.strong, dec.weak_cores, dec.weak_closures) == oracle_domains(h, f)
+                weak_differs += dec.weak_cores != dec.strong
+        assert weak_differs >= 100
 
 
 def near_tree(rng, n):

@@ -19,6 +19,7 @@ from shg.spectra import (
     nodal_quadratic_form,
     positive_inertia,
     rayleigh,
+    sign_matrix,
     weighted_inner,
 )
 
@@ -76,6 +77,22 @@ class TestVertexFunction:
         # tolerance, so a function built directly is held to it too
         with pytest.raises(ValueError, match="finite and nonnegative"):
             VertexFunction((0.0, 1.0, -2.0), tol)
+
+    NAN_ROWS = [(float("nan"), 1.0), (1.0, 0.0, float("nan")), (float("nan"),)]
+
+    @pytest.mark.parametrize("values", NAN_ROWS)
+    def test_nan_has_no_sign(self, values):
+        # a function built directly skips from_values; NaN fails both
+        # comparisons of the zero rule, so it is refused where a sign is
+        # decided instead of read as a zero
+        with pytest.raises(ValueError, match="function values must be finite"):
+            VertexFunction(values, 0.0).signs
+
+    @pytest.mark.parametrize("values", NAN_ROWS)
+    def test_nan_has_no_sign_in_the_sign_matrix(self, values):
+        fs = [VertexFunction((1.0,) * len(values), 0.0), VertexFunction(values, 0.0)]
+        with pytest.raises(ValueError, match="function values must be finite"):
+            sign_matrix(fs)
 
     def test_refuses_a_relative_tolerance_that_overflows(self):
         with pytest.raises(ValueError, match="got inf"):
@@ -209,21 +226,27 @@ class TestEigendecomposition:
             assert all(type(x) is float for f in s.functions for x in (*f.values, f.zero_tolerance))
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-    def test_refuses_bad_zero_tol(self, fixture, tol):
+    def test_refuses_bad_zero_tol(self, fixture, monkeypatch, tol):
+        # before the solver, as the cluster tolerance is
         _, b = fixture
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
         with pytest.raises(ValueError, match="zero tolerance must be finite and nonnegative"):
             eigendecompose(b, zero_tol_rel=tol)
+        assert calls == []
 
     def test_refuses_non_finite_functions(self, fixture):
-        # a NaN degree makes D^-1/2 u NaN; the check on the values comes
-        # before the check on the tolerance, as in from_values
+        # a NaN degree makes D^-1/2 u NaN; a bad tolerance is refused
+        # first, before the solve
         _, b = fixture
         deg = b.deg.copy()
         deg[3] = np.nan
         broken = MatrixBundle(b.n, b.a, deg, b.l, b.m)
-        for tol in (1e-8, -1.0):
-            with pytest.raises(ValueError, match="function values must be finite"):
-                eigendecompose(broken, zero_tol_rel=tol)
+        with pytest.raises(ValueError, match="function values must be finite"):
+            eigendecompose(broken, zero_tol_rel=1e-8)
+        with pytest.raises(ValueError, match="zero tolerance must be finite and nonnegative"):
+            eigendecompose(broken, zero_tol_rel=-1.0)
 
     def test_flat_spectrum_single_cluster(self):
         # identity-like Laplacian: n isolated-pair components with zero adjacency
