@@ -63,13 +63,16 @@ def _load(path: str) -> tuple[SignedHypergraph, str]:
 
 def _check_size(h: SignedHypergraph) -> None:
     """Refuse more vertices than the dense limit, or more vertex pairs in
-    the edges than one edge on all of them has, before the pair table
-    (``SignedHypergraph.pairs``, C(|e|, 2) tuples per edge) is built."""
+    the edges than one edge on all of them has, before anything is
+    allocated per vertex or per edge member."""
     _check_counts(h.n, sum(e.size * (e.size - 1) // 2 for e in h.edges))
 
 
 def _check_counts(n: int, pairs: int) -> None:
-    """The limits of ``_check_size`` on n vertices and ``pairs`` pairs."""
+    """The limits of ``_check_size`` on n vertices and ``pairs`` pairs.  The
+    pairs, sum C(|e|, 2), bound the fill of the adjacency, which adds an
+    |e| x |e| block per edge, sum |e|^2 entries in all; no pass builds the
+    pairs themselves."""
     if n > MAX_VERTICES:
         raise ValueError(f"{n} vertices exceeds the limit of {MAX_VERTICES}")
     limit = math.comb(MAX_VERTICES, 2)

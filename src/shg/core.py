@@ -14,12 +14,16 @@ Invariants:
 Whether a vertex is tree-like is decided for all vertices at once by one
 bridge pass, ``cyclic_vertices``, over the low-link search ``lowlink``
 that the weak pass shares; ``weak_delete`` gives the definition it is
-checked against and ``lies_on_cycle`` the exhaustive cycle search.  The
+checked against and ``lies_on_cycle`` the exhaustive cycle search.  Both
+passes search a graph built by ``incidence_graph``, the one rule that
+turns a family of vertex groups into links: a group of two is one link,
+a larger group a node of its own linked to each member.  The
 facts of an edge alone, ``Edge.vertices`` and its sign sgn(e), are decided
 by the edge as it checks its incidences, which past the edge only the
-copiers, the writers and the campaign's oracle read.  The facts of a
-hypergraph alone are cached on it, each computed once by whoever asks
-first: ``SignedHypergraph.pairs``, ``cycles`` and ``cyclic``.
+copiers, the writers and the campaign's oracle read; every pass reads an
+edge as its members and sgn(e), never as its C(|e|, 2) vertex pairs.  The
+facts of a hypergraph alone are cached on it, each computed once by whoever
+asks first: ``SignedHypergraph.cycles`` and ``cyclic``.
 ``spanning_hyperforest`` is one greedy scan, not a search for the
 heaviest hyperforest.
 """
@@ -28,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 __all__ = [
     "Edge",
@@ -57,7 +60,7 @@ class Edge:
 
     def __post_init__(self) -> None:
         # ``vertices``, in incidence order, and ``sign`` are decided once per
-        # edge, for every pair and component pass; they are not fields, so
+        # edge, for every pass that reads it; they are not fields, so
         # equality, hash and repr read ``incidences`` alone.
         vertices: list[int] = []
         seen: set[int] = set()
@@ -104,20 +107,6 @@ class SignedHypergraph:
 
     def vertex_range(self) -> range:
         return range(1, self.n + 1)
-
-    @cached_property
-    def pairs(self) -> tuple[tuple[int, int, int], ...]:
-        """(x, y, sgn(e)) for every vertex pair of every edge, in edge order
-        and then incidence order; parallel pairs are kept.
-
-        The adjacency, the strong relation and the signed clique expansion
-        are all built from this table, computed once per hypergraph.
-        """
-        out = []
-        for e in self.edges:
-            s = e.sign
-            out += [(x, y, s) for x, y in combinations(e.vertices, 2)]
-        return tuple(out)
 
     @cached_property
     def cycles(self) -> CycleStats:
@@ -333,6 +322,39 @@ def lowlink(adj: list[list[tuple[int, int]]]) -> tuple[list[int], list[int], lis
     return disc, low, tree
 
 
+def incidence_graph(n_nodes: int, groups: Iterable[Sequence[int]]) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """(adj, owner): the neighbour lists of ``lowlink`` for the graph on
+    nodes 0..n_nodes-1 that the vertex groups ``groups`` link, and the
+    index of the group of every link, by link id.  A group of two is one
+    link between its members; a larger group is a node of its own, the
+    next after n_nodes - 1 in group order, linked to each member; a
+    smaller one adds nothing.  The one rule by which both the bridge pass
+    (groups: the edges) and the weak pass (groups: the zeros of each edge)
+    read a hypergraph; since a group of three or more is a clique of
+    pairs, which is 2-connected, and a group of two is one pair, the
+    blocks of the pairs are those of this graph merged at the group nodes.
+    """
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_nodes)]
+    owner: list[int] = []
+    for g, vs in enumerate(groups):
+        if len(vs) == 2:
+            a, b = vs
+            li = len(owner)
+            adj[a].append((b, li))
+            adj[b].append((a, li))
+            owner.append(g)
+        elif len(vs) > 2:
+            node = len(adj)
+            hub: list[tuple[int, int]] = []
+            adj.append(hub)
+            for v in vs:
+                li = len(owner)
+                hub.append((v, li))
+                adj[v].append((node, li))
+                owner.append(g)
+    return adj, owner
+
+
 def cyclic_vertices(h: SignedHypergraph) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """Per vertex of h (index 0 unused): True when it is not tree-like,
     on h and on its signed clique expansion.  The program's one tree-like
@@ -342,19 +364,19 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[tuple[bool, ...], tuple[bool, 
 
     x is tree-like when its weak deletion (``weak_delete``) raises
     the component count by deg(x) - 1.  One bridge pass over the incidence
-    graph of the edges of size 2 or more decides both readings for every
-    vertex.  On the hypergraph, x is tree-like exactly when each of its
-    incidence links is a bridge and none of its edges has size 1, since
-    weak deletion leaves such an edge empty (an edge of size 1 adds only a
-    bridge to the graph, so it is left out).  On the expansion, whose
-    edges are the pairs of every edge, an edge of size 2 is a subdivided
-    pair, so a link that is not a bridge lies on a cycle of pairs, and an
-    edge of size 3 or more puts each of its vertices on a triangle; an
-    edge of size 1 gives no pair.  An edge of size 2 enters the pass as
-    one link between its two vertices, not as a node with two: undoing
-    the subdivision turns a bridge into a bridge and a link on a cycle
-    into a link on a cycle.  Both readings depend on the graph alone,
-    never on a function.
+    graph of the edges of size 2 or more (``incidence_graph``) decides both
+    readings for every vertex.  On the hypergraph, x is tree-like exactly
+    when each of its incidence links is a bridge and none of its edges has
+    size 1, since weak deletion leaves such an edge empty (an edge of size
+    1 adds only a bridge to the graph, so it is left out).  On the
+    expansion, whose edges are the pairs of every edge, an edge of size 2
+    is a subdivided pair, so a link that is not a bridge lies on a cycle of
+    pairs, and an edge of size 3 or more puts each of its vertices on a
+    triangle; an edge of size 1 gives no pair.  An edge of size 2 enters
+    the pass as one link between its two vertices, not as a node with two:
+    undoing the subdivision turns a bridge into a bridge and a link on a
+    cycle into a link on a cycle.  Both readings depend on the graph
+    alone, never on a function.
 
     The pass is Tarjan's low-link bridge test (Inf. Process. Lett. 1974)
     read off the one depth-first search of ``lowlink``, which the weak
@@ -365,27 +387,20 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[tuple[bool, ...], tuple[bool, 
     marks every end of every link that is not one.
     """
     n = h.n
-    # edge nodes n + 1.. are marked too and cut off at the end
-    size = n + 1 + h.m
-    on_h = [False] * size
-    on_clique = [False] * size
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    link = 0
-    for node, vs in enumerate((e.vertices for e in h.edges), n + 1):
+    on_h = [False] * (n + 1)
+    on_clique = [False] * (n + 1)
+    for e in h.edges:
+        vs = e.vertices
         if len(vs) > 2:
             for v in vs:
-                adj[v].append((node, link))
-                adj[node].append((v, link))
-                link += 1
                 on_clique[v] = True
-        elif len(vs) == 2:
-            a, b = vs
-            adj[a].append((b, link))
-            adj[b].append((a, link))
-            link += 1
-        elif vs:
+        elif len(vs) == 1:
             on_h[vs[0]] = True
+    adj, _ = incidence_graph(n + 1, (e.vertices for e in h.edges))
     disc, low, tree = lowlink(adj)
+    # the edge nodes n + 1.. are marked too and cut off at the end
+    on_h += [False] * (len(adj) - n - 1)
+    on_clique += [False] * (len(adj) - n - 1)
     for p, v, _ in tree:
         if low[v] <= disc[p]:
             on_h[p] = on_clique[p] = on_h[v] = on_clique[v] = True

@@ -16,30 +16,38 @@ the signed pair graph on the zeros: a balanced block contributes one
 fixed sign between any two of its vertices, read off a potential, and a
 block carrying an unbalanced cycle contributes both signs.  Each zero
 component then links the nonzeros attached to it by comparing one sign
-per attachment.  One scan of the pair table (``_sort_pairs``) sorts
-every pair of a function into a strong link, a zero-zero pair or an
-attachment; the weak pass (``_weak``) takes the last two lists and a
-union-find joined on the strong domains, and only links further on it.
-Whether a vertex is tree-like depends on the graph alone, and one bridge
-pass over the vertex-edge incidence graph decides it for all vertices,
-on h and on its clique expansion alike (``core.cyclic_vertices``, the one
-tree-like test of the program, cached as ``SignedHypergraph.cyclic``); a
-function adds only its zero mask.  Both passes read one low-link search,
-``core.lowlink``, and keep no edge stack: the tree link p -> v is a
-bridge unless low[v] <= disc[p], and opens a block when
-low[v] >= disc[p], else joining the block of the tree link into p; any
-other link joins the block of the tree link into its deeper end.
-Every pairwise pass (the strong relation, the weak pass, the clique
-terms) reads the pair table ``SignedHypergraph.pairs``.
+per attachment.
+
+Every pass reads an edge once, as its members and sgn(e), never as its
+C(|e|, 2) vertex pairs, so its cost grows with the incidences.  One scan
+of the edges (``_scan``) takes from each edge of a function its strong
+links, as star links to the first member of each sign class, its zeros
+and its attachments (a nonzero and a zero in one edge); the weak pass
+(``_weak``) takes the last two lists and a union-find joined on the
+strong domains, and only links further on it.  It reads the pair graph
+on the zeros as the zero incidence graph of ``core.incidence_graph``
+(an edge with two zeros is one link, one with three or more a hub node),
+whose blocks merged at the hubs are the pair graph's.  Whether a vertex
+is tree-like depends on the graph alone, and one bridge pass over the
+vertex-edge incidence graph, by the same rule, decides it for all
+vertices, on h and on its clique expansion alike
+(``core.cyclic_vertices``, the one tree-like test of the program, cached
+as ``SignedHypergraph.cyclic``); a function adds only its zero mask.
+Both passes read one low-link search, ``core.lowlink``, and keep no edge
+stack: the tree link p -> v is a bridge unless low[v] <= disc[p], and
+opens a block when low[v] >= disc[p], else joining the block of the tree
+link into p; any other link joins the block of the tree link into its
+deeper end.
 
 One row pass (``_row_pass``) serves every row of a sign matrix: per
-chunk of rows, masks over the pair table and cumulative sums over it
-and over the flat incidence list give the attachments, the strong
-domains of the rows without one, and l_plus, l' and the Fiedler sets on
-h and on its clique expansion alike.  Its labellings share ``_labels``,
-which runs ``_components``, hook-and-jump rounds on numpy arrays over
-the rows as one block-diagonal graph; ``component_counts`` counts the
-components of such rows.  A chunk is sized once, by its caller:
+chunk of rows, segment sums over the flat incidence list count the
+positive and negative members of every edge, and star links over it
+give the attachments, the strong domains of the rows without one, and
+l_plus, l' and the Fiedler sets on h and on its clique expansion alike,
+the pair counts of the clique terms by arithmetic.  Its labellings share
+``_labels``, which runs ``_components``, hook-and-jump rounds on numpy
+arrays over the rows as one block-diagonal graph; ``component_counts``
+counts the components of such rows.  A chunk is sized once, by its caller:
 ``row_chunks`` serves the row pass and the campaign's sandwich, the two
 passes whose temporaries grow with the rows times a per-row size, and
 nothing below them chunks again.  The one-function entries
@@ -82,7 +90,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import SignedHypergraph, UnionFind, lowlink
+from .core import SignedHypergraph, UnionFind, incidence_graph, lowlink
 from .spectra import (
     DEFAULT_ZERO_TOL_REL,
     MatrixBundle,
@@ -120,8 +128,8 @@ class NodalDecomposition:
     ascending order.  The strong domains and the cores are ordered by
     their smallest vertex; the closures follow their cores, so a closure
     that absorbs a zero below its core's smallest vertex can come after
-    a closure with a larger smallest vertex.  Where no pair joins a
-    nonzero to a zero the three partitions coincide and are one tuple
+    a closure with a larger smallest vertex.  Where no edge holds a
+    nonzero and a zero the three partitions coincide and are one tuple
     object, which readers may share.
     """
 
@@ -224,7 +232,8 @@ def row_chunks(n_rows: int, row_size: int) -> Iterator[slice]:
 
 def _labels(width: int, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Component labels of one graph per row of ``mask`` on nodes
-    0..width-1, graph i linking xs[p] to ys[p] where mask[i, p]:
+    0..width-1, graph i linking xs[p] to ys[p] where mask[i, p], or to
+    ys[i, p] when ys holds one end per row:
     labels[i, v] is the smallest node of v's component in graph i.
 
     The rows form one block-diagonal graph (node v of row i is
@@ -237,7 +246,7 @@ def _labels(width: int, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.
     n_nodes = len(mask) * width
     rr, pp = np.nonzero(mask)
     ex = rr * width
-    ey = ex + ys[pp]
+    ey = ex + (ys[pp] if ys.ndim == 1 else ys[mask])
     ex += xs[pp]
     del rr, pp
     labels = _components(n_nodes, ex[:budget], ey[:budget])
@@ -248,7 +257,8 @@ def _labels(width: int, xs: np.ndarray, ys: np.ndarray, mask: np.ndarray) -> np.
 
 def component_counts(width: int, xs: np.ndarray, ys: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """The number of components on nodes 1..width-1 of one graph per row
-    of ``masks``, graph i linking xs[p] to ys[p] where masks[i, p].
+    of ``masks``, graph i linking xs[p] to ys[p] where masks[i, p] (the
+    ends as ``_labels`` takes them).
 
     The roots of each row, the nodes that label themselves, of one
     ``_labels`` call on all the rows: the caller hands over rows it has
@@ -265,87 +275,127 @@ def _segment_sums(a: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[:, bounds[1:]] - total[:, bounds[:-1]]
 
 
-def _sort_pairs(h: SignedHypergraph, sign: Sequence[int]) -> tuple[
-        list[tuple[int, int]], list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """One scan of the pair table, sorting each pair under the signs
-    ``sign``: (the strong links, the zero-zero pairs, each once per sign
-    with its low end first, the attachments (u, z, s) of a nonzero u to a
-    zero z)."""
+def _scan(h: SignedHypergraph, sign: Sequence[int]) -> tuple[
+        list[tuple[int, int]], list[tuple[list[int], int]], list[tuple[list[int], list[int], int]]]:
+    """One scan of the edges under the signs ``sign``, each edge read as
+    its members and sgn(e): (the strong links, as star links to the first
+    member of each sign class; the zeros of every edge with two zeros or
+    more, with sgn(e); the attachments, the nonzeros and the zeros of
+    every edge with both, with sgn(e)).
+
+    x and y of e are strongly linked when sign[x] * sgn(e) * sign[y] > 0:
+    for sgn(e) = +1 the positives form one class and the negatives
+    another; for sgn(e) = -1 all nonzero members form one class, and only
+    when both signs occur.
+    """
     links: list[tuple[int, int]] = []
-    zz: dict[tuple[int, int, int], None] = {}
-    attach: list[tuple[int, int, int]] = []
-    for x, y, s in h.pairs:
-        sx, sy = sign[x], sign[y]
-        if sx:
-            if sy:
-                if sx * s * sy > 0:
-                    links.append((x, y))
-            else:
-                attach.append((x, y, s))
-        elif sy:
-            attach.append((y, x, s))
-        else:
-            zz[(x, y, s) if x < y else (y, x, s)] = None
-    return links, list(zz), attach
+    zero_groups: list[tuple[list[int], int]] = []
+    attach: list[tuple[list[int], list[int], int]] = []
+    for e in h.edges:
+        s = e.sign
+        nonzero: list[int] = []
+        zeros: list[int] = []
+        # the first positive and the first negative member
+        p = q = 0
+        for v in e.vertices:
+            x = sign[v]
+            if not x:
+                zeros.append(v)
+                continue
+            nonzero.append(v)
+            if x > 0:
+                if not p:
+                    p = v
+                elif s > 0:
+                    links.append((p, v))
+            elif not q:
+                q = v
+            elif s > 0:
+                links.append((q, v))
+        if s < 0 and p and q:
+            u = nonzero[0]
+            links += [(u, v) for v in nonzero[1:]]
+        if zeros:
+            if len(zeros) > 1:
+                zero_groups.append((zeros, s))
+            if nonzero:
+                attach.append((nonzero, zeros, s))
+    return links, zero_groups, attach
 
 
-def _weak(h: SignedHypergraph, sign: Sequence[int], uf: UnionFind, pairs: list[tuple[int, int, int]],
-          attach: list[tuple[int, int, int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+def _weak(h: SignedHypergraph, sign: Sequence[int], uf: UnionFind, zero_groups: list[tuple[list[int], int]],
+          attach: list[tuple[list[int], list[int], int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """(cores, closures) of the signs ``sign`` (index 0 unused), given
-    ``uf`` joined on their strong domains and the zero-zero ``pairs`` and
-    attachments ``attach`` of ``_sort_pairs``; the cores join strong
-    domains only, by further links on ``uf``.
+    ``uf`` joined on their strong domains and the zero groups and
+    attachments of ``_scan``; the cores join strong domains only, by
+    further links on ``uf``.
 
-    A weak link that is not strong is one attachment (u, z, s) of a
-    nonzero u to a zero z, a simple path inside one zero component, and
-    one more attachment, so the zero pairs and attachments serve.  On the
-    zero pair graph a depth-first potential theta decides each block:
-    balanced when theta(x) * s * theta(y) = 1 on all its pairs, so any
-    path inside it between a and b has sign theta(a) * theta(b); a block
-    with an unbalanced cycle has simple paths of both signs between any
-    two of its vertices.  Balanced blocks glued at cut vertices form
-    regions, where theta still gives the path sign; two zeros in
-    different regions are joined by paths of both signs.  The depth-first
-    tree also roots each zero component; the closure of every core that
-    its attachments reach absorbs it.
+    A weak link that is not strong is one attachment of a nonzero u to a
+    zero z in an edge, a simple path inside one zero component, and one
+    more attachment.  The paths run in the zero pair graph, where the
+    zeros of an edge form a clique of sign sgn(e); it is read as its
+    zero incidence graph (``core.incidence_graph``): an edge with two
+    zeros is one link of sign sgn(e), and an edge with three or more a
+    hub node linked to each of them by +1.  A clique of three or more is
+    2-connected, so the blocks of the pair graph are those of the
+    incidence graph merged at the hubs; it is balanced for sgn(e) = +1,
+    with one theta on all its zeros, and carries a negative triangle for
+    sgn(e) = -1.  On that graph a depth-first potential theta decides each
+    block: balanced when theta(x) * s * theta(y) = 1 on all its links and
+    no negative hub lies in it, so any path inside it between a and b has
+    sign theta(a) * theta(b); an unbalanced block has simple paths of both
+    signs between any two of its vertices.  Balanced blocks glued at cut
+    vertices form regions, where theta still gives the path sign; two
+    zeros in different regions are joined by paths of both signs.  The
+    depth-first tree also roots each zero component; the closure of every
+    core that its attachments reach absorbs it.
 
     The blocks come off ``core.lowlink``, the bridge pass's search: the
-    tree link p -> v opens a block, named v, when low[v] >= disc[p], and
-    else joins the block of the tree link into p; any other pair joins
-    the block of the tree link into its deeper end, a cycle through which
-    it closes.  Tree links agree with theta, so one scan of the pairs finds
-    the unbalanced blocks; the regions are the tree links of the others.
+    tree link p -> v opens a block, named v, when low[v] >= disc[p] and p
+    is no hub, and else joins the block of the tree link into p; any
+    other link joins the block of the tree link into its deeper end, a
+    cycle through which it closes.  Tree links agree with theta, so one
+    scan of the links finds the unbalanced blocks; the regions are the
+    tree links of the others.  An edge attaches its nonzeros to the
+    regions of its zeros and to the theta values over them, once per
+    value: with two zeros of a negative edge in one region, a nonzero
+    reaches them with both signs.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(h.n + 1)]
-    for i, (x, y, _) in enumerate(pairs):
-        adj[x].append((y, i))
-        adj[y].append((x, i))
+    n = h.n
+    adj, owner = incidence_graph(n + 1, [zeros for zeros, _ in zero_groups])
     disc, low, tree = lowlink(adj)
-    theta = [1] * (h.n + 1)
-    root = list(range(h.n + 1))
-    block = list(range(h.n + 1))
-    for p, v, i in tree:
-        theta[v] = theta[p] * pairs[i][2]
+    size = len(adj)
+    theta = [1] * size
+    root = list(range(size))
+    block = list(range(size))
+    for p, v, li in tree:
+        # the links at a hub carry +1, the link of two zeros sgn(e)
+        theta[v] = theta[p] if p > n or v > n else theta[p] * zero_groups[owner[li]][1]
         root[v] = root[p]
-        if low[v] < disc[p]:
+        if low[v] < disc[p] or p > n:
             block[v] = block[p]
-    unbalanced = {block[x if disc[x] > disc[y] else y]
-                  for x, y, s in pairs if theta[x] * s * theta[y] < 0}
-    region = UnionFind(h.n)
+    # the hubs follow the vertices in group order
+    hub_signs = [s for zeros, s in zero_groups if len(zeros) > 2]
+    unbalanced = {block[hub] for hub, s in enumerate(hub_signs, n + 1) if s < 0}
+    unbalanced.update(block[x if disc[x] > disc[y] else y] for x in range(n + 1) for y, li in adj[x]
+                      if x < y and theta[x] * theta[y] * (1 if y > n else zero_groups[owner[li]][1]) < 0)
+    region = UnionFind(size - 1)
     region.link((p, v) for p, v, _ in tree if block[v] not in unbalanced)
 
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for u, z, s in attach:
-        groups.setdefault(root[z], []).append((u, z, s))
+    groups: dict[int, list[tuple[list[int], list[int], int]]] = {}
+    for a in attach:
+        groups.setdefault(root[a[1][0]], []).append(a)
     for group in groups.values():
-        if len({region.find(z) for _, z, _ in group}) > 1:
-            uf.link((group[0][0], u) for u, _, _ in group)
+        if len({region.find(z) for _, zeros, _ in group for z in zeros}) > 1:
+            u0 = group[0][0][0]
+            uf.link((u0, u) for nonzero, _, _ in group for u in nonzero)
             continue
         first: dict[int, int] = {}
-        uf.link((first.setdefault(sign[u] * s * theta[z], u), u) for u, z, s in group)
+        uf.link((first.setdefault(sign[u] * s * t, u), u)
+                for nonzero, zeros, s in group for t in {theta[z] for z in zeros} for u in nonzero)
 
     cores = uf.groups(v for v in h.vertex_range() if sign[v])
-    absorbers = {r: {uf.find(u) for u, _, _ in group} for r, group in groups.items()}
+    absorbers = {r: {uf.find(u) for nonzero, _, _ in group for u in nonzero} for r, group in groups.items()}
     # the zeros absorbed by the core of each root, ascending
     absorbed: dict[int, list[int]] = {}
     for v in h.vertex_range():
@@ -369,14 +419,14 @@ def weak_domains(h: SignedHypergraph, f: VertexFunction) -> tuple[tuple[tuple[in
 
 def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
     """Full nodal decomposition of f on h, from one list of signs and one
-    scan of the pair table (``_sort_pairs``).
+    scan of the edges (``_scan``).
 
     The strong domains are the components of the support under strong
     links: {x, y} is linked when some edge contains both and
     f(x) * sgn(e) * f(y) > 0.  The weak cores partition the support under
     weak links (``_weak``), and each closure adds the zeros that reach its
-    core through a path of zero vertices.  Without an attachment (a pair
-    joining a nonzero to a zero), zeros included, every weak link is a
+    core through a path of zero vertices.  Without an attachment (an edge
+    holding a nonzero and a zero), zeros included, every weak link is a
     direct pair and no zero reaches a core, so the weak cores and
     closures are the strong domains and the weak pass is not run.
     """
@@ -387,13 +437,13 @@ def decompose(h: SignedHypergraph, f: VertexFunction) -> NodalDecomposition:
 def _decomposition(h: SignedHypergraph, sign: Sequence[int]) -> NodalDecomposition:
     """The nodal decomposition of the signs ``sign`` (index 0 unused), for
     ``decompose`` and the attached rows of ``Analysis`` alike: the strong
-    links of ``_sort_pairs`` on a union-find, its groups, and the weak
-    pass on it only when some pair joins a nonzero to a zero."""
-    links, zero_pairs, attach = _sort_pairs(h, sign)
+    links of ``_scan`` on a union-find, its groups, and the weak pass on it
+    only when some edge holds a nonzero and a zero."""
+    links, zero_groups, attach = _scan(h, sign)
     uf = UnionFind(h.n)
     uf.link(links)
     strong = uf.groups(v for v in h.vertex_range() if sign[v])
-    weak = _weak(h, sign, uf, zero_pairs, attach) if attach else (strong, strong)
+    weak = _weak(h, sign, uf, zero_groups, attach) if attach else (strong, strong)
     return NodalDecomposition(strong, *weak)
 
 
@@ -450,7 +500,7 @@ class BoundTerms:
 class _Rows(NamedTuple):
     # None on the attached rows, which ``Analysis`` decomposes again
     strong: list[tuple[tuple[int, ...], ...] | None]
-    # some pair joins a nonzero to a zero, so the weak pass has work
+    # some edge holds a nonzero and a zero, so the weak pass has work
     attached: list[bool]
     terms: dict[str, BoundTerms]
 
@@ -460,30 +510,38 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
     ``BoundTerms`` of both readings of every row of the sign matrix
     ``signs``.
 
-    One walk over chunks of rows.  A chunk takes the nonzero ends and the
-    strong pairs (sign(x) * sign(y) == sgn(e), the product in int8) as
-    masks over the pair table.  The pair table and the flat incidence
-    list are both in edge order, so cumulative sums along a row count,
-    per edge, its strong pairs and its nonzero vertices k_e.  The chunk
-    labels at most three link sets, the first with ``_labels`` and the
-    others with ``component_counts``:
+    One walk over chunks of rows, each edge read as its members and sgn(e)
+    through the flat incidence list, in edge order; an empty edge adds
+    nothing and is left out.  Sums over each edge's members
+    (``np.add.reduceat``) count, per edge e, its p positive and q negative
+    members, so k_e = p + q nonzero ones; an edge with a zero and a
+    nonzero member is an attachment.  The strong pairs of e number C(p, 2) + C(q, 2) for
+    sgn(e) = +1 and p * q for sgn(e) = -1, and e is coherent when they are
+    all C(|e|, 2) of its pairs (an edge of size 1 has no pair and adds
+    nothing, coherent or not).  The chunk labels at most three graphs,
+    the first with ``_labels`` and the others with ``component_counts``,
+    each a star per edge and class, its members linked to the least one
+    (a maximum over the edge's members per row), so the links of a row
+    number fewer than the incidences:
 
-    - the strong pairs, P of them: the count S of strong domains, the
-      nonzero vertices that label themselves, and on rows without an
-      attachment the domains.  Their support is sorted stably by label,
-      so each row's domains are ordered by smallest vertex (as
-      ``UnionFind.groups`` orders them) and each is a slice of ascending
-      members.  A pair of the clique expansion is coherent exactly when
-      strong, so there l_plus = P - n + S + (n - |supp|);
-    - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
-      all strong, and so whose |e| vertices are nonzero (an edge of size
-      1 or 0 has no pair and adds nothing, coherent or not): l_plus on h,
-      over sum max(|e| - 1, 0) of them;
-    - the pairs with two nonzero ends, for rows with a zero.  An edge
+    - the strong relation: for sgn(e) = +1 the positive members form one
+      class and the negative ones another, and for sgn(e) = -1 the
+      nonzero members form one class, when both signs occur.  This gives
+      the count S of strong domains, the nonzero vertices that label
+      themselves, and on rows without an attachment the domains.  Their
+      support is sorted stably by label, so each row's domains are
+      ordered by smallest vertex (as ``UnionFind.groups`` orders them) and
+      each is a slice of ascending members.  A pair of the clique
+      expansion is coherent exactly when strong, so there l_plus =
+      P - n + S + (n - |supp|), with P the strong pairs of all edges;
+    - the coherent edges, whose members form one strong class, so whose
+      strong stars serve: l_plus on h, over sum (|e| - 1) of them;
+    - the nonzero members of every edge, for rows with a zero.  An edge
       with k_e nonzero vertices connects them in h and in its expansion
       alike, and a zero is isolated, so with c components on 1..n,
-      l'_h = sum max(k_e - 1, 0) - n + c and l'_clique is these links
-      - n + c (c of ``h.cycles``); a zero-free row has all of h for support.
+      l'_h = sum max(k_e - 1, 0) - n + c and l'_clique =
+      sum C(k_e, 2) - n + c (c of ``h.cycles``, and C(|e|, 2) for
+      C(k_e, 2), on a zero-free row, which has all of h for support).
 
     The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
     ``seen`` when one of its edges has k_e >= 1, the same on both graphs,
@@ -491,34 +549,55 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
     has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
-    xs, ys, ps = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
-    sizes = np.fromiter((e.size for e in h.edges), dtype=np.intp, count=h.m)
+    # an empty edge has no member, no pair and no link, and adds nothing;
+    # leaving it out makes every segment of ``np.add.reduceat`` nonempty
+    edges = [e for e in h.edges if e.vertices]
+    vertex_lists = [e.vertices for e in edges]
+    sizes = np.fromiter(map(len, vertex_lists), dtype=np.intp, count=len(edges))
+    positive = np.fromiter((e.sign > 0 for e in edges), dtype=bool, count=len(edges))
+    verts = np.fromiter(chain.from_iterable(vertex_lists), dtype=np.intp, count=int(sizes.sum()))
     n_pairs = sizes * (sizes - 1) // 2
-    verts = np.fromiter(chain.from_iterable(e.vertices for e in h.edges), dtype=np.intp,
-                        count=int(sizes.sum()))
-    edge_of = np.repeat(np.arange(h.m), sizes)
-    pair_edge = np.repeat(np.arange(h.m), n_pairs)
-    flat_bounds = np.concatenate(([0], np.cumsum(sizes)))
-    pair_bounds = np.concatenate(([0], np.cumsum(n_pairs)))
-    # the flat incidences grouped by vertex, for the per-vertex sums
-    by_vertex = edge_of[np.argsort(verts, kind="stable")]
-    vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
-    links = np.maximum(sizes - 1, 0)
+    edge_of = np.repeat(np.arange(len(edges)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    on_positive = positive[edge_of]
+    # width - v: the least member of a set has the largest, so a segment
+    # maximum finds the centre of a star, which every other member then
+    # hooks under in one round of ``_components``
+    flipped = width - verts
+    # the flat incidences grouped by vertex, for the per-vertex sums of the
+    # rows with a zero, built for the first of them
+    by_vertex = vertex_bounds = None
+    links = sizes - 1
 
     strong: list[tuple[tuple[int, ...], ...] | None] = []
     attached = np.empty(n_rows, dtype=bool)
     strong_pairs, n_strong, plus_h = (np.empty(n_rows, dtype=np.intp) for _ in range(3))
     l_h = np.full(n_rows, h.cycles.l)
-    l_clique = np.full(n_rows, len(xs) - n + h.cycles.n_components)
+    l_clique = np.full(n_rows, int(n_pairs.sum()) - n + h.cycles.n_components)
     fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
-    for rows in row_chunks(n_rows, max(len(xs), len(verts), width, h.m)):
+    # every edge counted has a member, so the incidences outnumber the edges
+    for rows in row_chunks(n_rows, max(len(verts), width)):
         s = signs[rows]
         nonzero = s != 0
-        nx, ny = nonzero[:, xs], nonzero[:, ys]
-        attached[rows] = (nx != ny).any(axis=1)
-        is_strong = s[:, xs] * s[:, ys] == ps
-        strong_pairs[rows] = is_strong.sum(axis=1)
-        labels = _labels(width, xs, ys, is_strong)
+        incident = s[:, verts]
+        pos, neg = incident > 0, incident < 0
+        member = pos | neg
+        p = np.add.reduceat(pos, starts, axis=1, dtype=np.intp)
+        q = np.add.reduceat(neg, starts, axis=1, dtype=np.intp)
+        k_e, pq = p + q, p * q
+        attached[rows] = ((k_e > 0) & (k_e < sizes)).any(axis=1)
+        # C(k, 2) = C(p, 2) + C(q, 2) + p * q
+        pairs_in = np.where(positive, k_e * (k_e - 1) // 2 - pq, pq)
+        strong_pairs[rows] = pairs_in.sum(axis=1)
+        # the class of every member, +1 or -1: for sgn(e) = +1 its sign, for
+        # sgn(e) = -1 one class when both signs occur; each class of an edge
+        # is a star on its least member
+        cls = np.where(on_positive, incident, member & (pq > 0)[:, edge_of])
+        signed = cls * flipped
+        anchor = np.where(cls > 0, width - np.maximum.reduceat(signed, starts, axis=1)[:, edge_of],
+                          width + np.minimum.reduceat(signed, starts, axis=1)[:, edge_of])
+        is_strong = (cls != 0) & (anchor != verts)
+        labels = _labels(width, verts, anchor, is_strong)
         n_strong[rows] = (nonzero & (labels == np.arange(width))).sum(axis=1)
         free = np.flatnonzero(~attached[rows])
         rr, vv = np.nonzero(s[free])
@@ -531,19 +610,25 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
         strong.extend(None if a else tuple(islice(groups, k))
                       for a, k in zip(attached[rows].tolist(), n_strong[rows].tolist()))
 
-        coherent = _segment_sums(is_strong, pair_bounds) == n_pairs
-        plus_h[rows] = coherent @ links - n + component_counts(width, xs, ys, coherent[:, pair_edge])
+        # a coherent edge is one strong class, so its star links are its own
+        coherent = pairs_in == n_pairs
+        plus_h[rows] = coherent @ links - n + component_counts(width, verts, anchor,
+                                                               is_strong & coherent[:, edge_of])
 
         with_zero = np.flatnonzero(~nonzero[:, 1:].all(axis=1))
         if not len(with_zero):
             continue
-        both = nx[with_zero] & ny[with_zero]
-        c = component_counts(width, xs, ys, both)
-        k = _segment_sums(nonzero[with_zero][:, verts], flat_bounds)
+        kz = k_e[with_zero]
+        nz = member[with_zero]
+        anchor = width - np.maximum.reduceat(nz * flipped, starts, axis=1)[:, edge_of]
+        c = component_counts(width, verts, anchor, nz & (anchor != verts))
         at = with_zero + rows.start
-        l_h[at] = np.maximum(k - 1, 0).sum(axis=1) - n + c
-        l_clique[at] = both.sum(axis=1) - n + c
-        seen = _segment_sums((k > 0)[:, by_vertex], vertex_bounds) > 0
+        l_h[at] = np.maximum(kz - 1, 0).sum(axis=1) - n + c
+        l_clique[at] = (kz * (kz - 1) // 2).sum(axis=1) - n + c
+        if by_vertex is None:
+            by_vertex = edge_of[np.argsort(verts, kind="stable")]
+            vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
+        seen = _segment_sums((kz > 0)[:, by_vertex], vertex_bounds) > 0
         zero = ~nonzero[with_zero]
         zero[:, 0] = False
         cyclic = [np.array(mask, dtype=bool) for mask in h.cyclic]
@@ -606,15 +691,17 @@ class Analysis:
     l_plus and l' on h (``all_pairs``) or on its clique expansion
     (``clique``).  One row pass (``_row_pass``) gives the terms of both
     readings and the strong domains of the rows without a nonzero next
-    to a zero; each other eigenfunction is decomposed on its own, by
-    ``_decomposition`` as ``decompose`` does.  Facts of h alone (c, l,
+    to a zero, reading each edge once, as its members and sgn(e); each
+    other eigenfunction is decomposed on its own, by ``_decomposition`` as
+    ``decompose`` does.  Facts of h alone (c, l,
     the tree-like marks) are cached on h, ``SignedHypergraph.cycles`` and
     ``cyclic``, so every reader of h shares them.
     ``bounds(variant)`` is the table of nodal-count bounds of every
     index: strong count <= k + r - 1; weak count <= k + c - 1; strong
     count >= k + r - 1 - l' + l_plus - |fiedler|, the terms read on whole
     hyperedges (``all_pairs``: l_plus over the edges whose every vertex
-    pair is coherent) or on the clique expansion.
+    pair is coherent, counted per edge from its positive and negative
+    members) or on the clique expansion.
     """
 
     def __init__(self, h: SignedHypergraph, zero_tol_rel: float = DEFAULT_ZERO_TOL_REL) -> None:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SignedHypergraph, degrees
+from .core import Edge, SignedHypergraph, degrees
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -172,12 +172,21 @@ class Spectrum:
 def adjacency(h: SignedHypergraph) -> np.ndarray:
     """The adjacency as floats, 0-based: a[i, j] sums the edge signs over
     the edges containing both vertices i + 1 and j + 1 (zero diagonal;
-    singleton edges add nothing), summed over the pair table in numpy.
-    Sums of +-1 are exact in float, in any order."""
+    singleton edges add nothing).  Each edge adds sgn(e) to its |e| x |e|
+    block, diagonal included, straight into the matrix, and the diagonal
+    is cleared at the end.  The edges of one size go in by one
+    ``np.add.at`` whose block indices broadcast the edges' member lists,
+    so no temporary holds more than the incidences.  Sums of +-1 are
+    exact in float, in any order."""
     a = np.zeros((h.n, h.n))
-    xs, ys, s = np.array(h.pairs, dtype=np.intp).reshape(-1, 3).T
-    np.add.at(a, (xs - 1, ys - 1), s)
-    np.add.at(a, (ys - 1, xs - 1), s)
+    by_size: dict[int, list[Edge]] = {}
+    for e in h.edges:
+        by_size.setdefault(e.size, []).append(e)
+    for edges in by_size.values():
+        members = np.array([e.vertices for e in edges], dtype=np.intp) - 1
+        signs = np.array([e.sign for e in edges], dtype=float)
+        np.add.at(a, (members[:, :, None], members[:, None, :]), signs[:, None, None])
+    np.fill_diagonal(a, 0.0)
     return a
 
 

@@ -4,8 +4,11 @@ Each computes one term of the bounds, one identity or one predicate,
 the slow and plain way; the program computes the same from one pass
 (over all rows in ``nodal._row_pass``, over the incidence graph in
 ``core.cyclic_vertices``, over a stack of functions in ``spectra``, over
-the pair table once in ``nodal.decompose``, over the sign matrix in the
-campaign's sandwich), and the tests compare the two.  The blocks of
+the edges once in ``nodal.decompose``, over the sign matrix in the
+campaign's sandwich), and the tests compare the two.  The program reads
+an edge as its members and sgn(e); the references read it as its vertex
+pairs, the table ``pairs`` builds, and ``reference_row_pass`` is the row
+pass on masks over that table.  The blocks of
 every reference come from ``reference_blocks``, the Hopcroft-Tarjan
 edge-stack search, which shares no code with the
 program: there one low-link search, ``core.lowlink``, serves the
@@ -23,7 +26,7 @@ sgn(e), read off the incidences apart from ``Edge.sign``.
 
 import math
 import random
-from itertools import repeat
+from itertools import chain, combinations, islice, repeat
 
 import numpy as np
 
@@ -38,6 +41,17 @@ from shg.core import (
     spanning_hyperforest,
     weak_delete,
 )
+from shg.nodal import (
+    _NO_ZEROS,
+    BOUND_VARIANTS,
+    BoundTerms,
+    FiedlerSets,
+    _labels,
+    _Rows,
+    _segment_sums,
+    component_counts,
+    row_chunks,
+)
 
 
 def reference_edge_sign(e) -> int:
@@ -47,6 +61,18 @@ def reference_edge_sign(e) -> int:
     if not e.incidences:
         return 0
     return (-1) ** (len(e.incidences) - 1) * math.prod(s for _, s in e.incidences)
+
+
+def pairs(h) -> tuple[tuple[int, int, int], ...]:
+    """The pair table: (x, y, sgn(e)) for every vertex pair of every edge,
+    in edge order and then incidence order, parallel pairs kept.  The
+    program reads an edge as its members and sgn(e) and builds no such
+    table; every reference that reads pairs reads this one."""
+    out = []
+    for e in h.edges:
+        s = reference_edge_sign(e)
+        out += [(x, y, s) for x, y in combinations(e.vertices, 2)]
+    return tuple(out)
 
 
 def support_cyclomatic(h, f) -> CycleStats:
@@ -156,7 +182,7 @@ def adjacency_int(h) -> list[list[int]]:
     nothing), one pair of the pair table at a time; the reference for the
     float sums of ``spectra.adjacency``."""
     a = [[0] * h.n for _ in range(h.n)]
-    for u, w, s in h.pairs:
+    for u, w, s in pairs(h):
         a[u - 1][w - 1] += s
         a[w - 1][u - 1] += s
     return a
@@ -164,10 +190,10 @@ def adjacency_int(h) -> list[list[int]]:
 
 def clique_expansion(h) -> SignedHypergraph:
     """The signed clique expansion: a 2-edge of sign sgn(e) for every
-    vertex pair of every edge, parallel pairs kept (``h.pairs``).  Its
+    vertex pair of every edge, parallel pairs kept (``pairs``).  Its
     adjacency equals that of h; the ``clique`` bounds table reads its
     terms off h's pairs without building it."""
-    return SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in h.pairs))
+    return SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -s))) for x, y, s in pairs(h)))
 
 
 def product_rule_defect(h, bundle, f, g) -> float:
@@ -185,7 +211,7 @@ def product_rule_defect(h, bundle, f, g) -> float:
     lhs = float(np.dot(bundle.deg * fg, bundle.l @ fg))
     mid = float(np.dot(bundle.deg * fg, fv * (bundle.l @ gv)))
     pair_sum = 0.0
-    for x, y in {(min(x, y), max(x, y)) for x, y, _ in h.pairs}:
+    for x, y in {(min(x, y), max(x, y)) for x, y, _ in pairs(h)}:
         axy = bundle.a[x - 1, y - 1]
         pair_sum += axy * gv[x - 1] * gv[y - 1] * (fv[x - 1] - fv[y - 1]) ** 2
     return abs(lhs - mid - pair_sum)
@@ -236,15 +262,15 @@ def reference_sandwich(ctx, inertia):
     number.
     """
     h, b = ctx.h, ctx.bundle
-    pairs = sorted({(min(x, y), max(x, y)) for x, y, _ in h.pairs})
-    a, c = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    distinct = sorted({(min(x, y), max(x, y)) for x, y, _ in pairs(h)})
+    a, c = np.array(distinct, dtype=np.intp).reshape(-1, 2).T
     full = [i for i, g in enumerate(ctx.spectrum.functions, 1) if len(g.support()) == h.n]
     values = np.array([ctx.spectrum.functions[i - 1].values for i in full]).reshape(len(full), h.n)
     coeff = b.a[a - 1, c - 1] * (values[:, a - 1] * values[:, c - 1])
     fails = []
     for i, row in zip(full, coeff.tolist()):
         positive, nonzero = (
-            SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -1))) for (x, y), k in zip(pairs, row) if keep(k)))
+            SignedHypergraph(h.n, tuple(Edge(((x, 1), (y, -1))) for (x, y), k in zip(distinct, row) if keep(k)))
             for keep in (lambda k: k > 0, lambda k: k != 0))
         sigma_t = sum(positive.edges[j].size - 1 for j in spanning_hyperforest(positive))
         p, n_pos, l_nonzero = inertia(i), positive.m, cyclomatic(nonzero).l
@@ -265,12 +291,12 @@ def reference_decomposition(h, f):
     union-find that the weak links extend."""
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
     uf = UnionFind(h.n)
-    uf.link((x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0)
+    uf.link((x, y) for x, y, s in pairs(h) if sign[x] * s * sign[y] > 0)
     strong = uf.groups(v for v in h.vertex_range() if sign[v])
 
     zz = {}
     attach = []
-    for x, y, s in h.pairs:
+    for x, y, s in pairs(h):
         if sign[x] == 0 and sign[y] == 0:
             zz[(x, y, s) if x < y else (y, x, s)] = None
         elif sign[x] == 0:
@@ -280,18 +306,18 @@ def reference_decomposition(h, f):
     if not attach:
         return strong, strong, strong
 
-    pairs = list(zz)
-    blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+    zero_pairs = list(zz)
+    blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in zero_pairs])
     theta = [1] * (h.n + 1)
     root = list(range(h.n + 1))
     for child, ei in tree:
-        x, y, s = pairs[ei]
+        x, y, s = zero_pairs[ei]
         parent = x if y == child else y
         theta[child] = theta[parent] * s
         root[child] = root[parent]
     region = UnionFind(h.n)
     for block in blocks:
-        block_pairs = [pairs[ei] for ei in block]
+        block_pairs = [zero_pairs[ei] for ei in block]
         if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
             region.link((x, y) for x, y, _ in block_pairs)
 
@@ -315,6 +341,116 @@ def reference_decomposition(h, f):
         for c in absorbers.get(root[v], ()):
             closures[c].append(v)
     return strong, cores, tuple(tuple(sorted(c)) for c in closures.values())
+
+
+# --- the row pass over the pair table
+
+
+def reference_row_pass(h, signs):
+    """``nodal._row_pass`` over the pair table: attachments, the strong
+    domains of the rows without one, and the ``BoundTerms`` of both
+    readings of every row of the sign matrix ``signs``, the pairs of
+    ``pairs`` as masks.
+
+    One walk over chunks of rows.  A chunk takes the nonzero ends and the
+    strong pairs (sign(x) * sign(y) == sgn(e), the product in int8) as
+    masks over the pair table.  The pair table and the flat incidence
+    list are both in edge order, so cumulative sums along a row count,
+    per edge, its strong pairs and its nonzero vertices k_e.  The chunk
+    labels at most three link sets, the first with ``_labels`` and the
+    others with ``component_counts``:
+
+    - the strong pairs, P of them: the count S of strong domains, the
+      nonzero vertices that label themselves, and on rows without an
+      attachment the domains.  Their support is sorted stably by label,
+      so each row's domains are ordered by smallest vertex (as
+      ``UnionFind.groups`` orders them) and each is a slice of ascending
+      members.  A pair of the clique expansion is coherent exactly when
+      strong, so there l_plus = P - n + S + (n - |supp|);
+    - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
+      all strong, and so whose |e| vertices are nonzero (an edge of size
+      1 or 0 has no pair and adds nothing, coherent or not): l_plus on h,
+      over sum max(|e| - 1, 0) of them;
+    - the pairs with two nonzero ends, for rows with a zero.  An edge
+      with k_e nonzero vertices connects them in h and in its expansion
+      alike, and a zero is isolated, so with c components on 1..n,
+      l'_h = sum max(k_e - 1, 0) - n + c and l'_clique is these links
+      - n + c (c of ``h.cycles``); a zero-free row has all of h for support.
+
+    The Fiedler set of a row is ``zero & (cyclic | ~seen)``: a zero is
+    ``seen`` when one of its edges has k_e >= 1, the same on both graphs,
+    and ``h.cyclic`` gives ``cyclic`` of both, read only when some row
+    has a zero.
+    """
+    n, width, n_rows = h.n, h.n + 1, len(signs)
+    xs, ys, ps = np.array(pairs(h), dtype=np.intp).reshape(-1, 3).T
+    sizes = np.fromiter((e.size for e in h.edges), dtype=np.intp, count=h.m)
+    n_pairs = sizes * (sizes - 1) // 2
+    verts = np.fromiter(chain.from_iterable(e.vertices for e in h.edges), dtype=np.intp,
+                        count=int(sizes.sum()))
+    edge_of = np.repeat(np.arange(h.m), sizes)
+    pair_edge = np.repeat(np.arange(h.m), n_pairs)
+    flat_bounds = np.concatenate(([0], np.cumsum(sizes)))
+    pair_bounds = np.concatenate(([0], np.cumsum(n_pairs)))
+    # the flat incidences grouped by vertex, for the per-vertex sums
+    by_vertex = edge_of[np.argsort(verts, kind="stable")]
+    vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
+    links = np.maximum(sizes - 1, 0)
+
+    strong: list[tuple[tuple[int, ...], ...] | None] = []
+    attached = np.empty(n_rows, dtype=bool)
+    strong_pairs, n_strong, plus_h = (np.empty(n_rows, dtype=np.intp) for _ in range(3))
+    l_h = np.full(n_rows, h.cycles.l)
+    l_clique = np.full(n_rows, len(xs) - n + h.cycles.n_components)
+    fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
+    for rows in row_chunks(n_rows, max(len(xs), len(verts), width, h.m)):
+        s = signs[rows]
+        nonzero = s != 0
+        nx, ny = nonzero[:, xs], nonzero[:, ys]
+        attached[rows] = (nx != ny).any(axis=1)
+        is_strong = s[:, xs] * s[:, ys] == ps
+        strong_pairs[rows] = is_strong.sum(axis=1)
+        labels = _labels(width, xs, ys, is_strong)
+        n_strong[rows] = (nonzero & (labels == np.arange(width))).sum(axis=1)
+        free = np.flatnonzero(~attached[rows])
+        rr, vv = np.nonzero(s[free])
+        # one key per (row, domain); row-major order keeps vertices ascending
+        key = rr * width + labels[free[rr], vv]
+        order = np.argsort(key, kind="stable")
+        members = vv[order].tolist()
+        bounds = np.flatnonzero(np.diff(key[order], prepend=-1)).tolist() + [len(members)]
+        groups = iter([tuple(members[a:b]) for a, b in zip(bounds, bounds[1:])])
+        strong.extend(None if a else tuple(islice(groups, k))
+                      for a, k in zip(attached[rows].tolist(), n_strong[rows].tolist()))
+
+        coherent = _segment_sums(is_strong, pair_bounds) == n_pairs
+        plus_h[rows] = coherent @ links - n + component_counts(width, xs, ys, coherent[:, pair_edge])
+
+        with_zero = np.flatnonzero(~nonzero[:, 1:].all(axis=1))
+        if not len(with_zero):
+            continue
+        both = nx[with_zero] & ny[with_zero]
+        c = component_counts(width, xs, ys, both)
+        k = _segment_sums(nonzero[with_zero][:, verts], flat_bounds)
+        at = with_zero + rows.start
+        l_h[at] = np.maximum(k - 1, 0).sum(axis=1) - n + c
+        l_clique[at] = both.sum(axis=1) - n + c
+        seen = _segment_sums((k > 0)[:, by_vertex], vertex_bounds) > 0
+        zero = ~nonzero[with_zero]
+        zero[:, 0] = False
+        cyclic = [np.array(mask, dtype=bool) for mask in h.cyclic]
+        for i, z, sn in zip(at.tolist(), zero, seen):
+            for reading, cyc in zip(fiedler, cyclic):
+                fied = z & (cyc | ~sn)
+                reading[i] = FiedlerSets(tuple(np.flatnonzero(fied).tolist()),
+                                         tuple(np.flatnonzero(z & ~fied).tolist()))
+
+    # the clique expansion's coherent graph: the strong domains, and the
+    # zeros as isolated vertices
+    plus = (plus_h, strong_pairs - n + n_strong + (signs[:, 1:] == 0).sum(axis=1))
+    terms = {variant: BoundTerms(tuple(fs), tuple(lp.tolist()), tuple(lq.tolist()))
+             for variant, fs, lp, lq in zip(BOUND_VARIANTS, fiedler, plus, (l_h, l_clique))}
+    return _Rows(strong, attached.tolist(), terms)
 
 
 # --- instances and searches that the program does not have

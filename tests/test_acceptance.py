@@ -49,7 +49,7 @@ from shg.spectra import (
 )
 from shg.verify import GenConfig, generate, run_campaign
 
-from references import chained_difference_rank, generate_supertree, product_rule_defect
+from references import chained_difference_rank, generate_supertree, pairs, product_rule_defect
 
 CAMPAIGN_CONFIG = GenConfig(seed=2026, count=500)
 
@@ -221,13 +221,13 @@ def _cleaned(h: SignedHypergraph) -> SignedHypergraph | None:
 def _pair_graph(h, coeff, keep_positive_only):
     """The graph of the distinct vertex pairs sharing an edge of h whose
     coefficient is positive (or nonzero), one 2-edge per pair."""
-    pairs = set()
-    for x, y, _ in h.pairs:
+    kept = set()
+    for x, y, _ in pairs(h):
         a, b = min(x, y), max(x, y)
         c = coeff[a - 1, b - 1]
         if c > 0 or (not keep_positive_only and c != 0):
-            pairs.add((a, b))
-    edges = tuple(Edge(((a, 1), (b, -1))) for a, b in sorted(pairs))
+            kept.add((a, b))
+    edges = tuple(Edge(((a, 1), (b, -1))) for a, b in sorted(kept))
     return SignedHypergraph(h.n, edges)
 
 

@@ -406,7 +406,9 @@ class TestUsageErrors:
         for name in ("laplacian", "eigendecompose", "decompose", "Analysis",
                      "build_report", "oracle_domains", "VertexFunction", "serialize"):
             monkeypatch.setattr(cli, name, must_not_run)
-        monkeypatch.setattr(SignedHypergraph, "pairs", property(must_not_run))
+        # nor any pass that reads the edges per incidence or per block row
+        monkeypatch.setattr(shg.nodal, "_row_pass", must_not_run)
+        monkeypatch.setattr(shg.spectra, "adjacency", must_not_run)
         n = cli.MAX_VERTICES
         # two edges on all n vertices hold twice the pairs of one
         full_edge = "edge " + " ".join(f"{v}:+" for v in range(1, n + 1)) + "\n"

@@ -3,7 +3,10 @@ every vertex set is an ascending tuple, never a ``frozenset``, every
 parameter is read, every module-level function is reachable, the facts
 of a hypergraph are computed only by the hypergraph that caches them,
 only ``spectra`` applies the zero rule, only the edge decides its sign,
-the README's quick tour runs and so does the benchmark's self-test."""
+no module reads a pair table (an attribute ``pairs``) or imports
+``itertools.combinations``, since every pass reads an edge once as its
+members and sgn(e), the README's quick tour runs and so does the
+benchmark's self-test."""
 
 import ast
 import re
@@ -260,6 +263,38 @@ def test_the_check_sees_reads():
     assert reads(source, {"cyclomatic", "cyclic_vertices"}) == [
         ("<module>", "cyclomatic"), ("H.cycles", "cyclomatic"), ("H.other", "cyclomatic"),
         ("H.other", "cyclomatic"), ("cyclic_vertices.inner", "cyclic_vertices")]
+
+
+def pair_table_uses(source):
+    """The line of every read of an attribute ``pairs`` in ``source``, and
+    of every import or attribute read of ``itertools.combinations``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "pairs"
+                or node.attr == "combinations" and getattr(node.value, "id", None) == "itertools"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            found += [node.lineno for alias in node.names if alias.name == "combinations"]
+    return sorted(found)
+
+
+def test_no_module_reads_a_pair_table():
+    # an edge holds C(|e|, 2) vertex pairs but only |e| incidences, and
+    # every pass reads it as its members and sgn(e), so no cost grows with
+    # the pairs; the pair table lives in the tests' references alone
+    found = {path.name: pair_table_uses(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_check_sees_pair_tables():
+    source = ("from itertools import chain, combinations as pairs_of\n"
+              "import itertools\n"
+              "xs = h.pairs\n"
+              "ys = [p for p in itertools.combinations(vs, 2)]\n"
+              "pairs = 1\n"
+              "zs = self.analysis.pairs[0]\n")
+    assert pair_table_uses(source) == [1, 3, 4, 6]
 
 
 def test_readme_quick_tour_runs():

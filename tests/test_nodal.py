@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,16 +48,20 @@ import shg.verify as verify
 from shg.verify import ORACLE_MAX_N, GenConfig, generate, oracle_domains
 
 from references import (
+    adjacency_int,
     clique_expansion,
     exhaustive_forest,
+    pairs,
     path_family,
     random_tree,
     reference_blocks,
     reference_decomposition,
     reference_edge_sign,
     reference_is_tree_like,
+    reference_row_pass,
     sunflower,
     support_cyclomatic,
+    wide_edge_family,
 )
 
 
@@ -612,9 +617,9 @@ class TestLongZeroPaths:
 
     @pytest.mark.parametrize("end, flip", [(1, False), (-1, False), (1, True), (-1, True)])
     def test_zero_chain_links_ends_by_parity(self, end, flip):
-        pairs = [pair_edge(v, v + 1, -1 if flip and v == LONG // 2 else 1) for v in range(1, LONG)]
+        chain = [pair_edge(v, v + 1, -1 if flip and v == LONG // 2 else 1) for v in range(1, LONG)]
         f = VertexFunction.from_values([1.0] + [0.0] * (LONG - 2) + [float(end)])
-        h = h_of(LONG, *pairs)
+        h = h_of(LONG, *chain)
         linked = end * (-1 if flip else 1) > 0
         cores = decompose(h, f).weak_cores
         assert cores == (((1, LONG),) if linked else ((1,), (LONG,)))
@@ -626,11 +631,11 @@ class TestLongZeroPaths:
     def test_zero_cycle_links_by_balance(self, end, unbalanced):
         # zeros 2..LONG-1 on a cycle, nonzero pendants 1 and LONG opposite each other
         ring = list(range(2, LONG))
-        pairs = [pair_edge(a, b, 1) for a, b in zip(ring, ring[1:])]
-        pairs.append(pair_edge(ring[-1], ring[0], -1 if unbalanced else 1))
-        pairs += [pair_edge(1, ring[0], 1), pair_edge(LONG, ring[len(ring) // 2], 1)]
+        chain = [pair_edge(a, b, 1) for a, b in zip(ring, ring[1:])]
+        chain.append(pair_edge(ring[-1], ring[0], -1 if unbalanced else 1))
+        chain += [pair_edge(1, ring[0], 1), pair_edge(LONG, ring[len(ring) // 2], 1)]
         f = VertexFunction.from_values([1.0] + [0.0] * (LONG - 2) + [float(end)])
-        h = h_of(LONG, *pairs)
+        h = h_of(LONG, *chain)
         linked = unbalanced or end > 0
         cores = decompose(h, f).weak_cores
         assert cores == (((1, LONG),) if linked else ((1,), (LONG,)))
@@ -699,7 +704,7 @@ class TestBoundsTable:
                                     seed=17, count=25)):
             size_one += any(e.size == 1 for e in h.edges)
             signs_of = {}
-            for x, y, s in h.pairs:
+            for x, y, s in pairs(h):
                 signs_of.setdefault((min(x, y), max(x, y)), set()).add(s)
             opposite += any(len(v) == 2 for v in signs_of.values())
             for tol in (0.2, 0.5):
@@ -780,7 +785,7 @@ def as_domains(classes):
 
 def reference_strong(h, f):
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
-    links = [(x, y) for x, y, s in h.pairs if sign[x] * s * sign[y] > 0]
+    links = [(x, y) for x, y, s in pairs(h) if sign[x] * s * sign[y] > 0]
     return as_domains(closure_classes(h.n, links, [v for v in h.vertex_range() if sign[v] != 0]))
 
 
@@ -837,7 +842,7 @@ def check_row_pass(h, fs):
     count enters the clique l_plus), and the terms of both readings on h
     and on its clique expansion."""
     rows = row_pass_of(h, *fs)
-    assert rows.attached == [any((f.sign(x) == 0) != (f.sign(y) == 0) for x, y, _ in h.pairs)
+    assert rows.attached == [any((f.sign(x) == 0) != (f.sign(y) == 0) for x, y, _ in pairs(h))
                              for f in fs]
     assert [strong for strong, a in zip(rows.strong, rows.attached) if not a] == \
         [reference_strong(h, f) for f, a in zip(fs, rows.attached) if not a]
@@ -1073,7 +1078,7 @@ class TestChunking:
         # every chunk of rows within the budget
         assert all(rows * size <= nodal._LINK_BUDGET for rows, size in chunks)
         # the row pass declares the widest of its temporaries per row: the
-        # pair table, the flat incidences, the vertices and the edges; the
+        # flat incidences or the vertices, never a pair table; the
         # sandwich declares n^2, a form's entries, which covers its pairs
         sandwiches = 0
         for h in instances:
@@ -1081,7 +1086,7 @@ class TestChunking:
             analysis.signs
             chunks.clear()
             analysis.terms
-            widest = max(len(h.pairs), sum(e.size for e in h.edges), h.n + 1, h.m)
+            widest = max(sum(e.size for e in h.edges), h.n + 1)
             assert chunks and all(size == widest for _, size in chunks)
             chunks.clear()
             verify._p_sandwich(analysis, random.Random(0))
@@ -1175,7 +1180,7 @@ class TestBatchedFiedlerSets:
         # expansion, built from its pairs, and the mask on g is the
         # tree-like test of every vertex
         h, _ = case
-        twins = data.draw(st.lists(st.sampled_from(h.pairs), max_size=3)) if h.pairs else []
+        twins = data.draw(st.lists(st.sampled_from(pairs(h)), max_size=3)) if pairs(h) else []
         g = h_of(h.n, *(e.incidences for e in h.edges), *(pair_edge(x, y, -s) for x, y, s in twins))
         on_g, on_clique = cyclic_vertices(g)
         assert on_clique == cyclic_vertices(clique_expansion(g))[0]
@@ -1288,7 +1293,7 @@ def reference_weak_domains(h, f):
     zz = {}
     attach = {}
     direct = []
-    for x, y, s in h.pairs:
+    for x, y, s in pairs(h):
         if sign[x] == 0 and sign[y] == 0:
             zz[(x, y, s) if x < y else (y, x, s)] = None
         elif sign[x] == 0:
@@ -1300,15 +1305,15 @@ def reference_weak_domains(h, f):
     uf = UnionFind(h.n)
     uf.link(direct)
     if attach:
-        pairs = list(zz)
-        blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in pairs])
+        zero_pairs = list(zz)
+        blocks, tree = reference_blocks(h.n + 1, [(x, y) for x, y, _ in zero_pairs])
         theta = [1] * (h.n + 1)
         for child, ei in tree:
-            x, y, s = pairs[ei]
+            x, y, s = zero_pairs[ei]
             theta[child] = theta[x if y == child else y] * s
         region = UnionFind(h.n)
         for block in blocks:
-            block_pairs = [pairs[ei] for ei in block]
+            block_pairs = [zero_pairs[ei] for ei in block]
             if all(theta[x] * s * theta[y] > 0 for x, y, s in block_pairs):
                 region.link((x, y) for x, y, _ in block_pairs)
         for group in attach.values():
@@ -1424,15 +1429,15 @@ class TestWeakPassAgainstReference:
         expected = tuple(decompose(h, f) for f in Analysis(h).spectrum.functions)
         real, weak_rows = nodal._weak, []
 
-        def recording(g, sign, uf, zero_pairs, attach):
+        def recording(g, sign, uf, zero_groups, attach):
             weak_rows.append(sign)
-            return real(g, sign, uf, zero_pairs, attach)
+            return real(g, sign, uf, zero_groups, attach)
 
         monkeypatch.setattr(nodal, "_weak", recording)
         analysis = Analysis(h)
         assert analysis.decompositions == expected
         attached = [row for row in analysis.signs.tolist()
-                    if any((row[x] == 0) != (row[y] == 0) for x, y, _ in h.pairs)]
+                    if any((row[x] == 0) != (row[y] == 0) for x, y, _ in pairs(h))]
         assert weak_rows == attached
         assert 0 < len(attached) < sum(sum(map(len, dec.strong)) < h.n for dec in expected)
 
@@ -1505,7 +1510,7 @@ def grown_set(rng, h, k):
     """k vertices of the connected h, grown from a random one by adding a
     random neighbour (by a pair) of those taken so far."""
     nbrs = {v: [] for v in h.vertex_range()}
-    for x, y, _ in h.pairs:
+    for x, y, _ in pairs(h):
         nbrs[x].append(y)
         nbrs[y].append(x)
     first = rng.randint(1, h.n)
@@ -1571,3 +1576,134 @@ class TestLowLink:
         assert blocks == sorted(map(sorted, ref_blocks))
         # the same search: the same tree links in the same order
         assert [(v, i) for _, v, i in tree] == ref_tree
+
+
+def zero_rich_functions(rng, n):
+    """Functions on 1..n at 20, 50 and 80 % zeros, plus an all-zero and a
+    zero-free one."""
+    fs = [vf(*(0.0 if rng.random() < p else rng.choice((-2.0, -1.0, 1.0, 2.0)) for _ in range(n)))
+          for p in (0.2, 0.5, 0.8)]
+    return fs + [vf(*[0.0] * n), vf(*(rng.choice((-1.0, 1.0)) for _ in range(n)))]
+
+
+def check_against_pair_references(h, fs):
+    """The per-edge passes against the pair-table references: the
+    adjacency, the row pass of the sign matrix of ``fs`` and ``decompose``
+    of each function of ``fs``.  Returns how many functions ran the weak
+    pass (had an attachment)."""
+    assert adjacency(h).tolist() == adjacency_int(h)
+    signs = sign_matrix(fs)
+    rows = _row_pass(h, signs)
+    assert rows == reference_row_pass(h, signs)
+    for f in fs:
+        dec = decompose(h, f)
+        assert (dec.strong, dec.weak_cores, dec.weak_closures) == reference_decomposition(h, f)
+    return sum(rows.attached)
+
+
+class TestPerEdgePasses:
+    """Every pass reads an edge once, as its members and sgn(e); the pair
+    table survives only in the references (``references.pairs``), and
+    these tests hold the passes to it on the wide edges that make the
+    table quadratic."""
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_one_wide_edge_decomposes_in_bounded_memory(self, s):
+        # one edge of sign s on 1000 vertices, 500 of them zeros: C(1000, 2)
+        # pairs, which a pair table holds in about 100 MiB
+        n = 1000
+        h = h_of(n, tuple((v, s if v == 1 else 1 if v % 3 else -1) for v in range(1, n + 1)))
+        assert h.edges[0].sign == s
+        f = vf(*(0.0 if v % 2 else (-1.0) ** (v // 2) for v in range(1, n + 1)))
+        assert f.signs[1:].count(0) == 500
+        tracemalloc.start()
+        try:
+            dec = decompose(h, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        # a positive edge keeps the two signs apart, its zeros with them;
+        # a negative one joins them
+        assert dec.strong_count == dec.weak_count == (2 if s > 0 else 1)
+        assert dec.weak_closures == tuple(tuple(sorted(d + tuple(range(1, n + 1, 2)))) for d in dec.strong)
+
+    @pytest.mark.parametrize("s", [1, -1])
+    def test_wide_edge_family(self, s):
+        rng = random.Random(s)
+        for n in (1, 2, 3, 7, 40, 150):
+            h = wide_edge_family(n, s)[0]
+            assert h.edges[0].sign == s or n == 1
+            check_against_pair_references(h, zero_rich_functions(rng, n))
+            g = weak_delete(h, 1)
+            check_against_pair_references(g, zero_rich_functions(rng, g.n))
+
+    def test_sunflowers_with_zero_cores_of_two_to_five(self):
+        rng = random.Random(5)
+        attached = 0
+        for k, s, c in ((2, 4, 2), (3, 6, 2), (3, 5, 3), (4, 9, 4), (5, 8, 5), (6, 12, 5)):
+            for seed in range(8):
+                h = sunflower(k, s, c, seed)
+                fs = [vf(*(0.0 if v <= c or rng.random() < p else rng.choice((-2.0, -1.0, 1.0, 2.0))
+                           for v in h.vertex_range())) for p in (0.0, 0.3, 0.6)]
+                attached += check_against_pair_references(h, fs)
+        assert attached >= 100
+
+    @pytest.mark.parametrize("cfg", [
+        GenConfig(n_range=(200, 200), m_range=(16, 16), edge_size_range=(2, 200), seed=1, count=2),
+        GenConfig(n_range=(40, 80), m_range=(10, 30), edge_size_range=(2, 40), seed=2, count=4),
+        GenConfig(n_range=(5, 12), m_range=(3, 14), edge_size_range=(1, 8), seed=3, count=30),
+    ])
+    def test_generated_wide_and_size_one_edges(self, cfg):
+        # edges of size 1 come from the last stream, empty edges from weak
+        # deletion; the eigenfunctions at a loose tolerance ride along
+        rng = random.Random(cfg.seed)
+        sizes = set()
+        for h in generate(cfg):
+            sizes.update(e.size for e in h.edges)
+            fs = zero_rich_functions(rng, h.n) + list(Analysis(h, zero_tol_rel=0.2).spectrum.functions[:6])
+            check_against_pair_references(h, fs)
+            g = weak_delete(h, rng.randint(1, h.n))
+            sizes.update(e.size for e in g.edges)
+            check_against_pair_references(g, zero_rich_functions(rng, g.n))
+        assert cfg.edge_size_range[0] > 1 or {0, 1} <= sizes
+
+    def test_near_trees(self):
+        rng = random.Random(77)
+        attached = 0
+        for n in (12, 30, 60):
+            for _ in range(12):
+                h = near_tree(rng, n)
+                zeros = grown_set(rng, h, n // 2)
+                fs = [vf(*(0.0 if v in zeros else rng.choice((-2.0, -1.0, 1.0, 2.0)) for v in h.vertex_range()))]
+                attached += check_against_pair_references(h, fs + zero_rich_functions(rng, n))
+        assert attached >= 100
+
+    # A zero hub is an edge with three zeros or more: a clique of zeros,
+    # 2-connected, so every block of the zero incidence graph around it is
+    # one block of the pair graph.  Each case is small enough for the oracle.
+    @pytest.mark.parametrize("edges, values, cores", [
+        # a positive hub on the zeros 1..4 whose block through 1 and 2 is
+        # unbalanced (the negative pair {1, 2}): 3 and 4, bridges from the
+        # hub, lie in no common balanced block, so 5 (at 3) and 6 (at 4)
+        # meet by paths of both signs
+        ([((1, 1), (2, 1), (3, 1), (4, -1)), ((1, 1), (2, 1)), ((5, 1), (3, -1)), ((6, 1), (4, 1))],
+         (0, 0, 0, 0, 1, 1), ((5, 6),)),
+        # a negative hub on the zeros 1..3 is a negative triangle: 4 (at 1)
+        # and 5 (at 2) meet by paths of both signs
+        ([((1, 1), (2, 1), (3, -1)), ((4, 1), (1, -1)), ((5, 1), (2, 1))], (0, 0, 0, 1, 1), ((4, 5),)),
+        # the same hub positive: one theta, and the two signs decide
+        ([((1, 1), (2, 1), (3, 1)), ((4, 1), (1, -1)), ((5, 1), (2, 1))], (0, 0, 0, 1, 1), ((4,), (5,))),
+        # the negative edge {3, 1, 2} puts its zeros 1 and 2 on a negative
+        # bridge, one region with two thetas: 3 reaches 2 directly and
+        # through 1, by both signs, so it meets 4 (at 2) whatever the sign
+        ([((3, 1), (1, 1), (2, -1)), ((4, 1), (2, 1))], (0, 0, 1, 1), ((3, 4),)),
+        ([((3, 1), (1, 1), (2, -1)), ((4, 1), (2, 1))], (0, 0, 1, -1), ((3, 4),)),
+    ])
+    def test_zero_hubs_and_pairs(self, edges, values, cores):
+        h = h_of(len(values), *edges)
+        f = vf(*values)
+        dec = decompose(h, f)
+        assert dec.weak_cores == cores
+        assert (dec.strong, dec.weak_cores, dec.weak_closures) == reference_decomposition(h, f) \
+            == oracle_domains(h, f)

@@ -328,7 +328,10 @@ class TestOracleReference:
             raise AssertionError("the oracle used the code it checks")
 
         monkeypatch.setattr(shg.core, "UnionFind", refuse)
-        monkeypatch.setattr(SignedHypergraph, "pairs", property(refuse))
+        # the fast path's one scan of the edges and its zero incidence graph
+        monkeypatch.setattr(shg.nodal, "_scan", refuse)
+        for module in (shg.core, shg.nodal):
+            monkeypatch.setattr(module, "incidence_graph", refuse)
         for name in ("decompose", "Analysis"):
             monkeypatch.setattr(shg.nodal, name, refuse)
             monkeypatch.setattr(shg.verify, name, refuse)
@@ -477,17 +480,17 @@ class TestCampaign:
         # zero-free function; a strong link joining its first two domains
         # keeps them equal, and only the row pass differs, which the
         # property reaches through the zero-free eigenfunctions
-        sort_pairs = shg.nodal._sort_pairs
+        scan = shg.nodal._scan
 
         def merged(h, sign):
-            links, zero_pairs, attach = sort_pairs(h, sign)
+            links, zero_groups, attach = scan(h, sign)
             uf = shg.core.UnionFind(h.n)
             uf.link(links)
             domains = uf.groups(v for v in h.vertex_range() if sign[v])
             # one more link from the second domain, if any, to the first
-            return links + [(d[0], domains[0][0]) for d in domains[1:2]], zero_pairs, attach
+            return links + [(d[0], domains[0][0]) for d in domains[1:2]], zero_groups, attach
 
-        monkeypatch.setattr(shg.nodal, "_sort_pairs", merged)
+        monkeypatch.setattr(shg.nodal, "_scan", merged)
         fails, _ = self._no_zeros_identical()
         assert fails and all(t.endswith("strong and weak partitions differ") for t in fails)
 
