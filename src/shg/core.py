@@ -8,8 +8,8 @@ and all operations are pure functions.
 Invariants:
     - every incidence references a vertex in ``1..n``
     - a vertex appears at most once per edge (simple hypergraph)
-    - edges are nonempty unless ``allow_empty_edges`` is set (empty
-      edges only arise from vertex deletions)
+    - every edge has at least one incidence: ``Edge`` refuses an empty
+      one, and a deletion drops the edges it empties
 
 Whether a vertex is tree-like is decided for all vertices at once by one
 bridge pass, ``cyclic_vertices``, over the low-link search ``lowlink``
@@ -54,7 +54,7 @@ __all__ = [
 class Edge:
     """One hyperedge: a tuple of (vertex, sign) incidences.  ``sign`` is
     sgn(e) = (-1)^(|e|-1) times the incidence product (Jost and Mulas, Adv.
-    Math. 2019), 0 for the empty edge."""
+    Math. 2019), so +1 or -1; an edge has at least one incidence."""
 
     incidences: tuple[tuple[int, int], ...]
 
@@ -75,8 +75,10 @@ class Edge:
             seen.add(v)
             vertices.append(v)
             sign = -sign * s
+        if not vertices:
+            raise ValueError("empty edge")
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "sign", sign if vertices else 0)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def size(self) -> int:
@@ -89,14 +91,11 @@ class SignedHypergraph:
 
     n: int
     edges: tuple[Edge, ...]
-    allow_empty_edges: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for e in self.edges:
-            if e.size == 0 and not self.allow_empty_edges:
-                raise ValueError("empty edge not allowed")
             for v in e.vertices:
                 if v > self.n:
                     raise ValueError(f"vertex {v} out of range 1..{self.n}")
@@ -216,7 +215,7 @@ def connected_components(h: SignedHypergraph) -> tuple[tuple[int, ...], ...]:
     """Maximal blocks of vertices mutually reachable through shared edges,
     each an ascending tuple, ordered by smallest vertex.
 
-    Isolated vertices form singleton blocks; empty edges touch nothing.
+    Isolated vertices form singleton blocks.
     """
     return _components(h).groups(h.vertex_range())
 
@@ -227,37 +226,33 @@ def induced_subhypergraph(h: SignedHypergraph, keep: Iterable[int]) -> SignedHyp
     dropped, duplicate truncated edges are kept.  Vertices are renumbered
     1..|keep| in increasing original order.
     """
-    keep = set(keep)
-    for v in keep:
+    kept = sorted(set(keep))
+    # ascending, so its ends decide the range
+    for v in kept[:1] + kept[-1:]:
         if not 1 <= v <= h.n:
             raise ValueError(f"vertex {v} out of range 1..{h.n}")
-    old_sorted = sorted(keep)
-    old_to_new = {old: i + 1 for i, old in enumerate(old_sorted)}
+    old_to_new = {old: new for new, old in enumerate(kept, 1)}
     new_edges: list[Edge] = []
     for e in h.edges:
-        inc = tuple((old_to_new[v], s) for v, s in e.incidences if v in keep)
+        inc = tuple((old_to_new[v], s) for v, s in e.incidences if v in old_to_new)
         if inc:
             new_edges.append(Edge(inc))
-    return SignedHypergraph(len(keep), tuple(new_edges))
+    return SignedHypergraph(len(kept), tuple(new_edges))
 
 
 def weak_delete(h: SignedHypergraph, v: int) -> SignedHypergraph:
-    """Remove v from the vertex set and from every edge, keeping truncated
-    edges (even empty ones).  Remaining vertices are renumbered 1..n-1.
+    """The weak deletion of v (Jost and Mulas, Adv. Math. 2019): v leaves
+    the vertex set and every edge, and an edge it empties goes, so it is
+    the induced subhypergraph on every vertex but v, renumbered 1..n-1.
     """
     if not 1 <= v <= h.n:
         raise ValueError(f"vertex {v} out of range 1..{h.n}")
-    old_to_new = {u: (u if u < v else u - 1) for u in h.vertex_range() if u != v}
-    new_edges = tuple(
-        Edge(tuple((old_to_new[u], s) for u, s in e.incidences if u != v))
-        for e in h.edges
-    )
-    return SignedHypergraph(h.n - 1, new_edges, allow_empty_edges=True)
+    return induced_subhypergraph(h, (u for u in h.vertex_range() if u != v))
 
 
 def cyclomatic(h: SignedHypergraph) -> CycleStats:
-    """Cyclomatic number l = sum over edges of max(|e|-1, 0) - n + c."""
-    total = sum(max(e.size - 1, 0) for e in h.edges)
+    """Cyclomatic number l = sum over edges of (|e|-1) - n + c."""
+    total = sum(e.size - 1 for e in h.edges)
     c = _components(h).count
     return CycleStats(total, h.n, c, total - h.n + c)
 
@@ -266,8 +261,8 @@ def spanning_hyperforest(h: SignedHypergraph) -> tuple[int, ...]:
     """An acyclic edge subset (indices into ``h.edges``, ascending).
 
     Scans edges by decreasing size (ties by input order) and keeps an
-    edge iff its vertices lie in pairwise distinct components, so empty
-    and singleton edges are always kept and the result is maximal: every
+    edge iff its vertices lie in pairwise distinct components, so
+    singleton edges are always kept and the result is maximal: every
     other edge closes a cycle with it.  Acyclic edge subsets are not a
     matroid, so the weight sum(|e|-1) need not be the largest; on 2-edges
     it is, n - c(H).
@@ -367,12 +362,13 @@ def cyclic_vertices(h: SignedHypergraph) -> tuple[tuple[bool, ...], tuple[bool, 
     graph of the edges of size 2 or more (``incidence_graph``) decides both
     readings for every vertex.  On the hypergraph, x is tree-like exactly
     when each of its incidence links is a bridge and none of its edges has
-    size 1, since weak deletion leaves such an edge empty (an edge of size
-    1 adds only a bridge to the graph, so it is left out).  On the
-    expansion, whose edges are the pairs of every edge, an edge of size 2
-    is a subdivided pair, so a link that is not a bridge lies on a cycle of
-    pairs, and an edge of size 3 or more puts each of its vertices on a
-    triangle; an edge of size 1 gives no pair.  An edge of size 2 enters
+    size 1, since weak deletion drops such an edge, which deg(x) counts
+    but which leaves no component (an edge of size 1 adds only a bridge to
+    the graph, so it is left out).  On the expansion, whose edges are the
+    pairs of every edge, an edge of size 2 is a subdivided pair, so a link
+    that is not a bridge lies on a cycle of pairs, and an edge of size 3 or
+    more puts each of its vertices on a triangle; an edge of size 1 gives
+    no pair.  An edge of size 2 enters
     the pass as one link between its two vertices, not as a node with two:
     undoing the subdivision turns a bridge into a bridge and a link on a
     cycle into a link on a cycle.  Both readings depend on the graph

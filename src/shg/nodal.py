@@ -511,8 +511,8 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
     ``signs``.
 
     One walk over chunks of rows, each edge read as its members and sgn(e)
-    through the flat incidence list, in edge order; an empty edge adds
-    nothing and is left out.  Sums over each edge's members
+    through the flat incidence list, in edge order, every segment of it
+    nonempty since every edge has a member.  Sums over each edge's members
     (``np.add.reduceat``) count, per edge e, its p positive and q negative
     members, so k_e = p + q nonzero ones; an edge with a zero and a
     nonzero member is an attachment.  The strong pairs of e number C(p, 2) + C(q, 2) for
@@ -549,9 +549,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
     has a zero.
     """
     n, width, n_rows = h.n, h.n + 1, len(signs)
-    # an empty edge has no member, no pair and no link, and adds nothing;
-    # leaving it out makes every segment of ``np.add.reduceat`` nonempty
-    edges = [e for e in h.edges if e.vertices]
+    edges = h.edges
     vertex_lists = [e.vertices for e in edges]
     sizes = np.fromiter(map(len, vertex_lists), dtype=np.intp, count=len(edges))
     positive = np.fromiter((e.sign > 0 for e in edges), dtype=bool, count=len(edges))
@@ -575,7 +573,7 @@ def _row_pass(h: SignedHypergraph, signs: np.ndarray) -> _Rows:
     l_h = np.full(n_rows, h.cycles.l)
     l_clique = np.full(n_rows, int(n_pairs.sum()) - n + h.cycles.n_components)
     fiedler: tuple[list[FiedlerSets], ...] = ([_NO_ZEROS] * n_rows, [_NO_ZEROS] * n_rows)
-    # every edge counted has a member, so the incidences outnumber the edges
+    # every edge has a member, so the incidences outnumber the edges
     for rows in row_chunks(n_rows, max(len(verts), width)):
         s = signs[rows]
         nonzero = s != 0

@@ -61,8 +61,6 @@ def parse(text: str) -> SignedHypergraph:
         tokens = line.split()
         if tokens[0] != "edge":
             _fail(lineno, f"expected 'edge', got {tokens[0]!r}")
-        if len(tokens) == 1:
-            _fail(lineno, "empty edge")
         incidences: list[tuple[int, int]] = []
         for tok in tokens[1:]:
             v_str, sep, s_str = tok.partition(":")
@@ -80,11 +78,9 @@ def parse(text: str) -> SignedHypergraph:
 
 
 def serialize(h: SignedHypergraph) -> str:
-    """Canonical text for a hypergraph; refuses empty edges (they only
-    arise from deletions and have no file representation)."""
+    """Canonical text for a hypergraph, one line per edge in incidence
+    order, which ``parse`` reads back to an equal hypergraph."""
     lines = ["shg 1", f"vertices {h.n}"]
     for e in h.edges:
-        if e.size == 0:
-            raise ValueError("cannot serialize empty edge")
         lines.append("edge " + " ".join(f"{v}:{_SIGN_OUT[s]}" for v, s in e.incidences))
     return "\n".join(lines) + "\n"

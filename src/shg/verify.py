@@ -202,18 +202,16 @@ def generate(cfg: GenConfig) -> Iterator[SignedHypergraph]:
 def _strong_delete(h: SignedHypergraph, v: int) -> SignedHypergraph:
     """Remove a vertex together with every incident edge, renumbering."""
     kept = tuple(e for e in h.edges if v not in e.vertices)
-    return weak_delete(SignedHypergraph(h.n, kept, allow_empty_edges=h.allow_empty_edges), v)
+    return weak_delete(SignedHypergraph(h.n, kept), v)
 
 
 def _spectral_cleanup(h: SignedHypergraph) -> SignedHypergraph | None:
-    """Drop empty edges and degree-0 vertices; None if nothing remains."""
-    nonempty = tuple(e for e in h.edges if e.size > 0)
-    trimmed = SignedHypergraph(h.n, nonempty, allow_empty_edges=False)
-    deg = degrees(trimmed)
-    keep = {v for v in trimmed.vertex_range() if deg[v] > 0}
+    """Drop degree-0 vertices; None if nothing remains."""
+    deg = degrees(h)
+    keep = {v for v in h.vertex_range() if deg[v] > 0}
     if not keep:
         return None
-    return induced_subhypergraph(trimmed, keep)
+    return induced_subhypergraph(h, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +450,8 @@ def _p_acyclic_iff_zero(ctx: Analysis, rng: random.Random):
     per_component_ok = True
     for block in connected_components(h):
         total = sum(
-            max(len([v for v in e.vertices if v in block]) - 1, 0)
-            for e in h.edges if e.vertices and e.vertices[0] in block
+            len([v for v in e.vertices if v in block]) - 1
+            for e in h.edges if e.vertices[0] in block
         )
         if total != len(block) - 1:
             per_component_ok = False

@@ -56,10 +56,8 @@ from shg.nodal import (
 
 def reference_edge_sign(e) -> int:
     """sgn(e) by its definition, (-1)^(|e|-1) times the product of the
-    incidence signs, read off the incidences; 0 for the empty edge.  The
-    references' own rule, apart from ``Edge.sign``."""
-    if not e.incidences:
-        return 0
+    incidence signs, read off the incidences.  The references' own rule,
+    apart from ``Edge.sign``."""
     return (-1) ** (len(e.incidences) - 1) * math.prod(s for _, s in e.incidences)
 
 
@@ -369,8 +367,8 @@ def reference_row_pass(h, signs):
       strong, so there l_plus = P - n + S + (n - |supp|);
     - the pairs of the coherent edges, those whose C(|e|, 2) pairs are
       all strong, and so whose |e| vertices are nonzero (an edge of size
-      1 or 0 has no pair and adds nothing, coherent or not): l_plus on h,
-      over sum max(|e| - 1, 0) of them;
+      1 has no pair and adds nothing, coherent or not): l_plus on h,
+      over sum (|e| - 1) of them;
     - the pairs with two nonzero ends, for rows with a zero.  An edge
       with k_e nonzero vertices connects them in h and in its expansion
       alike, and a zero is isolated, so with c components on 1..n,
@@ -395,7 +393,7 @@ def reference_row_pass(h, signs):
     # the flat incidences grouped by vertex, for the per-vertex sums
     by_vertex = edge_of[np.argsort(verts, kind="stable")]
     vertex_bounds = np.concatenate(([0], np.cumsum(np.bincount(verts, minlength=width))))
-    links = np.maximum(sizes - 1, 0)
+    links = sizes - 1
 
     strong: list[tuple[tuple[int, ...], ...] | None] = []
     attached = np.empty(n_rows, dtype=bool)

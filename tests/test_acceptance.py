@@ -209,13 +209,12 @@ def test_criterion_5_strong_count_lower_bound(campaign, fixture_spectrum):
 
 
 def _cleaned(h: SignedHypergraph) -> SignedHypergraph | None:
-    """Drop empty edges, then degree-0 vertices (renumbering)."""
-    kept = SignedHypergraph(h.n, tuple(e for e in h.edges if e.size > 0))
-    deg = degrees(kept)
-    alive = [v for v in kept.vertex_range() if deg[v] > 0]
+    """Drop degree-0 vertices (renumbering)."""
+    deg = degrees(h)
+    alive = [v for v in h.vertex_range() if deg[v] > 0]
     if not alive:
         return None
-    return induced_subhypergraph(kept, alive)
+    return induced_subhypergraph(h, alive)
 
 
 def _pair_graph(h, coeff, keep_positive_only):

@@ -21,6 +21,7 @@ from shg.core import (
     spanning_hyperforest,
     weak_delete,
 )
+from shg.shgio import parse, serialize
 from references import (
     clique_expansion,
     pairs,
@@ -56,6 +57,22 @@ def hypergraphs(draw, max_n=9, max_m=8):
     return SignedHypergraph(n, tuple(edges))
 
 
+@st.composite
+def forest_instances(draw, max_n=8, max_m=12, max_size=5):
+    """Edges of size 1 to ``max_size`` with repeats, so that ties and
+    weight-0 edges are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_m))):
+        if edges and draw(st.booleans()):
+            edges.append(draw(st.sampled_from(edges)))
+            continue
+        size = draw(st.integers(min_value=1, max_value=min(max_size, n)))
+        vs = draw(st.permutations(range(1, n + 1)))[:size]
+        edges.append(Edge(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs)))
+    return SignedHypergraph(n, tuple(edges))
+
+
 class TestEdge:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError, match="duplicate vertex"):
@@ -77,15 +94,19 @@ class TestEdge:
         assert edge((1, 1), (2, 1), (3, 1)).sign == 1
         assert edge((1, 1), (2, 1), (3, -1)).sign == -1
         assert edge((1, 1)).sign == 1
-        assert edge().sign == 0
+
+    def test_empty_edge_refused(self):
+        # every edge has a member; the edge itself is the one owner of the rule
+        with pytest.raises(ValueError, match="^empty edge$"):
+            Edge(())
 
     def test_edge_sign_matches_the_reference_on_every_pattern(self):
-        # every incidence-sign pattern of sizes 0-6, in two vertex orders
-        for size in range(7):
+        # every incidence-sign pattern of sizes 1-6, in two vertex orders
+        for size in range(1, 7):
             for signs in itertools.product((1, -1), repeat=size):
                 for vs in (range(1, size + 1), range(size, 0, -1)):
                     e = Edge(tuple(zip(vs, signs)))
-                    assert e.sign == reference_edge_sign(e)
+                    assert e.sign in (1, -1) and e.sign == reference_edge_sign(e)
 
     def test_sign_is_not_a_field(self):
         # equality, hash and repr read the incidences alone
@@ -95,6 +116,9 @@ class TestEdge:
 
 
 class TestHypergraph:
+    def test_fields_are_n_and_edges(self):
+        assert [f.name for f in dataclasses.fields(SignedHypergraph)] == ["n", "edges"]
+
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError, match="range"):
             h_of(2, ((1, 1), (3, 1)))
@@ -236,11 +260,25 @@ class TestInducedAndDeleted:
         assert rest.m == 1
         assert rest.edges[0].size == 2
 
-    def test_weak_delete_may_leave_empty_edges(self):
+    def test_weak_delete_drops_the_edges_it_empties(self):
         h = h_of(2, ((1, 1), (2, 1)), ((1, -1),))
         rest = weak_delete(h, 1)
-        sizes = sorted(e.size for e in rest.edges)
-        assert sizes == [0, 1]
+        assert rest == h_of(1, ((1, 1),))
+
+    @given(forest_instances(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_weak_delete_is_the_induced_subhypergraph(self, h, data):
+        # size-1 and repeated edges, so deletions empty some edges
+        v = data.draw(st.integers(1, h.n))
+        rest = weak_delete(h, v)
+        induced = induced_subhypergraph(h, [u for u in h.vertex_range() if u != v])
+        assert rest == induced and hash(rest) == hash(induced)
+        assert parse(serialize(rest)) == rest
+
+    @pytest.mark.parametrize("v", [0, 3])
+    def test_weak_delete_refuses_vertices_out_of_range(self, v):
+        with pytest.raises(ValueError, match="out of range"):
+            weak_delete(h_of(2, ((1, 1), (2, -1))), v)
 
 
 class TestCycles:
@@ -274,25 +312,10 @@ class TestCycles:
 
 
 @st.composite
-def forest_instances(draw, max_n=8, max_m=12, max_size=5):
-    """Edges of size 0 to ``max_size`` with repeats, so that ties and
-    weight-0 edges are common."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    edges = []
-    for _ in range(draw(st.integers(min_value=0, max_value=max_m))):
-        if edges and draw(st.booleans()):
-            edges.append(draw(st.sampled_from(edges)))
-            continue
-        size = draw(st.integers(min_value=0, max_value=min(max_size, n)))
-        vs = draw(st.permutations(range(1, n + 1)))[:size]
-        edges.append(Edge(tuple((v, draw(st.sampled_from((1, -1)))) for v in vs)))
-    return SignedHypergraph(n, tuple(edges), allow_empty_edges=True)
-
-
-@st.composite
 def deletion_instances(draw):
-    """``forest_instances`` (edges of size 0 and 1, parallel edges), then
-    up to three weak deletions, which leave more empty and size-1 edges."""
+    """``forest_instances`` (edges of size 1, parallel edges), then up to
+    three weak deletions, which drop the edges they empty and leave more
+    size-1 edges."""
     h = draw(forest_instances())
     for _ in range(draw(st.integers(min_value=0, max_value=min(3, h.n - 1)))):
         h = weak_delete(h, draw(st.integers(min_value=1, max_value=h.n)))
@@ -301,13 +324,13 @@ def deletion_instances(draw):
 
 @st.composite
 def split_deletion_instances(draw):
-    """Two or three parts side by side, each with edges of size 0 to 4
+    """Two or three parts side by side, each with edges of size 1 to 4
     and repeats (``forest_instances``), then up to three weak deletions."""
     n, edges = 0, []
     for part in draw(st.lists(forest_instances(max_n=6, max_m=8, max_size=4), min_size=2, max_size=3)):
         edges += [Edge(tuple((v + n, s) for v, s in e.incidences)) for e in part.edges]
         n += part.n
-    h = SignedHypergraph(n, tuple(edges), allow_empty_edges=True)
+    h = SignedHypergraph(n, tuple(edges))
     for _ in range(draw(st.integers(min_value=0, max_value=min(3, n - 1)))):
         h = weak_delete(h, draw(st.integers(min_value=1, max_value=h.n)))
     return h
@@ -321,12 +344,12 @@ class TestTreeLike:
         cyclic = cyclic_vertices(h)[0]
         assert cyclic == (False, *(not reference_is_tree_like(h, x, c) for x in h.vertex_range()))
         # a vertex of a size-1 edge lies on no cycle, but its weak deletion
-        # leaves that edge empty, so it is not tree-like
+        # drops that edge, which its degree counts, so it is not tree-like
         in_singleton = {e.vertices[0] for e in h.edges if e.size == 1}
         assert cyclic[1:] == tuple(x in in_singleton or lies_on_cycle(h, x) for x in h.vertex_range())
 
     def test_singleton_and_parallel_edges(self):
-        # {1} empties under deletion on h but gives the expansion no pair;
+        # {1} goes under deletion on h but gives the expansion no pair;
         # the parallel pair 2-3 keeps 2 and 3 on one cycle; 4 hangs off 3
         # by one edge, and the 3-edge {4, 5, 6} off 4, a tree on h and a
         # triangle on the expansion
@@ -365,11 +388,10 @@ class TestForest:
     @settings(max_examples=150, deadline=None)
     def test_greedy_forest_is_acyclic_and_maximal(self, h):
         forest = spanning_hyperforest(h)
-        chosen = lambda ids: SignedHypergraph(h.n, tuple(h.edges[i] for i in ids),
-                                              allow_empty_edges=True)
+        chosen = lambda ids: SignedHypergraph(h.n, tuple(h.edges[i] for i in ids))
         assert list(forest) == sorted(set(forest))
         assert cyclomatic(chosen(forest)).l == 0
-        assert {i for i, e in enumerate(h.edges) if e.size <= 1} <= set(forest)
+        assert {i for i, e in enumerate(h.edges) if e.size == 1} <= set(forest)
         # every edge it skips closes a cycle with it
         for i in set(range(h.m)) - set(forest):
             assert cyclomatic(chosen(forest + (i,))).l > 0

@@ -58,10 +58,10 @@ class TestRoundTrip:
         text = "# header comment\n\nshg 1\n\nvertices 2\n# mid\nedge 1:+ 2:-\n"
         assert parse(text).m == 1
 
-    def test_empty_edge_not_serializable(self):
-        h = SignedHypergraph(2, (Edge(()),), allow_empty_edges=True)
-        with pytest.raises(ValueError, match="empty edge"):
-            serialize(h)
+    def test_empty_edge_cannot_be_built(self):
+        # so every hypergraph has a file form: no edge without a member
+        with pytest.raises(ValueError, match="^empty edge$"):
+            Edge(())
 
 
 class TestParseErrors:

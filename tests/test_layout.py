@@ -3,7 +3,7 @@ every vertex set is an ascending tuple, never a ``frozenset``, every
 parameter is read, every module-level function is reachable, the facts
 of a hypergraph are computed only by the hypergraph that caches them,
 only ``spectra`` applies the zero rule, only the edge decides its sign,
-no module reads a pair table (an attribute ``pairs``) or imports
+only the edge refuses an empty edge, no module reads a pair table (an attribute ``pairs``) or imports
 ``itertools.combinations``, since every pass reads an edge once as its
 members and sgn(e), the README's quick tour runs and so does the
 benchmark's self-test."""
@@ -215,7 +215,7 @@ def test_the_zero_rule_has_one_owner():
 # the scopes that read an edge's incidences: the edge itself, the
 # copiers, the writers and the oracle, which decides sgn(e) on its own
 INCIDENCE_READERS = {
-    "core": ["Edge.__post_init__", "Edge.size", "induced_subhypergraph", "weak_delete"],
+    "core": ["Edge.__post_init__", "Edge.size", "induced_subhypergraph"],
     "shgio": ["serialize"],
     "verify": ["_edge_key", "_oracle_steps"],
 }
@@ -263,6 +263,83 @@ def test_the_check_sees_reads():
     assert reads(source, {"cyclomatic", "cyclic_vertices"}) == [
         ("<module>", "cyclomatic"), ("H.cycles", "cyclomatic"), ("H.other", "cyclomatic"),
         ("H.other", "cyclomatic"), ("cyclic_vertices.inner", "cyclic_vertices")]
+
+
+def empty_edge_guards(source):
+    """The (scope, trace), sorted, of every trace in ``source`` of an edge
+    without a member: the name ``allow_empty_edges`` (a field, a read or a
+    keyword), a string that names an empty edge outside a docstring, an
+    attribute ``size`` compared with 0, and a truth test of an attribute
+    ``vertices`` or ``incidences`` (``if e.vertices``, ``not e.incidences``).
+    The scope is as in ``reads``."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    found = set()
+
+    def truth_tested(node):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            return [node.test]
+        if isinstance(node, ast.comprehension):
+            return node.ifs
+        if isinstance(node, ast.BoolOp):
+            return node.values
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return [node.operand]
+        return []
+
+    def visit(node, scope):
+        where = ".".join(scope) or "<module>"
+        if "allow_empty_edges" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "arg", None)):
+            found.add((where, "allow_empty_edges"))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "empty edge" in node.value and id(node) not in docstrings):
+            found.add((where, repr(node.value)))
+        elif (isinstance(node, ast.Compare) and getattr(node.left, "attr", None) == "size"
+              and any(getattr(c, "value", None) == 0 for c in node.comparators)):
+            found.add((where, ".size compared with 0"))
+        for test in truth_tested(node):
+            if getattr(test, "attr", None) in ("vertices", "incidences"):
+                found.add((where, f"truth of .{test.attr}"))
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(tree, ())
+    return sorted(found)
+
+
+# the edge refuses an edge without a member, so no other code guards
+# against one
+EMPTY_EDGE_GUARDS = {"core": [("Edge.__post_init__", "'empty edge'")]}
+
+
+def test_only_the_edge_refuses_an_empty_edge():
+    found = {path.stem: empty_edge_guards(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {module: guards for module, guards in found.items() if guards} == EMPTY_EDGE_GUARDS
+
+
+def test_the_check_sees_planted_empty_edge_guards():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    sources["shgio"] += ("\ndef _planted(h, e):\n"
+                         "    \"\"\"Writes no empty edge.\"\"\"\n"
+                         "    kept = [x for x in h.edges if x.vertices]\n"
+                         "    if e.size == 0 or not e.incidences:\n"
+                         "        raise ValueError(f'cannot serialize empty edge {e}')\n"
+                         "    return SignedHypergraph(h.n, kept, allow_empty_edges=h.allow_empty_edges)\n"
+                         "class _Planted:\n"
+                         "    allow_empty_edges: bool = False\n")
+    found = {module: empty_edge_guards(source) for module, source in sources.items()}
+    assert {module: guards for module, guards in found.items() if guards} == {
+        **EMPTY_EDGE_GUARDS,
+        "shgio": [("_Planted", "allow_empty_edges"), ("_planted", "'cannot serialize empty edge '"),
+                  ("_planted", ".size compared with 0"), ("_planted", "allow_empty_edges"),
+                  ("_planted", "truth of .incidences"), ("_planted", "truth of .vertices")]}
 
 
 def pair_table_uses(source):

@@ -195,7 +195,7 @@ def path_oracle(h, f):
     fixed-point loop.  A reference only."""
     sign = [0] + [f.sign(v) for v in h.vertex_range()]
     support = [v for v in h.vertex_range() if sign[v] != 0]
-    esigns = [(e, reference_edge_sign(e)) for e in h.edges if e.size > 0]
+    esigns = [(e, reference_edge_sign(e)) for e in h.edges]
     strong_pairs = {(x, w) for e, sg in esigns for x in e.vertices for w in e.vertices
                     if x != w and sign[x] * sg * sign[w] > 0}
     weak_pairs = set()
