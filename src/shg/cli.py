@@ -27,7 +27,7 @@ from .fixtures import (
     fixture_example1,
     printed_laplacian_array,
 )
-from .nodal import BOUND_VARIANTS, Analysis, decompose
+from .nodal import Analysis, decompose
 from .report import (
     aligned_text,
     build_report,
@@ -144,15 +144,21 @@ def _cmd_domains(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    """One row per eigenfunction with both readings of the lower bound,
+    on whole hyperedges and on the clique expansion, side by side; a
+    failed bound shows as ``NO`` and leaves the exit code at 0."""
     h, _ = _load(args.file)
-    header = ("i", "k", "r", "S", "W", "upper", "S<=upper", "W<=k+c-1", "lower", "S>=lower")
+    header = ("i", "k", "r", "S", "W", "upper", "S<=upper", "W<=k+c-1",
+              "lower(h)", "S>=lower(h)", "lower(clique)", "S>=lower(clique)")
     rows = [header]
-    for rep in Analysis(h).bounds(args.h1_variant):
+    analysis = Analysis(h)
+    for rep, clique in zip(analysis.bounds(), analysis.bounds("clique"), strict=True):
         verdicts = ("yes" if ok else "NO" for ok in (rep.strong_upper_ok, rep.weak_upper_ok))
         rows.append((
             str(rep.eig_index), str(rep.k), str(rep.r), str(rep.strong_count),
             str(rep.weak_count), str(rep.k + rep.r - 1), *verdicts,
             str(rep.strong_lower_bound), "yes" if rep.strong_lower_ok else "NO",
+            str(clique.strong_lower_bound), "yes" if clique.strong_lower_ok else "NO",
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     for row in rows:
@@ -310,8 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="eigenvalue-indexed nodal bounds")
     p.add_argument("file")
-    p.add_argument("--h1-variant", choices=BOUND_VARIANTS, default="all_pairs",
-                   help="reading of the lower bound's correction terms")
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("report", help="full JSON report (text summary on stderr)")

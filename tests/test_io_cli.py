@@ -195,12 +195,12 @@ class TestBoundsCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 10
         assert lines[0].split() == ["i", "k", "r", "S", "W", "upper", "S<=upper", "W<=k+c-1",
-                                    "lower", "S>=lower"]
+                                    "lower(h)", "S>=lower(h)", "lower(clique)", "S>=lower(clique)"]
         # both upper bounds hold on the fixture
         assert all(line.split()[6:8] == ["yes", "yes"] for line in lines[1:])
-        # the top cluster rows are the known lower-bound violations
-        assert lines[-1].split()[-1] == "NO"
-        assert lines[1].split()[-1] == "yes"
+        # the top cluster rows are the known whole-hyperedge violations
+        assert lines[-1].split()[9] == "NO"
+        assert lines[1].split()[9] == "yes"
 
     def test_upper_bound_verdicts(self, tmp_path, capsys):
         # a random tree of 512 classical 2-edges, vertex v linked to a
@@ -219,22 +219,38 @@ class TestBoundsCommand:
         assert any(row[6] == "NO" for row in rows)
 
     def test_variant_flag(self, tmp_path, capsys):
+        # the table carries both readings, so the option that picked one
+        # is gone: a usage error, no traceback
         path = write_fixture(tmp_path)
-        for variant in ("all_pairs", "clique"):
-            assert main(["bounds", path, "--h1-variant", variant]) == 0
-        capsys.readouterr()
-        # the exists_ordering reading is gone: a usage error, no traceback
-        assert main(["bounds", path, "--h1-variant", "exists_ordering"]) == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'exists_ordering'" in err and "Traceback" not in err
+        for variant in ("all_pairs", "clique", "exists_ordering"):
+            assert main(["bounds", path, "--h1-variant", variant]) == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert "unrecognized arguments: --h1-variant" in captured.err
+            assert "Traceback" not in captured.err
 
     def test_clique_variant_holds_on_every_row(self, tmp_path, capsys):
-        assert main(["bounds", write_fixture(tmp_path), "--h1-variant", "clique"]) == 0
+        assert main(["bounds", write_fixture(tmp_path)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 10
         assert [line.split()[-1] for line in lines[1:]] == ["yes"] * 9
-        # top cluster: upper bound k + r - 1 = 9, clique lower bound 5
-        assert lines[-1].split()[5:] == ["9", "yes", "yes", "5", "yes"]
+        # top cluster: upper bound k + r - 1 = 9 held, whole-hyperedge
+        # lower bound 8 failed, clique lower bound 5 held
+        assert lines[-1].split()[5:] == ["9", "yes", "yes", "8", "NO", "5", "yes"]
+
+    def test_hypertree_counterexample_rows(self, tmp_path, capsys):
+        # the 4-vertex hypertree of TestHypertreeCounterexample: the
+        # whole-hyperedge reading fails on rows 1-3, the clique reading
+        # holds on every row, and the exit code stays 0
+        text = "shg 1\nvertices 4\nedge 1:+ 2:+\nedge 2:+ 3:+ 4:-\n"
+        assert main(["bounds", write_fixture(tmp_path, text)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[8:] for row in rows] == [
+            ["2", "NO", "1", "yes"],
+            ["2", "NO", "1", "yes"],
+            ["3", "NO", "2", "yes"],
+            ["4", "yes", "3", "yes"],
+        ]
 
 
 class TestReportCommand:
@@ -692,7 +708,7 @@ def shg_texts(draw):
 
 FILE_COMMANDS = (
     ["validate"], ["spectrum"], ["domains", "--eig", "1"], ["domains", "--function=1,0,-1"],
-    ["bounds"], ["bounds", "--h1-variant", "clique"], ["report"], ["oracle", "--eig", "1"],
+    ["bounds"], ["report"], ["oracle", "--eig", "1"],
 )
 
 

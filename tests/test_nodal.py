@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,7 +44,14 @@ from shg.nodal import (
     fiedler_sets,
     weak_domains,
 )
-from shg.spectra import VertexFunction, adjacency, eigendecompose, laplacian, sign_matrix
+from shg.spectra import (
+    VertexFunction,
+    adjacency,
+    eigendecompose,
+    laplacian,
+    laplacian_exact,
+    sign_matrix,
+)
 import shg.verify as verify
 from shg.verify import ORACLE_MAX_N, GenConfig, generate, oracle_domains
 
@@ -51,6 +59,7 @@ from references import (
     adjacency_int,
     clique_expansion,
     exhaustive_forest,
+    generate_supertree,
     pairs,
     path_family,
     random_tree,
@@ -493,6 +502,115 @@ class TestCliqueReading:
             for a, b in zip(analysis.bounds(), analysis.bounds("clique"), strict=True):
                 assert (b.l_prime, b.l_plus, b.fiedler_size, b.strong_lower_bound) == (
                     a.l_prime, a.l_plus, a.fiedler_size, a.strong_lower_bound)
+
+
+def char_poly(a):
+    """Coefficients of det(xI - a), constant term first, for a square
+    matrix of Fractions (Faddeev-LeVerrier)."""
+    n = len(a)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    am = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[am[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        coeffs[n - k] = -sum(am[i][i] for i in range(n)) / k
+    return coeffs
+
+
+# a + b sqrt(2) as the pair (a, b) of Fractions
+def q2_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def q2_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def q2_sign(x):
+    a, b = x
+    if a * b >= 0:
+        return (a > 0) - (a < 0) or (b > 0) - (b < 0)
+    # opposite signs: the larger of a^2 and 2 b^2 decides
+    return ((a > 0) - (a < 0)) * ((a * a > 2 * b * b) - (a * a < 2 * b * b))
+
+
+class TestHypertreeCounterexample:
+    """``edge 1:+ 2:+`` and ``edge 2:+ 3:+ 4:-``, both of sign -1: a
+    hypertree whose simple eigenvalue 2 - sqrt(2)/2 has an eigenfunction
+    with two strong domains, certified exactly, against a whole-hyperedge
+    lower bound of three.  The clique bound of two holds and is tight."""
+
+    H = SignedHypergraph(4, (Edge(((1, 1), (2, 1))), Edge(((2, 1), (3, 1), (4, -1)))))
+    LAMBDA = (Fraction(2), Fraction(-1, 2))            # 2 - sqrt(2)/2
+    U = ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(-1, 2)),
+         (Fraction(1), Fraction(-1)), (Fraction(1), Fraction(-1)))
+
+    def test_characteristic_polynomial(self):
+        assert [e.sign for e in self.H.edges] == [-1, -1]
+        # x^2 (x^2 - 4x + 7/2): the double root 0, then 2 -+ sqrt(2)/2,
+        # the roots of a quadratic with discriminant 2; so lambda_3 is simple
+        assert char_poly(laplacian_exact(self.H)) == [0, 0, Fraction(7, 2), -4, 1]
+        lam, other = self.LAMBDA, (Fraction(2), Fraction(1, 2))
+        for root in (lam, other):
+            value = q2_add(q2_mul(root, q2_add(root, (Fraction(-4), Fraction(0)))),
+                           (Fraction(7, 2), Fraction(0)))
+            assert value == (0, 0)
+        # 0 < lambda_3 < lambda_4: index 3, k = 3, r = 1
+        assert q2_sign(lam) == 1 and q2_sign(q2_add(other, (-lam[0], -lam[1]))) == 1
+
+    def test_eigenvector_signs_are_exact(self):
+        # (L - lambda_3 I) u = 0 in Q(sqrt 2), and u has signs (+, +, -, -)
+        lap = laplacian_exact(self.H)
+        for i in range(4):
+            row = (Fraction(0), Fraction(0))
+            for j in range(4):
+                entry = (lap[i][j] - self.LAMBDA[0] * (i == j), -self.LAMBDA[1] * (i == j))
+                row = q2_add(row, q2_mul(entry, self.U[j]))
+            assert row == (0, 0)
+        assert [q2_sign(x) for x in self.U] == [1, 1, -1, -1]
+        # no entry is near zero: the smallest, 1 - sqrt(2)/2, is 0.29 of the largest
+        analysis = Analysis(self.H)
+        f = np.array(analysis.spectrum.functions[2].values)
+        u = np.array([float(a) + float(b) * math.sqrt(2) for a, b in self.U])
+        assert abs(abs(f @ u) - np.linalg.norm(f) * np.linalg.norm(u)) < 1e-12
+        assert analysis.signs[2, 1:].tolist() in ([1, 1, -1, -1], [-1, -1, 1, 1])
+        assert np.min(np.abs(f)) > 0.29 * np.max(np.abs(f))
+
+    def test_two_strong_domains(self):
+        f = Analysis(self.H).spectrum.functions[2]
+        assert decompose(self.H, f).strong == ((1,), (2, 3, 4))
+        assert oracle_domains(self.H, f)[0] == ((1,), (2, 3, 4))
+
+    def test_whole_hyperedge_bound_fails_and_clique_bound_is_tight(self):
+        analysis = Analysis(self.H)
+        h_row, clique_row = analysis.bounds()[2], analysis.bounds("clique")[2]
+        assert (h_row.k, h_row.r, h_row.strong_count) == (3, 1, 2)
+        assert (h_row.l_prime, h_row.l_plus, h_row.fiedler_size) == (0, 0, 0)
+        assert h_row.strong_lower_bound == 3 and not h_row.strong_lower_ok
+        assert clique_row.l_prime == 1
+        assert clique_row.strong_lower_bound == 2 == clique_row.strong_count
+        assert clique_row.strong_lower_ok
+
+
+def test_hyperforest_lower_bounds():
+    # on a hyperforest l' = 0 and, on a zero-free row, l+ = 0, so the
+    # whole-hyperedge reading claims S >= k + r - 1, and with the upper
+    # bound S = k on the rows with r = 1: Fiedler's tree count (1975),
+    # which fails on hypertrees.  The clique reading holds on every row.
+    rows = zero_free_simple = 0
+    for m, sizes in ((50, (2, 4)), (150, (2, 6))):
+        for seed in range(3):
+            analysis = Analysis(generate_supertree(random.Random(seed), m, sizes))
+            zero_free = (analysis.signs[:, 1:] != 0).all(axis=1)
+            for rep, clique, plain in zip(analysis.bounds(), analysis.bounds("clique"), zero_free,
+                                          strict=True):
+                assert clique.strong_lower_ok, clique
+                rows += 1
+                if plain and rep.r == 1:
+                    assert rep.strong_lower_bound == rep.k + rep.r - 1, rep
+                    zero_free_simple += 1
+    assert rows == 1693
+    assert zero_free_simple > 300
 
 
 class TestDomainGraph:

@@ -34,7 +34,7 @@ from shg.spectra import VertexFunction
 from shg.verify import GenConfig, generate
 
 REPORTS_SHA256 = "4a04219bb2bec683792e5cc0e7e91f427fbef03caa9bca7936c9cc0afede3d0d"
-BOUNDS_SHA256 = "ee8e27304bb0b789a842ec1b3573c756b1df145c97fa32367e62b6e4e3aba8a3"
+BOUNDS_SHA256 = "b00d86c404190d10f8a2977e62166f91b05964ce1696217d87164bf48e0c3df5"
 FUZZ_SHA256 = "fcdad2813dc23a104d53456ca89a43190b0c0ac0a9ed198fabed4891f36b2d6f"
 FUZZ_500_SHA256 = "4f27f233d808001344f58395caab50f125b07684d1b3188da3280bdb78bdcad4"
 ZERO_HEAVY_SHA256 = "b4c1b6bfe556a4ee7b710f260642186c4f082efb33c22f8f484a79ae3629ef56"
@@ -72,10 +72,9 @@ def bounds_digest(tmp_path):
     for i, h in enumerate(_instances()):
         path = tmp_path / f"h{i}.shg"
         path.write_text(serialize(h), encoding="utf-8")
-        for variant in ("all_pairs", "clique"):
-            code, out = _stdout(["bounds", str(path), "--h1-variant", variant])
-            assert code == 0
-            parts.append(out)
+        code, out = _stdout(["bounds", str(path)])
+        assert code == 0
+        parts.append(out)
     return _sha256(parts)
 
 
